@@ -26,22 +26,10 @@
 use std::path::Path;
 use std::time::Instant;
 
-use tve_bench::write_artifact;
+use tve_bench::{drift_failures, write_artifact};
 use tve_core::Schedule;
 use tve_sched::{enumerate_schedules, estimate_tasks, explore_certified, Constraints};
 use tve_soc::{paper_schedules, SocConfig, SocTestPlan};
-
-/// Pulls `"key": <number>` out of the snapshot JSON (keys are unique in
-/// the format this bin writes).
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
 
 fn fail(message: &str) -> ! {
     eprintln!("bounds_bench FAILED: {message}");
@@ -210,7 +198,6 @@ fn main() {
         return;
     }
     let baseline_text = baseline_text.expect("baseline read above when checking");
-    let mut failures = Vec::new();
 
     // Every gated scalar is bit-deterministic, so the ±25% band is pure
     // headroom for intentional pool re-sizing — real drift means the
@@ -222,19 +209,7 @@ fn main() {
         ("pruned_fraction", snap.pruned_fraction()),
         ("front_size", snap.front_size as f64),
     ];
-    for (key, got) in tracked {
-        let Some(want) = json_f64(&baseline_text, key) else {
-            failures.push(format!("baseline {baseline_path} lacks key {key}"));
-            continue;
-        };
-        let drift = (got - want).abs() / want.abs().max(1e-9);
-        if drift > 0.25 {
-            failures.push(format!(
-                "{key}: measured {got:.4} vs baseline {want:.4} ({:+.0}% drift, tolerance ±25%)",
-                (got - want) / want * 100.0
-            ));
-        }
-    }
+    let failures = drift_failures(&baseline_text, &baseline_path, &tracked);
 
     if failures.is_empty() {
         println!(

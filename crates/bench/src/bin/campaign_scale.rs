@@ -31,25 +31,13 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use tve_bench::write_artifact;
+use tve_bench::{drift_failures, write_artifact};
 use tve_campaign::{
     generate, merge_shards, run_campaign, run_campaign_journaled, run_campaign_shard,
     run_guided_campaign, run_sampled_campaign, CampaignConfig, PopulationSpec, ShardSpec,
 };
 use tve_sched::Farm;
 use tve_soc::Workload;
-
-/// Pulls `"key": <number>` out of the snapshot JSON (keys are unique in
-/// the format this bin writes).
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
 
 fn fail(message: &str) -> ! {
     eprintln!("campaign_scale FAILED: {message}");
@@ -380,19 +368,7 @@ fn main() {
         ("escapes_true", snap.guided_escapes_true as f64),
         ("escapes_found", snap.guided_escapes_found as f64),
     ];
-    for (key, got) in tracked {
-        let Some(want) = json_f64(&baseline_text, key) else {
-            failures.push(format!("baseline {baseline_path} lacks key {key}"));
-            continue;
-        };
-        let drift = (got - want).abs() / want.abs().max(1e-9);
-        if drift > 0.25 {
-            failures.push(format!(
-                "{key}: measured {got:.4} vs baseline {want:.4} ({:+.0}% drift, tolerance ±25%)",
-                (got - want) / want * 100.0
-            ));
-        }
-    }
+    failures.extend(drift_failures(&baseline_text, &baseline_path, &tracked));
 
     if failures.is_empty() {
         println!(

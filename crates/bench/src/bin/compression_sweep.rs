@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 
 use tve_bench::{format_row, write_artifact};
-use tve_sched::{run_scenarios, ScenarioJob};
+use tve_sched::{Farm, ScenarioJob};
 use tve_soc::{paper_schedules, SocConfig, SocTestPlan};
 
 const RATIOS: [f64; 8] = [1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 200.0];
@@ -79,7 +79,7 @@ fn main() {
             ]
         })
         .collect();
-    let batch = run_scenarios(&jobs);
+    let batch = Farm::new().run(&jobs);
 
     let mut prev2 = f64::INFINITY;
     let mut rows = String::from("ratio,sched2_mcycles,sched4_mcycles,sched4_peak_pct\n");

@@ -26,7 +26,7 @@
 
 use std::time::Instant;
 
-use tve_bench::write_artifact;
+use tve_bench::{drift_failures, write_artifact};
 use tve_sched::{Farm, ScenarioJob};
 use tve_sim::{Duration, Simulation};
 use tve_soc::{paper_schedules, run_scenario, SocConfig, SocTestPlan, Workload};
@@ -366,19 +366,6 @@ impl Snapshot {
     }
 }
 
-/// Pulls `"key": <number>` out of the snapshot JSON. Keys are unique in
-/// the format this bin writes, so a flat scan is sufficient — no JSON
-/// parser dependency needed.
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -537,19 +524,7 @@ fn main() {
         ("jobs_per_sec_w2", snap.farm_eps[1]),
         ("jobs_per_sec_w4", snap.farm_eps[2]),
     ];
-    for (key, got) in tracked {
-        let Some(want) = json_f64(&baseline, key) else {
-            failures.push(format!("baseline {baseline_path} lacks key {key}"));
-            continue;
-        };
-        let drift = (got - want).abs() / want;
-        if drift > 0.25 {
-            failures.push(format!(
-                "{key}: measured {got:.3} vs baseline {want:.3} ({:+.0}% drift, tolerance ±25%)",
-                (got - want) / want * 100.0
-            ));
-        }
-    }
+    failures.extend(drift_failures(&baseline, &baseline_path, &tracked));
 
     if failures.is_empty() {
         println!("perf gate: OK (all metrics within ±25% of {baseline_path}, ratios hold)");

@@ -43,7 +43,7 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use tve_bench::write_artifact;
+use tve_bench::{drift_failures, write_artifact};
 use tve_campaign::{
     generate, merge_shards, run_campaign, run_campaign_journaled, run_campaign_journaled_with_io,
     CampaignConfig, PopulationSpec, ShardSpec,
@@ -172,16 +172,6 @@ fn journal_config() -> CampaignConfig {
         paper_schedules().to_vec(),
         population,
     )
-}
-
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() {
@@ -404,7 +394,6 @@ fn main() {
         eprintln!("error: cannot read baseline {baseline_path}: {e}");
         std::process::exit(2);
     });
-    let mut failures = Vec::new();
     // Every gated scalar is an exact invariant; the ±25% band exists
     // only so intentional scenario additions re-record cleanly.
     let tracked = [
@@ -414,19 +403,7 @@ fn main() {
         ("identical_artifacts", identical_artifacts as f64),
         ("overload_submitted", submitted as f64),
     ];
-    for (key, got) in tracked {
-        let Some(want) = json_f64(&baseline_text, key) else {
-            failures.push(format!("baseline {baseline_path} lacks key {key}"));
-            continue;
-        };
-        let drift = (got - want).abs() / want.abs().max(1e-9);
-        if drift > 0.25 {
-            failures.push(format!(
-                "{key}: measured {got:.4} vs baseline {want:.4} ({:+.0}% drift, tolerance ±25%)",
-                (got - want) / want * 100.0
-            ));
-        }
-    }
+    let failures = drift_failures(&baseline_text, &baseline_path, &tracked);
     if failures.is_empty() {
         println!("resilience gate: OK (all metrics within ±25% of {baseline_path})");
     } else {

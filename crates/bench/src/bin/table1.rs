@@ -28,7 +28,7 @@ use tve_bench::{
 use tve_obs::{
     check_json, utilization_from_spans, write_chrome_trace, JsonValue, SpanKind, StoragePolicy,
 };
-use tve_sched::{run_scenarios, run_scenarios_traced, BatchReport, ScenarioJob};
+use tve_sched::{BatchReport, Farm, ScenarioJob};
 use tve_serve::{JobKind, JobSpec};
 use tve_soc::{paper_schedules, Workload};
 
@@ -93,12 +93,12 @@ fn main() {
         .collect();
     let traced = trace
         .as_ref()
-        .map(|_| run_scenarios_traced(&jobs, StoragePolicy::Unbounded));
+        .map(|_| Farm::new().run_traced(&jobs, StoragePolicy::Unbounded));
     let untraced;
     let batch: &BatchReport = match &traced {
         Some(t) => &t.report,
         None => {
-            untraced = run_scenarios(&jobs);
+            untraced = Farm::new().run(&jobs);
             &untraced
         }
     };

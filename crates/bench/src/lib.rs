@@ -54,6 +54,40 @@ pub fn write_artifact(path: &Path, contents: &str) {
     }
 }
 
+/// Pulls `"key": <number>` out of a snapshot JSON. Keys are unique in
+/// the formats the bench bins write, so a flat scan is sufficient.
+pub fn json_f64(text: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\":");
+    let at = text.find(&needle)? + needle.len();
+    let rest = text[at..].trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// The ±25% baseline gate of the snapshot bins: one failure message per
+/// `(key, measured)` pair that `baseline` (the text of `baseline_path`)
+/// lacks or that drifted more than 25% from it. Improvements beyond the
+/// band fail too, so a stale baseline gets re-recorded.
+pub fn drift_failures(baseline: &str, baseline_path: &str, tracked: &[(&str, f64)]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for &(key, got) in tracked {
+        let Some(want) = json_f64(baseline, key) else {
+            failures.push(format!("baseline {baseline_path} lacks key {key}"));
+            continue;
+        };
+        let drift = (got - want).abs() / want.abs().max(1e-9);
+        if drift > 0.25 {
+            failures.push(format!(
+                "{key}: measured {got:.4} vs baseline {want:.4} ({:+.0}% drift, tolerance ±25%)",
+                (got - want) / want * 100.0
+            ));
+        }
+    }
+    failures
+}
+
 /// Resolves the trace-output path requested on the command line.
 ///
 /// Returns `Some(path)` when tracing was requested, `None` otherwise:
@@ -148,6 +182,26 @@ mod tests {
         // A following flag is not consumed as the path.
         let out = trace_output(&args(&["bin", "--trace", "--detail"]), "d.json");
         assert_eq!(out, Some(PathBuf::from("d.json")));
+    }
+
+    #[test]
+    fn drift_gate_flags_missing_keys_and_drift_beyond_25_percent() {
+        let baseline = "{\n  \"a\": 100.0,\n  \"b\": 2.5e1,\n  \"z\": 0\n}\n";
+        assert_eq!(json_f64(baseline, "b"), Some(25.0));
+        let ok = drift_failures(
+            baseline,
+            "base.json",
+            &[("a", 120.0), ("b", 20.0), ("z", 0.0)],
+        );
+        assert!(ok.is_empty(), "{ok:?}");
+        let bad = drift_failures(
+            baseline,
+            "base.json",
+            &[("a", 130.0), ("z", 1.0), ("c", 1.0)],
+        );
+        assert_eq!(bad.len(), 3, "{bad:?}");
+        assert!(bad[0].starts_with("a: measured 130.0000 vs baseline 100.0000 (+30% drift"));
+        assert_eq!(bad[2], "baseline base.json lacks key c");
     }
 
     #[test]

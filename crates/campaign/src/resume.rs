@@ -29,11 +29,12 @@ use std::path::Path;
 use tve_obs::{parse_journal, IoPolicy, Journal, JournalDefect, JsonValue};
 use tve_sched::Farm;
 
-use crate::engine::{diagnose_scan_fault, run_cell, CampaignConfig};
+use crate::engine::CampaignConfig;
 use crate::fault::FaultSpec;
 use crate::matrix::{CellOutcome, CellResult, DiagnosisCheck};
 use crate::shard::{
-    campaign_fingerprint, effective_schedules, golden_baselines, ShardReport, ShardSpec,
+    campaign_fingerprint, effective_schedules, farm_cells, farm_diagnoses, golden_baselines,
+    ShardReport, ShardSpec,
 };
 use crate::wire::{
     append_cell_result, append_diagnosis, cell_result_from_json, diagnosis_from_json,
@@ -287,25 +288,9 @@ pub fn run_campaign_journaled_with_io(
         // Worker-sized batches: the journal grows roughly once per
         // cell-duration, so a kill loses at most one batch of work.
         for batch in pending.chunks(farm.workers().max(1)) {
-            let (outcomes, _, _) = farm.run_map(batch, |&(_, fi, si)| {
-                let schedule = &config.schedules[si];
-                run_cell(
-                    &config.soc,
-                    &config.plan,
-                    schedule,
-                    &config.population[fi],
-                    &golden[&schedule.name],
-                )
-            });
-            for (&(index, fi, si), (_, outcome)) in batch.iter().zip(outcomes) {
-                let fault = &config.population[fi];
-                let cell = CellResult {
-                    fault_id: fault.id(),
-                    fault_class: fault.class().to_string(),
-                    schedule: config.schedules[si].name.clone(),
-                    outcome: outcome
-                        .unwrap_or_else(|panic_msg| CellOutcome::InfraFailure { error: panic_msg }),
-                };
+            let pairs: Vec<(usize, usize)> = batch.iter().map(|&(_, fi, si)| (fi, si)).collect();
+            let cells = farm_cells(config, farm, &golden, &pairs);
+            for (&(index, _, _), cell) in batch.iter().zip(cells) {
                 journal
                     .append(&cell_payload(index, &cell))
                     .map_err(|e| format!("cannot journal cell {index}: {e}"))?;
@@ -333,11 +318,7 @@ pub fn run_campaign_journaled_with_io(
             })
             .collect();
         for batch in pending_scan.chunks(farm.workers().max(1)) {
-            let (checks, _, _) = farm.run_map(batch, |&(core, cell)| {
-                diagnose_scan_fault(config, core, cell)
-            });
-            for (_, check) in checks {
-                let check = check.expect("diagnosis must not panic");
+            for check in farm_diagnoses(config, farm, batch) {
                 journal
                     .append(&diag_payload(&check))
                     .map_err(|e| format!("cannot journal diagnosis: {e}"))?;

@@ -32,10 +32,10 @@ use std::fmt::Write as _;
 use tve_obs::{append_json_string, fnv1a};
 use tve_sched::Farm;
 
-use crate::engine::{diagnose_scan_fault, run_cell, CampaignConfig};
+use crate::engine::CampaignConfig;
 use crate::fault::{FaultSpec, SplitMix};
 use crate::matrix::{CampaignReport, CellOutcome, CellResult};
-use crate::shard::{effective_schedules, golden_baselines};
+use crate::shard::{effective_schedules, farm_cells, farm_diagnoses, golden_baselines};
 
 /// The stratum a fault is sampled within.
 pub fn stratum_of(fault: &FaultSpec) -> String {
@@ -371,28 +371,8 @@ pub fn run_guided_campaign(
     let mut results: BTreeMap<usize, Vec<CellResult>> = BTreeMap::new();
 
     let run_fault = |fi: usize| -> Vec<CellResult> {
-        let fault = &config_eff.population[fi];
-        let (outcomes, _, _) = farm.run_map(&config_eff.schedules, |schedule| {
-            run_cell(
-                &config_eff.soc,
-                &config_eff.plan,
-                schedule,
-                fault,
-                &golden[&schedule.name],
-            )
-        });
-        config_eff
-            .schedules
-            .iter()
-            .zip(outcomes)
-            .map(|(schedule, (_, outcome))| CellResult {
-                fault_id: fault.id(),
-                fault_class: fault.class().to_string(),
-                schedule: schedule.name.clone(),
-                outcome: outcome
-                    .unwrap_or_else(|panic_msg| CellOutcome::InfraFailure { error: panic_msg }),
-            })
-            .collect()
+        let cells: Vec<(usize, usize)> = (0..schedule_count).map(|si| (fi, si)).collect();
+        farm_cells(config_eff, farm, &golden, &cells)
     };
     let take = |h: usize,
                 cursor: &mut Vec<usize>,
@@ -471,13 +451,7 @@ pub fn run_guided_campaign(
                 _ => None,
             })
             .collect();
-        let (checks, _, _) = farm.run_map(&detected_scan, |&(core, cell)| {
-            diagnose_scan_fault(config_eff, core, cell)
-        });
-        diagnosis = checks
-            .into_iter()
-            .map(|(_, r)| r.expect("diagnosis must not panic"))
-            .collect();
+        diagnosis = farm_diagnoses(config_eff, farm, &detected_scan);
     }
     let report = CampaignReport {
         schedules: config_eff

@@ -175,6 +175,57 @@ pub(crate) fn golden_baselines(
     golden
 }
 
+/// Farms `(fault index, schedule index)` cells against their golden
+/// baselines, results in input order. A cell whose simulation panicked
+/// becomes a [`CellOutcome::InfraFailure`] instead of aborting the
+/// campaign.
+pub(crate) fn farm_cells(
+    config: &CampaignConfig,
+    farm: &Farm,
+    golden: &BTreeMap<String, ScenarioMetrics>,
+    cells: &[(usize, usize)],
+) -> Vec<CellResult> {
+    let (outcomes, _, _) = farm.run_map(cells, |&(fi, si)| {
+        let schedule = &config.schedules[si];
+        run_cell(
+            &config.soc,
+            &config.plan,
+            schedule,
+            &config.population[fi],
+            &golden[&schedule.name],
+        )
+    });
+    cells
+        .iter()
+        .zip(outcomes)
+        .map(|(&(fi, si), (_, outcome))| {
+            let fault = &config.population[fi];
+            CellResult {
+                fault_id: fault.id(),
+                fault_class: fault.class().to_string(),
+                schedule: config.schedules[si].name.clone(),
+                outcome: outcome
+                    .unwrap_or_else(|panic_msg| CellOutcome::InfraFailure { error: panic_msg }),
+            }
+        })
+        .collect()
+}
+
+/// Diagnosis checks for detected scan faults, farmed, in input order.
+pub(crate) fn farm_diagnoses(
+    config: &CampaignConfig,
+    farm: &Farm,
+    faults: &[(WrappedCore, StuckCell)],
+) -> Vec<DiagnosisCheck> {
+    let (checks, _, _) = farm.run_map(faults, |&(core, cell)| {
+        diagnose_scan_fault(config, core, cell)
+    });
+    checks
+        .into_iter()
+        .map(|(_, r)| r.expect("diagnosis must not panic"))
+        .collect()
+}
+
 /// The result of one shard: the cells it owned (tagged with their
 /// global matrix index), plus diagnosis checks for the scan faults this
 /// shard saw detected. Serializes to JSON for the process boundary.
@@ -392,32 +443,11 @@ pub fn run_campaign_shard(config: &CampaignConfig, farm: &Farm, shard: ShardSpec
         .collect();
     let golden = golden_baselines(config, farm, &needed_schedules);
 
-    let (outcomes, _, _) = farm.run_map(&owned, |&(_, fi, si)| {
-        let schedule = &config.schedules[si];
-        run_cell(
-            &config.soc,
-            &config.plan,
-            schedule,
-            &config.population[fi],
-            &golden[&schedule.name],
-        )
-    });
+    let pairs: Vec<(usize, usize)> = owned.iter().map(|&(_, fi, si)| (fi, si)).collect();
     let cells: Vec<(usize, CellResult)> = owned
         .iter()
-        .zip(outcomes)
-        .map(|(&(index, fi, si), (_, outcome))| {
-            let fault = &config.population[fi];
-            (
-                index,
-                CellResult {
-                    fault_id: fault.id(),
-                    fault_class: fault.class().to_string(),
-                    schedule: config.schedules[si].name.clone(),
-                    outcome: outcome
-                        .unwrap_or_else(|panic_msg| CellOutcome::InfraFailure { error: panic_msg }),
-                },
-            )
-        })
+        .map(|&(index, _, _)| index)
+        .zip(farm_cells(config, farm, &golden, &pairs))
         .collect();
 
     // Diagnosis for scan faults detected within this shard's cells, in
@@ -439,13 +469,7 @@ pub fn run_campaign_shard(config: &CampaignConfig, farm: &Farm, shard: ShardSpec
                 _ => None,
             })
             .collect();
-        let (checks, _, _) = farm.run_map(&detected_scan, |&(core, cell)| {
-            diagnose_scan_fault(config, core, cell)
-        });
-        diagnosis = checks
-            .into_iter()
-            .map(|(_, r)| r.expect("diagnosis must not panic"))
-            .collect();
+        diagnosis = farm_diagnoses(config, farm, &detected_scan);
     }
 
     ShardReport {

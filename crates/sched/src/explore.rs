@@ -215,10 +215,6 @@ pub fn validate_schedule(
     report.map_err(|e| match e {
         JobError::Schedule(e) => e,
         JobError::Panicked(msg) => panic!("simulation panicked: {msg}"),
-        // validate_schedules never pre-screens, so rejection cannot occur.
-        JobError::Rejected(r) => unreachable!("unscreened job rejected: {r}"),
-        // …and never supervises, so no deadline can have been set.
-        JobError::Deadline { .. } => unreachable!("unsupervised job hit a deadline"),
     })
 }
 

@@ -9,12 +9,12 @@
 //! sources from plain-data inputs. The farm exploits exactly that:
 //! **parallelism across runs, never within one**.
 //!
-//! A [`Farm`] fans a batch of [`ScenarioJob`]s over a scoped worker pool
-//! (one single-threaded simulator instance per worker at a time) and
-//! returns [`JobOutcome`]s in deterministic submission order, each with
-//! its wall-clock time, simulated-cycle count and error status. A
-//! panicking or failing job is captured as a per-job error, never a
-//! farm-wide abort.
+//! A [`Farm`] fans a batch of [`ScenarioJob`]s over the scoped worker
+//! pool of [`crate::supervise`] (one single-threaded simulator instance
+//! per worker at a time) and returns [`JobOutcome`]s in deterministic
+//! submission order, each with its wall-clock time, simulated-cycle
+//! count and error status. A panicking or failing job is captured as a
+//! per-job error, never a farm-wide abort.
 //!
 //! The worker count defaults to [`std::thread::available_parallelism`]
 //! and is overridable through the `TVE_JOBS` environment variable (or
@@ -29,16 +29,14 @@
 
 use std::fmt;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use tve_core::{Schedule, ScheduleError};
-use tve_lint::{lint_schedule, soc_facts, LintReport};
 use tve_obs::{SpanKind, SpanRecord, StoragePolicy, TraceLog};
 use tve_sim::Time;
 use tve_soc::{run_scenario, run_scenario_traced, ScenarioMetrics, SocConfig, SocTestPlan};
+
+use crate::supervise::{SupervisePolicy, SupervisedError};
 
 /// One independent scenario simulation: a SoC configuration, a test plan
 /// and a schedule, exactly the inputs of [`run_scenario`].
@@ -89,20 +87,6 @@ pub enum JobError {
     Schedule(ScheduleError),
     /// The simulation panicked; the payload (if stringlike) is preserved.
     Panicked(String),
-    /// Static analysis rejected the job before any simulation was built
-    /// ([`Farm::run_prescreened`]); the report says why.
-    Rejected(LintReport),
-    /// The job was cancelled at a kernel scheduling boundary — it
-    /// overran its per-attempt deadline on every allowed attempt, or its
-    /// whole batch was cancelled externally
-    /// ([`Farm::run_supervised`](crate::SupervisePolicy)).
-    Deadline {
-        /// Per-attempt limit in milliseconds (0 when the batch was
-        /// cancelled externally rather than by a per-job deadline).
-        limit_ms: u64,
-        /// Attempts made before giving up.
-        attempts: usize,
-    },
 }
 
 impl fmt::Display for JobError {
@@ -110,16 +94,6 @@ impl fmt::Display for JobError {
         match self {
             JobError::Schedule(e) => write!(f, "invalid schedule: {e}"),
             JobError::Panicked(msg) => write!(f, "simulation panicked: {msg}"),
-            JobError::Rejected(report) => write!(
-                f,
-                "rejected by static analysis ({} error(s): {})",
-                report.error_count(),
-                report.codes().join(", ")
-            ),
-            JobError::Deadline { limit_ms, attempts } => write!(
-                f,
-                "deadline exceeded after {attempts} attempt(s) (per-attempt limit {limit_ms} ms)"
-            ),
         }
     }
 }
@@ -180,28 +154,6 @@ impl BatchReport {
     /// Whether every job produced metrics.
     pub fn all_ok(&self) -> bool {
         self.outcomes.iter().all(|o| o.result.is_ok())
-    }
-
-    /// How many jobs the static pre-screen rejected
-    /// ([`Farm::run_prescreened`]); always 0 for plain [`Farm::run`]
-    /// batches.
-    pub fn rejected_count(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o.result, Err(JobError::Rejected(_))))
-            .count()
-    }
-
-    /// The statically-rejected jobs' labels and lint reports, in
-    /// submission order.
-    pub fn rejected(&self) -> Vec<(&str, &LintReport)> {
-        self.outcomes
-            .iter()
-            .filter_map(|o| match &o.result {
-                Err(JobError::Rejected(r)) => Some((o.label.as_str(), r)),
-                _ => None,
-            })
-            .collect()
     }
 }
 
@@ -319,65 +271,6 @@ impl Farm {
         }
     }
 
-    /// [`Farm::run`] behind a static pre-screen: every job's schedule is
-    /// first linted against its plan's facts (`tve-lint`), and jobs with
-    /// error-severity diagnostics are **not simulated** — they come back
-    /// as [`JobError::Rejected`] outcomes carrying the full lint report
-    /// (zero wall time), still in submission order. Clean jobs are farmed
-    /// exactly as [`Farm::run`] would.
-    ///
-    /// Rejected jobs are counted ([`BatchReport::rejected_count`]) and
-    /// reported ([`BatchReport::rejected`]), never silently dropped; the
-    /// lint soundness contract guarantees a rejected job would have
-    /// failed (or mis-executed) dynamically anyway.
-    pub fn run_prescreened(&self, jobs: &[ScenarioJob]) -> BatchReport {
-        let started = Instant::now();
-        let reports: Vec<Option<LintReport>> = jobs
-            .iter()
-            .map(|job| {
-                let facts = soc_facts(&job.config, &job.plan);
-                let report = LintReport {
-                    subject: job.label.clone(),
-                    diagnostics: lint_schedule(&job.schedule, &facts),
-                };
-                (!report.clean()).then_some(report)
-            })
-            .collect();
-        let clean: Vec<ScenarioJob> = jobs
-            .iter()
-            .zip(&reports)
-            .filter(|(_, r)| r.is_none())
-            .map(|(j, _)| j.clone())
-            .collect();
-        let simulated = self.run(&clean);
-        let workers = simulated.workers;
-        let mut simulated = simulated.outcomes.into_iter();
-        let outcomes = reports
-            .into_iter()
-            .enumerate()
-            .map(|(index, report)| match report {
-                Some(report) => JobOutcome {
-                    index,
-                    label: jobs[index].label.clone(),
-                    wall: Duration::ZERO,
-                    result: Err(JobError::Rejected(report)),
-                },
-                None => {
-                    let mut outcome = simulated
-                        .next()
-                        .expect("one simulated outcome per clean job");
-                    outcome.index = index;
-                    outcome
-                }
-            })
-            .collect();
-        BatchReport {
-            outcomes,
-            workers,
-            wall: started.elapsed(),
-        }
-    }
-
     /// [`Farm::run`] with observability: each worker runs its job through
     /// [`run_scenario_traced`] with a per-job recorder of the given
     /// storage policy, so trace collection is as parallel as the
@@ -416,9 +309,11 @@ impl Farm {
 
     /// Fans an arbitrary per-item computation over the worker pool:
     /// `f(item)` for every item, results in item order, panics captured
-    /// per item as `Err(message)`. This is the generic substrate `run`
-    /// builds on; harnesses with non-scenario workloads (e.g. whole-sim
-    /// architecture sweeps) use it directly.
+    /// per item as `Err(message)`. This is
+    /// [`Farm::run_map_supervised`] under the default
+    /// [`SupervisePolicy`] — no retries, no cancellation — and the
+    /// substrate `run` builds on; harnesses with non-scenario workloads
+    /// (e.g. whole-sim architecture sweeps) use it directly.
     #[allow(clippy::type_complexity)]
     pub fn run_map<T, R, F>(
         &self,
@@ -430,52 +325,20 @@ impl Farm {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let started = Instant::now();
-        let workers = self.workers.min(items.len()).max(1);
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<(Duration, Result<R, String>)>>> =
-            items.iter().map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    let job_started = Instant::now();
-                    let result = catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|payload| {
-                        payload
-                            .downcast_ref::<String>()
-                            .cloned()
-                            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                            .unwrap_or_else(|| "<non-string panic payload>".to_string())
-                    });
-                    *slots[i].lock().expect("result slot poisoned") =
-                        Some((job_started.elapsed(), result));
-                });
-            }
-        });
-
-        let results = slots
+        let (results, workers, wall) =
+            self.run_map_supervised(items, f, &SupervisePolicy::default());
+        let results = results
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("scope join guarantees every slot is filled")
+            .map(|(item_wall, result)| {
+                let result = result.map_err(|e| match e {
+                    SupervisedError::Panicked(msg) => msg,
+                    cancelled => cancelled.to_string(),
+                });
+                (item_wall, result)
             })
             .collect();
-        (results, workers, started.elapsed())
+        (results, workers, wall)
     }
-}
-
-/// Farms `jobs` over a default-sized [`Farm`] — the one-call entry point.
-pub fn run_scenarios(jobs: &[ScenarioJob]) -> BatchReport {
-    Farm::new().run(jobs)
-}
-
-/// [`run_scenarios`] with per-job trace capture — the one-call traced
-/// entry point.
-pub fn run_scenarios_traced(jobs: &[ScenarioJob], storage: StoragePolicy) -> TracedBatch {
-    Farm::new().run_traced(jobs, storage)
 }
 
 #[cfg(test)]
@@ -580,51 +443,13 @@ mod tests {
     }
 
     #[test]
-    fn prescreen_skips_statically_rejected_jobs() {
-        let mut jobs = mini_jobs();
-        // A structural defect and a resource race: neither must reach the
-        // simulator.
-        jobs[1].schedule = Schedule::new("broken (dup test)", vec![vec![0], vec![0]]);
-        jobs[1].label = jobs[1].schedule.name.clone();
-        jobs[2].schedule = Schedule::new("proc race", vec![vec![0, 1]]);
-        jobs[2].label = jobs[2].schedule.name.clone();
-        let report = Farm::with_workers(2).run_prescreened(&jobs);
-        assert_eq!(report.outcomes.len(), jobs.len());
-        assert_eq!(report.rejected_count(), 2);
-        let rejected = report.rejected();
-        assert_eq!(rejected[0].0, "broken (dup test)");
-        assert!(rejected[0].1.has("sched-dup-test"), "{:?}", rejected[0].1);
-        assert_eq!(rejected[1].0, "proc race");
-        assert!(rejected[1].1.has("res-core-race"), "{:?}", rejected[1].1);
-        // Rejected jobs cost no simulation time; clean jobs still succeed
-        // in submission order.
-        for (i, o) in report.outcomes.iter().enumerate() {
-            assert_eq!(o.index, i);
-        }
-        assert_eq!(report.outcomes[1].wall, Duration::ZERO);
-        assert!(report.outcomes[0].result.is_ok());
-        assert!(report.outcomes[3].result.is_ok());
-    }
-
-    #[test]
-    fn prescreen_matches_plain_run_on_clean_batches() {
-        let jobs = mini_jobs();
-        let plain = Farm::with_workers(2).run(&jobs);
-        let screened = Farm::with_workers(2).run_prescreened(&jobs);
-        assert_eq!(screened.rejected_count(), 0);
-        assert!(screened.all_ok());
-        for (a, b) in plain.outcomes.iter().zip(&screened.outcomes) {
-            assert_eq!(a.expect_metrics().digest(), b.expect_metrics().digest());
-        }
-    }
-
-    #[test]
     fn lint_facts_agree_with_the_scheduler_task_model() {
         // Anti-drift: the lint crate's static facts and this crate's
         // estimate_tasks() describe the same seven tests. If one model
         // changes, this pins the other to follow.
         use crate::estimate::estimate_tasks;
         use crate::task::Resource;
+        use tve_lint::soc_facts;
         let config = SocConfig::paper();
         let plan = SocTestPlan::paper();
         let tasks = estimate_tasks(&config, &plan);

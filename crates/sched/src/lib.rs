@@ -55,11 +55,10 @@ pub use explore::{
     Candidate, ExploreReport, ValidatedCandidate, ValidationReport,
 };
 pub use farm::{
-    default_workers, run_scenarios, run_scenarios_traced, BatchReport, Farm, JobError, JobOutcome,
-    ScenarioJob, TracedBatch,
+    default_workers, BatchReport, Farm, JobError, JobOutcome, ScenarioJob, TracedBatch,
 };
 pub use packing::{greedy_schedule, optimal_schedule, sequential_schedule};
-pub use supervise::{ChaosFault, ChaosHook, SupervisePolicy, SuperviseStats, SupervisedError};
+pub use supervise::{ChaosFault, ChaosHook, SupervisePolicy, SupervisedError};
 pub use tam_alloc::{
     makespan_lower_bound, pack_tam, tam_width_sweep, CoreTestSpec, Placement, TamAssignment,
 };

@@ -1,43 +1,42 @@
-//! Supervised execution on the validation farm.
+//! The validation farm's worker pool.
 //!
-//! [`Farm::run_map`] already turns a panicking job into a per-job error
-//! instead of a farm-wide abort. This module adds the rest of the
-//! resilience story the serving layer needs:
+//! Every farm entry point — [`Farm::run_map`], [`Farm::run`],
+//! [`Farm::run_traced`] and the serving layer's supervised maps — fans
+//! its items over this one scoped pool. No thread watches the workers
+//! and nothing polls; each worker carries the resilience story itself:
 //!
-//! - **Respawn** — a worker whose job panicked is considered poisoned
-//!   and retires; a supervisor (the calling thread) spawns a fresh
-//!   worker in its place while unresolved work remains.
-//! - **Retry** — a failed attempt (panic *or* deadline cancellation) is
-//!   re-queued up to a retry budget and re-executed on a fresh worker.
-//!   A permanently failing job yields its typed [`SupervisedError`],
-//!   never a hang or a hole in the batch.
-//! - **Deadlines** — each attempt may carry a wall-clock deadline. The
-//!   supervisor trips the attempt's [`CancelToken`]; the simulation
-//!   inside observes it at the next kernel scheduling boundary and
-//!   unwinds with [`Cancelled`](tve_sim::Cancelled), which is classified
-//!   as a deadline, not a panic.
-//! - **External cancellation** — a parent token (e.g. a daemon job's
-//!   deadline) cancels the whole batch: queued items resolve to
-//!   [`SupervisedError::Cancelled`] without running.
+//! - **Retry and respawn** — a worker whose attempt panicked is
+//!   considered poisoned. It re-queues the item while retry budget is
+//!   left (otherwise it records the typed [`SupervisedError`]), spawns
+//!   its own replacement into the scope, and exits.
+//! - **External cancellation** — a batch-level [`CancelToken`] (e.g. a
+//!   daemon job's deadline) is installed around every attempt with
+//!   [`with_cancel_token`], so a running simulation unwinds with
+//!   [`Cancelled`](tve_sim::Cancelled) at its next kernel scheduling
+//!   boundary. Once the token has tripped, workers drain the queue to
+//!   [`SupervisedError::Cancelled`] without running anything.
 //! - **Chaos** — a deterministic fault hook may inject a worker panic
 //!   or an artificial delay into chosen `(item, attempt)` pairs, which
 //!   is how the resilience harness proves all of the above.
+//!
+//! A worker exits as soon as it finds the queue empty. That never
+//! strands work: an item is only re-queued by a worker that then spawns
+//! a replacement.
 //!
 //! Results keep the farm's contract: submission order, one slot per
 //! item, bit-identical metrics for any worker count — a retried job
 //! reruns the same pure function on the same plain-data inputs.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use tve_obs::OpsCounters;
-use tve_sim::{with_cancel_token, CancelToken, Cancelled};
-use tve_soc::run_scenario;
+use tve_sim::{with_cancel_token, CancelToken};
 
-use crate::farm::{BatchReport, Farm, JobError, JobOutcome, ScenarioJob};
+use crate::farm::Farm;
 
 /// A fault the chaos hook may inject into one `(item, attempt)` pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,69 +46,35 @@ pub enum ChaosFault {
     Panic,
     /// The worker stalls for the given wall-clock duration before
     /// running the job — the "pathologically slow worker" scenario.
-    /// With a deadline shorter than the delay, the attempt is cancelled
-    /// and retried.
     Delay(Duration),
 }
 
 /// Deterministic fault schedule: `(item_index, attempt)` → fault.
 pub type ChaosHook = Arc<dyn Fn(usize, usize) -> Option<ChaosFault> + Send + Sync>;
 
-/// Policy for one supervised batch.
-#[derive(Clone)]
+/// Policy for one supervised batch. The default — no retries, no
+/// cancellation, no chaos — is what [`Farm::run_map`] runs under.
+#[derive(Clone, Default)]
 pub struct SupervisePolicy {
-    /// Per-attempt wall-clock deadline (`None` = unlimited).
-    pub deadline: Option<Duration>,
     /// Retries allowed after the first attempt (so `retry_budget + 1`
-    /// attempts total). Default 1.
+    /// attempts total). Default 0.
     pub retry_budget: usize,
-    /// Supervisor poll interval (deadline scan + respawn check).
-    pub poll: Duration,
     /// Batch-level cancellation (e.g. a daemon job deadline): when this
-    /// trips, running attempts are cancelled through the token chain and
-    /// queued items resolve to [`SupervisedError::Cancelled`].
+    /// trips, running attempts unwind at their next kernel scheduling
+    /// boundary and queued items resolve to
+    /// [`SupervisedError::Cancelled`].
     pub external: Option<Arc<CancelToken>>,
     /// Deterministic fault injection for the resilience harness.
     pub chaos: Option<ChaosHook>,
-    /// Sink for `farm.retries` / `farm.respawns` / `farm.deadline_cancels`
-    /// / `farm.chaos_injected` counters.
+    /// Sink for the `farm.retries` / `farm.respawns` /
+    /// `farm.chaos_injected` counters.
     pub counters: Option<OpsCounters>,
 }
 
-impl Default for SupervisePolicy {
-    fn default() -> Self {
-        SupervisePolicy {
-            deadline: None,
-            retry_budget: 1,
-            poll: Duration::from_millis(1),
-            external: None,
-            chaos: None,
-            counters: None,
-        }
-    }
-}
-
 impl SupervisePolicy {
-    /// The default policy: one retry, no deadline, no chaos.
-    pub fn new() -> Self {
-        SupervisePolicy::default()
-    }
-
-    /// Sets the per-attempt deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Sets the retry budget (0 = fail on first error).
     pub fn with_retry_budget(mut self, budget: usize) -> Self {
         self.retry_budget = budget;
-        self
-    }
-
-    /// Sets the supervisor poll interval.
-    pub fn with_poll(mut self, poll: Duration) -> Self {
-        self.poll = poll;
         self
     }
 
@@ -135,9 +100,7 @@ impl SupervisePolicy {
 impl std::fmt::Debug for SupervisePolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SupervisePolicy")
-            .field("deadline", &self.deadline)
             .field("retry_budget", &self.retry_budget)
-            .field("poll", &self.poll)
             .field("external", &self.external.is_some())
             .field("chaos", &self.chaos.is_some())
             .finish()
@@ -149,14 +112,6 @@ impl std::fmt::Debug for SupervisePolicy {
 pub enum SupervisedError {
     /// Every allowed attempt panicked; the last payload is preserved.
     Panicked(String),
-    /// Every allowed attempt overran the per-attempt deadline and was
-    /// cancelled at a kernel scheduling boundary.
-    Deadline {
-        /// The per-attempt limit.
-        limit: Duration,
-        /// Attempts made.
-        attempts: usize,
-    },
     /// The batch was cancelled externally before (or while) this item
     /// ran.
     Cancelled,
@@ -166,11 +121,6 @@ impl std::fmt::Display for SupervisedError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SupervisedError::Panicked(msg) => write!(f, "panicked: {msg}"),
-            SupervisedError::Deadline { limit, attempts } => write!(
-                f,
-                "deadline of {} ms exceeded on all {attempts} attempt(s)",
-                limit.as_millis()
-            ),
             SupervisedError::Cancelled => write!(f, "batch cancelled"),
         }
     }
@@ -178,84 +128,21 @@ impl std::fmt::Display for SupervisedError {
 
 impl std::error::Error for SupervisedError {}
 
-/// What the supervisor had to do to finish the batch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SuperviseStats {
-    /// Attempts re-queued after a panic or deadline cancellation.
-    pub retries: u64,
-    /// Fresh workers spawned to replace retired (poisoned) ones.
-    pub respawns: u64,
-    /// Attempts whose cancel token the supervisor tripped on deadline.
-    pub deadline_cancels: u64,
-    /// Faults the chaos hook injected.
-    pub chaos_injected: u64,
-}
-
-/// One attempt currently executing on a worker.
-struct RunningAttempt {
-    item: usize,
-    started: Instant,
-    token: Arc<CancelToken>,
-    /// Deadline already tripped (so the supervisor counts it once).
-    cancelled: bool,
-}
-
 /// Result slot for one item: filled once with the attempt duration and
 /// the item's outcome, then never rewritten.
 type Slot<R> = Mutex<Option<(Duration, Result<R, SupervisedError>)>>;
 
-struct Ctx<'a, T, R, F> {
+/// Shared state of one batch: the inputs, the queue and the result
+/// slots.
+struct Pool<'a, T, R, F> {
     items: &'a [T],
     f: &'a F,
     policy: &'a SupervisePolicy,
-    slots: &'a [Slot<R>],
-    /// `(item, attempt)` pairs awaiting a worker.
-    queue: Mutex<VecDeque<(usize, usize)>>,
-    running: Mutex<Vec<RunningAttempt>>,
-    /// Items whose slot is still empty.
-    unresolved: AtomicUsize,
-    /// Workers currently alive (spawned minus retired/finished).
-    live: AtomicUsize,
-    retries: AtomicU64,
-    respawns: AtomicU64,
-    deadline_cancels: AtomicU64,
-    chaos_injected: AtomicU64,
-}
-
-impl<T, R, F> Ctx<'_, T, R, F> {
-    fn external_cancelled(&self) -> bool {
-        self.policy
-            .external
-            .as_ref()
-            .is_some_and(|t| t.is_cancelled())
-    }
-
-    fn resolve(&self, item: usize, wall: Duration, result: Result<R, SupervisedError>) {
-        let mut slot = self.slots[item].lock().expect("result slot poisoned");
-        debug_assert!(slot.is_none(), "item {item} resolved twice");
-        *slot = Some((wall, result));
-        self.unresolved.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Resolves every queued (not yet running) item to `Cancelled`.
-    /// Items currently running resolve in their worker when the token
-    /// chain interrupts them.
-    fn drain_cancelled(&self) {
-        let drained: Vec<(usize, usize)> = {
-            let mut queue = self.queue.lock().expect("queue poisoned");
-            queue.drain(..).collect()
-        };
-        for (item, _) in drained {
-            self.resolve(item, Duration::ZERO, Err(SupervisedError::Cancelled));
-        }
-    }
-
-    fn count(&self, counter: &str, cell: &AtomicU64, detail: String) {
-        cell.fetch_add(1, Ordering::Relaxed);
-        if let Some(ops) = &self.policy.counters {
-            ops.note(counter, detail);
-        }
-    }
+    slots: Vec<Slot<R>>,
+    /// The next item that has never been attempted.
+    next: AtomicUsize,
+    /// `(item, attempt)` pairs re-queued after a panicked attempt.
+    retries: Mutex<Vec<(usize, usize)>>,
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -266,162 +153,124 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic payload>".to_string())
 }
 
-/// One worker's life: pull attempts until the batch resolves, retire on
-/// the first panic hosted (the supervisor respawns a replacement).
-fn worker_loop<T, R, F>(ctx: &Ctx<'_, T, R, F>)
+impl<T, R, F> Pool<'_, T, R, F>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    loop {
-        if ctx.external_cancelled() {
-            ctx.drain_cancelled();
-            break;
-        }
-        let next = ctx.queue.lock().expect("queue poisoned").pop_front();
-        let Some((item, attempt)) = next else {
-            if ctx.unresolved.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            // Work is still in flight elsewhere (and may be re-queued);
-            // stay available for retries.
-            std::thread::sleep(Duration::from_micros(200));
-            continue;
-        };
+    fn cancelled(&self) -> bool {
+        self.policy
+            .external
+            .as_ref()
+            .is_some_and(|t| t.is_cancelled())
+    }
 
-        let chaos = ctx
+    fn note(&self, counter: &str, detail: impl FnOnce() -> String) {
+        if let Some(ops) = &self.policy.counters {
+            ops.note(counter, detail());
+        }
+    }
+
+    /// The next `(item, attempt)` to run: fresh items first (lock-free),
+    /// then retries.
+    fn pop(&self) -> Option<(usize, usize)> {
+        let item = self.next.fetch_add(1, Ordering::Relaxed);
+        if item < self.items.len() {
+            return Some((item, 0));
+        }
+        self.retries.lock().expect("retry queue poisoned").pop()
+    }
+
+    fn resolve(&self, item: usize, wall: Duration, result: Result<R, SupervisedError>) {
+        *self.slots[item].lock().expect("result slot poisoned") = Some((wall, result));
+    }
+
+    /// Runs one attempt (chaos first) under the batch's cancel token.
+    fn attempt(&self, item: usize, attempt: usize) -> std::thread::Result<R> {
+        let chaos = self
             .policy
             .chaos
             .as_ref()
             .and_then(|hook| hook(item, attempt));
-        if chaos.is_some() {
-            ctx.count(
-                "farm.chaos_injected",
-                &ctx.chaos_injected,
-                format!("item {item} attempt {attempt}: {chaos:?}"),
-            );
-        }
-
-        let token = match &ctx.policy.external {
-            Some(parent) => CancelToken::child(parent),
-            None => CancelToken::new(),
-        };
-        ctx.running
-            .lock()
-            .expect("running poisoned")
-            .push(RunningAttempt {
-                item,
-                started: Instant::now(),
-                token: Arc::clone(&token),
-                cancelled: false,
+        if let Some(fault) = chaos {
+            self.note("farm.chaos_injected", || {
+                format!("item {item} attempt {attempt}: {fault:?}")
             });
-
-        let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            with_cancel_token(&token, || {
-                match chaos {
-                    Some(ChaosFault::Panic) => {
-                        std::panic::panic_any("chaos: injected worker panic".to_string())
-                    }
-                    Some(ChaosFault::Delay(d)) => {
-                        // Stall cooperatively, like a slow simulation
-                        // observing its token at scheduling boundaries.
-                        let end = Instant::now() + d;
-                        loop {
-                            if token.is_cancelled() {
-                                std::panic::panic_any(Cancelled);
-                            }
-                            let Some(left) = end.checked_duration_since(Instant::now()) else {
-                                break;
-                            };
-                            std::thread::sleep(left.min(Duration::from_millis(1)));
-                        }
-                    }
-                    None => {}
+        }
+        let run = || {
+            match chaos {
+                Some(ChaosFault::Panic) => {
+                    std::panic::panic_any("chaos: injected worker panic".to_string())
                 }
-                (ctx.f)(&ctx.items[item])
-            })
-        }));
-        let wall = started.elapsed();
-        ctx.running
-            .lock()
-            .expect("running poisoned")
-            .retain(|r| !Arc::ptr_eq(&r.token, &token));
-
-        match outcome {
-            Ok(result) => ctx.resolve(item, wall, Ok(result)),
-            Err(payload) => {
-                let was_cancel = payload.is::<Cancelled>();
-                if ctx.external_cancelled() {
-                    ctx.resolve(item, wall, Err(SupervisedError::Cancelled));
-                } else if attempt < ctx.policy.retry_budget {
-                    ctx.count(
-                        "farm.retries",
-                        &ctx.retries,
-                        format!(
-                            "item {item}: attempt {attempt} {}",
-                            if was_cancel {
-                                "deadline-cancelled"
-                            } else {
-                                "panicked"
-                            }
-                        ),
-                    );
-                    ctx.queue
-                        .lock()
-                        .expect("queue poisoned")
-                        .push_back((item, attempt + 1));
-                } else if was_cancel {
-                    ctx.resolve(
-                        item,
-                        wall,
-                        Err(SupervisedError::Deadline {
-                            limit: ctx.policy.deadline.unwrap_or(Duration::ZERO),
-                            attempts: attempt + 1,
-                        }),
-                    );
-                } else {
-                    ctx.resolve(
-                        item,
-                        wall,
-                        Err(SupervisedError::Panicked(panic_message(payload.as_ref()))),
-                    );
-                }
-                // This worker hosted an unwind: retire it. The attempt
-                // (if retried) runs on a different or freshly spawned
-                // worker.
-                ctx.live.fetch_sub(1, Ordering::AcqRel);
-                return;
+                Some(ChaosFault::Delay(d)) => std::thread::sleep(d),
+                None => {}
             }
+            (self.f)(&self.items[item])
+        };
+        catch_unwind(AssertUnwindSafe(|| match &self.policy.external {
+            Some(token) => with_cancel_token(token, run),
+            None => run(),
+        }))
+    }
+
+    /// One worker's life: run attempts until the queue is empty. A worker
+    /// that hosted an unwind retires and spawns its own replacement.
+    fn work<'scope>(&'scope self, scope: &'scope Scope<'scope, '_>) {
+        while let Some((item, attempt)) = self.pop() {
+            if self.cancelled() {
+                self.resolve(item, Duration::ZERO, Err(SupervisedError::Cancelled));
+                continue;
+            }
+            let started = Instant::now();
+            let outcome = self.attempt(item, attempt);
+            let wall = started.elapsed();
+            let payload = match outcome {
+                Ok(value) => {
+                    self.resolve(item, wall, Ok(value));
+                    continue;
+                }
+                Err(payload) => payload,
+            };
+            if self.cancelled() {
+                self.resolve(item, wall, Err(SupervisedError::Cancelled));
+            } else if attempt < self.policy.retry_budget {
+                self.note("farm.retries", || {
+                    format!("item {item}: attempt {attempt} panicked")
+                });
+                // Queued before the replacement exists, so it is never
+                // stranded.
+                self.retries
+                    .lock()
+                    .expect("retry queue poisoned")
+                    .push((item, attempt + 1));
+            } else {
+                let message = panic_message(payload.as_ref());
+                self.resolve(item, wall, Err(SupervisedError::Panicked(message)));
+            }
+            self.note("farm.respawns", || "replacing retired worker".to_string());
+            scope.spawn(move || self.work(scope));
+            return;
         }
     }
-    ctx.live.fetch_sub(1, Ordering::AcqRel);
 }
 
 impl Farm {
-    /// [`Farm::run_map`] under supervision: per-attempt deadlines,
-    /// retries on a budget, worker respawn, external cancellation and
-    /// deterministic chaos injection, per `policy`.
+    /// [`Farm::run_map`] under `policy`: retries on a budget, worker
+    /// respawn, external cancellation and deterministic chaos injection.
     ///
     /// Returns per-item `(wall, result)` pairs in submission order (the
-    /// wall time is the last attempt's), the worker count, the batch
-    /// wall time and the supervision statistics. Every item resolves —
-    /// a permanently failing item carries its typed
-    /// [`SupervisedError`]; the batch never hangs and never returns a
-    /// hole.
+    /// wall time is the last attempt's), the worker count and the batch
+    /// wall time. Every item resolves — a permanently failing item
+    /// carries its typed [`SupervisedError`]; the batch never hangs and
+    /// never returns a hole.
     #[allow(clippy::type_complexity)]
     pub fn run_map_supervised<T, R, F>(
         &self,
         items: &[T],
         f: F,
         policy: &SupervisePolicy,
-    ) -> (
-        Vec<(Duration, Result<R, SupervisedError>)>,
-        usize,
-        Duration,
-        SuperviseStats,
-    )
+    ) -> (Vec<(Duration, Result<R, SupervisedError>)>, usize, Duration)
     where
         T: Sync,
         R: Send,
@@ -429,136 +278,40 @@ impl Farm {
     {
         let started = Instant::now();
         let workers = self.workers().min(items.len()).max(1);
-        let slots: Vec<Mutex<Option<(Duration, Result<R, SupervisedError>)>>> =
-            items.iter().map(|_| Mutex::new(None)).collect();
-        let ctx = Ctx {
+        let pool = Pool {
             items,
             f: &f,
             policy,
-            slots: &slots,
-            queue: Mutex::new((0..items.len()).map(|i| (i, 0)).collect()),
-            running: Mutex::new(Vec::new()),
-            unresolved: AtomicUsize::new(items.len()),
-            live: AtomicUsize::new(0),
-            retries: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-            deadline_cancels: AtomicU64::new(0),
-            chaos_injected: AtomicU64::new(0),
+            slots: items.iter().map(|_| Mutex::new(None)).collect(),
+            next: AtomicUsize::new(0),
+            retries: Mutex::new(Vec::new()),
         };
-
         std::thread::scope(|scope| {
-            ctx.live.store(workers, Ordering::Release);
             for _ in 0..workers {
-                scope.spawn(|| worker_loop(&ctx));
-            }
-            // The calling thread is the supervisor: scan deadlines,
-            // respawn retired workers, and settle external cancellation
-            // until every slot is filled.
-            while ctx.unresolved.load(Ordering::Acquire) > 0 {
-                if ctx.external_cancelled() {
-                    ctx.drain_cancelled();
-                }
-                if let Some(deadline) = policy.deadline {
-                    let mut running = ctx.running.lock().expect("running poisoned");
-                    for attempt in running.iter_mut() {
-                        if !attempt.cancelled && attempt.started.elapsed() >= deadline {
-                            attempt.token.cancel();
-                            attempt.cancelled = true;
-                            ctx.count(
-                                "farm.deadline_cancels",
-                                &ctx.deadline_cancels,
-                                format!("item {} overran {deadline:?}", attempt.item),
-                            );
-                        }
-                    }
-                }
-                // A missing worker while work is unresolved means one
-                // retired after hosting a panic: replace it.
-                let live = ctx.live.load(Ordering::Acquire);
-                if live < workers && ctx.unresolved.load(Ordering::Acquire) > 0 {
-                    for _ in live..workers {
-                        ctx.live.fetch_add(1, Ordering::AcqRel);
-                        ctx.count(
-                            "farm.respawns",
-                            &ctx.respawns,
-                            "replacing retired worker".to_string(),
-                        );
-                        scope.spawn(|| worker_loop(&ctx));
-                    }
-                }
-                std::thread::sleep(policy.poll);
+                scope.spawn(|| pool.work(scope));
             }
         });
-
-        let stats = SuperviseStats {
-            retries: ctx.retries.load(Ordering::Relaxed),
-            respawns: ctx.respawns.load(Ordering::Relaxed),
-            deadline_cancels: ctx.deadline_cancels.load(Ordering::Relaxed),
-            chaos_injected: ctx.chaos_injected.load(Ordering::Relaxed),
-        };
-        let results = slots
+        let results = pool
+            .slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
                     .expect("result slot poisoned")
-                    .expect("supervisor exits only when every slot is filled")
+                    .expect("scope join guarantees every slot is filled")
             })
             .collect();
-        (results, workers, started.elapsed(), stats)
-    }
-
-    /// [`Farm::run`] under supervision: scenario jobs with deadlines,
-    /// retries and respawn. Outcomes keep submission order; a job that
-    /// exhausts its attempts reports [`JobError::Deadline`] or
-    /// [`JobError::Panicked`] — metrics of successful jobs are
-    /// bit-identical to an unsupervised run.
-    pub fn run_supervised(
-        &self,
-        jobs: &[ScenarioJob],
-        policy: &SupervisePolicy,
-    ) -> (BatchReport, SuperviseStats) {
-        let (results, workers, wall, stats) = self.run_map_supervised(
-            jobs,
-            |job: &ScenarioJob| run_scenario(&job.config, &job.plan, &job.schedule),
-            policy,
-        );
-        let outcomes = results
-            .into_iter()
-            .enumerate()
-            .map(|(index, (job_wall, result))| JobOutcome {
-                index,
-                label: jobs[index].label.clone(),
-                wall: job_wall,
-                result: match result {
-                    Ok(Ok(metrics)) => Ok(metrics),
-                    Ok(Err(e)) => Err(JobError::Schedule(e)),
-                    Err(SupervisedError::Panicked(msg)) => Err(JobError::Panicked(msg)),
-                    Err(SupervisedError::Deadline { limit, attempts }) => Err(JobError::Deadline {
-                        limit_ms: limit.as_millis() as u64,
-                        attempts,
-                    }),
-                    Err(SupervisedError::Cancelled) => Err(JobError::Deadline {
-                        limit_ms: 0,
-                        attempts: 0,
-                    }),
-                },
-            })
-            .collect();
-        (
-            BatchReport {
-                outcomes,
-                workers,
-                wall,
-            },
-            stats,
-        )
+        (results, workers, started.elapsed())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicBool;
+
     use super::*;
-    use tve_soc::{paper_schedules, SocConfig, SocTestPlan};
+    use tve_soc::{paper_schedules, run_scenario, ScenarioMetrics, SocConfig, SocTestPlan};
+
+    use crate::farm::ScenarioJob;
 
     fn mini_jobs() -> Vec<ScenarioJob> {
         let config = SocConfig {
@@ -569,6 +322,17 @@ mod tests {
         paper_schedules()
             .into_iter()
             .map(|s| ScenarioJob::new(config.clone(), plan.clone(), s))
+            .collect()
+    }
+
+    fn run_job(job: &ScenarioJob) -> ScenarioMetrics {
+        run_scenario(&job.config, &job.plan, &job.schedule).expect("well-formed schedule")
+    }
+
+    fn digests<E: std::fmt::Debug>(results: &[(Duration, Result<ScenarioMetrics, E>)]) -> Vec<u64> {
+        results
+            .iter()
+            .map(|(_, r)| r.as_ref().expect("job succeeded").digest())
             .collect()
     }
 
@@ -583,32 +347,33 @@ mod tests {
 
     #[test]
     fn injected_panic_is_retried_and_results_match_unsupervised() {
-        tve_sim::silence_cancelled_panics();
         let jobs = mini_jobs();
-        let clean = Farm::with_workers(2).run(&jobs);
-        let policy = SupervisePolicy::new()
+        let (clean, _, _) = Farm::with_workers(2).run_map(&jobs, run_job);
+        let ops = OpsCounters::new();
+        let policy = SupervisePolicy::default()
             .with_chaos(chaos(vec![((1, 0), ChaosFault::Panic)]))
-            .with_retry_budget(1);
-        let (report, stats) = Farm::with_workers(2).run_supervised(&jobs, &policy);
-        assert!(report.all_ok(), "retry must heal a single injected fault");
-        assert_eq!(stats.retries, 1);
-        assert_eq!(stats.chaos_injected, 1);
-        for (a, b) in clean.outcomes.iter().zip(&report.outcomes) {
-            assert_eq!(
-                a.expect_metrics().digest(),
-                b.expect_metrics().digest(),
-                "job '{}' diverged under supervision",
-                a.label
-            );
-        }
+            .with_retry_budget(1)
+            .with_counters(ops.clone());
+        let (healed, _, _) = Farm::with_workers(2).run_map_supervised(&jobs, run_job, &policy);
+        assert_eq!(ops.get("farm.retries"), 1);
+        assert_eq!(ops.get("farm.chaos_injected"), 1);
+        assert_eq!(ops.get("farm.respawns"), 1);
+        assert_eq!(
+            digests(&clean),
+            digests(&healed),
+            "retry must heal a single injected fault without changing results"
+        );
     }
 
     #[test]
     fn permanent_failure_is_typed_not_a_hang() {
         let farm = Farm::with_workers(2);
         let items = [0u32, 1, 2, 3];
-        let policy = SupervisePolicy::new().with_retry_budget(2);
-        let (results, _, _, stats) = farm.run_map_supervised(
+        let ops = OpsCounters::new();
+        let policy = SupervisePolicy::default()
+            .with_retry_budget(2)
+            .with_counters(ops.clone());
+        let (results, _, _) = farm.run_map_supervised(
             &items,
             |&n| {
                 if n == 2 {
@@ -626,54 +391,52 @@ mod tests {
             other => panic!("expected Panicked, got {other:?}"),
         }
         assert_eq!(results[3].1.as_ref().unwrap(), &30);
-        // First attempt + 2 retries, all failed.
-        assert_eq!(stats.retries, 2);
-        // Each hosted panic retires a worker; replacements were spawned.
-        assert!(stats.respawns >= 1, "stats: {stats:?}");
+        // First attempt + 2 retries, all failed; each hosted panic
+        // retired its worker in favour of a fresh one.
+        assert_eq!(ops.get("farm.retries"), 2);
+        assert_eq!(ops.get("farm.respawns"), 3);
     }
 
     #[test]
-    fn slow_worker_is_deadline_cancelled_then_retried() {
+    fn external_token_cancels_a_running_kernel_and_drains_the_queue() {
         tve_sim::silence_cancelled_panics();
-        let farm = Farm::with_workers(2);
-        let items = [1u32, 2, 3];
-        let policy = SupervisePolicy::new()
-            .with_deadline(Duration::from_millis(40))
-            .with_retry_budget(1)
-            .with_chaos(chaos(vec![(
-                (1, 0),
-                ChaosFault::Delay(Duration::from_secs(5)),
-            )]));
-        let started = Instant::now();
-        let (results, _, _, stats) = farm.run_map_supervised(&items, |&n| n * 10, &policy);
-        assert!(results.iter().all(|(_, r)| r.is_ok()), "retry must heal");
-        assert_eq!(results[1].1.as_ref().unwrap(), &20);
-        assert!(stats.deadline_cancels >= 1, "stats: {stats:?}");
-        assert_eq!(stats.retries, 1);
-        // The 5 s stall was cancelled, not waited out.
-        assert!(started.elapsed() < Duration::from_secs(4));
-    }
-
-    #[test]
-    fn simulation_overrunning_deadline_reports_typed_deadline_error() {
-        tve_sim::silence_cancelled_panics();
-        // A real kernel run large enough to exceed a tiny deadline: the
-        // cancellation lands at a scheduling boundary, not mid-poll.
+        // Paper-scale runs take seconds each; the token trips while the
+        // first one is inside the kernel, which unwinds at its next
+        // scheduling boundary instead of running to completion.
         let config = SocConfig::paper();
         let plan = SocTestPlan::paper();
-        let schedule = paper_schedules().into_iter().next().unwrap();
-        let jobs = vec![ScenarioJob::new(config, plan, schedule)];
-        let policy = SupervisePolicy::new()
-            .with_deadline(Duration::from_millis(1))
-            .with_retry_budget(0)
-            .with_poll(Duration::from_micros(200));
+        let jobs: Vec<ScenarioJob> = paper_schedules()
+            .into_iter()
+            .map(|s| ScenarioJob::new(config.clone(), plan.clone(), s))
+            .collect();
+        let token = CancelToken::new();
+        let policy = SupervisePolicy::default().with_external(Arc::clone(&token));
+        let running = AtomicBool::new(false);
         let started = Instant::now();
-        let (report, stats) = Farm::with_workers(1).run_supervised(&jobs, &policy);
-        match &report.outcomes[0].result {
-            Err(JobError::Deadline { attempts, .. }) => assert_eq!(*attempts, 1),
-            other => panic!("expected Deadline, got {other:?}"),
+        let (results, _, _) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !running.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(Duration::from_millis(20));
+                token.cancel();
+            });
+            Farm::with_workers(1).run_map_supervised(
+                &jobs,
+                |job| {
+                    running.store(true, Ordering::Release);
+                    run_job(job)
+                },
+                &policy,
+            )
+        });
+        assert_eq!(results.len(), jobs.len(), "no holes in the batch");
+        for (i, (_, result)) in results.iter().enumerate() {
+            assert!(
+                matches!(result, Err(SupervisedError::Cancelled)),
+                "item {i}: expected Cancelled, got {result:?}"
+            );
         }
-        assert!(stats.deadline_cancels >= 1);
         assert!(
             started.elapsed() < Duration::from_secs(10),
             "cancellation must not wait for the full simulation"
@@ -682,13 +445,12 @@ mod tests {
 
     #[test]
     fn external_cancellation_resolves_everything_quickly() {
-        tve_sim::silence_cancelled_panics();
         let farm = Farm::with_workers(1);
         let token = CancelToken::new();
         token.cancel();
         let items: Vec<u32> = (0..64).collect();
-        let policy = SupervisePolicy::new().with_external(token);
-        let (results, _, _, _) = farm.run_map_supervised(&items, |&n| n, &policy);
+        let policy = SupervisePolicy::default().with_external(token);
+        let (results, _, _) = farm.run_map_supervised(&items, |&n| n, &policy);
         assert_eq!(results.len(), 64);
         assert!(results
             .iter()
@@ -697,18 +459,16 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_supervised_results() {
-        tve_sim::silence_cancelled_panics();
         let jobs = mini_jobs();
         let hook = chaos(vec![
             ((0, 0), ChaosFault::Panic),
             ((2, 0), ChaosFault::Panic),
         ]);
-        let policy = SupervisePolicy::new().with_chaos(hook).with_retry_budget(1);
-        let (one, _) = Farm::with_workers(1).run_supervised(&jobs, &policy);
-        let (many, _) = Farm::with_workers(8).run_supervised(&jobs, &policy);
-        assert!(one.all_ok() && many.all_ok());
-        for (a, b) in one.outcomes.iter().zip(&many.outcomes) {
-            assert_eq!(a.expect_metrics().digest(), b.expect_metrics().digest());
-        }
+        let policy = SupervisePolicy::default()
+            .with_chaos(hook)
+            .with_retry_budget(1);
+        let (one, _, _) = Farm::with_workers(1).run_map_supervised(&jobs, run_job, &policy);
+        let (many, _, _) = Farm::with_workers(8).run_map_supervised(&jobs, run_job, &policy);
+        assert_eq!(digests(&one), digests(&many));
     }
 }

@@ -23,8 +23,8 @@ const USAGE: &str = "usage: tve-serve [options]
   --cost-cap NS       shed campaign submissions whose certified cost
                        estimate would push committed load past NS
   --deadline-ms MS     default per-job deadline (jobs may override)
-  --retries N          supervised-farm retry budget for panicked or
-                       deadline-cancelled worker attempts (default 1)
+  --retries N          supervised-farm retry budget: a panicked worker
+                       attempt is retried on a fresh worker (default 1)
   --read-timeout-ms MS per-connection read timeout (default 30000)
   --chaos SPEC         deterministic fault injection, e.g.
                        worker-panic@1,frame-corrupt@2,snapshot-enospc@1

@@ -16,9 +16,10 @@
 //! per-job [`CancelToken`] with an optional deadline watcher, and fans
 //! out through the *supervised* farm
 //! ([`Farm::run_map_supervised`](tve_sched::Farm::run_map_supervised)):
-//! a panicked or deadline-cancelled worker attempt is retried on a
-//! fresh worker within a retry budget, and a permanent failure comes
-//! back as a typed error — never a hang, never a hole in the batch.
+//! a panicked worker attempt is retried on a fresh worker within a
+//! retry budget, a permanent failure comes back as a typed error, and
+//! the job's deadline cancels the whole map — never a hang, never a
+//! hole in the batch.
 //! SIGTERM (or the `drain` command) starts a graceful drain: running
 //! jobs finish, the cache snapshot is persisted atomically, new
 //! submissions are refused with a typed `draining` error. The `--chaos`
@@ -39,7 +40,9 @@ use tve_campaign::{
     FaultSpec, ShardReport, ShardSpec,
 };
 use tve_core::Schedule;
-use tve_obs::{append_json_string, parse_json, IoPolicy, JsonValue, OpsCounters, WriteFault};
+use tve_obs::{
+    append_json_string, fnv1a, parse_json, IoPolicy, JsonValue, OpsCounters, WriteFault,
+};
 use tve_sched::{ChaosFault, ChaosHook, Farm, SupervisePolicy, SupervisedError};
 use tve_sim::{silence_cancelled_panics, with_cancel_token, CancelToken, Cancelled};
 use tve_soc::{paper_schedules, run_scenario, ScenarioMetrics};
@@ -49,7 +52,7 @@ use crate::cache::{CachedValue, ResultCache};
 use crate::chaos::{ChaosSite, ChaosSpec};
 use crate::error::ServeError;
 use crate::invalidate::edit_impact;
-use crate::key::{bounds_key, cell_key, diagnosis_key, fnv1a, lint_key, schedule_tests, test_mask};
+use crate::key::{bounds_key, cell_key, diagnosis_key, lint_key, schedule_tests, test_mask};
 use crate::proto::{read_frame, write_frame, JobKind, JobSpec};
 
 /// Per-item timed results from a supervised farm map, with permanent
@@ -87,8 +90,8 @@ pub struct ServeOptions {
     /// Daemon-wide default per-job deadline. A job's own `deadline_ms`
     /// overrides it.
     pub deadline_ms: Option<u64>,
-    /// Supervised-farm retry budget: a panicked or deadline-cancelled
-    /// worker attempt is retried this many times on a fresh worker.
+    /// Supervised-farm retry budget: a panicked worker attempt is
+    /// retried this many times on a fresh worker.
     pub retries: usize,
     /// Per-connection read timeout: an idle or wedged client is
     /// disconnected instead of pinning a connection thread forever.
@@ -230,15 +233,13 @@ impl Shared {
         if let Some(hook) = self.chaos_hook() {
             policy = policy.with_chaos(hook);
         }
-        let (results, _, _, _) = self.farm.run_map_supervised(items, f, &policy);
+        let (results, _, _) = self.farm.run_map_supervised(items, f, &policy);
         let mut out = Vec::with_capacity(results.len());
         for (wall, result) in results {
             match result {
                 Ok(value) => out.push((wall, Ok(value))),
                 Err(SupervisedError::Panicked(message)) => out.push((wall, Err(message))),
-                Err(SupervisedError::Deadline { .. }) | Err(SupervisedError::Cancelled) => {
-                    return Err(deadline_error(ctx))
-                }
+                Err(SupervisedError::Cancelled) => return Err(deadline_error(ctx)),
             }
         }
         Ok(out)

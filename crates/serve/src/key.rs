@@ -23,16 +23,8 @@
 //! inputs differently within this binary.
 
 use tve_core::Schedule;
+use tve_obs::fnv1a;
 use tve_soc::{SocConfig, SocTestPlan};
-
-/// FNV-1a (the workspace's standard digest) over `bytes`.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// The distinct test indices a schedule runs, ascending.
 pub fn schedule_tests(schedule: &Schedule) -> Vec<usize> {

@@ -66,8 +66,7 @@ pub use daemon::{serve, spawn, DaemonHandle, ServeOptions, DEFAULT_SOCKET};
 pub use error::{ErrorKind, ServeError};
 pub use invalidate::{edit_impact, EditImpact};
 pub use key::{
-    bounds_key, cell_key, diagnosis_key, fnv1a, lint_key, plan_projection, schedule_tests,
-    test_mask,
+    bounds_key, cell_key, diagnosis_key, lint_key, plan_projection, schedule_tests, test_mask,
 };
 pub use persist::{load_cache, save_cache, save_cache_with, CacheLoad};
 pub use proto::{read_frame, write_frame, JobKind, JobSpec, MAX_FRAME};

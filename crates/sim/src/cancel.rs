@@ -11,9 +11,9 @@
 //! Cancellation is delivered by unwinding with the [`Cancelled`] payload
 //! via [`std::panic::panic_any`]. The kernel's existing panic path retires
 //! the in-flight task cleanly, so a cancelled [`Simulation`] drops without
-//! leaking arena slots or timers. Supervisors (`tve-sched`'s supervised
-//! farm, the `tve-serve` daemon) catch the unwind, downcast to
-//! [`Cancelled`], and report a typed deadline error.
+//! leaking arena slots or timers. Callers (`tve-sched`'s farm pool, the
+//! `tve-serve` daemon) catch the unwind and report a typed
+//! cancellation or deadline error.
 //!
 //! Tokens reach the kernel through a thread-local: [`with_cancel_token`]
 //! installs a token for the duration of a closure, and every
@@ -28,15 +28,10 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
 
-/// A thread-safe cancellation flag, optionally chained to a parent.
-///
-/// Child tokens (see [`CancelToken::child`]) observe their parent: a
-/// supervisor can cancel one retry attempt without touching the job-level
-/// token, while cancelling the job token cancels every attempt under it.
+/// A thread-safe cancellation flag.
 #[derive(Debug, Default)]
 pub struct CancelToken {
     flag: AtomicBool,
-    parent: Option<Arc<CancelToken>>,
 }
 
 impl CancelToken {
@@ -45,25 +40,14 @@ impl CancelToken {
         Arc::new(CancelToken::default())
     }
 
-    /// Creates a token that is also cancelled whenever `parent` is.
-    pub fn child(parent: &Arc<CancelToken>) -> Arc<CancelToken> {
-        Arc::new(CancelToken {
-            flag: AtomicBool::new(false),
-            parent: Some(Arc::clone(parent)),
-        })
-    }
-
     /// Trips the token. Idempotent; never blocks.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Release);
     }
 
-    /// True once this token — or any ancestor — has been cancelled.
+    /// True once this token has been cancelled.
     pub fn is_cancelled(&self) -> bool {
-        if self.flag.load(Ordering::Acquire) {
-            return true;
-        }
-        self.parent.as_ref().is_some_and(|p| p.is_cancelled())
+        self.flag.load(Ordering::Acquire)
     }
 }
 
@@ -135,21 +119,6 @@ mod tests {
         assert!(t.is_cancelled());
         t.cancel();
         assert!(t.is_cancelled());
-    }
-
-    #[test]
-    fn child_observes_parent_but_not_vice_versa() {
-        let parent = CancelToken::new();
-        let child = CancelToken::child(&parent);
-        assert!(!child.is_cancelled());
-        parent.cancel();
-        assert!(child.is_cancelled());
-
-        let parent2 = CancelToken::new();
-        let child2 = CancelToken::child(&parent2);
-        child2.cancel();
-        assert!(child2.is_cancelled());
-        assert!(!parent2.is_cancelled());
     }
 
     #[test]

@@ -361,14 +361,8 @@ impl ScenarioMetrics {
     /// how many farm workers ran alongside; see `tve-sched`'s farm
     /// determinism tests.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h = (h ^ b as u64).wrapping_mul(PRIME);
-            }
-        };
+        let mut bytes = Vec::new();
+        let mut eat = |b: &[u8]| bytes.extend_from_slice(b);
         eat(self.schedule.as_bytes());
         eat(&self.peak_utilization.to_bits().to_le_bytes());
         eat(&self.avg_utilization.to_bits().to_le_bytes());
@@ -398,7 +392,7 @@ impl ScenarioMetrics {
             eat(&o.start.cycles().to_le_bytes());
             eat(&o.end.cycles().to_le_bytes());
         }
-        h
+        tve_obs::fnv1a(&bytes)
     }
 }
 

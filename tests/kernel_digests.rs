@@ -17,7 +17,7 @@
 //!   other *and* with the pinned value).
 
 use tve::campaign::{generate, run_campaign, CampaignConfig, PopulationSpec};
-use tve::obs::StoragePolicy;
+use tve::obs::{fnv1a, StoragePolicy};
 use tve::sched::Farm;
 use tve::sim::Duration;
 use tve::soc::{
@@ -57,14 +57,6 @@ fn bench_workload() -> (SocConfig, SocTestPlan) {
     let mut config = SocConfig::paper();
     config.memory_words = 2622;
     (config, SocTestPlan::paper_scaled(100))
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[test]

@@ -14,7 +14,7 @@ use tve::core::{Schedule, ScheduleError};
 use tve::lint::{
     codes, lint_program, lint_schedule, lint_schedule_report, soc_facts, Severity, WirWrite,
 };
-use tve::sched::{Farm, JobError, ScenarioJob};
+use tve::sched::{Farm, ScenarioJob};
 use tve::soc::{paper_schedules, run_scenario, SocConfig, SocTestPlan, RING_MEM};
 
 fn small_soc() -> SocConfig {
@@ -87,8 +87,7 @@ fn soundness_paper_schedules_lint_clean_and_execute_clean() {
         })
         .map(|s| ScenarioJob::new(cfg.clone(), plan.clone(), s))
         .collect();
-    let batch = Farm::new().run_prescreened(&jobs);
-    assert_eq!(batch.rejected_count(), 0);
+    let batch = Farm::new().run(&jobs);
     for outcome in &batch.outcomes {
         let metrics = outcome.expect_metrics();
         assert!(
@@ -271,38 +270,4 @@ fn usefulness_program_defects_are_caught_with_spans() {
         diags[0].location,
         tve::lint::Location::Span { line: 2, column: 1 }
     );
-}
-
-#[test]
-fn prescreen_rejections_predict_dynamic_schedule_errors() {
-    // Every statically-rejected structural schedule, had it been
-    // simulated, would have failed with the ScheduleError its diagnostic
-    // code names — the pre-screen skips work, never results.
-    let cfg = small_soc();
-    let plan = SocTestPlan::small();
-    let bad = [
-        Schedule::new("none", vec![]),
-        Schedule::new("hole", vec![vec![0], vec![]]),
-        Schedule::new("oob", vec![vec![9]]),
-        Schedule::new("dup", vec![vec![0], vec![0]]),
-    ];
-    let jobs: Vec<ScenarioJob> = bad
-        .iter()
-        .map(|s| ScenarioJob::new(cfg.clone(), plan.clone(), s.clone()))
-        .collect();
-    let batch = Farm::with_workers(2).run_prescreened(&jobs);
-    assert_eq!(batch.rejected_count(), bad.len());
-    for (outcome, schedule) in batch.outcomes.iter().zip(&bad) {
-        let Err(JobError::Rejected(report)) = &outcome.result else {
-            panic!("'{}' was not rejected", outcome.label);
-        };
-        let dynamic = run_scenario(&cfg, &plan, schedule).unwrap_err();
-        assert!(
-            report.has(dynamic.code()),
-            "'{}': dynamic {dynamic:?} ({}) not among static codes {:?}",
-            outcome.label,
-            dynamic.code(),
-            report.codes()
-        );
-    }
 }

@@ -9,7 +9,7 @@ use tve::obs::{
     check_json, utilization_from_spans, write_chrome_trace, write_metrics_csv, write_spans_csv,
     SpanKind, StoragePolicy,
 };
-use tve::sched::{run_scenarios, run_scenarios_traced, ScenarioJob};
+use tve::sched::{Farm, ScenarioJob};
 use tve::soc::{paper_schedules, run_scenario, run_scenario_traced, SocConfig, SocTestPlan};
 
 fn workload() -> (SocConfig, SocTestPlan) {
@@ -133,8 +133,8 @@ fn farm_traced_batch_merges_per_job_timelines() {
         .take(2)
         .map(|s| ScenarioJob::new(config.clone(), plan.clone(), s))
         .collect();
-    let plain = run_scenarios(&jobs);
-    let traced = run_scenarios_traced(&jobs, StoragePolicy::Unbounded);
+    let plain = Farm::new().run(&jobs);
+    let traced = Farm::new().run_traced(&jobs, StoragePolicy::Unbounded);
     for (a, b) in plain.outcomes.iter().zip(&traced.report.outcomes) {
         assert_eq!(
             a.expect_metrics().digest(),
