@@ -160,9 +160,9 @@ fn classify(golden: &ScenarioMetrics, faulty: &ScenarioMetrics, log: &TraceLog) 
 /// injects `fault`, executes `schedule` under `plan`, and classifies the
 /// outcome against the `golden` baseline of the same schedule.
 ///
-/// This is exactly the per-cell body [`run_campaign`] fans over the farm,
-/// exposed so cache-aware callers (the `tve-serve` daemon) can execute
-/// and re-execute individual cells without re-running the whole matrix.
+/// This is exactly the per-cell body the campaign walk
+/// ([`crate::run_campaign_shard_with`]) fans over the farm, exposed so
+/// harnesses can time individual cells.
 ///
 /// # Panics
 ///
@@ -190,8 +190,8 @@ pub fn run_cell(
 /// station: replays the plan's BIST stream against a golden and a faulty
 /// wrapper and checks the located cell against the injected one.
 ///
-/// Public for the same reason as [`run_cell`]: cache-aware callers run
-/// and re-run diagnosis checks individually.
+/// Public for the same reason as [`run_cell`]: harnesses time
+/// diagnosis checks individually.
 pub fn diagnose_scan_fault(
     config: &CampaignConfig,
     core: WrappedCore,

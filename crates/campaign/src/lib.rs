@@ -55,6 +55,7 @@ mod matrix;
 mod resume;
 mod sample;
 mod shard;
+mod walk;
 mod wire;
 
 pub use engine::{apply_fault, diagnose_scan_fault, run_campaign, run_cell, CampaignConfig};
@@ -69,7 +70,8 @@ pub use shard::{
     campaign_fingerprint, effective_schedules, merge_shards, run_campaign_shard, ShardReport,
     ShardSpec,
 };
+pub use walk::{run_campaign_shard_with, CampaignError, CampaignStore, NoStore};
 pub use wire::{
-    append_cell_result, append_diagnosis, cell_result_from_json, cell_result_to_json,
-    diagnosis_from_json, diagnosis_to_json,
+    append_cell_result, append_diagnosis, append_outcome, cell_result_from_json,
+    diagnosis_from_json, outcome_from_json,
 };

@@ -1,17 +1,18 @@
 //! Journaled checkpoint/resume: a killed campaign finishes later with a
 //! byte-identical artifact.
 //!
-//! [`run_campaign_journaled`] wraps [`run_campaign_shard`]'s work in an
-//! append-only journal of self-validating records (the `tve-obs`
-//! [`Journal`] format): a header naming the campaign fingerprint, one
-//! record per completed cell, one per completed diagnosis check. Cells
-//! are simulated in worker-sized batches and journaled after each
-//! batch, so a `SIGKILL` loses at most one in-flight batch — on the
-//! next invocation the valid journal prefix is reused, only the missing
-//! cells are simulated, and the assembled report is *identical* to an
-//! uninterrupted run: the matrix content is a pure function of the
-//! configuration, so it cannot matter which process computed which
-//! cell.
+//! [`run_campaign_journaled`] runs the campaign walk
+//! ([`crate::run_campaign_shard_with`]) with an append-only journal of
+//! self-validating records (the `tve-obs` [`Journal`] format) as its
+//! store: a header naming the campaign fingerprint, one record per
+//! completed cell, one per completed diagnosis check. Recorded cells are
+//! the store's hits. Cells are simulated in worker-sized batches and
+//! journaled after each batch, so a `SIGKILL` loses at most one
+//! in-flight batch — on the next invocation the valid journal prefix is
+//! reused, only the missing cells are simulated, and the assembled
+//! report is *identical* to an uninterrupted run: the matrix content is
+//! a pure function of the configuration, so it cannot matter which
+//! process computed which cell.
 //!
 //! Damage is never silently absorbed. A truncated or bit-flipped record
 //! invalidates the journal from that line on (see
@@ -26,16 +27,14 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use tve_core::Schedule;
 use tve_obs::{parse_journal, IoPolicy, Journal, JournalDefect, JsonValue};
-use tve_sched::Farm;
+use tve_sched::{Farm, SupervisePolicy};
 
 use crate::engine::CampaignConfig;
-use crate::fault::FaultSpec;
 use crate::matrix::{CellOutcome, CellResult, DiagnosisCheck};
-use crate::shard::{
-    campaign_fingerprint, effective_schedules, farm_cells, farm_diagnoses, golden_baselines,
-    ShardReport, ShardSpec,
-};
+use crate::shard::{campaign_fingerprint, effective_schedules, ShardReport, ShardSpec};
+use crate::walk::{run_campaign_shard_with, CampaignError, CampaignStore};
 use crate::wire::{
     append_cell_result, append_diagnosis, cell_result_from_json, diagnosis_from_json,
 };
@@ -79,6 +78,7 @@ fn diag_payload(check: &DiagnosisCheck) -> String {
 }
 
 /// The journal's valid prefix, decoded against this campaign.
+#[derive(Default)]
 struct ResumedState {
     cells: BTreeMap<usize, CellResult>,
     diagnosis: BTreeMap<String, DiagnosisCheck>,
@@ -183,6 +183,53 @@ fn load_journal(
     })
 }
 
+/// The walk's store over a campaign journal: recorded cells and
+/// diagnoses are hits, each put appends a record, and cells are farmed
+/// in worker-sized batches so the journal checkpoints as it goes.
+struct JournalStore {
+    journal: Journal,
+    resumed: ResumedState,
+    summary: ResumeSummary,
+}
+
+impl CampaignStore for JournalStore {
+    fn batch(&self, workers: usize) -> usize {
+        workers
+    }
+
+    fn cell(
+        &mut self,
+        index: usize,
+        _: &Schedule,
+        _: &str,
+    ) -> Result<Option<CellOutcome>, CampaignError> {
+        Ok(self.resumed.cells.remove(&index).map(|cell| cell.outcome))
+    }
+
+    fn put_cell(
+        &mut self,
+        index: usize,
+        _: &Schedule,
+        cell: &CellResult,
+    ) -> Result<(), CampaignError> {
+        self.summary.simulated_cells += 1;
+        self.journal
+            .append(&cell_payload(index, cell))
+            .map_err(|e| CampaignError::Store(format!("cannot journal cell {index}: {e}")))
+    }
+
+    fn diagnosis(&mut self, fault_id: &str) -> Result<Option<DiagnosisCheck>, CampaignError> {
+        Ok(self.resumed.diagnosis.remove(fault_id))
+    }
+
+    fn put_diagnosis(&mut self, check: &DiagnosisCheck) -> Result<(), CampaignError> {
+        self.summary.simulated_diagnosis += 1;
+        self.journal
+            .append(&diag_payload(check))
+            .map_err(|e| CampaignError::Store(format!("cannot journal diagnosis: {e}")))
+    }
+}
+
 /// Runs (or resumes) one shard of the campaign with a checkpoint
 /// journal at `path`.
 ///
@@ -196,14 +243,9 @@ fn load_journal(
 /// # Errors
 ///
 /// I/O failures, a journal written by a different campaign
-/// configuration or shard, or semantically invalid (though
-/// checksum-valid) records. Checksum damage is *not* an error — see
-/// [`ResumeSummary::defect`].
-///
-/// # Panics
-///
-/// Same conditions as [`crate::run_campaign_shard`] (golden-baseline
-/// failures).
+/// configuration or shard, semantically invalid (though
+/// checksum-valid) records, or a failed golden baseline. Checksum
+/// damage is *not* an error — see [`ResumeSummary::defect`].
 pub fn run_campaign_journaled(
     config: &CampaignConfig,
     farm: &Farm,
@@ -225,10 +267,6 @@ pub fn run_campaign_journaled(
 /// # Errors
 ///
 /// As [`run_campaign_journaled`], plus whatever faults `policy` injects.
-///
-/// # Panics
-///
-/// Same conditions as [`run_campaign_journaled`].
 pub fn run_campaign_journaled_with_io(
     config: &CampaignConfig,
     farm: &Farm,
@@ -238,117 +276,37 @@ pub fn run_campaign_journaled_with_io(
 ) -> Result<(ShardReport, ResumeSummary), String> {
     let path = path.as_ref();
     let fingerprint = campaign_fingerprint(config);
-    let (schedules, prescreened) = effective_schedules(config);
-    let config = &CampaignConfig {
-        schedules,
-        ..config.clone()
-    };
-    let schedule_count = config.schedules.len();
-    let total_cells = config.population.len() * schedule_count;
+    let total_cells = config.population.len() * effective_schedules(config).0.len();
 
-    let (mut state, mut journal) = if path.exists() {
-        let state = load_journal(path, fingerprint, shard, total_cells)?;
+    let (mut resumed, journal) = if path.exists() {
+        let resumed = load_journal(path, fingerprint, shard, total_cells)?;
         let journal = Journal::append_to_with(path, policy)
             .map_err(|e| format!("cannot append to journal {}: {e}", path.display()))?;
-        (state, journal)
+        (resumed, journal)
     } else {
         let mut journal = Journal::create_with(path, policy)
             .map_err(|e| format!("cannot create journal {}: {e}", path.display()))?;
         journal
             .append(&header_payload(fingerprint, shard, total_cells))
             .map_err(|e| format!("cannot write journal header: {e}"))?;
-        (
-            ResumedState {
-                cells: BTreeMap::new(),
-                diagnosis: BTreeMap::new(),
-                defect: None,
-            },
-            journal,
-        )
-    };
-    let resumed_cells = state.cells.len();
-    let resumed_diagnosis = state.diagnosis.len();
-
-    // Cells this shard owns but the journal does not yet record.
-    let pending: Vec<(usize, usize, usize)> = (0..config.population.len())
-        .flat_map(|f| (0..schedule_count).map(move |s| (f * schedule_count + s, f, s)))
-        .filter(|&(index, _, _)| shard.owns(index) && !state.cells.contains_key(&index))
-        .collect();
-
-    if !pending.is_empty() {
-        let mut needed: Vec<usize> = pending.iter().map(|&(_, _, s)| s).collect();
-        needed.sort_unstable();
-        needed.dedup();
-        let needed_schedules: Vec<_> = needed
-            .iter()
-            .map(|&s| config.schedules[s].clone())
-            .collect();
-        let golden = golden_baselines(config, farm, &needed_schedules);
-
-        // Worker-sized batches: the journal grows roughly once per
-        // cell-duration, so a kill loses at most one batch of work.
-        for batch in pending.chunks(farm.workers().max(1)) {
-            let pairs: Vec<(usize, usize)> = batch.iter().map(|&(_, fi, si)| (fi, si)).collect();
-            let cells = farm_cells(config, farm, &golden, &pairs);
-            for (&(index, _, _), cell) in batch.iter().zip(cells) {
-                journal
-                    .append(&cell_payload(index, &cell))
-                    .map_err(|e| format!("cannot journal cell {index}: {e}"))?;
-                state.cells.insert(index, cell);
-            }
-        }
-    }
-
-    // Diagnosis for scan faults detected in this shard's (now complete)
-    // cell set, skipping checks the journal already holds.
-    let mut simulated_diagnosis = 0;
-    if config.diagnosis {
-        let pending_scan: Vec<_> = config
-            .population
-            .iter()
-            .filter_map(|f| match f {
-                FaultSpec::ScanCell { core, cell } => {
-                    let id = f.id();
-                    let detected = state.cells.values().any(|r| {
-                        r.fault_id == id && matches!(r.outcome, CellOutcome::Detected { .. })
-                    });
-                    (detected && !state.diagnosis.contains_key(&id)).then_some((*core, *cell))
-                }
-                _ => None,
-            })
-            .collect();
-        for batch in pending_scan.chunks(farm.workers().max(1)) {
-            for check in farm_diagnoses(config, farm, batch) {
-                journal
-                    .append(&diag_payload(&check))
-                    .map_err(|e| format!("cannot journal diagnosis: {e}"))?;
-                state.diagnosis.insert(check.fault_id.clone(), check);
-                simulated_diagnosis += 1;
-            }
-        }
-    }
-
-    let report = ShardReport {
-        fingerprint,
-        shard,
-        total_cells,
-        schedules: config.schedules.iter().map(|s| s.name.clone()).collect(),
-        prescreened,
-        cells: state.cells.into_iter().collect(),
-        diagnosis: config
-            .population
-            .iter()
-            .filter_map(|f| state.diagnosis.remove(&f.id()))
-            .collect(),
+        (ResumedState::default(), journal)
     };
     let summary = ResumeSummary {
-        resumed_cells,
-        simulated_cells: report.cells.len() - resumed_cells,
-        resumed_diagnosis,
-        simulated_diagnosis,
-        defect: state.defect,
+        resumed_cells: resumed.cells.len(),
+        simulated_cells: 0,
+        resumed_diagnosis: resumed.diagnosis.len(),
+        simulated_diagnosis: 0,
+        defect: resumed.defect.take(),
     };
-    Ok((report, summary))
+    let mut store = JournalStore {
+        journal,
+        resumed,
+        summary,
+    };
+    let report =
+        run_campaign_shard_with(config, farm, shard, &SupervisePolicy::default(), &mut store)
+            .map_err(|e| e.to_string())?;
+    Ok((report, store.summary))
 }
 
 #[cfg(test)]

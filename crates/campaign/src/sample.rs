@@ -29,13 +29,16 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use tve_core::Schedule;
 use tve_obs::{append_json_string, fnv1a};
-use tve_sched::Farm;
+use tve_sched::{Farm, SupervisePolicy};
+use tve_soc::ScenarioMetrics;
 
 use crate::engine::CampaignConfig;
 use crate::fault::{FaultSpec, SplitMix};
 use crate::matrix::{CampaignReport, CellOutcome, CellResult};
-use crate::shard::{effective_schedules, farm_cells, farm_diagnoses, golden_baselines};
+use crate::shard::{effective_schedules, merge_shards, ShardReport, ShardSpec};
+use crate::walk::{run_campaign_shard_with, CampaignError, CampaignStore};
 
 /// The stratum a fault is sampled within.
 pub fn stratum_of(fault: &FaultSpec) -> String {
@@ -318,6 +321,60 @@ pub fn run_sampled_campaign(
     )
 }
 
+/// Golden baselines and cells already simulated, keyed by schedule and
+/// fault: the guided selector's one-fault walks and its final walk run
+/// each only once.
+#[derive(Default)]
+struct Memo {
+    golden: BTreeMap<String, ScenarioMetrics>,
+    cells: BTreeMap<(String, String), CellOutcome>,
+}
+
+impl CampaignStore for Memo {
+    fn golden(&mut self, schedule: &Schedule) -> Result<Option<ScenarioMetrics>, CampaignError> {
+        Ok(self.golden.get(&schedule.name).cloned())
+    }
+    fn put_golden(
+        &mut self,
+        schedule: &Schedule,
+        metrics: &ScenarioMetrics,
+    ) -> Result<(), CampaignError> {
+        self.golden.insert(schedule.name.clone(), metrics.clone());
+        Ok(())
+    }
+    fn cell(
+        &mut self,
+        _: usize,
+        schedule: &Schedule,
+        fault_id: &str,
+    ) -> Result<Option<CellOutcome>, CampaignError> {
+        let key = (fault_id.to_string(), schedule.name.clone());
+        Ok(self.cells.get(&key).cloned())
+    }
+    fn put_cell(
+        &mut self,
+        _: usize,
+        schedule: &Schedule,
+        cell: &CellResult,
+    ) -> Result<(), CampaignError> {
+        let key = (cell.fault_id.clone(), schedule.name.clone());
+        self.cells.insert(key, cell.outcome.clone());
+        Ok(())
+    }
+}
+
+/// The whole campaign walked through `memo`, on the default farm policy.
+fn walk(config: &CampaignConfig, farm: &Farm, memo: &mut Memo) -> ShardReport {
+    run_campaign_shard_with(
+        config,
+        farm,
+        ShardSpec::full(),
+        &SupervisePolicy::default(),
+        memo,
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// Runs the coverage-guided selector: a pilot of `pilot_per_stratum`
 /// faults from every stratum, then one fault at a time from whichever
 /// stratum currently has the highest Laplace-smoothed escape rate
@@ -340,14 +397,9 @@ pub fn run_guided_campaign(
     pilot_per_stratum: usize,
     seed: u64,
 ) -> SampledCampaign {
-    let (schedules, prescreened) = effective_schedules(config);
-    let config_eff = &CampaignConfig {
-        schedules,
-        ..config.clone()
-    };
-    let schedule_count = config_eff.schedules.len();
-    let golden = golden_baselines(config_eff, farm, &config_eff.schedules);
-    let strata = strata_of(&config_eff.population);
+    let schedule_count = effective_schedules(config).0.len();
+    let mut memo = Memo::default();
+    let strata = strata_of(&config.population);
 
     // Per-stratum seeded draw order (a full without-replacement
     // permutation), consumed front to back.
@@ -368,101 +420,58 @@ pub fn run_guided_campaign(
     let mut cursor = vec![0usize; strata.len()];
     let mut sampled_count = vec![0usize; strata.len()];
     let mut escape_count = vec![0usize; strata.len()];
-    let mut results: BTreeMap<usize, Vec<CellResult>> = BTreeMap::new();
+    let mut selected = Vec::new();
 
-    let run_fault = |fi: usize| -> Vec<CellResult> {
-        let cells: Vec<(usize, usize)> = (0..schedule_count).map(|si| (fi, si)).collect();
-        farm_cells(config_eff, farm, &golden, &cells)
-    };
-    let take = |h: usize,
-                cursor: &mut Vec<usize>,
-                sampled_count: &mut Vec<usize>,
-                escape_count: &mut Vec<usize>,
-                results: &mut BTreeMap<usize, Vec<CellResult>>| {
+    // A pilot of every stratum before trusting any score, then the
+    // highest smoothed escape rate, until the budget or the population
+    // runs out.
+    let mut pilot = (0..strata.len())
+        .flat_map(|h| std::iter::repeat_n(h, pilot_per_stratum.min(queues[h].len())));
+    let mut spent_cells = 0usize;
+    while spent_cells + schedule_count <= budget_cells {
+        let next = pilot.next().or_else(|| {
+            let score = |h: usize| (escape_count[h] as f64 + 1.0) / (sampled_count[h] as f64 + 2.0);
+            (0..strata.len())
+                .filter(|&h| cursor[h] < queues[h].len())
+                .max_by(|&a, &b| {
+                    score(a)
+                        .partial_cmp(&score(b))
+                        .unwrap()
+                        .then(strata[b].0.cmp(&strata[a].0))
+                })
+        });
+        let Some(h) = next else {
+            break;
+        };
         let fi = queues[h][cursor[h]];
         cursor[h] += 1;
-        let cells = run_fault(fi);
-        let escaped = !cells.iter().any(|c| c.outcome.noticed());
+        let one = CampaignConfig {
+            population: vec![config.population[fi].clone()],
+            diagnosis: false,
+            ..config.clone()
+        };
+        let escaped = !walk(&one, farm, &mut memo)
+            .cells
+            .iter()
+            .any(|(_, c)| c.outcome.noticed());
         sampled_count[h] += 1;
         escape_count[h] += usize::from(escaped);
-        results.insert(fi, cells);
-    };
-
-    // Pilot: look at every stratum before trusting any score.
-    let mut spent_cells = 0usize;
-    for (h, queue_len) in queues.iter().map(Vec::len).enumerate().collect::<Vec<_>>() {
-        for _ in 0..pilot_per_stratum.min(queue_len) {
-            if spent_cells + schedule_count > budget_cells {
-                break;
-            }
-            take(
-                h,
-                &mut cursor,
-                &mut sampled_count,
-                &mut escape_count,
-                &mut results,
-            );
-            spent_cells += schedule_count;
-        }
-    }
-    // Adaptive phase: chase the highest smoothed escape rate.
-    while spent_cells + schedule_count <= budget_cells {
-        let Some(next) = (0..strata.len())
-            .filter(|&h| cursor[h] < queues[h].len())
-            .max_by(|&a, &b| {
-                let score =
-                    |h: usize| (escape_count[h] as f64 + 1.0) / (sampled_count[h] as f64 + 2.0);
-                score(a)
-                    .partial_cmp(&score(b))
-                    .unwrap()
-                    .then(strata[b].0.cmp(&strata[a].0))
-            })
-        else {
-            break; // population exhausted under budget
-        };
-        take(
-            next,
-            &mut cursor,
-            &mut sampled_count,
-            &mut escape_count,
-            &mut results,
-        );
+        selected.push(fi);
         spent_cells += schedule_count;
     }
+    selected.sort_unstable();
 
-    let selected: Vec<usize> = results.keys().copied().collect();
-    let cells: Vec<CellResult> = results.into_values().flatten().collect();
-    // Diagnosis, when configured, mirrors the exhaustive engine over
-    // the sampled faults.
-    let mut diagnosis = Vec::new();
-    if config_eff.diagnosis {
-        let detected_scan: Vec<_> = selected
+    // The final walk over the selected faults finds every cell in the
+    // memo and adds the diagnoses, as the exhaustive campaign would.
+    let sub = CampaignConfig {
+        population: selected
             .iter()
-            .filter_map(|&fi| match &config_eff.population[fi] {
-                FaultSpec::ScanCell { core, cell } => {
-                    let id = config_eff.population[fi].id();
-                    cells
-                        .iter()
-                        .any(|c| {
-                            c.fault_id == id && matches!(c.outcome, CellOutcome::Detected { .. })
-                        })
-                        .then_some((*core, *cell))
-                }
-                _ => None,
-            })
-            .collect();
-        diagnosis = farm_diagnoses(config_eff, farm, &detected_scan);
-    }
-    let report = CampaignReport {
-        schedules: config_eff
-            .schedules
-            .iter()
-            .map(|s| s.name.clone())
+            .map(|&i| config.population[i].clone())
             .collect(),
-        prescreened,
-        cells,
-        diagnosis,
+        ..config.clone()
     };
+    let report = merge_shards(&sub, &[walk(&sub, farm, &mut memo)])
+        .expect("the full shard covers every cell");
     assemble(
         config,
         "guided",

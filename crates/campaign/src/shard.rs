@@ -22,14 +22,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use tve_core::{Schedule, StuckCell};
+use tve_core::Schedule;
 use tve_obs::{append_json_string, fnv1a, parse_json, JsonValue};
-use tve_sched::Farm;
-use tve_soc::{run_scenario, ScenarioMetrics, WrappedCore};
+use tve_sched::{Farm, SupervisePolicy};
 
-use crate::engine::{diagnose_scan_fault, run_cell, CampaignConfig};
-use crate::fault::FaultSpec;
-use crate::matrix::{CampaignReport, CellOutcome, CellResult, DiagnosisCheck, PrescreenedSchedule};
+use crate::engine::CampaignConfig;
+use crate::matrix::{CampaignReport, CellResult, DiagnosisCheck, PrescreenedSchedule};
+use crate::walk::{run_campaign_shard_with, NoStore};
 use crate::wire::{
     append_cell_result, append_diagnosis, cell_result_from_json, diagnosis_from_json,
 };
@@ -148,82 +147,6 @@ pub fn effective_schedules(config: &CampaignConfig) -> (Vec<Schedule>, Vec<Presc
         .cloned()
         .collect();
     (schedules, prescreened)
-}
-
-/// Golden baselines for `schedules`, farmed, with the usual
-/// well-formedness panics.
-pub(crate) fn golden_baselines(
-    config: &CampaignConfig,
-    farm: &Farm,
-    schedules: &[Schedule],
-) -> BTreeMap<String, ScenarioMetrics> {
-    let (golden_results, _, _) = farm.run_map(schedules, |schedule| {
-        run_scenario(&config.soc, &config.plan, schedule)
-            .unwrap_or_else(|e| panic!("golden run of '{}' failed: {e}", schedule.name))
-    });
-    let mut golden = BTreeMap::new();
-    for (schedule, (_, result)) in schedules.iter().zip(golden_results) {
-        let metrics = result.expect("golden scenario must not panic");
-        assert!(
-            metrics.result.clean(),
-            "golden run of '{}' reported errors: {}",
-            schedule.name,
-            metrics.result
-        );
-        golden.insert(schedule.name.clone(), metrics);
-    }
-    golden
-}
-
-/// Farms `(fault index, schedule index)` cells against their golden
-/// baselines, results in input order. A cell whose simulation panicked
-/// becomes a [`CellOutcome::InfraFailure`] instead of aborting the
-/// campaign.
-pub(crate) fn farm_cells(
-    config: &CampaignConfig,
-    farm: &Farm,
-    golden: &BTreeMap<String, ScenarioMetrics>,
-    cells: &[(usize, usize)],
-) -> Vec<CellResult> {
-    let (outcomes, _, _) = farm.run_map(cells, |&(fi, si)| {
-        let schedule = &config.schedules[si];
-        run_cell(
-            &config.soc,
-            &config.plan,
-            schedule,
-            &config.population[fi],
-            &golden[&schedule.name],
-        )
-    });
-    cells
-        .iter()
-        .zip(outcomes)
-        .map(|(&(fi, si), (_, outcome))| {
-            let fault = &config.population[fi];
-            CellResult {
-                fault_id: fault.id(),
-                fault_class: fault.class().to_string(),
-                schedule: config.schedules[si].name.clone(),
-                outcome: outcome
-                    .unwrap_or_else(|panic_msg| CellOutcome::InfraFailure { error: panic_msg }),
-            }
-        })
-        .collect()
-}
-
-/// Diagnosis checks for detected scan faults, farmed, in input order.
-pub(crate) fn farm_diagnoses(
-    config: &CampaignConfig,
-    farm: &Farm,
-    faults: &[(WrappedCore, StuckCell)],
-) -> Vec<DiagnosisCheck> {
-    let (checks, _, _) = farm.run_map(faults, |&(core, cell)| {
-        diagnose_scan_fault(config, core, cell)
-    });
-    checks
-        .into_iter()
-        .map(|(_, r)| r.expect("diagnosis must not panic"))
-        .collect()
 }
 
 /// The result of one shard: the cells it owned (tagged with their
@@ -405,7 +328,9 @@ impl ShardReport {
 
 /// Runs one shard of the campaign on `farm`: golden baselines for the
 /// schedules the owned cells touch, then every owned (fault × schedule)
-/// cell, then diagnosis for scan faults this shard saw detected.
+/// cell, then diagnosis for scan faults this shard saw detected. This
+/// is [`crate::run_campaign_shard_with`] with nothing stored and the
+/// default farm policy.
 ///
 /// Owned cells are reported in global-index order regardless of worker
 /// count, so shard reports — like full campaign artifacts — are
@@ -417,70 +342,14 @@ impl ShardReport {
 /// schedule the shard needs fails or reports errors (pre-screening is
 /// applied first when configured).
 pub fn run_campaign_shard(config: &CampaignConfig, farm: &Farm, shard: ShardSpec) -> ShardReport {
-    let fingerprint = campaign_fingerprint(config);
-    let (schedules, prescreened) = effective_schedules(config);
-    let config = &CampaignConfig {
-        schedules,
-        ..config.clone()
-    };
-    let schedule_count = config.schedules.len();
-    let total_cells = config.population.len() * schedule_count;
-
-    // Owned cells: (global index, fault index, schedule index).
-    let owned: Vec<(usize, usize, usize)> = (0..config.population.len())
-        .flat_map(|f| (0..schedule_count).map(move |s| (f * schedule_count + s, f, s)))
-        .filter(|&(index, _, _)| shard.owns(index))
-        .collect();
-
-    // Golden baselines only for the schedules that actually appear in
-    // the owned cells — a shard of a wide matrix skips the rest.
-    let mut needed: Vec<usize> = owned.iter().map(|&(_, _, s)| s).collect();
-    needed.sort_unstable();
-    needed.dedup();
-    let needed_schedules: Vec<Schedule> = needed
-        .iter()
-        .map(|&s| config.schedules[s].clone())
-        .collect();
-    let golden = golden_baselines(config, farm, &needed_schedules);
-
-    let pairs: Vec<(usize, usize)> = owned.iter().map(|&(_, fi, si)| (fi, si)).collect();
-    let cells: Vec<(usize, CellResult)> = owned
-        .iter()
-        .map(|&(index, _, _)| index)
-        .zip(farm_cells(config, farm, &golden, &pairs))
-        .collect();
-
-    // Diagnosis for scan faults detected within this shard's cells, in
-    // population order. The union over all shards is exactly the
-    // unsharded diagnosis set: a fault is detected somewhere iff some
-    // shard owns a detected cell for it.
-    let mut diagnosis = Vec::new();
-    if config.diagnosis {
-        let detected_scan: Vec<(WrappedCore, StuckCell)> = config
-            .population
-            .iter()
-            .filter_map(|f| match f {
-                FaultSpec::ScanCell { core, cell } => {
-                    let detected = cells.iter().any(|(_, r)| {
-                        r.fault_id == f.id() && matches!(r.outcome, CellOutcome::Detected { .. })
-                    });
-                    detected.then_some((*core, *cell))
-                }
-                _ => None,
-            })
-            .collect();
-        diagnosis = farm_diagnoses(config, farm, &detected_scan);
-    }
-
-    ShardReport {
-        fingerprint,
+    run_campaign_shard_with(
+        config,
+        farm,
         shard,
-        total_cells,
-        schedules: config.schedules.iter().map(|s| s.name.clone()).collect(),
-        prescreened,
-        cells,
-        diagnosis,
-    }
+        &SupervisePolicy::default(),
+        &mut NoStore,
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Merges shard reports back into the [`CampaignReport`] the unsharded
@@ -582,6 +451,10 @@ pub fn merge_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultSpec;
+    use crate::matrix::CellOutcome;
+    use tve_core::StuckCell;
+    use tve_soc::WrappedCore;
 
     #[test]
     fn shard_spec_parses_and_partitions() {

@@ -1,10 +1,13 @@
 //! Wire serialization of campaign results: [`CellResult`] and
 //! [`DiagnosisCheck`] to and from compact JSON objects.
 //!
-//! Shard reports, resume journals and the `tve-serve` cache all need to
+//! Shard reports, resume journals and the `tve-serve` cache snapshot all
 //! move completed cells between processes. They share this one encoding
 //! (built on `tve-obs`'s serde-free JSON) so a cell that crossed a
-//! process boundary is exactly the cell that was simulated: every
+//! process boundary is exactly the cell that was simulated. Shard
+//! reports and journals carry whole [`CellResult`]s; the cache, whose
+//! key already names the fault and schedule, carries the same outcome
+//! fields ([`append_outcome`]) without them. Every
 //! serializer here has a parser, and round-tripping is lossless —
 //! `from(to(x)) == x` — which is what lets the scale-out paths promise
 //! byte-identical artifacts.
@@ -23,9 +26,18 @@ pub fn append_cell_result(out: &mut String, cell: &CellResult) {
     append_json_string(out, &cell.fault_class);
     out.push_str(",\"schedule\":");
     append_json_string(out, &cell.schedule);
-    out.push_str(",\"outcome\":");
-    append_json_string(out, cell.outcome.tag());
-    match &cell.outcome {
+    out.push(',');
+    append_outcome(out, &cell.outcome);
+    out.push('}');
+}
+
+/// Appends the fields of `outcome` — `"outcome":"<tag>"` and the tag's
+/// data — for embedding in a JSON object. Cell objects carry them, and
+/// so do the `tve-serve` cache's cell entries.
+pub fn append_outcome(out: &mut String, outcome: &CellOutcome) {
+    out.push_str("\"outcome\":");
+    append_json_string(out, outcome.tag());
+    match outcome {
         CellOutcome::Detected {
             latency_cycles,
             deviating,
@@ -47,14 +59,6 @@ pub fn append_cell_result(out: &mut String, cell: &CellResult) {
             append_json_string(out, error);
         }
     }
-    out.push('}');
-}
-
-/// [`append_cell_result`] into a fresh string.
-pub fn cell_result_to_json(cell: &CellResult) -> String {
-    let mut out = String::new();
-    append_cell_result(&mut out, cell);
-    out
 }
 
 fn want_str(v: &JsonValue, key: &str, what: &str) -> Result<String, String> {
@@ -81,13 +85,14 @@ fn want_bool(v: &JsonValue, key: &str, what: &str) -> Result<bool, String> {
         .ok_or_else(|| format!("{what} record missing boolean field '{key}'"))
 }
 
-/// Parses a [`CellResult`] from the object [`append_cell_result`] emits.
+/// Parses a [`CellOutcome`] from an object carrying the fields
+/// [`append_outcome`] emits.
 ///
 /// # Errors
 ///
 /// A message naming the missing or malformed field.
-pub fn cell_result_from_json(v: &JsonValue) -> Result<CellResult, String> {
-    let outcome = match v.get("outcome").and_then(JsonValue::as_str) {
+pub fn outcome_from_json(v: &JsonValue) -> Result<CellOutcome, String> {
+    Ok(match v.get("outcome").and_then(JsonValue::as_str) {
         Some("detected") => CellOutcome::Detected {
             latency_cycles: want_u64(v, "latency_cycles", "detected cell")?,
             deviating: v
@@ -107,7 +112,16 @@ pub fn cell_result_from_json(v: &JsonValue) -> Result<CellResult, String> {
             error: want_str(v, "error", "infra-failure cell")?,
         },
         other => return Err(format!("unknown cell outcome {other:?}")),
-    };
+    })
+}
+
+/// Parses a [`CellResult`] from the object [`append_cell_result`] emits.
+///
+/// # Errors
+///
+/// A message naming the missing or malformed field.
+pub fn cell_result_from_json(v: &JsonValue) -> Result<CellResult, String> {
+    let outcome = outcome_from_json(v)?;
     Ok(CellResult {
         fault_id: want_str(v, "fault", "cell")?,
         fault_class: want_str(v, "class", "cell")?,
@@ -141,13 +155,6 @@ pub fn append_diagnosis(out: &mut String, check: &DiagnosisCheck) {
         None => out.push_str("null"),
     }
     out.push_str(&format!(",\"confirmed\":{}}}", check.confirmed));
-}
-
-/// [`append_diagnosis`] into a fresh string.
-pub fn diagnosis_to_json(check: &DiagnosisCheck) -> String {
-    let mut out = String::new();
-    append_diagnosis(&mut out, check);
-    out
 }
 
 /// The inverse of [`WrappedCore::label`].
@@ -209,7 +216,8 @@ mod tests {
     use tve_obs::{check_json, parse_json};
 
     fn round_trip_cell(cell: &CellResult) {
-        let json = cell_result_to_json(cell);
+        let mut json = String::new();
+        append_cell_result(&mut json, cell);
         check_json(&json).expect("cell JSON is well-formed");
         assert!(!json.contains('\n'), "cell JSON must be single-line");
         let back = cell_result_from_json(&parse_json(&json).unwrap()).unwrap();
@@ -267,7 +275,8 @@ mod tests {
                 first_failing_pattern: pattern,
                 confirmed: pattern.is_some(),
             };
-            let json = diagnosis_to_json(&check);
+            let mut json = String::new();
+            append_diagnosis(&mut json, &check);
             check_json(&json).expect("diagnosis JSON is well-formed");
             let back = diagnosis_from_json(&parse_json(&json).unwrap()).unwrap();
             assert_eq!(back, check);

@@ -43,6 +43,15 @@ pub enum CachedValue {
     },
 }
 
+impl CachedValue {
+    /// Whether `fresh`, a re-execution of this value's computation,
+    /// reproduces it bit for bit: both encode to the same snapshot
+    /// record, which leaves host timings out.
+    pub fn reproduces(&self, fresh: &CachedValue) -> bool {
+        crate::persist::entry_payload(0, 0, self) == crate::persist::entry_payload(0, 0, fresh)
+    }
+}
+
 struct Entry {
     value: CachedValue,
     /// Which plan tests the producing schedule ran (bit k = test k);
@@ -160,11 +169,12 @@ impl ResultCache {
         entries
     }
 
-    /// Records `failures` verify failures out of `count` sampled hits.
-    pub fn record_verified(&self, count: u64, failures: u64) {
+    /// Records one sampled hit re-executed by `--verify-cache`, and
+    /// whether the fresh result reproduced it.
+    pub fn record_verified(&self, reproduced: bool) {
         let mut s = self.state.lock().expect("cache lock");
-        s.verified += count;
-        s.verify_failures += failures;
+        s.verified += 1;
+        s.verify_failures += u64::from(!reproduced);
     }
 
     /// A consistent counter snapshot.

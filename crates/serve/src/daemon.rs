@@ -9,6 +9,12 @@
 //! byte-identical for any worker count, which is what makes caching
 //! across clients sound.
 //!
+//! A campaign job is the `tve-campaign` matrix walk
+//! ([`run_campaign_shard_with`]) with the cache as its store
+//! (`CacheStore`): the daemon owns keys, verify sampling and counters,
+//! never the walk itself. Schedule, lint and bounds jobs go through the
+//! same per-job cache view (`JobCache`).
+//!
 //! ## Fault tolerance
 //!
 //! Every submission passes [`Admission`] (bounded queue, priority
@@ -26,7 +32,7 @@
 //! spec (`chaos.rs`) injects worker, frame, and snapshot faults at
 //! deterministic occurrence counts so all of the above is provable.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,14 +42,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use tve_campaign::{
-    campaign_fingerprint, diagnose_scan_fault, run_cell, CampaignReport, CellOutcome, CellResult,
-    FaultSpec, ShardReport, ShardSpec,
+    run_campaign_shard_with, CampaignConfig, CampaignError, CampaignReport, CampaignStore,
+    CellOutcome, CellResult, DiagnosisCheck, ShardSpec,
 };
 use tve_core::Schedule;
 use tve_obs::{
     append_json_string, fnv1a, parse_json, IoPolicy, JsonValue, OpsCounters, WriteFault,
 };
-use tve_sched::{ChaosFault, ChaosHook, Farm, SupervisePolicy, SupervisedError};
+use tve_sched::{ChaosFault, ChaosHook, Farm, SupervisePolicy};
 use tve_sim::{silence_cancelled_panics, with_cancel_token, CancelToken, Cancelled};
 use tve_soc::{paper_schedules, run_scenario, ScenarioMetrics};
 
@@ -54,10 +60,6 @@ use crate::error::ServeError;
 use crate::invalidate::edit_impact;
 use crate::key::{bounds_key, cell_key, diagnosis_key, lint_key, schedule_tests, test_mask};
 use crate::proto::{read_frame, write_frame, JobKind, JobSpec};
-
-/// Per-item timed results from a supervised farm map, with permanent
-/// worker failures degraded to per-item error strings.
-type TimedResults<R> = Vec<(Duration, Result<R, String>)>;
 
 /// The default socket path (also the `TVE_SERVE_SOCKET` default).
 pub const DEFAULT_SOCKET: &str = "target/tve-serve.sock";
@@ -211,21 +213,10 @@ impl Shared {
         }))
     }
 
-    /// Runs a farm map under supervision: worker panics are retried
-    /// within the daemon retry budget (a permanent failure degrades to
-    /// a per-item error, same shape as the unsupervised farm), and a
-    /// job-deadline cancellation surfaces as a typed deadline error.
-    fn farm_map_supervised<T, R, F>(
-        self: &Arc<Self>,
-        ctx: &JobCtx,
-        items: &[T],
-        f: F,
-    ) -> Result<TimedResults<R>, ServeError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
+    /// The farm policy of one job's campaign walk: worker panics are
+    /// retried within the daemon retry budget, the job token cancels
+    /// the map, and the chaos hook injects worker faults.
+    fn farm_policy(self: &Arc<Self>, ctx: &JobCtx) -> SupervisePolicy {
         let mut policy = SupervisePolicy::default()
             .with_retry_budget(self.retries)
             .with_external(Arc::clone(&ctx.token))
@@ -233,16 +224,187 @@ impl Shared {
         if let Some(hook) = self.chaos_hook() {
             policy = policy.with_chaos(hook);
         }
-        let (results, _, _) = self.farm.run_map_supervised(items, f, &policy);
-        let mut out = Vec::with_capacity(results.len());
-        for (wall, result) in results {
-            match result {
-                Ok(value) => out.push((wall, Ok(value))),
-                Err(SupervisedError::Panicked(message)) => out.push((wall, Err(message))),
-                Err(SupervisedError::Cancelled) => return Err(deadline_error(ctx)),
-            }
+        policy
+    }
+}
+
+const KIND_MISMATCH: &str = "cache kind mismatch (key collision?)";
+
+/// One job's view of the result cache. `--verify-cache` samples hits at
+/// the job's fraction: a sampled hit is answered as a miss and held
+/// back, and when its fresh result is put, the two are compared instead
+/// of the fresh one being inserted.
+struct JobCache<'a> {
+    cache: &'a ResultCache,
+    fraction: f64,
+    sampled: HashMap<u64, CachedValue>,
+    /// Sampled hits compared so far.
+    verified: u64,
+    /// Sampled hits whose fresh result differed.
+    failures: Vec<String>,
+}
+
+impl<'a> JobCache<'a> {
+    fn new(shared: &'a Shared, job: &JobSpec) -> Self {
+        JobCache {
+            cache: &shared.cache,
+            fraction: shared.verify_fraction(job),
+            sampled: HashMap::new(),
+            verified: 0,
+            failures: Vec::new(),
         }
-        Ok(out)
+    }
+
+    /// The cached value of `key`; `None` for a miss or a sampled hit,
+    /// which the caller computes and [`put`](JobCache::put)s.
+    fn get(&mut self, key: u64) -> Option<CachedValue> {
+        let value = self.cache.lookup(key)?;
+        if verify_sampled(key, self.fraction) {
+            self.sampled.insert(key, value);
+            return None;
+        }
+        Some(value)
+    }
+
+    /// Keeps a computed value and says whether `key` was a sampled hit.
+    /// After a miss the value is inserted with `mask`; after a sampled
+    /// hit it is compared, and a mismatch is recorded as
+    /// `mismatch(cached value)`.
+    fn put(
+        &mut self,
+        key: u64,
+        mask: u8,
+        fresh: CachedValue,
+        mismatch: impl FnOnce(&CachedValue) -> String,
+    ) -> bool {
+        let Some(cached) = self.sampled.remove(&key) else {
+            self.cache.insert(key, fresh, mask);
+            return false;
+        };
+        let ok = cached.reproduces(&fresh);
+        self.cache.record_verified(ok);
+        self.verified += 1;
+        if !ok {
+            self.failures.push(mismatch(&cached));
+        }
+        true
+    }
+
+    /// Serves a single-result job: the cached value of `key`, or else
+    /// `compute`d and put with `mask`. A sampled hit that does not
+    /// reproduce fails with `mismatch(cached, fresh)`. Returns the value
+    /// and whether `key` was a hit.
+    fn serve(
+        &mut self,
+        key: u64,
+        mask: u8,
+        compute: impl FnOnce() -> Result<CachedValue, String>,
+        mismatch: impl FnOnce(&CachedValue, &CachedValue) -> String,
+    ) -> Result<(CachedValue, bool), String> {
+        if let Some(hit) = self.get(key) {
+            return Ok((hit, true));
+        }
+        let fresh = compute()?;
+        let hit = self.put(key, mask, fresh.clone(), |cached| mismatch(cached, &fresh));
+        self.failures.pop().map_or(Ok((fresh, hit)), Err)
+    }
+}
+
+/// The campaign walk's store over the daemon cache: goldens, cells and
+/// diagnoses under their content keys, verify sampling through
+/// [`JobCache`], and counts of what the job simulated.
+struct CacheStore<'a> {
+    cache: JobCache<'a>,
+    campaign: &'a CampaignConfig,
+    quantum: &'a str,
+    cells_simulated: usize,
+    goldens_simulated: usize,
+    diagnoses_simulated: usize,
+}
+
+impl CacheStore<'_> {
+    fn cell_key(&self, schedule: &Schedule, fault_id: &str) -> u64 {
+        let c = self.campaign;
+        cell_key(&c.soc, &c.plan, schedule, fault_id, self.quantum)
+    }
+
+    fn diagnosis_key(&self, fault_id: &str) -> u64 {
+        let c = self.campaign;
+        diagnosis_key(
+            &c.soc,
+            c.plan.seed,
+            c.diagnosis_patterns,
+            c.diagnosis_window,
+            fault_id,
+        )
+    }
+}
+
+impl CampaignStore for CacheStore<'_> {
+    fn golden(&mut self, schedule: &Schedule) -> Result<Option<ScenarioMetrics>, CampaignError> {
+        match self.cache.get(self.cell_key(schedule, "golden")) {
+            None => Ok(None),
+            Some(CachedValue::Metrics(metrics)) => Ok(Some(*metrics)),
+            Some(_) => Err(CampaignError::Store(KIND_MISMATCH.into())),
+        }
+    }
+
+    fn put_golden(
+        &mut self,
+        schedule: &Schedule,
+        metrics: &ScenarioMetrics,
+    ) -> Result<(), CampaignError> {
+        let key = self.cell_key(schedule, "golden");
+        let fresh = CachedValue::Metrics(Box::new(metrics.clone()));
+        let mask = test_mask(&schedule_tests(schedule));
+        let what = |_: &CachedValue| format!("golden '{}'", schedule.name);
+        self.goldens_simulated += usize::from(!self.cache.put(key, mask, fresh, what));
+        Ok(())
+    }
+
+    fn cell(
+        &mut self,
+        _: usize,
+        schedule: &Schedule,
+        fault_id: &str,
+    ) -> Result<Option<CellOutcome>, CampaignError> {
+        match self.cache.get(self.cell_key(schedule, fault_id)) {
+            None => Ok(None),
+            Some(CachedValue::Cell(outcome)) => Ok(Some(outcome)),
+            Some(_) => Err(CampaignError::Store(KIND_MISMATCH.into())),
+        }
+    }
+
+    fn put_cell(
+        &mut self,
+        _: usize,
+        schedule: &Schedule,
+        cell: &CellResult,
+    ) -> Result<(), CampaignError> {
+        let key = self.cell_key(schedule, &cell.fault_id);
+        let fresh = CachedValue::Cell(cell.outcome.clone());
+        let mask = test_mask(&schedule_tests(schedule));
+        let what = |_: &CachedValue| format!("cell {} x '{}'", cell.fault_id, schedule.name);
+        self.cells_simulated += usize::from(!self.cache.put(key, mask, fresh, what));
+        Ok(())
+    }
+
+    fn diagnosis(&mut self, fault_id: &str) -> Result<Option<DiagnosisCheck>, CampaignError> {
+        match self.cache.get(self.diagnosis_key(fault_id)) {
+            None => Ok(None),
+            Some(CachedValue::Diagnosis(check)) => Ok(Some(*check)),
+            Some(_) => Err(CampaignError::Store(KIND_MISMATCH.into())),
+        }
+    }
+
+    /// Diagnosis depends on no schedule: the entry is maskless and
+    /// survives schedule-set changes.
+    fn put_diagnosis(&mut self, check: &DiagnosisCheck) -> Result<(), CampaignError> {
+        let key = self.diagnosis_key(&check.fault_id);
+        let fresh = CachedValue::Diagnosis(Box::new(check.clone()));
+        let what = |_: &CachedValue| format!("diagnosis {}", check.fault_id);
+        self.diagnoses_simulated += usize::from(!self.cache.put(key, 0, fresh, what));
+        Ok(())
     }
 }
 
@@ -401,10 +563,10 @@ fn bind(options: &ServeOptions) -> io::Result<(UnixListener, Arc<Shared>)> {
                     eprintln!("tve-serve: cache snapshot damaged — {defect}");
                 }
             }
-            Err(message) => {
+            Err(e) => {
                 return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("cache snapshot {}: {message}", path.display()),
+                    e.kind(),
+                    format!("cache snapshot {}: {e}", path.display()),
                 ))
             }
         }
@@ -933,34 +1095,25 @@ fn run_schedule_job(shared: &Shared, job: &JobSpec, index: usize) -> Result<Stri
     let schedule = selected_schedules(&[index]).remove(0);
     let key = cell_key(&config, &plan, &schedule, "golden", &shared.quantum);
     let mask = test_mask(&schedule_tests(&schedule));
-    let fraction = shared.verify_fraction(job);
-
-    let (metrics, cached) = match shared.cache.lookup(key) {
-        Some(CachedValue::Metrics(metrics)) => {
-            let metrics = *metrics;
-            if verify_sampled(key, fraction) {
-                let fresh = run_scenario(&config, &plan, &schedule).map_err(|e| e.to_string())?;
-                let ok = fresh.digest() == metrics.digest();
-                shared.cache.record_verified(1, u64::from(!ok));
-                if !ok {
-                    return Err(format!(
-                        "verify-cache mismatch on '{}': cached {:#018x} vs fresh {:#018x}",
-                        schedule.name,
-                        metrics.digest(),
-                        fresh.digest()
-                    ));
-                }
-            }
-            (metrics, true)
-        }
-        Some(_) => return Err("cache kind mismatch (key collision?)".into()),
-        None => {
-            let metrics = run_scenario(&config, &plan, &schedule).map_err(|e| e.to_string())?;
-            shared
-                .cache
-                .insert(key, CachedValue::Metrics(Box::new(metrics.clone())), mask);
-            (metrics, false)
-        }
+    let compute = || {
+        let metrics = run_scenario(&config, &plan, &schedule).map_err(|e| e.to_string())?;
+        Ok(CachedValue::Metrics(Box::new(metrics)))
+    };
+    let digest = |value: &CachedValue| match value {
+        CachedValue::Metrics(metrics) => metrics.digest(),
+        _ => 0,
+    };
+    let (value, cached) =
+        JobCache::new(shared, job).serve(key, mask, compute, |cached, fresh| {
+            format!(
+                "verify-cache mismatch on '{}': cached {:#018x} vs fresh {:#018x}",
+                schedule.name,
+                digest(cached),
+                digest(fresh)
+            )
+        })?;
+    let CachedValue::Metrics(metrics) = value else {
+        return Err(KIND_MISMATCH.into());
     };
 
     let mut out = String::from("\"kind\":\"schedule\",\"schedule\":");
@@ -989,253 +1142,38 @@ fn run_campaign_job(
     let campaign = job
         .campaign_config()
         .expect("run_campaign_job is only dispatched for campaign jobs");
-    let config = campaign.soc.clone();
-    let plan = campaign.plan.clone();
-    let schedules = campaign.schedules.clone();
-    let population = campaign.population.clone();
-    let diagnosis = campaign.diagnosis;
-    let shard_spec = shard.unwrap_or_else(ShardSpec::full);
-    let fraction = shared.verify_fraction(job);
-    let mut verified = 0u64;
-    let mut verify_failures: Vec<String> = Vec::new();
-
-    // Golden baselines: serve hits, farm the misses.
-    let golden_keys: Vec<u64> = schedules
-        .iter()
-        .map(|s| cell_key(&config, &plan, s, "golden", &shared.quantum))
-        .collect();
-    let mut golden: BTreeMap<String, ScenarioMetrics> = BTreeMap::new();
-    let mut golden_missing: Vec<Schedule> = Vec::new();
-    let mut golden_hit_indices: Vec<usize> = Vec::new();
-    for (i, schedule) in schedules.iter().enumerate() {
-        match shared.cache.lookup(golden_keys[i]) {
-            Some(CachedValue::Metrics(metrics)) => {
-                golden.insert(schedule.name.clone(), *metrics);
-                golden_hit_indices.push(i);
-            }
-            Some(_) => return Err("cache kind mismatch (key collision?)".into()),
-            None => golden_missing.push(schedule.clone()),
-        }
-    }
-    let goldens_simulated = golden_missing.len();
-    if !golden_missing.is_empty() {
-        let results = shared.farm_map_supervised(ctx, &golden_missing, |schedule| {
-            run_scenario(&config, &plan, schedule).map_err(|e| e.to_string())
-        })?;
-        for (schedule, (_, result)) in golden_missing.iter().zip(results) {
-            let metrics = result
-                .map_err(|panic| format!("golden run of '{}' panicked: {panic}", schedule.name))?
-                .map_err(|e| format!("golden run of '{}' failed: {e}", schedule.name))?;
-            if !metrics.result.clean() {
-                return Err(format!(
-                    "golden run of '{}' reported errors: {}",
-                    schedule.name, metrics.result
-                )
-                .into());
-            }
-            let key = cell_key(&config, &plan, schedule, "golden", &shared.quantum);
-            shared.cache.insert(
-                key,
-                CachedValue::Metrics(Box::new(metrics.clone())),
-                test_mask(&schedule_tests(schedule)),
-            );
-            golden.insert(schedule.name.clone(), metrics);
-        }
-    }
-    // Sampled re-execution of golden hits.
-    let golden_to_verify: Vec<Schedule> = golden_hit_indices
-        .iter()
-        .filter(|&&i| verify_sampled(golden_keys[i], fraction))
-        .map(|&i| schedules[i].clone())
-        .collect();
-    if !golden_to_verify.is_empty() {
-        let results = shared.farm_map_supervised(ctx, &golden_to_verify, |schedule| {
-            run_scenario(&config, &plan, schedule).map_err(|e| e.to_string())
-        })?;
-        for (schedule, (_, result)) in golden_to_verify.iter().zip(results) {
-            verified += 1;
-            let fresh_digest = match result {
-                Ok(Ok(m)) => m.digest(),
-                _ => 0,
-            };
-            if golden[&schedule.name].digest() != fresh_digest {
-                verify_failures.push(format!("golden '{}'", schedule.name));
-            }
-        }
-    }
-
-    // The (fault × schedule) matrix, fault-major, cache-aware. A shard
-    // job keeps only its residue class of the flat cell index — the
-    // same partition `tve-campaign` proves tiles the matrix exactly.
-    // (Goldens above are computed for every job schedule regardless:
-    // all shards of a fan-out hit this same daemon, so the cache
-    // serves them once for the whole set.)
-    let schedule_count = schedules.len();
-    let cells: Vec<(usize, usize)> = (0..population.len())
-        .flat_map(|f| (0..schedule_count).map(move |s| (f, s)))
-        .filter(|&(f, s)| shard_spec.owns(f * schedule_count + s))
-        .collect();
-    let cell_keys: Vec<u64> = cells
-        .iter()
-        .map(|&(fi, si)| {
-            cell_key(
-                &config,
-                &plan,
-                &schedules[si],
-                &population[fi].id(),
-                &shared.quantum,
-            )
-        })
-        .collect();
-    let mut outcomes: Vec<Option<CellOutcome>> = vec![None; cells.len()];
-    let mut missing: Vec<(usize, usize, usize)> = Vec::new(); // (cell idx, fi, si)
-    let mut hit_cells: Vec<usize> = Vec::new();
-    for (ci, &(fi, si)) in cells.iter().enumerate() {
-        match shared.cache.lookup(cell_keys[ci]) {
-            Some(CachedValue::Cell(outcome)) => {
-                outcomes[ci] = Some(outcome);
-                hit_cells.push(ci);
-            }
-            Some(_) => return Err("cache kind mismatch (key collision?)".into()),
-            None => missing.push((ci, fi, si)),
-        }
-    }
-    let cells_simulated = missing.len();
-    if !missing.is_empty() {
-        let results = shared.farm_map_supervised(ctx, &missing, |&(_, fi, si)| {
-            run_cell(
-                &config,
-                &plan,
-                &schedules[si],
-                &population[fi],
-                &golden[&schedules[si].name],
-            )
-        })?;
-        for (&(ci, fi, si), (_, result)) in missing.iter().zip(results) {
-            let outcome =
-                result.unwrap_or_else(|panic_msg| CellOutcome::InfraFailure { error: panic_msg });
-            shared.cache.insert(
-                cell_keys[ci],
-                CachedValue::Cell(outcome.clone()),
-                test_mask(&schedule_tests(&schedules[si])),
-            );
-            let _ = fi;
-            outcomes[ci] = Some(outcome);
-        }
-    }
-    // Sampled re-execution of cell hits.
-    let cells_to_verify: Vec<(usize, usize, usize)> = hit_cells
-        .iter()
-        .filter(|&&ci| verify_sampled(cell_keys[ci], fraction))
-        .map(|&ci| (ci, cells[ci].0, cells[ci].1))
-        .collect();
-    if !cells_to_verify.is_empty() {
-        let results = shared.farm_map_supervised(ctx, &cells_to_verify, |&(_, fi, si)| {
-            run_cell(
-                &config,
-                &plan,
-                &schedules[si],
-                &population[fi],
-                &golden[&schedules[si].name],
-            )
-        })?;
-        for (&(ci, fi, _), (_, result)) in cells_to_verify.iter().zip(results) {
-            verified += 1;
-            let fresh =
-                result.unwrap_or_else(|panic_msg| CellOutcome::InfraFailure { error: panic_msg });
-            if outcomes[ci].as_ref() != Some(&fresh) {
-                verify_failures.push(format!(
-                    "cell {} x '{}'",
-                    population[fi].id(),
-                    schedules[cells[ci].1].name
-                ));
-            }
-        }
-    }
-
-    let results: Vec<CellResult> = cells
-        .iter()
-        .zip(&outcomes)
-        .map(|(&(fi, si), outcome)| CellResult {
-            fault_id: population[fi].id(),
-            fault_class: population[fi].class().to_string(),
-            schedule: schedules[si].name.clone(),
-            outcome: outcome.clone().expect("every cell resolved"),
-        })
-        .collect();
-
-    // Diagnosis cross-check, cached per fault (independent of the
-    // schedules, so entries survive schedule-set changes).
-    let mut diagnosis_checks = Vec::new();
-    let mut diagnoses_simulated = 0usize;
-    if diagnosis {
-        // In shard mode `results` holds only owned cells, so each
-        // shard diagnoses exactly the scan faults detected within its
-        // own cells — the union over a shard set is the unsharded set.
-        let detected_scan: Vec<FaultSpec> = population
-            .iter()
-            .filter(|f| matches!(f, FaultSpec::ScanCell { .. }))
-            .filter(|f| {
-                results.iter().any(|r| {
-                    r.fault_id == f.id() && matches!(r.outcome, CellOutcome::Detected { .. })
-                })
-            })
-            .cloned()
-            .collect();
-        let mut diag_missing = Vec::new();
-        let mut diag_results: Vec<Option<tve_campaign::DiagnosisCheck>> =
-            vec![None; detected_scan.len()];
-        for (i, fault) in detected_scan.iter().enumerate() {
-            let key = diagnosis_key(
-                &config,
-                plan.seed,
-                campaign.diagnosis_patterns,
-                campaign.diagnosis_window,
-                &fault.id(),
-            );
-            match shared.cache.lookup(key) {
-                Some(CachedValue::Diagnosis(check)) => diag_results[i] = Some(*check),
-                Some(_) => return Err("cache kind mismatch (key collision?)".into()),
-                None => diag_missing.push((i, fault.clone())),
-            }
-        }
-        diagnoses_simulated = diag_missing.len();
-        if !diag_missing.is_empty() {
-            let checks = shared.farm_map_supervised(ctx, &diag_missing, |(_, fault)| {
-                let FaultSpec::ScanCell { core, cell } = fault else {
-                    unreachable!("filtered to scan faults");
-                };
-                diagnose_scan_fault(&campaign, *core, *cell)
-            })?;
-            for ((i, fault), (_, check)) in diag_missing.iter().zip(checks) {
-                let check = check.map_err(|panic| format!("diagnosis panicked: {panic}"))?;
-                let key = diagnosis_key(
-                    &config,
-                    plan.seed,
-                    campaign.diagnosis_patterns,
-                    campaign.diagnosis_window,
-                    &fault.id(),
-                );
-                shared
-                    .cache
-                    .insert(key, CachedValue::Diagnosis(Box::new(check.clone())), 0);
-                diag_results[*i] = Some(check);
-            }
-        }
-        diagnosis_checks = diag_results
-            .into_iter()
-            .map(|c| c.expect("every diagnosis resolved"))
-            .collect();
-    }
-
-    shared
-        .cache
-        .record_verified(verified, verify_failures.len() as u64);
-    if !verify_failures.is_empty() {
+    let mut store = CacheStore {
+        cache: JobCache::new(shared, job),
+        campaign: &campaign,
+        quantum: &shared.quantum,
+        cells_simulated: 0,
+        goldens_simulated: 0,
+        diagnoses_simulated: 0,
+    };
+    let shard_report = run_campaign_shard_with(
+        &campaign,
+        &shared.farm,
+        shard.unwrap_or_else(ShardSpec::full),
+        &shared.farm_policy(ctx),
+        &mut store,
+    )
+    .map_err(|e| match e {
+        CampaignError::Cancelled => deadline_error(ctx),
+        other => ServeError::internal(other.to_string()),
+    })?;
+    let CacheStore {
+        cache,
+        cells_simulated,
+        goldens_simulated,
+        diagnoses_simulated,
+        ..
+    } = store;
+    let verified = cache.verified;
+    if !cache.failures.is_empty() {
         return Err(format!(
             "verify-cache mismatch on {} of {verified} sampled hits: {}",
-            verify_failures.len(),
-            verify_failures.join(", ")
+            cache.failures.len(),
+            cache.failures.join(", ")
         )
         .into());
     }
@@ -1243,22 +1181,9 @@ fn run_campaign_job(
     // Shard jobs answer with a mergeable shard report instead of the
     // full artifacts; `merge_shards` on the client side validates the
     // fingerprint and reassembles the byte-identical matrix.
-    if shard.is_some() {
-        let shard_report = ShardReport {
-            fingerprint: campaign_fingerprint(&campaign),
-            shard: shard_spec,
-            total_cells: population.len() * schedule_count,
-            schedules: schedules.iter().map(|s| s.name.clone()).collect(),
-            prescreened: Vec::new(),
-            cells: cells
-                .iter()
-                .map(|&(fi, si)| fi * schedule_count + si)
-                .zip(results)
-                .collect(),
-            diagnosis: diagnosis_checks,
-        };
+    if let Some(shard) = shard {
         let mut out = format!(
-            "\"kind\":\"campaign-shard\",\"shard\":\"{shard_spec}\",\
+            "\"kind\":\"campaign-shard\",\"shard\":\"{shard}\",\
              \"fingerprint\":\"{:016x}\",\"cells\":{},\
              \"cells_simulated\":{cells_simulated},\
              \"goldens_simulated\":{goldens_simulated},\
@@ -1272,10 +1197,14 @@ fn run_campaign_job(
     }
 
     let report = CampaignReport {
-        schedules: schedules.iter().map(|s| s.name.clone()).collect(),
-        prescreened: Vec::new(),
-        cells: results,
-        diagnosis: diagnosis_checks,
+        schedules: shard_report.schedules,
+        prescreened: shard_report.prescreened,
+        cells: shard_report
+            .cells
+            .into_iter()
+            .map(|(_, cell)| cell)
+            .collect(),
+        diagnosis: shard_report.diagnosis,
     };
     let csv = report.to_csv();
     let json = report.to_json();
@@ -1323,7 +1252,6 @@ fn run_lint_job(
 ) -> Result<String, String> {
     let (config, plan) = job.workload.build();
     let schedules = selected_schedules(schedule_indices);
-    let fraction = shared.verify_fraction(job);
     // One cache entry per lint job shape: key over every schedule plus
     // the program. Lint consumes the whole plan (facts), so the key
     // uses no projection and the entry carries the full test mask.
@@ -1343,7 +1271,7 @@ fn run_lint_job(
     }
     let key = fnv1a(key_text.as_bytes());
 
-    let compute = || -> (String, usize, usize) {
+    let compute = || {
         let facts = tve_lint::soc_facts(&config, &plan);
         let mut reports: Vec<tve_lint::LintReport> = schedules
             .iter()
@@ -1362,39 +1290,22 @@ fn run_lint_job(
             .flat_map(|r| &r.diagnostics)
             .filter(|d| d.severity == tve_lint::Severity::Warning)
             .count();
-        (tve_lint::reports_to_json(&reports), errors, warnings)
-    };
-
-    let (report, errors, warnings, cached) = match shared.cache.lookup(key) {
-        Some(CachedValue::Lint {
-            report,
+        Ok(CachedValue::Lint {
+            report: tve_lint::reports_to_json(&reports),
             errors,
             warnings,
-        }) => {
-            if verify_sampled(key, fraction) {
-                let (fresh, fresh_errors, fresh_warnings) = compute();
-                let ok = fresh == report && fresh_errors == errors && fresh_warnings == warnings;
-                shared.cache.record_verified(1, u64::from(!ok));
-                if !ok {
-                    return Err("verify-cache mismatch on lint report".into());
-                }
-            }
-            (report, errors, warnings, true)
-        }
-        Some(_) => return Err("cache kind mismatch (key collision?)".into()),
-        None => {
-            let (report, errors, warnings) = compute();
-            shared.cache.insert(
-                key,
-                CachedValue::Lint {
-                    report: report.clone(),
-                    errors,
-                    warnings,
-                },
-                0x7f,
-            );
-            (report, errors, warnings, false)
-        }
+        })
+    };
+    let (value, cached) = JobCache::new(shared, job).serve(key, 0x7f, compute, |_, _| {
+        "verify-cache mismatch on lint report".into()
+    })?;
+    let CachedValue::Lint {
+        report,
+        errors,
+        warnings,
+    } = value
+    else {
+        return Err(KIND_MISMATCH.into());
     };
 
     let mut out = format!(
@@ -1416,7 +1327,6 @@ fn run_bounds_job(
     let (config, plan) = job.workload.build();
     let schedules = selected_schedules(schedule_indices);
     let quantum: u64 = shared.quantum.parse().unwrap_or(0);
-    let fraction = shared.verify_fraction(job);
     // One cache entry per job shape: key over every schedule's bounds
     // key. The envelopes consume the whole plan, so the entry carries
     // the full test mask.
@@ -1431,36 +1341,16 @@ fn run_bounds_job(
     }
     let key = fnv1a(key_text.as_bytes());
 
-    let compute = || -> String {
-        tve_lint::bounds_reports_to_json(&tve_lint::schedule_envelopes(
-            &config, &plan, &schedules, quantum,
-        ))
+    let compute = || {
+        let envelopes = tve_lint::schedule_envelopes(&config, &plan, &schedules, quantum);
+        let report = tve_lint::bounds_reports_to_json(&envelopes);
+        Ok(CachedValue::Bounds { report })
     };
-
-    let (report, cached) = match shared.cache.lookup(key) {
-        Some(CachedValue::Bounds { report }) => {
-            if verify_sampled(key, fraction) {
-                let fresh = compute();
-                let ok = fresh == report;
-                shared.cache.record_verified(1, u64::from(!ok));
-                if !ok {
-                    return Err("verify-cache mismatch on bounds report".into());
-                }
-            }
-            (report, true)
-        }
-        Some(_) => return Err("cache kind mismatch (key collision?)".into()),
-        None => {
-            let report = compute();
-            shared.cache.insert(
-                key,
-                CachedValue::Bounds {
-                    report: report.clone(),
-                },
-                0x7f,
-            );
-            (report, false)
-        }
+    let (value, cached) = JobCache::new(shared, job).serve(key, 0x7f, compute, |_, _| {
+        "verify-cache mismatch on bounds report".into()
+    })?;
+    let CachedValue::Bounds { report } = value else {
+        return Err(KIND_MISMATCH.into());
     };
 
     let mut out = format!(

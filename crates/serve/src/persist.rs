@@ -10,17 +10,27 @@
 //! digest deliberately ignores) are zeroed on reload. `--verify-cache`
 //! sampling after a restart is therefore a real proof: a re-executed
 //! hit is compared against the *persisted* result.
+//!
+//! Cell outcomes and diagnosis checks use the `tve-campaign` wire codec,
+//! the same encoding shard reports and resume journals carry. The
+//! header names the snapshot format version ([`SNAPSHOT_VERSION`]); a
+//! snapshot of any other version is refused with a typed error, never
+//! misread.
 
 use std::io;
 use std::path::Path;
 
-use tve_campaign::{diagnosis_from_json, diagnosis_to_json, CellOutcome};
+use tve_campaign::{append_diagnosis, append_outcome, diagnosis_from_json, outcome_from_json};
 use tve_core::{TestOutcome, TestSlot};
 use tve_obs::{append_json_string, read_journal, IoPolicy, Journal, JournalDefect, JsonValue};
 use tve_sim::Time;
 use tve_soc::{PowerSummary, ScenarioMetrics};
 
 use crate::cache::{CachedValue, ResultCache};
+
+/// The snapshot format this build writes and reads. Version 1 stored
+/// cell outcomes in a codec of its own; version 2 uses the wire codec.
+const SNAPSHOT_VERSION: u64 = 2;
 
 /// What a [`load_cache`] call found on disk.
 #[derive(Debug, Default)]
@@ -219,60 +229,7 @@ fn metrics_from_json(v: &JsonValue) -> Result<ScenarioMetrics, String> {
     })
 }
 
-fn append_outcome(out: &mut String, outcome: &CellOutcome) {
-    out.push_str("{\"tag\":");
-    append_json_string(out, outcome.tag());
-    match outcome {
-        CellOutcome::Detected {
-            latency_cycles,
-            deviating,
-        } => {
-            out.push_str(&format!(
-                ",\"latency\":\"{}\",\"deviating\":[",
-                hex_u64(*latency_cycles)
-            ));
-            for (i, name) in deviating.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                append_json_string(out, name);
-            }
-            out.push(']');
-        }
-        CellOutcome::Escape => {}
-        CellOutcome::InfraFailure { error } => {
-            out.push_str(",\"error\":");
-            append_json_string(out, error);
-        }
-    }
-    out.push('}');
-}
-
-fn outcome_from_json(v: &JsonValue) -> Result<CellOutcome, String> {
-    match v.get("tag").and_then(JsonValue::as_str) {
-        Some("detected") => Ok(CellOutcome::Detected {
-            latency_cycles: want_hex(v, "latency", "detected outcome")?,
-            deviating: v
-                .get("deviating")
-                .and_then(JsonValue::as_arr)
-                .ok_or("detected outcome missing 'deviating'")?
-                .iter()
-                .map(|name| {
-                    name.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "non-string entry in 'deviating'".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        }),
-        Some("escape") => Ok(CellOutcome::Escape),
-        Some("infra-failure") => Ok(CellOutcome::InfraFailure {
-            error: want_str(v, "error", "infra-failure outcome")?,
-        }),
-        other => Err(format!("unknown outcome tag {other:?}")),
-    }
-}
-
-fn entry_payload(key: u64, mask: u8, value: &CachedValue) -> String {
+pub(crate) fn entry_payload(key: u64, mask: u8, value: &CachedValue) -> String {
     let mut out = format!("{{\"key\":\"{:016x}\",\"mask\":{mask},", key);
     match value {
         CachedValue::Metrics(m) => {
@@ -280,12 +237,12 @@ fn entry_payload(key: u64, mask: u8, value: &CachedValue) -> String {
             append_metrics(&mut out, m);
         }
         CachedValue::Cell(outcome) => {
-            out.push_str("\"type\":\"cell\",\"outcome\":");
+            out.push_str("\"type\":\"cell\",");
             append_outcome(&mut out, outcome);
         }
         CachedValue::Diagnosis(check) => {
             out.push_str("\"type\":\"diag\",\"check\":");
-            out.push_str(&diagnosis_to_json(check));
+            append_diagnosis(&mut out, check);
         }
         CachedValue::Lint {
             report,
@@ -318,9 +275,7 @@ fn entry_from_json(v: &JsonValue) -> Result<(u64, u8, CachedValue), String> {
         Some("metrics") => CachedValue::Metrics(Box::new(metrics_from_json(
             v.get("metrics").ok_or("metrics entry missing 'metrics'")?,
         )?)),
-        Some("cell") => CachedValue::Cell(outcome_from_json(
-            v.get("outcome").ok_or("cell entry missing 'outcome'")?,
-        )?),
+        Some("cell") => CachedValue::Cell(outcome_from_json(v)?),
         Some("diag") => CachedValue::Diagnosis(Box::new(diagnosis_from_json(
             v.get("check").ok_or("diag entry missing 'check'")?,
         )?)),
@@ -368,7 +323,9 @@ pub fn save_cache_with(cache: &ResultCache, path: &Path, policy: &IoPolicy) -> i
     let tmp = path.with_extension("tmp");
     let write_all = || -> io::Result<()> {
         let mut journal = Journal::create_with(&tmp, policy)?;
-        journal.append("{\"kind\":\"tve-serve-cache\",\"version\":1}")?;
+        journal.append(&format!(
+            "{{\"kind\":\"tve-serve-cache\",\"version\":{SNAPSHOT_VERSION}}}"
+        ))?;
         for (key, mask, value) in &entries {
             journal.append(&entry_payload(*key, *mask, value))?;
         }
@@ -389,26 +346,41 @@ pub fn save_cache_with(cache: &ResultCache, path: &Path, policy: &IoPolicy) -> i
 ///
 /// # Errors
 ///
-/// Filesystem errors, a file that is not a `tve-serve` cache snapshot,
-/// or an undecodable (version-skewed) entry.
-pub fn load_cache(cache: &ResultCache, path: &Path) -> Result<CacheLoad, String> {
+/// Filesystem errors, or [`io::ErrorKind::InvalidData`] for a file that
+/// is not a `tve-serve` cache snapshot, a snapshot of another format
+/// version (the message names the version found), or an undecodable
+/// entry.
+pub fn load_cache(cache: &ResultCache, path: &Path) -> io::Result<CacheLoad> {
     if !path.exists() {
         return Ok(CacheLoad::default());
     }
-    let contents = read_journal(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let invalid = |message: String| io::Error::new(io::ErrorKind::InvalidData, message);
+    let contents = read_journal(path)
+        .map_err(|e| io::Error::new(e.kind(), format!("reading {}: {e}", path.display())))?;
     let mut records = contents.records.iter();
-    let header = records.next().ok_or("cache file has no header record")?;
-    if header.get("kind").and_then(JsonValue::as_str) != Some("tve-serve-cache")
-        || header.get("version").and_then(JsonValue::as_u64) != Some(1)
-    {
-        return Err(format!(
+    let header = records
+        .next()
+        .ok_or_else(|| invalid("cache file has no header record".into()))?;
+    if header.get("kind").and_then(JsonValue::as_str) != Some("tve-serve-cache") {
+        return Err(invalid(format!(
             "{} is not a tve-serve cache snapshot",
             path.display()
-        ));
+        )));
+    }
+    match header.get("version").and_then(JsonValue::as_u64) {
+        Some(SNAPSHOT_VERSION) => {}
+        found => {
+            let found = found.map_or_else(|| "no".to_string(), |v| v.to_string());
+            return Err(invalid(format!(
+                "{} is a version {found} cache snapshot; this build reads version \
+                 {SNAPSHOT_VERSION} only — delete it to start cold",
+                path.display()
+            )));
+        }
     }
     let mut loaded = 0;
     for record in records {
-        let (key, mask, value) = entry_from_json(record)?;
+        let (key, mask, value) = entry_from_json(record).map_err(invalid)?;
         cache.insert(key, value, mask);
         loaded += 1;
     }
@@ -421,6 +393,7 @@ pub fn load_cache(cache: &ResultCache, path: &Path) -> Result<CacheLoad, String>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tve_campaign::CellOutcome;
     use tve_core::ScheduleResult;
 
     fn awkward_metrics() -> ScenarioMetrics {
@@ -629,9 +602,38 @@ mod tests {
         let mut j = Journal::create(&alien).unwrap();
         j.append("{\"kind\":\"something-else\"}").unwrap();
         drop(j);
-        assert!(load_cache(&ResultCache::new(), &alien)
-            .unwrap_err()
-            .contains("not a tve-serve cache"));
+        let err = load_cache(&ResultCache::new(), &alien).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("not a tve-serve cache"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_1_snapshot_is_refused_not_misread() {
+        let dir = std::env::temp_dir().join(format!("tve-persist-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.journal");
+        // A well-formed v1 snapshot: its cell entry uses the old codec
+        // ("tag"/"latency"), which a v2 reader must never decode.
+        let mut j = Journal::create(&path).unwrap();
+        j.append("{\"kind\":\"tve-serve-cache\",\"version\":1}")
+            .unwrap();
+        j.append(
+            "{\"key\":\"0000000000000001\",\"mask\":0,\"type\":\"cell\",\
+             \"outcome\":{\"tag\":\"escape\"}}",
+        )
+        .unwrap();
+        drop(j);
+
+        let cache = ResultCache::new();
+        let err = load_cache(&cache, &path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version 1"), "{err}");
+        assert_eq!(
+            cache.stats().entries,
+            0,
+            "nothing of a v1 snapshot is loaded"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

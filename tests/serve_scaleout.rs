@@ -2,14 +2,15 @@
 //! socket protocol merge byte-identical to an unsharded campaign job,
 //! and the result cache survives a daemon restart bit-for-bit — proven
 //! by `verify` re-execution of every reloaded hit, not by trusting the
-//! snapshot.
+//! snapshot — and a forged snapshot entry with a valid checksum is
+//! caught by that re-execution.
 
 use std::path::PathBuf;
 
-use tve::campaign::{merge_shards, ShardReport, ShardSpec};
-use tve::obs::JsonValue;
+use tve::campaign::{append_outcome, merge_shards, CellOutcome, ShardReport, ShardSpec};
+use tve::obs::{Journal, JsonValue};
 use tve::sched::Farm;
-use tve::serve::{spawn, Client, DaemonHandle, JobKind, JobSpec, ServeOptions};
+use tve::serve::{cell_key, spawn, Client, DaemonHandle, JobKind, JobSpec, ServeOptions};
 use tve::soc::Workload;
 
 fn test_path(tag: &str, ext: &str) -> PathBuf {
@@ -229,4 +230,91 @@ fn fan_out_partition_matches_the_library_partition() {
     }
     client.shutdown().expect("clean shutdown");
     daemon.join().expect("daemon joins");
+}
+
+#[test]
+fn verify_cache_catches_a_divergent_snapshot_entry() {
+    let cache_file = test_path("diverge", "journal");
+    let _ = std::fs::remove_file(&cache_file);
+
+    let (daemon, mut client) = start("diverge-cold", Some(cache_file.clone()), None);
+    client
+        .submit(&campaign_job(None))
+        .expect("cold campaign succeeds");
+    client.shutdown().expect("clean shutdown");
+    daemon.join().expect("daemon joins");
+
+    // Rewrite the cached outcome of one cell to a wrong one. Every
+    // record is re-appended through the journal writer, so the tampered
+    // entry carries a valid checksum: only re-execution can catch it.
+    let config = campaign_job(None)
+        .campaign_config()
+        .expect("campaign jobs have a config");
+    let (fault, schedule) = (&config.population[0], &config.schedules[0]);
+    let quantum = std::env::var("TVE_QUANTUM").unwrap_or_default();
+    let key = format!(
+        "\"key\":\"{:016x}\"",
+        cell_key(&config.soc, &config.plan, schedule, &fault.id(), &quantum)
+    );
+    let text = std::fs::read_to_string(&cache_file).expect("snapshot readable");
+    let payloads: Vec<&str> = text
+        .lines()
+        .map(|line| line.split_once(' ').expect("checksummed record").1)
+        .collect();
+    let mut journal = Journal::create(&cache_file).expect("snapshot rewritable");
+    let mut tampered = 0;
+    for payload in payloads {
+        if payload.contains(&key) {
+            let (head, _) = payload
+                .split_once("\"outcome\":")
+                .expect("cell entries carry an outcome");
+            let mut forged = head.to_string();
+            append_outcome(
+                &mut forged,
+                &CellOutcome::InfraFailure {
+                    error: "forged".into(),
+                },
+            );
+            forged.push('}');
+            journal.append(&forged).expect("forged record appends");
+            tampered += 1;
+        } else {
+            journal.append(payload).expect("record re-appends");
+        }
+    }
+    drop(journal);
+    assert_eq!(
+        tampered, 1,
+        "the chosen cell is in the snapshot exactly once"
+    );
+
+    // A warm daemon that re-executes every hit must refuse the forged
+    // entry with a typed error that names the cell.
+    let (daemon, mut client) = start("diverge-warm", Some(cache_file.clone()), Some(1.0));
+    let request = format!(
+        "{{\"cmd\":\"submit\",\"wait\":true,\"job\":{}}}",
+        campaign_job(None).to_json()
+    );
+    let err = client
+        .request_typed(&request)
+        .expect_err("a divergent cache entry must fail the campaign");
+    assert_eq!(err.kind, "internal", "untyped failure: {err:?}");
+    let cell = format!("cell {} x '{}'", fault.id(), schedule.name);
+    assert!(
+        err.message.contains("verify-cache mismatch") && err.message.contains(&cell),
+        "error does not name {cell}: {}",
+        err.message
+    );
+    let stats = client.stats().expect("stats");
+    assert!(
+        stats
+            .get("verify_failures")
+            .and_then(JsonValue::as_u64)
+            .unwrap_or(0)
+            >= 1,
+        "the divergence was not counted: {stats:?}"
+    );
+    client.shutdown().expect("clean shutdown");
+    daemon.join().expect("daemon joins");
+    let _ = std::fs::remove_file(&cache_file);
 }
