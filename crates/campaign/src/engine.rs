@@ -5,12 +5,11 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use tve_core::{diagnose_bist, CoreModel, Schedule, StuckCell, TestWrapper, WrapperConfig};
-use tve_obs::{earliest_span_end, SpanKind, StoragePolicy, TraceLog};
 use tve_sched::Farm;
 use tve_sim::Simulation;
 use tve_soc::{
-    run_scenario_prepared_traced, scan_view, JpegEncoderSoc, ScenarioMetrics, SocConfig,
-    SocTestPlan, WrappedCore,
+    run_scenario_prepared, scan_view, JpegEncoderSoc, ScenarioMetrics, SocConfig, SocTestPlan,
+    WrappedCore,
 };
 
 use crate::fault::FaultSpec;
@@ -68,7 +67,7 @@ impl CampaignConfig {
 }
 
 /// Applies `fault` to a freshly built SoC (the `prepare` hook of
-/// [`run_scenario_prepared_traced`]). TAM corruption is config-driven
+/// [`run_scenario_prepared`]). TAM corruption is config-driven
 /// (the adaptor must exist before the EBI binds to the bus) and is a
 /// no-op here.
 pub fn apply_fault(soc: &JpegEncoderSoc, fault: &FaultSpec) {
@@ -96,7 +95,7 @@ fn plan_seed(plan: &SocTestPlan, core: WrappedCore) -> u64 {
     }
 }
 
-fn classify(golden: &ScenarioMetrics, faulty: &ScenarioMetrics, log: &TraceLog) -> CellOutcome {
+fn classify(golden: &ScenarioMetrics, faulty: &ScenarioMetrics) -> CellOutcome {
     if golden.digest() == faulty.digest() {
         return CellOutcome::Escape;
     }
@@ -146,9 +145,15 @@ fn classify(golden: &ScenarioMetrics, faulty: &ScenarioMetrics, log: &TraceLog) 
     }
     // Time-to-detection: the earliest completion of a deviating test —
     // the first simulated moment the tester could have flagged the part.
-    let names: Vec<&str> = deviating.iter().map(String::as_str).collect();
-    let latency_cycles = earliest_span_end(log.spans.iter(), SpanKind::Test, &names)
-        .map(|t| t.cycles())
+    // Each slot's outcome is exactly its test's `Test` span in a traced
+    // run, so the cell needs no recorder.
+    let latency_cycles = faulty
+        .result
+        .slots
+        .iter()
+        .filter(|s| deviating.contains(&s.outcome.name))
+        .map(|s| s.outcome.end.cycles())
+        .min()
         .unwrap_or(faulty.total_cycles);
     CellOutcome::Detected {
         latency_cycles,
@@ -178,12 +183,9 @@ pub fn run_cell(
     if let FaultSpec::TamCorruption { policy } = fault {
         soc.tam_fault = Some(*policy);
     }
-    let (metrics, log) =
-        run_scenario_prepared_traced(&soc, plan, schedule, StoragePolicy::Unbounded, |soc| {
-            apply_fault(soc, fault)
-        })
+    let metrics = run_scenario_prepared(&soc, plan, schedule, |soc| apply_fault(soc, fault))
         .unwrap_or_else(|e| panic!("schedule '{}' rejected: {e}", schedule.name));
-    classify(golden, &metrics, &log)
+    classify(golden, &metrics)
 }
 
 /// Takes one detected scan-cell fault to the (simulated) diagnosis

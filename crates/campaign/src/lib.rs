@@ -15,7 +15,8 @@
 //!
 //! * **detected** — the scenario's metrics digest deviates from the
 //!   golden (fault-free) run, with a time-to-detection taken from the
-//!   `tve-obs` span trace;
+//!   faulty run's per-test outcomes (the end of the earliest deviating
+//!   test — what its `Test` span would show; cells run untraced);
 //! * **escape** — the faulty run is byte-identical to the golden run;
 //! * **infra-failure** — the run errors out or panics, i.e. the fault
 //!   broke the test *equipment* rather than a verdict.

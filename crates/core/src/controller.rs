@@ -106,16 +106,6 @@ impl TestController {
         &self.name
     }
 
-    async fn op_write(&self, plan: &MemoryTestPlan, out: &mut TestOutcome, addr: u32, value: u32) {
-        // `try_local_wait` absorbs the overhead into the quantum offset
-        // without even building a `Wait`; at memory-test op rates that
-        // bypass is measurable.
-        if !self.handle.try_local_wait(plan.op_overhead) {
-            self.handle.wait(plan.op_overhead).await;
-        }
-        self.bus_write(plan, out, addr, value).await;
-    }
-
     async fn bus_write(&self, plan: &MemoryTestPlan, out: &mut TestOutcome, addr: u32, value: u32) {
         let result = if plan.policy == DataPolicy::Volume {
             self.tam
@@ -131,13 +121,6 @@ impl TestController {
         if result.is_err() {
             out.errors += 1;
         }
-    }
-
-    async fn op_read(&self, plan: &MemoryTestPlan, out: &mut TestOutcome, addr: u32, expect: u32) {
-        if !self.handle.try_local_wait(plan.op_overhead) {
-            self.handle.wait(plan.op_overhead).await;
-        }
-        self.bus_read(plan, out, addr, expect).await;
     }
 
     async fn bus_read(&self, plan: &MemoryTestPlan, out: &mut TestOutcome, addr: u32, expect: u32) {
@@ -173,6 +156,31 @@ impl TestController {
         }
     }
 
+    /// The transactional TAM access of one operation.
+    async fn bus_op(&self, plan: &MemoryTestPlan, out: &mut TestOutcome, op: MemOp) {
+        match op.write {
+            Some(v) => self.bus_write(plan, out, op.addr, v).await,
+            None => {
+                self.bus_read(plan, out, op.addr, op.expect.unwrap_or(0))
+                    .await
+            }
+        }
+    }
+
+    /// A DMI grant over the plan's word window, asked for in
+    /// loosely-timed mode only. A march hammers that window with
+    /// single-word accesses; over the grant each operation skips the
+    /// transaction build and per-op interface walk. Every granting layer replicates its observable side effects
+    /// (simulated time, bus utilization, power, counters) per op or
+    /// declines the op, so results are identical either way
+    /// (`tests/kernel_digests.rs`). Accurate mode never asks.
+    fn dmi_window(&self, plan: &MemoryTestPlan) -> Option<Rc<dyn DmiAccess>> {
+        if !self.handle.lt_active() {
+            return None;
+        }
+        Rc::clone(&self.tam).dmi_window(plan.base_addr, plan.words, self.initiator)
+    }
+
     /// Executes the full plan (march, then pattern tests) and returns its
     /// outcome; `patterns` in the outcome counts memory operations.
     pub async fn run_memory_test(&self, plan: &MemoryTestPlan) -> TestOutcome {
@@ -199,57 +207,36 @@ impl TestController {
 
     async fn run_blocking(&self, plan: &MemoryTestPlan) -> TestOutcome {
         let mut out = TestOutcome::begin(&plan.name, self.handle.now());
-        // A blocking march hammers one word window with single-word
-        // accesses; in loosely-timed mode ask the TAM for a DMI grant
-        // over that window so each operation skips the transaction
-        // build and per-op interface walk. Every granting layer
-        // replicates its observable side effects (simulated time, bus
-        // utilization, power, counters) per op or declines the op, so
-        // results are identical either way (`tests/kernel_digests.rs`).
-        let dmi = if self.handle.lt_active() {
-            Rc::clone(&self.tam).dmi_window(plan.base_addr, plan.words, self.initiator)
-        } else {
-            None
-        };
+        let dmi = self.dmi_window(plan);
         for op in plan.ops() {
+            // Engine overhead, identical on both paths. `try_local_wait`
+            // absorbs it into the quantum offset without even building a
+            // `Wait`; at memory-test op rates that bypass is measurable.
+            if !self.handle.try_local_wait(plan.op_overhead) {
+                self.handle.wait(plan.op_overhead).await;
+            }
             match &dmi {
-                Some(window) => self.dmi_op(window.as_ref(), plan, &mut out, op).await,
-                None => {
-                    let MemOp {
-                        addr,
-                        write,
-                        expect,
-                    } = op;
-                    if let Some(v) = write {
-                        self.op_write(plan, &mut out, addr, v).await;
-                    } else {
-                        self.op_read(plan, &mut out, addr, expect.unwrap_or(0))
-                            .await;
-                    }
-                }
+                Some(window) => self.dmi_access(window.as_ref(), plan, &mut out, op).await,
+                None => self.bus_op(plan, &mut out, op).await,
             }
         }
         out.end = self.handle.now();
         out
     }
 
-    /// One operation over a DMI grant, falling back to the transactional
-    /// path when the grant declines (revocation, contention, exhausted
-    /// quantum budget). The outcome bookkeeping mirrors
-    /// [`TestController::bus_write`] / [`TestController::bus_read`]
+    /// The TAM access of one operation over a DMI grant, falling back to
+    /// the transactional path when the grant declines (revocation,
+    /// contention, exhausted quantum budget). The outcome bookkeeping
+    /// mirrors [`TestController::bus_write`] / [`TestController::bus_read`]
     /// exactly; a granted access cannot fail, so the error counter has
     /// no DMI arm.
-    async fn dmi_op(
+    async fn dmi_access(
         &self,
         window: &dyn DmiAccess,
         plan: &MemoryTestPlan,
         out: &mut TestOutcome,
         op: MemOp,
     ) {
-        // Engine overhead is identical on both paths.
-        if !self.handle.try_local_wait(plan.op_overhead) {
-            self.handle.wait(plan.op_overhead).await;
-        }
         let MemOp {
             addr,
             write,
@@ -293,6 +280,11 @@ impl TestController {
     /// `op_overhead` cycles into a bounded queue; an access unit drains the
     /// queue onto the TAM. Under contention the queue backlogs, so the
     /// engine keeps a request pending at the bus.
+    ///
+    /// In loosely-timed mode the access unit takes a DMI grant over the
+    /// plan's window, exactly as [`TestController::run_blocking`] does:
+    /// each granted access replicates the transactional path's side
+    /// effects or declines to it, so outcomes are identical either way.
     async fn run_posted(&self, plan: &MemoryTestPlan) -> TestOutcome {
         let start = self.handle.now();
         let queue: tve_sim::Fifo<Option<MemOp>> =
@@ -303,6 +295,7 @@ impl TestController {
             let this = self.clone();
             self.handle.spawn(async move {
                 let mut out = TestOutcome::begin(&plan.name, this.handle.now());
+                let dmi = this.dmi_window(&plan);
                 loop {
                     // Uncontended fast path: skip the suspension future
                     // when an item is already queued.
@@ -310,19 +303,12 @@ impl TestController {
                         Some(v) => v,
                         None => queue.pop().await,
                     };
-                    let Some(MemOp {
-                        addr,
-                        write,
-                        expect,
-                    }) = next
-                    else {
+                    let Some(op) = next else {
                         break;
                     };
-                    if let Some(v) = write {
-                        this.bus_write(&plan, &mut out, addr, v).await;
-                    } else {
-                        this.bus_read(&plan, &mut out, addr, expect.unwrap_or(0))
-                            .await;
+                    match &dmi {
+                        Some(window) => this.dmi_access(window.as_ref(), &plan, &mut out, op).await,
+                        None => this.bus_op(&plan, &mut out, op).await,
                     }
                 }
                 out
@@ -355,57 +341,87 @@ struct MemOp {
 impl MemoryTestPlan {
     /// Iterates the full operation sequence (march elements, then pattern
     /// tests) in execution order.
-    fn ops(&self) -> impl Iterator<Item = MemOp> + '_ {
-        let n = self.words;
-        let march = self.march.elements().iter().flat_map(move |elem| {
-            let addrs: Vec<u32> = match elem.order {
-                MarchOrder::Ascending | MarchOrder::Any => (0..n).collect(),
-                MarchOrder::Descending => (0..n).rev().collect(),
-            };
-            // Shared slice: cloning a `Vec` per address would allocate on
-            // every word of the array.
-            let ops: Rc<[MarchOp]> = elem.ops.as_slice().into();
-            addrs.into_iter().flat_map(move |addr| {
-                let ops = Rc::clone(&ops);
-                (0..ops.len()).map(move |i| match ops[i] {
-                    MarchOp::W0 => MemOp {
+    fn ops(&self) -> Ops<'_> {
+        Ops {
+            plan: self,
+            phase: 0,
+            word: 0,
+            step: 0,
+        }
+    }
+}
+
+/// Index cursor over a plan's operation sequence: no per-element address
+/// list, no per-address allocation.
+struct Ops<'a> {
+    plan: &'a MemoryTestPlan,
+    /// March element index, then `elements().len() + k` for pattern test `k`.
+    phase: usize,
+    /// Position within the phase's address sweep (0..words).
+    word: u32,
+    /// March phases: index into the element's ops. Pattern phases: 0 for
+    /// the write sweep, 1 for the read sweep.
+    step: usize,
+}
+
+impl Iterator for Ops<'_> {
+    type Item = MemOp;
+
+    fn next(&mut self) -> Option<MemOp> {
+        let n = self.plan.words;
+        let elements = self.plan.march.elements();
+        loop {
+            if let Some(elem) = elements.get(self.phase) {
+                if let Some(&op) = elem.ops.get(self.step).filter(|_| self.word < n) {
+                    let addr = match elem.order {
+                        MarchOrder::Ascending | MarchOrder::Any => self.word,
+                        MarchOrder::Descending => n - 1 - self.word,
+                    };
+                    self.step += 1;
+                    if self.step == elem.ops.len() {
+                        self.step = 0;
+                        self.word += 1;
+                    }
+                    let (write, expect) = match op {
+                        MarchOp::W0 => (Some(0), None),
+                        MarchOp::W1 => (Some(u32::MAX), None),
+                        MarchOp::R0 => (None, Some(0)),
+                        MarchOp::R1 => (None, Some(u32::MAX)),
+                    };
+                    return Some(MemOp {
                         addr,
-                        write: Some(0),
-                        expect: None,
-                    },
-                    MarchOp::W1 => MemOp {
+                        write,
+                        expect,
+                    });
+                }
+            } else {
+                let p = *self.plan.patterns.get(self.phase - elements.len())?;
+                if self.word < n {
+                    let addr = self.word;
+                    self.word += 1;
+                    let background = Some(p.background(addr));
+                    let (write, expect) = if self.step == 0 {
+                        (background, None)
+                    } else {
+                        (None, background)
+                    };
+                    return Some(MemOp {
                         addr,
-                        write: Some(u32::MAX),
-                        expect: None,
-                    },
-                    MarchOp::R0 => MemOp {
-                        addr,
-                        write: None,
-                        expect: Some(0),
-                    },
-                    MarchOp::R1 => MemOp {
-                        addr,
-                        write: None,
-                        expect: Some(u32::MAX),
-                    },
-                })
-            })
-        });
-        let patterns = self.patterns.iter().flat_map(move |p| {
-            let p = *p;
-            let writes = (0..n).map(move |addr| MemOp {
-                addr,
-                write: Some(p.background(addr)),
-                expect: None,
-            });
-            let reads = (0..n).map(move |addr| MemOp {
-                addr,
-                write: None,
-                expect: Some(p.background(addr)),
-            });
-            writes.chain(reads)
-        });
-        march.chain(patterns)
+                        write,
+                        expect,
+                    });
+                }
+                if self.step == 0 {
+                    // Write sweep done: the read sweep follows.
+                    self.step = 1;
+                    self.word = 0;
+                    continue;
+                }
+            }
+            self.phase += 1;
+            self.word = 0;
+            self.step = 0;
+        }
     }
 }
 
@@ -590,6 +606,93 @@ mod tests {
             accurate.duration(),
             "DMI must absorb exactly the transactional path's time"
         );
+    }
+
+    /// Runs a loosely-timed posted (depth 8) full-data plan over
+    /// `target`, with a stuck-at fault in the array.
+    fn run_posted_lt(target: Rc<dyn TamIf>) -> TestOutcome {
+        let mut sim = Simulation::with_quantum(Duration::cycles(10_000));
+        let h = sim.handle();
+        let ctrl = TestController::new(&h, "ctrl", target, InitiatorId(5));
+        let p = MemoryTestPlan {
+            posted_depth: 8,
+            ..plan(32, DataPolicy::Full)
+        };
+        let jh = sim.spawn(async move { ctrl.run_memory_test(&p).await });
+        sim.run();
+        jh.try_take().unwrap()
+    }
+
+    #[test]
+    fn posted_plan_over_dmi_matches_the_transactional_path() {
+        let faulty_array = || {
+            let mut mem = MemoryArray::new(32);
+            mem.inject(Fault::stuck_at(7, 3, true));
+            RefCell::new(mem)
+        };
+        let granting = Rc::new(DmiRam {
+            mem: faulty_array(),
+            dmi_ops: Cell::new(0),
+        });
+        let declining = Rc::new(RamTarget {
+            mem: faulty_array(),
+        });
+        let over_dmi = run_posted_lt(Rc::clone(&granting) as Rc<dyn TamIf>);
+        let over_bus = run_posted_lt(declining);
+        assert_eq!(
+            granting.dmi_ops.get(),
+            plan(32, DataPolicy::Full).total_ops(),
+            "the posted access unit took the DMI path"
+        );
+        assert!(over_dmi.mismatches > 0);
+        assert_eq!(over_dmi, over_bus);
+    }
+
+    /// The operation sequence as nested loops over march elements and
+    /// pattern tests: the reference for the [`Ops`] cursor.
+    fn reference_ops(p: &MemoryTestPlan) -> Vec<(u32, Option<u32>, Option<u32>)> {
+        let mut ops = Vec::new();
+        for elem in p.march.elements() {
+            let addrs: Vec<u32> = match elem.order {
+                MarchOrder::Ascending | MarchOrder::Any => (0..p.words).collect(),
+                MarchOrder::Descending => (0..p.words).rev().collect(),
+            };
+            for addr in addrs {
+                for op in &elem.ops {
+                    ops.push(match op {
+                        MarchOp::W0 => (addr, Some(0), None),
+                        MarchOp::W1 => (addr, Some(u32::MAX), None),
+                        MarchOp::R0 => (addr, None, Some(0)),
+                        MarchOp::R1 => (addr, None, Some(u32::MAX)),
+                    });
+                }
+            }
+        }
+        for pt in &p.patterns {
+            ops.extend((0..p.words).map(|a| (a, Some(pt.background(a)), None)));
+            ops.extend((0..p.words).map(|a| (a, None, Some(pt.background(a)))));
+        }
+        ops
+    }
+
+    #[test]
+    fn ops_cursor_matches_nested_loop_reference() {
+        for march in [MarchTest::mats_plus(), MarchTest::march_c_minus()] {
+            for words in [0, 1, 5, 32] {
+                let p = MemoryTestPlan {
+                    march: march.clone(),
+                    ..plan(words, DataPolicy::Full)
+                };
+                let got: Vec<_> = p.ops().map(|o| (o.addr, o.write, o.expect)).collect();
+                assert_eq!(
+                    got,
+                    reference_ops(&p),
+                    "{} over {words} words",
+                    march.name()
+                );
+                assert_eq!(got.len() as u64, p.total_ops());
+            }
+        }
     }
 
     #[test]

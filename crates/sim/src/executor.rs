@@ -7,9 +7,12 @@
 //! generation-checked slots with an intrusive FIFO ready queue, so
 //! spawning reuses slots and waking a task is a handful of index writes —
 //! no per-wake allocation, no hashing. Timers are bucketed by timestamp
-//! in a `BTreeMap<u64, Vec<TimerFire>>`: advancing time removes one
-//! bucket and fires every same-timestamp wakeup in a single batch,
-//! instead of one heap pop per entry. Wakeups carry packed
+//! in a `Vec<(u64, Vec<TimerFire>)>` kept sorted by descending time:
+//! the earliest bucket sits at the end, so advancing time pops it and
+//! fires every same-timestamp wakeup in a single batch, and scheduling
+//! joins or inserts a bucket found by a linear scan. Few distinct
+//! timestamps are pending at once in these models (a handful at most),
+//! so the flat vector beats a tree or heap. Wakeups carry packed
 //! [`TaskId`](crate::arena::TaskId)s rather than cloned `Waker`s; the
 //! `Waker` machinery remains only as a fallback for foreign futures.
 //!
@@ -21,7 +24,6 @@
 //! the pre-arena kernel (see `tests/kernel_digests.rs`).
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
@@ -98,9 +100,11 @@ pub(crate) struct Kernel {
     polls: Cell<u64>,
     timers_fired: Cell<u64>,
     sync_points: Cell<u64>,
-    /// Pending timers bucketed by absolute firing time; within a bucket,
-    /// entries fire in scheduling order (the old `(time, seq)` order).
-    timers: RefCell<BTreeMap<u64, Vec<TimerFire>>>,
+    /// Pending timers bucketed by absolute firing time, sorted by
+    /// descending time with one bucket per timestamp (the earliest is
+    /// last); within a bucket, entries fire in scheduling order (the old
+    /// `(time, seq)` order).
+    timers: RefCell<Vec<(u64, Vec<TimerFire>)>>,
     /// Recycled bucket storage, so steady-state scheduling does not
     /// allocate a fresh `Vec` per distinct timestamp.
     bucket_pool: RefCell<Vec<Vec<TimerFire>>>,
@@ -135,7 +139,7 @@ impl Kernel {
             polls: Cell::new(0),
             timers_fired: Cell::new(0),
             sync_points: Cell::new(0),
-            timers: RefCell::new(BTreeMap::new()),
+            timers: RefCell::new(Vec::new()),
             bucket_pool: RefCell::new(Vec::new()),
             arena: RefCell::new(TaskArena::new()),
             current: Cell::new(NO_TASK),
@@ -210,10 +214,27 @@ impl Kernel {
     pub(crate) fn schedule(&self, time: u64, fire: TimerFire) {
         let time = time.max(self.now.get());
         let mut timers = self.timers.borrow_mut();
-        timers
-            .entry(time)
-            .or_insert_with(|| self.bucket_pool.borrow_mut().pop().unwrap_or_default())
-            .push(fire);
+        // First bucket not later than `time`: either `time`'s own bucket
+        // or the insertion point that keeps the order descending. A linear
+        // scan beats a binary search here: few buckets are pending, and
+        // an insert shifts the tail anyway.
+        let i = timers
+            .iter()
+            .position(|&(t, _)| t <= time)
+            .unwrap_or(timers.len());
+        match timers.get_mut(i) {
+            Some((t, bucket)) if *t == time => bucket.push(fire),
+            _ => {
+                let mut bucket = self.bucket_pool.borrow_mut().pop().unwrap_or_default();
+                bucket.push(fire);
+                timers.insert(i, (time, bucket));
+            }
+        }
+    }
+
+    /// Firing time of the earliest pending timer.
+    fn next_timer(&self) -> Option<u64> {
+        self.timers.borrow().last().map(|&(t, _)| t)
     }
 
     /// Marks the task behind `packed` runnable (stale ids are inert).
@@ -254,8 +275,13 @@ impl Kernel {
     }
 
     /// Drains the `Waker`-fallback side queue into the ready queue.
+    ///
+    /// Called before every ready-task pop, so the empty case is one
+    /// relaxed load; the acquiring swap runs only once a wake arrived.
     fn drain_external(&self) {
-        if !self.ext.nonempty.swap(false, Ordering::Acquire) {
+        if !self.ext.nonempty.load(Ordering::Relaxed)
+            || !self.ext.nonempty.swap(false, Ordering::Acquire)
+        {
             return;
         }
         let mut ext = self.ext.queue.lock().expect("external wake queue poisoned");
@@ -330,9 +356,8 @@ impl Kernel {
     /// and fires every timer scheduled for that instant in one batch.
     /// Returns `false` when no eligible timer exists.
     fn advance(&self, horizon: u64) -> bool {
-        let next = match self.timers.borrow().keys().next() {
-            Some(&t) => t,
-            None => return false,
+        let Some(next) = self.next_timer() else {
+            return false;
         };
         if next > horizon {
             return false;
@@ -342,14 +367,23 @@ impl Kernel {
         // Loop: firing can (via `schedule` clamping to now) append new
         // entries at this same timestamp; they belong to this instant.
         loop {
-            let Some(mut bucket) = self.timers.borrow_mut().remove(&next) else {
+            let popped = {
+                let mut timers = self.timers.borrow_mut();
+                // Nothing is ever scheduled before `now`, so a bucket at
+                // `next` can only be the last one.
+                match timers.last() {
+                    Some(&(t, _)) if t == next => timers.pop(),
+                    _ => None,
+                }
+            };
+            let Some((_, mut bucket)) = popped else {
                 break;
             };
             if bucket.len() > limit {
-                // Testing knob: re-insert the tail and fire only `limit`
-                // entries this round.
+                // Testing knob: put the tail back (still the earliest
+                // bucket) and fire only `limit` entries this round.
                 let rest = bucket.split_off(limit);
-                self.timers.borrow_mut().insert(next, rest);
+                self.timers.borrow_mut().push((next, rest));
             }
             self.timers_fired
                 .set(self.timers_fired.get() + bucket.len() as u64);
@@ -845,12 +879,8 @@ impl Simulation {
             // No event beyond this point: idle until the horizon.
             if self
                 .kernel
-                .timers
-                .borrow()
-                .keys()
-                .next()
-                .map(|&t| t > horizon.cycles())
-                .unwrap_or(true)
+                .next_timer()
+                .is_none_or(|t| t > horizon.cycles())
             {
                 self.kernel.now.set(horizon.cycles());
             }

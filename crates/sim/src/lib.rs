@@ -15,8 +15,10 @@
 //! runs of the same model produce identical traces.
 //!
 //! Internally, tasks live in a slab arena with generation-checked ids and
-//! an intrusive ready queue, timers are bucketed by timestamp and fired in
-//! same-instant batches, and waits/notifications move packed task ids
+//! an intrusive ready queue, timers are bucketed by timestamp in a vector
+//! sorted by descending time and fired in same-instant batches (one pop
+//! of the last bucket), the external-wake queue costs one relaxed load
+//! per check while empty, and waits/notifications move packed task ids
 //! instead of cloned `Waker`s — see the `executor` module docs. An opt-in
 //! loosely-timed mode ([`Simulation::with_quantum`], or `TVE_QUANTUM` via
 //! [`Simulation::from_env`]) trades intra-quantum timing fidelity for

@@ -465,8 +465,9 @@ pub fn run_scenario_prepared<F: FnOnce(&JpegEncoderSoc)>(
 }
 
 /// [`run_scenario_prepared`] with observability: the recorder is attached
-/// before `prepare` runs, and the recorded [`TraceLog`] is returned — a
-/// campaign derives time-to-detection from its `Test` spans.
+/// before `prepare` runs, and the recorded [`TraceLog`] is returned. Its
+/// `Test` spans mirror the slot outcomes, which is why campaign cells can
+/// run untraced and still report the same time-to-detection.
 ///
 /// # Errors
 ///

@@ -483,7 +483,15 @@ impl TamIf for BusTam {
                 }
             }
             match target {
-                Some(target) => target.transport(txn).await,
+                // A target that completes without suspending (a wrapper
+                // forwarding to a memory in functional mode) runs inline:
+                // exactly what awaiting its future would do, minus the
+                // boxed futures. Targets that may suspend decline.
+                Some(target) => {
+                    if !target.transport_sync_try(txn) {
+                        target.transport(txn).await;
+                    }
+                }
                 None => {
                     self.rejected.set(self.rejected.get() + 1);
                     txn.status = ResponseStatus::AddressError;
@@ -942,6 +950,111 @@ mod tests {
         assert_eq!(rec.span_count(), 0);
         // Counters still count (they are cheap plain cells).
         assert_eq!(rec.metrics().counter("bus.transfers").get(), 1);
+    }
+
+    /// A wrapper-like forwarder in front of a sink: in functional mode
+    /// it forwards without suspending and, when `offers_sync` is set,
+    /// through the synchronous path too; in bypass mode it pays one cycle
+    /// first and declines the synchronous path, like a `TestWrapper`.
+    struct Forwarder {
+        handle: SimHandle,
+        sink: Rc<SinkTarget>,
+        bypass: bool,
+        offers_sync: bool,
+        forwarded: Cell<u64>,
+        sync_forwards: Cell<u64>,
+    }
+
+    impl TamIf for Forwarder {
+        fn name(&self) -> &str {
+            "fwd"
+        }
+
+        fn transport<'a>(&'a self, txn: &'a mut Transaction) -> LocalBoxFuture<'a, ()> {
+            Box::pin(async move {
+                if self.bypass {
+                    self.handle.wait(Duration::cycles(1)).await;
+                }
+                self.forwarded.set(self.forwarded.get() + 1);
+                self.sink.transport(txn).await;
+            })
+        }
+
+        fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
+            if self.bypass || !self.offers_sync {
+                return false;
+            }
+            self.forwarded.set(self.forwarded.get() + 1);
+            self.sync_forwards.set(self.sync_forwards.get() + 1);
+            self.sink.transport_sync(txn);
+            true
+        }
+    }
+
+    /// What a forwarding run observes: end cycle, forwarded count, sink
+    /// transactions, bus busy cycles, kernel (polls, timers), sync hits.
+    type ForwardRun = (u64, u64, u64, u64, (u64, u64), u64);
+
+    /// Three contending initiators, 20 single-word writes each, on a
+    /// cycle-accurate bus in front of a [`Forwarder`].
+    fn forward_run(bypass: bool, offers_sync: bool) -> ForwardRun {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let bus = Rc::new(BusTam::new(&h, BusConfig::default()));
+        let sink = Rc::new(SinkTarget::new("mem"));
+        let fwd = Rc::new(Forwarder {
+            handle: h.clone(),
+            sink: Rc::clone(&sink),
+            bypass,
+            offers_sync,
+            forwarded: Cell::new(0),
+            sync_forwards: Cell::new(0),
+        });
+        bus.bind(AddrRange::new(0, 0x100), Rc::clone(&fwd) as Rc<dyn TamIf>)
+            .unwrap();
+        for i in 0..3u8 {
+            let b = Rc::clone(&bus);
+            sim.spawn(async move {
+                for k in 0..20u32 {
+                    b.write(InitiatorId(i), k, &[k], 32).await.unwrap();
+                }
+            });
+        }
+        let end = sim.run().cycles();
+        let busy = bus.monitor().total_busy_cycles();
+        (
+            end,
+            fwd.forwarded.get(),
+            sink.transaction_count(),
+            busy,
+            sim.kernel_stats(),
+            fwd.sync_forwards.get(),
+        )
+    }
+
+    #[test]
+    fn accurate_functional_forward_runs_inline_with_identical_effects() {
+        let (end, fwd, writes, busy, kernel, sync) = forward_run(false, true);
+        let (end0, fwd0, writes0, busy0, kernel0, sync0) = forward_run(false, false);
+        assert_eq!(sync, 60, "every forward took the synchronous path");
+        assert_eq!(sync0, 0);
+        // Awaiting the target's future is what the bus did before; the
+        // inline forward must be indistinguishable from it.
+        assert_eq!((end, fwd, writes, busy), (end0, fwd0, writes0, busy0));
+        assert_eq!(kernel, kernel0, "same polls and timers");
+        // 60 serialized transfers of 1 + 1 cycles each.
+        assert_eq!((end, fwd, writes), (120, 60, 60));
+    }
+
+    #[test]
+    fn accurate_bypass_forward_still_pays_its_cycle() {
+        let (end, fwd, writes, busy, _, sync) = forward_run(true, true);
+        assert_eq!(sync, 0, "bypass declines the synchronous path");
+        assert_eq!((fwd, writes, busy), (60, 60, 120));
+        // The bypass cycle is paid after the bus is released, so the
+        // other initiators keep the bus saturated (120 cycles) and only
+        // the last write's bypass cycle shows at the end.
+        assert_eq!(end, 121);
     }
 
     #[test]

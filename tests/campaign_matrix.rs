@@ -9,14 +9,19 @@
 //!   count,
 //! * infrastructure faults (stuck WIR bits, broken config-ring segments,
 //!   corrupting TAM channels) are detected or appear as named escapes —
-//!   never silently absorbed.
+//!   never silently absorbed,
+//! * the untraced cells' time-to-detection equals the traced `Test`
+//!   span end.
 
 use tve::campaign::{
-    generate, run_campaign, CampaignConfig, CellOutcome, FaultSpec, PopulationSpec,
+    apply_fault, generate, run_campaign, CampaignConfig, CellOutcome, FaultSpec, PopulationSpec,
 };
 use tve::core::{StuckCell, StuckWirBit};
+use tve::obs::{earliest_span_end, SpanKind, StoragePolicy};
 use tve::sched::Farm;
-use tve::soc::{paper_schedules, SocConfig, SocTestPlan, WrappedCore, RING_EBI};
+use tve::soc::{
+    paper_schedules, run_scenario_prepared_traced, SocConfig, SocTestPlan, WrappedCore, RING_EBI,
+};
 
 fn small_soc() -> SocConfig {
     let mut cfg = SocConfig::small();
@@ -245,4 +250,60 @@ fn scan_fault_detection_latency_is_plausible() {
             ),
         }
     }
+}
+
+/// Cells run untraced and take time-to-detection from their slot
+/// outcomes. That must equal what a traced run of the same cell gives:
+/// the earliest end of a deviating test's `Test` span.
+#[test]
+fn slot_derived_latency_equals_traced_test_span_end() {
+    let spec = PopulationSpec {
+        seed: 20090417,
+        scan_cells_per_core: 1,
+        memory_faults: 2,
+        ..PopulationSpec::default()
+    };
+    let mut config = campaign_config(generate(&spec, &small_soc()));
+    config.diagnosis = false;
+    let report = run_campaign(&config, &Farm::with_workers(2));
+    let cells = config
+        .population
+        .iter()
+        .flat_map(|fault| config.schedules.iter().map(move |s| (fault, s)));
+    let mut detected = 0;
+    for (cell, (fault, schedule)) in report.cells.iter().zip(cells) {
+        assert_eq!(
+            (cell.fault_id.as_str(), cell.schedule.as_str()),
+            (fault.id().as_str(), schedule.name.as_str())
+        );
+        let CellOutcome::Detected {
+            latency_cycles,
+            deviating,
+        } = &cell.outcome
+        else {
+            continue;
+        };
+        let mut soc = config.soc.clone();
+        if let FaultSpec::TamCorruption { policy } = fault {
+            soc.tam_fault = Some(*policy);
+        }
+        let (metrics, log) = run_scenario_prepared_traced(
+            &soc,
+            &config.plan,
+            schedule,
+            StoragePolicy::Unbounded,
+            |soc| apply_fault(soc, fault),
+        )
+        .unwrap();
+        let names: Vec<&str> = deviating.iter().map(String::as_str).collect();
+        let traced = earliest_span_end(log.spans.iter(), SpanKind::Test, &names)
+            .map_or(metrics.total_cycles, |t| t.cycles());
+        assert_eq!(
+            *latency_cycles, traced,
+            "{} x {}",
+            cell.fault_id, cell.schedule
+        );
+        detected += 1;
+    }
+    assert!(detected > 0, "the pinned population has detected cells");
 }
