@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use tve_obs::{Recorder, SpanKind, SpanRecord};
 use tve_sim::SimHandle;
 use tve_tlm::{Command, InitiatorId, TamIf, TamIfExt};
-use tve_tpg::{BitVec, Compressor, Misr, Prpg, ScanConfig, TestCube};
+use tve_tpg::{Compressor, Misr, Prpg, ScanConfig, TestCube};
 
 use crate::model::DataPolicy;
 use crate::outcome::TestOutcome;
@@ -19,6 +19,16 @@ fn words_to_sig(words: &[u32]) -> u64 {
     let lo = words.first().copied().unwrap_or(0) as u64;
     let hi = words.get(1).copied().unwrap_or(0) as u64;
     lo | (hi << 32)
+}
+
+/// A packed random stimulus of `bits` bits, LSB-first: one
+/// `gen_bool(0.5)` draw per bit, in bit order, ORed straight into words.
+fn random_stimulus(rng: &mut StdRng, bits: usize) -> Vec<u32> {
+    let mut words = vec![0u32; bits.div_ceil(32)];
+    for i in 0..bits {
+        words[i / 32] |= u32::from(rng.gen_bool(0.5)) << (i % 32);
+    }
+    words
 }
 
 /// Records a completed source run as a [`SpanKind::Burst`] span on the
@@ -262,19 +272,14 @@ impl AteSource {
                     .await
                     .map(|_| Vec::new()),
                 DataPolicy::Full => {
-                    let stim: BitVec = (0..bits as usize).map(|_| rng.gen_bool(0.5)).collect();
+                    let stim = random_stimulus(&mut rng, bits as usize);
                     if cmd == Command::WriteRead {
                         self.port
-                            .write_read(
-                                self.initiator,
-                                self.wrapper_addr,
-                                stim.words().to_vec(),
-                                bits,
-                            )
+                            .write_read(self.initiator, self.wrapper_addr, stim, bits)
                             .await
                     } else {
                         self.port
-                            .write(self.initiator, self.wrapper_addr, stim.words(), bits)
+                            .write(self.initiator, self.wrapper_addr, &stim, bits)
                             .await
                             .map(|_| Vec::new())
                     }
@@ -473,6 +478,7 @@ mod tests {
     use crate::model::{StuckCell, SyntheticLogicCore};
     use crate::wrapper::{TestWrapper, WrapperConfig, WrapperMode};
     use tve_sim::Simulation;
+    use tve_tpg::BitVec;
 
     fn wrapper(sim: &Simulation, mode: WrapperMode) -> Rc<TestWrapper> {
         let scan = ScanConfig::new(4, 32);
@@ -484,6 +490,26 @@ mod tests {
         ));
         w.load_config(mode.encode());
         w
+    }
+
+    #[test]
+    fn packed_stimulus_matches_collected_bits() {
+        for bits in [1usize, 31, 32, 33, 100, 256] {
+            for seed in [0u64, 7, 0xC0FFEE] {
+                let mut packed_rng = StdRng::seed_from_u64(seed);
+                let mut collected_rng = StdRng::seed_from_u64(seed);
+                for k in 0..3 {
+                    let packed = random_stimulus(&mut packed_rng, bits);
+                    let collected: BitVec =
+                        (0..bits).map(|_| collected_rng.gen_bool(0.5)).collect();
+                    assert_eq!(
+                        BitVec::from_words(packed, bits),
+                        collected,
+                        "{bits} bits, seed {seed}, stimulus {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

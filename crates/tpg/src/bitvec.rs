@@ -63,15 +63,16 @@ impl BitVec {
 
     /// Builds a vector from packed words, keeping the first `len` bits.
     ///
+    /// The buffer is reused: surplus words are truncated and the bits
+    /// past `len` in the last word are cleared.
+    ///
     /// # Panics
     ///
     /// Panics if `words` holds fewer than `len` bits.
-    pub fn from_words(words: Vec<u32>, len: usize) -> Self {
+    pub fn from_words(mut words: Vec<u32>, len: usize) -> Self {
         assert!(words.len() * 32 >= len, "word buffer too short for len");
-        let mut v = BitVec {
-            words: words[..len.div_ceil(32)].to_vec(),
-            len,
-        };
+        words.truncate(len.div_ceil(32));
+        let mut v = BitVec { words, len };
         v.mask_tail();
         v
     }
@@ -269,6 +270,22 @@ mod tests {
         let v = BitVec::from_words(vec![0xFFFF_FFFF, 0xFFFF_FFFF], 36);
         assert_eq!(v.len(), 36);
         assert_eq!(v.count_ones(), 36);
+    }
+
+    #[test]
+    fn from_words_matches_pushed_bits_on_oversized_buffers() {
+        for len in [0, 1, 31, 32, 33, 64, 95] {
+            let words: Vec<u32> = (0..5u32)
+                .map(|i| 0x9E37_79B9u32.wrapping_mul(i + 1))
+                .collect();
+            let mut pushed = BitVec::new();
+            for i in 0..len {
+                pushed.push((words[i / 32] >> (i % 32)) & 1 == 1);
+            }
+            let v = BitVec::from_words(words, len);
+            assert_eq!(v.words().len(), len.div_ceil(32), "len {len}: truncated");
+            assert_eq!(v, pushed, "len {len}: tail masked");
+        }
     }
 
     #[test]

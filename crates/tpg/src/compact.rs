@@ -65,10 +65,15 @@ impl XorCompactor {
         out
     }
 
-    /// Compacts a full chain-major response image slice-by-slice.
+    /// Compacts a full chain-major response image, with the same result
+    /// as [`compact_slice`](Self::compact_slice) applied to every scan
+    /// cycle.
     ///
     /// The image holds `inputs` chains of equal length; the result holds
-    /// `outputs` compacted streams of the same length, chain-major.
+    /// `outputs` compacted streams of the same length, chain-major. Since
+    /// output `o` is the parity of inputs `i ≡ o (mod outputs)` in every
+    /// cycle, stream `o` is the XOR of those whole chain images: each
+    /// chain is folded into its output stream 32 cycles at a time.
     ///
     /// # Panics
     ///
@@ -80,19 +85,38 @@ impl XorCompactor {
             "image not a multiple of input width"
         );
         let len = image.len() / self.inputs as usize;
-        let mut out = BitVec::zeros(self.outputs as usize * len);
-        for cycle in 0..len {
-            let slice: BitVec = (0..self.inputs as usize)
-                .map(|c| image.get(c * len + cycle).expect("in range"))
-                .collect();
-            let folded = self.compact_slice(&slice);
-            for o in 0..self.outputs as usize {
-                if folded.get(o) == Some(true) {
-                    out.set(o * len + cycle, true);
-                }
+        let outputs = self.outputs as usize;
+        let mut out = vec![0u32; (outputs * len).div_ceil(32)];
+        for chain in 0..self.inputs as usize {
+            let (src, dst) = (chain * len, (chain % outputs) * len);
+            for at in (0..len).step_by(32) {
+                let n = (len - at).min(32);
+                xor_bits(&mut out, dst + at, read_bits(image.words(), src + at, n), n);
             }
         }
-        out
+        BitVec::from_words(out, outputs * len)
+    }
+}
+
+/// The `n ≤ 32` bits of `words` starting at bit `start`, LSB first.
+fn read_bits(words: &[u32], start: usize, n: usize) -> u32 {
+    let (w, b) = (start / 32, start % 32);
+    let mut x = words[w] >> b;
+    if b + n > 32 {
+        x |= words[w + 1] << (32 - b);
+    }
+    if n < 32 {
+        x &= (1 << n) - 1;
+    }
+    x
+}
+
+/// XORs the `n ≤ 32` low bits of `x` into `words` starting at bit `start`.
+fn xor_bits(words: &mut [u32], start: usize, x: u32, n: usize) {
+    let (w, b) = (start / 32, start % 32);
+    words[w] ^= x << b;
+    if b + n > 32 {
+        words[w + 1] ^= x >> (32 - b);
     }
 }
 
@@ -134,6 +158,49 @@ mod tests {
         dirty.set(0, true);
         dirty.set(4, true); // same group (0 % 4 == 4 % 4)
         assert_eq!(c.compact_slice(&clean), c.compact_slice(&dirty));
+    }
+
+    /// Per-cycle compaction through [`XorCompactor::compact_slice`], the
+    /// loop that the word-folding [`XorCompactor::compact_image`]
+    /// replaced.
+    fn reference_compact_image(c: &XorCompactor, image: &BitVec) -> BitVec {
+        let len = image.len() / c.inputs() as usize;
+        let mut out = BitVec::zeros(c.outputs() as usize * len);
+        for cycle in 0..len {
+            let slice: BitVec = (0..c.inputs() as usize)
+                .map(|ch| image.get(ch * len + cycle).unwrap())
+                .collect();
+            let folded = c.compact_slice(&slice);
+            for o in 0..c.outputs() as usize {
+                if folded.get(o) == Some(true) {
+                    out.set(o * len + cycle, true);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn image_compaction_matches_per_slice_reference() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for (inputs, outputs) in [(1, 1), (3, 1), (4, 2), (8, 3), (33, 4), (32, 32)] {
+            let c = XorCompactor::new(inputs, outputs).unwrap();
+            for len in [1usize, 5, 31, 32, 37, 64, 100] {
+                let image: BitVec = (0..inputs as usize * len)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x & 1 == 1
+                    })
+                    .collect();
+                assert_eq!(
+                    c.compact_image(&image),
+                    reference_compact_image(&c, &image),
+                    "{inputs}->{outputs}, chain length {len}"
+                );
+            }
+        }
     }
 
     #[test]

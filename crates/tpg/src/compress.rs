@@ -13,12 +13,13 @@
 //! of 50X" test sequence.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::bitvec::BitVec;
 use crate::cube::TestCube;
 use crate::lfsr::{Lfsr, LfsrForm, MAXIMAL_TAPS};
 use crate::pattern::{ScanConfig, ScanPattern};
-use crate::prpg::phase_mask;
+use crate::prpg::{fill_pattern, parity, phase_mask};
 
 /// Error produced by a [`Compressor`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -227,6 +228,13 @@ impl Compressor for RunLengthCodec {
 /// inserts new seed material per scan slice, which the per-pattern variant
 /// here conservatively approximates.
 ///
+/// The decompressor's symbolic expansion (one GF(2) row per scan
+/// position) depends only on the structure, so it is derived once per
+/// codec, on the first [`compress`](Compressor::compress), and reused for
+/// every cube; a codec that only decompresses never derives it. Each
+/// cube then costs one elimination step per care bit. The cache is a
+/// `OnceLock`, so the codec stays `Send + Sync`.
+///
 /// [`Prpg`]: crate::Prpg
 #[derive(Debug, Clone)]
 pub struct ReseedingCodec {
@@ -234,6 +242,7 @@ pub struct ReseedingCodec {
     degree: u32,
     taps: u64,
     masks: Vec<u64>,
+    rows: OnceLock<Vec<u64>>,
 }
 
 impl ReseedingCodec {
@@ -257,6 +266,7 @@ impl ReseedingCodec {
             degree,
             taps,
             masks,
+            rows: OnceLock::new(),
         })
     }
 
@@ -304,24 +314,14 @@ impl ReseedingCodec {
     }
 
     fn expand_seed(&self, seed: u64) -> ScanPattern {
-        let len = self.config.max_chain_len() as usize;
-        let chains = self.config.chains() as usize;
-        let mut bits = BitVec::zeros(chains * len);
         // Seed zero is representable on silicon (the LFSR simply stays
         // zero); model it without the free-running Lfsr zero check.
         let mut lfsr = Lfsr::new(self.degree, self.taps, 1, LfsrForm::Fibonacci)
             .expect("structure validated at construction")
             .with_state(seed);
-        for cycle in 0..len {
-            lfsr.step();
-            let state = lfsr.state();
-            for (j, &mask) in self.masks.iter().enumerate() {
-                if (state & mask).count_ones() & 1 == 1 {
-                    bits.set(j * len + cycle, true);
-                }
-            }
-        }
-        ScanPattern::new(bits, self.config)
+        fill_pattern(&mut lfsr, self.config, |j, state| {
+            parity(state & self.masks[j])
+        })
     }
 }
 
@@ -338,34 +338,37 @@ impl Compressor for ReseedingCodec {
         if cube.config() != self.config {
             return Err(CompressError::GeometryMismatch);
         }
-        let rows = self.expansion_rows();
-        // Collect equations row·seed = value for every care bit.
-        let mut eqs: Vec<(u64, bool)> = Vec::with_capacity(cube.specified_count());
-        for (i, &row) in rows.iter().enumerate() {
-            if cube.care().get(i) == Some(true) {
-                eqs.push((row, cube.value().get(i) == Some(true)));
-            }
-        }
-        // Gaussian elimination over GF(2).
+        let rows = self.rows.get_or_init(|| self.expansion_rows());
+        // Gaussian elimination over GF(2), one equation row·seed = value
+        // per care bit, taken in ascending scan position.
         let mut pivots: Vec<(u32, u64, bool)> = Vec::new(); // (pivot bit, row, rhs)
-        for (mut row, mut rhs) in eqs {
-            for &(p, prow, prhs) in &pivots {
-                if (row >> p) & 1 == 1 {
-                    row ^= prow;
-                    rhs ^= prhs;
+        let care = cube.care().words();
+        let value = cube.value().words();
+        for (w, (&care_word, &value_word)) in care.iter().zip(value).enumerate() {
+            let mut pending = care_word;
+            while pending != 0 {
+                let b = pending.trailing_zeros();
+                pending &= pending - 1;
+                let mut row = rows[w * 32 + b as usize];
+                let mut rhs = (value_word >> b) & 1 == 1;
+                for &(p, prow, prhs) in &pivots {
+                    if (row >> p) & 1 == 1 {
+                        row ^= prow;
+                        rhs ^= prhs;
+                    }
                 }
-            }
-            if row == 0 {
-                if rhs {
-                    return Err(CompressError::Unsolvable {
-                        specified: cube.specified_count(),
-                        capacity: self.degree as usize,
-                    });
+                if row == 0 {
+                    if rhs {
+                        return Err(CompressError::Unsolvable {
+                            specified: cube.specified_count(),
+                            capacity: self.degree as usize,
+                        });
+                    }
+                    continue; // redundant equation
                 }
-                continue; // redundant equation
+                let p = 63 - row.leading_zeros();
+                pivots.push((p, row, rhs));
             }
-            let p = 63 - row.leading_zeros();
-            pivots.push((p, row, rhs));
         }
         // Back-substitute with free variables = 0. Each pivot row was
         // reduced by all *earlier* pivots only, so it may still contain
@@ -376,28 +379,26 @@ impl Compressor for ReseedingCodec {
             let mut v = rhs;
             // XOR in already-assigned lower bits present in the row.
             let lower = row & !(1u64 << p);
-            v ^= ((seed & lower).count_ones() & 1) == 1;
+            v ^= parity(seed & lower);
             if v {
                 seed |= 1 << p;
             }
         }
-        let mut out = BitVec::new();
-        for b in 0..self.degree as usize {
-            out.push((seed >> b) & 1 == 1);
-        }
-        Ok(out)
+        Ok(BitVec::from_words(
+            vec![seed as u32, (seed >> 32) as u32],
+            self.degree as usize,
+        ))
     }
 
     fn decompress(&self, stream: &BitVec) -> Result<ScanPattern, CompressError> {
         if stream.len() != self.degree as usize {
             return Err(CompressError::Malformed("seed length mismatch"));
         }
-        let mut seed = 0u64;
-        for (i, b) in stream.iter().enumerate() {
-            if b {
-                seed |= 1 << i;
-            }
-        }
+        let seed = stream
+            .words()
+            .iter()
+            .enumerate()
+            .fold(0u64, |seed, (i, &w)| seed | u64::from(w) << (32 * i));
         Ok(self.expand_seed(seed))
     }
 }
@@ -504,6 +505,129 @@ mod tests {
                 "expansion must satisfy cube (seed {seed})"
             );
         }
+    }
+
+    /// The per-cube solve that the cached-row [`ReseedingCodec::compress`]
+    /// replaced: a fresh symbolic expansion and a scan over every
+    /// position, kept as the reference it must reproduce.
+    fn reference_compress(
+        codec: &ReseedingCodec,
+        cube: &TestCube,
+    ) -> Result<BitVec, CompressError> {
+        let rows = codec.expansion_rows();
+        let mut eqs: Vec<(u64, bool)> = Vec::new();
+        for (i, &row) in rows.iter().enumerate() {
+            if cube.care().get(i) == Some(true) {
+                eqs.push((row, cube.value().get(i) == Some(true)));
+            }
+        }
+        let mut pivots: Vec<(u32, u64, bool)> = Vec::new();
+        for (mut row, mut rhs) in eqs {
+            for &(p, prow, prhs) in &pivots {
+                if (row >> p) & 1 == 1 {
+                    row ^= prow;
+                    rhs ^= prhs;
+                }
+            }
+            if row == 0 {
+                if rhs {
+                    return Err(CompressError::Unsolvable {
+                        specified: cube.specified_count(),
+                        capacity: codec.degree as usize,
+                    });
+                }
+                continue;
+            }
+            pivots.push((63 - row.leading_zeros(), row, rhs));
+        }
+        let mut seed = 0u64;
+        for &(p, row, rhs) in pivots.iter().rev() {
+            let lower = row & !(1u64 << p);
+            if rhs ^ ((seed & lower).count_ones() & 1 == 1) {
+                seed |= 1 << p;
+            }
+        }
+        let mut out = BitVec::new();
+        for b in 0..codec.degree as usize {
+            out.push((seed >> b) & 1 == 1);
+        }
+        Ok(out)
+    }
+
+    /// The bit-serial seed expansion that the shared word-packed fill
+    /// replaced.
+    fn reference_expand(codec: &ReseedingCodec, seed: u64) -> ScanPattern {
+        let len = codec.config.max_chain_len() as usize;
+        let chains = codec.config.chains() as usize;
+        let mut bits = BitVec::zeros(chains * len);
+        let mut lfsr = Lfsr::new(codec.degree, codec.taps, 1, LfsrForm::Fibonacci)
+            .unwrap()
+            .with_state(seed);
+        for cycle in 0..len {
+            lfsr.step();
+            let state = lfsr.state();
+            for (j, &mask) in codec.masks.iter().enumerate() {
+                if (state & mask).count_ones() & 1 == 1 {
+                    bits.set(j * len + cycle, true);
+                }
+            }
+        }
+        ScanPattern::new(bits, codec.config)
+    }
+
+    #[test]
+    fn reseeding_expansion_matches_bit_serial_reference() {
+        for (chains, len) in [(1, 1), (3, 37), (33, 5), (4, 48), (4, 64)] {
+            let cfg = ScanConfig::new(chains, len);
+            for degree in [16, 32, 64] {
+                let codec = ReseedingCodec::new(cfg, degree).unwrap();
+                for seed in [0u64, 1, 0xDEAD_BEEF_0BAD_F00D, u64::MAX] {
+                    let seed = if degree == 64 {
+                        seed
+                    } else {
+                        seed & ((1 << degree) - 1)
+                    };
+                    let mut stream = BitVec::new();
+                    for b in 0..degree {
+                        stream.push((seed >> b) & 1 == 1);
+                    }
+                    assert_eq!(
+                        codec.decompress(&stream).unwrap(),
+                        reference_expand(&codec, seed),
+                        "{cfg} degree {degree} seed {seed:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cached_rows_compress_matches_fresh_solve() {
+        let mut solved = 0;
+        let mut unsolvable = 0;
+        for (chains, len, degree) in [(4, 64, 64), (3, 37, 32), (33, 5, 48), (4, 48, 16)] {
+            let cfg = ScanConfig::new(chains, len);
+            let codec = ReseedingCodec::new(cfg, degree).unwrap();
+            for seed in 0..60u64 {
+                // From a handful of care bits to well past the seed
+                // capacity, so both outcomes are exercised.
+                let cares = 1 + (seed as usize * 7) % (degree as usize + 24);
+                let cube = TestCube::random(cfg, cares, seed);
+                let got = codec.compress(&cube);
+                assert_eq!(got, reference_compress(&codec, &cube), "{cfg} cube {seed}");
+                match got {
+                    Ok(stream) => {
+                        assert!(cube.is_satisfied_by(&codec.decompress(&stream).unwrap()));
+                        solved += 1;
+                    }
+                    Err(_) => unsolvable += 1,
+                }
+            }
+        }
+        assert!(
+            solved >= 100 && unsolvable >= 20,
+            "{solved} solved, {unsolvable} unsolvable"
+        );
     }
 
     #[test]

@@ -27,6 +27,36 @@ pub(crate) fn phase_mask(j: u64, degree: u32) -> u64 {
     }
 }
 
+/// Parity of `x`: the output of a phase-shifter XOR tree over the LFSR
+/// stages selected by a mask.
+pub(crate) fn parity(x: u64) -> bool {
+    x.count_ones() & 1 == 1
+}
+
+/// Fills one chain-major pattern for `config` from a phase-shifted LFSR:
+/// each shift cycle steps `lfsr` once, and chain `j` receives
+/// `bit(j, state)` for that cycle, ORed straight into the packed words.
+/// [`Prpg`], [`WeightedPrpg`] and the reseeding decompressor share it.
+pub(crate) fn fill_pattern(
+    lfsr: &mut Lfsr,
+    config: ScanConfig,
+    bit: impl Fn(usize, u64) -> bool,
+) -> ScanPattern {
+    let chains = config.chains() as usize;
+    let len = config.max_chain_len() as usize;
+    let mut words = vec![0u32; (chains * len).div_ceil(32)];
+    for cycle in 0..len {
+        lfsr.step();
+        let state = lfsr.state();
+        let mut index = cycle;
+        for j in 0..chains {
+            words[index / 32] |= u32::from(bit(j, state)) << (index % 32);
+            index += len;
+        }
+    }
+    ScanPattern::new(BitVec::from_words(words, chains * len), config)
+}
+
 /// A pseudo-random pattern generator for `chains` parallel scan chains.
 ///
 /// Each shift cycle advances the internal LFSR once; chain `j` receives the
@@ -83,21 +113,12 @@ impl Prpg {
     /// Generates the next pattern: one bit per chain per shift cycle,
     /// chain-major packing (chain 0's full image first).
     pub fn next_pattern(&mut self) -> ScanPattern {
-        let chains = self.config.chains() as usize;
-        let len = self.config.max_chain_len() as usize;
-        let mut bits = BitVec::zeros(chains * len);
-        for cycle in 0..len {
-            self.lfsr.step();
-            let state = self.lfsr.state();
-            for (j, &mask) in self.masks.iter().enumerate() {
-                let bit = (state & mask).count_ones() & 1 == 1;
-                if bit {
-                    bits.set(j * len + cycle, true);
-                }
-            }
-        }
+        let masks = &self.masks;
+        let pattern = fill_pattern(&mut self.lfsr, self.config, |j, state| {
+            parity(state & masks[j])
+        });
         self.generated += 1;
-        ScanPattern::new(bits, self.config)
+        pattern
     }
 
     /// Skips `n` patterns without materializing them (timing-only mode).
@@ -227,32 +248,102 @@ impl WeightedPrpg {
 
     /// Generates the next weighted pattern (chain-major packing).
     pub fn next_pattern(&mut self) -> ScanPattern {
-        let chains = self.config.chains() as usize;
-        let len = self.config.max_chain_len() as usize;
-        let mut bits = BitVec::zeros(chains * len);
-        for cycle in 0..len {
-            self.lfsr.step();
-            let state = self.lfsr.state();
-            for (j, (masks, or)) in self.chain_taps.iter().enumerate() {
-                let tap = |m: u64| (state & m).count_ones() & 1 == 1;
-                let bit = if *or {
-                    masks.iter().any(|&m| tap(m))
-                } else {
-                    masks.iter().all(|&m| tap(m))
-                };
-                if bit {
-                    bits.set(j * len + cycle, true);
-                }
+        let chain_taps = &self.chain_taps;
+        let pattern = fill_pattern(&mut self.lfsr, self.config, |j, state| {
+            let (masks, or) = &chain_taps[j];
+            if *or {
+                masks.iter().any(|&m| parity(state & m))
+            } else {
+                masks.iter().all(|&m| parity(state & m))
             }
-        }
+        });
         self.generated += 1;
-        ScanPattern::new(bits, self.config)
+        pattern
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Geometries where neither the chain length nor the pattern size is
+    /// a multiple of the 32-bit word, plus the SoC's word-aligned ones.
+    const GEOMETRIES: [(u32, u32); 5] = [(1, 1), (3, 37), (33, 5), (4, 48), (4, 64)];
+
+    /// The bit-serial phase-shifter fill that [`fill_pattern`] replaced,
+    /// kept as the reference it must reproduce bit for bit.
+    fn reference_fill(
+        lfsr: &mut Lfsr,
+        config: ScanConfig,
+        bit: impl Fn(usize, u64) -> bool,
+    ) -> ScanPattern {
+        let chains = config.chains() as usize;
+        let len = config.max_chain_len() as usize;
+        let mut bits = BitVec::zeros(chains * len);
+        for cycle in 0..len {
+            lfsr.step();
+            let state = lfsr.state();
+            for j in 0..chains {
+                if bit(j, state) {
+                    bits.set(j * len + cycle, true);
+                }
+            }
+        }
+        ScanPattern::new(bits, config)
+    }
+
+    #[test]
+    fn prpg_matches_bit_serial_reference() {
+        for (chains, len) in GEOMETRIES {
+            let cfg = ScanConfig::new(chains, len);
+            for seed in [1u64, 0xDEAD_BEEF, 0x1234_5678_9ABC] {
+                let mut prpg = Prpg::new(32, seed, cfg).unwrap();
+                let mut lfsr = Lfsr::maximal(32, seed).unwrap();
+                let masks: Vec<u64> = (0..chains as u64).map(|j| phase_mask(j, 32)).collect();
+                for k in 0..4 {
+                    let want =
+                        reference_fill(&mut lfsr, cfg, |j, s| (s & masks[j]).count_ones() & 1 == 1);
+                    assert_eq!(
+                        prpg.next_pattern(),
+                        want,
+                        "{cfg} seed {seed:#x} pattern {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_prpg_matches_bit_serial_reference() {
+        let all = [
+            Weight::Eighth,
+            Weight::Quarter,
+            Weight::Half,
+            Weight::ThreeQuarters,
+            Weight::SevenEighths,
+        ];
+        for (chains, len) in GEOMETRIES {
+            let cfg = ScanConfig::new(chains, len);
+            let weights: Vec<Weight> = (0..chains as usize).map(|j| all[j % all.len()]).collect();
+            for seed in [1u64, 0xAB, 0x5555_0001] {
+                let mut gen = WeightedPrpg::new(32, seed, cfg, weights.clone()).unwrap();
+                let mut lfsr = Lfsr::maximal(32, seed).unwrap();
+                let chain_taps = gen.chain_taps.clone();
+                for k in 0..4 {
+                    let want = reference_fill(&mut lfsr, cfg, |j, state| {
+                        let (masks, or) = &chain_taps[j];
+                        let tap = |m: u64| (state & m).count_ones() & 1 == 1;
+                        if *or {
+                            masks.iter().any(|&m| tap(m))
+                        } else {
+                            masks.iter().all(|&m| tap(m))
+                        }
+                    });
+                    assert_eq!(gen.next_pattern(), want, "{cfg} seed {seed:#x} pattern {k}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn chains_are_decorrelated() {

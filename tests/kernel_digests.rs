@@ -14,15 +14,18 @@
 //! * one campaign detection matrix (seeded population x 4 schedules),
 //!   via an FNV-1a digest of the emitted CSV,
 //! * traced vs untraced runs of the same scenario (must agree with each
-//!   other *and* with the pinned value).
+//!   other *and* with the pinned value),
+//! * the four schedules on the Full data policy, accurate and
+//!   loosely-timed, so the bit-true pattern path (PRPG, ATE stimuli,
+//!   reseeding codec, XOR compaction, MISR signatures) cannot drift.
 
 use tve::campaign::{generate, run_campaign, CampaignConfig, PopulationSpec};
 use tve::obs::{fnv1a, StoragePolicy};
 use tve::sched::Farm;
 use tve::sim::Duration;
 use tve::soc::{
-    paper_schedules, run_scenario, run_scenario_quantum, run_scenario_traced, SocConfig,
-    SocTestPlan,
+    paper_schedules, run_scenario, run_scenario_quantum, run_scenario_traced, PlanOverrides,
+    SocConfig, SocTestPlan, Workload,
 };
 
 /// Digests of schedules 1-4 on the benchmark workload, recorded on the
@@ -51,6 +54,25 @@ const QUANTUM_1024_DIGESTS: [u64; 4] = [
     0xffa1d33ae1a86a69,
     0xb61a4dd285f7c1c8,
     0xa5aed2cd5ed4c260,
+];
+
+/// Digests of schedules 1-4 on the Full data policy (the inputs of the
+/// repo benchmark's `campaign_full` workload), cycle-accurate. These
+/// cover every stimulus, response and signature bit: a mismatch means a
+/// pattern generator, codec or compactor changed its output.
+const FULL_DATA_DIGESTS: [u64; 4] = [
+    0xcca62460d32715b3,
+    0x6594b9856d058642,
+    0xaa7fb9e09c630d4d,
+    0x1a2acd1b95ed7cf3,
+];
+
+/// The same Full-data runs in loosely-timed mode, 1024-cycle quantum.
+const FULL_DATA_QUANTUM_1024_DIGESTS: [u64; 4] = [
+    0xcca62460d32715b3,
+    0x3f9324a5c02ed488,
+    0x28af8f323e7440fa,
+    0x2928415a2671179c,
 ];
 
 fn bench_workload() -> (SocConfig, SocTestPlan) {
@@ -106,6 +128,65 @@ fn quantum_digests_are_pinned_across_dmi() {
         got,
         QUANTUM_1024_DIGESTS.to_vec(),
         "the loosely-timed DMI fast path changed quantum-mode results"
+    );
+}
+
+/// The small SoC on the Full data policy with the pattern counts of the
+/// repo benchmark's `campaign_full` workload.
+fn full_data_workload() -> (SocConfig, SocTestPlan) {
+    let mut overrides = PlanOverrides::default();
+    for (key, patterns) in [
+        ("bist_proc_patterns", 900),
+        ("det_proc_patterns", 600),
+        ("comp_proc_patterns", 300),
+        ("bist_color_patterns", 600),
+        ("det_dct_patterns", 600),
+    ] {
+        assert!(overrides.set(key, patterns), "unknown plan key {key}");
+    }
+    Workload::small()
+        .with_mem_words(128)
+        .with_overrides(overrides)
+        .build()
+}
+
+#[test]
+fn full_data_digests_are_pinned() {
+    let (config, plan) = full_data_workload();
+    let accurate: Vec<u64> = paper_schedules()
+        .iter()
+        .map(|s| {
+            run_scenario(&config, &plan, s)
+                .expect("well-formed")
+                .digest()
+        })
+        .collect();
+    let quantum: Vec<u64> = paper_schedules()
+        .iter()
+        .map(|s| {
+            run_scenario_quantum(&config, &plan, s, Duration::cycles(1024))
+                .expect("well-formed")
+                .digest()
+        })
+        .collect();
+    for (label, got) in [("accurate", &accurate), ("quantum-1024", &quantum)] {
+        println!(
+            "full-data {label} digests: [{}]",
+            got.iter()
+                .map(|d| format!("{d:#018x}"))
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
+    }
+    assert_eq!(
+        accurate,
+        FULL_DATA_DIGESTS.to_vec(),
+        "the bit-true pattern path changed accurate-mode results"
+    );
+    assert_eq!(
+        quantum,
+        FULL_DATA_QUANTUM_1024_DIGESTS.to_vec(),
+        "the bit-true pattern path changed loosely-timed results"
     );
 }
 
