@@ -258,7 +258,7 @@ pub fn run_campaign_journaled(
 /// [`run_campaign_journaled`] with journal writes routed through an
 /// explicit [`IoPolicy`].
 ///
-/// This is the injectable-io seam the resilience harness uses to tear
+/// This is the injectable-io seam `tests/campaign_resume.rs` uses to tear
 /// journal records *on the write path* (short write, ENOSPC) instead of
 /// truncating the file afterwards: a failed append surfaces as a typed
 /// error from this function — never a silently absorbed partial record —

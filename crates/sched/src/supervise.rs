@@ -17,7 +17,7 @@
 //!   [`SupervisedError::Cancelled`] without running anything.
 //! - **Chaos** — a deterministic fault hook may inject a worker panic
 //!   or an artificial delay into chosen `(item, attempt)` pairs, which
-//!   is how the resilience harness proves all of the above.
+//!   is how `tests/serve_resilience.rs` proves all of the above.
 //!
 //! A worker exits as soon as it finds the queue empty. That never
 //! strands work: an item is only re-queued by a worker that then spawns
@@ -64,7 +64,7 @@ pub struct SupervisePolicy {
     /// boundary and queued items resolve to
     /// [`SupervisedError::Cancelled`].
     pub external: Option<Arc<CancelToken>>,
-    /// Deterministic fault injection for the resilience harness.
+    /// Deterministic fault injection (`tests/serve_resilience.rs`).
     pub chaos: Option<ChaosHook>,
     /// Sink for the `farm.retries` / `farm.respawns` /
     /// `farm.chaos_injected` counters.

@@ -20,11 +20,11 @@
 //! | `snapshot-enospc`     | cache snapshot write           | —                  |
 //!
 //! Injection is *deterministic*: the same spec against the same request
-//! sequence fires the same faults, which is what lets the resilience
-//! bench and the CI chaos-smoke job compare chaotic runs byte-for-byte
-//! against fault-free references. Every site keeps an occurrence counter
-//! exposed via [`ChaosSpec::counters_json`] so tests can assert a fault
-//! actually fired.
+//! sequence fires the same faults, which is what lets
+//! `tests/serve_resilience.rs` and the CI chaos-smoke job compare chaotic
+//! runs byte-for-byte against fault-free references. Every site keeps an
+//! occurrence counter exposed via [`ChaosSpec::counters_json`] so tests
+//! can assert a fault actually fired.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

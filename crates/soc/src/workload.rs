@@ -1,10 +1,10 @@
 //! Reusable workload setup: one place that knows how to build the
 //! (config, plan) pairs every entry point used to re-implement.
 //!
-//! `table1`, `campaign`, `lint`, `kernel_bench`, the pinned-digest tests
-//! and the `tve-serve` daemon all start from the same three shapes — the
-//! paper-scale SoC, the small validation SoC, and the benchmark workload
-//! (`--scale 100 --mem-words 2622`). [`Workload`] names those shapes once
+//! `table1`, `campaign`, `lint`, the repo benchmark, the pinned-digest
+//! tests and the `tve-serve` daemon all start from the same three
+//! shapes — the paper-scale SoC, the small validation SoC, and the
+//! benchmark workload (`--scale 100 --mem-words 2622`). [`Workload`] names those shapes once
 //! and layers the common knobs (memory size, pattern-count scale,
 //! per-test overrides) on top, so a "workload" is plain, clonable,
 //! serializable-by-hand data that can cross a process boundary.

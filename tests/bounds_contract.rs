@@ -227,3 +227,42 @@ fn paper_workload_sits_inside_its_envelopes_accurate_and_quantum() {
         }
     }
 }
+
+#[test]
+fn paper_pool_prunes_29_of_31_candidates_with_an_identical_front() {
+    // The paper workload at 1/200 pattern counts; the 4 paper schedules
+    // plus 27 enumerated partitions.
+    let mut cfg = SocConfig::paper();
+    cfg.memory_words = 2622;
+    let plan = SocTestPlan::paper_scaled(200);
+    let tasks = estimate_tasks(&cfg, &plan);
+    let constraints = Constraints {
+        tam_capacity: 1.0,
+        power_budget: 400,
+    };
+    let mut pool: Vec<Schedule> = paper_schedules().into_iter().collect();
+    pool.extend(enumerate_schedules(&tasks, &constraints, 24));
+    let exhaustive = explore_certified(&cfg, &plan, &tasks, &constraints, &pool, false);
+    let certified = explore_certified(&cfg, &plan, &tasks, &constraints, &pool, true);
+    assert!(
+        exhaustive.violations.is_empty(),
+        "{:?}",
+        exhaustive.violations
+    );
+    assert!(
+        certified.violations.is_empty(),
+        "{:?}",
+        certified.violations
+    );
+    assert_eq!(exhaustive.pruned(), 0);
+    assert_eq!(certified.front_signature(), exhaustive.front_signature());
+    assert_eq!(
+        (
+            certified.candidates.len(),
+            certified.simulated(),
+            certified.pruned(),
+            certified.front_points().len()
+        ),
+        (31, 2, 29, 2)
+    );
+}

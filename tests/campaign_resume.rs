@@ -21,12 +21,18 @@ use tve::soc::{paper_schedules, SocConfig, SocTestPlan};
 /// The campaign both processes run: parent and child must agree on the
 /// fingerprint, so everything is derived from this one function.
 fn config() -> CampaignConfig {
+    config_with(2)
+}
+
+/// `faults` scan cells per core and `faults` memory faults, plus the
+/// infrastructure faults, on every paper schedule.
+fn config_with(faults: usize) -> CampaignConfig {
     let mut soc = SocConfig::small();
     soc.memory_words = 128;
     let population = generate(
         &PopulationSpec {
-            scan_cells_per_core: 2,
-            memory_faults: 2,
+            scan_cells_per_core: faults,
+            memory_faults: faults,
             ..PopulationSpec::default()
         },
         &soc,
@@ -110,6 +116,37 @@ fn sigkilled_campaign_resumes_to_identical_artifact() {
     assert_eq!(resume.resumed_cells + resume.simulated_cells, cells);
     let merged = merge_shards(&config, &[report]).expect("full shard merges");
     let baseline = run_campaign(&config, &farm);
+    assert_eq!(merged.to_csv(), baseline.to_csv(), "CSV differs");
+    assert_eq!(merged.to_json(), baseline.to_json(), "JSON differs");
+    let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn half_truncated_journal_resumes_the_other_half_byte_identical() {
+    let journal = temp_journal("half");
+    let _ = std::fs::remove_file(&journal);
+    let mut config = config_with(4);
+    config.diagnosis = true;
+    let cells = config.population.len() * config.schedules.len();
+    assert_eq!(cells, 92);
+    let farm = Farm::with_workers(2);
+    let baseline = run_campaign(&config, &farm);
+    run_campaign_journaled(&config, &farm, ShardSpec::full(), &journal).expect("cold run");
+
+    // Keep the header plus half the cell records: the state a SIGKILL
+    // halfway through the matrix leaves behind.
+    let text = std::fs::read_to_string(&journal).expect("journal readable");
+    let keep: usize = text
+        .split_inclusive('\n')
+        .take(1 + cells / 2)
+        .map(str::len)
+        .sum();
+    std::fs::write(&journal, &text[..keep]).expect("journal truncatable");
+    let (report, resume) =
+        run_campaign_journaled(&config, &farm, ShardSpec::full(), &journal).expect("resume");
+    assert_eq!(resume.resumed_cells, 46);
+    assert_eq!(resume.simulated_cells, 46);
+    let merged = merge_shards(&config, &[report]).expect("full shard merges");
     assert_eq!(merged.to_csv(), baseline.to_csv(), "CSV differs");
     assert_eq!(merged.to_json(), baseline.to_json(), "JSON differs");
     let _ = std::fs::remove_file(&journal);

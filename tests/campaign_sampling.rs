@@ -22,15 +22,19 @@ use tve::soc::{paper_schedules, SocConfig, SocTestPlan};
 /// nontrivial to bracket. Infrastructure faults are excluded — they are
 /// not part of the coverage denominator.
 fn config() -> CampaignConfig {
-    let mut soc = SocConfig::small();
-    soc.memory_words = 64;
     // 3 scan cells on each of 4 cores + 2 memory faults = 14 faults,
     // big enough that the guided pilot (one fault per stratum) leaves
     // the selector budget to actually chase the escape-prone stratum.
+    config_with(3, 2, 64)
+}
+
+fn config_with(scan_cells_per_core: usize, memory_faults: usize, words: u32) -> CampaignConfig {
+    let mut soc = SocConfig::small();
+    soc.memory_words = words;
     let population = generate(
         &PopulationSpec {
-            scan_cells_per_core: 3,
-            memory_faults: 2,
+            scan_cells_per_core,
+            memory_faults,
             infrastructure: false,
             include_unscanned: true,
             ..PopulationSpec::default()
@@ -161,4 +165,34 @@ fn guided_selector_recovers_the_escape_set_within_half_budget() {
         guided.estimate.is_none(),
         "adaptive selection must not report a confidence interval"
     );
+}
+
+/// The larger population (4 scan cells per core, 4 memory faults, 128
+/// words: 20 faults x 4 schedules = 80 cells) pinned exactly: the
+/// stratified estimate at one seed, bit for bit, and the guided
+/// selector's spend.
+#[test]
+fn larger_population_estimate_and_guided_spend_are_pinned() {
+    let config = config_with(4, 4, 128);
+    let farm = Farm::with_workers(2);
+    let total_cells = config.population.len() * config.schedules.len();
+    assert_eq!(total_cells, 80);
+    let exhaustive = run_campaign(&config, &farm);
+    let truth_escapes: BTreeSet<&str> = exhaustive.union_escapes().into_iter().collect();
+    assert_eq!(truth_escapes.len(), 4);
+    let truth = 1.0 - truth_escapes.len() as f64 / config.population.len() as f64;
+
+    let sampled = run_sampled_campaign(&config, &farm, config.population.len() / 2, 0x5EED_CA3A);
+    let estimate = sampled.estimate.expect("stratified mode estimates");
+    assert_eq!(sampled.spent_cells, 40);
+    // Shortest round-trip literals: `==` here is equality of the bits.
+    assert_eq!(
+        (estimate.coverage, estimate.ci_low, estimate.ci_high, truth),
+        (0.8, 0.6102273017208482, 0.9897726982791519, 0.8)
+    );
+
+    let guided = run_guided_campaign(&config, &farm, total_cells / 2, 1, 0x5EED_CA3A);
+    assert_eq!(guided.spent_cells, 40);
+    let found: BTreeSet<&str> = guided.report.union_escapes().into_iter().collect();
+    assert_eq!(found, truth_escapes);
 }

@@ -3,15 +3,18 @@
 //! and the result cache survives a daemon restart bit-for-bit — proven
 //! by `verify` re-execution of every reloaded hit, not by trusting the
 //! snapshot — and a forged snapshot entry with a valid checksum is
-//! caught by that re-execution.
+//! caught by that re-execution. A warm pass is served entirely from the
+//! cache at least 10x faster than the cold pass, and a one-field plan
+//! edit re-simulates exactly the work that depends on it.
 
 use std::path::PathBuf;
+use std::time::Instant;
 
 use tve::campaign::{append_outcome, merge_shards, CellOutcome, ShardReport, ShardSpec};
 use tve::obs::{Journal, JsonValue};
 use tve::sched::Farm;
 use tve::serve::{cell_key, spawn, Client, DaemonHandle, JobKind, JobSpec, ServeOptions};
-use tve::soc::Workload;
+use tve::soc::{PlanOverrides, Workload};
 
 fn test_path(tag: &str, ext: &str) -> PathBuf {
     std::env::temp_dir().join(format!("tve-scaleout-{tag}-{}.{ext}", std::process::id()))
@@ -317,4 +320,112 @@ fn verify_cache_catches_a_divergent_snapshot_entry() {
     client.shutdown().expect("clean shutdown");
     daemon.join().expect("daemon joins");
     let _ = std::fs::remove_file(&cache_file);
+}
+
+fn num(result: &JsonValue, key: &str) -> u64 {
+    result
+        .get(key)
+        .and_then(JsonValue::as_u64)
+        .unwrap_or_else(|| panic!("no integer field {key:?} in {result:?}"))
+}
+
+fn is_cached(result: &JsonValue) -> bool {
+    result.get("cached").and_then(JsonValue::as_bool) == Some(true)
+}
+
+/// The four benchmark schedules plus the small campaign, and the wall
+/// time of the whole round trip (cache time included: that is the
+/// serving latency).
+fn serve_pass(
+    client: &mut Client,
+    schedules: &Workload,
+    campaign: &Workload,
+    verify: Option<f64>,
+) -> (Vec<JsonValue>, JsonValue, f64) {
+    let t = Instant::now();
+    let results = (1..=4)
+        .map(|index| {
+            let job = JobSpec {
+                workload: schedules.clone(),
+                kind: JobKind::Schedule { index },
+                verify,
+                deadline_ms: None,
+            };
+            client.submit(&job).expect("schedule job succeeds")
+        })
+        .collect();
+    let mut job = campaign_job(None);
+    job.workload = campaign.clone();
+    job.verify = verify;
+    let campaign = client.submit(&job).expect("campaign job succeeds");
+    (results, campaign, t.elapsed().as_secs_f64())
+}
+
+#[test]
+fn warm_pass_is_all_hits_and_a_plan_edit_resimulates_only_its_blast_radius() {
+    let (daemon, mut client) = start("passes", None, None);
+    let (schedules, campaign) = (Workload::bench(), Workload::small());
+
+    let (cold, cold_campaign, cold_wall) = serve_pass(&mut client, &schedules, &campaign, None);
+    assert!(!cold.iter().any(is_cached), "cold pass found a warm cache");
+    let cells = num(&cold_campaign, "cells");
+    assert_eq!(num(&cold_campaign, "cells_simulated"), cells);
+
+    let misses_before = num(&client.stats().expect("stats"), "misses");
+    let (warm, warm_campaign, warm_wall) = serve_pass(&mut client, &schedules, &campaign, None);
+    let misses_after = num(&client.stats().expect("stats"), "misses");
+    for (index, (c, w)) in cold.iter().zip(&warm).enumerate() {
+        assert!(is_cached(w), "warm schedule {} missed the cache", index + 1);
+        assert_eq!(field(c, "digest"), field(w, "digest"));
+    }
+    assert_eq!(num(&warm_campaign, "cells_simulated"), 0);
+    assert_eq!(num(&warm_campaign, "goldens_simulated"), 0);
+    assert_eq!(
+        field(&cold_campaign, "csv_digest"),
+        field(&warm_campaign, "csv_digest")
+    );
+    assert_eq!(
+        misses_after, misses_before,
+        "the warm pass missed the cache"
+    );
+    assert!(
+        warm_wall * 10.0 <= cold_wall,
+        "warm pass {warm_wall:.4}s is not 10x faster than cold {cold_wall:.4}s"
+    );
+
+    // det_proc_patterns feeds test 2, which only schedules 1 and 3 run:
+    // exactly those two schedules and half the campaign matrix move.
+    let mut edit = PlanOverrides::default();
+    edit.set("det_proc_patterns", 37);
+    let entries_before = num(&client.stats().expect("stats"), "entries");
+    let impact = client.invalidate(&schedules, &edit).expect("invalidate");
+    let affected = impact
+        .get("affected_schedules")
+        .and_then(JsonValue::as_arr)
+        .expect("impact names the affected schedules");
+    assert_eq!(affected.len(), 2);
+    let evicted = num(&impact, "evicted");
+    assert!(evicted > 0, "the edit evicted nothing");
+    let entries_after = num(&client.stats().expect("stats"), "entries");
+    assert_eq!(entries_before - evicted, entries_after);
+
+    let schedules = schedules.with_overrides(edit);
+    let campaign = campaign.with_overrides(edit);
+    let (edited, edited_campaign, _) = serve_pass(&mut client, &schedules, &campaign, None);
+    let cached: Vec<bool> = edited.iter().map(is_cached).collect();
+    assert_eq!(cached, [false, true, false, true]);
+    assert_eq!(num(&edited_campaign, "cells_simulated"), cells / 2);
+    assert_eq!(num(&edited_campaign, "goldens_simulated"), 2);
+
+    // Every hit re-executed and compared bit for bit.
+    serve_pass(&mut client, &schedules, &campaign, Some(1.0));
+    let stats = client.stats().expect("stats");
+    assert!(
+        num(&stats, "verified") > 0,
+        "verify pass re-executed nothing"
+    );
+    assert_eq!(num(&stats, "verify_failures"), 0);
+
+    client.shutdown().expect("clean shutdown");
+    daemon.join().expect("daemon joins");
 }
