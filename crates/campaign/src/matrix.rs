@@ -9,6 +9,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use tve_core::{FailingCell, StuckCell};
+use tve_obs::{csv_field, json_string};
 use tve_soc::WrappedCore;
 
 /// What happened when one fault met one schedule.
@@ -310,36 +311,6 @@ impl CampaignReport {
     }
 }
 
-/// Quotes a CSV field when it contains a comma, quote or newline.
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-/// A JSON string literal with the mandatory escapes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,6 +373,32 @@ mod tests {
         assert_eq!(csv.lines().count(), 4, "header + 3 cells");
         let header_cols = csv.lines().next().unwrap().split(',').count();
         assert_eq!(header_cols, 7);
+    }
+
+    #[test]
+    fn csv_quotes_carriage_returns() {
+        for error in ["boom\r\nx", "boom\rx"] {
+            let mut report = sample_report();
+            report.cells[2].outcome = CellOutcome::InfraFailure {
+                error: error.into(),
+            };
+            let csv = report.to_csv();
+            assert!(csv.ends_with(&format!(",\"{error}\"\n")), "{csv:?}");
+            // Records end at a line break (LF, CRLF or a bare CR) outside
+            // quotes: the header plus one per cell.
+            let mut records = 0;
+            let mut quoted = false;
+            let mut chars = csv.chars().peekable();
+            while let Some(ch) = chars.next() {
+                match ch {
+                    '"' => quoted = !quoted,
+                    '\r' if !quoted && chars.peek() != Some(&'\n') => records += 1,
+                    '\n' if !quoted => records += 1,
+                    _ => {}
+                }
+            }
+            assert_eq!(records, 4, "header + 3 cells in {csv:?}");
+        }
     }
 
     #[test]

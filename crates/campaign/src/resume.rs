@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use tve_core::Schedule;
-use tve_obs::{parse_journal, IoPolicy, Journal, JournalDefect, JsonValue};
+use tve_obs::{parse_journal, IoPolicy, Journal, JournalDefect};
 use tve_sched::{Farm, SupervisePolicy};
 
 use crate::engine::CampaignConfig;
@@ -36,7 +36,8 @@ use crate::matrix::{CellOutcome, CellResult, DiagnosisCheck};
 use crate::shard::{campaign_fingerprint, effective_schedules, ShardReport, ShardSpec};
 use crate::walk::{run_campaign_shard_with, CampaignError, CampaignStore};
 use crate::wire::{
-    append_cell_result, append_diagnosis, cell_result_from_json, diagnosis_from_json,
+    append_cell_result, append_diagnosis, campaign_identity, cell_result_from_json,
+    diagnosis_from_json,
 };
 
 /// What a journaled run reused versus recomputed.
@@ -113,19 +114,8 @@ fn load_journal(
     let header = records
         .next()
         .ok_or_else(|| format!("journal {} has no valid header record", path.display()))?;
-    if header.get("kind").and_then(JsonValue::as_str) != Some("header")
-        || header.get("version").and_then(JsonValue::as_u64) != Some(1)
-    {
-        return Err(format!(
-            "journal {} does not start with a v1 campaign header",
-            path.display()
-        ));
-    }
-    let journal_fp = header
-        .get("fingerprint")
-        .and_then(JsonValue::as_str)
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or("journal header missing hex field 'fingerprint'")?;
+    let (journal_fp, journal_shard) = campaign_identity(header, "header")
+        .map_err(|e| format!("journal {} header: {e}", path.display()))?;
     if journal_fp != fingerprint {
         return Err(format!(
             "journal {} was written by a different campaign: fingerprint {journal_fp:016x}, \
@@ -133,12 +123,6 @@ fn load_journal(
             path.display()
         ));
     }
-    let journal_shard = ShardSpec::parse(
-        header
-            .get("shard")
-            .and_then(JsonValue::as_str)
-            .ok_or("journal header missing field 'shard'")?,
-    )?;
     if journal_shard != shard {
         return Err(format!(
             "journal {} belongs to shard {journal_shard}, this run is shard {shard}",
@@ -148,27 +132,22 @@ fn load_journal(
     let mut cells = BTreeMap::new();
     let mut diagnosis = BTreeMap::new();
     for record in records {
-        match record.get("kind").and_then(JsonValue::as_str) {
-            Some("cell") => {
-                let index = record
-                    .get("index")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("cell record missing 'index'")? as usize;
+        match record.str_field("kind")? {
+            "cell" => {
+                let index = record.u64_field("index")?;
                 if index >= total_cells || !shard.owns(index) {
                     return Err(format!(
                         "journal cell {index} is outside shard {shard}'s slice of the \
                          {total_cells}-cell matrix"
                     ));
                 }
-                let cell =
-                    cell_result_from_json(record.get("cell").ok_or("cell record missing 'cell'")?)?;
+                let cell = cell_result_from_json(record.field("cell")?)?;
                 if cells.insert(index, cell).is_some() {
                     return Err(format!("journal records cell {index} twice"));
                 }
             }
-            Some("diag") => {
-                let check =
-                    diagnosis_from_json(record.get("check").ok_or("diag record missing 'check'")?)?;
+            "diag" => {
+                let check = diagnosis_from_json(record.field("check")?)?;
                 if diagnosis.insert(check.fault_id.clone(), check).is_some() {
                     return Err("journal records a diagnosis twice".into());
                 }
@@ -331,7 +310,7 @@ mod tests {
             tve_obs::check_json(&payload).expect("payload is well-formed JSON");
         }
         let v = tve_obs::parse_json(&cell_payload(3, &cell)).unwrap();
-        assert_eq!(v.get("index").and_then(JsonValue::as_u64), Some(3));
+        assert_eq!(v.u64_field::<usize>("index"), Ok(3));
         assert_eq!(cell_result_from_json(v.get("cell").unwrap()).unwrap(), cell);
     }
 }

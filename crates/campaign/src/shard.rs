@@ -23,14 +23,15 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use tve_core::Schedule;
-use tve_obs::{append_json_string, fnv1a, parse_json, JsonValue};
+use tve_obs::{append_json_string, fnv1a, parse_json};
 use tve_sched::{Farm, SupervisePolicy};
 
 use crate::engine::CampaignConfig;
 use crate::matrix::{CampaignReport, CellResult, DiagnosisCheck, PrescreenedSchedule};
 use crate::walk::{run_campaign_shard_with, NoStore};
 use crate::wire::{
-    append_cell_result, append_diagnosis, cell_result_from_json, diagnosis_from_json,
+    append_cell_result, append_diagnosis, campaign_identity, cell_result_from_json,
+    diagnosis_from_json,
 };
 
 /// One shard of a campaign: which residue class of cell indices this
@@ -235,93 +236,37 @@ impl ShardReport {
     /// A message naming what was malformed.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let v = parse_json(text).map_err(|e| format!("shard report is not valid JSON: {e}"))?;
-        if v.get("kind").and_then(JsonValue::as_str) != Some("tve-campaign-shard") {
-            return Err("not a tve-campaign-shard document".into());
-        }
-        if v.get("version").and_then(JsonValue::as_u64) != Some(1) {
-            return Err("unsupported shard report version".into());
-        }
-        let fingerprint = v
-            .get("fingerprint")
-            .and_then(JsonValue::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or("shard report missing hex field 'fingerprint'")?;
-        let shard = ShardSpec::parse(
-            v.get("shard")
-                .and_then(JsonValue::as_str)
-                .ok_or("shard report missing string field 'shard'")?,
-        )?;
-        let total_cells =
-            v.get("total_cells")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard report missing integer field 'total_cells'")? as usize;
-        let schedules = v
-            .get("schedules")
-            .and_then(JsonValue::as_arr)
-            .ok_or("shard report missing array field 'schedules'")?
-            .iter()
-            .map(|s| {
-                s.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "non-string schedule name".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let prescreened = v
-            .get("prescreened")
-            .and_then(JsonValue::as_arr)
-            .ok_or("shard report missing array field 'prescreened'")?
-            .iter()
-            .map(|p| {
-                Ok(PrescreenedSchedule {
-                    schedule: p
-                        .get("name")
-                        .and_then(JsonValue::as_str)
-                        .ok_or("prescreened entry missing 'name'")?
-                        .to_string(),
-                    codes: p
-                        .get("codes")
-                        .and_then(JsonValue::as_arr)
-                        .ok_or("prescreened entry missing 'codes'")?
-                        .iter()
-                        .map(|c| {
-                            c.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| "non-string diagnostic code".to_string())
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let cells = v
-            .get("cells")
-            .and_then(JsonValue::as_arr)
-            .ok_or("shard report missing array field 'cells'")?
-            .iter()
-            .map(|e| {
-                let index = e
-                    .get("index")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("cell entry missing 'index'")? as usize;
-                let cell =
-                    cell_result_from_json(e.get("cell").ok_or("cell entry missing 'cell'")?)?;
-                Ok((index, cell))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let diagnosis = v
-            .get("diagnosis")
-            .and_then(JsonValue::as_arr)
-            .ok_or("shard report missing array field 'diagnosis'")?
-            .iter()
-            .map(diagnosis_from_json)
-            .collect::<Result<Vec<_>, String>>()?;
+        let (fingerprint, shard) = campaign_identity(&v, "tve-campaign-shard")?;
         Ok(ShardReport {
             fingerprint,
             shard,
-            total_cells,
-            schedules,
-            prescreened,
-            cells,
-            diagnosis,
+            total_cells: v.u64_field("total_cells")?,
+            schedules: v.strings_field("schedules")?,
+            prescreened: v
+                .arr_field("prescreened")?
+                .iter()
+                .map(|p| {
+                    Ok(PrescreenedSchedule {
+                        schedule: p.str_field("name")?.to_string(),
+                        codes: p.strings_field("codes")?,
+                    })
+                })
+                .collect::<Result<_, String>>()?,
+            cells: v
+                .arr_field("cells")?
+                .iter()
+                .map(|e| {
+                    Ok((
+                        e.u64_field("index")?,
+                        cell_result_from_json(e.field("cell")?)?,
+                    ))
+                })
+                .collect::<Result<_, String>>()?,
+            diagnosis: v
+                .arr_field("diagnosis")?
+                .iter()
+                .map(diagnosis_from_json)
+                .collect::<Result<_, String>>()?,
         })
     }
 }

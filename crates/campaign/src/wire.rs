@@ -11,12 +11,20 @@
 //! serializer here has a parser, and round-tripping is lossless —
 //! `from(to(x)) == x` — which is what lets the scale-out paths promise
 //! byte-identical artifacts.
+//!
+//! The parsers read through `tve-obs`'s typed field accessors
+//! (`JsonValue::str_field`, `u64_field`, ...), so a malformed record is
+//! an `Err` naming the offending key, never a panic. The campaign
+//! identity that opens shard reports and resume journals — the
+//! configuration's hex fingerprint and the shard spec — has its one
+//! reader here as well.
 
 use tve_core::{FailingCell, StuckCell};
 use tve_obs::{append_json_string, JsonValue};
 use tve_soc::WrappedCore;
 
 use crate::matrix::{CellOutcome, CellResult, DiagnosisCheck};
+use crate::shard::ShardSpec;
 
 /// Appends `cell` as a compact single-line JSON object.
 pub fn append_cell_result(out: &mut String, cell: &CellResult) {
@@ -61,30 +69,6 @@ pub fn append_outcome(out: &mut String, outcome: &CellOutcome) {
     }
 }
 
-fn want_str(v: &JsonValue, key: &str, what: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{what} record missing string field '{key}'"))
-}
-
-fn want_u64(v: &JsonValue, key: &str, what: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("{what} record missing integer field '{key}'"))
-}
-
-fn want_u32(v: &JsonValue, key: &str, what: &str) -> Result<u32, String> {
-    u32::try_from(want_u64(v, key, what)?)
-        .map_err(|_| format!("{what} record field '{key}' overflows u32"))
-}
-
-fn want_bool(v: &JsonValue, key: &str, what: &str) -> Result<bool, String> {
-    v.get(key)
-        .and_then(JsonValue::as_bool)
-        .ok_or_else(|| format!("{what} record missing boolean field '{key}'"))
-}
-
 /// Parses a [`CellOutcome`] from an object carrying the fields
 /// [`append_outcome`] emits.
 ///
@@ -92,24 +76,14 @@ fn want_bool(v: &JsonValue, key: &str, what: &str) -> Result<bool, String> {
 ///
 /// A message naming the missing or malformed field.
 pub fn outcome_from_json(v: &JsonValue) -> Result<CellOutcome, String> {
-    Ok(match v.get("outcome").and_then(JsonValue::as_str) {
-        Some("detected") => CellOutcome::Detected {
-            latency_cycles: want_u64(v, "latency_cycles", "detected cell")?,
-            deviating: v
-                .get("deviating")
-                .and_then(JsonValue::as_arr)
-                .ok_or("detected cell record missing array field 'deviating'")?
-                .iter()
-                .map(|name| {
-                    name.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "non-string entry in 'deviating'".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
+    Ok(match v.str_field("outcome")? {
+        "detected" => CellOutcome::Detected {
+            latency_cycles: v.u64_field("latency_cycles")?,
+            deviating: v.strings_field("deviating")?,
         },
-        Some("escape") => CellOutcome::Escape,
-        Some("infra-failure") => CellOutcome::InfraFailure {
-            error: want_str(v, "error", "infra-failure cell")?,
+        "escape" => CellOutcome::Escape,
+        "infra-failure" => CellOutcome::InfraFailure {
+            error: v.str_field("error")?.to_string(),
         },
         other => return Err(format!("unknown cell outcome {other:?}")),
     })
@@ -121,12 +95,11 @@ pub fn outcome_from_json(v: &JsonValue) -> Result<CellOutcome, String> {
 ///
 /// A message naming the missing or malformed field.
 pub fn cell_result_from_json(v: &JsonValue) -> Result<CellResult, String> {
-    let outcome = outcome_from_json(v)?;
     Ok(CellResult {
-        fault_id: want_str(v, "fault", "cell")?,
-        fault_class: want_str(v, "class", "cell")?,
-        schedule: want_str(v, "schedule", "cell")?,
-        outcome,
+        fault_id: v.str_field("fault")?.to_string(),
+        fault_class: v.str_field("class")?.to_string(),
+        schedule: v.str_field("schedule")?.to_string(),
+        outcome: outcome_from_json(v)?,
     })
 }
 
@@ -174,40 +147,50 @@ fn core_from_label(label: &str) -> Result<WrappedCore, String> {
 ///
 /// A message naming the missing or malformed field.
 pub fn diagnosis_from_json(v: &JsonValue) -> Result<DiagnosisCheck, String> {
-    let injected = v
-        .get("injected")
-        .ok_or("diagnosis record missing 'injected'")?;
-    let located = v
-        .get("located")
-        .and_then(JsonValue::as_arr)
-        .ok_or("diagnosis record missing array field 'located'")?
-        .iter()
-        .map(|cell| {
-            Ok(FailingCell {
-                chain: want_u32(cell, "chain", "located cell")?,
-                position: want_u32(cell, "position", "located cell")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let first_failing_pattern = match v.get("first_failing_pattern") {
-        None | Some(JsonValue::Null) => None,
-        Some(p) => Some(
-            p.as_u64()
-                .ok_or("diagnosis record field 'first_failing_pattern' is not an integer")?,
-        ),
-    };
+    let injected = v.field("injected")?;
     Ok(DiagnosisCheck {
-        fault_id: want_str(v, "fault", "diagnosis")?,
-        core: core_from_label(&want_str(v, "core", "diagnosis")?)?,
+        fault_id: v.str_field("fault")?.to_string(),
+        core: core_from_label(v.str_field("core")?)?,
         injected: StuckCell {
-            chain: want_u32(injected, "chain", "injected cell")?,
-            position: want_u32(injected, "position", "injected cell")?,
-            value: want_bool(injected, "value", "injected cell")?,
+            chain: injected.u64_field("chain")?,
+            position: injected.u64_field("position")?,
+            value: injected.bool_field("value")?,
         },
-        located,
-        first_failing_pattern,
-        confirmed: want_bool(v, "confirmed", "diagnosis")?,
+        located: v
+            .arr_field("located")?
+            .iter()
+            .map(|cell| {
+                Ok(FailingCell {
+                    chain: cell.u64_field("chain")?,
+                    position: cell.u64_field("position")?,
+                })
+            })
+            .collect::<Result<_, String>>()?,
+        first_failing_pattern: v
+            .opt_field("first_failing_pattern")
+            .map(|_| v.u64_field("first_failing_pattern"))
+            .transpose()?,
+        confirmed: v.bool_field("confirmed")?,
     })
+}
+
+/// Reads the campaign identity that opens a shard report (`kind`
+/// `tve-campaign-shard`) and a resume journal (`kind` `header`): a
+/// version-1 record of `kind` carrying the hex `fingerprint` of the
+/// campaign configuration and the `shard` spec it covers.
+///
+/// # Errors
+///
+/// A record of another kind or version, or a missing or malformed
+/// identity field.
+pub(crate) fn campaign_identity(v: &JsonValue, kind: &str) -> Result<(u64, ShardSpec), String> {
+    if v.str_field("kind") != Ok(kind) || v.u64_field("version") != Ok(1u64) {
+        return Err(format!("not a version 1 '{kind}' record"));
+    }
+    Ok((
+        v.hex_field("fingerprint")?,
+        ShardSpec::parse(v.str_field("shard")?)?,
+    ))
 }
 
 #[cfg(test)]

@@ -557,7 +557,7 @@ pub fn bounds_reports_to_json(envelopes: &[ScheduleEnvelope]) -> String {
             out,
             "  {{\"schedule\": {}, \"quantum\": {}, \"total\": {}, \"bus_busy\": {}, \
              \"serial_busy\": {}, \"peak_power\": {}, \"phases\": [{}]}}{}",
-            crate::diag::json_string(&e.schedule),
+            tve_obs::json_string(&e.schedule),
             e.quantum,
             interval_json(e.total),
             interval_json(e.bus_busy),

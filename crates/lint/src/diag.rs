@@ -5,6 +5,8 @@
 use std::fmt;
 use std::fmt::Write as _;
 
+use tve_obs::json_string;
+
 /// Pinned schema version stamped into every lint JSON report so artifact
 /// consumers can detect shape drift; bump on any change to the emitted
 /// fields.
@@ -303,27 +305,6 @@ pub fn reports_to_json(reports: &[LintReport]) -> String {
         let _ = writeln!(out, "  {}{}", r.to_json(), sep);
     }
     out.push_str("  ]\n}\n");
-    out
-}
-
-/// A JSON string literal with the mandatory escapes.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

@@ -12,32 +12,8 @@
 
 use std::io::{self, Write};
 
+use crate::json::json_string;
 use crate::recorder::TraceLog;
-
-/// Escapes `s` as the body of a JSON string literal.
-fn escape_json_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    escape_json_into(&mut out, s);
-    out.push('"');
-    out
-}
 
 /// Writes `log` as Chrome trace-event JSON.
 ///

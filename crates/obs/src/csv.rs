@@ -5,8 +5,18 @@ use std::io::{self, Write};
 
 use crate::recorder::TraceLog;
 
-/// Quotes a CSV field when it contains a delimiter, quote or newline.
-fn csv_field(s: &str) -> String {
+/// Quotes a CSV field when it contains a delimiter, a quote or a line
+/// break (`\n` or `\r`), doubling embedded quotes (RFC 4180). Every
+/// CSV writer in the workspace quotes through this one rule.
+///
+/// ```
+/// use tve_obs::csv_field;
+///
+/// assert_eq!(csv_field("plain"), "plain");
+/// assert_eq!(csv_field("a, \"b\""), "\"a, \"\"b\"\"\"");
+/// assert_eq!(csv_field("boom\r\nx"), "\"boom\r\nx\"");
+/// ```
+pub fn csv_field(s: &str) -> String {
     if s.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {

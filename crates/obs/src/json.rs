@@ -1,21 +1,32 @@
-//! A serde-free JSON well-formedness checker and value parser.
+//! The workspace's one serde-free JSON grammar: a well-formedness
+//! checker, a value parser, typed record readers and the string
+//! escaper every hand-built writer shares.
 //!
-//! The exporters in this crate hand-format JSON; tests use
-//! [`check_json`] to prove the output is structurally valid without
-//! pulling a JSON parser dependency into the workspace. The checker is
-//! a strict recursive-descent validator for RFC 8259 documents: it
-//! accepts exactly one top-level value (plus whitespace) and rejects
-//! trailing garbage, unterminated strings, bad escapes and malformed
-//! numbers.
+//! [`parse_json`] is a strict recursive-descent parser for RFC 8259
+//! documents: it accepts exactly one top-level value (plus whitespace)
+//! and rejects trailing garbage, unterminated strings, bad escapes,
+//! unpaired surrogates and malformed numbers. It builds a [`JsonValue`]
+//! tree so protocol layers (the `tve-serve` daemon wire format, shard
+//! reports, journals and cache snapshots) can consume hand-formatted
+//! JSON without serde.
 //!
-//! [`parse_json`] is the reading half of the same grammar: it builds a
-//! [`JsonValue`] tree so protocol layers (the `tve-serve` daemon wire
-//! format) can consume hand-formatted JSON without serde either. Both
-//! halves accept exactly the same documents.
+//! [`check_json`] runs the same parser in a mode where arrays and
+//! objects drop their children as soon as they are read and strings
+//! are not copied. The exporters
+//! in this workspace hand-format JSON, and tests and bins use it to
+//! prove an artifact is well formed without holding its tree: a 23 MB
+//! Chrome trace validates in the memory of the text alone. One grammar
+//! serves both, so they accept exactly the same documents.
+//!
+//! The typed accessors ([`JsonValue::str_field`],
+//! [`JsonValue::u64_field`], ...) are the read side of durable records:
+//! each returns `Err` naming the key when a required member is missing
+//! or has the wrong type. [`append_json_string`] and [`json_string`]
+//! are the write side.
 
 use std::fmt;
 
-/// Why a document failed [`check_json`].
+/// Why a document failed [`check_json`] or [`parse_json`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset of the offending input.
@@ -32,181 +43,9 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Checker<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Checker<'a> {
-    fn err(&self, message: impl Into<String>) -> JsonError {
-        JsonError {
-            offset: self.pos,
-            message: message.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), JsonError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.err(format!("unexpected byte 0x{other:02x}"))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(self.err(format!("expected '{word}'")))
-        }
-    }
-
-    fn object(&mut self) -> Result<(), JsonError> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.value()?;
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(()),
-                _ => {
-                    self.pos -= usize::from(self.pos > 0);
-                    return Err(self.err("expected ',' or '}'"));
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), JsonError> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.value()?;
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(()),
-                _ => {
-                    self.pos -= usize::from(self.pos > 0);
-                    return Err(self.err("expected ',' or ']'"));
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), JsonError> {
-        self.expect(b'"')?;
-        loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(()),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {}
-                    Some(b'u') => {
-                        for _ in 0..4 {
-                            match self.bump() {
-                                Some(b) if b.is_ascii_hexdigit() => {}
-                                _ => return Err(self.err("bad \\u escape")),
-                            }
-                        }
-                    }
-                    _ => return Err(self.err("bad escape")),
-                },
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("unescaped control character in string"))
-                }
-                Some(_) => {}
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<(), JsonError> {
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        match self.peek() {
-            Some(b'0') => {
-                self.pos += 1;
-            }
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-            }
-            _ => return Err(self.err("expected digit")),
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("expected digit after '.'"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("expected exponent digit"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Checks that `text` is exactly one well-formed JSON document.
+///
+/// Accepts the same language as [`parse_json`] but keeps no tree.
 ///
 /// ```
 /// use tve_obs::check_json;
@@ -216,16 +55,7 @@ impl<'a> Checker<'a> {
 /// assert!(check_json("{} trailing").is_err());
 /// ```
 pub fn check_json(text: &str) -> Result<(), JsonError> {
-    let mut c = Checker {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    c.value()?;
-    c.skip_ws();
-    if c.pos != c.bytes.len() {
-        return Err(c.err("trailing data after document"));
-    }
-    Ok(())
+    Parser::new(text, true).document().map(drop)
 }
 
 /// One parsed JSON value.
@@ -297,14 +127,145 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    /// The required member `key`.
+    ///
+    /// # Errors
+    ///
+    /// `missing field '<key>'` when this is not an object holding `key`.
+    ///
+    /// ```
+    /// use tve_obs::parse_json;
+    ///
+    /// let v = parse_json(r#"{"n": 3, "name": "s1", "sig": "ff", "hit": null}"#).unwrap();
+    /// assert_eq!(v.u64_field::<u32>("n"), Ok(3));
+    /// assert_eq!(v.str_field("name"), Ok("s1"));
+    /// assert_eq!(v.hex_field("sig"), Ok(255));
+    /// assert_eq!(v.opt_field("hit"), None);
+    /// assert_eq!(v.str_field("n").unwrap_err(), "field 'n' is not a string");
+    /// assert_eq!(v.bool_field("gone").unwrap_err(), "missing field 'gone'");
+    /// ```
+    pub fn field(&self, key: &str) -> Result<&JsonValue, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing field '{key}'"))
+    }
+
+    /// The optional member `key`: `None` when it is missing or `null`.
+    pub fn opt_field(&self, key: &str) -> Option<&JsonValue> {
+        self.get(key).filter(|v| **v != JsonValue::Null)
+    }
+
+    fn typed_field<'v, T>(
+        &'v self,
+        key: &str,
+        kind: &str,
+        read: impl FnOnce(&'v JsonValue) -> Option<T>,
+    ) -> Result<T, String> {
+        read(self.field(key)?).ok_or_else(|| format!("field '{key}' is not {kind}"))
+    }
+
+    /// The required string member `key`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming `key` when it is missing or not a string.
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.typed_field(key, "a string", JsonValue::as_str)
+    }
+
+    /// The required boolean member `key`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming `key` when it is missing or not a boolean.
+    pub fn bool_field(&self, key: &str) -> Result<bool, String> {
+        self.typed_field(key, "a boolean", JsonValue::as_bool)
+    }
+
+    /// The required array member `key`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming `key` when it is missing or not an array.
+    pub fn arr_field(&self, key: &str) -> Result<&[JsonValue], String> {
+        self.typed_field(key, "an array", JsonValue::as_arr)
+    }
+
+    /// The required array-of-strings member `key`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming `key` when it is missing, not an array, or
+    /// holds a non-string.
+    pub fn strings_field(&self, key: &str) -> Result<Vec<String>, String> {
+        self.arr_field(key)?
+            .iter()
+            .map(|item| {
+                item.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| format!("field '{key}' holds a non-string"))
+            })
+            .collect()
+    }
+
+    /// The required non-negative integer member `key` (exact, see
+    /// [`JsonValue::as_u64`]), narrowed to `T` — `u64`, `u32`, `usize`,
+    /// `u8`, ...
+    ///
+    /// # Errors
+    ///
+    /// A message naming `key` when it is missing, not an exact
+    /// non-negative integer, or does not fit `T`.
+    pub fn u64_field<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        self.field(key)?
+            .as_u64()
+            .and_then(|n| T::try_from(n).ok())
+            .ok_or_else(|| format!("field '{key}' is not a {}", std::any::type_name::<T>()))
+    }
+
+    /// The required member `key` holding a `u64` as a hex string — how
+    /// durable records carry digests and counts beyond 2^53.
+    ///
+    /// # Errors
+    ///
+    /// A message naming `key` when it is missing, not a string, or not
+    /// hex.
+    pub fn hex_field(&self, key: &str) -> Result<u64, String> {
+        u64::from_str_radix(self.str_field(key)?, 16)
+            .map_err(|_| format!("field '{key}' is not hex"))
+    }
 }
 
+/// The recursive-descent parser behind both [`parse_json`] and
+/// [`check_json`].
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// [`check_json`]'s mode: arrays and objects drop each child once it
+    /// is read and strings are scanned without being copied, so
+    /// validating a document builds no tree.
+    discard: bool,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str, discard: bool) -> Self {
+        Parser {
+            text,
+            pos: 0,
+            discard,
+        }
+    }
+
+    /// Exactly one value, then only whitespace.
+    fn document(mut self) -> Result<JsonValue, JsonError> {
+        let value = self.value()?;
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing data after document"));
+        }
+        Ok(value)
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -313,7 +274,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -338,7 +299,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -362,7 +323,10 @@ impl<'a> Parser<'a> {
                 return Err(self.err("expected ':'"));
             }
             self.pos += 1;
-            members.push((key, self.value()?));
+            let value = self.value()?;
+            if !self.discard {
+                members.push((key, value));
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -384,7 +348,10 @@ impl<'a> Parser<'a> {
             return Ok(JsonValue::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            let item = self.value()?;
+            if !self.discard {
+                items.push(item);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -404,6 +371,19 @@ impl<'a> Parser<'a> {
         self.pos += 1;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote,
+            // backslash or control byte as one slice. Those delimiters
+            // are ASCII, so the run ends on a char boundary of the
+            // (already valid UTF-8) input.
+            let rest = &self.text.as_bytes()[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            if !self.discard {
+                out.push_str(&self.text[self.pos..self.pos + run]);
+            }
+            self.pos += run;
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
@@ -411,73 +391,58 @@ impl<'a> Parser<'a> {
             match b {
                 b'"' => return Ok(out),
                 b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("bad escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let unit = self.hex4()?;
-                            let ch = if (0xD800..0xDC00).contains(&unit) {
-                                // High surrogate: require the paired low
-                                // surrogate escape.
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    if self.peek() != Some(b'u') {
-                                        return Err(self.err("unpaired surrogate"));
-                                    }
-                                    self.pos += 1;
-                                    let low = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&low) {
-                                        return Err(self.err("unpaired surrogate"));
-                                    }
-                                    let cp = 0x10000
-                                        + ((u32::from(unit) - 0xD800) << 10)
-                                        + (u32::from(low) - 0xDC00);
-                                    char::from_u32(cp)
-                                } else {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                            } else {
-                                char::from_u32(u32::from(unit))
-                            };
-                            match ch {
-                                Some(c) => out.push(c),
-                                None => return Err(self.err("invalid \\u escape")),
-                            }
-                        }
-                        _ => return Err(self.err("bad escape")),
+                    let ch = self.escape()?;
+                    if !self.discard {
+                        out.push(ch);
                     }
                 }
-                _ if b < 0x20 => return Err(self.err("unescaped control character in string")),
-                _ => {
-                    // Re-take the full UTF-8 sequence from the source.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0x00..=0x7F => 1,
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.bytes.len());
-                    match std::str::from_utf8(&self.bytes[start..end]) {
-                        Ok(s) => {
-                            out.push_str(s);
-                            self.pos = end;
-                        }
-                        Err(_) => return Err(self.err("invalid UTF-8 in string")),
-                    }
-                }
+                _ => return Err(self.err("unescaped control character in string")),
             }
         }
+    }
+
+    /// The character of the escape sequence after a backslash.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let Some(esc) = self.peek() else {
+            return Err(self.err("bad escape"));
+        };
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let unit = self.hex4()?;
+                let ch = if (0xD800..0xDC00).contains(&unit) {
+                    // High surrogate: require the paired low surrogate
+                    // escape.
+                    if self.peek() != Some(b'\\') {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    self.pos += 1;
+                    if self.peek() != Some(b'u') {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    self.pos += 1;
+                    let low = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    char::from_u32(
+                        0x10000 + ((u32::from(unit) - 0xD800) << 10) + (u32::from(low) - 0xDC00),
+                    )
+                } else {
+                    char::from_u32(u32::from(unit))
+                };
+                return ch.ok_or_else(|| self.err("invalid \\u escape"));
+            }
+            _ => return Err(self.err("bad escape")),
+        })
     }
 
     fn hex4(&mut self) -> Result<u16, JsonError> {
@@ -498,18 +463,41 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
+    fn digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+    }
+
     fn number(&mut self) -> Result<JsonValue, JsonError> {
         let start = self.pos;
-        // Reuse the checker for the grammar, then parse the span.
-        let mut c = Checker {
-            bytes: self.bytes,
-            pos: self.pos,
-        };
-        c.number()?;
-        self.pos = c.pos;
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number span is ASCII by construction");
-        text.parse::<f64>()
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => self.digits(),
+            _ => return Err(self.err("expected digit")),
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("expected digit after '.'"));
+            }
+            self.digits();
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("expected exponent digit"));
+            }
+            self.digits();
+        }
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|_| self.err("unrepresentable number"))
     }
@@ -528,16 +516,7 @@ impl<'a> Parser<'a> {
 /// assert!(parse_json("{} trailing").is_err());
 /// ```
 pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data after document"));
-    }
-    Ok(value)
+    Parser::new(text, false).document()
 }
 
 /// Appends `text` to `out` as a JSON string literal (quoted, escaped).
@@ -561,6 +540,18 @@ pub fn append_json_string(out: &mut String, text: &str) {
         }
     }
     out.push('"');
+}
+
+/// `text` as a JSON string literal: [`append_json_string`] into a new
+/// `String`, for writers that format whole lines.
+///
+/// ```
+/// assert_eq!(tve_obs::json_string("a \"b\"\n"), r#""a \"b\"\n""#);
+/// ```
+pub fn json_string(text: &str) -> String {
+    let mut out = String::with_capacity(text.len() + 2);
+    append_json_string(&mut out, text);
+    out
 }
 
 #[cfg(test)]
@@ -653,6 +644,9 @@ mod tests {
             "01",
             "{} {}",
             "-12.5e-3",
+            r#""\ud83d""#,
+            r#""\udc00""#,
+            r#""\ud83d\u0041""#,
         ] {
             assert_eq!(
                 check_json(doc).is_ok(),

@@ -278,13 +278,6 @@ fn write_out(path: &Option<String>, text: &str, what: &str) -> Result<(), String
     Ok(())
 }
 
-fn field_str<'v>(result: &'v JsonValue, name: &str) -> Result<&'v str, String> {
-    result
-        .get(name)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("result had no {name:?} field"))
-}
-
 fn submit(client: &mut Client, cli: &Cli, kind: JobKind) -> Result<Option<JsonValue>, String> {
     let job = JobSpec {
         workload: workload(cli),
@@ -364,7 +357,7 @@ fn fan_out_campaign(
         let result = response
             .get("result")
             .ok_or_else(|| format!("job {id} finished without a result object"))?;
-        let shard_json = field_str(result, "shard_json")?;
+        let shard_json = result.str_field("shard_json")?;
         reports.push(ShardReport::from_json(shard_json)?);
     }
     let merged = merge_shards(&config, &reports)?;
@@ -435,8 +428,8 @@ fn run() -> Result<(), String> {
                 return fan_out_campaign(&mut client, &cli, kind, count);
             }
             if let Some(result) = submit(&mut client, &cli, kind)? {
-                write_out(&cli.csv, field_str(&result, "csv")?, "campaign CSV")?;
-                write_out(&cli.json, field_str(&result, "json")?, "campaign JSON")?;
+                write_out(&cli.csv, result.str_field("csv")?, "campaign CSV")?;
+                write_out(&cli.json, result.str_field("json")?, "campaign JSON")?;
                 // The matrix artifacts go to files; print the summary
                 // without them.
                 let JsonValue::Obj(fields) = &result else {

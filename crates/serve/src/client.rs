@@ -234,11 +234,7 @@ impl Client {
             "{{\"cmd\":\"submit\",\"wait\":true,\"job\":{}}}",
             job.to_json()
         );
-        let response = self.request(&request)?;
-        response
-            .get("result")
-            .cloned()
-            .ok_or_else(|| "submit response had no result".to_string())
+        Ok(self.request(&request)?.field("result")?.clone())
     }
 
     /// Submits `job` without waiting; returns its job id.
@@ -247,21 +243,13 @@ impl Client {
             "{{\"cmd\":\"submit\",\"wait\":false,\"job\":{}}}",
             job.to_json()
         );
-        let response = self.request(&request)?;
-        response
-            .get("id")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| "submit response had no id".to_string())
+        self.request(&request)?.u64_field("id")
     }
 
     /// Asks for a job's state (`"running"`, `"done"`, `"failed"`).
     pub fn status(&mut self, id: u64) -> Result<String, String> {
         let response = self.request(&format!("{{\"cmd\":\"status\",\"id\":{id}}}"))?;
-        response
-            .get("state")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| "status response had no state".to_string())
+        response.str_field("state").map(str::to_string)
     }
 
     /// Fetches a job's result; with `wait` the daemon blocks until the

@@ -46,29 +46,10 @@ fn hex_u64(v: u64) -> String {
     format!("{v:x}")
 }
 
-fn want_hex(v: &JsonValue, key: &str, what: &str) -> Result<u64, String> {
-    let text = v
-        .get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("{what} record missing hex field '{key}'"))?;
-    u64::from_str_radix(text, 16).map_err(|_| format!("{what} field '{key}' is not hex"))
-}
-
-fn want_str(v: &JsonValue, key: &str, what: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{what} record missing string field '{key}'"))
-}
-
 fn append_bits(out: &mut String, value: f64) {
     out.push('"');
     out.push_str(&format!("{:016x}", value.to_bits()));
     out.push('"');
-}
-
-fn want_bits(v: &JsonValue, key: &str, what: &str) -> Result<f64, String> {
-    Ok(f64::from_bits(want_hex(v, key, what)?))
 }
 
 fn append_metrics(out: &mut String, m: &ScenarioMetrics) {
@@ -142,87 +123,75 @@ fn append_metrics(out: &mut String, m: &ScenarioMetrics) {
     out.push_str("]}");
 }
 
-fn metrics_from_json(v: &JsonValue) -> Result<ScenarioMetrics, String> {
-    let schedule = want_str(v, "schedule", "metrics")?;
-    let power = match v.get("power") {
-        None | Some(JsonValue::Null) => None,
-        Some(p) => {
-            let per_source = p
-                .get("per_source")
-                .and_then(JsonValue::as_arr)
-                .ok_or("power record missing 'per_source'")?
-                .iter()
-                .map(|pair| {
-                    let items = pair.as_arr().filter(|a| a.len() == 2);
-                    match items {
-                        Some([JsonValue::Str(name), JsonValue::Str(bits)]) => {
-                            let bits = u64::from_str_radix(bits, 16)
-                                .map_err(|_| "per_source energy is not hex".to_string())?;
-                            Ok((name.clone(), f64::from_bits(bits)))
-                        }
-                        _ => Err("per_source wants [name, hex-bits] pairs".to_string()),
-                    }
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Some(PowerSummary {
-                peak: want_bits(p, "peak", "power")?,
-                average: want_bits(p, "average", "power")?,
-                energy: want_bits(p, "energy", "power")?,
-                per_source,
+fn bits_field(v: &JsonValue, key: &str) -> Result<f64, String> {
+    v.hex_field(key).map(f64::from_bits)
+}
+
+fn power_from_json(p: &JsonValue) -> Result<PowerSummary, String> {
+    Ok(PowerSummary {
+        peak: bits_field(p, "peak")?,
+        average: bits_field(p, "average")?,
+        energy: bits_field(p, "energy")?,
+        per_source: p
+            .arr_field("per_source")?
+            .iter()
+            .map(|pair| match pair.as_arr() {
+                Some([JsonValue::Str(name), JsonValue::Str(bits)]) => {
+                    let bits = u64::from_str_radix(bits, 16)
+                        .map_err(|_| "per_source energy is not hex".to_string())?;
+                    Ok((name.clone(), f64::from_bits(bits)))
+                }
+                _ => Err("per_source wants [name, hex-bits] pairs".to_string()),
             })
-        }
-    };
-    let slots = v
-        .get("slots")
-        .and_then(JsonValue::as_arr)
-        .ok_or("metrics record missing 'slots'")?
-        .iter()
-        .map(|slot| {
-            let failing = slot
-                .get("failing")
-                .and_then(JsonValue::as_arr)
-                .ok_or("slot record missing 'failing'")?
+            .collect::<Result<_, String>>()?,
+    })
+}
+
+fn slot_from_json(slot: &JsonValue) -> Result<TestSlot, String> {
+    Ok(TestSlot {
+        phase: slot.u64_field("phase")?,
+        outcome: TestOutcome {
+            name: slot.str_field("name")?.to_string(),
+            patterns: slot.hex_field("patterns")?,
+            stimulus_bits: slot.hex_field("stimulus")?,
+            response_bits: slot.hex_field("response")?,
+            signature: slot
+                .opt_field("signature")
+                .map(|_| slot.hex_field("signature"))
+                .transpose()?,
+            mismatches: slot.hex_field("mismatches")?,
+            errors: slot.hex_field("errors")?,
+            failing_addresses: slot
+                .arr_field("failing")?
                 .iter()
                 .map(|a| {
                     a.as_u64()
                         .and_then(|a| u32::try_from(a).ok())
                         .ok_or_else(|| "failing address is not a u32".to_string())
                 })
-                .collect::<Result<Vec<u32>, String>>()?;
-            let signature = match slot.get("signature") {
-                None | Some(JsonValue::Null) => None,
-                Some(_) => Some(want_hex(slot, "signature", "slot")?),
-            };
-            Ok(TestSlot {
-                phase: slot
-                    .get("phase")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("slot record missing 'phase'")? as usize,
-                outcome: TestOutcome {
-                    name: want_str(slot, "name", "slot")?,
-                    patterns: want_hex(slot, "patterns", "slot")?,
-                    stimulus_bits: want_hex(slot, "stimulus", "slot")?,
-                    response_bits: want_hex(slot, "response", "slot")?,
-                    signature,
-                    mismatches: want_hex(slot, "mismatches", "slot")?,
-                    errors: want_hex(slot, "errors", "slot")?,
-                    failing_addresses: failing,
-                    start: Time::from_cycles(want_hex(slot, "start", "slot")?),
-                    end: Time::from_cycles(want_hex(slot, "end", "slot")?),
-                },
-            })
-        })
-        .collect::<Result<Vec<TestSlot>, String>>()?;
+                .collect::<Result<_, String>>()?,
+            start: Time::from_cycles(slot.hex_field("start")?),
+            end: Time::from_cycles(slot.hex_field("end")?),
+        },
+    })
+}
+
+fn metrics_from_json(v: &JsonValue) -> Result<ScenarioMetrics, String> {
+    let schedule = v.str_field("schedule")?.to_string();
     Ok(ScenarioMetrics {
-        peak_utilization: want_bits(v, "peak", "metrics")?,
-        avg_utilization: want_bits(v, "avg", "metrics")?,
-        total_cycles: want_hex(v, "total_cycles", "metrics")?,
+        peak_utilization: bits_field(v, "peak")?,
+        avg_utilization: bits_field(v, "avg")?,
+        total_cycles: v.hex_field("total_cycles")?,
         cpu: std::time::Duration::ZERO,
-        power,
+        power: v.opt_field("power").map(power_from_json).transpose()?,
         result: tve_core::ScheduleResult {
             schedule: schedule.clone(),
-            total_cycles: want_hex(v, "result_cycles", "metrics")?,
-            slots,
+            total_cycles: v.hex_field("result_cycles")?,
+            slots: v
+                .arr_field("slots")?
+                .iter()
+                .map(slot_from_json)
+                .collect::<Result<_, String>>()?,
             wall: std::time::Duration::ZERO,
         },
         schedule,
@@ -264,38 +233,21 @@ pub(crate) fn entry_payload(key: u64, mask: u8, value: &CachedValue) -> String {
 }
 
 fn entry_from_json(v: &JsonValue) -> Result<(u64, u8, CachedValue), String> {
-    let key = want_hex(v, "key", "cache entry")?;
-    let mask = u8::try_from(
-        v.get("mask")
-            .and_then(JsonValue::as_u64)
-            .ok_or("cache entry missing 'mask'")?,
-    )
-    .map_err(|_| "cache entry 'mask' overflows u8")?;
-    let value = match v.get("type").and_then(JsonValue::as_str) {
-        Some("metrics") => CachedValue::Metrics(Box::new(metrics_from_json(
-            v.get("metrics").ok_or("metrics entry missing 'metrics'")?,
-        )?)),
-        Some("cell") => CachedValue::Cell(outcome_from_json(v)?),
-        Some("diag") => CachedValue::Diagnosis(Box::new(diagnosis_from_json(
-            v.get("check").ok_or("diag entry missing 'check'")?,
-        )?)),
-        Some("lint") => CachedValue::Lint {
-            report: want_str(v, "report", "lint entry")?,
-            errors: v
-                .get("errors")
-                .and_then(JsonValue::as_u64)
-                .ok_or("lint entry missing 'errors'")? as usize,
-            warnings: v
-                .get("warnings")
-                .and_then(JsonValue::as_u64)
-                .ok_or("lint entry missing 'warnings'")? as usize,
+    let value = match v.str_field("type")? {
+        "metrics" => CachedValue::Metrics(Box::new(metrics_from_json(v.field("metrics")?)?)),
+        "cell" => CachedValue::Cell(outcome_from_json(v)?),
+        "diag" => CachedValue::Diagnosis(Box::new(diagnosis_from_json(v.field("check")?)?)),
+        "lint" => CachedValue::Lint {
+            report: v.str_field("report")?.to_string(),
+            errors: v.u64_field("errors")?,
+            warnings: v.u64_field("warnings")?,
         },
-        Some("bounds") => CachedValue::Bounds {
-            report: want_str(v, "report", "bounds entry")?,
+        "bounds" => CachedValue::Bounds {
+            report: v.str_field("report")?.to_string(),
         },
         other => return Err(format!("unknown cache entry type {other:?}")),
     };
-    Ok((key, mask, value))
+    Ok((v.hex_field("key")?, v.u64_field("mask")?, value))
 }
 
 /// Writes every cache entry to `path` (key order, so equal caches write
@@ -361,16 +313,16 @@ pub fn load_cache(cache: &ResultCache, path: &Path) -> io::Result<CacheLoad> {
     let header = records
         .next()
         .ok_or_else(|| invalid("cache file has no header record".into()))?;
-    if header.get("kind").and_then(JsonValue::as_str) != Some("tve-serve-cache") {
+    if header.str_field("kind") != Ok("tve-serve-cache") {
         return Err(invalid(format!(
             "{} is not a tve-serve cache snapshot",
             path.display()
         )));
     }
-    match header.get("version").and_then(JsonValue::as_u64) {
-        Some(SNAPSHOT_VERSION) => {}
+    match header.u64_field("version") {
+        Ok(SNAPSHOT_VERSION) => {}
         found => {
-            let found = found.map_or_else(|| "no".to_string(), |v| v.to_string());
+            let found = found.map_or_else(|_| "no".to_string(), |v| v.to_string());
             return Err(invalid(format!(
                 "{} is a version {found} cache snapshot; this build reads version \
                  {SNAPSHOT_VERSION} only — delete it to start cold",
