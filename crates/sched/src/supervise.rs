@@ -34,7 +34,7 @@ use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use tve_obs::OpsCounters;
-use tve_sim::{with_cancel_token, CancelToken};
+use tve_sim::{panic_message, with_cancel_token, CancelToken};
 
 use crate::farm::Farm;
 
@@ -143,14 +143,6 @@ struct Pool<'a, T, R, F> {
     next: AtomicUsize,
     /// `(item, attempt)` pairs re-queued after a panicked attempt.
     retries: Mutex<Vec<(usize, usize)>>,
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_else(|| "<non-string panic payload>".to_string())
 }
 
 impl<T, R, F> Pool<'_, T, R, F>

@@ -26,10 +26,10 @@
 //!
 //! Shedding is a *typed* rejection carrying `retry_after_ms` scaled by
 //! queue depth — the client backs off instead of hammering. A draining
-//! daemon (SIGTERM) refuses everything; see [`Admission::drain`].
+//! daemon (the `drain` command or SIGTERM) refuses everything; see
+//! [`Admission::drain`].
 
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// Tuning knobs for [`Admission`].
 #[derive(Debug, Clone)]
@@ -241,10 +241,22 @@ impl Admission {
     }
 
     /// Enters drain mode: queued waiters are woken and shed, future
-    /// admissions are refused. Running jobs are unaffected.
-    pub fn drain(&self) {
-        self.inner.state.lock().unwrap().draining = true;
+    /// admissions are refused. Running jobs are unaffected. Returns
+    /// whether this call started the drain.
+    pub fn drain(&self) -> bool {
+        let mut st = self.inner.state.lock().expect("admission state lock");
+        let started = !std::mem::replace(&mut st.draining, true);
         self.inner.cv.notify_all();
+        started
+    }
+
+    /// True once [`drain`](Admission::drain) was called.
+    pub fn draining(&self) -> bool {
+        self.inner
+            .state
+            .lock()
+            .expect("admission state lock")
+            .draining
     }
 
     /// True once no job is running and nothing is queued.
@@ -259,28 +271,13 @@ impl Admission {
         let st = self.inner.state.lock().unwrap();
         (st.running, st.waiting.len(), st.admitted, st.shed)
     }
-
-    /// Blocks until the controller is idle or `timeout` elapses; returns
-    /// whether it went idle. Used by graceful drain.
-    pub fn wait_idle(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut st = self.inner.state.lock().unwrap();
-        while st.running > 0 || !st.waiting.is_empty() {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (next, _) = self.inner.cv.wait_timeout(st, deadline - now).unwrap();
-            st = next;
-        }
-        true
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn run_cap_bounds_concurrency_and_priority_orders_the_queue() {
@@ -381,12 +378,13 @@ mod tests {
         while adm.depth().1 == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        adm.drain();
+        assert!(adm.drain());
+        assert!(!adm.drain(), "the drain starts once");
         waiter.join().unwrap();
         assert_eq!(shed_count.load(Ordering::SeqCst), 1);
         let refused = adm.admit(0, None).unwrap_err();
         assert!(refused.draining);
         drop(gate);
-        assert!(adm.wait_idle(Duration::from_secs(1)));
+        assert!(adm.idle());
     }
 }

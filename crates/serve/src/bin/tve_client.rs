@@ -4,12 +4,14 @@
 //! tve-client [--socket PATH] <command> [flags]
 //! ```
 //!
-//! Commands: `ping`, `stats`, `shutdown`, `schedule`, `campaign`,
+//! Commands: `ping`, `stats`, `shutdown`, `drain`, `schedule`, `campaign`,
 //! `lint`, `bounds`, `status`, `result`, `invalidate`. Workload flags
 //! (`--preset`, `--scale`, `--mem-words`, `--set key=value`) select
 //! what the job runs against; see `DESIGN.md` for the full protocol.
 
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use tve_campaign::{merge_shards, ShardReport, ShardSpec};
 use tve_obs::JsonValue;
@@ -52,6 +54,8 @@ job flags:
 robustness flags:
   --retries N                retry transport failures and overloaded
                              rejections with seeded exponential backoff
+                             (default 0: one attempt; shard submits of
+                             --fan-out are never retried)
   --retry-seed S             backoff jitter seed (deterministic)
 ";
 
@@ -82,21 +86,33 @@ struct Cli {
 }
 
 impl Cli {
-    /// The retry policy when `--retries` was given; `None` keeps the
-    /// legacy fail-fast behaviour.
-    fn retry_policy(&self) -> Option<RetryPolicy> {
-        if self.retries == 0 {
-            return None;
-        }
-        let mut policy = RetryPolicy {
+    /// The retry policy of `--retries` (0: one attempt) and
+    /// `--retry-seed`.
+    fn retry_policy(&self) -> RetryPolicy {
+        let default = RetryPolicy::default();
+        RetryPolicy {
             retries: self.retries,
-            ..RetryPolicy::default()
-        };
-        if let Some(seed) = self.retry_seed {
-            policy.seed = seed;
+            seed: self.retry_seed.unwrap_or(default.seed),
+            ..default
         }
-        Some(policy)
     }
+
+    fn connect(&self) -> Result<Client, String> {
+        Client::connect(&self.socket).map_err(|e| format!("cannot connect to {}: {e}", self.socket))
+    }
+
+    /// Sends `request` through [`request_with_retry`].
+    fn request(&self, request: &str) -> Result<JsonValue, String> {
+        request_with_retry(&self.socket, request, &self.retry_policy()).map_err(|e| e.to_string())
+    }
+}
+
+/// Parses a flag's numeric value; the error names the flag.
+fn num<T: FromStr>(flag: &str, text: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    text.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn parse_cli() -> Result<Cli, String> {
@@ -130,24 +146,18 @@ fn parse_cli() -> Result<Cli, String> {
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].clone();
-        let mut value = |what: &str| -> Result<String, String> {
+        let mut value = || -> Result<String, String> {
             i += 1;
             args.get(i)
                 .cloned()
-                .ok_or_else(|| format!("{what} wants a value"))
+                .ok_or_else(|| format!("{flag} wants a value"))
         };
         match flag.as_str() {
-            "--socket" => cli.socket = value("--socket")?,
-            "--index" => {
-                cli.index = Some(
-                    value("--index")?
-                        .parse()
-                        .map_err(|e| format!("--index: {e}"))?,
-                )
-            }
+            "--socket" => cli.socket = value()?,
+            "--index" => cli.index = Some(num(&flag, &value()?)?),
             "--schedules" => {
                 let mut indices = Vec::new();
-                for part in value("--schedules")?.split(',') {
+                for part in value()?.split(',') {
                     indices.push(
                         part.trim()
                             .parse::<usize>()
@@ -158,91 +168,56 @@ fn parse_cli() -> Result<Cli, String> {
                 }
                 cli.schedules = Some(indices);
             }
-            "--faults" => {
-                cli.faults = value("--faults")?
-                    .parse()
-                    .map_err(|e| format!("--faults: {e}"))?
-            }
-            "--seed" => {
-                cli.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
+            "--faults" => cli.faults = num(&flag, &value()?)?,
+            "--seed" => cli.seed = num(&flag, &value()?)?,
             "--no-diagnosis" => cli.diagnosis = false,
             "--verify" => {
-                let fraction: f64 = value("--verify")?
-                    .parse()
-                    .map_err(|e| format!("--verify: {e}"))?;
+                let fraction: f64 = num(&flag, &value()?)?;
                 if !(0.0..=1.0).contains(&fraction) {
                     return Err("--verify wants a fraction in [0, 1]".into());
                 }
                 cli.verify = Some(fraction);
             }
             "--preset" => {
-                let name = value("--preset")?;
+                let name = value()?;
                 cli.preset = WorkloadPreset::parse(&name)
                     .ok_or_else(|| format!("unknown preset {name:?}"))?;
             }
-            "--scale" => {
-                cli.scale = value("--scale")?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))?
-            }
-            "--mem-words" => {
-                cli.mem_words = Some(
-                    value("--mem-words")?
-                        .parse()
-                        .map_err(|e| format!("--mem-words: {e}"))?,
-                )
-            }
+            "--scale" => cli.scale = num(&flag, &value()?)?,
+            "--mem-words" => cli.mem_words = Some(num(&flag, &value()?)?),
             "--set" => {
-                let pair = value("--set")?;
+                let pair = value()?;
                 let (key, raw) = pair.split_once('=').ok_or("--set wants key=value")?;
-                let parsed: u64 = raw.parse().map_err(|e| format!("--set {key}: {e}"))?;
-                if !cli.overrides.set(key, parsed) {
+                if !cli.overrides.set(key, num(&format!("--set {key}"), raw)?) {
                     return Err(format!(
                         "unknown plan key {key:?} (known: {})",
                         tve_soc::PLAN_OVERRIDE_KEYS.join(", ")
                     ));
                 }
             }
-            "--program" => cli.program = Some(value("--program")?),
-            "--csv" => cli.csv = Some(value("--csv")?),
-            "--json" => cli.json = Some(value("--json")?),
-            "--out" => cli.out = Some(value("--out")?),
-            "--id" => cli.id = Some(value("--id")?.parse().map_err(|e| format!("--id: {e}"))?),
+            "--program" => cli.program = Some(value()?),
+            "--csv" => cli.csv = Some(value()?),
+            "--json" => cli.json = Some(value()?),
+            "--out" => cli.out = Some(value()?),
+            "--id" => cli.id = Some(num(&flag, &value()?)?),
             "--wait" => cli.wait = true,
             "--no-wait" => cli.no_wait = true,
             "--fan-out" => {
-                let n: usize = value("--fan-out")?
-                    .parse()
-                    .map_err(|e| format!("--fan-out: {e}"))?;
+                let n: usize = num(&flag, &value()?)?;
                 if n == 0 {
                     return Err("--fan-out wants at least one shard".into());
                 }
                 cli.fan_out = Some(n);
             }
             "--deadline" => {
-                let ms: u64 = value("--deadline")?
-                    .parse()
-                    .map_err(|e| format!("--deadline: {e}"))?;
+                let ms: u64 = num(&flag, &value()?)?;
                 if ms == 0 {
                     return Err("--deadline wants a positive millisecond count".into());
                 }
                 cli.deadline_ms = Some(ms);
             }
-            "--retries" => {
-                cli.retries = value("--retries")?
-                    .parse()
-                    .map_err(|e| format!("--retries: {e}"))?
-            }
-            "--retry-seed" => {
-                cli.retry_seed = Some(
-                    value("--retry-seed")?
-                        .parse()
-                        .map_err(|e| format!("--retry-seed: {e}"))?,
-                )
-            }
+            "--retries" => cli.retries = num(&flag, &value()?)?,
+            "--retry-seed" => cli.retry_seed = Some(num(&flag, &value()?)?),
             "--help" | "-h" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -270,6 +245,15 @@ fn workload(cli: &Cli) -> Workload {
     w.with_overrides(cli.overrides)
 }
 
+fn job_spec(cli: &Cli, kind: JobKind) -> JobSpec {
+    JobSpec {
+        workload: workload(cli),
+        kind,
+        verify: cli.verify,
+        deadline_ms: cli.deadline_ms,
+    }
+}
+
 fn write_out(path: &Option<String>, text: &str, what: &str) -> Result<(), String> {
     if let Some(path) = path {
         std::fs::write(path, text).map_err(|e| format!("writing {what} to {path}: {e}"))?;
@@ -278,22 +262,15 @@ fn write_out(path: &Option<String>, text: &str, what: &str) -> Result<(), String
     Ok(())
 }
 
-fn submit(client: &mut Client, cli: &Cli, kind: JobKind) -> Result<Option<JsonValue>, String> {
-    let job = JobSpec {
-        workload: workload(cli),
-        kind,
-        verify: cli.verify,
-        deadline_ms: cli.deadline_ms,
-    };
+fn submit(cli: &Cli, kind: JobKind) -> Result<Option<JsonValue>, String> {
+    let job = job_spec(cli, kind);
     if cli.no_wait {
-        let id = client.submit_async(&job)?;
+        let id = cli.connect()?.submit_async(&job)?;
         println!("{{\"id\":{id},\"state\":\"running\"}}");
         return Ok(None);
     }
-    let result = match cli.retry_policy() {
-        Some(policy) => submit_with_retry(&cli.socket, &job, &policy).map_err(|e| e.to_string())?,
-        None => client.submit(&job)?,
-    };
+    let result =
+        submit_with_retry(&cli.socket, &job, &cli.retry_policy()).map_err(|e| e.to_string())?;
     write_out(&cli.out, &render_response(&result), "result")?;
     Ok(Some(result))
 }
@@ -304,21 +281,11 @@ fn submit(client: &mut Client, cli: &Cli, kind: JobKind) -> Result<Option<JsonVa
 /// JSON artifacts are byte-identical to a single unsharded job — the
 /// merge validates fingerprints and exact tiling, and refuses anything
 /// less than a complete, consistent shard set.
-fn fan_out_campaign(
-    client: &mut Client,
-    cli: &Cli,
-    kind: JobKind,
-    count: usize,
-) -> Result<(), String> {
+fn fan_out_campaign(cli: &Cli, kind: JobKind, count: usize) -> Result<(), String> {
     if cli.no_wait {
         return Err("--fan-out waits for its shards; drop --no-wait".into());
     }
-    let base = JobSpec {
-        workload: workload(cli),
-        kind,
-        verify: cli.verify,
-        deadline_ms: cli.deadline_ms,
-    };
+    let base = job_spec(cli, kind);
     // The client rebuilds the campaign configuration exactly as the
     // daemon does (same JobSpec::campaign_config), so the local merge
     // fingerprint agrees with the one each shard report carries.
@@ -326,12 +293,10 @@ fn fan_out_campaign(
         .campaign_config()
         .expect("fan-out only runs campaign jobs");
 
+    // Shard submits are not idempotent: they go out once, unretried.
+    let mut client = cli.connect()?;
     let mut ids = Vec::with_capacity(count);
     for index in 0..count {
-        let JobKind::Campaign { shard, .. } = &base.kind else {
-            unreachable!("fan-out only runs campaign jobs");
-        };
-        debug_assert!(shard.is_none());
         let mut job = base.clone();
         if let JobKind::Campaign { shard, .. } = &mut job.kind {
             *shard = Some(ShardSpec::new(index, count).expect("index < count"));
@@ -345,15 +310,7 @@ fn fan_out_campaign(
         // Result polling is idempotent, so a dropped or corrupted
         // response frame can be retried on a fresh connection without
         // resubmitting the shard.
-        let response = match cli.retry_policy() {
-            Some(policy) => request_with_retry(
-                &cli.socket,
-                &format!("{{\"cmd\":\"result\",\"id\":{id},\"wait\":true}}"),
-                &policy,
-            )
-            .map_err(|e| e.to_string())?,
-            None => client.result(id, true)?,
-        };
+        let response = cli.request(&format!("{{\"cmd\":\"result\",\"id\":{id},\"wait\":true}}"))?;
         let result = response
             .get("result")
             .ok_or_else(|| format!("job {id} finished without a result object"))?;
@@ -390,44 +347,36 @@ fn fan_out_campaign(
 fn run() -> Result<(), String> {
     let cli = parse_cli()?;
     let command = cli.command.clone().ok_or(USAGE.to_string())?;
-    let mut client = Client::connect(&cli.socket)
-        .map_err(|e| format!("cannot connect to {}: {e}", cli.socket))?;
+    let schedules = cli.schedules.clone().unwrap_or_else(|| (1..=4).collect());
     match command.as_str() {
-        "ping" => {
-            let response = match cli.retry_policy() {
-                Some(policy) => request_with_retry(&cli.socket, "{\"cmd\":\"ping\"}", &policy)
-                    .map_err(|e| e.to_string())?,
-                None => client.ping()?,
-            };
-            println!("{}", render_response(&response));
-        }
-        "stats" => println!("{}", render_response(&client.stats()?)),
+        "ping" => println!("{}", render_response(&cli.request("{\"cmd\":\"ping\"}")?)),
+        "stats" => println!("{}", render_response(&cli.connect()?.stats()?)),
         "shutdown" => {
-            client.shutdown()?;
+            cli.connect()?.shutdown()?;
             println!("{{\"ok\":true}}");
         }
         "drain" => {
-            client.drain()?;
+            cli.connect()?.drain()?;
             println!("{{\"ok\":true,\"draining\":true}}");
         }
         "schedule" => {
             let index = cli.index.ok_or("schedule wants --index N (1..=4)")?;
-            if let Some(result) = submit(&mut client, &cli, JobKind::Schedule { index })? {
+            if let Some(result) = submit(&cli, JobKind::Schedule { index })? {
                 println!("{}", render_response(&result));
             }
         }
         "campaign" => {
             let kind = JobKind::Campaign {
-                schedules: cli.schedules.clone().unwrap_or_else(|| (1..=4).collect()),
+                schedules,
                 seed: cli.seed,
                 faults: cli.faults,
                 diagnosis: cli.diagnosis,
                 shard: None,
             };
             if let Some(count) = cli.fan_out {
-                return fan_out_campaign(&mut client, &cli, kind, count);
+                return fan_out_campaign(&cli, kind, count);
             }
-            if let Some(result) = submit(&mut client, &cli, kind)? {
+            if let Some(result) = submit(&cli, kind)? {
                 write_out(&cli.csv, result.str_field("csv")?, "campaign CSV")?;
                 write_out(&cli.json, result.str_field("json")?, "campaign JSON")?;
                 // The matrix artifacts go to files; print the summary
@@ -453,34 +402,32 @@ fn run() -> Result<(), String> {
                     std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?,
                 )),
             };
-            let kind = JobKind::Lint {
-                schedules: cli.schedules.clone().unwrap_or_else(|| (1..=4).collect()),
-                program,
-            };
-            if let Some(result) = submit(&mut client, &cli, kind)? {
+            let kind = JobKind::Lint { schedules, program };
+            if let Some(result) = submit(&cli, kind)? {
                 println!("{}", render_response(&result));
             }
         }
         "bounds" => {
-            let kind = JobKind::Bounds {
-                schedules: cli.schedules.clone().unwrap_or_else(|| (1..=4).collect()),
-            };
-            if let Some(result) = submit(&mut client, &cli, kind)? {
+            let kind = JobKind::Bounds { schedules };
+            if let Some(result) = submit(&cli, kind)? {
                 println!("{}", render_response(&result));
             }
         }
         "status" => {
             let id = cli.id.ok_or("status wants --id N")?;
-            println!("{{\"id\":{id},\"state\":\"{}\"}}", client.status(id)?);
+            println!(
+                "{{\"id\":{id},\"state\":\"{}\"}}",
+                cli.connect()?.status(id)?
+            );
         }
         "result" => {
             let id = cli.id.ok_or("result wants --id N")?;
-            let response = client.result(id, cli.wait)?;
+            let response = cli.connect()?.result(id, cli.wait)?;
             write_out(&cli.out, &render_response(&response), "result")?;
             println!("{}", render_response(&response));
         }
         "invalidate" => {
-            let response = client.invalidate(&workload(&cli), &cli.overrides)?;
+            let response = cli.connect()?.invalidate(&workload(&cli), &cli.overrides)?;
             println!("{}", render_response(&response));
         }
         other => return Err(format!("unknown command {other:?}\n{USAGE}")),

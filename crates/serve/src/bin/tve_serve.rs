@@ -5,8 +5,10 @@
 //! until a client sends `shutdown`. See `tve-client` for the matching
 //! CLI and `DESIGN.md` for the protocol.
 
+use std::fmt::Display;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use tve_serve::{install_sigterm_drain, serve, ServeOptions};
 
@@ -20,8 +22,9 @@ const USAGE: &str = "usage: tve-serve [options]
                        persist it there on clean shutdown
   --max-running N      admission run cap (default 2)
   --max-queue N        admission queue bound before shedding (default 8)
-  --cost-cap NS       shed campaign submissions whose certified cost
-                       estimate would push committed load past NS
+  --cost-cap NS        shed schedule and campaign submissions whose
+                       certified cost estimate would push committed
+                       load past NS
   --deadline-ms MS     default per-job deadline (jobs may override)
   --retries N          supervised-farm retry budget: a panicked worker
                        attempt is retried on a fresh worker (default 1)
@@ -33,79 +36,52 @@ SIGTERM drains gracefully: running jobs finish, the cache snapshot is
 persisted, new submissions are refused with a typed error.
 ";
 
+/// Parses a flag's numeric value; the error names the flag.
+fn num<T: FromStr>(flag: &str, text: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    text.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 fn main() -> ExitCode {
     let mut options = ServeOptions::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
-        let mut value = |what: &str| -> Result<String, String> {
+        let mut value = || -> Result<String, String> {
             i += 1;
             args.get(i)
                 .cloned()
-                .ok_or_else(|| format!("{what} wants a value"))
+                .ok_or_else(|| format!("{flag} wants a value"))
         };
         let parsed: Result<(), String> = (|| {
             match flag {
-                "--socket" => options.socket = PathBuf::from(value("--socket")?),
-                "--workers" => {
-                    options.workers = Some(
-                        value("--workers")?
-                            .parse::<usize>()
-                            .map_err(|e| format!("--workers: {e}"))?
-                            .max(1),
-                    )
-                }
+                "--socket" => options.socket = PathBuf::from(value()?),
+                "--workers" => options.workers = Some(num::<usize>(flag, &value()?)?.max(1)),
                 "--verify-cache" => {
-                    let fraction = value("--verify-cache")?
-                        .parse::<f64>()
-                        .map_err(|e| format!("--verify-cache: {e}"))?;
+                    let fraction: f64 = num(flag, &value()?)?;
                     if !(0.0..=1.0).contains(&fraction) {
                         return Err("--verify-cache wants a fraction in [0, 1]".into());
                     }
                     options.verify = Some(fraction);
                 }
-                "--cache-file" => options.cache_file = Some(PathBuf::from(value("--cache-file")?)),
-                "--max-running" => {
-                    options.max_running = value("--max-running")?
-                        .parse::<usize>()
-                        .map_err(|e| format!("--max-running: {e}"))?
-                        .max(1)
-                }
-                "--max-queue" => {
-                    options.max_queue = value("--max-queue")?
-                        .parse::<usize>()
-                        .map_err(|e| format!("--max-queue: {e}"))?
-                }
+                "--cache-file" => options.cache_file = Some(PathBuf::from(value()?)),
+                "--max-running" => options.max_running = num::<usize>(flag, &value()?)?.max(1),
+                "--max-queue" => options.max_queue = num(flag, &value()?)?,
                 "--cost-cap" => {
-                    let cap = value("--cost-cap")?
-                        .parse::<f64>()
-                        .map_err(|e| format!("--cost-cap: {e}"))?;
-                    if cap <= 0.0 {
+                    options.cost_cap = num(flag, &value()?)?;
+                    if options.cost_cap <= 0.0 {
                         return Err("--cost-cap wants a positive number".into());
                     }
-                    options.cost_cap = cap;
                 }
-                "--deadline-ms" => {
-                    options.deadline_ms = Some(
-                        value("--deadline-ms")?
-                            .parse::<u64>()
-                            .map_err(|e| format!("--deadline-ms: {e}"))?
-                            .max(1),
-                    )
-                }
-                "--retries" => {
-                    options.retries = value("--retries")?
-                        .parse::<usize>()
-                        .map_err(|e| format!("--retries: {e}"))?
-                }
+                "--deadline-ms" => options.deadline_ms = Some(num::<u64>(flag, &value()?)?.max(1)),
+                "--retries" => options.retries = num(flag, &value()?)?,
                 "--read-timeout-ms" => {
-                    options.read_timeout_ms = value("--read-timeout-ms")?
-                        .parse::<u64>()
-                        .map_err(|e| format!("--read-timeout-ms: {e}"))?
-                        .max(1)
+                    options.read_timeout_ms = num::<u64>(flag, &value()?)?.max(1)
                 }
-                "--chaos" => options.chaos = value("--chaos")?,
+                "--chaos" => options.chaos = value()?,
                 "--quiet" => options.quiet = true,
                 "--help" | "-h" => {
                     print!("{USAGE}");

@@ -88,7 +88,7 @@ impl Default for RetryPolicy {
     }
 }
 
-fn splitmix64(mut z: u64) -> u64 {
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -144,15 +144,19 @@ pub fn submit_with_retry(
     job: &JobSpec,
     policy: &RetryPolicy,
 ) -> Result<JsonValue, DaemonError> {
-    let request = format!(
-        "{{\"cmd\":\"submit\",\"wait\":true,\"job\":{}}}",
-        job.to_json()
-    );
-    let response = request_with_retry(socket, &request, policy)?;
+    let response = request_with_retry(socket, &submit_request(job, true), policy)?;
     response
         .get("result")
         .cloned()
         .ok_or_else(|| DaemonError::transport("submit response had no result"))
+}
+
+/// The `submit` request for `job`; `wait` blocks until it completes.
+fn submit_request(job: &JobSpec, wait: bool) -> String {
+    format!(
+        "{{\"cmd\":\"submit\",\"wait\":{wait},\"job\":{}}}",
+        job.to_json()
+    )
 }
 
 /// A connected `tve-serve` client.
@@ -168,35 +172,22 @@ impl Client {
         })
     }
 
-    /// Sends one raw request frame and returns the raw response text.
-    pub fn request_text(&mut self, request: &str) -> io::Result<String> {
-        write_frame(&mut self.stream, request)?;
-        read_frame(&mut self.stream)?
-            .ok_or_else(|| io::Error::other("daemon closed the connection"))
-    }
-
-    /// Sends one request and returns the parsed response, mapping both
-    /// transport failures and `"ok": false` responses to `Err`.
+    /// [`request_typed`](Client::request_typed) with the error reduced to
+    /// its message.
     pub fn request(&mut self, request: &str) -> Result<JsonValue, String> {
-        let text = self.request_text(request).map_err(|e| e.to_string())?;
-        let value = parse_json(&text).map_err(|e| format!("bad response: {e}"))?;
-        match value.get("ok").and_then(JsonValue::as_bool) {
-            Some(true) => Ok(value),
-            _ => Err(value
-                .get("error")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("daemon reported failure")
-                .to_string()),
-        }
+        self.request_typed(request).map_err(|e| e.message)
     }
 
-    /// [`request`](Client::request) with the daemon's typed error
-    /// preserved: `error_kind` and `retry_after_ms` survive into the
-    /// [`DaemonError`], transport failures classify as `"transport"`.
+    /// Sends one request and returns the parsed response. Transport
+    /// failures classify as `"transport"`; an `"ok": false` response keeps
+    /// the daemon's `error_kind` and `retry_after_ms` in the
+    /// [`DaemonError`].
     pub fn request_typed(&mut self, request: &str) -> Result<JsonValue, DaemonError> {
-        let text = self
-            .request_text(request)
-            .map_err(|e| DaemonError::transport(e.to_string()))?;
+        let transport = |e: io::Error| DaemonError::transport(e.to_string());
+        write_frame(&mut self.stream, request).map_err(transport)?;
+        let text = read_frame(&mut self.stream)
+            .map_err(transport)?
+            .ok_or_else(|| DaemonError::transport("daemon closed the connection"))?;
         let value =
             parse_json(&text).map_err(|e| DaemonError::transport(format!("bad response: {e}")))?;
         match value.get("ok").and_then(JsonValue::as_bool) {
@@ -230,20 +221,15 @@ impl Client {
     /// Submits `job` and blocks until it completes; returns the job's
     /// `result` object.
     pub fn submit(&mut self, job: &JobSpec) -> Result<JsonValue, String> {
-        let request = format!(
-            "{{\"cmd\":\"submit\",\"wait\":true,\"job\":{}}}",
-            job.to_json()
-        );
-        Ok(self.request(&request)?.field("result")?.clone())
+        Ok(self
+            .request(&submit_request(job, true))?
+            .field("result")?
+            .clone())
     }
 
     /// Submits `job` without waiting; returns its job id.
     pub fn submit_async(&mut self, job: &JobSpec) -> Result<u64, String> {
-        let request = format!(
-            "{{\"cmd\":\"submit\",\"wait\":false,\"job\":{}}}",
-            job.to_json()
-        );
-        self.request(&request)?.u64_field("id")
+        self.request(&submit_request(job, false))?.u64_field("id")
     }
 
     /// Asks for a job's state (`"running"`, `"done"`, `"failed"`).

@@ -17,8 +17,9 @@
 //!
 //! ## Fault tolerance
 //!
-//! Every submission passes [`Admission`] (bounded queue, priority
-//! quotas, cost-cap shedding — see `admission.rs`), runs under a
+//! Every submission builds its inputs once (`Inputs`), passes
+//! [`Admission`] (bounded queue, priority quotas, cost-cap shedding —
+//! see `admission.rs`), runs them under a
 //! per-job [`CancelToken`] with an optional deadline watcher, and fans
 //! out through the *supervised* farm
 //! ([`Farm::run_map_supervised`](tve_sched::Farm::run_map_supervised)):
@@ -26,19 +27,21 @@
 //! retry budget, a permanent failure comes back as a typed error, and
 //! the job's deadline cancels the whole map — never a hang, never a
 //! hole in the batch.
-//! SIGTERM (or the `drain` command) starts a graceful drain: running
-//! jobs finish, the cache snapshot is persisted atomically, new
-//! submissions are refused with a typed `draining` error. The `--chaos`
+//! SIGTERM and the `drain` command start one graceful drain, whose only
+//! state is the admission drain flag: running jobs finish, the cache
+//! snapshot is persisted atomically, new submissions are refused with a
+//! typed `draining` error. The `--chaos`
 //! spec (`chaos.rs`) injects worker, frame, and snapshot faults at
 //! deterministic occurrence counts so all of the above is provable.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use tve_campaign::{
@@ -47,18 +50,24 @@ use tve_campaign::{
 };
 use tve_core::Schedule;
 use tve_obs::{
-    append_json_string, fnv1a, parse_json, IoPolicy, JsonValue, OpsCounters, WriteFault,
+    append_json_string, fnv1a, json_string, parse_json, IoPolicy, JsonValue, OpsCounters,
+    WriteFault,
 };
 use tve_sched::{ChaosFault, ChaosHook, Farm, SupervisePolicy};
-use tve_sim::{silence_cancelled_panics, with_cancel_token, CancelToken, Cancelled};
-use tve_soc::{paper_schedules, run_scenario, ScenarioMetrics};
+use tve_sim::{
+    panic_message, silence_cancelled_panics, with_cancel_token, CancelToken, Cancelled, Simulation,
+};
+use tve_soc::{paper_schedules, run_scenario_quantum, ScenarioMetrics, SocConfig, SocTestPlan};
 
 use crate::admission::{Admission, AdmissionConfig};
 use crate::cache::{CachedValue, ResultCache};
 use crate::chaos::{ChaosSite, ChaosSpec};
+use crate::client::splitmix64;
 use crate::error::ServeError;
 use crate::invalidate::edit_impact;
-use crate::key::{bounds_key, cell_key, diagnosis_key, lint_key, schedule_tests, test_mask};
+use crate::key::{
+    bounds_key, cell_key, diagnosis_key, lint_key, quantum_text, schedule_tests, test_mask,
+};
 use crate::proto::{read_frame, write_frame, JobKind, JobSpec};
 
 /// The default socket path (also the `TVE_SERVE_SOCKET` default).
@@ -87,7 +96,8 @@ pub struct ServeOptions {
     /// Maximum jobs waiting for a run slot before shedding.
     pub max_queue: usize,
     /// Cost-cap shedding threshold in simulated ns (`f64::INFINITY`
-    /// disables it); see `admission.rs`.
+    /// disables it, and schedule and campaign jobs are priced only when
+    /// it is finite); see `admission.rs`.
     pub cost_cap: f64,
     /// Daemon-wide default per-job deadline. A job's own `deadline_ms`
     /// overrides it.
@@ -141,13 +151,12 @@ struct JobTable {
 }
 
 struct Shared {
+    options: ServeOptions,
     cache: ResultCache,
     farm: Farm,
-    quantum: String,
-    verify: Option<f64>,
-    socket: PathBuf,
-    cache_file: Option<PathBuf>,
-    quiet: bool,
+    /// The loosely-timed quantum every simulation of this process runs
+    /// at ([`Simulation::env_quantum`]); cell and bounds keys hash it.
+    quantum: u64,
     jobs: Mutex<JobTable>,
     jobs_cv: Condvar,
     shutdown: AtomicBool,
@@ -156,17 +165,9 @@ struct Shared {
     admission: Admission,
     ops: OpsCounters,
     chaos: ChaosSpec,
-    /// Set once the drain decision is made (accept loop).
-    draining: AtomicBool,
-    /// Set by the `drain` protocol command; the accept loop acts on it.
-    drain_requested: AtomicBool,
     /// Recent panic payloads from job / connection threads (bounded),
     /// surfaced through the `stats` response.
     panics: Mutex<Vec<String>>,
-    deadline_ms: Option<u64>,
-    retries: usize,
-    read_timeout: Duration,
-    watch_signals: bool,
 }
 
 /// Per-job execution context: the cancellation token every kernel built
@@ -178,10 +179,6 @@ struct JobCtx {
 }
 
 impl Shared {
-    fn verify_fraction(&self, job: &JobSpec) -> f64 {
-        job.verify.or(self.verify).unwrap_or(0.0)
-    }
-
     fn record_panic(&self, message: &str) {
         self.ops.note("jobs.panicked", message);
         let mut panics = self.panics.lock().expect("panic log lock");
@@ -218,13 +215,28 @@ impl Shared {
     /// the map, and the chaos hook injects worker faults.
     fn farm_policy(self: &Arc<Self>, ctx: &JobCtx) -> SupervisePolicy {
         let mut policy = SupervisePolicy::default()
-            .with_retry_budget(self.retries)
+            .with_retry_budget(self.options.retries)
             .with_external(Arc::clone(&ctx.token))
             .with_counters(self.ops.clone());
         if let Some(hook) = self.chaos_hook() {
             policy = policy.with_chaos(hook);
         }
         policy
+    }
+
+    /// Starts the graceful drain (the `drain` command or SIGTERM):
+    /// admission refuses queued and new work, running jobs finish, and
+    /// the accept loop exits once admission is idle.
+    fn start_drain(&self) {
+        if self.admission.drain() {
+            self.ops.note(
+                "drain.requested",
+                "finishing running jobs, refusing new submissions",
+            );
+            if !self.options.quiet {
+                println!("tve-serve: draining — finishing running jobs, refusing new submissions");
+            }
+        }
     }
 }
 
@@ -248,22 +260,30 @@ impl<'a> JobCache<'a> {
     fn new(shared: &'a Shared, job: &JobSpec) -> Self {
         JobCache {
             cache: &shared.cache,
-            fraction: shared.verify_fraction(job),
+            fraction: job.verify.or(shared.options.verify).unwrap_or(0.0),
             sampled: HashMap::new(),
             verified: 0,
             failures: Vec::new(),
         }
     }
 
-    /// The cached value of `key`; `None` for a miss or a sampled hit,
-    /// which the caller computes and [`put`](JobCache::put)s.
-    fn get(&mut self, key: u64) -> Option<CachedValue> {
-        let value = self.cache.lookup(key)?;
+    /// The cached value of `key`, narrowed by `pick` to the kind stored
+    /// there; `None` for a miss or a sampled hit, which the caller
+    /// computes and [`put`](JobCache::put)s. A value of another kind is
+    /// an error.
+    fn get<T>(
+        &mut self,
+        key: u64,
+        pick: impl FnOnce(CachedValue) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        let Some(value) = self.cache.lookup(key) else {
+            return Ok(None);
+        };
         if verify_sampled(key, self.fraction) {
             self.sampled.insert(key, value);
-            return None;
+            return Ok(None);
         }
-        Some(value)
+        pick(value).map(Some).ok_or_else(|| KIND_MISMATCH.into())
     }
 
     /// Keeps a computed value and says whether `key` was a sampled hit.
@@ -291,22 +311,35 @@ impl<'a> JobCache<'a> {
     }
 
     /// Serves a single-result job: the cached value of `key`, or else
-    /// `compute`d and put with `mask`. A sampled hit that does not
-    /// reproduce fails with `mismatch(cached, fresh)`. Returns the value
-    /// and whether `key` was a hit.
-    fn serve(
+    /// `compute`d and put with `mask`, narrowed by `pick`. A sampled hit
+    /// that does not reproduce fails with `mismatch(cached, fresh)`.
+    /// Returns the value and whether `key` was a hit.
+    fn serve<T>(
         &mut self,
         key: u64,
         mask: u8,
+        pick: impl Fn(CachedValue) -> Option<T>,
         compute: impl FnOnce() -> Result<CachedValue, String>,
         mismatch: impl FnOnce(&CachedValue, &CachedValue) -> String,
-    ) -> Result<(CachedValue, bool), String> {
-        if let Some(hit) = self.get(key) {
+    ) -> Result<(T, bool), String> {
+        if let Some(hit) = self.get(key, &pick)? {
             return Ok((hit, true));
         }
         let fresh = compute()?;
         let hit = self.put(key, mask, fresh.clone(), |cached| mismatch(cached, &fresh));
-        self.failures.pop().map_or(Ok((fresh, hit)), Err)
+        match self.failures.pop() {
+            Some(failure) => Err(failure),
+            None => Ok((pick(fresh).ok_or(KIND_MISMATCH)?, hit)),
+        }
+    }
+}
+
+/// Narrows a cache value to scenario metrics (schedule jobs and campaign
+/// goldens share these entries).
+fn as_metrics(value: CachedValue) -> Option<ScenarioMetrics> {
+    match value {
+        CachedValue::Metrics(metrics) => Some(*metrics),
+        _ => None,
     }
 }
 
@@ -316,7 +349,7 @@ impl<'a> JobCache<'a> {
 struct CacheStore<'a> {
     cache: JobCache<'a>,
     campaign: &'a CampaignConfig,
-    quantum: &'a str,
+    quantum: u64,
     cells_simulated: usize,
     goldens_simulated: usize,
     diagnoses_simulated: usize,
@@ -342,11 +375,10 @@ impl CacheStore<'_> {
 
 impl CampaignStore for CacheStore<'_> {
     fn golden(&mut self, schedule: &Schedule) -> Result<Option<ScenarioMetrics>, CampaignError> {
-        match self.cache.get(self.cell_key(schedule, "golden")) {
-            None => Ok(None),
-            Some(CachedValue::Metrics(metrics)) => Ok(Some(*metrics)),
-            Some(_) => Err(CampaignError::Store(KIND_MISMATCH.into())),
-        }
+        let key = self.cell_key(schedule, "golden");
+        self.cache
+            .get(key, as_metrics)
+            .map_err(CampaignError::Store)
     }
 
     fn put_golden(
@@ -368,11 +400,12 @@ impl CampaignStore for CacheStore<'_> {
         schedule: &Schedule,
         fault_id: &str,
     ) -> Result<Option<CellOutcome>, CampaignError> {
-        match self.cache.get(self.cell_key(schedule, fault_id)) {
-            None => Ok(None),
-            Some(CachedValue::Cell(outcome)) => Ok(Some(outcome)),
-            Some(_) => Err(CampaignError::Store(KIND_MISMATCH.into())),
-        }
+        let key = self.cell_key(schedule, fault_id);
+        let pick = |value| match value {
+            CachedValue::Cell(outcome) => Some(outcome),
+            _ => None,
+        };
+        self.cache.get(key, pick).map_err(CampaignError::Store)
     }
 
     fn put_cell(
@@ -390,11 +423,12 @@ impl CampaignStore for CacheStore<'_> {
     }
 
     fn diagnosis(&mut self, fault_id: &str) -> Result<Option<DiagnosisCheck>, CampaignError> {
-        match self.cache.get(self.diagnosis_key(fault_id)) {
-            None => Ok(None),
-            Some(CachedValue::Diagnosis(check)) => Ok(Some(*check)),
-            Some(_) => Err(CampaignError::Store(KIND_MISMATCH.into())),
-        }
+        let key = self.diagnosis_key(fault_id);
+        let pick = |value| match value {
+            CachedValue::Diagnosis(check) => Some(*check),
+            _ => None,
+        };
+        self.cache.get(key, pick).map_err(CampaignError::Store)
     }
 
     /// Diagnosis depends on no schedule: the entry is maskless and
@@ -418,47 +452,27 @@ fn deadline_error(ctx: &JobCtx) -> ServeError {
     }
 }
 
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&str>().copied())
-        .unwrap_or("non-string panic payload")
-        .to_string()
-}
-
 /// Watches one job's deadline on a helper thread; cancels the job token
-/// when it fires. Drop (job finished) stops the watcher promptly.
+/// when it fires. Drop (job finished) hangs up the channel, which stops
+/// the watcher promptly.
 struct DeadlineWatch {
-    stop: Arc<(Mutex<bool>, Condvar)>,
+    stop: Option<mpsc::Sender<()>>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl DeadlineWatch {
     fn spawn(token: Arc<CancelToken>, limit: Duration) -> DeadlineWatch {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let inner = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel::<()>();
         let thread = std::thread::Builder::new()
             .name("tve-serve-deadline".into())
             .spawn(move || {
-                let (lock, cv) = &*inner;
-                let deadline = Instant::now() + limit;
-                let mut done = lock.lock().expect("deadline watch lock");
-                while !*done {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        token.cancel();
-                        return;
-                    }
-                    let (next, _) = cv
-                        .wait_timeout(done, deadline - now)
-                        .expect("deadline watch lock (condvar)");
-                    done = next;
+                if stopped.recv_timeout(limit) == Err(mpsc::RecvTimeoutError::Timeout) {
+                    token.cancel();
                 }
             })
             .expect("spawn deadline watcher");
         DeadlineWatch {
-            stop,
+            stop: Some(stop),
             thread: Some(thread),
         }
     }
@@ -466,8 +480,7 @@ impl DeadlineWatch {
 
 impl Drop for DeadlineWatch {
     fn drop(&mut self) {
-        *self.stop.0.lock().expect("deadline watch lock") = true;
-        self.stop.1.notify_all();
+        drop(self.stop.take());
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -477,18 +490,7 @@ impl Drop for DeadlineWatch {
 /// Deterministic per-key sampling: whether a hit on `key` gets
 /// re-executed at `fraction`.
 fn verify_sampled(key: u64, fraction: f64) -> bool {
-    if fraction >= 1.0 {
-        return true;
-    }
-    if fraction <= 0.0 {
-        return false;
-    }
-    // splitmix64 of the key, mapped to [0, 1).
-    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z as f64 / u64::MAX as f64) < fraction
+    fraction >= 1.0 || (fraction > 0.0 && (splitmix64(key) as f64 / u64::MAX as f64) < fraction)
 }
 
 /// A running daemon spawned in-process (tests, benches).
@@ -507,7 +509,7 @@ impl DaemonHandle {
             Ok(result) => result,
             Err(payload) => Err(io::Error::other(format!(
                 "daemon thread panicked: {}",
-                payload_message(payload.as_ref())
+                panic_message(payload.as_ref())
             ))),
         }
     }
@@ -524,7 +526,7 @@ pub fn serve(options: &ServeOptions) -> io::Result<()> {
 /// before this returns, so clients may connect immediately.
 pub fn spawn(options: &ServeOptions) -> io::Result<DaemonHandle> {
     let (listener, shared) = bind(options)?;
-    let socket = shared.socket.clone();
+    let socket = shared.options.socket.clone();
     let thread = std::thread::Builder::new()
         .name("tve-serve-accept".into())
         .spawn(move || accept_loop(listener, shared))?;
@@ -572,13 +574,10 @@ fn bind(options: &ServeOptions) -> io::Result<(UnixListener, Arc<Shared>)> {
         }
     }
     let shared = Arc::new(Shared {
+        options: options.clone(),
         cache,
         farm,
-        quantum: std::env::var("TVE_QUANTUM").unwrap_or_default(),
-        verify: options.verify,
-        socket: options.socket.clone(),
-        cache_file: options.cache_file.clone(),
-        quiet: options.quiet,
+        quantum: Simulation::env_quantum(),
         jobs: Mutex::new(JobTable::default()),
         jobs_cv: Condvar::new(),
         shutdown: AtomicBool::new(false),
@@ -591,17 +590,11 @@ fn bind(options: &ServeOptions) -> io::Result<(UnixListener, Arc<Shared>)> {
         }),
         ops: OpsCounters::new(),
         chaos,
-        draining: AtomicBool::new(false),
-        drain_requested: AtomicBool::new(false),
         panics: Mutex::new(Vec::new()),
-        deadline_ms: options.deadline_ms,
-        retries: options.retries,
-        read_timeout: Duration::from_millis(options.read_timeout_ms.max(1)),
-        watch_signals: options.watch_signals,
     });
     if !options.quiet {
         println!(
-            "tve-serve: listening on {} ({} farm workers, verify {:?}, quantum {:?})",
+            "tve-serve: listening on {} ({} farm workers, verify {:?}, quantum {})",
             options.socket.display(),
             shared.farm.workers(),
             options.verify,
@@ -617,21 +610,10 @@ fn accept_loop(listener: UnixListener, shared: Arc<Shared>) -> io::Result<()> {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        if !shared.draining.load(Ordering::SeqCst)
-            && (shared.drain_requested.load(Ordering::SeqCst)
-                || (shared.watch_signals && crate::signal::drain_requested()))
-        {
-            shared.draining.store(true, Ordering::SeqCst);
-            shared.admission.drain();
-            shared.ops.note(
-                "drain.requested",
-                "finishing running jobs, refusing new submissions",
-            );
-            if !shared.quiet {
-                println!("tve-serve: draining — finishing running jobs, refusing new submissions");
-            }
+        if shared.options.watch_signals && crate::signal::drain_requested() {
+            shared.start_drain();
         }
-        if shared.draining.load(Ordering::SeqCst) && shared.admission.idle() {
+        if shared.admission.draining() && shared.admission.idle() {
             // Give in-flight response writes a beat to flush before the
             // socket goes away.
             std::thread::sleep(Duration::from_millis(50));
@@ -640,7 +622,8 @@ fn accept_loop(listener: UnixListener, shared: Arc<Shared>) -> io::Result<()> {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(shared.read_timeout));
+                let timeout = Duration::from_millis(shared.options.read_timeout_ms.max(1));
+                let _ = stream.set_read_timeout(Some(timeout));
                 let conn_shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name("tve-serve-conn".into())
@@ -651,7 +634,7 @@ fn accept_loop(listener: UnixListener, shared: Arc<Shared>) -> io::Result<()> {
                         if let Err(payload) = result {
                             conn_shared.record_panic(&format!(
                                 "connection thread panicked: {}",
-                                payload_message(payload.as_ref())
+                                panic_message(payload.as_ref())
                             ));
                         }
                     })?;
@@ -667,8 +650,8 @@ fn accept_loop(listener: UnixListener, shared: Arc<Shared>) -> io::Result<()> {
 }
 
 fn teardown(shared: &Arc<Shared>) -> io::Result<()> {
-    let _ = std::fs::remove_file(&shared.socket);
-    if let Some(path) = &shared.cache_file {
+    let _ = std::fs::remove_file(&shared.options.socket);
+    if let Some(path) = &shared.options.cache_file {
         // The snapshot chaos sites model the disk filling up mid-write:
         // the atomic tmp-and-rename in `save_cache_with` must leave the
         // previous snapshot intact either way.
@@ -685,7 +668,7 @@ fn teardown(shared: &Arc<Shared>) -> io::Result<()> {
         }
         match crate::persist::save_cache_with(&shared.cache, path, &policy) {
             Ok(written) => {
-                if !shared.quiet {
+                if !shared.options.quiet {
                     println!(
                         "tve-serve: persisted {written} cached results to {}",
                         path.display()
@@ -704,7 +687,7 @@ fn teardown(shared: &Arc<Shared>) -> io::Result<()> {
             }
         }
     }
-    if !shared.quiet {
+    if !shared.options.quiet {
         println!(
             "tve-serve: shut down after {} requests, cache {:?}",
             shared.requests.load(Ordering::SeqCst),
@@ -784,31 +767,44 @@ fn write_response(stream: &mut UnixStream, shared: &Shared, response: &str) -> i
     Ok(true)
 }
 
-/// Static cost estimate for admission control: the summed upper bound
-/// of the job's certified bounds envelopes, in simulated ns — no
-/// simulation, just the `tve-lint` interval analysis. Campaigns scale by
-/// their cell count (population × one golden pass).
-fn estimate_cost(job: &JobSpec, quantum: &str) -> Option<f64> {
-    let quantum: u64 = quantum.parse().unwrap_or(0);
-    match &job.kind {
-        JobKind::Lint { .. } | JobKind::Bounds { .. } => None,
-        JobKind::Schedule { index } => {
-            let (config, plan) = job.workload.build();
-            let schedules = selected_schedules(&[*index]);
-            let envelopes = tve_lint::schedule_envelopes(&config, &plan, &schedules, quantum);
-            Some(envelopes.iter().map(|e| e.total.hi as f64).sum())
+/// One job's inputs, built once per submission: admission prices them
+/// when a cost cap is set, and execution runs them.
+enum Inputs {
+    /// Schedule, lint and bounds jobs: the workload and its schedules.
+    Plan(SocConfig, SocTestPlan, Vec<Schedule>),
+    /// Campaign jobs: [`JobSpec::campaign_config`].
+    Campaign(CampaignConfig),
+}
+
+impl Inputs {
+    fn build(job: &JobSpec) -> Inputs {
+        match job.campaign_config() {
+            Some(campaign) => Inputs::Campaign(campaign),
+            None => {
+                let (config, plan) = job.workload.build();
+                Inputs::Plan(config, plan, job.schedules())
+            }
         }
-        JobKind::Campaign { .. } => {
-            let campaign = job.campaign_config()?;
-            let envelopes = tve_lint::schedule_envelopes(
-                &campaign.soc,
-                &campaign.plan,
-                &campaign.schedules,
-                quantum,
-            );
-            let per_pass: f64 = envelopes.iter().map(|e| e.total.hi as f64).sum();
-            Some(per_pass * (campaign.population.len() as f64 + 1.0))
-        }
+    }
+
+    /// Static cost estimate for admission control: the summed upper
+    /// bound of the job's certified bounds envelopes, in simulated ns —
+    /// no simulation, just the `tve-lint` interval analysis. Campaigns
+    /// scale by their cell count (population × one golden pass). Lint
+    /// and bounds jobs are not priced.
+    fn cost(&self, job: &JobSpec, quantum: u64) -> Option<f64> {
+        let (config, plan, schedules, passes) = match (self, &job.kind) {
+            (Inputs::Plan(config, plan, schedules), JobKind::Schedule { .. }) => {
+                (config, plan, schedules, 1.0)
+            }
+            (Inputs::Campaign(c), _) => {
+                let passes = c.population.len() as f64 + 1.0;
+                (&c.soc, &c.plan, &c.schedules, passes)
+            }
+            _ => return None,
+        };
+        let envelopes = tve_lint::schedule_envelopes(config, plan, schedules, quantum);
+        Some(envelopes.iter().map(|e| e.total.hi as f64).sum::<f64>() * passes)
     }
 }
 
@@ -824,7 +820,7 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
             "{{\"ok\":true,\"pid\":{},\"workers\":{},\"quantum\":\"{}\"}}",
             std::process::id(),
             shared.farm.workers(),
-            shared.quantum
+            quantum_text(shared.quantum)
         )),
         "stats" => Ok(stats_response(shared)),
         "shutdown" => {
@@ -832,7 +828,7 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
             Ok("{\"ok\":true}".into())
         }
         "drain" => {
-            shared.drain_requested.store(true, Ordering::SeqCst);
+            shared.start_drain();
             Ok("{\"ok\":true,\"draining\":true}".into())
         }
         "submit" => {
@@ -842,18 +838,16 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
                     .ok_or_else(|| ServeError::protocol("submit wants a \"job\""))?,
             )
             .map_err(ServeError::protocol)?;
-            if shared.draining.load(Ordering::SeqCst)
-                || shared.drain_requested.load(Ordering::SeqCst)
-            {
-                return Err(ServeError::draining(
-                    "daemon is draining; new submissions are refused",
-                ));
-            }
             let wait = request
                 .get("wait")
                 .and_then(JsonValue::as_bool)
                 .unwrap_or(true);
-            let cost = estimate_cost(&job, &shared.quantum);
+            let inputs = Inputs::build(&job);
+            let cost = if shared.options.cost_cap.is_finite() {
+                inputs.cost(&job, shared.quantum)
+            } else {
+                None
+            };
             let ticket = shared
                 .admission
                 .admit(job.priority(), cost)
@@ -872,24 +866,22 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
                 table.jobs.insert(id, JobState::Running);
                 id
             };
-            if wait {
-                let result = execute_guarded(shared, &job);
+            let job_shared = Arc::clone(shared);
+            let run = move || {
+                let result = execute_guarded(&job_shared, &job, &inputs);
                 drop(ticket);
-                finish_job(shared, id, &result);
-                let body = result?;
-                Ok(format!("{{\"ok\":true,\"id\":{id},\"result\":{body}}}"))
-            } else {
-                let job_shared = Arc::clone(shared);
-                std::thread::Builder::new()
-                    .name(format!("tve-serve-job-{id}"))
-                    .spawn(move || {
-                        let result = execute_guarded(&job_shared, &job);
-                        drop(ticket);
-                        finish_job(&job_shared, id, &result);
-                    })
-                    .map_err(|e| ServeError::internal(format!("cannot spawn job thread: {e}")))?;
-                Ok(format!("{{\"ok\":true,\"id\":{id},\"state\":\"running\"}}"))
+                finish_job(&job_shared, id, &result);
+                result
+            };
+            if wait {
+                let body = run()?;
+                return Ok(format!("{{\"ok\":true,\"id\":{id},\"result\":{body}}}"));
             }
+            std::thread::Builder::new()
+                .name(format!("tve-serve-job-{id}"))
+                .spawn(move || drop(run()))
+                .map_err(|e| ServeError::internal(format!("cannot spawn job thread: {e}")))?;
+            Ok(format!("{{\"ok\":true,\"id\":{id},\"state\":\"running\"}}"))
         }
         "status" | "result" => {
             let id = request
@@ -915,14 +907,11 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
                 Some(JobState::Running) => {
                     Ok(format!("{{\"ok\":true,\"id\":{id},\"state\":\"running\"}}"))
                 }
-                Some(JobState::Failed(error)) => {
-                    let mut out =
-                        format!("{{\"ok\":true,\"id\":{id},\"state\":\"failed\",\"error\":");
-                    append_json_string(&mut out, &error.message);
-                    out.push_str(&format!(",\"error_kind\":\"{}\"", error.kind.as_str()));
-                    out.push('}');
-                    Ok(out)
-                }
+                Some(JobState::Failed(error)) => Ok(format!(
+                    "{{\"ok\":true,\"id\":{id},\"state\":\"failed\",\"error\":{},\"error_kind\":\"{}\"}}",
+                    json_string(&error.message),
+                    error.kind.as_str()
+                )),
                 Some(JobState::Done(body)) => {
                     if cmd == "status" {
                         Ok(format!("{{\"ok\":true,\"id\":{id},\"state\":\"done\"}}"))
@@ -951,30 +940,18 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
             let facts = tve_lint::soc_facts(&config, &plan);
             let impact = edit_impact(&facts, &edit, &paper_schedules());
             let evicted = shared.cache.evict_tests(impact.touched_mask);
-            let mut out = format!(
-                "{{\"ok\":true,\"evicted\":{evicted},\"touched_tests\":[{}],\"cores\":[",
-                impact
-                    .touched_tests
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
-            for (i, core) in impact.cores.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                append_json_string(&mut out, core);
-            }
-            out.push_str("],\"affected_schedules\":[");
-            for (i, name) in impact.affected_schedules.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                append_json_string(&mut out, name);
-            }
-            out.push_str("]}");
-            Ok(out)
+            let tests: Vec<String> = impact.touched_tests.iter().map(usize::to_string).collect();
+            let strings = |list: &[String]| {
+                let list: Vec<String> = list.iter().map(|s| json_string(s)).collect();
+                list.join(",")
+            };
+            Ok(format!(
+                "{{\"ok\":true,\"evicted\":{evicted},\"touched_tests\":[{}],\"cores\":[{}],\
+                 \"affected_schedules\":[{}]}}",
+                tests.join(","),
+                strings(&impact.cores),
+                strings(&impact.affected_schedules),
+            ))
         }
         other => Err(ServeError::protocol(format!("unknown command {other:?}"))),
     }
@@ -1009,7 +986,7 @@ fn stats_response(shared: &Shared) -> String {
         stats.verify_failures,
         shared.started.elapsed().as_millis(),
         shared.farm.workers(),
-        shared.draining.load(Ordering::SeqCst) || shared.drain_requested.load(Ordering::SeqCst),
+        shared.admission.draining(),
         panics.len()
     );
     if let Some(last) = panics.last() {
@@ -1024,18 +1001,17 @@ fn stats_response(shared: &Shared) -> String {
     out
 }
 
-fn selected_schedules(indices: &[usize]) -> Vec<Schedule> {
-    let all = paper_schedules();
-    indices.iter().map(|&i| all[i - 1].clone()).collect()
-}
-
 /// Executes one job under its guard rails: a per-job [`CancelToken`]
 /// installed thread-locally (every [`tve_sim::Kernel`] built while it is
 /// current observes it at each scheduling boundary), a deadline watcher
 /// that cancels the token, and a panic boundary that preserves payloads
 /// into the panic log instead of killing the connection thread.
-fn execute_guarded(shared: &Arc<Shared>, job: &JobSpec) -> Result<String, ServeError> {
-    let deadline_ms = job.deadline_ms.or(shared.deadline_ms);
+fn execute_guarded(
+    shared: &Arc<Shared>,
+    job: &JobSpec,
+    inputs: &Inputs,
+) -> Result<String, ServeError> {
+    let deadline_ms = job.deadline_ms.or(shared.options.deadline_ms);
     let ctx = JobCtx {
         token: CancelToken::new(),
         deadline: deadline_ms.map(Duration::from_millis),
@@ -1044,7 +1020,7 @@ fn execute_guarded(shared: &Arc<Shared>, job: &JobSpec) -> Result<String, ServeE
         .deadline
         .map(|limit| DeadlineWatch::spawn(Arc::clone(&ctx.token), limit));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        with_cancel_token(&ctx.token, || execute(shared, job, &ctx))
+        with_cancel_token(&ctx.token, || execute(shared, job, inputs, &ctx))
     }));
     match outcome {
         Ok(result) => result,
@@ -1053,7 +1029,7 @@ fn execute_guarded(shared: &Arc<Shared>, job: &JobSpec) -> Result<String, ServeE
                 shared.ops.incr("jobs.deadline_cancelled");
                 Err(deadline_error(&ctx))
             } else {
-                let message = payload_message(payload.as_ref());
+                let message = panic_message(payload.as_ref());
                 shared.record_panic(&format!("job panicked: {message}"));
                 Err(ServeError::internal(format!("job panicked: {message}")))
             }
@@ -1061,15 +1037,57 @@ fn execute_guarded(shared: &Arc<Shared>, job: &JobSpec) -> Result<String, ServeE
     }
 }
 
-fn execute(shared: &Arc<Shared>, job: &JobSpec, ctx: &JobCtx) -> Result<String, ServeError> {
+fn execute(
+    shared: &Arc<Shared>,
+    job: &JobSpec,
+    inputs: &Inputs,
+    ctx: &JobCtx,
+) -> Result<String, ServeError> {
     let started = Instant::now();
-    let body = match &job.kind {
-        JobKind::Schedule { index } => run_schedule_job(shared, job, *index)?,
-        JobKind::Campaign { shard, .. } => run_campaign_job(shared, job, ctx, *shard)?,
-        JobKind::Lint { schedules, program } => run_lint_job(shared, job, schedules, program)?,
-        JobKind::Bounds { schedules } => run_bounds_job(shared, job, schedules)?,
+    let quantum = shared.quantum;
+    let body = match (&job.kind, inputs) {
+        (JobKind::Campaign { shard, .. }, Inputs::Campaign(campaign)) => {
+            run_campaign_job(shared, job, ctx, campaign, *shard)?
+        }
+        (JobKind::Schedule { .. }, Inputs::Plan(config, plan, schedules)) => {
+            run_schedule_job(shared, job, config, plan, &schedules[0])?
+        }
+        (JobKind::Lint { program, .. }, Inputs::Plan(config, plan, schedules)) => {
+            let program = program.as_ref().map(|(n, t)| (n.as_str(), t.as_str()));
+            let fields = |value| match value {
+                CachedValue::Lint {
+                    report,
+                    errors,
+                    warnings,
+                } => Some((
+                    format!("\"errors\":{errors},\"warnings\":{warnings}"),
+                    report,
+                )),
+                _ => None,
+            };
+            let key = |s: &Schedule| lint_key(config, plan, s, program);
+            let compute = || lint_value(config, plan, schedules, program);
+            run_report_job(shared, job, "lint", schedules, key, compute, fields)?
+        }
+        (JobKind::Bounds { .. }, Inputs::Plan(config, plan, schedules)) => {
+            let fields = |value| match value {
+                CachedValue::Bounds { report } => Some((
+                    format!("\"schedules\":{},\"quantum\":{quantum}", schedules.len()),
+                    report,
+                )),
+                _ => None,
+            };
+            let compute = || {
+                let envelopes = tve_lint::schedule_envelopes(config, plan, schedules, quantum);
+                let report = tve_lint::bounds_reports_to_json(&envelopes);
+                CachedValue::Bounds { report }
+            };
+            let key = |s: &Schedule| bounds_key(config, plan, s, quantum);
+            run_report_job(shared, job, "bounds", schedules, key, compute, fields)?
+        }
+        _ => unreachable!("inputs are built for their job's kind"),
     };
-    if !shared.quiet {
+    if !shared.options.quiet {
         println!(
             "tve-serve: job done in {:.1} ms ({})",
             started.elapsed().as_secs_f64() * 1e3,
@@ -1090,35 +1108,35 @@ fn execute(shared: &Arc<Shared>, job: &JobSpec, ctx: &JobCtx) -> Result<String, 
 /// Runs or serves one fault-free schedule; body fields only (caller
 /// wraps the braces and appends timing). Runs on the job thread, so the
 /// job token covers its kernels directly.
-fn run_schedule_job(shared: &Shared, job: &JobSpec, index: usize) -> Result<String, String> {
-    let (config, plan) = job.workload.build();
-    let schedule = selected_schedules(&[index]).remove(0);
-    let key = cell_key(&config, &plan, &schedule, "golden", &shared.quantum);
-    let mask = test_mask(&schedule_tests(&schedule));
+fn run_schedule_job(
+    shared: &Shared,
+    job: &JobSpec,
+    config: &SocConfig,
+    plan: &SocTestPlan,
+    schedule: &Schedule,
+) -> Result<String, String> {
+    let key = cell_key(config, plan, schedule, "golden", shared.quantum);
+    let mask = test_mask(&schedule_tests(schedule));
     let compute = || {
-        let metrics = run_scenario(&config, &plan, &schedule).map_err(|e| e.to_string())?;
+        let quantum = tve_sim::Duration::cycles(shared.quantum);
+        let metrics =
+            run_scenario_quantum(config, plan, schedule, quantum).map_err(|e| e.to_string())?;
         Ok(CachedValue::Metrics(Box::new(metrics)))
     };
-    let digest = |value: &CachedValue| match value {
-        CachedValue::Metrics(metrics) => metrics.digest(),
-        _ => 0,
+    let digest = |value: &CachedValue| as_metrics(value.clone()).map_or(0, |m| m.digest());
+    let mismatch = |cached: &CachedValue, fresh: &CachedValue| {
+        format!(
+            "verify-cache mismatch on '{}': cached {:#018x} vs fresh {:#018x}",
+            schedule.name,
+            digest(cached),
+            digest(fresh)
+        )
     };
-    let (value, cached) =
-        JobCache::new(shared, job).serve(key, mask, compute, |cached, fresh| {
-            format!(
-                "verify-cache mismatch on '{}': cached {:#018x} vs fresh {:#018x}",
-                schedule.name,
-                digest(cached),
-                digest(fresh)
-            )
-        })?;
-    let CachedValue::Metrics(metrics) = value else {
-        return Err(KIND_MISMATCH.into());
-    };
+    let (metrics, cached) =
+        JobCache::new(shared, job).serve(key, mask, as_metrics, compute, mismatch)?;
 
     let mut out = String::from("\"kind\":\"schedule\",\"schedule\":");
     append_json_string(&mut out, &schedule.name);
-    use std::fmt::Write;
     let _ = write!(
         out,
         ",\"digest\":\"{:#018x}\",\"peak\":{:.6},\"avg\":{:.6},\"cycles\":{},\"clean\":{},\"cached\":{cached}",
@@ -1135,23 +1153,19 @@ fn run_campaign_job(
     shared: &Arc<Shared>,
     job: &JobSpec,
     ctx: &JobCtx,
+    campaign: &CampaignConfig,
     shard: Option<ShardSpec>,
 ) -> Result<String, ServeError> {
-    // The one canonical construction (shared with merging clients):
-    // equal job fields mean an equal matrix on both ends of the socket.
-    let campaign = job
-        .campaign_config()
-        .expect("run_campaign_job is only dispatched for campaign jobs");
     let mut store = CacheStore {
         cache: JobCache::new(shared, job),
-        campaign: &campaign,
-        quantum: &shared.quantum,
+        campaign,
+        quantum: shared.quantum,
         cells_simulated: 0,
         goldens_simulated: 0,
         diagnoses_simulated: 0,
     };
     let shard_report = run_campaign_shard_with(
-        &campaign,
+        campaign,
         &shared.farm,
         shard.unwrap_or_else(ShardSpec::full),
         &shared.farm_policy(ctx),
@@ -1209,7 +1223,6 @@ fn run_campaign_job(
     let csv = report.to_csv();
     let json = report.to_json();
 
-    use std::fmt::Write;
     let mut out = String::with_capacity(csv.len() + json.len() + 512);
     let _ = write!(
         out,
@@ -1225,14 +1238,11 @@ fn run_campaign_job(
         report.all_diagnoses_confirmed()
     );
     for (i, schedule) in report.schedules.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"schedule\":");
-        append_json_string(&mut out, schedule);
         let _ = write!(
             out,
-            ",\"core_coverage\":{:.6},\"escapes\":{}}}",
+            "{}{{\"schedule\":{},\"core_coverage\":{:.6},\"escapes\":{}}}",
+            if i > 0 { "," } else { "" },
+            json_string(schedule),
             report.core_coverage(schedule),
             report.escapes(schedule).len()
         );
@@ -1244,119 +1254,60 @@ fn run_campaign_job(
     Ok(out)
 }
 
-fn run_lint_job(
+/// Serves a static report job (lint or bounds): pure analysis of the
+/// workload, no farm dispatch and no simulation. One cache entry per job
+/// shape, keyed over every schedule's `key`; the report consumes the
+/// whole plan, so the entry carries the full test mask. `fields` narrows
+/// the cached value to the response fields between `kind` and `cached`
+/// and the report text, which is byte-identical to a local computation.
+fn run_report_job(
     shared: &Shared,
     job: &JobSpec,
-    schedule_indices: &[usize],
-    program: &Option<(String, String)>,
+    kind: &str,
+    schedules: &[Schedule],
+    key: impl Fn(&Schedule) -> u64,
+    compute: impl FnOnce() -> CachedValue,
+    fields: impl Fn(CachedValue) -> Option<(String, String)>,
 ) -> Result<String, String> {
-    let (config, plan) = job.workload.build();
-    let schedules = selected_schedules(schedule_indices);
-    // One cache entry per lint job shape: key over every schedule plus
-    // the program. Lint consumes the whole plan (facts), so the key
-    // uses no projection and the entry carries the full test mask.
     let mut key_text = String::new();
-    for schedule in &schedules {
-        use std::fmt::Write;
-        let _ = write!(
-            key_text,
-            "{:#018x}|",
-            lint_key(
-                &config,
-                &plan,
-                schedule,
-                program.as_ref().map(|(n, t)| (n.as_str(), t.as_str()))
-            )
-        );
+    for schedule in schedules {
+        let _ = write!(key_text, "{:#018x}|", key(schedule));
     }
     let key = fnv1a(key_text.as_bytes());
-
-    let compute = || {
-        let facts = tve_lint::soc_facts(&config, &plan);
-        let mut reports: Vec<tve_lint::LintReport> = schedules
-            .iter()
-            .map(|s| tve_lint::lint_schedule_report(s, &facts))
-            .collect();
-        if let Some((name, text)) = program {
-            reports.push(tve_lint::lint_program_report(name, text, &facts));
-        }
-        let errors = reports
-            .iter()
-            .flat_map(|r| &r.diagnostics)
-            .filter(|d| d.severity == tve_lint::Severity::Error)
-            .count();
-        let warnings = reports
-            .iter()
-            .flat_map(|r| &r.diagnostics)
-            .filter(|d| d.severity == tve_lint::Severity::Warning)
-            .count();
-        Ok(CachedValue::Lint {
-            report: tve_lint::reports_to_json(&reports),
-            errors,
-            warnings,
-        })
-    };
-    let (value, cached) = JobCache::new(shared, job).serve(key, 0x7f, compute, |_, _| {
-        "verify-cache mismatch on lint report".into()
-    })?;
-    let CachedValue::Lint {
-        report,
-        errors,
-        warnings,
-    } = value
-    else {
-        return Err(KIND_MISMATCH.into());
-    };
-
-    let mut out = format!(
-        "\"kind\":\"lint\",\"errors\":{errors},\"warnings\":{warnings},\"cached\":{cached},\"report\":"
-    );
+    let mismatch =
+        |_: &CachedValue, _: &CachedValue| format!("verify-cache mismatch on {kind} report");
+    let ((fields, report), cached) =
+        JobCache::new(shared, job).serve(key, 0x7f, fields, || Ok(compute()), mismatch)?;
+    let mut out = format!("\"kind\":\"{kind}\",{fields},\"cached\":{cached},\"report\":");
     append_json_string(&mut out, &report);
     Ok(out)
 }
 
-/// Serves a certified static bounds job: a pure analysis of the
-/// workload's envelopes — no farm dispatch, no simulation — rendered by
-/// the same `bounds_reports_to_json` a local `lint --bounds` run uses,
-/// so the served report is byte-identical to a local computation.
-fn run_bounds_job(
-    shared: &Shared,
-    job: &JobSpec,
-    schedule_indices: &[usize],
-) -> Result<String, String> {
-    let (config, plan) = job.workload.build();
-    let schedules = selected_schedules(schedule_indices);
-    let quantum: u64 = shared.quantum.parse().unwrap_or(0);
-    // One cache entry per job shape: key over every schedule's bounds
-    // key. The envelopes consume the whole plan, so the entry carries
-    // the full test mask.
-    let mut key_text = String::new();
-    for schedule in &schedules {
-        use std::fmt::Write;
-        let _ = write!(
-            key_text,
-            "{:#018x}|",
-            bounds_key(&config, &plan, schedule, quantum)
-        );
+/// Lints `schedules` (and the program, if any) against the plan facts.
+fn lint_value(
+    config: &SocConfig,
+    plan: &SocTestPlan,
+    schedules: &[Schedule],
+    program: Option<(&str, &str)>,
+) -> CachedValue {
+    let facts = tve_lint::soc_facts(config, plan);
+    let mut reports: Vec<tve_lint::LintReport> = schedules
+        .iter()
+        .map(|s| tve_lint::lint_schedule_report(s, &facts))
+        .collect();
+    if let Some((name, text)) = program {
+        reports.push(tve_lint::lint_program_report(name, text, &facts));
     }
-    let key = fnv1a(key_text.as_bytes());
-
-    let compute = || {
-        let envelopes = tve_lint::schedule_envelopes(&config, &plan, &schedules, quantum);
-        let report = tve_lint::bounds_reports_to_json(&envelopes);
-        Ok(CachedValue::Bounds { report })
+    let count = |severity| {
+        reports
+            .iter()
+            .flat_map(|r| &r.diagnostics)
+            .filter(|d| d.severity == severity)
+            .count()
     };
-    let (value, cached) = JobCache::new(shared, job).serve(key, 0x7f, compute, |_, _| {
-        "verify-cache mismatch on bounds report".into()
-    })?;
-    let CachedValue::Bounds { report } = value else {
-        return Err(KIND_MISMATCH.into());
-    };
-
-    let mut out = format!(
-        "\"kind\":\"bounds\",\"schedules\":{},\"quantum\":{quantum},\"cached\":{cached},\"report\":",
-        schedules.len()
-    );
-    append_json_string(&mut out, &report);
-    Ok(out)
+    CachedValue::Lint {
+        errors: count(tve_lint::Severity::Error),
+        warnings: count(tve_lint::Severity::Warning),
+        report: tve_lint::reports_to_json(&reports),
+    }
 }

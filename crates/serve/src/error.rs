@@ -58,49 +58,40 @@ pub struct ServeError {
 }
 
 impl ServeError {
-    /// A malformed-request error.
-    pub fn protocol(message: impl Into<String>) -> Self {
+    fn new(kind: ErrorKind, message: impl Into<String>) -> Self {
         ServeError {
-            kind: ErrorKind::Protocol,
+            kind,
             message: message.into(),
             retry_after_ms: None,
         }
     }
 
+    /// A malformed-request error.
+    pub fn protocol(message: impl Into<String>) -> Self {
+        Self::new(ErrorKind::Protocol, message)
+    }
+
     /// A deadline-cancellation error.
     pub fn deadline(message: impl Into<String>) -> Self {
-        ServeError {
-            kind: ErrorKind::Deadline,
-            message: message.into(),
-            retry_after_ms: None,
-        }
+        Self::new(ErrorKind::Deadline, message)
     }
 
     /// A load-shedding rejection with a retry hint.
     pub fn overloaded(message: impl Into<String>, retry_after_ms: u64) -> Self {
         ServeError {
-            kind: ErrorKind::Overloaded,
-            message: message.into(),
             retry_after_ms: Some(retry_after_ms),
+            ..Self::new(ErrorKind::Overloaded, message)
         }
     }
 
     /// A drain-mode refusal.
     pub fn draining(message: impl Into<String>) -> Self {
-        ServeError {
-            kind: ErrorKind::Draining,
-            message: message.into(),
-            retry_after_ms: None,
-        }
+        Self::new(ErrorKind::Draining, message)
     }
 
     /// Any other failure.
     pub fn internal(message: impl Into<String>) -> Self {
-        ServeError {
-            kind: ErrorKind::Internal,
-            message: message.into(),
-            retry_after_ms: None,
-        }
+        Self::new(ErrorKind::Internal, message)
     }
 
     /// Renders the `{"ok":false,...}` response frame.

@@ -50,35 +50,29 @@ pub fn test_mask(tests: &[usize]) -> u8 {
 pub fn plan_projection(plan: &SocTestPlan, tests: &[usize], out: &mut String) {
     use std::fmt::Write;
     let _ = write!(out, "|policy={:?}|seed={}", plan.policy, plan.seed);
+    let patterns = [
+        plan.bist_proc_patterns,
+        plan.det_proc_patterns,
+        plan.comp_proc_patterns,
+        plan.bist_color_patterns,
+        plan.det_dct_patterns,
+    ];
     let mut march_written = false;
     for &t in tests {
         match t {
-            0 => {
-                let _ = write!(out, "|t0={}", plan.bist_proc_patterns);
+            0..=4 => {
+                let _ = write!(out, "|t{t}={}", patterns[t]);
             }
-            1 => {
-                let _ = write!(out, "|t1={}", plan.det_proc_patterns);
+            // Written once even if both memory tests are scheduled.
+            5 | 6 if !march_written => {
+                let _ = write!(
+                    out,
+                    "|march={:?}|patterns={:?}",
+                    plan.march, plan.pattern_tests
+                );
+                march_written = true;
             }
-            2 => {
-                let _ = write!(out, "|t2={}", plan.comp_proc_patterns);
-            }
-            3 => {
-                let _ = write!(out, "|t3={}", plan.bist_color_patterns);
-            }
-            4 => {
-                let _ = write!(out, "|t4={}", plan.det_dct_patterns);
-            }
-            5 | 6 => {
-                // Written once even if both memory tests are scheduled.
-                if !march_written {
-                    let _ = write!(
-                        out,
-                        "|march={:?}|patterns={:?}",
-                        plan.march, plan.pattern_tests
-                    );
-                    march_written = true;
-                }
-            }
+            5 | 6 => {}
             other => {
                 let _ = write!(out, "|t{other}=?");
             }
@@ -86,23 +80,33 @@ pub fn plan_projection(plan: &SocTestPlan, tests: &[usize], out: &mut String) {
     }
 }
 
+/// A quantum as cell keys and `ping` render it: empty when accurate.
+pub(crate) fn quantum_text(quantum: u64) -> String {
+    match quantum {
+        0 => String::new(),
+        q => q.to_string(),
+    }
+}
+
 /// The cache key of one (fault × schedule) cell. `fault_id` is
 /// [`tve_campaign::FaultSpec::id`] output, or `"golden"` for the
-/// fault-free baseline. `quantum` is the daemon's loosely-timed quantum
-/// setting (empty string when accurate).
+/// fault-free baseline. `quantum` is the loosely-timed quantum the cell
+/// simulates at (0 when accurate).
 pub fn cell_key(
     config: &SocConfig,
     plan: &SocTestPlan,
     schedule: &Schedule,
     fault_id: &str,
-    quantum: &str,
+    quantum: u64,
 ) -> u64 {
     use std::fmt::Write;
     let mut text = String::with_capacity(512);
     let _ = write!(
         text,
-        "cell/v1|cfg={config:?}|sched={}:{:?}|fault={fault_id}|q={quantum}",
-        schedule.name, schedule.phases
+        "cell/v1|cfg={config:?}|sched={}:{:?}|fault={fault_id}|q={}",
+        schedule.name,
+        schedule.phases,
+        quantum_text(quantum)
     );
     plan_projection(plan, &schedule_tests(schedule), &mut text);
     fnv1a(text.as_bytes())
@@ -167,14 +171,39 @@ mod tests {
         let config = SocConfig::small();
         let plan = SocTestPlan::small();
         let schedules = paper_schedules();
-        let k = cell_key(&config, &plan, &schedules[0], "golden", "");
-        assert_eq!(k, cell_key(&config, &plan, &schedules[0], "golden", ""));
-        assert_ne!(k, cell_key(&config, &plan, &schedules[1], "golden", ""));
-        assert_ne!(k, cell_key(&config, &plan, &schedules[0], "scan:x", ""));
-        assert_ne!(k, cell_key(&config, &plan, &schedules[0], "golden", "4096"));
+        let k = cell_key(&config, &plan, &schedules[0], "golden", 0);
+        assert_eq!(k, cell_key(&config, &plan, &schedules[0], "golden", 0));
+        assert_ne!(k, cell_key(&config, &plan, &schedules[1], "golden", 0));
+        assert_ne!(k, cell_key(&config, &plan, &schedules[0], "scan:x", 0));
+        assert_ne!(k, cell_key(&config, &plan, &schedules[0], "golden", 4096));
         let mut other_cfg = config.clone();
         other_cfg.memory_words += 1;
-        assert_ne!(k, cell_key(&other_cfg, &plan, &schedules[0], "golden", ""));
+        assert_ne!(k, cell_key(&other_cfg, &plan, &schedules[0], "golden", 0));
+    }
+
+    /// The keys cells had when the raw `TVE_QUANTUM` text was hashed,
+    /// so snapshots written then still hit. Every `TVE_QUANTUM` value
+    /// that simulates cycle-accurate keys like quantum 0.
+    #[test]
+    fn cell_keys_are_pinned_and_follow_the_parsed_quantum() {
+        let config = SocConfig::small();
+        let plan = SocTestPlan::small();
+        let schedules = paper_schedules();
+        let key = |i: usize, fault: &str, quantum: &str| {
+            let quantum = tve_sim::Simulation::parse_quantum(quantum);
+            cell_key(&config, &plan, &schedules[i], fault, quantum)
+        };
+        for accurate in ["", "0", "abc"] {
+            assert_eq!(
+                key(0, "golden", accurate),
+                0x135b_2b1e_f5b4_5f19,
+                "{accurate:?}"
+            );
+        }
+        assert_eq!(key(1, "golden", ""), 0xca7f_fa1e_c850_79a3);
+        assert_eq!(key(2, "scan:proc:3", ""), 0x2f1d_1b60_4dbd_f738);
+        assert_eq!(key(0, "golden", "100000"), 0xe4da_d3e0_b67a_4102);
+        assert_eq!(key(2, "scan:proc:3", "4096"), 0x698c_95fc_778a_764d);
     }
 
     #[test]
@@ -203,19 +232,19 @@ mod tests {
         // and no test 6.
         let schedule = &paper_schedules()[1];
         assert_eq!(schedule_tests(schedule), vec![0, 2, 3, 4, 5]);
-        let before = cell_key(&config, &plan, schedule, "golden", "");
+        let before = cell_key(&config, &plan, schedule, "golden", 0);
         let mut edited = plan.clone();
         edited.det_proc_patterns += 5;
         assert_eq!(
             before,
-            cell_key(&config, &edited, schedule, "golden", ""),
+            cell_key(&config, &edited, schedule, "golden", 0),
             "edit to an unscheduled test must not move the key"
         );
         let mut touched = plan.clone();
         touched.det_dct_patterns += 5;
         assert_ne!(
             before,
-            cell_key(&config, &touched, schedule, "golden", ""),
+            cell_key(&config, &touched, schedule, "golden", 0),
             "edit to a scheduled test must move the key"
         );
     }

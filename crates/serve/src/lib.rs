@@ -70,4 +70,4 @@ pub use key::{
 };
 pub use persist::{load_cache, save_cache, save_cache_with, CacheLoad};
 pub use proto::{read_frame, write_frame, JobKind, JobSpec, MAX_FRAME};
-pub use signal::{drain_requested, install_sigterm_drain, request_drain};
+pub use signal::{drain_requested, install_sigterm_drain};

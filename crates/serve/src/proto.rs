@@ -9,13 +9,15 @@
 //! dependencies anywhere on the wire.
 //!
 //! Requests are objects with a `cmd` member (`ping`, `submit`,
-//! `status`, `result`, `stats`, `invalidate`, `shutdown`); responses
-//! are objects with an `ok` boolean (plus `error` text when false).
+//! `status`, `result`, `stats`, `invalidate`, `drain`, `shutdown`);
+//! responses are objects with an `ok` boolean (plus `error` text when
+//! false).
 //! The full shape of each message is specified in `DESIGN.md`.
 
 use std::io::{self, Read, Write};
 
 use tve_campaign::{generate, CampaignConfig, PopulationSpec, ShardSpec};
+use tve_core::Schedule;
 use tve_obs::JsonValue;
 use tve_soc::{paper_schedules, PlanOverrides, Workload, WorkloadPreset, PLAN_OVERRIDE_KEYS};
 
@@ -220,6 +222,10 @@ impl JobSpec {
     /// Renders the job as its wire JSON object.
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
+        let indices = |list: &[usize]| {
+            let list: Vec<String> = list.iter().map(ToString::to_string).collect();
+            list.join(",")
+        };
         let mut out = String::from("{\"kind\":");
         match &self.kind {
             JobKind::Schedule { index } => {
@@ -235,26 +241,14 @@ impl JobSpec {
                 let _ = write!(
                     out,
                     "\"campaign\",\"schedules\":[{}],\"seed\":{seed},\"faults\":{faults},\"diagnosis\":{diagnosis}",
-                    schedules
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(",")
+                    indices(schedules)
                 );
                 if let Some(shard) = shard {
                     let _ = write!(out, ",\"shard\":\"{shard}\"");
                 }
             }
             JobKind::Lint { schedules, program } => {
-                let _ = write!(
-                    out,
-                    "\"lint\",\"schedules\":[{}]",
-                    schedules
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(",")
-                );
+                let _ = write!(out, "\"lint\",\"schedules\":[{}]", indices(schedules));
                 if let Some((name, text)) = program {
                     out.push_str(",\"program_name\":");
                     tve_obs::append_json_string(&mut out, name);
@@ -263,15 +257,7 @@ impl JobSpec {
                 }
             }
             JobKind::Bounds { schedules } => {
-                let _ = write!(
-                    out,
-                    "\"bounds\",\"schedules\":[{}]",
-                    schedules
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(",")
-                );
+                let _ = write!(out, "\"bounds\",\"schedules\":[{}]", indices(schedules));
             }
         }
         out.push_str(",\"workload\":");
@@ -372,6 +358,18 @@ impl JobSpec {
         }
     }
 
+    /// The paper schedules the job selects, in request order.
+    pub(crate) fn schedules(&self) -> Vec<Schedule> {
+        let indices = match &self.kind {
+            JobKind::Schedule { index } => std::slice::from_ref(index),
+            JobKind::Campaign { schedules, .. }
+            | JobKind::Lint { schedules, .. }
+            | JobKind::Bounds { schedules } => schedules,
+        };
+        let all = paper_schedules();
+        indices.iter().map(|&i| all[i - 1].clone()).collect()
+    }
+
     /// The exact [`CampaignConfig`] a campaign job runs against, or
     /// `None` for other job kinds.
     ///
@@ -383,7 +381,6 @@ impl JobSpec {
     /// construction, on both ends of the socket.
     pub fn campaign_config(&self) -> Option<CampaignConfig> {
         let JobKind::Campaign {
-            schedules,
             seed,
             faults,
             diagnosis,
@@ -393,8 +390,6 @@ impl JobSpec {
             return None;
         };
         let (config, plan) = self.workload.build();
-        let all = paper_schedules();
-        let selected = schedules.iter().map(|&i| all[i - 1].clone()).collect();
         let spec = PopulationSpec {
             seed: *seed,
             scan_cells_per_core: *faults,
@@ -402,7 +397,7 @@ impl JobSpec {
             ..PopulationSpec::default()
         };
         let population = generate(&spec, &config);
-        let mut campaign = CampaignConfig::new(config, plan, selected, population);
+        let mut campaign = CampaignConfig::new(config, plan, self.schedules(), population);
         campaign.diagnosis = *diagnosis;
         Some(campaign)
     }

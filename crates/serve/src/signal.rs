@@ -34,14 +34,8 @@ pub fn install_sigterm_drain() {
     }
 }
 
-/// True once SIGTERM/SIGINT was received (or [`request_drain`] called):
-/// the daemon should finish running jobs, persist its cache, and exit.
+/// True once SIGTERM/SIGINT was received: the daemon should finish
+/// running jobs, persist its cache, and exit.
 pub fn drain_requested() -> bool {
     DRAIN.load(Ordering::SeqCst)
-}
-
-/// Programmatic equivalent of SIGTERM, for tests and tooling that want
-/// to drive the process-global drain path without a signal.
-pub fn request_drain() {
-    DRAIN.store(true, Ordering::SeqCst);
 }

@@ -59,6 +59,17 @@ impl CancelToken {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cancelled;
 
+/// The text of a caught panic payload: the `&str` or `String` a
+/// `panic!` carries, or a placeholder for any other payload.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("<non-string panic payload>")
+        .to_string()
+}
+
 thread_local! {
     static CURRENT: RefCell<Option<Arc<CancelToken>>> = const { RefCell::new(None) };
 }
@@ -119,6 +130,14 @@ mod tests {
         assert!(t.is_cancelled());
         t.cancel();
         assert!(t.is_cancelled());
+    }
+
+    #[test]
+    fn panic_messages_keep_string_payloads() {
+        let message = |payload: Box<dyn std::any::Any + Send>| panic_message(payload.as_ref());
+        assert_eq!(message(Box::new("static")), "static");
+        assert_eq!(message(Box::new(String::from("owned"))), "owned");
+        assert_eq!(message(Box::new(Cancelled)), "<non-string panic payload>");
     }
 
     #[test]

@@ -791,11 +791,21 @@ impl Simulation {
     /// without threading a parameter through every layer (the same idiom
     /// as `TVE_JOBS` for the farm).
     pub fn from_env() -> Self {
-        let quantum = std::env::var("TVE_QUANTUM")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0);
-        Simulation::with_quantum(Duration::cycles(quantum))
+        Simulation::with_quantum(Duration::cycles(Simulation::env_quantum()))
+    }
+
+    /// The quantum in cycles that `TVE_QUANTUM` selects, 0 meaning
+    /// cycle-accurate. [`Simulation::from_env`] builds with it, and code
+    /// that must agree with those simulators on the mode (cache keys)
+    /// reads it here.
+    pub fn env_quantum() -> u64 {
+        std::env::var("TVE_QUANTUM").map_or(0, |v| Simulation::parse_quantum(&v))
+    }
+
+    /// Parses a `TVE_QUANTUM` value: an integer is the quantum, anything
+    /// else (empty, `abc`) is 0.
+    pub fn parse_quantum(value: &str) -> u64 {
+        value.parse().unwrap_or(0)
     }
 
     /// The loosely-timed quantum, or `None` in cycle-accurate mode.
@@ -899,6 +909,19 @@ impl Simulation {
 mod tests {
     use super::*;
     use std::cell::RefCell;
+
+    #[test]
+    fn quantum_values_that_are_not_integers_mean_accurate() {
+        for (value, quantum) in [
+            ("", 0),
+            ("0", 0),
+            ("abc", 0),
+            ("-5", 0),
+            ("100000", 100_000),
+        ] {
+            assert_eq!(Simulation::parse_quantum(value), quantum, "{value:?}");
+        }
+    }
 
     #[test]
     fn empty_simulation_terminates_at_zero() {

@@ -48,7 +48,9 @@ mod trace;
 mod vcd;
 mod waitq;
 
-pub use cancel::{silence_cancelled_panics, with_cancel_token, CancelToken, Cancelled};
+pub use cancel::{
+    panic_message, silence_cancelled_panics, with_cancel_token, CancelToken, Cancelled,
+};
 pub use event::Event;
 pub use executor::{JoinHandle, SimHandle, Simulation, SpawnId};
 pub use sync::{Fifo, Semaphore, Signal};

@@ -8,9 +8,10 @@
 //!   it can act on — never a hang, never a silent partial result.
 //!
 //! The sections: supervision (worker panic, slow worker), deadline,
-//! overload, wire faults (corrupted frame, disconnect) and ENOSPC on the
-//! cache snapshot. A short write tearing the campaign journal is
-//! `campaign_resume.rs`'s `short_write_torn_tail_is_reported_and_resimulated`.
+//! overload, cost-cap shedding, wire faults (corrupted frame,
+//! disconnect) and ENOSPC on the cache snapshot. A short write tearing
+//! the campaign journal is `campaign_resume.rs`'s
+//! `short_write_torn_tail_is_reported_and_resimulated`.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -209,6 +210,54 @@ fn overload_sheds_typed_and_interactive_jobs_still_succeed() {
         completed > 0,
         "overload shed everything — the daemon collapsed"
     );
+    shutdown(daemon);
+}
+
+#[test]
+fn cost_cap_sheds_priced_work_while_busy_and_admits_it_when_idle() {
+    // Every campaign's certified cost exceeds a 1 ns cap. The first
+    // farm attempt stalls for 2 s, so the first campaign keeps the
+    // daemon busy however fast it simulates.
+    let daemon = daemon_with("cost-cap", "worker-slow@1=2000", |o| o.cost_cap = 1.0);
+    let socket = daemon.socket.clone();
+    let runner = {
+        let socket = socket.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&socket).expect("runner connects");
+            client.submit(&campaign_job(CAMPAIGN_SEED + 100, None))
+        })
+    };
+    let mut client = Client::connect(&socket).expect("client connects");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while client
+        .stats()
+        .expect("stats")
+        .get("running")
+        .and_then(JsonValue::as_u64)
+        != Some(1)
+    {
+        assert!(Instant::now() < deadline, "the stalled campaign never ran");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let priced = campaign_job(CAMPAIGN_SEED + 101, None);
+    let shed = client
+        .request_typed(&submit_request(&priced))
+        .expect_err("a busy daemon must shed work over its cost cap");
+    assert_eq!(shed.kind, "overloaded", "untyped shed: {shed:?}");
+    assert!(
+        shed.message.contains("cost"),
+        "not a cost-cap shed: {shed:?}"
+    );
+
+    runner
+        .join()
+        .expect("runner thread")
+        .expect("the running campaign finishes");
+    client
+        .submit(&priced)
+        .expect("an idle daemon admits work over its cost cap");
+    drop(client);
     shutdown(daemon);
 }
 

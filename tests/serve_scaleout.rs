@@ -254,10 +254,10 @@ fn verify_cache_catches_a_divergent_snapshot_entry() {
         .campaign_config()
         .expect("campaign jobs have a config");
     let (fault, schedule) = (&config.population[0], &config.schedules[0]);
-    let quantum = std::env::var("TVE_QUANTUM").unwrap_or_default();
+    let quantum = tve::sim::Simulation::env_quantum();
     let key = format!(
         "\"key\":\"{:016x}\"",
-        cell_key(&config.soc, &config.plan, schedule, &fault.id(), &quantum)
+        cell_key(&config.soc, &config.plan, schedule, &fault.id(), quantum)
     );
     let text = std::fs::read_to_string(&cache_file).expect("snapshot readable");
     let payloads: Vec<&str> = text
