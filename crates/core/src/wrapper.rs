@@ -320,11 +320,6 @@ impl TestWrapper {
         self.wir_fault.set(fault);
     }
 
-    /// Cycles one accepted pattern occupies the scan engine.
-    pub fn shift_duration(&self) -> Duration {
-        Duration::cycles(self.core.scan_config().max_chain_len() as u64 + self.cfg.capture_cycles)
-    }
-
     /// Waits until all queued shifts have completed.
     pub async fn drain(&self) {
         let end = self.last_end.get();
@@ -547,33 +542,9 @@ impl TamIf for TestWrapper {
 
     /// Functional-mode forwarding is synchronous whenever the bound
     /// functional target is (test modes buffer patterns and must keep the
-    /// event-driven path).
-    fn transport_is_sync(&self, txn: &Transaction) -> bool {
-        self.mode.get() == WrapperMode::Functional
-            && match &*self.functional.borrow() {
-                Some(target) => target.transport_is_sync(txn),
-                None => true, // the rejection path never suspends
-            }
-    }
-
-    fn transport_sync(&self, txn: &mut Transaction) {
-        // Hold the borrow across the forward: the functional target is a
-        // leaf (it never re-enters this wrapper), and skipping the `Rc`
-        // clone matters at memory-test op rates.
-        match &*self.functional.borrow() {
-            Some(target) => {
-                self.bump(|s| s.forwarded += 1);
-                target.transport_sync(txn);
-            }
-            None => {
-                self.bump(|s| s.rejected += 1);
-                txn.status = ResponseStatus::TargetError;
-            }
-        }
-    }
-
-    /// Fused check-and-forward: one mode test and one `functional`
-    /// borrow instead of the two-step pair's double walk.
+    /// event-driven path). The `functional` borrow is held across the
+    /// forward: the target is a leaf that never re-enters this wrapper,
+    /// and skipping the `Rc` clone matters at memory-test op rates.
     fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
         if self.mode.get() != WrapperMode::Functional {
             return false;

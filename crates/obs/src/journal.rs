@@ -101,11 +101,6 @@ impl Journal {
         })
     }
 
-    /// Wraps an arbitrary sink (tests, in-memory journals).
-    pub fn from_sink(sink: Box<dyn Write + Send>) -> Self {
-        Journal { out: sink }
-    }
-
     /// Appends one record and flushes it. `payload` must be single-line
     /// JSON (the caller builds it with [`append_json_string`] and
     /// friends); a payload containing a newline is rejected because it

@@ -502,24 +502,13 @@ impl SimHandle {
         }
     }
 
-    /// Whether a [`SimHandle::wait`] of `d` by the calling process would be
-    /// absorbed into its loosely-timed local-time offset without suspending.
-    ///
-    /// Always `false` in the default accurate mode, for a zero-length wait,
-    /// or when the offset would reach the quantum. Transaction-level models
-    /// use this (with [`SimHandle::try_local_wait`]) to bypass their
-    /// suspension machinery entirely for intra-quantum accesses.
-    pub fn local_wait_fits(&self, d: Duration) -> bool {
-        let k = &self.kernel;
-        let q = k.quantum();
-        let d = d.as_cycles();
-        q > 0 && d > 0 && k.current_task().is_some() && k.current_offset().saturating_add(d) < q
-    }
-
-    /// Absorbs `d` into the calling task's local-time offset without
-    /// suspending, if it fits ([`SimHandle::local_wait_fits`]); returns
-    /// whether it did. On `false` nothing happened — take the ordinary
-    /// `wait(d).await` path instead.
+    /// Absorbs `d` into the calling task's loosely-timed local-time offset
+    /// without suspending, if it fits; returns whether it did. Always
+    /// `false` in the default accurate mode, for a zero-length wait, or
+    /// when the offset would reach the quantum. On `false` nothing
+    /// happened — take the ordinary `wait(d).await` path instead.
+    /// Transaction-level models use this to bypass their suspension
+    /// machinery entirely for intra-quantum accesses.
     pub fn try_local_wait(&self, d: Duration) -> bool {
         self.kernel.absorb_local(d.as_cycles())
     }

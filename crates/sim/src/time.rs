@@ -102,11 +102,6 @@ impl Duration {
         self.0
     }
 
-    /// Alias of [`Duration::as_cycles`] for symmetry with [`Time::cycles`].
-    pub const fn cycles_len(self) -> u64 {
-        self.0
-    }
-
     /// Saturating subtraction.
     pub const fn saturating_sub(self, rhs: Duration) -> Duration {
         Duration(self.0.saturating_sub(rhs.0))

@@ -141,19 +141,13 @@ impl TamIf for MemoryCore {
     }
 
     fn transport<'a>(&'a self, txn: &'a mut Transaction) -> LocalBoxFuture<'a, ()> {
-        Box::pin(async move { self.transport_sync(txn) })
+        Box::pin(async move {
+            self.transport_sync_try(txn);
+        })
     }
 
-    fn transport_is_sync(&self, _txn: &Transaction) -> bool {
-        true // a word RAM access never suspends
-    }
-
+    /// A word RAM access never suspends: always synchronous.
     fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
-        self.transport_sync(txn);
-        true
-    }
-
-    fn transport_sync(&self, txn: &mut Transaction) {
         let index = txn.addr.wrapping_sub(self.base_addr);
         let words_needed = (txn.bit_len as usize).div_ceil(32).max(1);
         let mut mem = self.mem.borrow_mut();
@@ -161,7 +155,7 @@ impl TamIf for MemoryCore {
         let last = index.checked_add(words_needed as u32 - 1);
         if last.is_none_or(|l| l >= len) {
             txn.status = ResponseStatus::AddressError;
-            return;
+            return true;
         }
         if self.powered.get() {
             self.record_power(words_needed as u64);
@@ -198,6 +192,7 @@ impl TamIf for MemoryCore {
             }
         }
         txn.status = ResponseStatus::Ok;
+        true
     }
 
     /// The memory grants direct access to any in-bounds word window; it
@@ -222,7 +217,7 @@ impl TamIf for MemoryCore {
 }
 
 /// Per-word direct access: exactly the side effects of a single-word
-/// [`TamIf::transport_sync`] — power recorded before the access when
+/// [`TamIf::transport_sync_try`] — power recorded before the access when
 /// metered, read/write counters bumped by the array itself.
 impl DmiAccess for MemoryCore {
     fn dmi_read(&self, addr: u32) -> Option<u32> {

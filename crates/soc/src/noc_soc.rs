@@ -1,30 +1,30 @@
 //! The case-study SoC re-platformed on a mesh NoC TAM — the other end of
 //! the paper's TAM spectrum (Section III.A), at full case-study scale.
 //!
-//! Same cores, wrappers, codec, EBI, configuration ring and test sequences
-//! as [`JpegEncoderSoc`](crate::JpegEncoderSoc), but the test data travels
-//! a 3×2 mesh instead of the shared system bus: concurrent tests with
-//! disjoint routes no longer contend, and the interesting metric becomes
-//! the *hottest link* rather than one channel's utilization.
+//! Same cores, wrappers, codec, EBI and configuration ring as
+//! [`JpegEncoderSoc`](crate::JpegEncoderSoc), and the same seven test
+//! sequences from the same builder, but the test data travels a 3×2 mesh
+//! instead of the shared system bus: concurrent tests with disjoint routes
+//! no longer contend, and the interesting metric becomes the *hottest
+//! link* rather than one channel's utilization.
 
 use std::rc::Rc;
 
 use tve_core::{
     CodecConfig, ConfigClient, ConfigScanRing, DataPolicy, DecompressorCompactor, Ebi,
-    MemoryTestPlan, SyntheticLogicCore, TestController, TestRun, TestWrapper, WrapperConfig,
-    WrapperMode,
+    SyntheticLogicCore, TestController, TestRun, TestWrapper, WrapperConfig,
 };
 use tve_noc::{MeshConfig, MeshNoc, NodeId};
-use tve_sim::{Duration, SimHandle};
+use tve_sim::SimHandle;
 use tve_tlm::{AddrRange, SinkTarget, TamIf};
 
 use tve_tpg::{Compressor, ReseedingCodec};
 
 use crate::cores::MemoryCore;
-use crate::plan::SocTestPlan;
+use crate::plan::{build_test_set, SocTestPlan, TestAccess};
 use crate::soc::{
     initiators, SocConfig, CODEC_ADDR, COLOR_WRAPPER_ADDR, DCT_WRAPPER_ADDR, MEM_BASE,
-    PROC_WRAPPER_ADDR, RING_CODEC, RING_COLOR, RING_DCT, RING_EBI, RING_PROC,
+    PROC_WRAPPER_ADDR,
 };
 
 /// Node placement of the NoC-TAM case study (3×2 mesh).
@@ -227,169 +227,33 @@ const NOC_RING_CODEC: usize = 3;
 /// Ring client index of the EBI on the NoC SoC's ring.
 const NOC_RING_EBI: usize = 4;
 
-/// Builds the seven case-study test sequences against the NoC-TAM SoC
-/// (mirrors [`build_test_runs`](crate::build_test_runs); on-chip BIST
-/// sources attach at their core's mesh node's neighbors, the ATE enters at
-/// its corner).
+/// Builds the seven case-study test sequences against the NoC-TAM SoC,
+/// through the same builder as [`build_test_runs`](crate::build_test_runs).
+/// Only the access points differ: each on-chip BIST engine injects at its
+/// own core's mesh node (per-core BIST — the NoC TAM's architectural
+/// advantage: local test data never crosses a link), the ATE enters at
+/// its corner, and the ring indices are those of this SoC's shorter ring.
 pub fn build_test_runs_noc(soc: &NocJpegSoc, plan: &SocTestPlan) -> Vec<TestRun> {
-    use tve_core::{AteSource, BistSource, CompressedAteSource, ReadBack};
-    let cfg = &soc.config;
-    let mut runs = Vec::new();
-
-    // T1: processor BIST; the PRPG is co-located at the processor's node
-    // (per-core BIST — the NoC TAM's architectural advantage: local test
-    // data never crosses a link).
-    {
-        let ring = Rc::clone(&soc.ring);
-        let src = BistSource::new(
-            &soc.handle,
-            "T1 proc BIST",
-            Rc::new(soc.noc.port(placement::PROC)) as Rc<dyn TamIf>,
-            PROC_WRAPPER_ADDR,
-            initiators::BIST_PROC,
-            cfg.proc_scan,
-            plan.bist_proc_patterns,
-            plan.policy,
-            plan.seed ^ 1,
-        );
-        runs.push(TestRun::new("T1 proc BIST", async move {
-            ring.write(RING_PROC, WrapperMode::Bist.encode()).await;
-            src.run().await
-        }));
-    }
-    // T2: deterministic external via EBI.
-    {
-        let ring = Rc::clone(&soc.ring);
-        let src = AteSource {
-            handle: soc.handle.clone(),
-            name: "T2 proc det".to_string(),
-            port: Rc::clone(&soc.ebi) as Rc<dyn TamIf>,
-            wrapper_addr: PROC_WRAPPER_ADDR,
-            read_back: ReadBack::Combined,
-            initiator: initiators::ATE,
-            scan: cfg.proc_scan,
-            patterns: plan.det_proc_patterns,
-            policy: plan.policy,
-            seed: plan.seed ^ 2,
+    let port = |node| Rc::new(soc.noc.port(node));
+    build_test_set(
+        TestAccess {
+            handle: &soc.handle,
+            config: &soc.config,
+            bist_proc: port(placement::PROC),
+            bist_color: port(placement::COLOR),
+            ebi: soc.ebi.clone(),
+            codec: &soc.codec,
+            reseeding: &soc.reseeding,
+            ring: &soc.ring,
+            ring_ebi: NOC_RING_EBI,
+            ring_codec: NOC_RING_CODEC,
+            controller: &soc.controller,
+            processor: &soc.processor,
             recorder: None,
-        };
-        runs.push(TestRun::new("T2 proc det", async move {
-            ring.write(NOC_RING_EBI, 1).await;
-            ring.write(RING_PROC, WrapperMode::IntTest.encode()).await;
-            src.run().await
-        }));
-    }
-    // T3: compressed external.
-    {
-        let ring = Rc::clone(&soc.ring);
-        let src = CompressedAteSource {
-            handle: soc.handle.clone(),
-            name: "T3 proc det 50x".to_string(),
-            port: Rc::clone(&soc.ebi) as Rc<dyn TamIf>,
-            codec_addr: CODEC_ADDR,
-            compressed_bits: match plan.policy {
-                DataPolicy::Volume => soc.codec.compressed_bits(),
-                DataPolicy::Full => 64,
-            },
-            compacted_bits: soc.codec.compacted_bits(),
-            codec: soc
-                .reseeding
-                .clone()
-                .map(|c| c as Rc<dyn tve_tpg::Compressor>),
-            cares_per_cube: 24,
-            initiator: initiators::ATE,
-            scan: cfg.proc_scan,
-            patterns: plan.comp_proc_patterns,
-            policy: plan.policy,
-            seed: plan.seed ^ 3,
-            recorder: None,
-        };
-        runs.push(TestRun::new("T3 proc det 50x", async move {
-            ring.write(NOC_RING_EBI, 1).await;
-            ring.write(RING_PROC, WrapperMode::IntTest.encode()).await;
-            ring.write(NOC_RING_CODEC, 1).await;
-            src.run().await
-        }));
-    }
-    // T4: color BIST, likewise co-located.
-    {
-        let ring = Rc::clone(&soc.ring);
-        let src = BistSource::new(
-            &soc.handle,
-            "T4 color BIST",
-            Rc::new(soc.noc.port(placement::COLOR)) as Rc<dyn TamIf>,
-            COLOR_WRAPPER_ADDR,
-            initiators::BIST_COLOR,
-            cfg.color_scan,
-            plan.bist_color_patterns,
-            plan.policy,
-            plan.seed ^ 4,
-        );
-        runs.push(TestRun::new("T4 color BIST", async move {
-            ring.write(RING_COLOR, WrapperMode::Bist.encode()).await;
-            src.run().await
-        }));
-    }
-    // T5: DCT deterministic external via EBI.
-    {
-        let ring = Rc::clone(&soc.ring);
-        let src = AteSource {
-            handle: soc.handle.clone(),
-            name: "T5 dct det".to_string(),
-            port: Rc::clone(&soc.ebi) as Rc<dyn TamIf>,
-            wrapper_addr: DCT_WRAPPER_ADDR,
-            read_back: ReadBack::Combined,
-            initiator: initiators::ATE,
-            scan: cfg.dct_scan,
-            patterns: plan.det_dct_patterns,
-            policy: plan.policy,
-            seed: plan.seed ^ 5,
-            recorder: None,
-        };
-        runs.push(TestRun::new("T5 dct det", async move {
-            ring.write(NOC_RING_EBI, 1).await;
-            ring.write(RING_DCT, WrapperMode::IntTest.encode()).await;
-            src.run().await
-        }));
-    }
-    // T6/T7: memory marches over the mesh.
-    for (engine, name, overhead, posted) in [
-        (
-            Rc::clone(&soc.controller),
-            "T6 mem march (ctrl)",
-            cfg.controller_op_overhead,
-            128usize,
-        ),
-        (
-            Rc::clone(&soc.processor),
-            "T7 mem march (proc)",
-            cfg.processor_op_overhead,
-            1,
-        ),
-    ] {
-        let p = MemoryTestPlan {
-            name: name.to_string(),
-            march: plan.march.clone(),
-            patterns: plan.pattern_tests.clone(),
-            base_addr: MEM_BASE,
-            words: cfg.memory_words,
-            op_overhead: Duration::cycles(overhead),
-            posted_depth: posted,
-            policy: plan.policy,
-        };
-        runs.push(TestRun::new(name, async move {
-            engine.run_memory_test(&p).await
-        }));
-    }
-    runs
+        },
+        plan,
+    )
 }
-
-// Quiet the unused-import warnings for constants shared with the bus SoC
-// but not needed here.
-#[allow(unused_imports)]
-use RING_CODEC as _;
-#[allow(unused_imports)]
-use RING_EBI as _;
 
 #[cfg(test)]
 mod tests {
@@ -436,5 +300,106 @@ mod tests {
             (result.total_cycles, soc.noc.total_busy_cycles())
         }
         assert_eq!(run(), run());
+    }
+
+    /// What one NoC run pins: total cycles, NoC busy cycles, the hottest
+    /// link with its busy cycles, and an FNV-1a digest over every slot's
+    /// name, patterns, stimulus and response bits, signature, start and
+    /// end.
+    fn noc_outcome(schedule: &tve_core::Schedule, policy: DataPolicy) -> (u64, u64, String, u64) {
+        let mut sim = Simulation::new();
+        let soc = NocJpegSoc::build(
+            &sim.handle(),
+            SocConfig {
+                policy,
+                ..SocConfig::small()
+            },
+        );
+        let plan = SocTestPlan {
+            policy,
+            ..SocTestPlan::small()
+        };
+        let tests = build_test_runs_noc(&soc, &plan);
+        let result = execute_schedule(&mut sim, tests, schedule).unwrap();
+        assert!(result.clean(), "{schedule}: {result}");
+        let mut bytes = Vec::new();
+        for slot in &result.slots {
+            let o = &slot.outcome;
+            bytes.extend_from_slice(o.name.as_bytes());
+            for v in [
+                o.patterns,
+                o.stimulus_bits,
+                o.response_bits,
+                o.signature.unwrap_or(0),
+                o.start.cycles(),
+                o.end.cycles(),
+            ] {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        let (link, busy) = soc.noc.hottest_link().unwrap();
+        (
+            result.total_cycles,
+            soc.noc.total_busy_cycles(),
+            format!("{link} {busy}"),
+            tve_obs::fnv1a(&bytes),
+        )
+    }
+
+    /// Every NoC slot outcome on [`SocConfig::small`], per paper schedule,
+    /// in both data policies: the NoC test set must not drift.
+    #[test]
+    fn noc_outcomes_are_pinned() {
+        let hot_proc = "(1,0)->(2,0) 9216";
+        let hot_ctrl = "(2,1)->(2,0) 9216";
+        let pins = [
+            (
+                DataPolicy::Volume,
+                28138,
+                9816,
+                hot_proc,
+                5717436879762532061,
+            ),
+            (
+                DataPolicy::Volume,
+                18516,
+                9526,
+                hot_ctrl,
+                18444436867192108844,
+            ),
+            (
+                DataPolicy::Volume,
+                26358,
+                9816,
+                hot_proc,
+                7035030993059879490,
+            ),
+            (
+                DataPolicy::Volume,
+                15868,
+                9526,
+                hot_ctrl,
+                16082272697475836279,
+            ),
+            (DataPolicy::Full, 28138, 9816, hot_proc, 7667212336175954533),
+            (DataPolicy::Full, 18616, 9556, hot_ctrl, 6857699945212484310),
+            (
+                DataPolicy::Full,
+                26358,
+                9816,
+                hot_proc,
+                10907249553100568986,
+            ),
+            (DataPolicy::Full, 15868, 9556, hot_ctrl, 2739006029981554550),
+        ];
+        let schedules = paper_schedules();
+        for (k, (policy, cycles, busy, hottest, digest)) in pins.into_iter().enumerate() {
+            let schedule = &schedules[k % 4];
+            assert_eq!(
+                noc_outcome(schedule, policy),
+                (cycles, busy, hottest.to_string(), digest),
+                "{schedule} under {policy:?}"
+            );
+        }
     }
 }

@@ -5,13 +5,15 @@ use std::fmt;
 use std::rc::Rc;
 
 use tve_core::{
-    execute_schedule_traced, AteSource, BistSource, CompressedAteSource, DataPolicy,
-    MemoryTestPlan, ReadBack, Schedule, ScheduleError, ScheduleResult, TestRun, WrapperMode,
+    execute_schedule_traced, AteSource, BistSource, CompressedAteSource, ConfigScanRing,
+    DataPolicy, DecompressorCompactor, MemoryTestPlan, ReadBack, Schedule, ScheduleError,
+    ScheduleResult, TestController, TestRun, WrapperMode,
 };
 use tve_memtest::{MarchTest, PatternTest};
 use tve_obs::{Recorder, StoragePolicy, TraceLog};
-use tve_sim::{Duration, Simulation};
+use tve_sim::{Duration, SimHandle, Simulation};
 use tve_tlm::TamIf;
+use tve_tpg::ReseedingCodec;
 
 use crate::soc::{
     initiators, JpegEncoderSoc, SocConfig, CODEC_ADDR, COLOR_WRAPPER_ADDR, DCT_WRAPPER_ADDR,
@@ -122,16 +124,64 @@ pub fn build_test_runs_traced(
     plan: &SocTestPlan,
     recorder: Option<&Rc<Recorder>>,
 ) -> Vec<TestRun> {
-    let cfg = &soc.config;
+    build_test_set(
+        TestAccess {
+            handle: &soc.handle,
+            config: &soc.config,
+            bist_proc: soc.bus.clone(),
+            bist_color: soc.bus.clone(),
+            ebi: soc.ebi.clone(),
+            codec: &soc.codec,
+            reseeding: &soc.reseeding,
+            ring: &soc.ring,
+            ring_ebi: RING_EBI,
+            ring_codec: RING_CODEC,
+            controller: &soc.controller,
+            processor: &soc.processor,
+            recorder,
+        },
+        plan,
+    )
+}
+
+/// What the seven Section IV test sequences need from a SoC. The BIST
+/// engines of tests 1 and 4 inject at `bist_proc` and `bist_color`, the
+/// ATE of tests 2, 3 and 5 at `ebi`; `ring_ebi` and `ring_codec` are the
+/// SoC's own ring indices of the EBI and the codec; `controller` and
+/// `processor` drive the memory tests 6 and 7. With a `recorder`, every
+/// pattern source records its run as a span. The bus and the NoC SoC
+/// each fill one in.
+pub(crate) struct TestAccess<'a> {
+    pub(crate) handle: &'a SimHandle,
+    pub(crate) config: &'a SocConfig,
+    pub(crate) bist_proc: Rc<dyn TamIf>,
+    pub(crate) bist_color: Rc<dyn TamIf>,
+    pub(crate) ebi: Rc<dyn TamIf>,
+    pub(crate) codec: &'a DecompressorCompactor,
+    pub(crate) reseeding: &'a Option<Rc<ReseedingCodec>>,
+    pub(crate) ring: &'a Rc<ConfigScanRing>,
+    pub(crate) ring_ebi: usize,
+    pub(crate) ring_codec: usize,
+    pub(crate) controller: &'a Rc<TestController>,
+    pub(crate) processor: &'a Rc<TestController>,
+    pub(crate) recorder: Option<&'a Rc<Recorder>>,
+}
+
+/// The one builder of the seven Section IV test sequences, over any SoC
+/// described by a [`TestAccess`].
+pub(crate) fn build_test_set(soc: TestAccess<'_>, plan: &SocTestPlan) -> Vec<TestRun> {
+    let cfg = soc.config;
+    let recorder = soc.recorder;
+    let (ring_ebi, ring_codec) = (soc.ring_ebi, soc.ring_codec);
     let mut runs = Vec::new();
 
     // Test 1: BIST of the full-scan processor core.
     {
-        let ring = Rc::clone(&soc.ring);
+        let ring = Rc::clone(soc.ring);
         let mut src = BistSource::new(
-            &soc.handle,
+            soc.handle,
             "T1 proc BIST",
-            Rc::clone(&soc.bus) as Rc<dyn TamIf>,
+            soc.bist_proc,
             PROC_WRAPPER_ADDR,
             initiators::BIST_PROC,
             cfg.proc_scan,
@@ -150,11 +200,11 @@ pub fn build_test_runs_traced(
 
     // Test 2: deterministic logic test of the processor, patterns in ATE.
     {
-        let ring = Rc::clone(&soc.ring);
+        let ring = Rc::clone(soc.ring);
         let src = AteSource {
             handle: soc.handle.clone(),
             name: "T2 proc det".to_string(),
-            port: Rc::clone(&soc.ebi) as Rc<dyn TamIf>,
+            port: Rc::clone(&soc.ebi),
             wrapper_addr: PROC_WRAPPER_ADDR,
             read_back: ReadBack::Combined,
             initiator: initiators::ATE,
@@ -165,7 +215,7 @@ pub fn build_test_runs_traced(
             recorder: recorder.map(Rc::clone),
         };
         runs.push(TestRun::new("T2 proc det", async move {
-            ring.write(RING_EBI, 1).await;
+            ring.write(ring_ebi, 1).await;
             ring.write(RING_PROC, WrapperMode::IntTest.encode()).await;
             src.run().await
         }));
@@ -173,11 +223,11 @@ pub fn build_test_runs_traced(
 
     // Test 3: deterministic logic test with 50x compressed test data.
     {
-        let ring = Rc::clone(&soc.ring);
+        let ring = Rc::clone(soc.ring);
         let src = CompressedAteSource {
             handle: soc.handle.clone(),
             name: "T3 proc det 50x".to_string(),
-            port: Rc::clone(&soc.ebi) as Rc<dyn TamIf>,
+            port: Rc::clone(&soc.ebi),
             codec_addr: CODEC_ADDR,
             compressed_bits: match plan.policy {
                 DataPolicy::Volume => soc.codec.compressed_bits(),
@@ -198,20 +248,20 @@ pub fn build_test_runs_traced(
             recorder: recorder.map(Rc::clone),
         };
         runs.push(TestRun::new("T3 proc det 50x", async move {
-            ring.write(RING_EBI, 1).await;
+            ring.write(ring_ebi, 1).await;
             ring.write(RING_PROC, WrapperMode::IntTest.encode()).await;
-            ring.write(RING_CODEC, 1).await;
+            ring.write(ring_codec, 1).await;
             src.run().await
         }));
     }
 
     // Test 4: BIST of the color conversion core.
     {
-        let ring = Rc::clone(&soc.ring);
+        let ring = Rc::clone(soc.ring);
         let mut src = BistSource::new(
-            &soc.handle,
+            soc.handle,
             "T4 color BIST",
-            Rc::clone(&soc.bus) as Rc<dyn TamIf>,
+            soc.bist_color,
             COLOR_WRAPPER_ADDR,
             initiators::BIST_COLOR,
             cfg.color_scan,
@@ -230,11 +280,11 @@ pub fn build_test_runs_traced(
 
     // Test 5: deterministic logic test of the DCT core.
     {
-        let ring = Rc::clone(&soc.ring);
+        let ring = Rc::clone(soc.ring);
         let src = AteSource {
             handle: soc.handle.clone(),
             name: "T5 dct det".to_string(),
-            port: Rc::clone(&soc.ebi) as Rc<dyn TamIf>,
+            port: soc.ebi,
             wrapper_addr: DCT_WRAPPER_ADDR,
             read_back: ReadBack::Combined,
             initiator: initiators::ATE,
@@ -245,49 +295,45 @@ pub fn build_test_runs_traced(
             recorder: recorder.map(Rc::clone),
         };
         runs.push(TestRun::new("T5 dct det", async move {
-            ring.write(RING_EBI, 1).await;
+            ring.write(ring_ebi, 1).await;
             ring.write(RING_DCT, WrapperMode::IntTest.encode()).await;
             src.run().await
         }));
     }
 
-    // Test 6: controller-driven array BIST of the embedded memory.
-    {
-        let controller = Rc::clone(&soc.controller);
+    // Tests 6 and 7: the same array tests, driven by the controller's
+    // dedicated BIST engine and by the processor from L1 cache. The
+    // engine pipelines its accesses: the deep posted queue lets it
+    // recover bandwidth lost while long scan bursts hold the TAM (and
+    // thus saturate a contended one). The processor's load/store loop
+    // completes each access before the next.
+    for (engine, name, op_overhead, posted_depth) in [
+        (
+            soc.controller,
+            "T6 mem march (ctrl)",
+            cfg.controller_op_overhead,
+            128,
+        ),
+        (
+            soc.processor,
+            "T7 mem march (proc)",
+            cfg.processor_op_overhead,
+            1,
+        ),
+    ] {
+        let engine = Rc::clone(engine);
         let p = MemoryTestPlan {
-            name: "T6 mem march (ctrl)".to_string(),
+            name: name.to_string(),
             march: plan.march.clone(),
             patterns: plan.pattern_tests.clone(),
             base_addr: MEM_BASE,
             words: cfg.memory_words,
-            op_overhead: Duration::cycles(cfg.controller_op_overhead),
-            // The dedicated BIST engine pipelines its accesses; the deep
-            // posted queue lets it recover bandwidth lost while long scan
-            // bursts hold the bus (and thus saturate a contended TAM).
-            posted_depth: 128,
+            op_overhead: Duration::cycles(op_overhead),
+            posted_depth,
             policy: plan.policy,
         };
-        runs.push(TestRun::new("T6 mem march (ctrl)", async move {
-            controller.run_memory_test(&p).await
-        }));
-    }
-
-    // Test 7: the processor drives the same array tests from L1 cache.
-    {
-        let processor = Rc::clone(&soc.processor);
-        let p = MemoryTestPlan {
-            name: "T7 mem march (proc)".to_string(),
-            march: plan.march.clone(),
-            patterns: plan.pattern_tests.clone(),
-            base_addr: MEM_BASE,
-            words: cfg.memory_words,
-            op_overhead: Duration::cycles(cfg.processor_op_overhead),
-            // Load/store loop: each access completes before the next.
-            posted_depth: 1,
-            policy: plan.policy,
-        };
-        runs.push(TestRun::new("T7 mem march (proc)", async move {
-            processor.run_memory_test(&p).await
+        runs.push(TestRun::new(name, async move {
+            engine.run_memory_test(&p).await
         }));
     }
 

@@ -114,11 +114,6 @@ impl Arbiter {
         self.inner.grants.get()
     }
 
-    /// Number of initiators currently queued.
-    pub fn queue_len(&self) -> usize {
-        self.inner.queued.get()
-    }
-
     /// Whether the resource is free with nobody queued — i.e.
     /// [`Arbiter::try_acquire`] would succeed.
     pub fn is_idle(&self) -> bool {

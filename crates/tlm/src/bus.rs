@@ -11,7 +11,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use tve_obs::{Counter, Recorder, SpanKind, SpanRecord};
-use tve_sim::{Duration, SimHandle};
+use tve_sim::{Duration, SimHandle, Time};
 
 use crate::arbiter::{Arbiter, ArbiterPolicy};
 use crate::monitor::UtilizationMonitor;
@@ -39,10 +39,36 @@ impl ChannelRecorder {
             bits,
         }
     }
+
+    /// Records one occupancy `[start, start + dur)` of `channel` that
+    /// moved `bits` bits of `txn`: a [`SpanKind::Transfer`] span on the
+    /// channel's track, and one bump of each counter.
+    pub(crate) fn record_transfer(
+        &self,
+        channel: &str,
+        txn: &Transaction,
+        start: Time,
+        dur: Duration,
+        bits: u64,
+    ) {
+        self.rec.record_with(|| {
+            SpanRecord::new(
+                SpanKind::Transfer,
+                channel,
+                command_label(txn.cmd),
+                start,
+                start + dur,
+            )
+            .with_initiator(txn.initiator.0)
+            .with_bits(bits)
+        });
+        self.transfers.inc();
+        self.bits.add(bits);
+    }
 }
 
 /// The span label for a TAM command.
-pub(crate) fn command_label(cmd: Command) -> &'static str {
+fn command_label(cmd: Command) -> &'static str {
     match cmd {
         Command::Read => "read",
         Command::Write => "write",
@@ -271,11 +297,6 @@ impl BusTam {
         self.monitor.borrow()
     }
 
-    /// Clears utilization statistics (e.g. between schedule runs).
-    pub fn reset_monitor(&self) {
-        self.monitor.borrow_mut().reset();
-    }
-
     /// Marks the channel as observed (idle) up to `t`; see
     /// [`UtilizationMonitor::observe_until`].
     pub fn observe_monitor_until(&self, t: tve_sim::Time) {
@@ -301,30 +322,57 @@ impl BusTam {
         Duration::cycles(cycles)
     }
 
-    /// Cold half of the per-transfer bookkeeping: power-meter and
-    /// recorder updates for channels that attached either. Kept out of
-    /// line so the common (uninstrumented) transfer never touches the
-    /// two `Option` cells.
+    /// Cold half of the per-transfer bookkeeping of an occupancy that
+    /// moved `bits` bits of `txn`: power-meter and recorder updates for
+    /// channels that attached either. Kept out of line so the common
+    /// (uninstrumented) transfer never touches the two `Option` cells.
     #[cold]
-    fn record_instrumentation(&self, txn: &Transaction, start: tve_sim::Time, dur: Duration) {
+    fn record_instrumentation(&self, txn: &Transaction, start: Time, dur: Duration, bits: u64) {
         if let Some((meter, p)) = &*self.power.borrow() {
             meter.borrow_mut().record(start, dur, *p, &self.cfg.name);
         }
         if let Some(obs) = &*self.recorder.borrow() {
-            obs.rec.record_with(|| {
-                SpanRecord::new(
-                    SpanKind::Transfer,
-                    self.cfg.name.as_str(),
-                    command_label(txn.cmd),
-                    start,
-                    start + dur,
-                )
-                .with_initiator(txn.initiator.0)
-                .with_bits(txn.bit_len)
-            });
-            obs.transfers.inc();
-            obs.bits.add(txn.bit_len);
+            obs.record_transfer(&self.cfg.name, txn, start, dur, bits);
         }
+    }
+
+    /// The channel gates of a synchronous access, cheapest first:
+    /// loosely-timed mode, the caller's own gate (`declines`), an idle
+    /// arbiter, then absorbing the occupancy into the calling task's
+    /// quantum budget. Returns the absorbed occupancy, which
+    /// [`BusTam::sync_commit`] then books or refunds. Shared by
+    /// [`TamIf::transport_sync_try`] and every [`BusDmi`] access.
+    #[inline]
+    fn sync_admit(
+        &self,
+        declines: impl FnOnce() -> bool,
+        occupancy: impl FnOnce() -> Duration,
+    ) -> Option<Duration> {
+        if !self.handle.lt_active() || declines() || !self.arbiter.is_idle() {
+            return None;
+        }
+        let dur = occupancy();
+        self.handle.try_local_wait(dur).then_some(dur)
+    }
+
+    /// Completes an access [`BusTam::sync_admit`] let through. When the
+    /// component behind the channel performed it (`done`), books the
+    /// channel — acquire the idle arbiter, record the busy interval,
+    /// release — and returns the interval's start. When that component
+    /// declined, refunds the absorbed occupancy instead, so the access
+    /// leaves no trace on the channel (all-or-nothing), and returns `None`.
+    #[inline]
+    fn sync_commit(&self, done: bool, initiator: InitiatorId, dur: Duration) -> Option<Time> {
+        if !done {
+            self.handle.local_wait_undo(dur);
+            return None;
+        }
+        let granted = self.arbiter.try_acquire(initiator);
+        debug_assert!(granted, "synchronous access raced the arbiter");
+        let start = self.handle.now();
+        self.monitor.borrow_mut().record_busy(start, dur, initiator);
+        self.arbiter.release();
+        Some(start)
     }
 
     /// Index of `addr`'s target in `targets`, trying the route hint
@@ -349,10 +397,9 @@ impl BusTam {
 }
 
 /// A [`DmiAccess`] grant through a [`BusTam`]: each word access gates and
-/// books the channel exactly like a single-word
-/// [`TamIf::transport_sync_try`] — arbitration-idle check, quantum-budget
-/// absorption of the 32-bit occupancy, utilization-monitor busy record —
-/// then delegates the data movement to the routed target's own grant.
+/// books the channel through the same `sync_admit` / `sync_commit` step
+/// as a single-word [`TamIf::transport_sync_try`], then delegates the
+/// data movement to the routed target's own grant.
 struct BusDmi {
     bus: Rc<BusTam>,
     inner: Rc<dyn DmiAccess>,
@@ -362,67 +409,37 @@ struct BusDmi {
 }
 
 impl BusDmi {
-    /// The gates of `transport_sync_try` up to and including absorbing
-    /// the channel occupancy into the local quantum budget. On `true`
-    /// the occupancy has been consumed; a subsequent inner decline must
-    /// refund it with `local_wait_undo`.
-    fn channel_admit(&self) -> bool {
-        if !self.bus.handle.lt_active() {
-            return false;
-        }
-        // Instrumentation (power meter, span recorder) is recorded on
-        // the transactional path only; decline so the fallback keeps
-        // those records exact.
-        if self.bus.instrumented.get() {
-            return false;
-        }
-        if !self.bus.arbiter.is_idle() {
-            return false;
-        }
-        self.bus.handle.try_local_wait(self.occupancy)
+    /// The bus's synchronous admission for one 32-bit access. The
+    /// instrumented-channel decline is DMI's own gate: power and span
+    /// records stay on the transactional path, so the fallback keeps
+    /// them exact.
+    fn admit(&self) -> bool {
+        self.bus
+            .sync_admit(|| self.bus.instrumented.get(), || self.occupancy)
+            .is_some()
     }
 
-    /// The channel-side bookkeeping of a completed access, in the same
-    /// order as `transport_sync_try`: acquire, record busy, release.
-    fn channel_commit(&self) {
-        let granted = self.bus.arbiter.try_acquire(self.initiator);
-        debug_assert!(granted, "DMI access raced the arbiter");
-        let start = self.bus.handle.now();
+    /// Books the channel for an admitted access the inner grant
+    /// performed, or refunds it when the inner grant declined.
+    fn commit(&self, done: bool) -> bool {
         self.bus
-            .monitor
-            .borrow_mut()
-            .record_busy(start, self.occupancy, self.initiator);
-        self.bus.arbiter.release();
+            .sync_commit(done, self.initiator, self.occupancy)
+            .is_some()
     }
 }
 
 impl DmiAccess for BusDmi {
     fn dmi_read(&self, addr: u32) -> Option<u32> {
-        if !self.channel_admit() {
+        if !self.admit() {
             return None;
         }
-        match self.inner.dmi_read(addr) {
-            Some(word) => {
-                self.channel_commit();
-                Some(word)
-            }
-            None => {
-                self.bus.handle.local_wait_undo(self.occupancy);
-                None
-            }
-        }
+        let word = self.inner.dmi_read(addr);
+        self.commit(word.is_some());
+        word
     }
 
     fn dmi_write(&self, addr: u32, value: u32) -> bool {
-        if !self.channel_admit() {
-            return false;
-        }
-        if !self.inner.dmi_write(addr, value) {
-            self.bus.handle.local_wait_undo(self.occupancy);
-            return false;
-        }
-        self.channel_commit();
-        true
+        self.admit() && self.commit(self.inner.dmi_write(addr, value))
     }
 }
 
@@ -448,27 +465,7 @@ impl TamIf for BusTam {
                     .borrow_mut()
                     .record_busy(self.handle.now(), dur, txn.initiator);
                 if self.instrumented.get() {
-                    if let Some((meter, p)) = &*self.power.borrow() {
-                        meter
-                            .borrow_mut()
-                            .record(self.handle.now(), dur, *p, &self.cfg.name);
-                    }
-                    if let Some(obs) = &*self.recorder.borrow() {
-                        let start = self.handle.now();
-                        obs.rec.record_with(|| {
-                            SpanRecord::new(
-                                SpanKind::Transfer,
-                                self.cfg.name.as_str(),
-                                command_label(txn.cmd),
-                                start,
-                                start + dur,
-                            )
-                            .with_initiator(txn.initiator.0)
-                            .with_bits(chunk)
-                        });
-                        obs.transfers.inc();
-                        obs.bits.add(chunk);
-                    }
+                    self.record_instrumentation(txn, self.handle.now(), dur, chunk);
                 }
                 self.handle.wait(dur).await;
                 // Split-transaction semantics: the channel is released
@@ -501,105 +498,37 @@ impl TamIf for BusTam {
     }
 
     /// Loosely-timed fast path: a whole single-chunk transfer completes
-    /// synchronously when the bus is idle, the occupancy fits in the
-    /// calling task's quantum budget, and the routed target is itself
-    /// synchronous for this transaction.
-    fn transport_is_sync(&self, txn: &Transaction) -> bool {
-        // Cheapest gate first: always false in accurate mode.
-        if !self.handle.local_wait_fits(self.occupancy_of(txn.bit_len)) {
-            return false;
-        }
-        // Burst segmentation re-arbitrates between chunks; keep that on
-        // the event-driven path.
-        if self
-            .cfg
-            .max_burst_bits
-            .is_some_and(|mb| txn.bit_len > mb.max(1))
-        {
-            return false;
-        }
-        if !self.arbiter.is_idle() {
-            return false;
-        }
-        let targets = self.targets.borrow();
-        match self.route_index(&targets, txn.addr) {
-            Some(i) => targets[i].1.transport_is_sync(txn),
-            None => true, // the address-error path never suspends
-        }
-    }
-
-    fn transport_sync(&self, txn: &mut Transaction) {
-        let granted = self.arbiter.try_acquire(txn.initiator);
-        debug_assert!(granted, "transport_sync raced the arbiter");
-        let dur = self.occupancy_of(txn.bit_len);
-        let start = self.handle.now();
-        self.monitor
-            .borrow_mut()
-            .record_busy(start, dur, txn.initiator);
-        if self.instrumented.get() {
-            self.record_instrumentation(txn, start, dur);
-        }
-        let absorbed = self.handle.try_local_wait(dur);
-        debug_assert!(absorbed, "transport_sync wait no longer fits");
-        self.arbiter.release();
-        let targets = self.targets.borrow();
-        match self.route_index(&targets, txn.addr) {
-            Some(i) => targets[i].1.transport_sync(txn),
-            None => {
-                self.rejected.set(self.rejected.get() + 1);
-                txn.status = ResponseStatus::AddressError;
-            }
-        }
-    }
-
-    /// Single-pass fast path: the gate checks and the transfer share one
-    /// route lookup and one arbiter touch. The routed component runs
-    /// first so a decline leaves no trace on this channel; synchronous
-    /// targets never consume channel time, so the reordering is not
-    /// observable in the monitor or the local quantum budget.
+    /// synchronously when the bus admits it (`sync_admit`) and the routed
+    /// target is itself synchronous for this transaction. The gate
+    /// checks and the transfer share one route lookup and one arbiter
+    /// touch. The routed component runs first so a decline leaves no
+    /// trace on this channel; synchronous targets never consume channel
+    /// time, so the reordering is not observable in the monitor or the
+    /// local quantum budget.
     fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
-        // Cheapest gate first: always declines in accurate mode.
-        if !self.handle.lt_active() {
-            return false;
-        }
         // Burst segmentation re-arbitrates between chunks; keep that on
         // the event-driven path.
-        if self
-            .cfg
-            .max_burst_bits
-            .is_some_and(|mb| txn.bit_len > mb.max(1))
-        {
+        let Some(dur) = self.sync_admit(
+            || {
+                self.cfg
+                    .max_burst_bits
+                    .is_some_and(|mb| txn.bit_len > mb.max(1))
+            },
+            || self.occupancy_of(txn.bit_len),
+        ) else {
             return false;
-        }
-        if !self.arbiter.is_idle() {
-            return false;
-        }
-        // Fused fits-and-consume: one kernel touch instead of a fits
-        // check up front plus a consuming call after the gates.
-        let dur = self.occupancy_of(txn.bit_len);
-        if !self.handle.try_local_wait(dur) {
-            return false;
-        }
+        };
         let targets = self.targets.borrow();
         let routed = self.route_index(&targets, txn.addr);
-        if let Some(i) = routed {
-            if !targets[i].1.transport_sync_try(txn) {
-                // Rare: the routed component declined after the channel
-                // time was absorbed; refund it (all-or-nothing).
-                self.handle.local_wait_undo(dur);
-                return false;
-            }
-        }
-        let granted = self.arbiter.try_acquire(txn.initiator);
-        debug_assert!(granted, "transport_sync_try raced the arbiter");
-        let start = self.handle.now();
-        self.monitor
-            .borrow_mut()
-            .record_busy(start, dur, txn.initiator);
+        // Rarely, the routed component declines after the channel time
+        // was absorbed; the commit then refunds it.
+        let done = routed.is_none_or(|i| targets[i].1.transport_sync_try(txn));
+        let Some(start) = self.sync_commit(done, txn.initiator, dur) else {
+            return false;
+        };
         if self.instrumented.get() {
-            self.record_instrumentation(txn, start, dur);
+            self.record_instrumentation(txn, start, dur, txn.bit_len);
         }
-        self.arbiter.release();
         if routed.is_none() {
             self.rejected.set(self.rejected.get() + 1);
             txn.status = ResponseStatus::AddressError;
@@ -681,14 +610,13 @@ impl TamIf for SinkTarget {
     }
 
     fn transport<'a>(&'a self, txn: &'a mut Transaction) -> LocalBoxFuture<'a, ()> {
-        Box::pin(async move { self.transport_sync(txn) })
+        Box::pin(async move {
+            self.transport_sync_try(txn);
+        })
     }
 
-    fn transport_is_sync(&self, _txn: &Transaction) -> bool {
-        true // a sink consumes no time and never suspends
-    }
-
-    fn transport_sync(&self, txn: &mut Transaction) {
+    /// A sink consumes no time and never suspends: always synchronous.
+    fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
         self.transactions.set(self.transactions.get() + 1);
         self.bits.set(self.bits.get() + txn.bit_len);
         if matches!(txn.cmd, Command::Read | Command::WriteRead) && !txn.data.is_empty() {
@@ -697,6 +625,7 @@ impl TamIf for SinkTarget {
             txn.data = vec![0; (txn.bit_len as usize).div_ceil(32)];
         }
         txn.status = ResponseStatus::Ok;
+        true
     }
 }
 
@@ -986,8 +915,7 @@ mod tests {
             }
             self.forwarded.set(self.forwarded.get() + 1);
             self.sync_forwards.set(self.sync_forwards.get() + 1);
-            self.sink.transport_sync(txn);
-            true
+            self.sink.transport_sync_try(txn)
         }
     }
 

@@ -10,10 +10,10 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use tve_obs::{Recorder, SpanKind, SpanRecord};
+use tve_obs::Recorder;
 use tve_sim::{Duration, SimHandle};
 
-use crate::bus::{command_label, AddrRange, BindError, ChannelRecorder};
+use crate::bus::{AddrRange, BindError, ChannelRecorder};
 use crate::monitor::UtilizationMonitor;
 use crate::payload::{ResponseStatus, Transaction};
 use crate::transport::{LocalBoxFuture, TamIf};
@@ -116,6 +116,11 @@ impl SerialTam {
     /// Cycles an access of `bit_len` bits to the slot at `addr` occupies
     /// the chain, or `None` for an unmapped address.
     pub fn occupancy_of(&self, addr: u32, bit_len: u64) -> Option<Duration> {
+        self.route(addr, bit_len).map(|(dur, _)| dur)
+    }
+
+    /// [`SerialTam::occupancy_of`] together with the target at `addr`.
+    fn route(&self, addr: u32, bit_len: u64) -> Option<(Duration, Rc<dyn TamIf>)> {
         let slots = self.slots.borrow();
         let hit = slots.iter().position(|s| s.range.contains(addr))?;
         let bypass: u64 = slots
@@ -124,7 +129,8 @@ impl SerialTam {
             .filter(|&(i, _)| i != hit)
             .map(|(_, s)| s.bypass_bits as u64)
             .sum();
-        Some(Duration::cycles(self.overhead_cycles + bit_len + bypass))
+        let dur = Duration::cycles(self.overhead_cycles + bit_len + bypass);
+        Some((dur, Rc::clone(&slots[hit].target)))
     }
 }
 
@@ -135,37 +141,16 @@ impl TamIf for SerialTam {
 
     fn transport<'a>(&'a self, txn: &'a mut Transaction) -> LocalBoxFuture<'a, ()> {
         Box::pin(async move {
-            let Some(dur) = self.occupancy_of(txn.addr, txn.bit_len) else {
+            let Some((dur, target)) = self.route(txn.addr, txn.bit_len) else {
                 txn.status = ResponseStatus::AddressError;
                 return;
-            };
-            let target = {
-                let slots = self.slots.borrow();
-                let s = slots
-                    .iter()
-                    .find(|s| s.range.contains(txn.addr))
-                    .expect("occupancy_of found it");
-                Rc::clone(&s.target)
             };
             self.arbiter.acquire(txn.initiator).await;
             self.monitor
                 .borrow_mut()
                 .record_busy(self.handle.now(), dur, txn.initiator);
             if let Some(obs) = &*self.recorder.borrow() {
-                let start = self.handle.now();
-                obs.rec.record_with(|| {
-                    SpanRecord::new(
-                        SpanKind::Transfer,
-                        self.name.as_str(),
-                        command_label(txn.cmd),
-                        start,
-                        start + dur,
-                    )
-                    .with_initiator(txn.initiator.0)
-                    .with_bits(txn.bit_len)
-                });
-                obs.transfers.inc();
-                obs.bits.add(txn.bit_len);
+                obs.record_transfer(&self.name, txn, self.handle.now(), dur, txn.bit_len);
             }
             self.handle.wait(dur).await;
             self.arbiter.release();

@@ -51,49 +51,23 @@ pub trait TamIf {
     /// reads) and `status`, and consuming simulated time for the transfer.
     fn transport<'a>(&'a self, txn: &'a mut Transaction) -> LocalBoxFuture<'a, ()>;
 
-    /// Whether [`TamIf::transport_sync`] could complete `txn` right now
-    /// without suspending the calling process. Must be side-effect free.
-    ///
-    /// This is the loosely-timed fast path: when the channel's occupancy
-    /// fits in the calling task's quantum budget
-    /// ([`tve_sim::SimHandle::local_wait_fits`]) and no arbitration or
-    /// back-pressure would block, the whole transaction — channel, routing,
-    /// target — runs as one synchronous call with no future allocation. In
-    /// the default accurate mode this is always `false`, so the event-driven
-    /// path (and its digests) is untouched. Components opt in; the default
-    /// declines.
-    fn transport_is_sync(&self, txn: &Transaction) -> bool {
-        let _ = txn;
-        false
-    }
-
-    /// Completes `txn` synchronously, with exactly the side effects and
-    /// simulated-time cost of awaiting [`TamIf::transport`].
-    ///
-    /// Only call when [`TamIf::transport_is_sync`] just returned `true`
-    /// with no intervening simulation activity.
-    fn transport_sync(&self, txn: &mut Transaction) {
-        let _ = txn;
-        unreachable!("transport_sync called without transport_is_sync")
-    }
-
-    /// Attempts the synchronous fast path in one call: when `txn` can
-    /// complete without suspending, performs it (with all the side
-    /// effects of [`TamIf::transport_sync`]) and returns `true`;
+    /// The loosely-timed fast path: when `txn` can complete right now
+    /// without suspending the calling process, performs it — channel,
+    /// routing, target, with exactly the side effects and simulated-time
+    /// cost of awaiting [`TamIf::transport`] — and returns `true`;
     /// otherwise leaves `txn` and the component untouched and returns
     /// `false`.
     ///
-    /// The default composes the two-step check-then-do pair. Channels
-    /// override it to fuse the gate checks with the transfer — one
-    /// route lookup, one arbiter touch — because at memory-test op
-    /// rates the duplicate walk is measurable.
+    /// A channel takes it when its occupancy fits in the calling task's
+    /// quantum budget ([`tve_sim::SimHandle::try_local_wait`]) and no
+    /// arbitration or back-pressure would block; the whole transaction
+    /// then runs as one call with no future allocation. In the default
+    /// accurate mode channels always decline, so the event-driven path
+    /// (and its digests) is untouched. Components opt in; the default
+    /// declines.
     fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
-        if self.transport_is_sync(txn) {
-            self.transport_sync(txn);
-            true
-        } else {
-            false
-        }
+        let _ = txn;
+        false
     }
 
     /// Requests a direct-memory-interface grant over the word window
@@ -226,7 +200,7 @@ pub trait TamIfExt: TamIf {
     }
 
     /// Transports `txn`, taking the synchronous fast path when the
-    /// component offers it ([`TamIf::transport_is_sync`]).
+    /// component offers it ([`TamIf::transport_sync_try`]).
     fn do_transport<'a>(&'a self, txn: &'a mut Transaction) -> impl Future<Output = ()> + 'a {
         async move {
             if !self.transport_sync_try(txn) {

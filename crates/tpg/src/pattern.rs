@@ -141,18 +141,6 @@ impl PatternSet {
         PatternSet { config, patterns }
     }
 
-    /// Builds a set from explicit patterns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any pattern has a different geometry.
-    pub fn from_patterns(config: ScanConfig, patterns: Vec<ScanPattern>) -> Self {
-        for p in &patterns {
-            assert_eq!(p.config(), config, "pattern geometry mismatch");
-        }
-        PatternSet { config, patterns }
-    }
-
     /// The common scan geometry.
     pub fn config(&self) -> ScanConfig {
         self.config
