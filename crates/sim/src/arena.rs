@@ -198,6 +198,13 @@ impl TaskArena {
         self.ready_tail = id.index;
     }
 
+    /// Whether any task is linked in the ready queue. A task that
+    /// completed while queued still counts until `pop_ready` reaches it,
+    /// which only makes callers more conservative.
+    pub(crate) fn has_ready(&self) -> bool {
+        self.ready_head != NIL
+    }
+
     /// Pops the next runnable task, skipping (and freeing) slots whose
     /// task completed while still queued.
     pub(crate) fn pop_ready(&mut self) -> Option<TaskId> {

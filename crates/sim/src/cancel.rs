@@ -4,9 +4,11 @@
 //! (deadline watcher, shutdown path, chaos harness) trips to ask a running
 //! simulation to stop. The kernel checks the token once per scheduling
 //! boundary — each `advance` to the next distinct timestamp, which in
-//! loosely-timed mode is also every quantum sync point — so a cancelled
-//! simulation stops at a deterministic, well-defined point instead of
-//! mid-poll.
+//! loosely-timed mode is also every quantum sync point — and at every
+//! timed wait that would otherwise complete inline without suspending:
+//! a tripped token makes that wait suspend, so the run loop reaches its
+//! next boundary. A cancelled simulation therefore stops at a
+//! deterministic, well-defined point instead of mid-poll.
 //!
 //! Cancellation is delivered by unwinding with the [`Cancelled`] payload
 //! via [`std::panic::panic_any`]. The kernel's existing panic path retires

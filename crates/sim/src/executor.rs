@@ -16,12 +16,30 @@
 //! [`TaskId`](crate::arena::TaskId)s rather than cloned `Waker`s; the
 //! `Waker` machinery remains only as a fallback for foreign futures.
 //!
+//! A timed wait that nothing can precede completes *inline* (the
+//! exact-lookahead rule): on its first poll, when no other task is
+//! runnable or about to be, no pending timer fires at or before its
+//! deadline, the deadline is within the current `run_until` horizon and
+//! the cancel token is clear, the kernel sets `now` to the deadline and
+//! the wait returns `Ready` — no timer insert, no suspend and resume, no
+//! second descent through the awaiting task's nested futures. The run
+//! loop's very next step would have fired exactly that timer and polled
+//! exactly that task, so the result is observably identical; an inline
+//! completion still counts as one fired timer in
+//! [`Simulation::kernel_stats`], and only the poll count drops.
+//!
 //! An opt-in *loosely-timed* mode ([`Simulation::with_quantum`])
 //! temporally decouples tasks: relative waits accumulate into a per-task
 //! local-time offset and only synchronize with the global event queue at
 //! quantum boundaries, the TLM-2.0 trade of timing fidelity for speed.
 //! The default (quantum 0) mode is cycle-accurate and byte-identical to
 //! the pre-arena kernel (see `tests/kernel_digests.rs`).
+//!
+//! Both rules assume a task awaits **one kernel future at a time**: a
+//! quantum-mode wait advances the task's local offset and an inline wait
+//! advances global time, either of which a sibling future polled in the
+//! same task (`join!`, `select!`) would observe. Model code awaits its
+//! waits, events and queues one after another.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -129,6 +147,9 @@ pub(crate) struct Kernel {
     /// Cancellation token captured from the thread at construction (see
     /// [`crate::with_cancel_token`]); `None` for uncancellable sims.
     cancel: Option<Arc<crate::CancelToken>>,
+    /// Horizon of the `run_until` in progress: no inline advance may
+    /// pass it.
+    horizon: Cell<u64>,
 }
 
 impl Kernel {
@@ -152,17 +173,51 @@ impl Kernel {
             quantum: Cell::new(0),
             batch_limit: Cell::new(usize::MAX),
             cancel: crate::cancel::current_token(),
+            horizon: Cell::new(0),
         })
     }
 
+    fn cancelled(&self) -> bool {
+        self.cancel
+            .as_ref()
+            .is_some_and(|token| token.is_cancelled())
+    }
+
     /// Unwinds with [`crate::Cancelled`] if the kernel's token has been
-    /// tripped. Called once per scheduling boundary in the run loop.
+    /// tripped. Called once per scheduling boundary in the run loop; an
+    /// inline advance declines once the token trips, so a task that
+    /// never suspends still reaches one.
     fn check_cancelled(&self) {
-        if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                std::panic::panic_any(crate::Cancelled);
-            }
+        if self.cancelled() {
+            std::panic::panic_any(crate::Cancelled);
         }
+    }
+
+    /// The exact-lookahead rule: completes the current task's timed wait
+    /// until `deadline` inline — time jumps to `deadline` and the wait
+    /// counts as one fired timer — when the run loop's very next step
+    /// would be to fire exactly that timer and poll exactly this task.
+    /// That holds when nothing else is runnable or about to be (ready
+    /// queue, pending spawns, foreign wakes), no pending timer fires at
+    /// or before `deadline` (one at exactly `deadline` was scheduled
+    /// first, so it must fire first), `deadline` lies in the future but
+    /// not past the horizon of the `run_until` in progress, and the
+    /// cancel token has not tripped. Returns `false`, changing nothing,
+    /// otherwise.
+    fn advance_inline(&self, deadline: u64) -> bool {
+        if deadline <= self.now.get()
+            || deadline > self.horizon.get()
+            || self.arena.borrow().has_ready()
+            || self.next_timer().is_some_and(|t| t <= deadline)
+            || !self.pending_spawn.borrow().is_empty()
+            || self.ext.nonempty.load(Ordering::Relaxed)
+            || self.cancelled()
+        {
+            return false;
+        }
+        self.now.set(deadline);
+        self.timers_fired.set(self.timers_fired.get() + 1);
+        true
     }
 
     pub(crate) fn now(&self) -> u64 {
@@ -449,6 +504,16 @@ impl SimHandle {
     /// A zero-length wait is a *delta wait*: the process yields and resumes
     /// at the same simulated time after other runnable processes have run.
     ///
+    /// A nonzero wait that nothing else can precede completes on its
+    /// first poll without suspending: no other task is runnable, no
+    /// pending timer fires at or before the deadline, the deadline is
+    /// within the current `run_until` horizon and the cancel token is
+    /// clear. Time then jumps to the deadline exactly as if the wait had
+    /// suspended and been woken, and the wait still counts as one fired
+    /// timer. The rule assumes the task awaits this wait alone, not
+    /// alongside another kernel future in a `join!` or `select!` (see the
+    /// module docs).
+    ///
     /// In loosely-timed mode ([`Simulation::with_quantum`]) a nonzero wait
     /// accumulates into the task's local-time offset and returns
     /// *without suspending* until the offset reaches the quantum; only
@@ -630,11 +695,14 @@ impl Future for Wait {
                 }
             }
             WaitState::Init => {
-                self.state = WaitState::Registered;
                 let fire = match self.kernel.current_task() {
+                    Some(_) if self.kernel.advance_inline(self.deadline) => {
+                        return Poll::Ready(());
+                    }
                     Some(id) => TimerFire::Task(id.pack()),
                     None => TimerFire::Waker(cx.waker().clone()),
                 };
+                self.state = WaitState::Registered;
                 self.kernel.schedule(self.deadline, fire);
                 Poll::Pending
             }
@@ -833,7 +901,10 @@ impl Simulation {
 
     /// Kernel activity counters since construction: `(task polls, timer
     /// events fired)` — the event-density figures behind abstraction-level
-    /// comparisons.
+    /// comparisons. A timed wait completed inline (see
+    /// [`SimHandle::wait`]) counts as a fired timer event but takes no
+    /// extra poll, so the timer count measures simulated events and the
+    /// poll count measures task resumptions.
     pub fn kernel_stats(&self) -> (u64, u64) {
         (self.kernel.polls.get(), self.kernel.timers_fired.get())
     }
@@ -867,6 +938,7 @@ impl Simulation {
     /// When stopping at the horizon, time is advanced to exactly `horizon`
     /// (unless `horizon` is [`Time::MAX`], which is treated as "no limit").
     pub fn run_until(&mut self, horizon: Time) -> Time {
+        self.kernel.horizon.set(horizon.cycles());
         loop {
             self.kernel.check_cancelled();
             self.kernel.drain_ready();
@@ -1218,6 +1290,105 @@ mod tests {
             (end, v)
         }
         assert_eq!(run_once(), run_once());
+    }
+
+    #[test]
+    fn lone_task_waits_complete_inline() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let waits = [3u64, 1, 7, 2, 5];
+        let jh = sim.spawn(async move {
+            for d in waits {
+                h.wait(Duration::cycles(d)).await;
+            }
+            h.now().cycles()
+        });
+        let end = sim.run().cycles();
+        assert_eq!((end, jh.try_take()), (18, Some(18)));
+        // One poll runs the whole task; every wait still counts as a
+        // fired timer.
+        assert_eq!(sim.kernel_stats(), (1, waits.len() as u64));
+    }
+
+    #[test]
+    fn timer_at_the_deadline_forces_the_event_path() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let log: Rc<RefCell<Vec<(u64, &str)>>> = Rc::new(RefCell::new(Vec::new()));
+        for (name, waits) in [("a", vec![10u64]), ("b", vec![4, 6])] {
+            let (h, log) = (h.clone(), Rc::clone(&log));
+            sim.spawn(async move {
+                for d in waits {
+                    h.wait(Duration::cycles(d)).await;
+                }
+                log.borrow_mut().push((h.now().cycles(), name));
+            });
+        }
+        sim.run();
+        // `b`'s first wait completes inline (a's timer at 10 is later),
+        // but its second ends exactly on a's timer, so it queues behind
+        // it: same instant, scheduling order.
+        assert_eq!(*log.borrow(), vec![(10, "a"), (10, "b")]);
+        assert_eq!(sim.kernel_stats(), (4, 3));
+    }
+
+    #[test]
+    fn spawned_task_runs_before_its_parent_advances() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let log: Rc<RefCell<Vec<(u64, &str)>>> = Rc::new(RefCell::new(Vec::new()));
+        let log2 = Rc::clone(&log);
+        sim.spawn(async move {
+            let (h2, log3) = (h.clone(), Rc::clone(&log2));
+            h.spawn(async move {
+                log3.borrow_mut().push((h2.now().cycles(), "child"));
+            });
+            h.wait(Duration::cycles(5)).await;
+            log2.borrow_mut().push((h.now().cycles(), "parent"));
+        });
+        sim.run();
+        assert_eq!(*log.borrow(), vec![(0, "child"), (5, "parent")]);
+    }
+
+    #[test]
+    fn inline_waits_stop_at_the_run_horizon() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let laps = Rc::new(Cell::new(0u32));
+        let laps2 = Rc::clone(&laps);
+        sim.spawn(async move {
+            for _ in 0..100 {
+                h.wait(Duration::cycles(3)).await;
+                laps2.set(laps2.get() + 1);
+            }
+        });
+        assert_eq!(sim.run_until(Time::from_cycles(10)).cycles(), 10);
+        assert_eq!(laps.get(), 3, "waits ending at 3, 6 and 9");
+        assert_eq!(sim.run_until(Time::from_cycles(20)).cycles(), 20);
+        assert_eq!(laps.get(), 6, "then 12, 15 and 18");
+    }
+
+    #[test]
+    fn cancelling_inside_an_inline_wait_loop_unwinds() {
+        crate::silence_cancelled_panics();
+        let token = crate::CancelToken::new();
+        let mut sim = crate::with_cancel_token(&token, Simulation::new);
+        let h = sim.handle();
+        let laps = Rc::new(Cell::new(0u32));
+        let laps2 = Rc::clone(&laps);
+        sim.spawn(async move {
+            for _ in 0..1000 {
+                laps2.set(laps2.get() + 1);
+                if laps2.get() == 100 {
+                    token.cancel();
+                }
+                h.wait(Duration::cycles(1)).await;
+            }
+        });
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+            .expect_err("a tripped token must unwind out of run");
+        assert!(err.is::<crate::Cancelled>());
+        assert_eq!(laps.get(), 100, "no wait completes after the trip");
     }
 
     #[test]

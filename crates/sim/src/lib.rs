@@ -18,9 +18,11 @@
 //! an intrusive ready queue, timers are bucketed by timestamp in a vector
 //! sorted by descending time and fired in same-instant batches (one pop
 //! of the last bucket), the external-wake queue costs one relaxed load
-//! per check while empty, and waits/notifications move packed task ids
-//! instead of cloned `Waker`s — see the `executor` module docs. An opt-in
-//! loosely-timed mode ([`Simulation::with_quantum`], or `TVE_QUANTUM` via
+//! per check while empty, waits/notifications move packed task ids
+//! instead of cloned `Waker`s, and a timed wait that nothing else can
+//! precede completes inline without suspending — see the `executor`
+//! module docs. An opt-in loosely-timed mode
+//! ([`Simulation::with_quantum`], or `TVE_QUANTUM` via
 //! [`Simulation::from_env`]) trades intra-quantum timing fidelity for
 //! speed through temporal decoupling; the default mode is cycle-accurate
 //! and digest-stable across kernel versions.

@@ -103,6 +103,9 @@ impl fmt::Display for GranularityRunStats {
 
 /// Simulates `patterns` scan patterns of `config` at RTL granularity: one
 /// kernel event *per clock cycle*, with bit-true shifting of every chain.
+/// The events are counted timer events (`kernel_waits`), not task
+/// suspensions: the clock process is the only task, so each one-cycle
+/// wait completes inline and the whole run takes one poll.
 pub fn simulate_rtl_scan(config: ScanConfig, patterns: u64) -> GranularityRunStats {
     let started = std::time::Instant::now();
     let mut sim = Simulation::new();

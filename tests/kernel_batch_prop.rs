@@ -5,8 +5,10 @@
 //! buckets (the default). A second property pins the timer queue itself:
 //! with many distinct and repeated deadlines and same-instant
 //! re-schedules after timed event notifications, the wake order equals a
-//! naive `(time, seq)` reference model. See DESIGN.md § Kernel
-//! architecture.
+//! naive `(time, seq)` reference model. Its long waits open lone-task
+//! phases, where the exact-lookahead rule completes waits inline without
+//! suspending; the trace and the fired-timer count must still equal the
+//! reference's. See DESIGN.md § Kernel architecture.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -83,7 +85,8 @@ enum Actor {
 type OrderTrace = Vec<(u64, Actor, usize)>;
 
 /// A mixed timer workload: sleeper tasks with many distinct and repeated
-/// deadlines (zero waits re-schedule at the current instant), plus one
+/// deadlines (zero waits re-schedule at the current instant) and long
+/// waits that leave one sleeper alone for a stretch, plus one
 /// listener per event whose timed notifications were all scheduled up
 /// front. Each listener, once woken, re-schedules at the same instant
 /// with a zero wait before re-arming — the same-instant append path.
@@ -100,7 +103,7 @@ struct OrderWorkload {
 type RawOrderWorkload = (Vec<Vec<(u64, u64)>>, Vec<Vec<u64>>);
 
 fn order_workloads() -> impl Strategy<Value = RawOrderWorkload> {
-    let wait = (0u64..3, 0u64..48);
+    let wait = (0u64..4, 0u64..48);
     (
         proptest::collection::vec(proptest::collection::vec(wait, 1..14), 1..16),
         proptest::collection::vec(proptest::collection::vec(1u64..40, 0..6), 0..5),
@@ -109,16 +112,21 @@ fn order_workloads() -> impl Strategy<Value = RawOrderWorkload> {
 
 impl OrderWorkload {
     /// Selector 0 keeps the raw wait: distinct deadlines that land
-    /// between pending buckets. Otherwise the wait is `raw % 3`: repeated
-    /// deadlines and zero waits. Notification times are sorted and
-    /// deduplicated.
+    /// between pending buckets. Selector 3 stretches it to `raw * 16`, a
+    /// gap wider than most other deadlines, so the sleeper runs alone for
+    /// a while. Otherwise the wait is `raw % 3`: repeated deadlines and
+    /// zero waits. Notification times are sorted and deduplicated.
     fn new((sleepers, notifies): RawOrderWorkload) -> Self {
         let sleepers = sleepers
             .into_iter()
             .map(|waits| {
                 waits
                     .into_iter()
-                    .map(|(sel, raw)| if sel == 0 { raw } else { raw % 3 })
+                    .map(|(sel, raw)| match sel {
+                        0 => raw,
+                        3 => raw * 16,
+                        _ => raw % 3,
+                    })
                     .collect()
             })
             .collect();
@@ -134,8 +142,9 @@ impl OrderWorkload {
     }
 }
 
-/// Runs `w` on the kernel under `batch_limit`.
-fn run_order(w: &OrderWorkload, batch_limit: usize) -> OrderTrace {
+/// Runs `w` on the kernel under `batch_limit`; returns the trace and
+/// [`Simulation::kernel_stats`] `(polls, timers fired)`.
+fn run_order(w: &OrderWorkload, batch_limit: usize) -> (OrderTrace, (u64, u64)) {
     let mut sim = Simulation::new();
     sim.set_timer_batch_limit(batch_limit);
     let h = sim.handle();
@@ -182,13 +191,14 @@ fn run_order(w: &OrderWorkload, batch_limit: usize) -> OrderTrace {
     }
     sim.run();
     let t = trace.borrow().clone();
-    t
+    (t, sim.kernel_stats())
 }
 
 /// The naive reference: one global `(time, seq)`-ordered timer set, one
 /// timer fired at a time, and the woken task run to its next suspension
-/// on the spot. `seq` counts schedule calls in execution order.
-fn reference_order(w: &OrderWorkload) -> OrderTrace {
+/// on the spot. `seq` counts schedule calls in execution order. Returns
+/// the trace and the number of timers fired.
+fn reference_order(w: &OrderWorkload) -> (OrderTrace, u64) {
     #[derive(Clone, Copy)]
     enum Fire {
         Sleeper(usize),
@@ -212,7 +222,9 @@ fn reference_order(w: &OrderWorkload) -> OrderTrace {
     }
     let mut step = vec![0usize; w.sleepers.len()];
     let mut trace = Vec::new();
+    let mut fired = 0u64;
     while let Some(((now, _), fire)) = timers.pop_first() {
+        fired += 1;
         match fire {
             Fire::Sleeper(i) => {
                 trace.push((now, Actor::Sleeper(i), step[i]));
@@ -228,7 +240,7 @@ fn reference_order(w: &OrderWorkload) -> OrderTrace {
             Fire::ListenerResume(k) => trace.push((now, Actor::Listener(k), 1)),
         }
     }
-    trace
+    (trace, fired)
 }
 
 proptest! {
@@ -237,8 +249,27 @@ proptest! {
     #[test]
     fn timer_wake_order_matches_time_seq_reference(raw in order_workloads()) {
         let w = OrderWorkload::new(raw);
-        let reference = reference_order(&w);
-        prop_assert_eq!(&run_order(&w, usize::MAX), &reference);
-        prop_assert_eq!(&run_order(&w, 1), &reference);
+        let (reference, fired) = reference_order(&w);
+        for limit in [usize::MAX, 1] {
+            let (trace, (_, timers)) = run_order(&w, limit);
+            prop_assert_eq!(&trace, &reference);
+            // Waits completed inline still count as fired timers.
+            prop_assert_eq!(timers, fired);
+        }
+    }
+
+    #[test]
+    fn lone_sleeper_suspends_only_on_zero_waits(
+        waits in proptest::collection::vec((0u64..4, 0u64..48), 1..32),
+    ) {
+        let w = OrderWorkload::new((vec![waits], Vec::new()));
+        let (reference, fired) = reference_order(&w);
+        let (trace, (polls, timers)) = run_order(&w, usize::MAX);
+        prop_assert_eq!(&trace, &reference);
+        prop_assert_eq!(timers, fired);
+        // One poll for the notifier, one for the sleeper, plus one per
+        // delta (zero) wait: every timed wait completes inline.
+        let zeros = w.sleepers[0].iter().filter(|&&d| d == 0).count() as u64;
+        prop_assert_eq!(polls, 2 + zeros);
     }
 }
