@@ -167,17 +167,16 @@ impl TestController {
         }
     }
 
-    /// A DMI grant over the plan's word window, asked for in
-    /// loosely-timed mode only. A march hammers that window with
-    /// single-word accesses; over the grant each operation skips the
-    /// transaction build and per-op interface walk. Every granting layer replicates its observable side effects
-    /// (simulated time, bus utilization, power, counters) per op or
-    /// declines the op, so results are identical either way
-    /// (`tests/kernel_digests.rs`). Accurate mode never asks.
+    /// A DMI grant over the plan's word window. A march hammers that
+    /// window with single-word accesses; over the grant each operation
+    /// skips the transaction build and per-op interface walk. Every
+    /// granting layer replicates its observable side effects (simulated
+    /// time, bus utilization, power, counters) per op or declines the
+    /// op, so results are identical either way
+    /// (`tests/kernel_digests.rs`). In accurate mode the bus admits a
+    /// word exactly when the transactional access would complete
+    /// without suspending.
     fn dmi_window(&self, plan: &MemoryTestPlan) -> Option<Rc<dyn DmiAccess>> {
-        if !self.handle.lt_active() {
-            return None;
-        }
         Rc::clone(&self.tam).dmi_window(plan.base_addr, plan.words, self.initiator)
     }
 
@@ -209,10 +208,11 @@ impl TestController {
         let mut out = TestOutcome::begin(&plan.name, self.handle.now());
         let dmi = self.dmi_window(plan);
         for op in plan.ops() {
-            // Engine overhead, identical on both paths. `try_local_wait`
-            // absorbs it into the quantum offset without even building a
-            // `Wait`; at memory-test op rates that bypass is measurable.
-            if !self.handle.try_local_wait(plan.op_overhead) {
+            // Engine overhead, identical on both paths. `try_advance`
+            // takes it without even building a `Wait` whenever the wait
+            // would not suspend; at memory-test op rates that bypass is
+            // measurable.
+            if !self.handle.try_advance(plan.op_overhead) {
                 self.handle.wait(plan.op_overhead).await;
             }
             match &dmi {
@@ -226,7 +226,8 @@ impl TestController {
 
     /// The TAM access of one operation over a DMI grant, falling back to
     /// the transactional path when the grant declines (revocation,
-    /// contention, exhausted quantum budget). The outcome bookkeeping
+    /// contention, an access that could not complete without
+    /// suspending). The outcome bookkeeping
     /// mirrors [`TestController::bus_write`] / [`TestController::bus_read`]
     /// exactly; a granted access cannot fail, so the error counter has
     /// no DMI arm.
@@ -281,10 +282,13 @@ impl TestController {
     /// queue onto the TAM. Under contention the queue backlogs, so the
     /// engine keeps a request pending at the bus.
     ///
-    /// In loosely-timed mode the access unit takes a DMI grant over the
-    /// plan's window, exactly as [`TestController::run_blocking`] does:
-    /// each granted access replicates the transactional path's side
-    /// effects or declines to it, so outcomes are identical either way.
+    /// The access unit takes a DMI grant over the plan's window, exactly
+    /// as [`TestController::run_blocking`] does: each granted access
+    /// replicates the transactional path's side effects or declines to
+    /// it, so outcomes are identical either way. In accurate mode the
+    /// two tasks alternate through the queue, so a word is admitted only
+    /// when the generator is not runnable and its next timer lies beyond
+    /// the access.
     async fn run_posted(&self, plan: &MemoryTestPlan) -> TestOutcome {
         let start = self.handle.now();
         let queue: tve_sim::Fifo<Option<MemOp>> =
@@ -315,7 +319,7 @@ impl TestController {
             })
         };
         for op in plan.ops() {
-            if !self.handle.try_local_wait(plan.op_overhead) {
+            if !self.handle.try_advance(plan.op_overhead) {
                 self.handle.wait(plan.op_overhead).await;
             }
             if let Err(v) = queue.try_push(Some(op)) {

@@ -27,6 +27,10 @@
 //! exactly that task, so the result is observably identical; an inline
 //! completion still counts as one fired timer in
 //! [`Simulation::kernel_stats`], and only the poll count drops.
+//! [`SimHandle::try_advance`] applies the same rule before a wait even
+//! exists, so a channel completes a whole uncontended access as one call;
+//! [`SimHandle::undo_advance`] refunds it when a downstream component
+//! declines.
 //!
 //! An opt-in *loosely-timed* mode ([`Simulation::with_quantum`])
 //! temporally decouples tasks: relative waits accumulate into a per-task
@@ -220,6 +224,7 @@ impl Kernel {
         true
     }
 
+    #[inline]
     pub(crate) fn now(&self) -> u64 {
         self.now.get()
     }
@@ -237,6 +242,7 @@ impl Kernel {
 
     /// Current task's local-time offset ahead of global time (always 0 in
     /// accurate mode).
+    #[inline]
     pub(crate) fn current_offset(&self) -> u64 {
         if self.quantum.get() == 0 || self.current.get() == NO_TASK {
             return 0;
@@ -250,19 +256,52 @@ impl Kernel {
         }
     }
 
-    /// One-pass fits-and-absorb for [`SimHandle::try_local_wait`]: checks
-    /// and consumes the offset in a single walk over the cells.
-    pub(crate) fn absorb_local(&self, d: u64) -> bool {
-        let q = self.quantum.get();
-        if q == 0 || d == 0 || self.current.get() == NO_TASK {
+    /// The synchronous advance behind [`SimHandle::try_advance`]: in
+    /// accurate mode, [`Kernel::advance_inline`] to `now + d`; in
+    /// loosely-timed mode, absorbing `d` into the current task's local
+    /// offset if it stays below the quantum. Declines, changing nothing,
+    /// outside a task poll or for `d == 0`.
+    #[inline]
+    fn try_advance(&self, d: u64) -> bool {
+        if self.current.get() == NO_TASK {
             return false;
         }
+        let q = self.quantum.get();
+        if q == 0 {
+            return self.advance_inline(self.now.get().saturating_add(d));
+        }
         let off = self.current_off.get().saturating_add(d);
-        if off >= q {
+        if d == 0 || off >= q {
             return false;
         }
         self.current_off.set(off);
         true
+    }
+
+    /// Takes back a successful [`Kernel::try_advance`] of `d` cycles:
+    /// global time and the fired-timer count in accurate mode, the
+    /// task's local offset in loosely-timed mode. Legal only with no
+    /// kernel interaction since the advance (see
+    /// [`SimHandle::undo_advance`]).
+    #[inline]
+    fn undo_advance(&self, d: u64) {
+        debug_assert!(self.current.get() != NO_TASK, "undo_advance outside a task");
+        if self.quantum.get() != 0 {
+            self.current_off
+                .set(self.current_off.get().saturating_sub(d));
+            return;
+        }
+        // The accurate advance required all of this to hold; anything
+        // that changed it since would have observed the advanced time.
+        debug_assert!(
+            !self.arena.borrow().has_ready()
+                && self.pending_spawn.borrow().is_empty()
+                && !self.ext.nonempty.load(Ordering::Relaxed)
+                && self.next_timer().is_none_or(|t| t > self.now.get()),
+            "undo_advance after the advanced time was observed"
+        );
+        self.now.set(self.now.get() - d);
+        self.timers_fired.set(self.timers_fired.get() - 1);
     }
 
     /// Schedules `fire` at absolute cycle `time` (clamped to now).
@@ -491,6 +530,7 @@ impl SimHandle {
     ///
     /// In loosely-timed mode this is the calling task's *local* time:
     /// global kernel time plus the task's accumulated quantum offset.
+    #[inline]
     pub fn now(&self) -> Time {
         Time::from_cycles(
             self.kernel
@@ -567,37 +607,53 @@ impl SimHandle {
         }
     }
 
-    /// Absorbs `d` into the calling task's loosely-timed local-time offset
-    /// without suspending, if it fits; returns whether it did. Always
-    /// `false` in the default accurate mode, for a zero-length wait, or
-    /// when the offset would reach the quantum. On `false` nothing
-    /// happened — take the ordinary `wait(d).await` path instead.
-    /// Transaction-level models use this to bypass their suspension
-    /// machinery entirely for intra-quantum accesses.
-    pub fn try_local_wait(&self, d: Duration) -> bool {
-        self.kernel.absorb_local(d.as_cycles())
+    /// Completes a wait of `d` cycles by the calling task as one call,
+    /// without building or polling a wait future, when that is exact;
+    /// returns whether it did. On `false` nothing happened: take the
+    /// ordinary `wait(d).await` path instead.
+    ///
+    /// In the default accurate mode this is the exact-lookahead rule of
+    /// [`SimHandle::wait`], applied before the wait exists: time jumps
+    /// to `now + d` and the advance counts as one fired timer exactly
+    /// when `wait(d).await` would complete on its first poll — a task
+    /// is being polled, `d > 0`, no other task is runnable or about to
+    /// be, no pending timer fires at or before the deadline, the
+    /// deadline is within the current `run_until` horizon and the cancel
+    /// token is clear. In loosely-timed mode ([`Simulation::with_quantum`])
+    /// it absorbs `d` into the task's local-time offset when the offset
+    /// stays below the quantum.
+    ///
+    /// Transaction-level models use this to complete a whole uncontended
+    /// access synchronously, skipping their suspension machinery.
+    #[inline]
+    pub fn try_advance(&self, d: Duration) -> bool {
+        self.kernel.try_advance(d.as_cycles())
     }
 
-    /// Whether loosely-timed quantum mode is active — the cheapest
-    /// possible "could a local wait ever fit" gate, for hot paths that
-    /// want to decline early in accurate mode before computing a
-    /// duration at all.
+    /// Whether loosely-timed quantum mode is active, for fast paths
+    /// that book time differently in that mode.
+    #[inline]
     pub fn lt_active(&self) -> bool {
         self.kernel.quantum() != 0
     }
 
-    /// Gives back `d` cycles just absorbed with
-    /// [`SimHandle::try_local_wait`], restoring the task's local-time
-    /// offset. For all-or-nothing composition of synchronous fast paths:
-    /// a channel may absorb its occupancy before probing a downstream
-    /// component, then refund it if that component declines. Only valid
-    /// with no intervening waits by the same task.
-    pub fn local_wait_undo(&self, d: Duration) {
-        let k = &self.kernel;
-        if k.current.get() != NO_TASK {
-            k.current_off
-                .set(k.current_off.get().saturating_sub(d.as_cycles()));
-        }
+    /// Refunds `d` cycles just taken by a successful
+    /// [`SimHandle::try_advance`]: in accurate mode global time and the
+    /// fired-timer count roll back, in loosely-timed mode the task's
+    /// local-time offset does. For all-or-nothing composition of
+    /// synchronous fast paths: a channel may advance over its occupancy
+    /// before probing a downstream component, then refund it if that
+    /// component declines.
+    ///
+    /// The refund contract: nothing may have interacted with the kernel
+    /// since the advance — no wait, spawn, wake, event notification or
+    /// timer — other than nested advances that were themselves refunded
+    /// (last in, first out). Rolling back time is exact only because
+    /// nothing observed the advanced time. Debug builds assert, in
+    /// accurate mode, that nothing became runnable, spawned or due.
+    #[inline]
+    pub fn undo_advance(&self, d: Duration) {
+        self.kernel.undo_advance(d.as_cycles());
     }
 
     /// Spawns a new process and returns a [`JoinHandle`] resolving to its
@@ -1389,6 +1445,143 @@ mod tests {
             .expect_err("a tripped token must unwind out of run");
         assert!(err.is::<crate::Cancelled>());
         assert_eq!(laps.get(), 100, "no wait completes after the trip");
+    }
+
+    /// Kernel time and counters a refused or refunded advance must
+    /// leave exactly as they were.
+    fn kernel_state(h: &SimHandle) -> (u64, u64, u64) {
+        let k = &h.kernel;
+        (k.now(), k.timers_fired.get(), k.polls.get())
+    }
+
+    /// Runs `body` as the first task polled, alongside `siblings` spawned
+    /// after it, under `run_until(horizon)`; returns what `body` returned.
+    fn in_task<T: 'static>(
+        horizon: u64,
+        siblings: Vec<u64>,
+        body: impl FnOnce(&SimHandle) -> T + 'static,
+    ) -> T {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let jh = sim.spawn(async move { body(&h) });
+        for d in siblings {
+            let h = sim.handle();
+            sim.spawn(async move { h.wait(Duration::cycles(d)).await });
+        }
+        sim.run_until(Time::from_cycles(horizon));
+        jh.try_take().expect("body ran")
+    }
+
+    #[test]
+    fn try_advance_declines_changing_nothing() {
+        let declines = |h: &SimHandle, d: u64| {
+            let before = kernel_state(h);
+            let advanced = h.try_advance(Duration::cycles(d));
+            (advanced, kernel_state(h) == before)
+        };
+        // Outside a task, even with no horizon in the way.
+        let mut sim = Simulation::new();
+        sim.run();
+        assert_eq!(declines(&sim.handle(), 5), (false, true));
+        // A zero-length advance is a delta wait, never inline.
+        assert_eq!(in_task(100, vec![], move |h| declines(h, 0)), (false, true));
+        // A sibling spawned before this poll is runnable.
+        assert_eq!(
+            in_task(100, vec![1], move |h| declines(h, 5)),
+            (false, true)
+        );
+        // A child spawned by this poll is about to run.
+        let spawned = in_task(100, vec![], move |h| {
+            h.spawn(async {});
+            declines(h, 5)
+        });
+        assert_eq!(spawned, (false, true));
+        // Past the `run_until` horizon.
+        assert_eq!(in_task(4, vec![], move |h| declines(h, 5)), (false, true));
+        // The cancel token tripped.
+        crate::silence_cancelled_panics();
+        let token = crate::CancelToken::new();
+        let cancelled = crate::with_cancel_token(&token, || {
+            let mut sim = Simulation::new();
+            let h = sim.handle();
+            let token = Arc::clone(&token);
+            let jh = sim.spawn(async move {
+                token.cancel();
+                declines(&h, 5)
+            });
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+            jh.try_take()
+        });
+        assert_eq!(cancelled, Some((false, true)));
+    }
+
+    #[test]
+    fn try_advance_declines_at_or_past_a_pending_timer() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        // The sleeper is polled first; the prober is still ready then, so
+        // its wait registers a timer at 10.
+        let sleeper = h.clone();
+        sim.spawn(async move { sleeper.wait(Duration::cycles(10)).await });
+        let jh = sim.spawn(async move {
+            let before = kernel_state(&h);
+            let refused = [10, 11].map(|d| h.try_advance(Duration::cycles(d)));
+            let unchanged = kernel_state(&h) == before;
+            let advanced = h.try_advance(Duration::cycles(9));
+            (refused, unchanged, advanced, h.now().cycles())
+        });
+        sim.run();
+        assert_eq!(jh.try_take(), Some(([false, false], true, true, 9)));
+    }
+
+    #[test]
+    fn try_advance_reaches_the_horizon_and_counts_a_timer() {
+        let (advanced, before, after) = in_task(5, vec![], move |h| {
+            let before = kernel_state(h);
+            (h.try_advance(Duration::cycles(5)), before, kernel_state(h))
+        });
+        assert!(advanced);
+        assert_eq!(after, (before.0 + 5, before.1 + 1, before.2));
+    }
+
+    #[test]
+    fn undo_advance_restores_now_and_timers_fired_exactly() {
+        let (before, after) = in_task(1000, vec![], move |h| {
+            assert!(h.try_advance(Duration::cycles(3)));
+            let before = kernel_state(h);
+            assert!(h.try_advance(Duration::cycles(7)));
+            assert!(h.try_advance(Duration::cycles(2)), "a nested advance");
+            h.undo_advance(Duration::cycles(2));
+            h.undo_advance(Duration::cycles(7));
+            (before, kernel_state(h))
+        });
+        assert_eq!(before, after);
+    }
+
+    #[test]
+    fn quantum_advance_absorbs_and_refunds_the_local_offset() {
+        let mut sim = Simulation::with_quantum(Duration::cycles(10));
+        let h = sim.handle();
+        let jh = sim.spawn(async move {
+            let fits = h.try_advance(Duration::cycles(6));
+            let local = h.now().cycles();
+            let overflows = h.try_advance(Duration::cycles(4));
+            h.undo_advance(Duration::cycles(6));
+            (fits, local, overflows, h.now().cycles(), kernel_state(&h))
+        });
+        sim.run();
+        assert_eq!(jh.try_take(), Some((true, 6, false, 0, (0, 0, 1))));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "undo_advance after the advanced time was observed")]
+    fn undo_advance_after_a_spawn_is_a_contract_violation() {
+        in_task(100, vec![], move |h| {
+            assert!(h.try_advance(Duration::cycles(5)));
+            h.spawn(async {});
+            h.undo_advance(Duration::cycles(5));
+        });
     }
 
     #[test]

@@ -602,26 +602,99 @@ mod tests {
         assert_eq!(soc.mem_wrapper.stats().forwarded, 2);
     }
 
-    #[test]
-    fn dmi_is_never_granted_in_accurate_mode_paths() {
-        // In cycle-accurate mode `run_blocking` never even requests a
-        // window (`lt_active` is false); the grant itself is still legal
-        // but every access declines because no quantum budget exists.
+    /// Another task alongside an accurate-mode word access.
+    #[derive(Clone, Copy)]
+    enum Sibling {
+        None,
+        /// Spawned after the accessing task: runnable when it accesses.
+        Runnable,
+        /// Spawned first, sleeping until this many cycles past one bus
+        /// occupancy (`0`: a timer due exactly when the access ends).
+        TimerAfterAccess(u64),
+    }
+
+    /// What a word write then read of `MEM_BASE + 5` leaves behind in
+    /// accurate mode: which accesses DMI admitted, then bus (transfers,
+    /// busy cycles, last activity end), end time, memory (reads,
+    /// writes), wrapper forwards and kernel (polls, timers).
+    type WordRun = ([bool; 2], (u64, u64, u64), u64, (u64, u64), u64, (u64, u64));
+
+    /// Runs that access over a DMI grant falling back to the
+    /// transactional path per access, as the test controller does
+    /// (`dmi`), or transactionally only.
+    fn word_run(dmi: bool, sibling: Sibling) -> WordRun {
         let mut sim = Simulation::new();
         let soc = JpegEncoderSoc::build(&sim.handle(), SocConfig::small());
-        let words = soc.config.memory_words;
-        let bus = Rc::clone(&soc.bus);
+        let occupancy = soc.bus.occupancy_of(32).as_cycles();
+        if let Sibling::TimerAfterAccess(d) = sibling {
+            let h = sim.handle();
+            sim.spawn(async move { h.wait(tve_sim::Duration::cycles(occupancy + d)).await });
+        }
+        let (bus, words) = (Rc::clone(&soc.bus), soc.config.memory_words);
         let jh = sim.spawn(async move {
-            let window = Rc::clone(&bus)
-                .dmi_window(MEM_BASE, words, initiators::PROCESSOR)
-                .expect("the grant chain itself is mode-independent");
-            assert!(!window.dmi_write(MEM_BASE, 1));
-            assert_eq!(window.dmi_read(MEM_BASE), None);
+            let window = dmi.then(|| {
+                Rc::clone(&bus)
+                    .dmi_window(MEM_BASE, words, initiators::PROCESSOR)
+                    .expect("functional-mode memory window grants DMI")
+            });
+            let addr = MEM_BASE + 5;
+            let wrote = window.as_ref().is_some_and(|w| w.dmi_write(addr, 0xC0DE));
+            if !wrote {
+                bus.write(initiators::PROCESSOR, addr, &[0xC0DE], 32)
+                    .await
+                    .unwrap();
+            }
+            let read = window.as_ref().and_then(|w| w.dmi_read(addr));
+            let word = match read {
+                Some(word) => word,
+                None => bus.read(initiators::PROCESSOR, addr, 32).await.unwrap()[0],
+            };
+            assert_eq!(word, 0xC0DE);
+            [wrote, read.is_some()]
         });
-        sim.run();
-        jh.try_take().expect("task ran to completion");
-        let (reads, writes) = soc.memory.op_counts();
-        assert_eq!((reads, writes), (0, 0), "declined accesses leave no trace");
+        if let Sibling::Runnable = sibling {
+            sim.spawn(async {});
+        }
+        let end = sim.run().cycles();
+        let monitor = soc.bus.monitor();
+        (
+            jh.try_take().expect("task ran to completion"),
+            (
+                monitor.transfer_count(),
+                monitor.total_busy_cycles(),
+                monitor.last_activity_end().cycles(),
+            ),
+            end,
+            soc.memory.op_counts(),
+            soc.mem_wrapper.stats().forwarded,
+            sim.kernel_stats(),
+        )
+    }
+
+    #[test]
+    fn accurate_dmi_is_admitted_exactly_when_the_access_completes_inline() {
+        // A DMI word access is admitted exactly when the transactional
+        // access would complete without suspending: not while a sibling
+        // is runnable, nor when a timer is due at or before the end of
+        // the access. Admitted or not, it leaves what the transactional
+        // path leaves.
+        for (sibling, admitted) in [
+            (Sibling::None, [true, true]),
+            // The sibling runs while the fallback write waits.
+            (Sibling::Runnable, [false, true]),
+            (Sibling::TimerAfterAccess(0), [false, true]),
+            // The write ends before the timer; the read would end after.
+            (Sibling::TimerAfterAccess(1), [true, false]),
+        ] {
+            let (flags, bus, end, mem, fwd, kernel) = word_run(true, sibling);
+            let (none, bus0, end0, mem0, fwd0, kernel0) = word_run(false, sibling);
+            assert_eq!((flags, none), (admitted, [false, false]));
+            assert_eq!(
+                (bus, end, mem, fwd, kernel),
+                (bus0, end0, mem0, fwd0, kernel0)
+            );
+            assert_eq!((bus.0, mem, fwd), (2, (1, 1), 2));
+        }
     }
 
     #[test]

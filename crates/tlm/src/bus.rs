@@ -336,10 +336,14 @@ impl BusTam {
         }
     }
 
-    /// The channel gates of a synchronous access, cheapest first:
-    /// loosely-timed mode, the caller's own gate (`declines`), an idle
-    /// arbiter, then absorbing the occupancy into the calling task's
-    /// quantum budget. Returns the absorbed occupancy, which
+    /// The channel gates of a synchronous access, cheapest first: the
+    /// caller's own gate (`declines`), an idle arbiter, then advancing
+    /// the calling task over the occupancy ([`SimHandle::try_advance`]).
+    /// In accurate mode that advance succeeds exactly when the event
+    /// path's uncontended acquire and occupancy wait would complete
+    /// without suspending; in loosely-timed mode it absorbs the
+    /// occupancy into the task's quantum budget. Returns the occupancy
+    /// and the time the access was admitted at, which
     /// [`BusTam::sync_commit`] then books or refunds. Shared by
     /// [`TamIf::transport_sync_try`] and every [`BusDmi`] access.
     #[inline]
@@ -347,29 +351,47 @@ impl BusTam {
         &self,
         declines: impl FnOnce() -> bool,
         occupancy: impl FnOnce() -> Duration,
-    ) -> Option<Duration> {
-        if !self.handle.lt_active() || declines() || !self.arbiter.is_idle() {
+    ) -> Option<(Duration, Time)> {
+        if declines() || !self.arbiter.is_idle() {
             return None;
         }
         let dur = occupancy();
-        self.handle.try_local_wait(dur).then_some(dur)
+        let admitted = self.handle.now();
+        self.handle.try_advance(dur).then_some((dur, admitted))
     }
 
     /// Completes an access [`BusTam::sync_admit`] let through. When the
     /// component behind the channel performed it (`done`), books the
     /// channel — acquire the idle arbiter, record the busy interval,
     /// release — and returns the interval's start. When that component
-    /// declined, refunds the absorbed occupancy instead, so the access
-    /// leaves no trace on the channel (all-or-nothing), and returns `None`.
+    /// declined, refunds the advance instead, so the access leaves no
+    /// trace on the channel or the kernel (all-or-nothing), and returns
+    /// `None`.
+    ///
+    /// Accurate mode books the interval from the admission time, where
+    /// the event path records it; a synchronous component behind the
+    /// channel (a nested bus) may have advanced time since. Loosely-timed
+    /// mode books it from the current local time, after the absorbed
+    /// occupancy: a known skew of that mode's timing, kept so its pinned
+    /// results do not move.
     #[inline]
-    fn sync_commit(&self, done: bool, initiator: InitiatorId, dur: Duration) -> Option<Time> {
+    fn sync_commit(
+        &self,
+        done: bool,
+        initiator: InitiatorId,
+        (dur, admitted): (Duration, Time),
+    ) -> Option<Time> {
         if !done {
-            self.handle.local_wait_undo(dur);
+            self.handle.undo_advance(dur);
             return None;
         }
         let granted = self.arbiter.try_acquire(initiator);
         debug_assert!(granted, "synchronous access raced the arbiter");
-        let start = self.handle.now();
+        let start = if self.handle.lt_active() {
+            self.handle.now()
+        } else {
+            admitted
+        };
         self.monitor.borrow_mut().record_busy(start, dur, initiator);
         self.arbiter.release();
         Some(start)
@@ -413,33 +435,31 @@ impl BusDmi {
     /// instrumented-channel decline is DMI's own gate: power and span
     /// records stay on the transactional path, so the fallback keeps
     /// them exact.
-    fn admit(&self) -> bool {
+    fn admit(&self) -> Option<(Duration, Time)> {
         self.bus
             .sync_admit(|| self.bus.instrumented.get(), || self.occupancy)
-            .is_some()
     }
 
     /// Books the channel for an admitted access the inner grant
     /// performed, or refunds it when the inner grant declined.
-    fn commit(&self, done: bool) -> bool {
+    fn commit(&self, done: bool, admitted: (Duration, Time)) -> bool {
         self.bus
-            .sync_commit(done, self.initiator, self.occupancy)
+            .sync_commit(done, self.initiator, admitted)
             .is_some()
     }
 }
 
 impl DmiAccess for BusDmi {
     fn dmi_read(&self, addr: u32) -> Option<u32> {
-        if !self.admit() {
-            return None;
-        }
+        let admitted = self.admit()?;
         let word = self.inner.dmi_read(addr);
-        self.commit(word.is_some());
+        self.commit(word.is_some(), admitted);
         word
     }
 
     fn dmi_write(&self, addr: u32, value: u32) -> bool {
-        self.admit() && self.commit(self.inner.dmi_write(addr, value))
+        self.admit()
+            .is_some_and(|admitted| self.commit(self.inner.dmi_write(addr, value), admitted))
     }
 }
 
@@ -497,22 +517,30 @@ impl TamIf for BusTam {
         })
     }
 
-    /// Loosely-timed fast path: a whole single-chunk transfer completes
-    /// synchronously when the bus admits it (`sync_admit`) and the routed
-    /// target is itself synchronous for this transaction. The gate
-    /// checks and the transfer share one route lookup and one arbiter
-    /// touch. The routed component runs first so a decline leaves no
-    /// trace on this channel; synchronous targets never consume channel
-    /// time, so the reordering is not observable in the monitor or the
-    /// local quantum budget.
+    /// Synchronous fast path: a whole single-chunk transfer completes as
+    /// one call when the bus admits it (`sync_admit`) and the routed
+    /// target is itself synchronous for this transaction. In accurate
+    /// mode that is exactly when awaiting [`TamIf::transport`] would
+    /// complete without suspending, so results are identical; in
+    /// loosely-timed mode it is when the occupancy fits the quantum
+    /// budget. The gate checks and the transfer share one route lookup
+    /// and one arbiter touch. The routed component runs first so a
+    /// decline leaves no trace on this channel; accurate mode books the
+    /// interval at its admission time, so the reordering is not
+    /// observable in the monitor. Instrumented channels keep accurate
+    /// transfers on the event path, where the channel's power and span
+    /// records precede the target's.
     fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
-        // Burst segmentation re-arbitrates between chunks; keep that on
-        // the event-driven path.
-        let Some(dur) = self.sync_admit(
+        // Burst segmentation re-arbitrates between chunks, and an
+        // instrumented accurate channel records before its target does;
+        // both keep the event-driven path.
+        let Some(admitted) = self.sync_admit(
             || {
-                self.cfg
-                    .max_burst_bits
-                    .is_some_and(|mb| txn.bit_len > mb.max(1))
+                (self.instrumented.get() && !self.handle.lt_active())
+                    || self
+                        .cfg
+                        .max_burst_bits
+                        .is_some_and(|mb| txn.bit_len > mb.max(1))
             },
             || self.occupancy_of(txn.bit_len),
         ) else {
@@ -520,14 +548,15 @@ impl TamIf for BusTam {
         };
         let targets = self.targets.borrow();
         let routed = self.route_index(&targets, txn.addr);
-        // Rarely, the routed component declines after the channel time
-        // was absorbed; the commit then refunds it.
+        // The routed component may decline after the channel time was
+        // taken (a wrapper in a test mode does); the commit then refunds
+        // it.
         let done = routed.is_none_or(|i| targets[i].1.transport_sync_try(txn));
-        let Some(start) = self.sync_commit(done, txn.initiator, dur) else {
+        let Some(start) = self.sync_commit(done, txn.initiator, admitted) else {
             return false;
         };
         if self.instrumented.get() {
-            self.record_instrumentation(txn, start, dur, txn.bit_len);
+            self.record_instrumentation(txn, start, admitted.0, txn.bit_len);
         }
         if routed.is_none() {
             self.rejected.set(self.rejected.get() + 1);
@@ -1018,5 +1047,116 @@ mod tests {
         // outer: 1 + 1 = 2 cycles; inner: 1 + 4 = 5 cycles.
         assert_eq!(sim.run().cycles(), 7);
         assert_eq!(sink.transaction_count(), 1);
+    }
+
+    /// Per-cycle busy profiles of the outer and inner bus, end time and
+    /// kernel stats after one lone write through `outer → inner → sink`
+    /// in accurate mode, awaiting `transport` or (`sync`) taking the
+    /// outer bus's synchronous path, which must succeed.
+    type NestedRun = (Vec<(u64, u64)>, Vec<(u64, u64)>, u64, (u64, u64));
+
+    fn nested_write(sync: bool) -> NestedRun {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let cfg = |name: &str, width_bits| BusConfig {
+            name: name.to_string(),
+            width_bits,
+            monitor_window: Duration::cycles(1),
+            ..BusConfig::default()
+        };
+        let outer = Rc::new(BusTam::new(&h, cfg("outer", 32)));
+        let inner = Rc::new(BusTam::new(&h, cfg("inner", 8)));
+        let sink = Rc::new(SinkTarget::new("leaf")) as Rc<dyn TamIf>;
+        inner.bind(AddrRange::new(0, 0x100), sink).unwrap();
+        outer
+            .bind(AddrRange::new(0, 0x100), Rc::clone(&inner) as Rc<dyn TamIf>)
+            .unwrap();
+        let o = Rc::clone(&outer);
+        sim.spawn(async move {
+            let mut txn = Transaction::write(InitiatorId(0), 0, vec![0xAA], 32);
+            if sync {
+                assert!(o.transport_sync_try(&mut txn));
+            } else {
+                o.transport(&mut txn).await;
+            }
+            assert!(txn.status.is_ok());
+        });
+        let end = sim.run().cycles();
+        let busy = |bus: &BusTam| bus.monitor().window_busy().collect();
+        (busy(&outer), busy(&inner), end, sim.kernel_stats())
+    }
+
+    #[test]
+    fn accurate_sync_transfer_books_each_bus_where_the_event_path_does() {
+        let event = nested_write(false);
+        assert_eq!(nested_write(true), event);
+        // The outer bus is busy over [0, 2), the inner one over [2, 7),
+        // though the outer books its interval after the inner returns.
+        let ones = |r: std::ops::Range<u64>| r.map(|c| (c, 1)).collect::<Vec<_>>();
+        assert_eq!(event, (ones(0..2), ones(2..7), 7, (1, 2)));
+    }
+
+    #[test]
+    fn instrumented_accurate_buses_keep_the_event_path_record_order() {
+        // Through nested buses the synchronous path books the inner bus
+        // first; recorded spans must keep the event path's order.
+        fn spans(via_ext: bool) -> Vec<(String, u64)> {
+            let mut sim = Simulation::new();
+            let h = sim.handle();
+            let rec = Rc::new(Recorder::unbounded());
+            let outer = Rc::new(BusTam::new(&h, BusConfig::default()));
+            let inner = Rc::new(BusTam::new(
+                &h,
+                BusConfig {
+                    name: "inner".to_string(),
+                    ..BusConfig::default()
+                },
+            ));
+            outer.attach_recorder(Rc::clone(&rec));
+            inner.attach_recorder(Rc::clone(&rec));
+            let sink = Rc::new(SinkTarget::new("leaf")) as Rc<dyn TamIf>;
+            inner.bind(AddrRange::new(0, 0x100), sink).unwrap();
+            outer
+                .bind(AddrRange::new(0, 0x100), Rc::clone(&inner) as Rc<dyn TamIf>)
+                .unwrap();
+            sim.spawn(async move {
+                if via_ext {
+                    outer.write(InitiatorId(0), 0, &[1], 32).await.unwrap();
+                } else {
+                    let mut txn = Transaction::write(InitiatorId(0), 0, vec![1], 32);
+                    outer.transport(&mut txn).await;
+                }
+            });
+            sim.run();
+            let log = rec.take_log();
+            log.spans
+                .into_iter()
+                .map(|s| (s.track, s.start.cycles()))
+                .collect()
+        }
+        let event = spans(false);
+        assert_eq!(spans(true), event);
+        assert_eq!(event, [("bus".to_string(), 0), ("inner".to_string(), 2)]);
+    }
+
+    #[test]
+    fn accurate_sync_transfer_declines_under_contention_leaving_no_trace() {
+        let (mut sim, bus, sink) = setup();
+        let h = sim.handle();
+        let b = Rc::clone(&bus);
+        let jh = sim.spawn(async move {
+            let mut txn = Transaction::read(InitiatorId(0), 0x1000, 32);
+            let taken = b.transport_sync_try(&mut txn);
+            (taken, h.now().cycles())
+        });
+        // A second initiator is runnable when the first tries.
+        let b = Rc::clone(&bus);
+        sim.spawn(async move {
+            b.read(InitiatorId(1), 0x1000, 32).await.unwrap();
+        });
+        sim.run();
+        assert_eq!(jh.try_take(), Some((false, 0)));
+        assert_eq!(sink.transaction_count(), 1, "only the second read");
+        assert_eq!(bus.monitor().transfer_count(), 1);
     }
 }

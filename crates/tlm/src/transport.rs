@@ -51,20 +51,23 @@ pub trait TamIf {
     /// reads) and `status`, and consuming simulated time for the transfer.
     fn transport<'a>(&'a self, txn: &'a mut Transaction) -> LocalBoxFuture<'a, ()>;
 
-    /// The loosely-timed fast path: when `txn` can complete right now
+    /// The synchronous fast path: when `txn` can complete right now
     /// without suspending the calling process, performs it — channel,
     /// routing, target, with exactly the side effects and simulated-time
     /// cost of awaiting [`TamIf::transport`] — and returns `true`;
     /// otherwise leaves `txn` and the component untouched and returns
     /// `false`.
     ///
-    /// A channel takes it when its occupancy fits in the calling task's
-    /// quantum budget ([`tve_sim::SimHandle::try_local_wait`]) and no
-    /// arbitration or back-pressure would block; the whole transaction
-    /// then runs as one call with no future allocation. In the default
-    /// accurate mode channels always decline, so the event-driven path
-    /// (and its digests) is untouched. Components opt in; the default
-    /// declines.
+    /// A channel takes it when no arbitration or back-pressure would
+    /// block and the calling task can advance over the occupancy at once
+    /// ([`tve_sim::SimHandle::try_advance`]); the whole transaction then
+    /// runs as one call with no future allocation. In the default
+    /// accurate mode that advance succeeds exactly when awaiting
+    /// [`TamIf::transport`] would complete without suspending (nothing
+    /// else runnable, no timer due before the transfer ends), so results
+    /// and digests equal the event-driven path's. In loosely-timed mode
+    /// it succeeds when the occupancy fits the task's quantum budget.
+    /// Components opt in; the default declines.
     fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
         let _ = txn;
         false
@@ -72,10 +75,11 @@ pub trait TamIf {
 
     /// Requests a direct-memory-interface grant over the word window
     /// `[base, base + words)` for single-word (32-bit) accesses by
-    /// `initiator` — the TLM-2.0 DMI idea applied to loosely-timed
-    /// memory marches: the initiator keeps the returned [`DmiAccess`]
-    /// and performs each word access as one call, skipping transaction
-    /// construction and the per-op interface walk.
+    /// `initiator` — the TLM-2.0 DMI idea applied to memory marches: the
+    /// initiator keeps the returned [`DmiAccess`] and performs each word
+    /// access as one call, skipping transaction construction and the
+    /// per-op interface walk. Each access is admitted under the same
+    /// rule as [`TamIf::transport_sync_try`], in either timing mode.
     ///
     /// A grant is a *performance* contract, never a semantic one: every
     /// layer that grants must replicate, per operation, exactly the
@@ -104,7 +108,8 @@ pub trait TamIf {
 ///
 /// Both operations are *fallible per call*: a `None` / `false` return
 /// declines the single operation (revoked grant after a WIR load, bus
-/// contention, exhausted quantum budget, instrumentation attached) with
+/// contention, another task runnable or a timer due before the access
+/// ends, exhausted quantum budget, instrumentation attached) with
 /// no side effects, and the caller must perform that operation through
 /// the regular transactional path instead. A successful call has
 /// exactly the observable effects of the equivalent single-word
