@@ -27,6 +27,7 @@
 //! (`benchmark/`); exact invariants are `cargo test` assertions.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use std::path::{Path, PathBuf};
 

@@ -35,7 +35,7 @@ pub struct CampaignConfig {
     /// Whether to statically pre-screen the schedules (`tve-lint`) and
     /// skip — rather than panic on — statically-rejected ones. Skipped
     /// schedules are recorded in [`CampaignReport::prescreened`].
-    pub prescreen: bool,
+    pub(crate) prescreen: bool,
 }
 
 impl CampaignConfig {

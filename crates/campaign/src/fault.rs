@@ -162,7 +162,7 @@ impl SplitMix {
 /// the DCT). The memory periphery's chains are never scanned by any of
 /// the seven tests, so stuck cells there would be guaranteed escapes —
 /// they are deliberately not part of the default population.
-pub const SCANNED_CORES: [WrappedCore; 3] = [
+pub(crate) const SCANNED_CORES: [WrappedCore; 3] = [
     WrappedCore::Processor,
     WrappedCore::ColorConversion,
     WrappedCore::Dct,

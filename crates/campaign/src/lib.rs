@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 //! # tve-campaign — systematic fault-injection campaigns
@@ -60,18 +61,15 @@ mod walk;
 mod wire;
 
 pub use engine::{apply_fault, diagnose_scan_fault, run_campaign, run_cell, CampaignConfig};
-pub use fault::{generate, FaultSpec, PopulationSpec, SCANNED_CORES};
+pub use fault::{generate, FaultSpec, PopulationSpec};
 pub use matrix::{CampaignReport, CellOutcome, CellResult, DiagnosisCheck, PrescreenedSchedule};
 pub use resume::{run_campaign_journaled, run_campaign_journaled_with_io, ResumeSummary};
 pub use sample::{
     run_guided_campaign, run_sampled_campaign, stratum_of, CoverageEstimate, SampledCampaign,
     StratumOutcome,
 };
-pub use shard::{
-    campaign_fingerprint, effective_schedules, merge_shards, run_campaign_shard, ShardReport,
-    ShardSpec,
-};
-pub use walk::{run_campaign_shard_with, CampaignError, CampaignStore, NoStore};
+pub use shard::{merge_shards, run_campaign_shard, ShardReport, ShardSpec};
+pub use walk::{run_campaign_shard_with, CampaignError, CampaignStore};
 pub use wire::{
     append_cell_result, append_diagnosis, append_outcome, cell_result_from_json,
     diagnosis_from_json, outcome_from_json,

@@ -36,7 +36,7 @@ pub enum CellOutcome {
 
 impl CellOutcome {
     /// The CSV/JSON tag of this outcome.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             CellOutcome::Detected { .. } => "detected",
             CellOutcome::Escape => "escape",

@@ -75,7 +75,7 @@ pub struct CoverageEstimate {
     /// Upper confidence bound, clamped to `[0, 1]`.
     pub ci_high: f64,
     /// The confidence level (0.95).
-    pub confidence: f64,
+    pub(crate) confidence: f64,
 }
 
 /// The result of a budgeted campaign: the sub-campaign's full report,
@@ -83,11 +83,11 @@ pub struct CoverageEstimate {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampledCampaign {
     /// `"stratified"` or `"guided"`.
-    pub mode: &'static str,
+    pub(crate) mode: &'static str,
     /// The selection seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The cell budget the selector was allowed.
-    pub budget_cells: usize,
+    pub(crate) budget_cells: usize,
     /// Cells actually simulated (sampled faults × schedules).
     pub spent_cells: usize,
     /// Per-stratum accounting, in stratum-name order.

@@ -112,7 +112,7 @@ impl fmt::Display for ShardSpec {
 /// build. (The canonical text is the `Debug` form, so the fingerprint
 /// is *not* promised stable across code changes — it guards a run, not
 /// an archive format.)
-pub fn campaign_fingerprint(config: &CampaignConfig) -> u64 {
+pub(crate) fn campaign_fingerprint(config: &CampaignConfig) -> u64 {
     fnv1a(format!("campaign/v1|{config:?}").as_bytes())
 }
 
@@ -120,7 +120,9 @@ pub fn campaign_fingerprint(config: &CampaignConfig) -> u64 {
 /// returns the schedules that will actually run plus the rejected ones.
 /// Deterministic, so every shard and every resume computes the same
 /// partition without coordination.
-pub fn effective_schedules(config: &CampaignConfig) -> (Vec<Schedule>, Vec<PrescreenedSchedule>) {
+pub(crate) fn effective_schedules(
+    config: &CampaignConfig,
+) -> (Vec<Schedule>, Vec<PrescreenedSchedule>) {
     if !config.prescreen {
         return (config.schedules.clone(), Vec::new());
     }
@@ -155,7 +157,7 @@ pub fn effective_schedules(config: &CampaignConfig) -> (Vec<Schedule>, Vec<Presc
 /// shard saw detected. Serializes to JSON for the process boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardReport {
-    /// [`campaign_fingerprint`] of the producing configuration.
+    /// `campaign_fingerprint` of the producing configuration.
     pub fingerprint: u64,
     /// Which shard this is.
     pub shard: ShardSpec,

@@ -73,7 +73,7 @@ pub trait CampaignStore {
 /// The store that holds nothing; [`crate::run_campaign_shard`] walks
 /// with it.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct NoStore;
+pub(crate) struct NoStore;
 
 impl CampaignStore for NoStore {}
 

@@ -3,12 +3,10 @@
 //! interfaced to the test controller and EBI to simulate the actual test
 //! program instructions".
 
-use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use tve_obs::{Recorder, SpanKind, SpanRecord};
-use tve_sim::{Duration, SimHandle, Time};
+use tve_sim::{Duration, SimHandle};
 
 use crate::config_bus::ConfigScanRing;
 use crate::outcome::TestOutcome;
@@ -38,19 +36,6 @@ pub enum AteOp {
     },
     /// Idle for a number of cycles (settling, power ramps).
     WaitCycles(u64),
-}
-
-impl AteOp {
-    /// A short label for trace output.
-    fn label(&self) -> &'static str {
-        match self {
-            AteOp::ConfigureRing(_) => "configure_ring",
-            AteOp::SetConfig { .. } => "set_config",
-            AteOp::RunTests(_) => "run_tests",
-            AteOp::ExpectSignature { .. } => "expect_signature",
-            AteOp::WaitCycles(_) => "wait",
-        }
-    }
 }
 
 /// A complete ATE test program.
@@ -121,27 +106,16 @@ impl std::error::Error for AteError {}
 /// Execution record of a test program.
 #[derive(Debug)]
 pub struct ProgramReport {
-    /// Program name.
-    pub program: String,
     /// Outcomes of all executed test sequences.
     pub outcomes: Vec<TestOutcome>,
     /// Validation errors in execution order.
     pub errors: Vec<AteError>,
-    /// Program start time.
-    pub start: Time,
-    /// Program end time.
-    pub end: Time,
 }
 
 impl ProgramReport {
     /// Whether the program executed without validation errors.
     pub fn passed(&self) -> bool {
         self.errors.is_empty()
-    }
-
-    /// Total program duration.
-    pub fn duration(&self) -> Duration {
-        self.end - self.start
     }
 }
 
@@ -152,7 +126,6 @@ pub struct VirtualAte {
     handle: SimHandle,
     ring: Rc<ConfigScanRing>,
     wrappers: Vec<Rc<TestWrapper>>,
-    recorder: RefCell<Option<Rc<Recorder>>>,
 }
 
 impl fmt::Debug for VirtualAte {
@@ -174,15 +147,7 @@ impl VirtualAte {
             handle: handle.clone(),
             ring,
             wrappers,
-            recorder: RefCell::new(None),
         }
-    }
-
-    /// Attaches an observability recorder: every executed program
-    /// instruction becomes a [`tve_obs::SpanKind::Step`] span on the
-    /// `"virtual-ate"` track.
-    pub fn attach_recorder(&self, recorder: Rc<Recorder>) {
-        *self.recorder.borrow_mut() = Some(recorder);
     }
 
     /// Executes `program`, consuming test sequences from `tests` as
@@ -191,14 +156,10 @@ impl VirtualAte {
     pub async fn execute(&self, program: &TestProgram, tests: Vec<TestRun>) -> ProgramReport {
         let mut tests: Vec<Option<TestRun>> = tests.into_iter().map(Some).collect();
         let mut report = ProgramReport {
-            program: program.name.clone(),
             outcomes: Vec::new(),
             errors: Vec::new(),
-            start: self.handle.now(),
-            end: self.handle.now(),
         };
         for op in &program.ops {
-            let op_start = self.handle.now();
             match op {
                 AteOp::ConfigureRing(values) => {
                     self.ring.write_all(values).await;
@@ -243,14 +204,7 @@ impl VirtualAte {
                     None => report.errors.push(AteError::UnknownWrapper(*wrapper)),
                 },
             }
-            if let Some(rec) = &*self.recorder.borrow() {
-                let op_end = self.handle.now();
-                rec.record_with(|| {
-                    SpanRecord::new(SpanKind::Step, "virtual-ate", op.label(), op_start, op_end)
-                });
-            }
         }
-        report.end = self.handle.now();
         report
     }
 }
@@ -345,10 +299,10 @@ mod tests {
             ],
         };
         let jh = sim.spawn(async move { ate.execute(&program, vec![run]).await });
-        sim.run();
+        let end = sim.run();
         let report = jh.try_take().unwrap();
         assert!(report.passed(), "{:?}", report.errors);
-        assert!(report.duration().as_cycles() > 0);
+        assert!(end.cycles() > 0);
     }
 
     #[test]
@@ -416,9 +370,9 @@ mod tests {
             ],
         };
         let jh = sim.spawn(async move { ate.execute(&program, vec![]).await });
-        sim.run();
+        let end = sim.run();
         let report = jh.try_take().unwrap();
         assert_eq!(report.errors.len(), 2);
-        assert_eq!(report.duration().as_cycles(), 10);
+        assert_eq!(end.cycles(), 10);
     }
 }

@@ -98,7 +98,7 @@ impl DecompressorCompactor {
     }
 
     /// Expanded (wrapper-side) bits per pattern.
-    pub fn expanded_bits(&self) -> u64 {
+    pub(crate) fn expanded_bits(&self) -> u64 {
         self.wrapper.scan_config().bits_per_pattern()
     }
 
@@ -112,19 +112,9 @@ impl DecompressorCompactor {
         self.expanded_bits().div_ceil(self.cfg.compact_ratio as u64)
     }
 
-    /// Patterns expanded so far.
-    pub fn expanded_patterns(&self) -> u64 {
-        self.expanded_patterns.get()
-    }
-
     /// Whether the adaptor is active (not bypassed).
     pub fn is_active(&self) -> bool {
         self.active.get()
-    }
-
-    /// Transactions rejected (wrong size/command).
-    pub fn rejected_count(&self) -> u64 {
-        self.rejected.get()
     }
 
     fn reject(&self, txn: &mut Transaction) {
@@ -288,7 +278,7 @@ mod tests {
                 .unwrap();
         });
         sim.run();
-        assert_eq!(dc.expanded_patterns(), 1);
+        assert_eq!(dc.expanded_patterns.get(), 1);
         assert_eq!(wrapper.stats().patterns, 1);
     }
 
@@ -302,7 +292,7 @@ mod tests {
         });
         sim.run();
         assert!(jh.try_take().unwrap().is_err());
-        assert_eq!(dc.rejected_count(), 1);
+        assert_eq!(dc.rejected.get(), 1);
     }
 
     #[test]
@@ -316,7 +306,7 @@ mod tests {
                 .unwrap();
         });
         sim.run();
-        assert_eq!(dc.expanded_patterns(), 0);
+        assert_eq!(dc.expanded_patterns.get(), 0);
         assert_eq!(wrapper.stats().patterns, 1);
     }
 
@@ -339,7 +329,7 @@ mod tests {
         assert_eq!(wrapper.stats().patterns, 1);
         // Expanded pattern satisfied the cube, so the wrapper saw real data
         // (covered in depth by the tpg codec tests; here we check wiring).
-        assert_eq!(dc.expanded_patterns(), 1);
+        assert_eq!(dc.expanded_patterns.get(), 1);
     }
 
     #[test]

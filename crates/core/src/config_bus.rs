@@ -87,11 +87,6 @@ impl ConfigScanRing {
         self.broken_at.set(index);
     }
 
-    /// Configuration writes/reads swallowed by a broken segment so far.
-    pub fn lost_op_count(&self) -> u64 {
-        self.lost_ops.get()
-    }
-
     fn reaches(&self, index: usize) -> bool {
         match self.broken_at.get() {
             Some(b) if index >= b => {
@@ -135,7 +130,7 @@ impl ConfigScanRing {
     }
 
     /// Total ring length in bits.
-    pub fn ring_length(&self) -> u32 {
+    pub(crate) fn ring_length(&self) -> u32 {
         self.clients.iter().map(|c| c.config_len()).sum()
     }
 
@@ -145,7 +140,7 @@ impl ConfigScanRing {
     }
 
     /// The simulated cost of one full rotation.
-    pub fn rotation_cost(&self) -> Duration {
+    pub(crate) fn rotation_cost(&self) -> Duration {
         Duration::cycles(self.ring_length() as u64 * self.clock_div)
     }
 
@@ -168,24 +163,6 @@ impl ConfigScanRing {
             self.clients[index].load_config(value);
         }
         self.record_rotation("write", Some(index), start);
-    }
-
-    /// Reads client `index`'s register (one full rotation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub async fn read(&self, index: usize) -> u64 {
-        assert!(index < self.clients.len(), "config client index in range");
-        let start = self.handle.now();
-        let v = if self.reaches(index) {
-            self.clients[index].read_config()
-        } else {
-            0
-        };
-        self.rotate().await;
-        self.record_rotation("read", Some(index), start);
-        v
     }
 
     /// Reconfigures every client in one rotation; `values[i]` goes to
@@ -322,19 +299,16 @@ mod tests {
         ));
         ring.break_segment(Some(1));
         let r = Rc::clone(&ring);
-        let jh = sim.spawn(async move {
+        sim.spawn(async move {
             r.write(0, 3).await; // reaches client 0
             r.write(1, 7).await; // lost
-            let dead = r.read(1).await; // reads back zero
             r.write_all(&[5, 6]).await; // client 1's share lost
-            dead
         });
-        // Timing is unchanged: 4 rotations x 8 bits.
-        assert_eq!(sim.run().cycles(), 32);
-        assert_eq!(jh.try_take(), Some(0));
+        // Timing is unchanged: 3 rotations x 8 bits.
+        assert_eq!(sim.run().cycles(), 24);
         assert_eq!(a.read_config(), 5);
         assert_eq!(b.read_config(), 0x9, "writes past the break are lost");
-        assert_eq!(ring.lost_op_count(), 3);
+        assert_eq!(ring.lost_ops.get(), 2);
         // Repair restores delivery.
         ring.break_segment(None);
         b.load_config(0);
@@ -350,18 +324,5 @@ mod tests {
         });
         sim2.run();
         assert_eq!(b.read_config(), 7);
-    }
-
-    #[test]
-    fn read_returns_current_value_and_costs_a_rotation() {
-        let mut sim = Simulation::new();
-        let h = sim.handle();
-        let a = reg("a", 6);
-        a.load_config(0x2A);
-        let ring = Rc::new(ConfigScanRing::new(&h, vec![a as Rc<dyn ConfigClient>], 1));
-        let r = Rc::clone(&ring);
-        let jh = sim.spawn(async move { r.read(0).await });
-        assert_eq!(sim.run().cycles(), 6);
-        assert_eq!(jh.try_take(), Some(0x2A));
     }
 }

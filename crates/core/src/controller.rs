@@ -42,19 +42,6 @@ pub struct MemoryTestPlan {
     pub policy: DataPolicy,
 }
 
-impl MemoryTestPlan {
-    /// Total operations this plan performs.
-    pub fn total_ops(&self) -> u64 {
-        let march = self.march.total_ops(self.words as u64);
-        let patterns: u64 = self
-            .patterns
-            .iter()
-            .map(|p| p.ops_per_cell() * self.words as u64)
-            .sum();
-        march + patterns
-    }
-}
-
 /// The test controller TLM: a TAM initiator executing [`MemoryTestPlan`]s.
 ///
 /// The same component models the paper's test 7 (processor-driven march
@@ -99,11 +86,6 @@ impl TestController {
     /// [`tve_obs::SpanKind::Test`] span on the `ctrl/<name>` track.
     pub fn attach_recorder(&self, recorder: Rc<Recorder>) {
         *self.recorder.borrow_mut() = Some(recorder);
-    }
-
-    /// The controller name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     async fn bus_write(&self, plan: &MemoryTestPlan, out: &mut TestOutcome, addr: u32, value: u32) {
@@ -437,6 +419,17 @@ mod tests {
     use tve_sim::Simulation;
     use tve_tlm::{LocalBoxFuture, ResponseStatus, Transaction};
 
+    /// Total operations `plan` performs.
+    fn total_ops(plan: &MemoryTestPlan) -> u64 {
+        let march = plan.march.total_ops(plan.words as u64);
+        let patterns: u64 = plan
+            .patterns
+            .iter()
+            .map(|p| p.ops_per_cell() * plan.words as u64)
+            .sum();
+        march + patterns
+    }
+
     /// A minimal word-RAM TAM target backed by a real `MemoryArray`.
     struct RamTarget {
         mem: RefCell<MemoryArray>,
@@ -504,7 +497,7 @@ mod tests {
     fn op_count_matches_plan() {
         let p = plan(32, DataPolicy::Volume);
         // MATS+ = 5 ops/cell, two pattern tests = 4 ops/cell.
-        assert_eq!(p.total_ops(), 32 * 9);
+        assert_eq!(total_ops(&p), 32 * 9);
         let out = run(DataPolicy::Volume, vec![], 32);
         assert_eq!(out.patterns, 32 * 9);
         assert!(out.clean());
@@ -593,7 +586,7 @@ mod tests {
         let ctrl =
             TestController::new(&h, "ctrl", Rc::clone(&ram) as Rc<dyn TamIf>, InitiatorId(5));
         let p = plan(32, DataPolicy::Full);
-        let total = p.total_ops();
+        let total = total_ops(&p);
         let jh = sim.spawn(async move { ctrl.run_memory_test(&p).await });
         sim.run();
         let out = jh.try_take().unwrap();
@@ -645,7 +638,7 @@ mod tests {
         let over_bus = run_posted_lt(declining);
         assert_eq!(
             granting.dmi_ops.get(),
-            plan(32, DataPolicy::Full).total_ops(),
+            total_ops(&plan(32, DataPolicy::Full)),
             "the posted access unit took the DMI path"
         );
         assert!(over_dmi.mismatches > 0);
@@ -694,7 +687,7 @@ mod tests {
                     "{} over {words} words",
                     march.name()
                 );
-                assert_eq!(got.len() as u64, p.total_ops());
+                assert_eq!(got.len() as u64, total_ops(&p));
             }
         }
     }

@@ -47,18 +47,18 @@ impl CtlPortKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CtlPort {
     /// Port name.
-    pub name: String,
+    pub(crate) name: String,
     /// Port category.
-    pub kind: CtlPortKind,
+    pub(crate) kind: CtlPortKind,
     /// Bit width.
-    pub width: u32,
+    pub(crate) width: u32,
 }
 
 /// Error validating or parsing a CTL description.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CtlError {
     /// Human-readable description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for CtlError {
@@ -90,18 +90,17 @@ fn err(message: impl Into<String>) -> CtlError {
 ///      scanin si 8\n\
 ///      scanout so 8\n\
 ///      ctl test_mode 1\n",
-/// ).unwrap();
-/// assert_eq!(ctl.core_name, "dct");
-/// assert_eq!(ctl.boundary_cells(), 128);
+/// );
+/// assert!(ctl.is_ok());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CtlDescription {
     /// The described core's name.
-    pub core_name: String,
+    pub(crate) core_name: String,
     /// All interface ports.
-    pub ports: Vec<CtlPort>,
+    pub(crate) ports: Vec<CtlPort>,
     /// Internal scan geometry.
-    pub scan: ScanConfig,
+    pub(crate) scan: ScanConfig,
 }
 
 impl CtlDescription {
@@ -161,7 +160,7 @@ impl CtlDescription {
     }
 
     /// Total width of ports of `kind`.
-    pub fn width_of(&self, kind: CtlPortKind) -> u32 {
+    pub(crate) fn width_of(&self, kind: CtlPortKind) -> u32 {
         self.ports
             .iter()
             .filter(|p| p.kind == kind)
@@ -171,7 +170,7 @@ impl CtlDescription {
 
     /// Boundary register length of the generated wrapper: one wrapper cell
     /// per functional I/O bit.
-    pub fn boundary_cells(&self) -> u32 {
+    pub(crate) fn boundary_cells(&self) -> u32 {
         self.width_of(CtlPortKind::FunctionalIn) + self.width_of(CtlPortKind::FunctionalOut)
     }
 
@@ -181,7 +180,7 @@ impl CtlDescription {
     /// # Errors
     ///
     /// Returns [`CtlError`] if the scan ports disagree with the geometry.
-    pub fn validate(&self) -> Result<(), CtlError> {
+    pub(crate) fn validate(&self) -> Result<(), CtlError> {
         for kind in [CtlPortKind::ScanIn, CtlPortKind::ScanOut] {
             let w = self.width_of(kind);
             if w != 0 && w != self.scan.chains() {

@@ -43,9 +43,9 @@ pub struct DiagnosisReport {
     /// The scan cells differing at that pattern.
     pub failing_cells: Vec<FailingCell>,
     /// Signature windows compared in phase 1.
-    pub windows_compared: u64,
+    pub(crate) windows_compared: u64,
     /// Patterns re-applied bit-true in phase 2.
-    pub patterns_reapplied: u64,
+    pub(crate) patterns_reapplied: u64,
 }
 
 impl DiagnosisReport {

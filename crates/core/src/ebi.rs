@@ -73,14 +73,8 @@ impl Ebi {
         }
     }
 
-    /// Errors observed on posted (store-and-forward) transfers; surfaced on
-    /// the *next* transaction through the interface.
-    pub fn posted_error_count(&self) -> u64 {
-        self.posted_errors.get()
-    }
-
     /// Waits for any in-flight posted transfer to finish.
-    pub async fn flush(&self) {
+    pub(crate) async fn flush(&self) {
         let pending = self.posted.borrow_mut().take();
         if let Some(h) = pending {
             h.await;
@@ -92,19 +86,9 @@ impl Ebi {
         self.enabled.get()
     }
 
-    /// Total bits moved over the stimulus downlink.
-    pub fn downlink_bits(&self) -> u64 {
-        self.downlink.total_bits()
-    }
-
     /// Total bits moved over the response uplink.
     pub fn uplink_bits(&self) -> u64 {
         self.uplink.total_bits()
-    }
-
-    /// Transactions rejected while disabled.
-    pub fn rejected_count(&self) -> u64 {
-        self.rejected.get()
     }
 }
 
@@ -244,7 +228,7 @@ mod tests {
         sim.run();
         assert!(jh.try_take().unwrap().is_err());
         assert_eq!(sink.transaction_count(), 0);
-        assert_eq!(ebi.rejected_count(), 1);
+        assert_eq!(ebi.rejected.get(), 1);
     }
 
     #[test]
@@ -257,7 +241,7 @@ mod tests {
         });
         // 128 bits at 8 bits/cycle = 16 cycles; sink is instant.
         assert_eq!(sim.run().cycles(), 16);
-        assert_eq!(ebi.downlink_bits(), 128);
+        assert_eq!(ebi.downlink.total_bits(), 128);
         assert_eq!(ebi.uplink_bits(), 0);
         assert_eq!(sink.transaction_count(), 1);
     }
@@ -300,7 +284,7 @@ mod tests {
         });
         sim.run();
         assert_eq!(jh.try_take(), Some((true, true)));
-        assert_eq!(ebi.posted_error_count(), 1);
+        assert_eq!(ebi.posted_errors.get(), 1);
     }
 
     #[test]
@@ -331,7 +315,7 @@ mod tests {
         // write_read response from the first access.
         assert_eq!(first, vec![0]);
         assert_eq!(second, vec![0]);
-        assert_eq!(ebi.downlink_bits(), 64);
+        assert_eq!(ebi.downlink.total_bits(), 64);
         assert_eq!(ebi.uplink_bits(), 64);
     }
 

@@ -46,13 +46,13 @@ impl fmt::Display for NetFault {
 /// One point-to-point net from a driver boundary bit to a receiver
 /// boundary bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Net {
+pub(crate) struct Net {
     /// Driver-side boundary bit.
-    pub src_bit: u32,
+    pub(crate) src_bit: u32,
     /// Receiver-side boundary bit.
-    pub dst_bit: u32,
+    pub(crate) dst_bit: u32,
     /// Injected defect, if any.
-    pub fault: Option<NetFault>,
+    pub(crate) fault: Option<NetFault>,
 }
 
 /// The interconnect between two wrapped cores: a list of nets plus the
@@ -83,30 +83,9 @@ impl Interconnect {
         }
     }
 
-    /// Builds an interconnect from explicit nets over boundaries of
-    /// `width` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any net references a bit or bridge partner out of range.
-    pub fn from_nets(width: u32, nets: Vec<Net>) -> Self {
-        for n in &nets {
-            assert!(n.src_bit < width && n.dst_bit < width, "net bits in range");
-            if let Some(NetFault::BridgeAnd(j) | NetFault::BridgeOr(j)) = n.fault {
-                assert!(j < nets.len(), "bridge partner in range");
-            }
-        }
-        Interconnect { nets, width }
-    }
-
     /// The boundary width this interconnect expects on both sides.
-    pub fn width(&self) -> u32 {
+    pub(crate) fn width(&self) -> u32 {
         self.width
-    }
-
-    /// The nets.
-    pub fn nets(&self) -> &[Net] {
-        &self.nets
     }
 
     /// Injects `fault` on net `index`.
@@ -126,7 +105,7 @@ impl Interconnect {
     /// # Panics
     ///
     /// Panics if `out` does not match the interconnect width.
-    pub fn propagate(&self, out: &BitVec) -> BitVec {
+    pub(crate) fn propagate(&self, out: &BitVec) -> BitVec {
         assert_eq!(out.len() as u32, self.width, "driver image width");
         let mut image = BitVec::zeros(self.width as usize);
         for net in &self.nets {
@@ -150,7 +129,7 @@ impl Interconnect {
     }
 
     /// The fault-free expectation for `out`.
-    pub fn golden(&self, out: &BitVec) -> BitVec {
+    pub(crate) fn golden(&self, out: &BitVec) -> BitVec {
         let clean = Interconnect {
             nets: self
                 .nets
@@ -293,7 +272,7 @@ mod tests {
             .collect();
         nets[0].dst_bit = 1;
         nets[1].dst_bit = 0;
-        let ic = Interconnect::from_nets(WIDTH, nets);
+        let ic = Interconnect { nets, width: WIDTH };
         let out = run(ic, 10);
         // The golden model knows the permutation: still clean.
         assert!(out.clean(), "{out}");

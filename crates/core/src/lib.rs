@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 //! # tve-core — transaction level models of SoC test infrastructure
@@ -47,9 +48,10 @@ pub use controller::{MemoryTestPlan, TestController};
 pub use ctl::{CtlDescription, CtlError, CtlPort, CtlPortKind};
 pub use diagnosis::{diagnose_bist, DiagnosisReport, FailingCell};
 pub use ebi::Ebi;
-pub use interconnect::{run_interconnect_test, Interconnect, Net, NetFault};
+pub use interconnect::{run_interconnect_test, Interconnect, NetFault};
 pub use model::{CoreModel, DataPolicy, StuckCell, SyntheticLogicCore};
 pub use outcome::TestOutcome;
+
 pub use program_text::ParseProgramError;
 pub use schedule::{
     execute_schedule, execute_schedule_traced, Schedule, ScheduleError, ScheduleResult,

@@ -16,7 +16,7 @@ use crate::outcome::TestOutcome;
 /// schedule phase starts.
 pub struct TestRun {
     /// Sequence name (used in reports).
-    pub name: String,
+    pub(crate) name: String,
     fut: LocalBoxFuture<'static, TestOutcome>,
 }
 

@@ -58,21 +58,21 @@ fn record_burst(recorder: &Option<Rc<Recorder>>, initiator: InitiatorId, out: &T
 pub struct BistSource {
     handle: SimHandle,
     /// Test sequence name.
-    pub name: String,
+    pub(crate) name: String,
     /// The TAM this source injects into.
-    pub tam: Rc<dyn TamIf>,
+    pub(crate) tam: Rc<dyn TamIf>,
     /// Address of the target wrapper on the TAM.
-    pub wrapper_addr: u32,
+    pub(crate) wrapper_addr: u32,
     /// Initiator identity for arbitration/accounting.
-    pub initiator: InitiatorId,
+    pub(crate) initiator: InitiatorId,
     /// Target scan geometry.
-    pub scan: ScanConfig,
+    pub(crate) scan: ScanConfig,
     /// Number of pseudo-random patterns.
-    pub patterns: u64,
+    pub(crate) patterns: u64,
     /// Volume or full-data simulation.
-    pub policy: DataPolicy,
+    pub(crate) policy: DataPolicy,
     /// PRPG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     recorder: Option<Rc<Recorder>>,
 }
 

@@ -51,7 +51,7 @@ impl WrapperMode {
     }
 
     /// Decodes a WIR value; unknown encodings are `None`.
-    pub fn decode(wir: u64) -> Option<Self> {
+    pub(crate) fn decode(wir: u64) -> Option<Self> {
         match wir & 0x7 {
             0 => Some(WrapperMode::Functional),
             1 => Some(WrapperMode::Bypass),
@@ -146,11 +146,11 @@ pub struct WrapperStats {
     /// Test patterns accepted (shifts started).
     pub patterns: u64,
     /// Transactions rejected (wrong mode/command/length).
-    pub rejected: u64,
+    pub(crate) rejected: u64,
     /// Transactions forwarded to the core in functional/bypass mode.
     pub forwarded: u64,
     /// WIR loads carrying an unknown instruction.
-    pub invalid_wir_loads: u64,
+    pub(crate) invalid_wir_loads: u64,
 }
 
 /// The test wrapper TLM: a [`TamIf`] target whose interpretation of
@@ -205,7 +205,7 @@ impl TestWrapper {
     /// test-mode read. Needed for cores whose pattern is 64 bits or
     /// shorter, where a full-image read is otherwise indistinguishable
     /// from the 64-bit signature readout at address 0.
-    pub const RESPONSE_IMAGE_ADDR: u32 = 1;
+    pub(crate) const RESPONSE_IMAGE_ADDR: u32 = 1;
 
     /// Wraps `core`.
     pub fn new(handle: &SimHandle, cfg: WrapperConfig, core: Rc<dyn CoreModel>) -> Self {
@@ -235,7 +235,7 @@ impl TestWrapper {
 
     /// The image currently driven onto the interconnect from the boundary
     /// register (ext-test mode), if any pattern has been shifted in.
-    pub fn boundary_out(&self) -> Option<BitVec> {
+    pub(crate) fn boundary_out(&self) -> Option<BitVec> {
         self.boundary_out.borrow().clone()
     }
 
@@ -245,7 +245,7 @@ impl TestWrapper {
     /// # Panics
     ///
     /// Panics if the image length differs from the configured boundary.
-    pub fn set_boundary_in(&self, image: BitVec) {
+    pub(crate) fn set_boundary_in(&self, image: BitVec) {
         assert_eq!(
             image.len() as u32,
             self.cfg.boundary_cells,

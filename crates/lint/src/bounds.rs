@@ -38,7 +38,7 @@ use crate::facts::TamChannel;
 
 /// Pinned schema version of the bounds JSON report (satellite of the
 /// lint report's `format_version`; bump on any shape change).
-pub const BOUNDS_FORMAT_VERSION: u64 = 1;
+pub(crate) const BOUNDS_FORMAT_VERSION: u64 = 1;
 
 /// A closed integer interval `[lo, hi]` in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,13 +54,8 @@ impl Interval {
     pub const ZERO: Interval = Interval { lo: 0, hi: 0 };
 
     /// Whether `v` lies inside the interval.
-    pub fn contains(&self, v: u64) -> bool {
+    pub(crate) fn contains(&self, v: u64) -> bool {
         self.lo <= v && v <= self.hi
-    }
-
-    /// Width of the interval (`hi - lo`).
-    pub fn width(&self) -> u64 {
-        self.hi - self.lo
     }
 }
 
@@ -74,14 +69,14 @@ impl fmt::Display for Interval {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerInterval {
     /// Inclusive lower bound.
-    pub lo: f64,
+    pub(crate) lo: f64,
     /// Inclusive upper bound.
-    pub hi: f64,
+    pub(crate) hi: f64,
 }
 
 impl PowerInterval {
     /// Whether `v` lies inside the interval.
-    pub fn contains(&self, v: f64) -> bool {
+    pub(crate) fn contains(&self, v: f64) -> bool {
         self.lo <= v && v <= self.hi
     }
 }
@@ -92,39 +87,39 @@ impl PowerInterval {
 #[derive(Debug, Clone)]
 pub struct TaskBounds {
     /// Test name (matches the dynamic [`tve_core::TestRun`] name).
-    pub name: String,
+    pub(crate) name: String,
     /// The TAM path the patterns use (drives the per-channel busy sums).
-    pub channel: TamChannel,
+    pub(crate) channel: TamChannel,
     /// Slot-span envelope when the test runs alone: contention only
     /// lengthens a slot, so `slot.lo` also bounds the test inside any
     /// phase.
-    pub slot: Interval,
+    pub(crate) slot: Interval,
     /// Maximum instantaneous power contribution under the SoC's power
     /// model (0 when the model is disabled).
-    pub power_hi: f64,
+    pub(crate) power_hi: f64,
     /// Guaranteed dissipated energy (power × cycles; 0 when the model is
     /// disabled or the test may legally skip its patterns).
-    pub energy_lo: f64,
+    pub(crate) energy_lo: f64,
 }
 
 /// The certified envelope of one schedule.
 #[derive(Debug, Clone)]
 pub struct ScheduleEnvelope {
     /// Schedule name.
-    pub schedule: String,
+    pub(crate) schedule: String,
     /// Loosely-timed quantum the envelope covers (0 = cycle-accurate).
-    pub quantum: u64,
+    pub(crate) quantum: u64,
     /// Envelope on [`ScenarioMetrics::total_cycles`].
     pub total: Interval,
     /// Envelope on the summed slot spans of bus-channel tests.
-    pub bus_busy: Interval,
+    pub(crate) bus_busy: Interval,
     /// Envelope on the summed slot spans of serial-channel tests.
-    pub serial_busy: Interval,
+    pub(crate) serial_busy: Interval,
     /// Envelope on the simulated peak windowed power, when the SoC config
     /// enables the power model.
-    pub peak_power: Option<PowerInterval>,
+    pub(crate) peak_power: Option<PowerInterval>,
     /// Per-phase span envelopes, in schedule order.
-    pub phases: Vec<Interval>,
+    pub(crate) phases: Vec<Interval>,
 }
 
 /// The simulated observables an envelope constrains, extracted from a
@@ -132,11 +127,11 @@ pub struct ScheduleEnvelope {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnvelopeObservables {
     /// Simulated total test length.
-    pub total_cycles: u64,
+    pub(crate) total_cycles: u64,
     /// Summed slot spans of the bus-channel tests.
-    pub bus_busy: u64,
+    pub(crate) bus_busy: u64,
     /// Summed slot spans of the serial-channel tests.
-    pub serial_busy: u64,
+    pub(crate) serial_busy: u64,
     /// Simulated peak windowed power, when metered.
     pub peak_power: Option<f64>,
 }

@@ -10,7 +10,7 @@ use tve_obs::json_string;
 /// Pinned schema version stamped into every lint JSON report so artifact
 /// consumers can detect shape drift; bump on any change to the emitted
 /// fields.
-pub const LINT_FORMAT_VERSION: u64 = 1;
+pub(crate) const LINT_FORMAT_VERSION: u64 = 1;
 
 /// Diagnostic code constants for the non-structural checks.
 ///
@@ -22,10 +22,10 @@ pub mod codes {
     pub const CORE_RACE: &str = "res-core-race";
     /// Two tests in one phase stream over the same serial ATE channel
     /// (they serialize and stretch, but complete).
-    pub const SERIAL_RACE: &str = "res-serial-race";
+    pub(crate) const SERIAL_RACE: &str = "res-serial-race";
     /// A phase's combined TAM share demand exceeds the channel (tests
     /// stretch fluidly — the effect the paper quantifies by simulation).
-    pub const TAM_OVERSUB: &str = "res-tam-oversub";
+    pub(crate) const TAM_OVERSUB: &str = "res-tam-oversub";
     /// Two tests in one phase need different WIR values on the same
     /// configuration-ring client.
     pub const WIR_CONFLICT: &str = "wir-conflict";
@@ -45,19 +45,19 @@ pub mod codes {
     /// An `expect` op references a wrapper that does not exist.
     pub const PROG_UNKNOWN_WRAPPER: &str = "prog-unknown-wrapper";
     /// A `run` op references a test index that does not exist.
-    pub const PROG_UNKNOWN_TEST: &str = "prog-unknown-test";
+    pub(crate) const PROG_UNKNOWN_TEST: &str = "prog-unknown-test";
     /// A `run` op references a test already consumed by an earlier run
     /// (the Virtual ATE reports `UnknownTest` at execution).
     pub const PROG_DUP_RUN: &str = "prog-dup-run";
     /// An `expect` op reads a signature before any test has run.
-    pub const PROG_READ_BEFORE_RUN: &str = "prog-read-before-run";
+    pub(crate) const PROG_READ_BEFORE_RUN: &str = "prog-read-before-run";
     /// A `ring` rotation loads a different number of values than the ring
     /// has clients.
-    pub const PROG_RING_WIDTH: &str = "prog-ring-width";
+    pub(crate) const PROG_RING_WIDTH: &str = "prog-ring-width";
     /// A `config` write is overwritten before any run consumes it.
-    pub const PROG_CLOBBERED: &str = "prog-clobbered-config";
+    pub(crate) const PROG_CLOBBERED: &str = "prog-clobbered-config";
     /// A `config` write is never followed by a run at all.
-    pub const PROG_UNUSED: &str = "prog-unused-config";
+    pub(crate) const PROG_UNUSED: &str = "prog-unused-config";
 }
 
 /// How bad a diagnostic is.
@@ -75,7 +75,7 @@ pub enum Severity {
 
 impl Severity {
     /// The stable lowercase tag (JSON/CLI material).
-    pub const fn as_str(&self) -> &'static str {
+    pub(crate) const fn as_str(&self) -> &'static str {
         match self {
             Severity::Info => "info",
             Severity::Warning => "warning",
@@ -135,14 +135,14 @@ pub struct Diagnostic {
     /// Where the problem is.
     pub location: Location,
     /// Human-readable description.
-    pub message: String,
+    pub(crate) message: String,
     /// Supporting details (contending test names, prior write sites, …).
-    pub notes: Vec<String>,
+    pub(crate) notes: Vec<String>,
 }
 
 impl Diagnostic {
     /// A diagnostic without notes.
-    pub fn new(
+    pub(crate) fn new(
         code: &'static str,
         severity: Severity,
         location: Location,
@@ -159,7 +159,7 @@ impl Diagnostic {
 
     /// Adds a supporting note.
     #[must_use]
-    pub fn with_note(mut self, note: impl Into<String>) -> Self {
+    pub(crate) fn with_note(mut self, note: impl Into<String>) -> Self {
         self.notes.push(note.into());
         self
     }
@@ -183,20 +183,12 @@ impl fmt::Display for Diagnostic {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintReport {
     /// What was linted (schedule or program name).
-    pub subject: String,
+    pub(crate) subject: String,
     /// The findings, in check order.
     pub diagnostics: Vec<Diagnostic>,
 }
 
 impl LintReport {
-    /// An empty report for `subject`.
-    pub fn new(subject: impl Into<String>) -> Self {
-        LintReport {
-            subject: subject.into(),
-            diagnostics: Vec::new(),
-        }
-    }
-
     /// Whether the subject is statically acceptable: **no error-severity
     /// diagnostics**. Warnings and infos do not reject — the soundness
     /// contract (`clean ⇒ executes without `ScheduleError`/infra failure`)
@@ -221,20 +213,10 @@ impl LintReport {
             .count()
     }
 
-    /// The codes present, in finding order (with duplicates).
-    pub fn codes(&self) -> Vec<&'static str> {
-        self.diagnostics.iter().map(|d| d.code).collect()
-    }
-
-    /// Whether any diagnostic carries `code`.
-    pub fn has(&self, code: &str) -> bool {
-        self.diagnostics.iter().any(|d| d.code == code)
-    }
-
     /// This report as a JSON object (no trailing newline). Emitted
     /// serde-free like the campaign artifacts; validate with
     /// `tve_obs::check_json`.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
             out,
@@ -312,6 +294,13 @@ pub fn reports_to_json(reports: &[LintReport]) -> String {
 mod tests {
     use super::*;
 
+    fn report(subject: &str) -> LintReport {
+        LintReport {
+            subject: subject.to_string(),
+            diagnostics: Vec::new(),
+        }
+    }
+
     #[test]
     fn severity_orders_and_tags() {
         assert!(Severity::Error > Severity::Warning);
@@ -321,7 +310,7 @@ mod tests {
 
     #[test]
     fn report_cleanliness_counts_only_errors() {
-        let mut r = LintReport::new("s");
+        let mut r = report("s");
         assert!(r.clean());
         r.diagnostics.push(Diagnostic::new(
             codes::SERIAL_RACE,
@@ -337,13 +326,13 @@ mod tests {
         assert!(!r.clean());
         assert_eq!(r.error_count(), 1);
         assert_eq!(r.warning_count(), 1);
-        assert_eq!(r.codes(), vec![codes::SERIAL_RACE, codes::CORE_RACE]);
-        assert!(r.has(codes::CORE_RACE) && !r.has(codes::WIR_CONFLICT));
+        let found: Vec<_> = r.diagnostics.iter().map(|d| d.code).collect();
+        assert_eq!(found, vec![codes::SERIAL_RACE, codes::CORE_RACE]);
     }
 
     #[test]
     fn json_is_well_formed() {
-        let mut r = LintReport::new("sch\"1\"");
+        let mut r = report("sch\"1\"");
         r.diagnostics.push(
             Diagnostic::new(
                 codes::WIR_CONFLICT,
@@ -360,7 +349,7 @@ mod tests {
             Location::Span { line: 3, column: 7 },
             "bad token",
         ));
-        let json = reports_to_json(&[r, LintReport::new("empty")]);
+        let json = reports_to_json(&[r, report("empty")]);
         tve_obs::check_json(&json).expect("lint JSON parses");
         assert!(json.contains("\"line\": 3"));
         assert!(json.contains("\"clean\": true"));
@@ -370,16 +359,16 @@ mod tests {
     #[test]
     fn json_reports_carry_the_pinned_format_version() {
         assert_eq!(LINT_FORMAT_VERSION, 1, "bump deliberately, with the docs");
-        let single = LintReport::new("s").to_json();
+        let single = report("s").to_json();
         let want = format!("\"format_version\": {LINT_FORMAT_VERSION}");
         assert!(single.starts_with(&format!("{{{want}")), "{single}");
-        let bundle = reports_to_json(&[LintReport::new("a"), LintReport::new("b")]);
+        let bundle = reports_to_json(&[report("a"), report("b")]);
         assert_eq!(bundle.matches(&want).count(), 2, "one stamp per report");
     }
 
     #[test]
     fn display_renders_a_table_row_per_diagnostic() {
-        let mut r = LintReport::new("s1");
+        let mut r = report("s1");
         r.diagnostics.push(
             Diagnostic::new(
                 codes::CORE_RACE,

@@ -50,7 +50,7 @@ pub struct TestFacts {
     /// Ring clients that must hold their functional/default value (0)
     /// while this test runs — a stale test-mode write there corrupts the
     /// test's functional-path accesses.
-    pub needs_functional: Vec<usize>,
+    pub(crate) needs_functional: Vec<usize>,
     /// Peak power estimate (same units as the plan budget).
     pub peak_power: f64,
     /// Coarse share of the shared bus TAM this test demands in `[0, 1]`.
@@ -63,11 +63,11 @@ pub struct PlanFacts {
     /// Per-test facts, indexed like the schedule's test indices.
     pub tests: Vec<TestFacts>,
     /// Configuration-ring client count.
-    pub ring_clients: usize,
+    pub(crate) ring_clients: usize,
     /// Wrapper count (the Virtual ATE's `expect` index space).
-    pub wrappers: usize,
+    pub(crate) wrappers: usize,
     /// Optional phase power budget; `None` disables the power check.
-    pub power_budget: Option<f64>,
+    pub(crate) power_budget: Option<f64>,
 }
 
 impl PlanFacts {
@@ -76,13 +76,6 @@ impl PlanFacts {
     pub fn with_budget(mut self, budget: f64) -> Self {
         self.power_budget = Some(budget);
         self
-    }
-
-    /// The maximum summed peak power any single-phase grouping of the
-    /// current tests could need — a budget at or above this lints clean
-    /// for every duplicate-free schedule.
-    pub fn total_peak_power(&self) -> f64 {
-        self.tests.iter().map(|t| t.peak_power).sum()
     }
 }
 
@@ -278,7 +271,7 @@ mod tests {
     #[test]
     fn budget_helpers() {
         let facts = soc_facts(&SocConfig::small(), &SocTestPlan::small());
-        let total = facts.total_peak_power();
+        let total: f64 = facts.tests.iter().map(|t| t.peak_power).sum();
         assert!((total - 760.0).abs() < 1e-9, "{total}");
         let budgeted = facts.clone().with_budget(500.0);
         assert_eq!(budgeted.power_budget, Some(500.0));

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![deny(missing_docs)]
 
 //! # tve-lint — static analysis of test schedules and ATE programs
@@ -60,11 +61,8 @@ mod schedule_lint;
 pub use bounds::{
     bounds_reports_to_json, bounds_table, observe_metrics, schedule_envelope, schedule_envelopes,
     task_bounds, EnvelopeObservables, Interval, PowerInterval, ScheduleEnvelope, TaskBounds,
-    BOUNDS_FORMAT_VERSION,
 };
-pub use diag::{
-    codes, reports_to_json, Diagnostic, LintReport, Location, Severity, LINT_FORMAT_VERSION,
-};
+pub use diag::{codes, reports_to_json, Diagnostic, LintReport, Location, Severity};
 pub use facts::{soc_facts, PlanFacts, TamChannel, TestFacts, WirWrite};
 pub use program_lint::lint_program;
 pub use schedule_lint::lint_schedule;

@@ -12,19 +12,19 @@ use crate::patterns::PatternTest;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageReport {
     /// `(detected, total)` per fault class label.
-    pub per_class: BTreeMap<&'static str, (usize, usize)>,
+    pub(crate) per_class: BTreeMap<&'static str, (usize, usize)>,
     /// Faults that escaped detection.
-    pub escapes: Vec<Fault>,
+    pub(crate) escapes: Vec<Fault>,
 }
 
 impl CoverageReport {
     /// Overall detected fault count.
-    pub fn detected(&self) -> usize {
+    pub(crate) fn detected(&self) -> usize {
         self.per_class.values().map(|(d, _)| d).sum()
     }
 
     /// Overall injected fault count.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.per_class.values().map(|(_, t)| t).sum()
     }
 
@@ -36,13 +36,6 @@ impl CoverageReport {
         } else {
             self.detected() as f64 / t as f64
         }
-    }
-
-    /// Coverage of one fault class, if present.
-    pub fn class_coverage(&self, class: &str) -> Option<f64> {
-        self.per_class
-            .get(class)
-            .map(|&(d, t)| if t == 0 { 1.0 } else { d as f64 / t as f64 })
     }
 }
 
@@ -112,7 +105,7 @@ mod tests {
     fn mats_plus_has_full_saf_coverage() {
         let faults = saf_campaign(64);
         let r = evaluate_coverage(&MarchTest::mats_plus(), &[], 64, &faults);
-        assert_eq!(r.class_coverage("SAF"), Some(1.0), "{r}");
+        assert_eq!(r.coverage(), 1.0, "{r}");
         assert!(r.escapes.is_empty());
         assert_eq!(r.total(), faults.len());
     }
@@ -129,7 +122,7 @@ mod tests {
         }
         let weak = evaluate_coverage(&MarchTest::mats_plus(), &[], 64, &faults);
         let strong = evaluate_coverage(&MarchTest::march_c_minus(), &[], 64, &faults);
-        assert_eq!(strong.class_coverage("CFin"), Some(1.0), "{strong}");
+        assert_eq!(strong.coverage(), 1.0, "{strong}");
         assert!(
             strong.coverage() >= weak.coverage(),
             "March C- must dominate MATS+"

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 //! # tve-memtest — memory models, fault injection and march tests
@@ -35,6 +36,6 @@ pub use coverage::{evaluate_coverage, CoverageReport};
 pub use march::{
     MarchElement, MarchOp, MarchOrder, MarchReport, MarchTest, Mismatch, ParseMarchError,
 };
-pub use memory::{Fault, FaultKind, MemoryAccess, MemoryArray};
-pub use patterns::{PatternReport, PatternTest};
-pub use repair::{repair_flow, RepairReport, RepairableMemory};
+pub use memory::{Fault, FaultKind, MemoryArray};
+pub use patterns::PatternTest;
+pub use repair::RepairableMemory;

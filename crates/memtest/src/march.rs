@@ -78,7 +78,7 @@ impl fmt::Display for MarchElement {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseMarchError {
     /// Human-readable description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for ParseMarchError {
@@ -93,24 +93,24 @@ impl std::error::Error for ParseMarchError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mismatch {
     /// The failing word address.
-    pub addr: u32,
+    pub(crate) addr: u32,
     /// Expected word value.
-    pub expected: u32,
+    pub(crate) expected: u32,
     /// Observed word value.
-    pub observed: u32,
+    pub(crate) observed: u32,
     /// Index of the march element that detected it.
-    pub element: usize,
+    pub(crate) element: usize,
 }
 
 /// Result of running a march test.
 #[derive(Debug, Clone, Default)]
 pub struct MarchReport {
-    /// Observed mismatches (capped; see [`MarchReport::truncated`]).
+    /// Observed mismatches (capped; see `MarchReport::truncated`).
     pub mismatches: Vec<Mismatch>,
     /// Total operations (reads + writes) performed.
     pub operations: u64,
     /// Whether the mismatch list was capped.
-    pub truncated: bool,
+    pub(crate) truncated: bool,
 }
 
 impl MarchReport {
@@ -153,7 +153,7 @@ impl MarchTest {
     /// # Panics
     ///
     /// Panics if `elements` is empty or any element has no operations.
-    pub fn new(name: impl Into<String>, elements: Vec<MarchElement>) -> Self {
+    pub(crate) fn new(name: impl Into<String>, elements: Vec<MarchElement>) -> Self {
         assert!(!elements.is_empty(), "march test needs elements");
         assert!(
             elements.iter().all(|e| !e.ops.is_empty()),
@@ -290,7 +290,7 @@ impl MarchTest {
 
     /// Runs the test against any [`MemoryAccess`] (raw arrays, repairable
     /// memories), word-wise with all-0/all-1 backgrounds.
-    pub fn run_on<M: MemoryAccess>(&self, mem: &mut M) -> MarchReport {
+    pub(crate) fn run_on<M: MemoryAccess>(&self, mem: &mut M) -> MarchReport {
         const MAX_MISMATCHES: usize = 64;
         let n = mem.word_count() as u32;
         let mut report = MarchReport::default();

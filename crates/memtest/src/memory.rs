@@ -53,7 +53,7 @@ pub struct Fault {
     /// Bit position within the word (ignored for [`FaultKind::AddressAlias`]).
     pub bit: u8,
     /// The fault model.
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
 }
 
 impl Fault {
@@ -137,7 +137,7 @@ impl fmt::Display for Fault {
 /// Word-level access used by the march and pattern engines, implemented
 /// by the raw [`MemoryArray`] and by
 /// [`RepairableMemory`](crate::RepairableMemory).
-pub trait MemoryAccess {
+pub(crate) trait MemoryAccess {
     /// Number of addressable words.
     fn word_count(&self) -> usize;
     /// Reads the word at `addr`.
@@ -173,8 +173,6 @@ impl MemoryAccess for MemoryArray {
 pub struct MemoryArray {
     words: Vec<u32>,
     faults: Vec<Fault>,
-    reads: u64,
-    writes: u64,
 }
 
 impl MemoryArray {
@@ -192,29 +190,12 @@ impl MemoryArray {
         MemoryArray {
             words,
             faults: Vec::new(),
-            reads: 0,
-            writes: 0,
         }
     }
 
     /// Number of words.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.words.len()
-    }
-
-    /// Whether the array is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// Total reads performed.
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total writes performed.
-    pub fn write_count(&self) -> u64 {
-        self.writes
     }
 
     /// Injects a fault.
@@ -245,18 +226,12 @@ impl MemoryArray {
         self.faults.push(fault);
     }
 
-    /// The injected faults.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
     /// Reads the word at `addr`, applying stuck-at forcing.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is out of range.
     pub fn read(&mut self, addr: u32) -> u32 {
-        self.reads += 1;
         let mut v = self.words[addr as usize];
         for f in &self.faults {
             if f.addr == addr {
@@ -279,7 +254,6 @@ impl MemoryArray {
     ///
     /// Panics if `addr` is out of range.
     pub fn write(&mut self, addr: u32, value: u32) {
-        self.writes += 1;
         // Fault-free fast path: no aliasing, no bit effects, no coupling.
         if self.faults.is_empty() {
             self.words[addr as usize] = value;
@@ -397,8 +371,6 @@ mod tests {
         let mut m = MemoryArray::new(4);
         m.write(2, 0x1234_5678);
         assert_eq!(m.read(2), 0x1234_5678);
-        assert_eq!(m.write_count(), 1);
-        assert_eq!(m.read_count(), 1);
     }
 
     #[test]

@@ -29,16 +29,16 @@ impl fmt::Display for PatternTest {
 
 /// Result of a pattern test run.
 #[derive(Debug, Clone, Default)]
-pub struct PatternReport {
+pub(crate) struct PatternReport {
     /// Addresses that read back wrong (capped at 64).
-    pub failures: Vec<u32>,
+    pub(crate) failures: Vec<u32>,
     /// Total operations (writes + reads).
-    pub operations: u64,
+    pub(crate) operations: u64,
 }
 
 impl PatternReport {
     /// Whether the memory passed.
-    pub fn passed(&self) -> bool {
+    pub(crate) fn passed(&self) -> bool {
         self.failures.is_empty()
     }
 }
@@ -65,13 +65,13 @@ impl PatternTest {
     }
 
     /// Runs the test against a raw [`MemoryArray`].
-    pub fn run(&self, mem: &mut MemoryArray) -> PatternReport {
+    pub(crate) fn run(&self, mem: &mut MemoryArray) -> PatternReport {
         self.run_on(mem)
     }
 
     /// Runs the test against any [`MemoryAccess`]: write the background
     /// ascending, read it back ascending.
-    pub fn run_on<M: MemoryAccess>(&self, mem: &mut M) -> PatternReport {
+    pub(crate) fn run_on<M: MemoryAccess>(&self, mem: &mut M) -> PatternReport {
         const MAX_FAILURES: usize = 64;
         let n = mem.word_count() as u32;
         let mut report = PatternReport::default();

@@ -6,20 +6,21 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::march::MarchTest;
 use crate::memory::{Fault, MemoryAccess, MemoryArray};
 
 /// A memory array with spare words: failing addresses can be remapped to
 /// fault-free redundancy storage.
 ///
 /// ```
-/// use tve_memtest::{Fault, MarchTest, RepairableMemory};
+/// use tve_memtest::{Fault, RepairableMemory};
 ///
 /// let mut mem = RepairableMemory::new(64, 2);
 /// mem.inject(Fault::stuck_at(7, 3, true));
-/// assert!(!MarchTest::mats_plus().run_on(&mut mem).passed());
+/// mem.write(7, 0);
+/// assert_eq!(mem.read(7), 1 << 3);
 /// assert!(mem.repair(7));
-/// assert!(MarchTest::mats_plus().run_on(&mut mem).passed());
+/// mem.write(7, 0);
+/// assert_eq!(mem.read(7), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RepairableMemory {
@@ -64,22 +65,17 @@ impl RepairableMemory {
 
     /// Whether the array is empty (never true by construction).
     pub fn is_empty(&self) -> bool {
-        self.array.is_empty()
+        self.array.len() == 0
     }
 
     /// Total spare words.
-    pub fn spares_total(&self) -> usize {
+    pub(crate) fn spares_total(&self) -> usize {
         self.spares.len()
     }
 
     /// Spares already allocated.
     pub fn spares_used(&self) -> usize {
         self.remap.len()
-    }
-
-    /// Addresses currently remapped to spares.
-    pub fn repaired_addresses(&self) -> impl Iterator<Item = u32> + '_ {
-        self.remap.keys().copied()
     }
 
     /// Injects a fault into the *main* array (spares are fault-free).
@@ -166,46 +162,6 @@ impl fmt::Display for RepairableMemory {
     }
 }
 
-/// Outcome of a detect → repair → retest flow.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RepairReport {
-    /// Failing addresses found by the initial test.
-    pub failing: Vec<u32>,
-    /// Addresses successfully remapped.
-    pub repaired: Vec<u32>,
-    /// Whether the retest passed (the part is shippable).
-    pub retest_passed: bool,
-    /// Whether repair ran out of spares.
-    pub spares_exhausted: bool,
-}
-
-/// The ATE's repair action: run `march`, remap every failing address,
-/// rerun, and report. Fails fast (without retest) when the failing
-/// addresses exceed the spare count.
-pub fn repair_flow(mem: &mut RepairableMemory, march: &MarchTest) -> RepairReport {
-    let first = march.run_on(mem);
-    let mut failing: Vec<u32> = first.mismatches.iter().map(|m| m.addr).collect();
-    failing.sort_unstable();
-    failing.dedup();
-    let mut repaired = Vec::new();
-    let mut spares_exhausted = false;
-    for &addr in &failing {
-        if mem.repair(addr) {
-            repaired.push(addr);
-        } else {
-            spares_exhausted = true;
-            break;
-        }
-    }
-    let retest_passed = !spares_exhausted && march.run_on(mem).passed();
-    RepairReport {
-        failing,
-        repaired,
-        retest_passed,
-        spares_exhausted,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,7 +176,6 @@ mod tests {
         mem.write(5, 0);
         assert_eq!(mem.read(5), 0, "spare is fault-free");
         assert_eq!(mem.spares_used(), 1);
-        assert_eq!(mem.repaired_addresses().collect::<Vec<_>>(), vec![5]);
     }
 
     #[test]
@@ -230,49 +185,5 @@ mod tests {
         assert!(mem.repair(3), "re-repair is free");
         assert_eq!(mem.spares_used(), 1);
         assert!(!mem.repair(9), "out of spares");
-    }
-
-    #[test]
-    fn flow_repairs_a_single_stuck_at() {
-        let mut mem = RepairableMemory::new(64, 2);
-        mem.inject(Fault::stuck_at(17, 9, false));
-        let report = repair_flow(&mut mem, &MarchTest::mats_plus());
-        assert_eq!(report.failing, vec![17]);
-        assert_eq!(report.repaired, vec![17]);
-        assert!(report.retest_passed);
-        assert!(!report.spares_exhausted);
-    }
-
-    #[test]
-    fn flow_reports_spare_exhaustion() {
-        let mut mem = RepairableMemory::new(64, 1);
-        mem.inject(Fault::stuck_at(3, 0, true));
-        mem.inject(Fault::stuck_at(40, 0, true));
-        let report = repair_flow(&mut mem, &MarchTest::mats_plus());
-        assert_eq!(report.failing.len(), 2);
-        assert!(report.spares_exhausted);
-        assert!(!report.retest_passed);
-    }
-
-    #[test]
-    fn coupling_aggressor_must_be_repaired_not_the_victim() {
-        // CFin: aggressor 4 flips victim 20. Repairing the *victim* fixes
-        // the symptom (the victim's storage moves to a spare); MATS+ then
-        // passes — but a flow repairing whatever address fails is exactly
-        // what the ATE does, so this documents the behaviour.
-        let mut mem = RepairableMemory::new(64, 2);
-        mem.inject(Fault::coupling_inversion((4, 0), (20, 0), true));
-        let report = repair_flow(&mut mem, &MarchTest::march_c_minus());
-        assert!(report.retest_passed, "{report:?}");
-        assert!(!report.repaired.is_empty());
-    }
-
-    #[test]
-    fn clean_memory_needs_no_repair() {
-        let mut mem = RepairableMemory::new(64, 2);
-        let report = repair_flow(&mut mem, &MarchTest::mats_plus());
-        assert!(report.failing.is_empty());
-        assert!(report.retest_passed);
-        assert_eq!(mem.spares_used(), 0);
     }
 }

@@ -10,7 +10,7 @@ use crate::fault::{fault_sim_batch, StuckAtFault};
 use crate::netlist::Netlist;
 
 /// One generated test pattern: a value per primary input.
-pub type Pattern = Vec<bool>;
+pub(crate) type Pattern = Vec<bool>;
 
 /// Result of a test-generation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,11 +18,11 @@ pub struct TestSet {
     /// The compacted patterns, in application order.
     pub patterns: Vec<Pattern>,
     /// Fault coverage achieved over the target list, in `[0, 1]`.
-    pub coverage: f64,
+    pub(crate) coverage: f64,
     /// Faults no generated pattern detected.
-    pub undetected: Vec<StuckAtFault>,
+    pub(crate) undetected: Vec<StuckAtFault>,
     /// Random patterns evaluated before compaction.
-    pub patterns_tried: u64,
+    pub(crate) patterns_tried: u64,
 }
 
 fn pack(patterns: &[Pattern], n_inputs: u32) -> Vec<u64> {

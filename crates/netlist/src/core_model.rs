@@ -61,11 +61,6 @@ impl NetlistCore {
         }
     }
 
-    /// The wrapped netlist.
-    pub fn netlist(&self) -> &Netlist {
-        &self.netlist
-    }
-
     /// Injects (or clears) a gate-level stuck-at defect.
     pub fn inject_fault(&self, fault: Option<StuckAtFault>) {
         self.fault.set(fault);

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 //! # tve-netlist — gate-level circuits under the test infrastructure
@@ -26,8 +27,8 @@ mod coverage;
 mod fault;
 mod netlist;
 
-pub use atpg::{generate_test_set, Pattern, TestSet};
+pub use atpg::{generate_test_set, TestSet};
 pub use core_model::NetlistCore;
 pub use coverage::{random_coverage_curve, CoveragePoint};
 pub use fault::{fault_sim_batch, full_fault_list, StuckAtFault};
-pub use netlist::{c17, Gate, GateKind, NetId, Netlist, NetlistBuilder};
+pub use netlist::{c17, NetId, Netlist};

@@ -17,7 +17,7 @@ impl fmt::Display for NetId {
 
 /// Gate function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GateKind {
+pub(crate) enum GateKind {
     /// Logical AND of all inputs.
     And,
     /// Logical OR of all inputs.
@@ -28,10 +28,6 @@ pub enum GateKind {
     Nor,
     /// Exclusive OR (parity) of all inputs.
     Xor,
-    /// Inverter (single input).
-    Not,
-    /// Buffer (single input).
-    Buf,
 }
 
 impl fmt::Display for GateKind {
@@ -42,8 +38,6 @@ impl fmt::Display for GateKind {
             GateKind::Nand => "nand",
             GateKind::Nor => "nor",
             GateKind::Xor => "xor",
-            GateKind::Not => "not",
-            GateKind::Buf => "buf",
         };
         f.write_str(s)
     }
@@ -51,11 +45,11 @@ impl fmt::Display for GateKind {
 
 /// One gate: a function over earlier nets.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Gate {
+pub(crate) struct Gate {
     /// The function.
-    pub kind: GateKind,
+    pub(crate) kind: GateKind,
     /// Input nets (must precede this gate's own net).
-    pub inputs: Vec<NetId>,
+    pub(crate) inputs: Vec<NetId>,
 }
 
 /// A combinational netlist in topological order.
@@ -88,36 +82,24 @@ impl Netlist {
         self.n_inputs
     }
 
-    /// Number of gates.
-    pub fn gate_count(&self) -> usize {
-        self.gates.len()
-    }
-
     /// Number of primary outputs.
-    pub fn output_count(&self) -> usize {
+    pub(crate) fn output_count(&self) -> usize {
         self.outputs.len()
     }
 
     /// Total nets (inputs + gate outputs).
-    pub fn net_count(&self) -> u32 {
+    pub(crate) fn net_count(&self) -> u32 {
         self.n_inputs + self.gates.len() as u32
     }
 
-    /// The output nets.
-    pub fn outputs(&self) -> &[NetId] {
-        &self.outputs
-    }
-
     fn eval_gate(kind: GateKind, inputs: &[NetId], values: &[u64]) -> u64 {
-        let mut it = inputs.iter().map(|n| values[n.0 as usize]);
+        let it = inputs.iter().map(|n| values[n.0 as usize]);
         match kind {
             GateKind::And => it.fold(u64::MAX, |a, b| a & b),
             GateKind::Nand => !it.fold(u64::MAX, |a, b| a & b),
             GateKind::Or => it.fold(0, |a, b| a | b),
             GateKind::Nor => !it.fold(0, |a, b| a | b),
             GateKind::Xor => it.fold(0, |a, b| a ^ b),
-            GateKind::Not => !it.next().expect("validated arity"),
-            GateKind::Buf => it.next().expect("validated arity"),
         }
     }
 
@@ -230,7 +212,7 @@ impl Netlist {
 
 /// Incremental netlist construction with validation.
 #[derive(Debug, Clone)]
-pub struct NetlistBuilder {
+pub(crate) struct NetlistBuilder {
     n_inputs: u32,
     gates: Vec<Gate>,
 }
@@ -241,7 +223,7 @@ impl NetlistBuilder {
     /// # Panics
     ///
     /// Panics for zero inputs.
-    pub fn new(n_inputs: u32) -> Self {
+    pub(crate) fn new(n_inputs: u32) -> Self {
         assert!(n_inputs > 0, "a circuit needs inputs");
         NetlistBuilder {
             n_inputs,
@@ -254,18 +236,13 @@ impl NetlistBuilder {
     /// # Panics
     ///
     /// Panics if an input net does not exist yet, or the arity is invalid
-    /// (`Not`/`Buf` take exactly one input, others at least two).
-    pub fn add_gate(&mut self, kind: GateKind, inputs: Vec<NetId>) -> NetId {
+    /// (every gate takes at least two inputs).
+    pub(crate) fn add_gate(&mut self, kind: GateKind, inputs: Vec<NetId>) -> NetId {
         let avail = self.n_inputs + self.gates.len() as u32;
         for n in &inputs {
             assert!(n.0 < avail, "gate input {n} does not exist yet");
         }
-        match kind {
-            GateKind::Not | GateKind::Buf => {
-                assert_eq!(inputs.len(), 1, "{kind} takes exactly one input")
-            }
-            _ => assert!(inputs.len() >= 2, "{kind} takes at least two inputs"),
-        }
+        assert!(inputs.len() >= 2, "{kind} takes at least two inputs");
         self.gates.push(Gate { kind, inputs });
         NetId(avail)
     }
@@ -275,7 +252,7 @@ impl NetlistBuilder {
     /// # Panics
     ///
     /// Panics if `outputs` is empty or references a missing net.
-    pub fn finish(self, outputs: Vec<NetId>) -> Netlist {
+    pub(crate) fn finish(self, outputs: Vec<NetId>) -> Netlist {
         assert!(!outputs.is_empty(), "a circuit needs outputs");
         let total = self.n_inputs + self.gates.len() as u32;
         for n in &outputs {
@@ -311,7 +288,7 @@ mod tests {
     fn c17_structure() {
         let c = c17();
         assert_eq!(c.input_count(), 5);
-        assert_eq!(c.gate_count(), 6);
+        assert_eq!(c.gates.len(), 6);
         assert_eq!(c.output_count(), 2);
         assert_eq!(c.net_count(), 11);
     }
@@ -362,12 +339,10 @@ mod tests {
         let nand = b.add_gate(GateKind::Nand, vec![NetId(0), NetId(1)]);
         let nor = b.add_gate(GateKind::Nor, vec![NetId(0), NetId(1)]);
         let xor = b.add_gate(GateKind::Xor, vec![NetId(0), NetId(1)]);
-        let not = b.add_gate(GateKind::Not, vec![NetId(0)]);
-        let buf = b.add_gate(GateKind::Buf, vec![NetId(1)]);
-        let n = b.finish(vec![and, or, nand, nor, xor, not, buf]);
+        let n = b.finish(vec![and, or, nand, nor, xor]);
         assert_eq!(
             n.eval1(&[true, false]),
-            vec![false, true, true, false, true, false, false]
+            vec![false, true, true, false, true]
         );
     }
 
@@ -376,10 +351,6 @@ mod tests {
         let mut b = NetlistBuilder::new(2);
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             b.add_gate(GateKind::And, vec![NetId(0), NetId(9)]);
-        }))
-        .is_err());
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            b.add_gate(GateKind::Not, vec![NetId(0), NetId(1)]);
         }))
         .is_err());
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -395,7 +366,7 @@ mod tests {
         let c = Netlist::random(8, 64, 4, 2);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(a.gate_count(), 64);
+        assert_eq!(a.gates.len(), 64);
         assert!(a.output_count() >= 4, "sinks plus requested minimum");
         // The circuit is functional, not constant: over 64 random input
         // vectors some output must toggle.

@@ -42,9 +42,9 @@ impl fmt::Display for NodeId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId {
     /// Source node.
-    pub from: NodeId,
+    pub(crate) from: NodeId,
     /// Destination node (adjacent to `from`).
-    pub to: NodeId,
+    pub(crate) to: NodeId,
 }
 
 impl fmt::Display for LinkId {
@@ -145,11 +145,6 @@ impl MeshNoc {
         }
     }
 
-    /// The mesh configuration.
-    pub fn config(&self) -> MeshConfig {
-        self.cfg
-    }
-
     /// Number of directed links.
     pub fn link_count(&self) -> usize {
         self.links.len()
@@ -220,21 +215,13 @@ impl MeshNoc {
     }
 
     /// Cycles a packet of `bits` occupies one link.
-    pub fn hop_occupancy(&self, bits: u64) -> Duration {
+    pub(crate) fn hop_occupancy(&self, bits: u64) -> Duration {
         Duration::cycles(self.cfg.hop_overhead + bits.div_ceil(self.cfg.link_width_bits as u64))
     }
 
     /// Total busy link-cycles recorded so far.
     pub fn total_busy_cycles(&self) -> u64 {
         self.monitor.borrow().total_busy_cycles()
-    }
-
-    /// Busy cycles of one directed link.
-    pub fn link_busy(&self, from: NodeId, to: NodeId) -> u64 {
-        self.links
-            .get(&(from, to))
-            .map(|l| l.busy.get())
-            .unwrap_or(0)
     }
 
     /// The busiest directed link and its busy cycles — the hot spot a
@@ -244,11 +231,6 @@ impl MeshNoc {
             .iter()
             .max_by_key(|(_, l)| l.busy.get())
             .map(|(&(from, to), l)| (LinkId { from, to }, l.busy.get()))
-    }
-
-    /// The aggregate utilization monitor (busy accounting across links).
-    pub fn monitor(&self) -> std::cell::Ref<'_, UtilizationMonitor> {
-        self.monitor.borrow()
     }
 
     fn lookup(&self, addr: u32) -> Option<(NodeId, Rc<dyn TamIf>)> {
@@ -297,13 +279,6 @@ pub struct NocPort {
 impl fmt::Debug for NocPort {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NocPort").field("node", &self.node).finish()
-    }
-}
-
-impl NocPort {
-    /// The node this port attaches at.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 }
 

@@ -16,7 +16,7 @@ use crate::span::SpanRecord;
 #[derive(Debug, Clone, PartialEq)]
 pub struct UtilizationSummary {
     /// The peak-detection window length in cycles.
-    pub window: u64,
+    pub(crate) window: u64,
     /// Sum of span durations in cycles.
     pub total_busy: u64,
     /// Number of spans aggregated.

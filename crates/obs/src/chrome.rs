@@ -25,13 +25,15 @@ use crate::recorder::TraceLog;
 /// use tve_sim::Time;
 ///
 /// let rec = Recorder::unbounded();
-/// rec.record(SpanRecord::new(
-///     SpanKind::Transfer,
-///     "system-bus",
-///     "write",
-///     Time::from_cycles(0),
-///     Time::from_cycles(8),
-/// ));
+/// rec.record_with(|| {
+///     SpanRecord::new(
+///         SpanKind::Transfer,
+///         "system-bus",
+///         "write",
+///         Time::from_cycles(0),
+///         Time::from_cycles(8),
+///     )
+/// });
 /// let mut out = Vec::new();
 /// write_chrome_trace(&rec.take_log(), &mut out).unwrap();
 /// let text = String::from_utf8(out).unwrap();

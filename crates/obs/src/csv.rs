@@ -32,13 +32,15 @@ pub fn csv_field(s: &str) -> String {
 /// use tve_sim::Time;
 ///
 /// let rec = Recorder::unbounded();
-/// rec.record(SpanRecord::new(
-///     SpanKind::Transfer,
-///     "bus",
-///     "write, posted",
-///     Time::from_cycles(2),
-///     Time::from_cycles(7),
-/// ));
+/// rec.record_with(|| {
+///     SpanRecord::new(
+///         SpanKind::Transfer,
+///         "bus",
+///         "write, posted",
+///         Time::from_cycles(2),
+///         Time::from_cycles(7),
+///     )
+/// });
 /// let mut out = Vec::new();
 /// write_spans_csv(&rec.take_log(), &mut out).unwrap();
 /// let text = String::from_utf8(out).unwrap();

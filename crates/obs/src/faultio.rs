@@ -76,13 +76,13 @@ impl IoPolicy {
 
     /// Total `write` calls observed so far — lets a test discover the
     /// write index of the record it wants to tear.
-    pub fn writes(&self) -> u64 {
+    pub(crate) fn writes(&self) -> u64 {
         self.inner.writes.load(Ordering::Relaxed)
     }
 
     /// Wraps `inner` so its writes are counted and faulted per this
     /// policy.
-    pub fn wrap<W: Write>(&self, inner: W) -> FaultSink<W> {
+    pub(crate) fn wrap<W: Write>(&self, inner: W) -> FaultSink<W> {
         FaultSink {
             inner,
             policy: self.clone(),
@@ -124,7 +124,7 @@ fn storage_full(detail: &str) -> io::Error {
 }
 
 /// A [`Write`] adapter that applies an [`IoPolicy`] to an inner sink.
-pub struct FaultSink<W> {
+pub(crate) struct FaultSink<W> {
     inner: W,
     policy: IoPolicy,
 }

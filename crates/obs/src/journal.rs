@@ -79,17 +79,8 @@ impl Journal {
         })
     }
 
-    /// Opens `path` for appending (creating it when missing).
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-open errors.
-    pub fn append_to(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::append_to_with(path, &IoPolicy::default())
-    }
-
-    /// [`append_to`](Journal::append_to) with writes routed through
-    /// `policy`.
+    /// Opens `path` for appending (creating it and its parent
+    /// directories if missing), with writes routed through `policy`.
     ///
     /// # Errors
     ///
@@ -136,7 +127,7 @@ pub struct JournalDefect {
     /// 1-based line number of the first defective record.
     pub line: usize,
     /// What was wrong with it.
-    pub reason: String,
+    pub(crate) reason: String,
     /// How many lines (the defective one included) were dropped.
     pub dropped: usize,
 }
@@ -266,7 +257,7 @@ mod tests {
         journal.append(r#"{"kind":"cell","index":0}"#).unwrap();
         drop(journal);
         // Re-open for append, like a resumed process would.
-        let mut journal = Journal::append_to(&path).unwrap();
+        let mut journal = Journal::append_to_with(&path, &IoPolicy::default()).unwrap();
         journal.append(r#"{"kind":"cell","index":1}"#).unwrap();
         drop(journal);
 

@@ -30,9 +30,9 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset of the offending input.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// What was wrong there.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for JsonError {
@@ -153,6 +153,21 @@ impl JsonValue {
     /// The optional member `key`: `None` when it is missing or `null`.
     pub fn opt_field(&self, key: &str) -> Option<&JsonValue> {
         self.get(key).filter(|v| **v != JsonValue::Null)
+    }
+
+    /// The optional member `key` read with one of the typed accessors
+    /// below (`JsonValue::u64_field::<u32>`, `JsonValue::str_field`, ...):
+    /// `Ok(None)` when it is missing or `null`.
+    ///
+    /// # Errors
+    ///
+    /// The accessor's message when the member is present but mistyped.
+    pub fn opt_typed<'v, T>(
+        &'v self,
+        key: &str,
+        read: impl FnOnce(&'v JsonValue, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.opt_field(key).map(|_| read(self, key)).transpose()
     }
 
     fn typed_field<'v, T>(

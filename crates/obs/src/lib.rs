@@ -51,6 +51,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod agg;
@@ -67,10 +68,10 @@ mod span;
 pub use agg::{earliest_span_end, utilization_from_spans, UtilizationSummary};
 pub use chrome::write_chrome_trace;
 pub use csv::{csv_field, write_metrics_csv, write_spans_csv};
-pub use faultio::{FaultSink, IoPolicy, WriteFault};
+pub use faultio::{IoPolicy, WriteFault};
 pub use journal::{fnv1a, parse_journal, read_journal, Journal, JournalContents, JournalDefect};
 pub use json::{append_json_string, check_json, json_string, parse_json, JsonError, JsonValue};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry};
-pub use ops::{OpsCounters, OpsEvent, EVENT_RING};
+pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use ops::OpsCounters;
 pub use recorder::{Recorder, StoragePolicy, TraceLog};
 pub use span::{SpanKind, SpanRecord};

@@ -13,7 +13,8 @@ use tve_sim::Time;
 /// once at attach time and bumps it per event.
 ///
 /// ```
-/// let reg = tve_obs::MetricsRegistry::new();
+/// let rec = tve_obs::Recorder::disabled();
+/// let reg = rec.metrics();
 /// let transfers = reg.counter("bus.transfers");
 /// transfers.inc();
 /// transfers.add(2);
@@ -50,13 +51,8 @@ impl Gauge {
         self.0.set(value);
     }
 
-    /// Moves the gauge by a signed delta (saturating).
-    pub fn add(&self, delta: i64) {
-        self.0.set(self.0.get().saturating_add(delta));
-    }
-
     /// The current value.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.0.get()
     }
 }
@@ -81,18 +77,6 @@ struct HistogramState {
 /// long they held (in simulated cycles) — the right statistic for
 /// queue depths and utilization-like signals sampled at irregular
 /// simulated times.
-///
-/// ```
-/// use tve_sim::Time;
-///
-/// let reg = tve_obs::MetricsRegistry::new();
-/// let depth = reg.histogram("fifo.depth");
-/// depth.observe(Time::from_cycles(0), 2.0); // 2 for 10 cycles
-/// depth.observe(Time::from_cycles(10), 4.0); // 4 for 10 cycles
-/// let s = depth.summary(Time::from_cycles(20));
-/// assert_eq!(s.mean, 3.0);
-/// assert_eq!((s.min, s.max, s.samples), (2.0, 4.0, 2));
-/// ```
 #[derive(Debug, Clone)]
 pub struct Histogram(Rc<RefCell<HistogramState>>);
 
@@ -128,7 +112,7 @@ impl Histogram {
     /// Summarizes the histogram over `[first observation, end]`,
     /// extending the last observed value to `end`. With no observations
     /// the summary is all zeros.
-    pub fn summary(&self, end: Time) -> HistogramSummary {
+    pub(crate) fn summary(&self, end: Time) -> HistogramSummary {
         let s = self.0.borrow();
         let (Some(start), Some((last_t, last_v))) = (s.start, s.last) else {
             return HistogramSummary::default();
@@ -146,15 +130,15 @@ impl Histogram {
 
 /// The exported summary of a [`Histogram`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct HistogramSummary {
+pub(crate) struct HistogramSummary {
     /// Number of observations.
-    pub samples: u64,
+    pub(crate) samples: u64,
     /// Smallest observed value.
-    pub min: f64,
+    pub(crate) min: f64,
     /// Largest observed value.
-    pub max: f64,
+    pub(crate) max: f64,
     /// Time-weighted mean over the observed span.
-    pub mean: f64,
+    pub(crate) mean: f64,
 }
 
 /// A registry of named metrics. Lookups by name deduplicate: asking
@@ -174,7 +158,7 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MetricsRegistry::default()
     }
 
@@ -213,7 +197,7 @@ impl MetricsRegistry {
     }
 
     /// Snapshot of all counters as `(name, value)` in registration order.
-    pub fn counter_values(&self) -> Vec<(String, u64)> {
+    pub(crate) fn counter_values(&self) -> Vec<(String, u64)> {
         self.counters
             .borrow()
             .iter()
@@ -222,7 +206,7 @@ impl MetricsRegistry {
     }
 
     /// Snapshot of all gauges as `(name, value)` in registration order.
-    pub fn gauge_values(&self) -> Vec<(String, i64)> {
+    pub(crate) fn gauge_values(&self) -> Vec<(String, i64)> {
         self.gauges
             .borrow()
             .iter()
@@ -232,7 +216,7 @@ impl MetricsRegistry {
 
     /// Summaries of all histograms over `[start, end]` in registration
     /// order.
-    pub fn histogram_summaries(&self, end: Time) -> Vec<(String, HistogramSummary)> {
+    pub(crate) fn histogram_summaries(&self, end: Time) -> Vec<(String, HistogramSummary)> {
         self.histograms
             .borrow()
             .iter()
@@ -256,11 +240,10 @@ mod tests {
     }
 
     #[test]
-    fn gauges_move_both_ways() {
+    fn gauges_hold_the_last_value() {
         let reg = MetricsRegistry::new();
         let g = reg.gauge("depth");
-        g.add(3);
-        g.add(-5);
+        g.set(-2);
         assert_eq!(g.get(), -2);
         g.set(7);
         assert_eq!(reg.gauge_values(), vec![("depth".to_string(), 7)]);

@@ -51,18 +51,20 @@ enum Sink {
 ///
 /// let rec = Recorder::new(StoragePolicy::Ring(2));
 /// for i in 0..3 {
-///     rec.record(SpanRecord::new(
-///         SpanKind::Transfer,
-///         "bus",
-///         format!("xfer {i}"),
-///         Time::from_cycles(i),
-///         Time::from_cycles(i + 1),
-///     ));
+///     rec.record_with(|| {
+///         SpanRecord::new(
+///             SpanKind::Transfer,
+///             "bus",
+///             format!("xfer {i}"),
+///             Time::from_cycles(i),
+///             Time::from_cycles(i + 1),
+///         )
+///     });
 /// }
 /// let log = rec.take_log();
 /// assert_eq!(log.spans.len(), 2); // oldest span dropped
 /// assert_eq!(log.dropped, 1);
-/// assert_eq!(log.spans[0].name, "xfer 1");
+/// assert_eq!(log.spans[0].start, Time::from_cycles(1));
 /// ```
 #[derive(Debug)]
 pub struct Recorder {
@@ -105,22 +107,9 @@ impl Recorder {
         Recorder::new(StoragePolicy::Unbounded)
     }
 
-    /// A recorder keeping at most `capacity` spans
-    /// ([`StoragePolicy::Ring`]).
-    pub fn ring(capacity: usize) -> Self {
-        Recorder::new(StoragePolicy::Ring(capacity))
-    }
-
-    /// Whether spans are being kept. Instrumentation sites use this (or
-    /// [`Recorder::record_with`]) to skip span construction entirely
-    /// when storage is off.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Stores one span (dropping it if storage is off or the ring is
     /// full).
-    pub fn record(&self, span: SpanRecord) {
+    pub(crate) fn record(&self, span: SpanRecord) {
         if span.end > self.observed_end.get() {
             self.observed_end.set(span.end);
         }
@@ -164,15 +153,6 @@ impl Recorder {
         }
     }
 
-    /// Spans dropped so far by a full ring buffer.
-    pub fn dropped(&self) -> u64 {
-        match &*self.sink.borrow() {
-            Sink::Off => 0,
-            Sink::Unbounded(_) => 0,
-            Sink::Ring { dropped, .. } => *dropped,
-        }
-    }
-
     /// The metrics registry shared by every model attached to this
     /// recorder.
     pub fn metrics(&self) -> &MetricsRegistry {
@@ -187,11 +167,6 @@ impl Recorder {
         if t > self.observed_end.get() {
             self.observed_end.set(t);
         }
-    }
-
-    /// The latest simulated time covered by this recorder.
-    pub fn observed_end(&self) -> Time {
-        self.observed_end.get()
     }
 
     /// Drains the recorder into a plain-data [`TraceLog`] (spans in
@@ -236,9 +211,9 @@ pub struct TraceLog {
     /// Counter snapshot `(name, value)`.
     pub counters: Vec<(String, u64)>,
     /// Gauge snapshot `(name, value)`.
-    pub gauges: Vec<(String, i64)>,
+    pub(crate) gauges: Vec<(String, i64)>,
     /// Histogram summaries `(name, summary)`.
-    pub histograms: Vec<(String, HistogramSummary)>,
+    pub(crate) histograms: Vec<(String, HistogramSummary)>,
 }
 
 impl TraceLog {
@@ -314,7 +289,6 @@ mod tests {
     #[test]
     fn disabled_recorder_keeps_nothing_and_skips_construction() {
         let rec = Recorder::disabled();
-        assert!(!rec.is_enabled());
         let mut constructed = false;
         rec.record_with(|| {
             constructed = true;
@@ -343,11 +317,10 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest() {
-        let rec = Recorder::ring(3);
+        let rec = Recorder::new(StoragePolicy::Ring(3));
         for i in 0..7 {
             rec.record(span("bus", &format!("s{i}"), i, i + 1));
         }
-        assert_eq!(rec.dropped(), 4);
         let log = rec.take_log();
         assert_eq!(log.spans.len(), 3);
         assert_eq!(log.dropped, 4);
@@ -359,9 +332,9 @@ mod tests {
         let rec = Recorder::unbounded();
         rec.record(span("bus", "s", 0, 10));
         rec.observe_until(Time::from_cycles(5)); // earlier: no-op
-        assert_eq!(rec.observed_end(), Time::from_cycles(10));
+        assert_eq!(rec.observed_end.get(), Time::from_cycles(10));
         rec.observe_until(Time::from_cycles(25));
-        assert_eq!(rec.observed_end(), Time::from_cycles(25));
+        assert_eq!(rec.observed_end.get(), Time::from_cycles(25));
     }
 
     #[test]

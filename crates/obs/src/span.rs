@@ -5,7 +5,7 @@ use tve_sim::{Duration, Time};
 /// What kind of activity a [`SpanRecord`] measures.
 ///
 /// The kind maps to the Chrome trace-event `cat` field (see
-/// [`SpanKind::category`]), so Perfetto can filter e.g. only TAM
+/// `SpanKind::category`), so Perfetto can filter e.g. only TAM
 /// transfers or only schedule phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
@@ -29,11 +29,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// The Chrome trace-event category string for this kind.
-    ///
-    /// ```
-    /// assert_eq!(tve_obs::SpanKind::Transfer.category(), "transfer");
-    /// ```
-    pub fn category(&self) -> &'static str {
+    pub(crate) fn category(&self) -> &'static str {
         match self {
             SpanKind::Transfer => "transfer",
             SpanKind::ConfigScan => "config-scan",
@@ -54,21 +50,21 @@ impl SpanKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
     /// What the span measures.
-    pub kind: SpanKind,
+    pub(crate) kind: SpanKind,
     /// The lane the span belongs to — a channel, core or engine name.
     /// Becomes the Chrome trace "thread" so each track gets its own
     /// swimlane in Perfetto.
     pub track: String,
     /// Human-readable label for this particular interval.
-    pub name: String,
+    pub(crate) name: String,
     /// Begin time (inclusive).
     pub start: Time,
     /// End time (exclusive); `end >= start`.
-    pub end: Time,
+    pub(crate) end: Time,
     /// The initiator id that caused the activity, if attributable.
-    pub initiator: Option<u8>,
+    pub(crate) initiator: Option<u8>,
     /// Payload volume in bits (0 when not meaningful).
-    pub bits: u64,
+    pub(crate) bits: u64,
 }
 
 impl SpanRecord {

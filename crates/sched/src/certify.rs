@@ -21,7 +21,7 @@ use std::fmt;
 use std::time::Instant;
 
 use tve_core::Schedule;
-use tve_lint::{schedule_envelope, ScheduleEnvelope};
+use tve_lint::schedule_envelope;
 use tve_soc::{ScenarioMetrics, SocConfig, SocTestPlan};
 
 use crate::explore::{explore, Candidate};
@@ -35,19 +35,19 @@ pub struct PruneProof {
     /// Name of the pruned candidate.
     pub candidate: String,
     /// Name of the dominating, already-simulated incumbent.
-    pub incumbent: String,
+    pub(crate) incumbent: String,
     /// The incumbent's *simulated* total cycles.
-    pub incumbent_cycles: u64,
+    pub(crate) incumbent_cycles: u64,
     /// The incumbent's static peak-power coordinate.
-    pub incumbent_power: u64,
+    pub(crate) incumbent_power: u64,
     /// The candidate's certified lower bound on total cycles
     /// (`ScheduleEnvelope::total.lo`).
-    pub bound_cycles: u64,
+    pub(crate) bound_cycles: u64,
     /// The candidate's static peak-power coordinate.
-    pub candidate_power: u64,
+    pub(crate) candidate_power: u64,
     /// How far the bound sits above the incumbent
     /// (`bound_cycles - incumbent_cycles`; 0 when the power axis decides).
-    pub margin_cycles: u64,
+    pub(crate) margin_cycles: u64,
 }
 
 impl fmt::Display for PruneProof {
@@ -84,15 +84,13 @@ pub enum CertifiedOutcome {
 #[derive(Debug, Clone)]
 pub struct CertifiedCandidate {
     /// The explored candidate (schedule, coarse estimate).
-    pub candidate: Candidate,
-    /// Its certified envelope.
-    pub envelope: ScheduleEnvelope,
+    pub(crate) candidate: Candidate,
     /// Simulated, pruned-with-proof, or failed.
     pub outcome: CertifiedOutcome,
     /// Whether the candidate is on the (simulated-cycles × static-power)
     /// Pareto front. Pruned candidates are never on the front — that is
     /// what their proof establishes.
-    pub on_front: bool,
+    pub(crate) on_front: bool,
 }
 
 /// Result of [`explore_certified`], candidates fastest-estimate first.
@@ -245,7 +243,6 @@ pub fn explore_certified(
 
         out.push(CertifiedCandidate {
             candidate,
-            envelope,
             outcome,
             on_front: false,
         });
@@ -277,7 +274,7 @@ pub fn explore_certified(
 }
 
 /// Deterministically enumerates valid session partitions of `tasks` (every
-/// phase passes [`Constraints::session_is_valid`]), up to `limit`
+/// phase passes `Constraints::session_is_valid`), up to `limit`
 /// schedules, named `enum 1…n` — the candidate pool that lets certified
 /// exploration show its pruning on more than a handful of hand-written
 /// schedules. Merge-heavy partitions come first.

@@ -136,24 +136,24 @@ pub fn estimate_tasks(config: &SocConfig, plan: &SocTestPlan) -> Vec<TestTask> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseEstimate {
     /// Estimated phase length in cycles (fluid model).
-    pub duration: u64,
+    pub(crate) duration: u64,
     /// Peak TAM demand of the phase (may exceed 1.0 = over-subscription).
-    pub tam_demand: f64,
+    pub(crate) tam_demand: f64,
     /// Total power of the concurrent tests.
-    pub power: u64,
+    pub(crate) power: u64,
 }
 
 /// Estimated metrics of a whole schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleEstimate {
     /// Per-phase estimates.
-    pub phases: Vec<PhaseEstimate>,
+    pub(crate) phases: Vec<PhaseEstimate>,
     /// Total estimated test length.
-    pub total_cycles: u64,
+    pub(crate) total_cycles: u64,
     /// Maximum concurrent power across phases.
-    pub peak_power: u64,
+    pub(crate) peak_power: u64,
     /// Maximum TAM demand across phases (clipped at 1.0 for reporting).
-    pub peak_tam: f64,
+    pub(crate) peak_tam: f64,
 }
 
 /// Fluid estimation of a schedule: within a phase, each task progresses at
@@ -163,7 +163,7 @@ pub struct ScheduleEstimate {
 /// # Panics
 ///
 /// Panics if the schedule references task indices out of range.
-pub fn estimate_schedule(tasks: &[TestTask], schedule: &Schedule) -> ScheduleEstimate {
+pub(crate) fn estimate_schedule(tasks: &[TestTask], schedule: &Schedule) -> ScheduleEstimate {
     let mut phases = Vec::new();
     let mut total = 0u64;
     for phase in &schedule.phases {

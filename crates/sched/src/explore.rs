@@ -18,10 +18,10 @@ pub struct Candidate {
     /// The schedule.
     pub schedule: Schedule,
     /// Its coarse estimate.
-    pub estimate: ScheduleEstimate,
+    pub(crate) estimate: ScheduleEstimate,
     /// Whether it is Pareto-optimal (test time × peak power) within the
     /// explored set.
-    pub pareto: bool,
+    pub(crate) pareto: bool,
 }
 
 impl fmt::Display for Candidate {
@@ -46,17 +46,6 @@ pub struct ExploreReport {
 }
 
 impl ExploreReport {
-    /// The fastest candidate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the report is empty (never produced by [`explore`]).
-    pub fn best(&self) -> &Candidate {
-        self.candidates
-            .first()
-            .expect("explore always yields candidates")
-    }
-
     /// The Pareto-optimal candidates.
     pub fn pareto_front(&self) -> impl Iterator<Item = &Candidate> {
         self.candidates.iter().filter(|c| c.pareto)
@@ -110,11 +99,11 @@ pub fn explore(tasks: &[TestTask], constraints: &Constraints, extra: &[Schedule]
 #[derive(Debug, Clone)]
 pub struct ValidationReport {
     /// The coarse estimate.
-    pub estimate: ScheduleEstimate,
+    pub(crate) estimate: ScheduleEstimate,
     /// The simulated metrics.
     pub simulated: ScenarioMetrics,
     /// Relative test-length error of the estimate, in percent.
-    pub length_error_pct: f64,
+    pub(crate) length_error_pct: f64,
 }
 
 impl fmt::Display for ValidationReport {
@@ -161,7 +150,7 @@ pub fn validate_schedules(
 }
 
 /// [`validate_schedules`] on an explicitly sized farm.
-pub fn validate_schedules_on(
+pub(crate) fn validate_schedules_on(
     farm: &Farm,
     config: &SocConfig,
     plan: &SocTestPlan,
@@ -184,76 +173,6 @@ pub fn validate_schedules_on(
         .collect()
 }
 
-/// Validates a candidate schedule by full TLM simulation of the JPEG SoC
-/// and quantifies the coarse estimate's error — the "validation of test
-/// strategies and schedules" of the paper's title. Single-schedule
-/// convenience over [`validate_schedules`].
-///
-/// # Errors
-///
-/// Returns [`tve_core::ScheduleError`] if `schedule` is malformed for the
-/// seven-test plan.
-///
-/// # Panics
-///
-/// Panics if the underlying simulation itself panics (a model bug).
-pub fn validate_schedule(
-    config: &SocConfig,
-    plan: &SocTestPlan,
-    tasks: &[TestTask],
-    schedule: &Schedule,
-) -> Result<ValidationReport, tve_core::ScheduleError> {
-    let report = validate_schedules_on(
-        &Farm::with_workers(1),
-        config,
-        plan,
-        tasks,
-        std::slice::from_ref(schedule),
-    )
-    .pop()
-    .expect("one schedule in, one report out");
-    report.map_err(|e| match e {
-        JobError::Schedule(e) => e,
-        JobError::Panicked(msg) => panic!("simulation panicked: {msg}"),
-    })
-}
-
-/// A candidate together with its simulation-validated metrics.
-#[derive(Debug, Clone)]
-pub struct ValidatedCandidate {
-    /// The explored candidate (schedule, estimate, Pareto flag).
-    pub candidate: Candidate,
-    /// The farm-validated simulation report, or the per-job failure.
-    pub validation: Result<ValidationReport, JobError>,
-}
-
-/// The full explore-then-validate loop of the paper's title: explore
-/// candidate schedules from coarse estimates, then validate the `top_n`
-/// fastest by TLM simulation of `sim_plan`, fanned across the farm in one
-/// batch. Candidates come back fastest-estimate first.
-pub fn explore_and_validate(
-    tasks: &[TestTask],
-    constraints: &Constraints,
-    extra: &[Schedule],
-    config: &SocConfig,
-    sim_plan: &SocTestPlan,
-    sim_tasks: &[TestTask],
-    top_n: usize,
-) -> Vec<ValidatedCandidate> {
-    let report = explore(tasks, constraints, extra);
-    let finalists: Vec<Candidate> = report.candidates.into_iter().take(top_n).collect();
-    let schedules: Vec<Schedule> = finalists.iter().map(|c| c.schedule.clone()).collect();
-    let validations = validate_schedules(config, sim_plan, sim_tasks, &schedules);
-    finalists
-        .into_iter()
-        .zip(validations)
-        .map(|(candidate, validation)| ValidatedCandidate {
-            candidate,
-            validation,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,7 +188,10 @@ mod tests {
             assert!(w[0].estimate.total_cycles <= w[1].estimate.total_cycles);
         }
         assert!(report.pareto_front().count() >= 1);
-        assert!(report.best().pareto, "the fastest is Pareto by definition");
+        assert!(
+            report.candidates[0].pareto,
+            "the fastest is Pareto by definition"
+        );
         // The exact optimum must be at least as fast as the paper's
         // hand-written schedule 4.
         let paper4 = report
@@ -277,7 +199,7 @@ mod tests {
             .iter()
             .find(|c| c.schedule.name.contains("schedule 4"))
             .unwrap();
-        assert!(report.best().estimate.total_cycles <= paper4.estimate.total_cycles);
+        assert!(report.candidates[0].estimate.total_cycles <= paper4.estimate.total_cycles);
     }
 
     #[test]
@@ -294,11 +216,13 @@ mod tests {
         );
         // With a tight power budget, the best feasible generated schedule
         // cannot beat the unconstrained one.
-        assert!(tight.best().estimate.total_cycles >= loose.best().estimate.total_cycles);
+        assert!(
+            tight.candidates[0].estimate.total_cycles >= loose.candidates[0].estimate.total_cycles
+        );
     }
 
     #[test]
-    fn batched_validation_matches_single_runs() {
+    fn batched_validation_matches_a_single_worker() {
         let mut config = SocConfig::small();
         config.memory_words = 64;
         let plan = SocTestPlan::small();
@@ -306,37 +230,14 @@ mod tests {
         let schedules = paper_schedules();
         let farm = crate::farm::Farm::with_workers(4);
         let batch = validate_schedules_on(&farm, &config, &plan, &tasks, &schedules);
+        let one = crate::farm::Farm::with_workers(1);
+        let serial = validate_schedules_on(&one, &config, &plan, &tasks, &schedules);
         assert_eq!(batch.len(), 4);
-        for (schedule, report) in schedules.iter().zip(&batch) {
-            let single = validate_schedule(&config, &plan, &tasks, schedule).unwrap();
+        for (report, single) in batch.iter().zip(&serial) {
+            let single = single.as_ref().unwrap();
             let farmed = report.as_ref().unwrap();
             assert_eq!(single.simulated.digest(), farmed.simulated.digest());
             assert_eq!(single.estimate.total_cycles, farmed.estimate.total_cycles);
-        }
-    }
-
-    #[test]
-    fn explore_and_validate_returns_ranked_validated_finalists() {
-        let mut config = SocConfig::small();
-        config.memory_words = 64;
-        let plan = SocTestPlan::small();
-        let tasks = estimate_tasks(&config, &plan);
-        let out = explore_and_validate(
-            &tasks,
-            &Constraints::default(),
-            &paper_schedules(),
-            &config,
-            &plan,
-            &tasks,
-            3,
-        );
-        assert_eq!(out.len(), 3);
-        for w in out.windows(2) {
-            assert!(w[0].candidate.estimate.total_cycles <= w[1].candidate.estimate.total_cycles);
-        }
-        for v in &out {
-            let report = v.validation.as_ref().expect("explored schedules are valid");
-            assert!(report.simulated.result.clean());
         }
     }
 
@@ -346,7 +247,10 @@ mod tests {
         config.memory_words = 64;
         let plan = SocTestPlan::small();
         let tasks = estimate_tasks(&config, &plan);
-        let report = validate_schedule(&config, &plan, &tasks, &paper_schedules()[0]).unwrap();
+        let report = validate_schedules(&config, &plan, &tasks, &paper_schedules()[..1])
+            .pop()
+            .unwrap()
+            .unwrap();
         assert!(report.simulated.result.clean());
         assert!(report.length_error_pct.abs() < 60.0, "{report}");
     }

@@ -45,11 +45,11 @@ pub struct ScenarioJob {
     /// Display label (defaults to the schedule name).
     pub label: String,
     /// The SoC model parameters.
-    pub config: SocConfig,
+    pub(crate) config: SocConfig,
     /// The pattern counts and memory tests.
-    pub plan: SocTestPlan,
+    pub(crate) plan: SocTestPlan,
     /// The schedule to execute.
-    pub schedule: Schedule,
+    pub(crate) schedule: Schedule,
 }
 
 impl ScenarioJob {
@@ -108,14 +108,14 @@ pub struct JobOutcome {
     /// The job's label.
     pub label: String,
     /// Host wall-clock time this job's simulation took on its worker.
-    pub wall: Duration,
+    pub(crate) wall: Duration,
     /// The simulated metrics, or what prevented them.
-    pub result: Result<ScenarioMetrics, JobError>,
+    pub(crate) result: Result<ScenarioMetrics, JobError>,
 }
 
 impl JobOutcome {
     /// Simulated test length in cycles, when the job succeeded.
-    pub fn simulated_cycles(&self) -> Option<u64> {
+    pub(crate) fn simulated_cycles(&self) -> Option<u64> {
         self.result.as_ref().ok().map(|m| m.total_cycles)
     }
 

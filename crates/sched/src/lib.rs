@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 //! # tve-sched — test scheduling and design-space exploration
@@ -16,19 +17,17 @@
 //!   TAM shares, power figures and resource conflicts
 //!   ([`estimate_tasks`] derives them analytically from a
 //!   [`SocConfig`](tve_soc::SocConfig)),
-//! * schedulers — sequential, greedy session packing
-//!   ([`greedy_schedule`]) and an exact set-partition optimum for small
-//!   task sets ([`optimal_schedule`]),
-//! * a fluid [`estimate_schedule`] evaluator and Pareto-front
-//!   [`explore`] over candidate schedules,
-//! * **validation by simulation** — [`validate_schedule`] runs a candidate
+//! * schedulers — sequential, greedy session packing and an exact
+//!   set-partition optimum for small task sets, behind the Pareto-front
+//!   [`explore`] over candidate schedules and their fluid estimates,
+//! * **validation by simulation** — [`validate_schedules`] runs candidates
 //!   on the full SoC TLM and reports estimate-versus-simulated error
 //!   ([`ValidationReport`]), closing the loop the paper argues for,
 //! * a **parallel validation farm** — [`Farm`] fans independent scenario
 //!   simulations over a worker pool (one single-threaded simulator per
 //!   worker; `TVE_JOBS` overrides the width) so exploration batches run
 //!   at hardware speed; [`validate_schedules`] and
-//!   [`explore_and_validate`] drive it,
+//!   [`explore_certified`] drive it,
 //! * **certified pruning** — [`explore_certified`] skips simulating any
 //!   candidate whose static lower bound
 //!   ([`tve_lint::schedule_envelope`]) is already dominated by a
@@ -38,9 +37,9 @@
 mod certify;
 mod estimate;
 mod explore;
-pub mod farm;
+mod farm;
 mod packing;
-pub mod supervise;
+mod supervise;
 mod tam_alloc;
 mod task;
 mod wrapper_design;
@@ -49,18 +48,12 @@ pub use certify::{
     enumerate_schedules, explore_certified, CertifiedCandidate, CertifiedExploreReport,
     CertifiedOutcome, PruneProof,
 };
-pub use estimate::{estimate_schedule, estimate_tasks, PhaseEstimate, ScheduleEstimate};
-pub use explore::{
-    explore, explore_and_validate, validate_schedule, validate_schedules, validate_schedules_on,
-    Candidate, ExploreReport, ValidatedCandidate, ValidationReport,
-};
+pub use estimate::{estimate_tasks, PhaseEstimate, ScheduleEstimate};
+pub use explore::{explore, validate_schedules, Candidate, ExploreReport, ValidationReport};
 pub use farm::{
     default_workers, BatchReport, Farm, JobError, JobOutcome, ScenarioJob, TracedBatch,
 };
-pub use packing::{greedy_schedule, optimal_schedule, sequential_schedule};
 pub use supervise::{ChaosFault, ChaosHook, SupervisePolicy, SupervisedError};
-pub use tam_alloc::{
-    makespan_lower_bound, pack_tam, tam_width_sweep, CoreTestSpec, Placement, TamAssignment,
-};
+pub use tam_alloc::{makespan_lower_bound, pack_tam, tam_width_sweep, CoreTestSpec, TamAssignment};
 pub use task::{Constraints, Resource, TestTask};
-pub use wrapper_design::{design_wrapper, wrapper_staircase, WrapperChain, WrapperDesign};
+pub use wrapper_design::wrapper_staircase;

@@ -7,7 +7,7 @@ use crate::estimate::estimate_schedule;
 use crate::task::{Constraints, TestTask};
 
 /// The trivial schedule: every test in its own phase, in input order.
-pub fn sequential_schedule(tasks: &[TestTask]) -> Schedule {
+pub(crate) fn sequential_schedule(tasks: &[TestTask]) -> Schedule {
     Schedule::new("sequential", (0..tasks.len()).map(|i| vec![i]).collect())
 }
 
@@ -15,7 +15,7 @@ pub fn sequential_schedule(tasks: &[TestTask]) -> Schedule {
 /// a session with the longest unscheduled task and fills it with the
 /// longest compatible tasks that keep the session valid under
 /// `constraints`.
-pub fn greedy_schedule(tasks: &[TestTask], constraints: &Constraints) -> Schedule {
+pub(crate) fn greedy_schedule(tasks: &[TestTask], constraints: &Constraints) -> Schedule {
     let mut order: Vec<usize> = (0..tasks.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(tasks[i].duration));
     let mut scheduled = vec![false; tasks.len()];
@@ -50,7 +50,7 @@ pub fn greedy_schedule(tasks: &[TestTask], constraints: &Constraints) -> Schedul
 ///
 /// Panics if `tasks.len() > 16` (the DP would explode; use
 /// [`greedy_schedule`] instead).
-pub fn optimal_schedule(tasks: &[TestTask], constraints: &Constraints) -> Schedule {
+pub(crate) fn optimal_schedule(tasks: &[TestTask], constraints: &Constraints) -> Schedule {
     let n = tasks.len();
     assert!(
         n <= 16,

@@ -58,17 +58,17 @@ pub type ChaosHook = Arc<dyn Fn(usize, usize) -> Option<ChaosFault> + Send + Syn
 pub struct SupervisePolicy {
     /// Retries allowed after the first attempt (so `retry_budget + 1`
     /// attempts total). Default 0.
-    pub retry_budget: usize,
+    pub(crate) retry_budget: usize,
     /// Batch-level cancellation (e.g. a daemon job deadline): when this
     /// trips, running attempts unwind at their next kernel scheduling
     /// boundary and queued items resolve to
     /// [`SupervisedError::Cancelled`].
-    pub external: Option<Arc<CancelToken>>,
+    pub(crate) external: Option<Arc<CancelToken>>,
     /// Deterministic fault injection (`tests/serve_resilience.rs`).
-    pub chaos: Option<ChaosHook>,
+    pub(crate) chaos: Option<ChaosHook>,
     /// Sink for the `farm.retries` / `farm.respawns` /
     /// `farm.chaos_injected` counters.
-    pub counters: Option<OpsCounters>,
+    pub(crate) counters: Option<OpsCounters>,
 }
 
 impl SupervisePolicy {
@@ -158,9 +158,9 @@ where
             .is_some_and(|t| t.is_cancelled())
     }
 
-    fn note(&self, counter: &str, detail: impl FnOnce() -> String) {
+    fn incr(&self, counter: &str) {
         if let Some(ops) = &self.policy.counters {
-            ops.note(counter, detail());
+            ops.incr(counter);
         }
     }
 
@@ -185,10 +185,8 @@ where
             .chaos
             .as_ref()
             .and_then(|hook| hook(item, attempt));
-        if let Some(fault) = chaos {
-            self.note("farm.chaos_injected", || {
-                format!("item {item} attempt {attempt}: {fault:?}")
-            });
+        if chaos.is_some() {
+            self.incr("farm.chaos_injected");
         }
         let run = || {
             match chaos {
@@ -227,9 +225,7 @@ where
             if self.cancelled() {
                 self.resolve(item, wall, Err(SupervisedError::Cancelled));
             } else if attempt < self.policy.retry_budget {
-                self.note("farm.retries", || {
-                    format!("item {item}: attempt {attempt} panicked")
-                });
+                self.incr("farm.retries");
                 // Queued before the replacement exists, so it is never
                 // stranded.
                 self.retries
@@ -240,7 +236,7 @@ where
                 let message = panic_message(payload.as_ref());
                 self.resolve(item, wall, Err(SupervisedError::Panicked(message)));
             }
-            self.note("farm.respawns", || "replacing retired worker".to_string());
+            self.incr("farm.respawns");
             scope.spawn(move || self.work(scope));
             return;
         }

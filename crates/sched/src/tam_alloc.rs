@@ -16,13 +16,13 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreTestSpec {
     /// Core/test name.
-    pub name: String,
+    pub(crate) name: String,
     /// Total test data volume in bits (stimuli + responses on the TAM).
-    pub total_bits: u64,
+    pub(crate) total_bits: u64,
     /// Minimum usable TAM width (serial floor is 1).
     pub min_width: u32,
     /// Maximum usable width (wrapper scan-chain bound).
-    pub max_width: u32,
+    pub(crate) max_width: u32,
 }
 
 impl CoreTestSpec {
@@ -51,7 +51,7 @@ impl CoreTestSpec {
     /// # Panics
     ///
     /// Panics if `width` is outside the supported range.
-    pub fn time_at(&self, width: u32) -> u64 {
+    pub(crate) fn time_at(&self, width: u32) -> u64 {
         assert!(
             (self.min_width..=self.max_width).contains(&width),
             "width {width} outside {}..={}",
@@ -64,26 +64,26 @@ impl CoreTestSpec {
 
 /// One placed rectangle of a TAM assignment.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Placement {
+pub(crate) struct Placement {
     /// Index into the spec list.
-    pub test: usize,
+    pub(crate) test: usize,
     /// First assigned TAM wire.
-    pub wire_start: u32,
+    pub(crate) wire_start: u32,
     /// Number of assigned wires.
-    pub width: u32,
+    pub(crate) width: u32,
     /// Start time.
-    pub start: u64,
+    pub(crate) start: u64,
     /// End time (`start + time_at(width)`).
-    pub end: u64,
+    pub(crate) end: u64,
 }
 
 /// A complete TAM assignment: placements plus the makespan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TamAssignment {
     /// Total strip width packed into.
-    pub tam_width: u32,
+    pub(crate) tam_width: u32,
     /// The placements, in packing order.
-    pub placements: Vec<Placement>,
+    pub(crate) placements: Vec<Placement>,
     /// Completion time of the last test.
     pub makespan: u64,
 }

@@ -37,13 +37,13 @@ impl fmt::Display for Resource {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TestTask {
     /// Task name.
-    pub name: String,
+    pub(crate) name: String,
     /// Estimated stand-alone duration in cycles.
-    pub duration: u64,
+    pub(crate) duration: u64,
     /// Estimated TAM bandwidth share in `[0, 1]` while running.
-    pub tam_share: f64,
+    pub(crate) tam_share: f64,
     /// Estimated power while running (arbitrary milliwatt-like units).
-    pub power: u32,
+    pub(crate) power: u32,
     /// Resources held exclusively.
     pub resources: Vec<Resource>,
 }
@@ -54,7 +54,7 @@ impl TestTask {
     /// # Panics
     ///
     /// Panics unless `0 < tam_share <= 1` and `duration > 0`.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         duration: u64,
         tam_share: f64,
@@ -77,7 +77,7 @@ impl TestTask {
 
     /// Whether two tasks may run concurrently (no shared exclusive
     /// resource).
-    pub fn compatible_with(&self, other: &TestTask) -> bool {
+    pub(crate) fn compatible_with(&self, other: &TestTask) -> bool {
         !self.resources.iter().any(|r| other.resources.contains(r))
     }
 }
@@ -120,7 +120,7 @@ impl Constraints {
     /// TAM over-subscription is allowed (tests then stretch — that is what
     /// the fluid estimator and the simulation quantify); resource conflicts
     /// and power are hard constraints.
-    pub fn session_is_valid(&self, tasks: &[&TestTask]) -> bool {
+    pub(crate) fn session_is_valid(&self, tasks: &[&TestTask]) -> bool {
         let power: u64 = tasks.iter().map(|t| t.power as u64).sum();
         if power > self.power_budget as u64 {
             return false;

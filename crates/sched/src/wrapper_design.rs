@@ -14,44 +14,44 @@ use std::fmt;
 /// One designed wrapper chain: internal scan chains plus wrapper
 /// input/output cells, shifted serially.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WrapperChain {
+pub(crate) struct WrapperChain {
     /// Indices of the internal chains concatenated into this wrapper chain.
-    pub internal: Vec<usize>,
+    pub(crate) internal: Vec<usize>,
     /// Wrapper input cells placed on this chain.
-    pub wi_cells: u32,
+    pub(crate) wi_cells: u32,
     /// Wrapper output cells placed on this chain.
-    pub wo_cells: u32,
+    pub(crate) wo_cells: u32,
     /// Total internal scan cells on this chain.
-    pub internal_cells: u32,
+    pub(crate) internal_cells: u32,
 }
 
 impl WrapperChain {
     /// Scan-in length: input cells shift in ahead of the internal cells.
-    pub fn scan_in(&self) -> u32 {
+    pub(crate) fn scan_in(&self) -> u32 {
         self.internal_cells + self.wi_cells
     }
 
     /// Scan-out length: internal cells shift out through the output cells.
-    pub fn scan_out(&self) -> u32 {
+    pub(crate) fn scan_out(&self) -> u32 {
         self.internal_cells + self.wo_cells
     }
 }
 
 /// A complete wrapper design for one core.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WrapperDesign {
+pub(crate) struct WrapperDesign {
     /// The designed wrapper chains (one per TAM wire).
-    pub chains: Vec<WrapperChain>,
+    pub(crate) chains: Vec<WrapperChain>,
     /// Longest scan-in across chains.
-    pub max_scan_in: u32,
+    pub(crate) max_scan_in: u32,
     /// Longest scan-out across chains.
-    pub max_scan_out: u32,
+    pub(crate) max_scan_out: u32,
 }
 
 impl WrapperDesign {
     /// Shift cycles per pattern with overlapped scan-in/scan-out:
     /// `max(scan-in, scan-out)` plus one capture cycle.
-    pub fn pattern_cycles(&self) -> u32 {
+    pub(crate) fn pattern_cycles(&self) -> u32 {
         self.max_scan_in.max(self.max_scan_out) + 1
     }
 }
@@ -78,7 +78,7 @@ impl fmt::Display for WrapperDesign {
 /// # Panics
 ///
 /// Panics if `wrapper_chains` is zero or there is nothing to wrap.
-pub fn design_wrapper(
+pub(crate) fn design_wrapper(
     internal_chains: &[u32],
     fi: u32,
     fo: u32,

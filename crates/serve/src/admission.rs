@@ -33,15 +33,15 @@ use std::sync::{Arc, Condvar, Mutex};
 
 /// Tuning knobs for [`Admission`].
 #[derive(Debug, Clone)]
-pub struct AdmissionConfig {
+pub(crate) struct AdmissionConfig {
     /// Maximum jobs executing concurrently.
-    pub max_running: usize,
+    pub(crate) max_running: usize,
     /// Maximum jobs waiting for a run slot (across all priorities).
-    pub max_queue: usize,
+    pub(crate) max_queue: usize,
     /// Maximum summed cost estimate (simulated ns upper bound) of
     /// admitted jobs that carry an estimate. `f64::INFINITY` disables
     /// cost shedding.
-    pub cost_cap: f64,
+    pub(crate) cost_cap: f64,
 }
 
 impl Default for AdmissionConfig {
@@ -56,14 +56,14 @@ impl Default for AdmissionConfig {
 
 /// A typed shed decision: the job was rejected, not queued.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Shed {
+pub(crate) struct Shed {
     /// Why the job was shed (rendered into the error message).
-    pub reason: String,
+    pub(crate) reason: String,
     /// Suggested client back-off before retrying. Zero when retrying
     /// this daemon cannot help (draining).
-    pub retry_after_ms: u64,
+    pub(crate) retry_after_ms: u64,
     /// True when the shed is a drain-mode refusal rather than overload.
-    pub draining: bool,
+    pub(crate) draining: bool,
 }
 
 #[derive(Debug)]
@@ -95,7 +95,7 @@ struct Inner {
 /// Bounded, priority-aware admission queue. Cheap to clone (shared
 /// state); see the module docs.
 #[derive(Debug, Clone)]
-pub struct Admission {
+pub(crate) struct Admission {
     inner: Arc<Inner>,
 }
 
@@ -104,7 +104,7 @@ pub struct Admission {
 /// highest-priority waiter. Owns its queue handle, so it may cross
 /// thread boundaries with async jobs.
 #[derive(Debug)]
-pub struct Ticket {
+pub(crate) struct Ticket {
     inner: Arc<Inner>,
     cost: f64,
 }
@@ -121,7 +121,7 @@ impl Drop for Ticket {
 
 impl Admission {
     /// Builds an admission controller with the given limits.
-    pub fn new(config: AdmissionConfig) -> Self {
+    pub(crate) fn new(config: AdmissionConfig) -> Self {
         Admission {
             inner: Arc::new(Inner {
                 config,
@@ -159,7 +159,7 @@ impl Admission {
     /// `cost` (simulated ns upper bound), blocking until a run slot is
     /// free. Returns a typed [`Shed`] immediately when the queue quota or
     /// cost cap would be exceeded, or when the daemon is draining.
-    pub fn admit(&self, priority: u8, cost: Option<f64>) -> Result<Ticket, Shed> {
+    pub(crate) fn admit(&self, priority: u8, cost: Option<f64>) -> Result<Ticket, Shed> {
         let cost = cost.unwrap_or(0.0);
         let mut st = self.inner.state.lock().unwrap();
         if st.draining {
@@ -243,7 +243,7 @@ impl Admission {
     /// Enters drain mode: queued waiters are woken and shed, future
     /// admissions are refused. Running jobs are unaffected. Returns
     /// whether this call started the drain.
-    pub fn drain(&self) -> bool {
+    pub(crate) fn drain(&self) -> bool {
         let mut st = self.inner.state.lock().expect("admission state lock");
         let started = !std::mem::replace(&mut st.draining, true);
         self.inner.cv.notify_all();
@@ -251,7 +251,7 @@ impl Admission {
     }
 
     /// True once [`drain`](Admission::drain) was called.
-    pub fn draining(&self) -> bool {
+    pub(crate) fn draining(&self) -> bool {
         self.inner
             .state
             .lock()
@@ -260,14 +260,14 @@ impl Admission {
     }
 
     /// True once no job is running and nothing is queued.
-    pub fn idle(&self) -> bool {
+    pub(crate) fn idle(&self) -> bool {
         let st = self.inner.state.lock().unwrap();
         st.running == 0 && st.waiting.is_empty()
     }
 
     /// (running, queued, lifetime admitted, lifetime shed) snapshot for
     /// the `stats` response.
-    pub fn depth(&self) -> (usize, usize, u64, u64) {
+    pub(crate) fn depth(&self) -> (usize, usize, u64, u64) {
         let st = self.inner.state.lock().unwrap();
         (st.running, st.waiting.len(), st.admitted, st.shed)
     }

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The injectable fault sites. See the module table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosSite {
+pub(crate) enum ChaosSite {
     /// Panic a supervised worker attempt.
     WorkerPanic,
     /// Stall a supervised worker attempt past its deadline.
@@ -47,7 +47,7 @@ pub enum ChaosSite {
 
 impl ChaosSite {
     /// All sites, for iteration.
-    pub const ALL: [ChaosSite; 6] = [
+    pub(crate) const ALL: [ChaosSite; 6] = [
         ChaosSite::WorkerPanic,
         ChaosSite::WorkerSlow,
         ChaosSite::FrameCorrupt,
@@ -57,7 +57,7 @@ impl ChaosSite {
     ];
 
     /// The spec-grammar name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ChaosSite::WorkerPanic => "worker-panic",
             ChaosSite::WorkerSlow => "worker-slow",
@@ -96,7 +96,7 @@ struct Clause {
 
 /// A parsed chaos spec with per-site occurrence counters.
 #[derive(Debug, Default)]
-pub struct ChaosSpec {
+pub(crate) struct ChaosSpec {
     clauses: Vec<Clause>,
     seen: [AtomicU64; 6],
     fired: [AtomicU64; 6],
@@ -104,7 +104,7 @@ pub struct ChaosSpec {
 
 impl ChaosSpec {
     /// Parses `site@N[=ARG],...`. Empty input yields a no-op spec.
-    pub fn parse(spec: &str) -> Result<ChaosSpec, String> {
+    pub(crate) fn parse(spec: &str) -> Result<ChaosSpec, String> {
         let mut clauses = Vec::new();
         for clause in spec.split(',').map(str::trim).filter(|c| !c.is_empty()) {
             let (site_nth, arg) = match clause.split_once('=') {
@@ -147,13 +147,13 @@ impl ChaosSpec {
 
     /// True when no clause is configured — injection sites can skip the
     /// occurrence accounting entirely.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.clauses.is_empty()
     }
 
     /// Records one occurrence of `site` and returns `Some(arg)` when a
     /// clause matches this occurrence — i.e. the fault fires now.
-    pub fn fire(&self, site: ChaosSite) -> Option<u64> {
+    pub(crate) fn fire(&self, site: ChaosSite) -> Option<u64> {
         if self.clauses.is_empty() {
             return None;
         }
@@ -170,18 +170,18 @@ impl ChaosSpec {
     }
 
     /// How many times `site` fired a fault so far.
-    pub fn fired(&self, site: ChaosSite) -> u64 {
+    pub(crate) fn fired(&self, site: ChaosSite) -> u64 {
         self.fired[site.index()].load(Ordering::SeqCst)
     }
 
     /// How many occurrences of `site` were observed so far.
-    pub fn seen(&self, site: ChaosSite) -> u64 {
+    pub(crate) fn seen(&self, site: ChaosSite) -> u64 {
         self.seen[site.index()].load(Ordering::SeqCst)
     }
 
     /// Compact JSON object `{"site":{"seen":N,"fired":M},...}` for the
     /// `stats` response — only sites with activity or clauses.
-    pub fn counters_json(&self) -> String {
+    pub(crate) fn counters_json(&self) -> String {
         let mut out = String::from("{");
         let mut first = true;
         for site in ChaosSite::ALL {

@@ -48,7 +48,7 @@ impl DaemonError {
 
     /// Whether a retry on a fresh connection has a chance of a
     /// different answer.
-    pub fn retryable(&self) -> bool {
+    pub(crate) fn retryable(&self) -> bool {
         matches!(self.kind.as_str(), "transport" | "overloaded")
     }
 }
@@ -98,7 +98,7 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
 impl RetryPolicy {
     /// The deterministic backoff before retry number `attempt`
     /// (1-based), jitter included.
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
+    pub(crate) fn backoff_ms(&self, attempt: u32) -> u64 {
         let exp = self
             .base_ms
             .saturating_mul(1u64 << attempt.min(10).saturating_sub(1));
@@ -174,7 +174,7 @@ impl Client {
 
     /// [`request_typed`](Client::request_typed) with the error reduced to
     /// its message.
-    pub fn request(&mut self, request: &str) -> Result<JsonValue, String> {
+    pub(crate) fn request(&mut self, request: &str) -> Result<JsonValue, String> {
         self.request_typed(request).map_err(|e| e.message)
     }
 

@@ -180,7 +180,7 @@ struct JobCtx {
 
 impl Shared {
     fn record_panic(&self, message: &str) {
-        self.ops.note("jobs.panicked", message);
+        self.ops.incr("jobs.panicked");
         let mut panics = self.panics.lock().expect("panic log lock");
         if panics.len() >= 32 {
             panics.remove(0);
@@ -229,10 +229,7 @@ impl Shared {
     /// the accept loop exits once admission is idle.
     fn start_drain(&self) {
         if self.admission.drain() {
-            self.ops.note(
-                "drain.requested",
-                "finishing running jobs, refusing new submissions",
-            );
+            self.ops.incr("drain.requested");
             if !self.options.quiet {
                 println!("tve-serve: draining — finishing running jobs, refusing new submissions");
             }
@@ -676,10 +673,7 @@ fn teardown(shared: &Arc<Shared>) -> io::Result<()> {
                 }
             }
             Err(e) => {
-                shared.ops.note(
-                    "snapshot.failed",
-                    format!("cache snapshot {}: {e}", path.display()),
-                );
+                shared.ops.incr("snapshot.failed");
                 eprintln!(
                     "tve-serve: cache snapshot failed ({e}); previous snapshot at {} kept",
                     path.display()
@@ -811,10 +805,7 @@ impl Inputs {
 fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
     let request =
         parse_json(text).map_err(|e| ServeError::protocol(format!("bad request: {e}")))?;
-    let cmd = request
-        .get("cmd")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| ServeError::protocol("request wants a \"cmd\" string"))?;
+    let cmd = request.str_field("cmd").map_err(ServeError::protocol)?;
     match cmd {
         "ping" => Ok(format!(
             "{{\"ok\":true,\"pid\":{},\"workers\":{},\"quantum\":\"{}\"}}",
@@ -832,15 +823,13 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
             Ok("{\"ok\":true,\"draining\":true}".into())
         }
         "submit" => {
-            let job = JobSpec::from_json(
-                request
-                    .get("job")
-                    .ok_or_else(|| ServeError::protocol("submit wants a \"job\""))?,
-            )
-            .map_err(ServeError::protocol)?;
+            let job = request
+                .field("job")
+                .and_then(JobSpec::from_json)
+                .map_err(ServeError::protocol)?;
             let wait = request
-                .get("wait")
-                .and_then(JsonValue::as_bool)
+                .opt_typed("wait", JsonValue::bool_field)
+                .map_err(ServeError::protocol)?
                 .unwrap_or(true);
             let inputs = Inputs::build(&job);
             let cost = if shared.options.cost_cap.is_finite() {
@@ -852,7 +841,7 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
                 .admission
                 .admit(job.priority(), cost)
                 .map_err(|shed| {
-                    shared.ops.note("admission.shed", shed.reason.clone());
+                    shared.ops.incr("admission.shed");
                     if shed.draining {
                         ServeError::draining(shed.reason)
                     } else {
@@ -885,13 +874,12 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
         }
         "status" | "result" => {
             let id = request
-                .get("id")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| ServeError::protocol("wants an \"id\""))?;
+                .u64_field::<u64>("id")
+                .map_err(ServeError::protocol)?;
             let wait = cmd == "result"
                 && request
-                    .get("wait")
-                    .and_then(JsonValue::as_bool)
+                    .opt_typed("wait", JsonValue::bool_field)
+                    .map_err(ServeError::protocol)?
                     .unwrap_or(false);
             let mut table = shared.jobs.lock().expect("job table lock");
             if wait {
@@ -924,18 +912,14 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
             }
         }
         "invalidate" => {
-            let workload = crate::proto::decode_workload(
-                request
-                    .get("workload")
-                    .ok_or_else(|| ServeError::protocol("invalidate wants a \"workload\""))?,
-            )
-            .map_err(ServeError::protocol)?;
-            let edit = crate::proto::decode_overrides(
-                request
-                    .get("edit")
-                    .ok_or_else(|| ServeError::protocol("invalidate wants an \"edit\""))?,
-            )
-            .map_err(ServeError::protocol)?;
+            let workload = request
+                .field("workload")
+                .and_then(crate::proto::decode_workload)
+                .map_err(ServeError::protocol)?;
+            let edit = request
+                .field("edit")
+                .and_then(crate::proto::decode_overrides)
+                .map_err(ServeError::protocol)?;
             let (config, plan) = workload.build();
             let facts = tve_lint::soc_facts(&config, &plan);
             let impact = edit_impact(&facts, &edit, &paper_schedules());

@@ -35,7 +35,7 @@ pub enum ErrorKind {
 
 impl ErrorKind {
     /// The wire tag.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ErrorKind::Protocol => "protocol",
             ErrorKind::Deadline => "deadline",
@@ -48,13 +48,13 @@ impl ErrorKind {
 
 /// A typed daemon-side failure, rendered as the standard error frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeError {
+pub(crate) struct ServeError {
     /// The machine-readable class.
-    pub kind: ErrorKind,
+    pub(crate) kind: ErrorKind,
     /// Human-readable detail.
-    pub message: String,
+    pub(crate) message: String,
     /// For retryable kinds: when a retry has a chance.
-    pub retry_after_ms: Option<u64>,
+    pub(crate) retry_after_ms: Option<u64>,
 }
 
 impl ServeError {
@@ -67,17 +67,17 @@ impl ServeError {
     }
 
     /// A malformed-request error.
-    pub fn protocol(message: impl Into<String>) -> Self {
+    pub(crate) fn protocol(message: impl Into<String>) -> Self {
         Self::new(ErrorKind::Protocol, message)
     }
 
     /// A deadline-cancellation error.
-    pub fn deadline(message: impl Into<String>) -> Self {
+    pub(crate) fn deadline(message: impl Into<String>) -> Self {
         Self::new(ErrorKind::Deadline, message)
     }
 
     /// A load-shedding rejection with a retry hint.
-    pub fn overloaded(message: impl Into<String>, retry_after_ms: u64) -> Self {
+    pub(crate) fn overloaded(message: impl Into<String>, retry_after_ms: u64) -> Self {
         ServeError {
             retry_after_ms: Some(retry_after_ms),
             ..Self::new(ErrorKind::Overloaded, message)
@@ -85,17 +85,17 @@ impl ServeError {
     }
 
     /// A drain-mode refusal.
-    pub fn draining(message: impl Into<String>) -> Self {
+    pub(crate) fn draining(message: impl Into<String>) -> Self {
         Self::new(ErrorKind::Draining, message)
     }
 
     /// Any other failure.
-    pub fn internal(message: impl Into<String>) -> Self {
+    pub(crate) fn internal(message: impl Into<String>) -> Self {
         Self::new(ErrorKind::Internal, message)
     }
 
     /// Renders the `{"ok":false,...}` response frame.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::from("{\"ok\":false,\"error\":");
         append_json_string(&mut out, &self.message);
         out.push_str(",\"error_kind\":\"");

@@ -34,10 +34,10 @@ pub struct EditImpact {
     /// The same as a bitmask (bit k = test k).
     pub touched_mask: u8,
     /// Names of the touched tests, from the plan facts.
-    pub test_names: Vec<String>,
+    pub(crate) test_names: Vec<String>,
     /// The wrapped cores those tests claim, deduplicated, in fact
     /// order — "which cores did you edit".
-    pub cores: Vec<String>,
+    pub(crate) cores: Vec<String>,
     /// Names of the schedules (of the submitted set) that run at least
     /// one touched test: every (fault × schedule) cell of these — and
     /// only these — must be re-simulated.

@@ -47,7 +47,7 @@ pub fn test_mask(tests: &[usize]) -> u8 {
 /// the policy and seed feed every test, each pattern-count field feeds
 /// exactly one of tests 0–4, and the march algorithm plus background
 /// patterns feed the two memory tests (5 and 6).
-pub fn plan_projection(plan: &SocTestPlan, tests: &[usize], out: &mut String) {
+pub(crate) fn plan_projection(plan: &SocTestPlan, tests: &[usize], out: &mut String) {
     use std::fmt::Write;
     let _ = write!(out, "|policy={:?}|seed={}", plan.policy, plan.seed);
     let patterns = [
@@ -116,7 +116,7 @@ pub fn cell_key(
 /// on the SoC, the plan seed (the BIST stream diagnosis replays), the
 /// diagnosis parameters and the fault — but on no pattern count, so
 /// plan edits other than the seed leave diagnosis results valid.
-pub fn diagnosis_key(
+pub(crate) fn diagnosis_key(
     config: &SocConfig,
     plan_seed: u64,
     patterns: u64,
@@ -131,7 +131,7 @@ pub fn diagnosis_key(
 
 /// The cache key of a lint report. Lint consumes the full plan facts,
 /// so the entire plan participates (no projection).
-pub fn lint_key(
+pub(crate) fn lint_key(
     config: &SocConfig,
     plan: &SocTestPlan,
     schedule: &Schedule,
@@ -148,7 +148,7 @@ pub fn lint_key(
 /// consumes the full config, the full plan and the loosely-timed
 /// quantum (which legitimately moves the interval endpoints), so all
 /// three participate with no projection.
-pub fn bounds_key(
+pub(crate) fn bounds_key(
     config: &SocConfig,
     plan: &SocTestPlan,
     schedule: &Schedule,

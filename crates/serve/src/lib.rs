@@ -2,6 +2,7 @@
 // `signal.rs` — a single `extern "C"` call to `signal(2)` so SIGTERM can
 // flip the drain flag. Everything else stays unsafe-free.
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 //! # tve-serve — validation as a service
@@ -24,12 +25,12 @@
 //! inputs is therefore indistinguishable from a fresh run — and the
 //! daemon can prove it on demand: with `--verify-cache <fraction>` a
 //! sampled subset of hits is re-executed and compared bit for bit
-//! ([`CacheStats::verify_failures`] must stay 0).
+//! (`CacheStats::verify_failures` must stay 0).
 //!
 //! ## Incremental re-validation
 //!
 //! Cell keys digest the **plan projection** — only the plan fields the
-//! cell's schedule consumes (see [`plan_projection`]). An edit to one
+//! cell's schedule consumes (see `plan_projection`). An edit to one
 //! test's pattern count moves exactly the keys of schedules running
 //! that test; everything else stays a hit. [`edit_impact`] predicts
 //! the blast radius from `tve-lint` plan facts (edit → tests → cores →
@@ -56,18 +57,15 @@ mod persist;
 mod proto;
 mod signal;
 
-pub use admission::{Admission, AdmissionConfig, Shed, Ticket};
-pub use cache::{CacheStats, CachedValue, ResultCache};
-pub use chaos::{ChaosSite, ChaosSpec};
+pub use cache::{CachedValue, ResultCache};
+
 pub use client::{
     render_response, request_with_retry, submit_with_retry, Client, DaemonError, RetryPolicy,
 };
 pub use daemon::{serve, spawn, DaemonHandle, ServeOptions, DEFAULT_SOCKET};
-pub use error::{ErrorKind, ServeError};
+pub use error::ErrorKind;
 pub use invalidate::{edit_impact, EditImpact};
-pub use key::{
-    bounds_key, cell_key, diagnosis_key, lint_key, plan_projection, schedule_tests, test_mask,
-};
-pub use persist::{load_cache, save_cache, save_cache_with, CacheLoad};
-pub use proto::{read_frame, write_frame, JobKind, JobSpec, MAX_FRAME};
-pub use signal::{drain_requested, install_sigterm_drain};
+pub use key::{cell_key, schedule_tests, test_mask};
+pub use persist::{load_cache, save_cache, CacheLoad};
+pub use proto::{read_frame, write_frame, JobKind, JobSpec};
+pub use signal::install_sigterm_drain;

@@ -270,7 +270,11 @@ pub fn save_cache(cache: &ResultCache, path: &Path) -> io::Result<usize> {
 ///
 /// Filesystem errors (including injected ones); every entry is
 /// serializable.
-pub fn save_cache_with(cache: &ResultCache, path: &Path, policy: &IoPolicy) -> io::Result<usize> {
+pub(crate) fn save_cache_with(
+    cache: &ResultCache,
+    path: &Path,
+    policy: &IoPolicy,
+) -> io::Result<usize> {
     let entries = cache.export();
     let tmp = path.with_extension("tmp");
     let write_all = || -> io::Result<()> {

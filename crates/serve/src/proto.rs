@@ -19,12 +19,14 @@ use std::io::{self, Read, Write};
 use tve_campaign::{generate, CampaignConfig, PopulationSpec, ShardSpec};
 use tve_core::Schedule;
 use tve_obs::JsonValue;
-use tve_soc::{paper_schedules, PlanOverrides, Workload, WorkloadPreset, PLAN_OVERRIDE_KEYS};
+use tve_soc::{
+    paper_schedules, PlanOverrides, Workload, WorkloadPreset, MEM_BASE, PLAN_OVERRIDE_KEYS,
+};
 
 /// Upper bound on one frame's payload (a full campaign matrix embeds
 /// its CSV and JSON artifacts, so frames can be sizable — but never
 /// this sizable unless something is broken).
-pub const MAX_FRAME: usize = 64 << 20;
+pub(crate) const MAX_FRAME: usize = 64 << 20;
 
 /// Writes `text` as one frame.
 pub fn write_frame(w: &mut impl Write, text: &str) -> io::Result<()> {
@@ -118,7 +120,7 @@ pub enum JobKind {
 }
 
 /// Appends `workload` as a JSON object.
-pub fn encode_workload(workload: &Workload, out: &mut String) {
+pub(crate) fn encode_workload(workload: &Workload, out: &mut String) {
     use std::fmt::Write;
     let _ = write!(
         out,
@@ -137,7 +139,7 @@ pub fn encode_workload(workload: &Workload, out: &mut String) {
 }
 
 /// Appends `overrides` as a JSON object.
-pub fn encode_overrides(overrides: &PlanOverrides, out: &mut String) {
+pub(crate) fn encode_overrides(overrides: &PlanOverrides, out: &mut String) {
     use std::fmt::Write;
     out.push('{');
     for (i, (key, value)) in overrides.entries().into_iter().enumerate() {
@@ -150,27 +152,29 @@ pub fn encode_overrides(overrides: &PlanOverrides, out: &mut String) {
 }
 
 /// Decodes a workload object.
-pub fn decode_workload(v: &JsonValue) -> Result<Workload, String> {
-    let preset_name = v
-        .get("preset")
-        .and_then(JsonValue::as_str)
-        .ok_or("workload wants a \"preset\" string")?;
+///
+/// A memory size the SoC cannot be built with is refused here, before
+/// anything is allocated: the memory needs at least one word, and its
+/// window `MEM_BASE .. MEM_BASE + mem_words` must fit the 32-bit TAM
+/// address space.
+pub(crate) fn decode_workload(v: &JsonValue) -> Result<Workload, String> {
+    let preset_name = v.str_field("preset")?;
     let preset = WorkloadPreset::parse(preset_name)
         .ok_or_else(|| format!("unknown preset {preset_name:?}"))?;
     let mut workload = Workload::new(preset);
-    if let Some(scale) = v.get("scale") {
-        workload.scale = scale
-            .as_u64()
-            .ok_or("\"scale\" wants a non-negative integer")?
-            .max(1);
+    if let Some(scale) = v.opt_typed("scale", JsonValue::u64_field::<u64>)? {
+        workload.scale = scale.max(1);
     }
-    if let Some(words) = v.get("mem_words") {
-        workload.mem_words = Some(
-            u32::try_from(words.as_u64().ok_or("\"mem_words\" wants an integer")?)
-                .map_err(|_| "\"mem_words\" out of range")?,
-        );
+    if let Some(words) = v.opt_typed("mem_words", JsonValue::u64_field::<u32>)? {
+        if words == 0 || MEM_BASE.checked_add(words - 1).is_none() {
+            return Err(format!(
+                "\"mem_words\" must be 1..={}",
+                u64::from(u32::MAX - MEM_BASE) + 1
+            ));
+        }
+        workload.mem_words = Some(words);
     }
-    if let Some(overrides) = v.get("overrides") {
+    if let Some(overrides) = v.opt_field("overrides") {
         workload.overrides = decode_overrides(overrides)?;
     }
     Ok(workload)
@@ -178,7 +182,7 @@ pub fn decode_workload(v: &JsonValue) -> Result<Workload, String> {
 
 /// Decodes a plan-overrides object (unknown keys are an error — a
 /// typo'd key would otherwise silently validate the wrong plan).
-pub fn decode_overrides(v: &JsonValue) -> Result<PlanOverrides, String> {
+pub(crate) fn decode_overrides(v: &JsonValue) -> Result<PlanOverrides, String> {
     let JsonValue::Obj(members) = v else {
         return Err("\"overrides\" wants an object".into());
     };
@@ -274,55 +278,52 @@ impl JobSpec {
 
     /// Decodes a wire job object.
     pub fn from_json(v: &JsonValue) -> Result<Self, String> {
-        let workload = decode_workload(v.get("workload").ok_or("job wants a \"workload\"")?)?;
-        let verify = match v.get("verify") {
-            None => None,
-            Some(f) => Some(
+        let workload = decode_workload(v.field("workload")?)?;
+        let verify = v
+            .opt_field("verify")
+            .map(|f| {
                 f.as_f64()
                     .filter(|f| (0.0..=1.0).contains(f))
-                    .ok_or("\"verify\" wants a fraction in [0, 1]")?,
-            ),
-        };
-        let deadline_ms = match v.get("deadline_ms") {
-            None => None,
-            Some(d) => Some(
+                    .ok_or("\"verify\" wants a fraction in [0, 1]")
+            })
+            .transpose()?;
+        let deadline_ms = v
+            .opt_field("deadline_ms")
+            .map(|d| {
                 d.as_u64()
                     .filter(|&d| d > 0)
-                    .ok_or("\"deadline_ms\" wants a positive integer")?,
-            ),
-        };
-        let kind = match v.get("kind").and_then(JsonValue::as_str) {
-            Some("schedule") => JobKind::Schedule {
+                    .ok_or("\"deadline_ms\" wants a positive integer")
+            })
+            .transpose()?;
+        let kind = match v.str_field("kind")? {
+            "schedule" => JobKind::Schedule {
                 index: v
-                    .get("schedule")
-                    .and_then(JsonValue::as_u64)
-                    .filter(|&i| (1..=4).contains(&i))
-                    .ok_or("schedule jobs want \"schedule\": 1..=4")?
-                    as usize,
+                    .u64_field::<usize>("schedule")
+                    .ok()
+                    .filter(|i| (1..=4).contains(i))
+                    .ok_or("schedule jobs want \"schedule\": 1..=4")?,
             },
-            Some("campaign") => JobKind::Campaign {
+            "campaign" => JobKind::Campaign {
                 schedules: decode_indices(v.get("schedules"), "\"schedules\"")?,
-                seed: v.get("seed").and_then(JsonValue::as_u64).unwrap_or(0),
+                seed: v
+                    .opt_typed("seed", JsonValue::u64_field::<u64>)?
+                    .unwrap_or(0),
                 faults: v
-                    .get("faults")
-                    .and_then(JsonValue::as_u64)
+                    .opt_typed("faults", JsonValue::u64_field::<usize>)?
                     .unwrap_or(4)
-                    .min(64) as usize,
+                    .min(64),
                 diagnosis: v
-                    .get("diagnosis")
-                    .and_then(JsonValue::as_bool)
+                    .opt_typed("diagnosis", JsonValue::bool_field)?
                     .unwrap_or(true),
-                shard: match v.get("shard") {
-                    None => None,
-                    Some(s) => Some(ShardSpec::parse(
-                        s.as_str().ok_or("\"shard\" wants a \"k/n\" string")?,
-                    )?),
-                },
+                shard: v
+                    .opt_typed("shard", JsonValue::str_field)?
+                    .map(ShardSpec::parse)
+                    .transpose()?,
             },
-            Some("lint") => {
+            "lint" => {
                 let program = match (
-                    v.get("program_name").and_then(JsonValue::as_str),
-                    v.get("program").and_then(JsonValue::as_str),
+                    v.opt_typed("program_name", JsonValue::str_field)?,
+                    v.opt_typed("program", JsonValue::str_field)?,
                 ) {
                     (Some(name), Some(text)) => Some((name.to_string(), text.to_string())),
                     (None, None) => None,
@@ -333,11 +334,10 @@ impl JobSpec {
                     program,
                 }
             }
-            Some("bounds") => JobKind::Bounds {
+            "bounds" => JobKind::Bounds {
                 schedules: decode_indices(v.get("schedules"), "\"schedules\"")?,
             },
-            Some(other) => return Err(format!("unknown job kind {other:?}")),
-            None => return Err("job wants a \"kind\" string".into()),
+            other => return Err(format!("unknown job kind {other:?}")),
         };
         Ok(JobSpec {
             workload,
@@ -350,7 +350,7 @@ impl JobSpec {
     /// Admission priority: 0 (interactive static analysis) runs ahead
     /// of 1 (single schedule runs) ahead of 2 (campaign shards). Lower
     /// is more urgent; the admission queue orders by `(priority, seq)`.
-    pub fn priority(&self) -> u8 {
+    pub(crate) fn priority(&self) -> u8 {
         match &self.kind {
             JobKind::Lint { .. } | JobKind::Bounds { .. } => 0,
             JobKind::Schedule { .. } => 1,
@@ -375,8 +375,7 @@ impl JobSpec {
     ///
     /// This is *the* construction both sides of a sharded fan-out use:
     /// the daemon builds its shard reports from it and a merging client
-    /// rebuilds it to compute the matching
-    /// [`campaign_fingerprint`](tve_campaign::campaign_fingerprint) —
+    /// rebuilds it to compute the matching campaign fingerprint —
     /// equal job fields therefore mean an equal matrix, by
     /// construction, on both ends of the socket.
     pub fn campaign_config(&self) -> Option<CampaignConfig> {
@@ -539,5 +538,95 @@ mod tests {
             let err = JobSpec::from_json(&parse_json(doc).unwrap()).unwrap_err();
             assert!(err.contains(needle), "{doc}: {err}");
         }
+    }
+
+    /// The exact client-visible texts of the job decoder's errors, one
+    /// case per decoding path.
+    #[test]
+    fn job_decoder_error_texts_are_pinned() {
+        let small = r#""workload":{"preset":"small"}"#;
+        let sized = |words: &str| {
+            format!(
+                r#"{{"kind":"schedule","schedule":1,"workload":{{"preset":"small","mem_words":{words}}}}}"#
+            )
+        };
+        for (doc, text) in [
+            (
+                r#"{"kind":"schedule","schedule":1}"#.to_string(),
+                "missing field 'workload'",
+            ),
+            (
+                r#"{"kind":"schedule","workload":{}}"#.into(),
+                "missing field 'preset'",
+            ),
+            (
+                r#"{"kind":"schedule","workload":{"preset":5}}"#.into(),
+                "field 'preset' is not a string",
+            ),
+            (
+                r#"{"kind":"schedule","workload":{"preset":"small","scale":"x"}}"#.into(),
+                "field 'scale' is not a u64",
+            ),
+            (sized("-1"), "field 'mem_words' is not a u32"),
+            (sized("5000000000"), "field 'mem_words' is not a u32"),
+            (sized("0"), "\"mem_words\" must be 1..=4026531840"),
+            (sized("4026531841"), "\"mem_words\" must be 1..=4026531840"),
+            (format!("{{{small}}}"), "missing field 'kind'"),
+            (
+                format!(r#"{{"kind":3,{small}}}"#),
+                "field 'kind' is not a string",
+            ),
+            (
+                format!(r#"{{"kind":"schedule",{small}}}"#),
+                "schedule jobs want \"schedule\": 1..=4",
+            ),
+            (
+                format!(r#"{{"kind":"schedule","schedule":"1",{small}}}"#),
+                "schedule jobs want \"schedule\": 1..=4",
+            ),
+            (
+                format!(r#"{{"kind":"campaign","seed":"1",{small}}}"#),
+                "field 'seed' is not a u64",
+            ),
+            (
+                format!(r#"{{"kind":"campaign","faults":-2,{small}}}"#),
+                "field 'faults' is not a usize",
+            ),
+            (
+                format!(r#"{{"kind":"campaign","diagnosis":1,{small}}}"#),
+                "field 'diagnosis' is not a boolean",
+            ),
+            (
+                format!(r#"{{"kind":"campaign","shard":5,{small}}}"#),
+                "field 'shard' is not a string",
+            ),
+            (
+                format!(r#"{{"kind":"lint","program_name":"p",{small}}}"#),
+                "lint program wants both name and text",
+            ),
+            (
+                format!(r#"{{"kind":"lint","program_name":"p","program":7,{small}}}"#),
+                "field 'program' is not a string",
+            ),
+        ] {
+            let err = JobSpec::from_json(&parse_json(&doc).unwrap()).unwrap_err();
+            assert_eq!(err, text, "{doc}");
+        }
+    }
+
+    /// The decoder admits exactly the memory sizes the SoC can be built
+    /// with: at least one word, and a window ending at or below
+    /// `u32::MAX`. Decoding the largest one allocates nothing.
+    #[test]
+    fn mem_words_bounds_are_the_buildable_sizes() {
+        let words = |w: u32| {
+            let doc = format!(r#"{{"preset":"small","mem_words":{w}}}"#);
+            decode_workload(&parse_json(&doc).unwrap()).map(|wl| wl.mem_words)
+        };
+        assert!(words(0).is_err());
+        assert_eq!(words(1), Ok(Some(1)));
+        let largest = u32::MAX - MEM_BASE + 1;
+        assert_eq!(words(largest), Ok(Some(largest)));
+        assert!(words(largest + 1).is_err());
     }
 }

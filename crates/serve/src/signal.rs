@@ -36,6 +36,6 @@ pub fn install_sigterm_drain() {
 
 /// True once SIGTERM/SIGINT was received: the daemon should finish
 /// running jobs, persist its cache, and exit.
-pub fn drain_requested() -> bool {
+pub(crate) fn drain_requested() -> bool {
     DRAIN.load(Ordering::SeqCst)
 }

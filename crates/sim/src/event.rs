@@ -9,7 +9,7 @@ use std::rc::{Rc, Weak};
 use std::task::{Context, Poll};
 
 use crate::executor::{register_waiter, wake_waiters, Kernel, TimerFire, Waiter};
-use crate::{Duration, SimHandle, Time};
+use crate::{SimHandle, Time};
 
 pub(crate) struct EventState {
     epoch: u64,
@@ -91,13 +91,6 @@ impl Event {
         EventState::fire(&self.state);
     }
 
-    /// Notifies after `d` cycles of simulated time.
-    pub fn notify_in(&self, d: Duration) {
-        self.notify_at(Time::from_cycles(
-            self.handle.now().cycles().saturating_add(d.as_cycles()),
-        ));
-    }
-
     /// Notifies at absolute time `t` (clamped to the current time).
     pub fn notify_at(&self, t: Time) {
         self.handle
@@ -111,16 +104,6 @@ impl Event {
             state: Rc::clone(&self.state),
             observed: None,
         }
-    }
-
-    /// Number of processes currently waiting (diagnostic).
-    pub fn waiter_count(&self) -> usize {
-        self.state.borrow().waiters.len()
-    }
-
-    /// Total notifications fired so far (diagnostic).
-    pub fn notify_count(&self) -> u64 {
-        self.state.borrow().epoch
     }
 }
 
@@ -157,7 +140,7 @@ impl Future for EventWait {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Simulation;
+    use crate::{Duration, Simulation};
     use std::cell::Cell;
 
     #[test]
@@ -205,7 +188,7 @@ mod tests {
         let mut sim = Simulation::new();
         let h = sim.handle();
         let ev = Event::new(&h);
-        ev.notify_in(Duration::cycles(25));
+        ev.notify_at(Time::from_cycles(25));
         let ev2 = ev.clone();
         let h2 = h.clone();
         let jh = sim.spawn(async move {
@@ -244,22 +227,5 @@ mod tests {
         sim.run();
         assert_eq!(seen.get(), 4);
         assert_eq!(sim.live_tasks(), 0);
-    }
-
-    #[test]
-    fn diagnostics_counters() {
-        let mut sim = Simulation::new();
-        let h = sim.handle();
-        let ev = Event::new(&h);
-        assert_eq!(ev.waiter_count(), 0);
-        assert_eq!(ev.notify_count(), 0);
-        ev.notify();
-        assert_eq!(ev.notify_count(), 1);
-        let ev2 = ev.clone();
-        sim.spawn(async move {
-            ev2.wait().await;
-        });
-        sim.run();
-        assert_eq!(ev.waiter_count(), 1);
     }
 }

@@ -19,13 +19,12 @@
 //! A timed wait that nothing can precede completes *inline* (the
 //! exact-lookahead rule): on its first poll, when no other task is
 //! runnable or about to be, no pending timer fires at or before its
-//! deadline, the deadline is within the current `run_until` horizon and
-//! the cancel token is clear, the kernel sets `now` to the deadline and
-//! the wait returns `Ready` — no timer insert, no suspend and resume, no
-//! second descent through the awaiting task's nested futures. The run
-//! loop's very next step would have fired exactly that timer and polled
-//! exactly that task, so the result is observably identical; an inline
-//! completion still counts as one fired timer in
+//! deadline and the cancel token is clear, the kernel sets `now` to the
+//! deadline and the wait returns `Ready` — no timer insert, no suspend
+//! and resume, no second descent through the awaiting task's nested
+//! futures. The run loop's very next step would have fired exactly that
+//! timer and polled exactly that task, so the result is observably
+//! identical; an inline completion still counts as one fired timer in
 //! [`Simulation::kernel_stats`], and only the poll count drops.
 //! [`SimHandle::try_advance`] applies the same rule before a wait even
 //! exists, so a channel completes a whole uncontended access as one call;
@@ -59,16 +58,6 @@ use std::sync::Mutex;
 use crate::arena::{LocalFuture, TaskArena, TaskId};
 use crate::event::EventState;
 use crate::time::{Duration, Time};
-
-/// Identifier of a spawned process, usable for debugging and diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SpawnId(pub u64);
-
-impl fmt::Display for SpawnId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "task#{}", self.0)
-    }
-}
 
 /// Packed id meaning "no current task".
 const NO_TASK: u64 = u64::MAX;
@@ -118,7 +107,6 @@ impl Wake for TaskWaker {
 /// suspended futures.
 pub(crate) struct Kernel {
     now: Cell<u64>,
-    spawn_seq: Cell<u64>,
     polls: Cell<u64>,
     timers_fired: Cell<u64>,
     sync_points: Cell<u64>,
@@ -151,16 +139,12 @@ pub(crate) struct Kernel {
     /// Cancellation token captured from the thread at construction (see
     /// [`crate::with_cancel_token`]); `None` for uncancellable sims.
     cancel: Option<Arc<crate::CancelToken>>,
-    /// Horizon of the `run_until` in progress: no inline advance may
-    /// pass it.
-    horizon: Cell<u64>,
 }
 
 impl Kernel {
     fn new() -> Rc<Kernel> {
         Rc::new(Kernel {
             now: Cell::new(0),
-            spawn_seq: Cell::new(0),
             polls: Cell::new(0),
             timers_fired: Cell::new(0),
             sync_points: Cell::new(0),
@@ -177,7 +161,6 @@ impl Kernel {
             quantum: Cell::new(0),
             batch_limit: Cell::new(usize::MAX),
             cancel: crate::cancel::current_token(),
-            horizon: Cell::new(0),
         })
     }
 
@@ -204,13 +187,11 @@ impl Kernel {
     /// That holds when nothing else is runnable or about to be (ready
     /// queue, pending spawns, foreign wakes), no pending timer fires at
     /// or before `deadline` (one at exactly `deadline` was scheduled
-    /// first, so it must fire first), `deadline` lies in the future but
-    /// not past the horizon of the `run_until` in progress, and the
-    /// cancel token has not tripped. Returns `false`, changing nothing,
-    /// otherwise.
+    /// first, so it must fire first), `deadline` lies in the future, and
+    /// the cancel token has not tripped. Returns `false`, changing
+    /// nothing, otherwise.
     fn advance_inline(&self, deadline: u64) -> bool {
         if deadline <= self.now.get()
-            || deadline > self.horizon.get()
             || self.arena.borrow().has_ready()
             || self.next_timer().is_some_and(|t| t <= deadline)
             || !self.pending_spawn.borrow().is_empty()
@@ -336,11 +317,8 @@ impl Kernel {
         self.arena.borrow_mut().enqueue(TaskId::unpack(packed));
     }
 
-    fn spawn_raw(&self, future: LocalFuture) -> u64 {
-        let id = self.spawn_seq.get();
-        self.spawn_seq.set(id + 1);
+    fn spawn_raw(&self, future: LocalFuture) {
         self.pending_spawn.borrow_mut().push(future);
-        id
     }
 
     /// Moves freshly spawned tasks into the arena and marks them ready.
@@ -446,16 +424,13 @@ impl Kernel {
         }
     }
 
-    /// Advances time to the earliest pending timer not beyond `horizon`
-    /// and fires every timer scheduled for that instant in one batch.
-    /// Returns `false` when no eligible timer exists.
-    fn advance(&self, horizon: u64) -> bool {
+    /// Advances time to the earliest pending timer and fires every timer
+    /// scheduled for that instant in one batch. Returns `false` when no
+    /// timer is pending.
+    fn advance(&self) -> bool {
         let Some(next) = self.next_timer() else {
             return false;
         };
-        if next > horizon {
-            return false;
-        }
         self.now.set(next);
         let limit = self.batch_limit.get();
         // Loop: firing can (via `schedule` clamping to now) append new
@@ -546,11 +521,10 @@ impl SimHandle {
     ///
     /// A nonzero wait that nothing else can precede completes on its
     /// first poll without suspending: no other task is runnable, no
-    /// pending timer fires at or before the deadline, the deadline is
-    /// within the current `run_until` horizon and the cancel token is
-    /// clear. Time then jumps to the deadline exactly as if the wait had
-    /// suspended and been woken, and the wait still counts as one fired
-    /// timer. The rule assumes the task awaits this wait alone, not
+    /// pending timer fires at or before the deadline and the cancel
+    /// token is clear. Time then jumps to the deadline exactly as if the
+    /// wait had suspended and been woken, and the wait still counts as
+    /// one fired timer. The rule assumes the task awaits this wait alone, not
     /// alongside another kernel future in a `join!` or `select!` (see the
     /// module docs).
     ///
@@ -617,11 +591,10 @@ impl SimHandle {
     /// to `now + d` and the advance counts as one fired timer exactly
     /// when `wait(d).await` would complete on its first poll — a task
     /// is being polled, `d > 0`, no other task is runnable or about to
-    /// be, no pending timer fires at or before the deadline, the
-    /// deadline is within the current `run_until` horizon and the cancel
-    /// token is clear. In loosely-timed mode ([`Simulation::with_quantum`])
-    /// it absorbs `d` into the task's local-time offset when the offset
-    /// stays below the quantum.
+    /// be, no pending timer fires at or before the deadline and the
+    /// cancel token is clear. In loosely-timed mode
+    /// ([`Simulation::with_quantum`]) it absorbs `d` into the task's
+    /// local-time offset when the offset stays below the quantum.
     ///
     /// Transaction-level models use this to complete a whole uncontended
     /// access synchronously, skipping their suspension machinery.
@@ -669,7 +642,7 @@ impl SimHandle {
             kernel: Rc::downgrade(&self.kernel),
         }));
         let state2 = Rc::clone(&state);
-        let id = self.kernel.spawn_raw(Box::pin(async move {
+        self.kernel.spawn_raw(Box::pin(async move {
             let out = future.await;
             let (waiters, kernel) = {
                 let mut s = state2.borrow_mut();
@@ -679,10 +652,7 @@ impl SimHandle {
             };
             wake_waiters(waiters, &kernel);
         }));
-        JoinHandle {
-            id: SpawnId(id),
-            state,
-        }
+        JoinHandle { state }
     }
 }
 
@@ -783,27 +753,20 @@ struct JoinState<T> {
 /// Awaiting the same handle after it already yielded its output panics, as
 /// the output has been moved out.
 pub struct JoinHandle<T> {
-    id: SpawnId,
     state: Rc<RefCell<JoinState<T>>>,
 }
 
 impl<T> fmt::Debug for JoinHandle<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JoinHandle")
-            .field("id", &self.id)
             .field("finished", &self.is_finished())
             .finish()
     }
 }
 
 impl<T> JoinHandle<T> {
-    /// The spawn identifier of the underlying process.
-    pub fn id(&self) -> SpawnId {
-        self.id
-    }
-
     /// Whether the process has run to completion.
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         self.state.borrow().finished
     }
 
@@ -834,7 +797,7 @@ impl<T> Future for JoinHandle<T> {
 ///
 /// Owns the kernel; processes are added with [`Simulation::spawn`] (or via
 /// [`SimHandle::spawn`] from inside a running process) and executed by
-/// [`Simulation::run`] / [`Simulation::run_until`].
+/// [`Simulation::run`].
 ///
 /// ```
 /// use tve_sim::{Simulation, Duration};
@@ -921,14 +884,6 @@ impl Simulation {
         value.parse().unwrap_or(0)
     }
 
-    /// The loosely-timed quantum, or `None` in cycle-accurate mode.
-    pub fn quantum(&self) -> Option<Duration> {
-        match self.kernel.quantum() {
-            0 => None,
-            q => Some(Duration::cycles(q)),
-        }
-    }
-
     /// Testing/diagnostic knob: fire at most `limit` same-timestamp
     /// timers per batch before re-running ready tasks. Semantically
     /// inert — `tests/kernel_batch_prop.rs` proves traces are identical
@@ -950,8 +905,10 @@ impl Simulation {
         Time::from_cycles(self.kernel.now())
     }
 
-    /// Number of processes that have been spawned and not yet completed.
-    pub fn live_tasks(&self) -> usize {
+    /// Number of processes that have been spawned and not yet completed:
+    /// how the kernel's tests detect a model-level deadlock.
+    #[cfg(test)]
+    pub(crate) fn live_tasks(&self) -> usize {
         self.kernel.live_tasks()
     }
 
@@ -981,44 +938,16 @@ impl Simulation {
 
     /// Runs until no further activity is possible (event-queue exhaustion).
     ///
-    /// Processes still blocked on never-notified events remain suspended;
-    /// [`Simulation::live_tasks`] reports them, which is how model-level
-    /// deadlock is detected in tests.
+    /// Processes still blocked on never-notified events remain suspended.
     pub fn run(&mut self) -> Time {
-        self.run_until(Time::MAX)
-    }
-
-    /// Runs until the event queue is exhausted or simulated time would pass
-    /// `horizon`; returns the reached time.
-    ///
-    /// When stopping at the horizon, time is advanced to exactly `horizon`
-    /// (unless `horizon` is [`Time::MAX`], which is treated as "no limit").
-    pub fn run_until(&mut self, horizon: Time) -> Time {
-        self.kernel.horizon.set(horizon.cycles());
         loop {
             self.kernel.check_cancelled();
             self.kernel.drain_ready();
-            if !self.kernel.advance(horizon.cycles()) {
+            if !self.kernel.advance() {
                 break;
             }
         }
-        if horizon != Time::MAX && self.kernel.now() < horizon.cycles() {
-            // No event beyond this point: idle until the horizon.
-            if self
-                .kernel
-                .next_timer()
-                .is_none_or(|t| t > horizon.cycles())
-            {
-                self.kernel.now.set(horizon.cycles());
-            }
-        }
         self.now()
-    }
-
-    /// Runs for an additional `d` cycles of simulated time.
-    pub fn run_for(&mut self, d: Duration) -> Time {
-        let horizon = Time::from_cycles(self.kernel.now().saturating_add(d.as_cycles()));
-        self.run_until(horizon)
     }
 }
 
@@ -1143,38 +1072,6 @@ mod tests {
         assert!(jh.is_finished());
         assert_eq!(jh.try_take(), Some(123));
         assert_eq!(jh.try_take(), None);
-    }
-
-    #[test]
-    fn run_until_stops_at_horizon() {
-        let mut sim = Simulation::new();
-        let h = sim.handle();
-        let done = Rc::new(Cell::new(false));
-        let done2 = Rc::clone(&done);
-        sim.spawn(async move {
-            h.wait(Duration::cycles(100)).await;
-            done2.set(true);
-        });
-        let t = sim.run_until(Time::from_cycles(50));
-        assert_eq!(t, Time::from_cycles(50));
-        assert!(!done.get());
-        let t = sim.run();
-        assert_eq!(t, Time::from_cycles(100));
-        assert!(done.get());
-    }
-
-    #[test]
-    fn run_for_is_relative() {
-        let mut sim = Simulation::new();
-        let h = sim.handle();
-        sim.spawn(async move {
-            h.wait(Duration::cycles(1000)).await;
-        });
-        sim.run_for(Duration::cycles(10));
-        assert_eq!(sim.now(), Time::from_cycles(10));
-        sim.run_for(Duration::cycles(10));
-        assert_eq!(sim.now(), Time::from_cycles(20));
-        assert_eq!(sim.live_tasks(), 1);
     }
 
     #[test]
@@ -1407,24 +1304,6 @@ mod tests {
     }
 
     #[test]
-    fn inline_waits_stop_at_the_run_horizon() {
-        let mut sim = Simulation::new();
-        let h = sim.handle();
-        let laps = Rc::new(Cell::new(0u32));
-        let laps2 = Rc::clone(&laps);
-        sim.spawn(async move {
-            for _ in 0..100 {
-                h.wait(Duration::cycles(3)).await;
-                laps2.set(laps2.get() + 1);
-            }
-        });
-        assert_eq!(sim.run_until(Time::from_cycles(10)).cycles(), 10);
-        assert_eq!(laps.get(), 3, "waits ending at 3, 6 and 9");
-        assert_eq!(sim.run_until(Time::from_cycles(20)).cycles(), 20);
-        assert_eq!(laps.get(), 6, "then 12, 15 and 18");
-    }
-
-    #[test]
     fn cancelling_inside_an_inline_wait_loop_unwinds() {
         crate::silence_cancelled_panics();
         let token = crate::CancelToken::new();
@@ -1455,12 +1334,8 @@ mod tests {
     }
 
     /// Runs `body` as the first task polled, alongside `siblings` spawned
-    /// after it, under `run_until(horizon)`; returns what `body` returned.
-    fn in_task<T: 'static>(
-        horizon: u64,
-        siblings: Vec<u64>,
-        body: impl FnOnce(&SimHandle) -> T + 'static,
-    ) -> T {
+    /// after it; returns what `body` returned.
+    fn in_task<T: 'static>(siblings: Vec<u64>, body: impl FnOnce(&SimHandle) -> T + 'static) -> T {
         let mut sim = Simulation::new();
         let h = sim.handle();
         let jh = sim.spawn(async move { body(&h) });
@@ -1468,7 +1343,7 @@ mod tests {
             let h = sim.handle();
             sim.spawn(async move { h.wait(Duration::cycles(d)).await });
         }
-        sim.run_until(Time::from_cycles(horizon));
+        sim.run();
         jh.try_take().expect("body ran")
     }
 
@@ -1479,25 +1354,20 @@ mod tests {
             let advanced = h.try_advance(Duration::cycles(d));
             (advanced, kernel_state(h) == before)
         };
-        // Outside a task, even with no horizon in the way.
+        // Outside a task.
         let mut sim = Simulation::new();
         sim.run();
         assert_eq!(declines(&sim.handle(), 5), (false, true));
         // A zero-length advance is a delta wait, never inline.
-        assert_eq!(in_task(100, vec![], move |h| declines(h, 0)), (false, true));
+        assert_eq!(in_task(vec![], move |h| declines(h, 0)), (false, true));
         // A sibling spawned before this poll is runnable.
-        assert_eq!(
-            in_task(100, vec![1], move |h| declines(h, 5)),
-            (false, true)
-        );
+        assert_eq!(in_task(vec![1], move |h| declines(h, 5)), (false, true));
         // A child spawned by this poll is about to run.
-        let spawned = in_task(100, vec![], move |h| {
+        let spawned = in_task(vec![], move |h| {
             h.spawn(async {});
             declines(h, 5)
         });
         assert_eq!(spawned, (false, true));
-        // Past the `run_until` horizon.
-        assert_eq!(in_task(4, vec![], move |h| declines(h, 5)), (false, true));
         // The cancel token tripped.
         crate::silence_cancelled_panics();
         let token = crate::CancelToken::new();
@@ -1535,8 +1405,8 @@ mod tests {
     }
 
     #[test]
-    fn try_advance_reaches_the_horizon_and_counts_a_timer() {
-        let (advanced, before, after) = in_task(5, vec![], move |h| {
+    fn try_advance_moves_now_and_counts_a_timer() {
+        let (advanced, before, after) = in_task(vec![], move |h| {
             let before = kernel_state(h);
             (h.try_advance(Duration::cycles(5)), before, kernel_state(h))
         });
@@ -1546,7 +1416,7 @@ mod tests {
 
     #[test]
     fn undo_advance_restores_now_and_timers_fired_exactly() {
-        let (before, after) = in_task(1000, vec![], move |h| {
+        let (before, after) = in_task(vec![], move |h| {
             assert!(h.try_advance(Duration::cycles(3)));
             let before = kernel_state(h);
             assert!(h.try_advance(Duration::cycles(7)));
@@ -1577,18 +1447,10 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "undo_advance after the advanced time was observed")]
     fn undo_advance_after_a_spawn_is_a_contract_violation() {
-        in_task(100, vec![], move |h| {
+        in_task(vec![], move |h| {
             assert!(h.try_advance(Duration::cycles(5)));
             h.spawn(async {});
             h.undo_advance(Duration::cycles(5));
         });
-    }
-
-    #[test]
-    fn accurate_mode_has_zero_quantum() {
-        let sim = Simulation::new();
-        assert_eq!(sim.quantum(), None);
-        let lt = Simulation::with_quantum(Duration::cycles(32));
-        assert_eq!(lt.quantum(), Some(Duration::cycles(32)));
     }
 }

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 //! # tve-sim — deterministic discrete-event simulation kernel
@@ -54,8 +55,8 @@ pub use cancel::{
     panic_message, silence_cancelled_panics, with_cancel_token, CancelToken, Cancelled,
 };
 pub use event::Event;
-pub use executor::{JoinHandle, SimHandle, Simulation, SpawnId};
-pub use sync::{Fifo, Semaphore, Signal};
+pub use executor::{JoinHandle, SimHandle, Simulation};
+pub use sync::Fifo;
 pub use time::{Duration, Time};
-pub use trace::{ScalarTrace, TracePoint};
+pub use trace::ScalarTrace;
 pub use vcd::write_vcd;

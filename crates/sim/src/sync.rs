@@ -1,100 +1,16 @@
-//! Synchronization and communication primitives — counting semaphores,
-//! bounded FIFOs, and last-value signals — built directly on the
+//! The bounded FIFO channel between processes, built directly on the
 //! kernel's arena waker slots via [`WaitQueue`]: registering a waiter is
 //! a `Vec` push of a packed task id, waking is an intrusive ready-queue
 //! link. No `Waker` clones, no per-primitive `Rc<RefCell<..>>` event
 //! state.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
 use crate::waitq::WaitQueue;
 use crate::SimHandle;
-
-/// A counting semaphore for modeling limited resources (ports, TAM lanes,
-/// tester channels).
-///
-/// ```
-/// use tve_sim::{Simulation, Semaphore, Duration};
-/// let mut sim = Simulation::new();
-/// let h = sim.handle();
-/// let sem = Semaphore::new(&h, 1);
-/// for _ in 0..2 {
-///     let sem = sem.clone();
-///     let h = h.clone();
-///     sim.spawn(async move {
-///         sem.acquire().await;
-///         h.wait(Duration::cycles(10)).await;
-///         sem.release();
-///     });
-/// }
-/// assert_eq!(sim.run().cycles(), 20); // serialized by the semaphore
-/// ```
-#[derive(Clone)]
-pub struct Semaphore {
-    inner: Rc<SemaphoreInner>,
-}
-
-struct SemaphoreInner {
-    permits: Cell<usize>,
-    released: WaitQueue,
-}
-
-impl fmt::Debug for Semaphore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Semaphore")
-            .field("permits", &self.inner.permits.get())
-            .finish()
-    }
-}
-
-impl Semaphore {
-    /// Creates a semaphore with `permits` initial permits.
-    pub fn new(handle: &SimHandle, permits: usize) -> Self {
-        Semaphore {
-            inner: Rc::new(SemaphoreInner {
-                permits: Cell::new(permits),
-                released: WaitQueue::new(handle),
-            }),
-        }
-    }
-
-    /// Currently available permits.
-    pub fn permits(&self) -> usize {
-        self.inner.permits.get()
-    }
-
-    /// Acquires one permit, suspending until one is available.
-    pub async fn acquire(&self) {
-        loop {
-            let p = self.inner.permits.get();
-            if p > 0 {
-                self.inner.permits.set(p - 1);
-                return;
-            }
-            self.inner.released.wait().await;
-        }
-    }
-
-    /// Acquires a permit if one is immediately available.
-    pub fn try_acquire(&self) -> bool {
-        let p = self.inner.permits.get();
-        if p > 0 {
-            self.inner.permits.set(p - 1);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Returns one permit and wakes waiters.
-    pub fn release(&self) {
-        self.inner.permits.set(self.inner.permits.get() + 1);
-        self.inner.released.wake_all();
-    }
-}
 
 /// A bounded FIFO channel between processes — the TLM workhorse for
 /// double-buffered pattern transport between sources, adaptors and wrappers.
@@ -140,23 +56,13 @@ impl<T> Fifo<T> {
     }
 
     /// Items currently queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.queue.borrow().len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Whether the queue is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.len() == self.inner.capacity
-    }
-
-    /// Maximum number of items.
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity
     }
 
     /// Enqueues `item`, suspending while the FIFO is full.
@@ -214,122 +120,11 @@ impl<T> Fifo<T> {
     }
 }
 
-/// A last-value "wire" carrying a value of type `T`, with change
-/// notification — the TLM analogue of a status/control signal.
-#[derive(Clone)]
-pub struct Signal<T> {
-    inner: Rc<SignalInner<T>>,
-}
-
-struct SignalInner<T> {
-    value: RefCell<T>,
-    changed: WaitQueue,
-}
-
-impl<T: fmt::Debug> fmt::Debug for Signal<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Signal")
-            .field("value", &*self.inner.value.borrow())
-            .finish()
-    }
-}
-
-impl<T: Clone + PartialEq> Signal<T> {
-    /// Creates a signal carrying `initial`.
-    pub fn new(handle: &SimHandle, initial: T) -> Self {
-        Signal {
-            inner: Rc::new(SignalInner {
-                value: RefCell::new(initial),
-                changed: WaitQueue::new(handle),
-            }),
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> T {
-        self.inner.value.borrow().clone()
-    }
-
-    /// Writes `value`; waiters are notified only on an actual change.
-    pub fn set(&self, value: T) {
-        let changed = {
-            let mut v = self.inner.value.borrow_mut();
-            if *v == value {
-                false
-            } else {
-                *v = value;
-                true
-            }
-        };
-        if changed {
-            self.inner.changed.wake_all();
-        }
-    }
-
-    /// Waits for the next change, then returns the new value.
-    pub async fn wait_change(&self) -> T {
-        self.inner.changed.wait().await;
-        self.get()
-    }
-
-    /// Waits until the signal satisfies `pred` (returns immediately if it
-    /// already does).
-    pub async fn wait_for(&self, mut pred: impl FnMut(&T) -> bool) -> T {
-        loop {
-            {
-                let v = self.inner.value.borrow();
-                if pred(&v) {
-                    return v.clone();
-                }
-            }
-            self.inner.changed.wait().await;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Duration, Simulation};
     use std::cell::Cell;
-
-    #[test]
-    fn semaphore_serializes_critical_sections() {
-        let mut sim = Simulation::new();
-        let h = sim.handle();
-        let sem = Semaphore::new(&h, 2);
-        let peak = Rc::new(Cell::new(0usize));
-        let inside = Rc::new(Cell::new(0usize));
-        for _ in 0..6 {
-            let sem = sem.clone();
-            let h = h.clone();
-            let peak = Rc::clone(&peak);
-            let inside = Rc::clone(&inside);
-            sim.spawn(async move {
-                sem.acquire().await;
-                inside.set(inside.get() + 1);
-                peak.set(peak.get().max(inside.get()));
-                h.wait(Duration::cycles(10)).await;
-                inside.set(inside.get() - 1);
-                sem.release();
-            });
-        }
-        let end = sim.run();
-        assert_eq!(peak.get(), 2);
-        assert_eq!(end.cycles(), 30); // 6 tasks / 2 permits * 10 cycles
-    }
-
-    #[test]
-    fn semaphore_try_acquire() {
-        let sim = Simulation::new();
-        let h = sim.handle();
-        let sem = Semaphore::new(&h, 1);
-        assert!(sem.try_acquire());
-        assert!(!sem.try_acquire());
-        sem.release();
-        assert!(sem.try_acquire());
-        drop(sim);
-    }
 
     #[test]
     fn fifo_backpressure_blocks_producer() {
@@ -376,7 +171,6 @@ mod tests {
         assert_eq!(fifo.try_pop(), None);
         assert!(fifo.try_push(1).is_ok());
         assert_eq!(fifo.try_push(2), Err(2));
-        assert!(fifo.is_full());
         assert_eq!(fifo.try_pop(), Some(1));
     }
 
@@ -385,55 +179,5 @@ mod tests {
     fn fifo_zero_capacity_panics() {
         let sim = Simulation::new();
         let _ = Fifo::<u8>::new(&sim.handle(), 0);
-    }
-
-    #[test]
-    fn signal_change_notification() {
-        let mut sim = Simulation::new();
-        let h = sim.handle();
-        let sig = Signal::new(&h, 0u32);
-        let observed = Rc::new(Cell::new(0u32));
-        {
-            let sig = sig.clone();
-            let observed = Rc::clone(&observed);
-            sim.spawn(async move {
-                let v = sig.wait_for(|v| *v >= 3).await;
-                observed.set(v);
-            });
-        }
-        {
-            let h = h.clone();
-            let sig = sig.clone();
-            sim.spawn(async move {
-                for v in 1..=5 {
-                    h.wait(Duration::cycles(10)).await;
-                    sig.set(v);
-                }
-            });
-        }
-        sim.run();
-        assert_eq!(observed.get(), 3);
-        assert_eq!(sig.get(), 5);
-    }
-
-    #[test]
-    fn signal_set_same_value_does_not_notify() {
-        let mut sim = Simulation::new();
-        // (sim must be mut for run())
-        let h = sim.handle();
-        let sig = Signal::new(&h, 7u32);
-        let woken = Rc::new(Cell::new(false));
-        {
-            let sig = sig.clone();
-            let woken = Rc::clone(&woken);
-            sim.spawn(async move {
-                sig.wait_change().await;
-                woken.set(true);
-            });
-        }
-        sig.set(7); // same value: no notification
-        sim.run();
-        assert!(!woken.get());
-        assert_eq!(sim.live_tasks(), 1);
     }
 }

@@ -39,11 +39,6 @@ impl Time {
         self.0
     }
 
-    /// Saturating addition of a duration.
-    pub const fn saturating_add(self, d: Duration) -> Time {
-        Time(self.0.saturating_add(d.0))
-    }
-
     /// The duration from `earlier` to `self`, saturating to zero if `earlier`
     /// is in the future.
     pub const fn saturating_since(self, earlier: Time) -> Duration {
@@ -101,16 +96,6 @@ impl Duration {
     pub const fn as_cycles(self) -> u64 {
         self.0
     }
-
-    /// Saturating subtraction.
-    pub const fn saturating_sub(self, rhs: Duration) -> Duration {
-        Duration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Multiplies the duration by an integer factor.
-    pub const fn times(self, n: u64) -> Duration {
-        Duration(self.0 * n)
-    }
 }
 
 impl fmt::Display for Duration {
@@ -155,15 +140,12 @@ mod tests {
         assert_eq!(t + Duration::cycles(5), Time::from_cycles(15));
         assert_eq!(Time::from_cycles(15) - t, Duration::cycles(5));
         assert_eq!(t.saturating_since(Time::from_cycles(20)), Duration::ZERO);
-        assert_eq!(Time::MAX.saturating_add(Duration::cycles(1)), Time::MAX);
     }
 
     #[test]
     fn duration_arithmetic() {
         let d = Duration::cycles(7);
-        assert_eq!(d.times(3), Duration::cycles(21));
         assert_eq!(d - Duration::cycles(2), Duration::cycles(5));
-        assert_eq!(d.saturating_sub(Duration::cycles(100)), Duration::ZERO);
         let total: Duration = [1u64, 2, 3].iter().map(|&c| Duration::cycles(c)).sum();
         assert_eq!(total, Duration::cycles(6));
     }

@@ -3,21 +3,21 @@
 
 use std::fmt;
 
-use crate::{Duration, Time};
+use crate::Time;
 
 /// One recorded sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TracePoint {
+pub(crate) struct TracePoint {
     /// When the value was recorded.
-    pub time: Time,
+    pub(crate) time: Time,
     /// The recorded value.
-    pub value: i64,
+    pub(crate) value: i64,
 }
 
 /// A time-ordered series of scalar samples with simple analysis helpers.
 ///
 /// `ScalarTrace` is deliberately minimal: models record raw samples during
-/// simulation; analysis (peaks, windowed averages) happens afterwards.
+/// simulation; analysis (peaks) happens afterwards.
 ///
 /// ```
 /// use tve_sim::{ScalarTrace, Time};
@@ -48,7 +48,7 @@ impl ScalarTrace {
     }
 
     /// The trace label.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -72,7 +72,7 @@ impl ScalarTrace {
     }
 
     /// The recorded samples, in time order.
-    pub fn points(&self) -> &[TracePoint] {
+    pub(crate) fn points(&self) -> &[TracePoint] {
         &self.points
     }
 
@@ -89,66 +89,6 @@ impl ScalarTrace {
     /// Maximum recorded value.
     pub fn max(&self) -> Option<i64> {
         self.points.iter().map(|p| p.value).max()
-    }
-
-    /// Minimum recorded value.
-    pub fn min(&self) -> Option<i64> {
-        self.points.iter().map(|p| p.value).min()
-    }
-
-    /// The last sample at or before `t` (sample-and-hold semantics).
-    pub fn value_at(&self, t: Time) -> Option<i64> {
-        match self.points.binary_search_by(|p| p.time.cmp(&t)) {
-            Ok(mut i) => {
-                // Multiple samples may share a timestamp: take the last one.
-                while i + 1 < self.points.len() && self.points[i + 1].time == t {
-                    i += 1;
-                }
-                Some(self.points[i].value)
-            }
-            Err(0) => None,
-            Err(i) => Some(self.points[i - 1].value),
-        }
-    }
-
-    /// Time-weighted average over `[start, end)` under sample-and-hold
-    /// semantics, or `None` if the interval is empty or precedes all data.
-    pub fn time_weighted_mean(&self, start: Time, end: Time) -> Option<f64> {
-        if end <= start || self.points.is_empty() {
-            return None;
-        }
-        let mut cur = self.value_at(start)?;
-        let mut cursor = start;
-        let mut acc = 0.0f64;
-        for p in self
-            .points
-            .iter()
-            .filter(|p| p.time > start && p.time < end)
-        {
-            acc += cur as f64 * (p.time - cursor).as_cycles() as f64;
-            cur = p.value;
-            cursor = p.time;
-        }
-        acc += cur as f64 * (end - cursor).as_cycles() as f64;
-        Some(acc / (end - start).as_cycles() as f64)
-    }
-
-    /// Peak of windowed time-weighted means with window length `window`.
-    pub fn windowed_peak_mean(&self, window: Duration) -> Option<f64> {
-        let (first, last) = (self.points.first()?, self.points.last()?);
-        let w = window.as_cycles().max(1);
-        let mut t = first.time.cycles();
-        let end = last.time.cycles().max(t + 1);
-        let mut peak: Option<f64> = None;
-        while t < end {
-            let m =
-                self.time_weighted_mean(Time::from_cycles(t), Time::from_cycles((t + w).min(end)));
-            if let Some(m) = m {
-                peak = Some(peak.map_or(m, |p: f64| p.max(m)));
-            }
-            t += w;
-        }
-        peak
     }
 }
 
@@ -168,27 +108,6 @@ mod tests {
         tr.record(t(20), 2);
         assert_eq!(tr.len(), 3);
         assert_eq!(tr.max(), Some(5));
-        assert_eq!(tr.min(), Some(1));
-        assert_eq!(tr.value_at(t(0)), Some(1));
-        assert_eq!(tr.value_at(t(9)), Some(1));
-        assert_eq!(tr.value_at(t(10)), Some(5));
-        assert_eq!(tr.value_at(t(100)), Some(2));
-    }
-
-    #[test]
-    fn value_before_first_sample_is_none() {
-        let mut tr = ScalarTrace::new("x");
-        tr.record(t(5), 1);
-        assert_eq!(tr.value_at(t(4)), None);
-    }
-
-    #[test]
-    fn duplicate_timestamps_take_last() {
-        let mut tr = ScalarTrace::new("x");
-        tr.record(t(5), 1);
-        tr.record(t(5), 2);
-        tr.record(t(5), 3);
-        assert_eq!(tr.value_at(t(5)), Some(3));
     }
 
     #[test]
@@ -197,28 +116,5 @@ mod tests {
         let mut tr = ScalarTrace::new("x");
         tr.record(t(10), 1);
         tr.record(t(5), 2);
-    }
-
-    #[test]
-    fn time_weighted_mean_sample_and_hold() {
-        let mut tr = ScalarTrace::new("x");
-        tr.record(t(0), 0);
-        tr.record(t(10), 10);
-        // [0,20): value 0 for 10 cycles, 10 for 10 cycles -> mean 5
-        assert_eq!(tr.time_weighted_mean(t(0), t(20)), Some(5.0));
-        // [5,15): 0 for 5, 10 for 5 -> 5
-        assert_eq!(tr.time_weighted_mean(t(5), t(15)), Some(5.0));
-        assert_eq!(tr.time_weighted_mean(t(10), t(10)), None);
-    }
-
-    #[test]
-    fn windowed_peak_mean_finds_busy_window() {
-        let mut tr = ScalarTrace::new("util");
-        tr.record(t(0), 0);
-        tr.record(t(100), 100);
-        tr.record(t(200), 0);
-        tr.record(t(300), 0);
-        let peak = tr.windowed_peak_mean(Duration::cycles(100)).unwrap();
-        assert!((peak - 100.0).abs() < 1e-9, "peak was {peak}");
     }
 }

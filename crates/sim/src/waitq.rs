@@ -1,10 +1,10 @@
 //! [`WaitQueue`] — the lightweight suspend/wake slot behind the
-//! synchronization primitives in [`crate::sync`].
+//! [`crate::Fifo`] channel.
 //!
 //! Semantically a [`crate::Event`] (epoch-counted, wake-all, no memory of
 //! past notifications), but embedded by value inside a primitive's inner
 //! struct instead of carrying its own `Rc<RefCell<..>>`, and registering
-//! waiters as packed arena task ids. A `Semaphore`/`Fifo`/`Signal` wait
+//! waiters as packed arena task ids. A `Fifo` wait
 //! is then: one `Vec` push to register, one intrusive ready-queue link
 //! per waiter to wake — no `Waker` clones and no per-wait allocation in
 //! steady state.

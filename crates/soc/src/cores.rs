@@ -48,15 +48,9 @@ impl fmt::Debug for MemoryCore {
 }
 
 impl MemoryCore {
-    /// Creates a memory of `words` 32-bit words mapped at `base_addr`
-    /// (word `i` at TAM address `base_addr + i`).
-    pub fn new(name: impl Into<String>, base_addr: u32, words: usize) -> Self {
-        Self::with_spares(name, base_addr, words, 0)
-    }
-
     /// Creates a memory with `spares` redundancy words for built-in repair
     /// (the "Repair" strategy of the paper's Fig. 1).
-    pub fn with_spares(
+    pub(crate) fn with_spares(
         name: impl Into<String>,
         base_addr: u32,
         words: usize,
@@ -88,7 +82,7 @@ impl MemoryCore {
 
     /// Attaches a power meter: every accessed word draws `op_power` for
     /// one cycle, attributed to this memory's name.
-    pub fn attach_power_meter(
+    pub(crate) fn attach_power_meter(
         &self,
         handle: &SimHandle,
         meter: Rc<RefCell<PowerMeter>>,
@@ -129,7 +123,8 @@ impl MemoryCore {
     }
 
     /// Reads and write counters (reads, writes).
-    pub fn op_counts(&self) -> (u64, u64) {
+    #[cfg(test)]
+    pub(crate) fn op_counts(&self) -> (u64, u64) {
         let m = self.mem.borrow();
         (m.read_count(), m.write_count())
     }
@@ -268,7 +263,7 @@ impl fmt::Debug for ColorConversionCore {
 
 impl ColorConversionCore {
     /// Creates the core.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         ColorConversionCore {
             name: name.into(),
             out: RefCell::new(VecDeque::new()),
@@ -340,7 +335,7 @@ impl fmt::Debug for DctCore {
 
 impl DctCore {
     /// Creates the core.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         DctCore {
             name: name.into(),
             input: RefCell::new(Vec::new()),
@@ -406,7 +401,7 @@ mod tests {
     #[test]
     fn memory_core_round_trips_words() {
         let mut sim = Simulation::new();
-        let mem = Rc::new(MemoryCore::new("mem", 0x1000, 64));
+        let mem = Rc::new(MemoryCore::with_spares("mem", 0x1000, 64, 0));
         let m = Rc::clone(&mem);
         sim.spawn(async move {
             m.write(InitiatorId(0), 0x1010, &[0xCAFE], 32)
@@ -423,7 +418,7 @@ mod tests {
     #[test]
     fn memory_core_rejects_out_of_window() {
         let mut sim = Simulation::new();
-        let mem = Rc::new(MemoryCore::new("mem", 0x1000, 64));
+        let mem = Rc::new(MemoryCore::with_spares("mem", 0x1000, 64, 0));
         let m = Rc::clone(&mem);
         let jh = sim.spawn(async move { m.read(InitiatorId(0), 0x1040, 32).await });
         sim.run();
@@ -436,7 +431,7 @@ mod tests {
     #[test]
     fn memory_core_burst_access() {
         let mut sim = Simulation::new();
-        let mem = Rc::new(MemoryCore::new("mem", 0, 64));
+        let mem = Rc::new(MemoryCore::with_spares("mem", 0, 64, 0));
         let m = Rc::clone(&mem);
         sim.spawn(async move {
             m.write(InitiatorId(0), 4, &[1, 2, 3, 4], 128)
@@ -451,7 +446,7 @@ mod tests {
     #[test]
     fn memory_core_faults_are_visible_functionally() {
         let mut sim = Simulation::new();
-        let mem = Rc::new(MemoryCore::new("mem", 0, 64));
+        let mem = Rc::new(MemoryCore::with_spares("mem", 0, 64, 0));
         mem.inject(Fault::stuck_at(5, 0, true));
         let m = Rc::clone(&mem);
         sim.spawn(async move {

@@ -47,11 +47,11 @@ pub enum Insn {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CpuOutcome {
     /// Instructions executed.
-    pub instructions: u64,
+    pub(crate) instructions: u64,
     /// Bus transactions issued (loads + stores).
-    pub bus_ops: u64,
+    pub(crate) bus_ops: u64,
     /// Bus errors observed.
-    pub bus_errors: u64,
+    pub(crate) bus_errors: u64,
     /// Final register file.
     pub regs: [u32; 16],
     /// Cycles elapsed.
@@ -76,9 +76,9 @@ pub struct Cpu {
     initiator: InitiatorId,
     /// Cycles per executed instruction (pipeline CPI), on top of bus time
     /// for loads/stores.
-    pub cycles_per_insn: u64,
+    pub(crate) cycles_per_insn: u64,
     /// Safety limit on executed instructions.
-    pub max_instructions: u64,
+    pub(crate) max_instructions: u64,
 }
 
 impl Cpu {

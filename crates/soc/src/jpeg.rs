@@ -8,7 +8,7 @@
 //! SoC equals the software reference).
 
 /// The standard JPEG luminance quantization table (Annex K), row-major.
-pub const LUMA_QUANT: [u16; 64] = [
+pub(crate) const LUMA_QUANT: [u16; 64] = [
     16, 11, 10, 16, 24, 40, 51, 61, //
     12, 12, 14, 19, 26, 58, 60, 55, //
     14, 13, 16, 24, 40, 57, 69, 56, //
@@ -20,7 +20,7 @@ pub const LUMA_QUANT: [u16; 64] = [
 ];
 
 /// JFIF RGB → YCbCr conversion (full range, rounded).
-pub fn rgb_to_ycbcr(rgb: [u8; 3]) -> [u8; 3] {
+pub(crate) fn rgb_to_ycbcr(rgb: [u8; 3]) -> [u8; 3] {
     let (r, g, b) = (rgb[0] as f64, rgb[1] as f64, rgb[2] as f64);
     let y = 0.299 * r + 0.587 * g + 0.114 * b;
     let cb = 128.0 - 0.168_736 * r - 0.331_264 * g + 0.5 * b;
@@ -34,7 +34,7 @@ pub fn rgb_to_ycbcr(rgb: [u8; 3]) -> [u8; 3] {
 
 /// The 2-D forward DCT of an 8×8 block (row-major), type-II with
 /// orthonormal scaling, as in the JPEG standard.
-pub fn fdct8x8(block: &[i32; 64]) -> [f64; 64] {
+pub(crate) fn fdct8x8(block: &[i32; 64]) -> [f64; 64] {
     let mut out = [0.0f64; 64];
     let c = |k: usize| {
         if k == 0 {
@@ -60,7 +60,7 @@ pub fn fdct8x8(block: &[i32; 64]) -> [f64; 64] {
 }
 
 /// Forward DCT followed by quantization: the DCT core's data path.
-pub fn fdct_quantize(block: &[i32; 64], quant: &[u16; 64]) -> [i32; 64] {
+pub(crate) fn fdct_quantize(block: &[i32; 64], quant: &[u16; 64]) -> [i32; 64] {
     let coeffs = fdct8x8(block);
     let mut out = [0i32; 64];
     for i in 0..64 {
@@ -71,14 +71,14 @@ pub fn fdct_quantize(block: &[i32; 64], quant: &[u16; 64]) -> [i32; 64] {
 
 /// The JPEG zigzag scan order: `ZIGZAG[k]` is the row-major index of the
 /// `k`-th coefficient in zigzag order.
-pub const ZIGZAG: [usize; 64] = [
+pub(crate) const ZIGZAG: [usize; 64] = [
     0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5, 12, 19, 26, 33, 40, 48, 41, 34, 27, 20,
     13, 6, 7, 14, 21, 28, 35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51, 58, 59,
     52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
 ];
 
 /// Reorders quantized coefficients into zigzag order.
-pub fn zigzag_scan(coeffs: &[i32; 64]) -> [i32; 64] {
+pub(crate) fn zigzag_scan(coeffs: &[i32; 64]) -> [i32; 64] {
     let mut out = [0i32; 64];
     for (k, &idx) in ZIGZAG.iter().enumerate() {
         out[k] = coeffs[idx];

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 //! # tve-soc — the JPEG encoder SoC case study
@@ -34,24 +35,23 @@
 mod cores;
 pub mod cpu;
 pub mod jpeg;
-pub mod noc_soc;
+mod noc_soc;
 pub mod pipeline;
 mod plan;
 pub mod rtl;
 mod soc;
 mod workload;
 
-pub use cores::{ColorConversionCore, DctCore, MemoryCore};
 pub use noc_soc::{build_test_runs_noc, NocJpegSoc};
 pub use plan::{
-    build_test_runs, build_test_runs_traced, paper_schedules, run_scenario, run_scenario_prepared,
+    build_test_runs, paper_schedules, run_scenario, run_scenario_prepared,
     run_scenario_prepared_traced, run_scenario_quantum, run_scenario_traced, PowerSummary,
     ScenarioMetrics, SocTestPlan,
 };
 pub use workload::{PlanOverrides, Workload, WorkloadPreset, PLAN_OVERRIDE_KEYS};
 
+pub use cores::{ColorConversionCore, DctCore, MemoryCore};
 pub use soc::{
-    initiators, scan_view, JpegEncoderSoc, PowerParams, SocConfig, WrappedCore, CODEC_ADDR,
-    COLOR_WRAPPER_ADDR, DCT_WRAPPER_ADDR, MEM_BASE, PROC_WRAPPER_ADDR, RING_CODEC, RING_COLOR,
-    RING_DCT, RING_EBI, RING_MEM, RING_PROC,
+    initiators, scan_view, JpegEncoderSoc, PowerParams, SocConfig, WrappedCore, COLOR_WRAPPER_ADDR,
+    MEM_BASE, PROC_WRAPPER_ADDR, RING_CODEC, RING_COLOR, RING_DCT, RING_EBI, RING_MEM, RING_PROC,
 };

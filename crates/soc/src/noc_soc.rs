@@ -28,50 +28,42 @@ use crate::soc::{
 };
 
 /// Node placement of the NoC-TAM case study (3×2 mesh).
-pub mod placement {
+pub(crate) mod placement {
     use tve_noc::NodeId;
     /// Where the ATE's EBI injects.
-    pub const ATE: NodeId = NodeId { x: 0, y: 0 };
+    pub(crate) const ATE: NodeId = NodeId { x: 0, y: 0 };
     /// Processor wrapper and its decompressor/compactor.
-    pub const PROC: NodeId = NodeId { x: 1, y: 0 };
+    pub(crate) const PROC: NodeId = NodeId { x: 1, y: 0 };
     /// Embedded memory core.
-    pub const MEM: NodeId = NodeId { x: 2, y: 0 };
+    pub(crate) const MEM: NodeId = NodeId { x: 2, y: 0 };
     /// Color conversion wrapper.
-    pub const COLOR: NodeId = NodeId { x: 0, y: 1 };
+    pub(crate) const COLOR: NodeId = NodeId { x: 0, y: 1 };
     /// DCT wrapper.
-    pub const DCT: NodeId = NodeId { x: 1, y: 1 };
+    pub(crate) const DCT: NodeId = NodeId { x: 1, y: 1 };
     /// Test controller and processor-march engine.
-    pub const CONTROLLER: NodeId = NodeId { x: 2, y: 1 };
+    pub(crate) const CONTROLLER: NodeId = NodeId { x: 2, y: 1 };
 }
 
 /// The JPEG encoder SoC with a mesh NoC as TAM.
 pub struct NocJpegSoc {
     /// Kernel handle the SoC was built against.
-    pub handle: SimHandle,
+    pub(crate) handle: SimHandle,
     /// The configuration in effect (bus-specific fields are ignored).
-    pub config: SocConfig,
+    pub(crate) config: SocConfig,
     /// The mesh TAM.
     pub noc: Rc<MeshNoc>,
-    /// The embedded memory core.
-    pub memory: Rc<MemoryCore>,
-    /// The processor core's test wrapper.
-    pub proc_wrapper: Rc<TestWrapper>,
-    /// The color conversion core's test wrapper.
-    pub color_wrapper: Rc<TestWrapper>,
-    /// The DCT core's test wrapper.
-    pub dct_wrapper: Rc<TestWrapper>,
     /// The decompressor/compactor in front of the processor wrapper.
-    pub codec: Rc<DecompressorCompactor>,
+    pub(crate) codec: Rc<DecompressorCompactor>,
     /// The reseeding compressor for full-data compressed tests.
-    pub reseeding: Option<Rc<ReseedingCodec>>,
+    pub(crate) reseeding: Option<Rc<ReseedingCodec>>,
     /// The external bus interface to the ATE (downstream = a mesh port).
-    pub ebi: Rc<Ebi>,
+    pub(crate) ebi: Rc<Ebi>,
     /// The configuration scan ring.
-    pub ring: Rc<ConfigScanRing>,
+    pub(crate) ring: Rc<ConfigScanRing>,
     /// The on-chip test controller (test 6).
-    pub controller: Rc<TestController>,
+    pub(crate) controller: Rc<TestController>,
     /// The processor as memory-test engine (test 7).
-    pub processor: Rc<TestController>,
+    pub(crate) processor: Rc<TestController>,
 }
 
 impl NocJpegSoc {
@@ -208,10 +200,6 @@ impl NocJpegSoc {
             handle: handle.clone(),
             config,
             noc,
-            memory,
-            proc_wrapper,
-            color_wrapper,
-            dct_wrapper,
             codec,
             reseeding,
             ebi,

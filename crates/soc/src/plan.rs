@@ -119,7 +119,7 @@ pub fn build_test_runs(soc: &JpegEncoderSoc, plan: &SocTestPlan) -> Vec<TestRun>
 /// [`build_test_runs`] with observability: when a recorder is given, every
 /// pattern source additionally records its run as a
 /// [`tve_obs::SpanKind::Burst`] span on its `src/<name>` track.
-pub fn build_test_runs_traced(
+pub(crate) fn build_test_runs_traced(
     soc: &JpegEncoderSoc,
     plan: &SocTestPlan,
     recorder: Option<&Rc<Recorder>>,

@@ -34,17 +34,12 @@ impl fmt::Debug for RtlScanChains {
 
 impl RtlScanChains {
     /// Creates zeroed chains for `config`.
-    pub fn new(config: ScanConfig) -> Self {
+    pub(crate) fn new(config: ScanConfig) -> Self {
         let words = (config.max_chain_len() as usize).div_ceil(64);
         RtlScanChains {
             chains: vec![vec![0u64; words]; config.chains() as usize],
             len: config.max_chain_len(),
         }
-    }
-
-    /// Number of chains.
-    pub fn chain_count(&self) -> usize {
-        self.chains.len()
     }
 
     /// Shifts chain `c` one cell, inserting `bit` and returning the bit
@@ -53,7 +48,7 @@ impl RtlScanChains {
     /// # Panics
     ///
     /// Panics if `c` is out of range.
-    pub fn shift(&mut self, c: usize, bit: bool) -> bool {
+    pub(crate) fn shift(&mut self, c: usize, bit: bool) -> bool {
         let chain = &mut self.chains[c];
         let mut carry = bit;
         for w in chain.iter_mut() {
@@ -68,7 +63,7 @@ impl RtlScanChains {
 
     /// One full scan clock: shifts every chain, returning the parity of the
     /// shifted-out slice (stands in for the response-observation logic).
-    pub fn shift_all(&mut self, in_bits: u64) -> bool {
+    pub(crate) fn shift_all(&mut self, in_bits: u64) -> bool {
         let mut parity = false;
         for c in 0..self.chains.len() {
             let bit = (in_bits >> (c % 64)) & 1 == 1;
@@ -82,11 +77,11 @@ impl RtlScanChains {
 #[derive(Debug, Clone, Copy)]
 pub struct GranularityRunStats {
     /// Simulated clock cycles.
-    pub simulated_cycles: u64,
+    pub(crate) simulated_cycles: u64,
     /// Kernel timer events actually fired (measured).
-    pub kernel_waits: u64,
+    pub(crate) kernel_waits: u64,
     /// Host wall-clock time.
-    pub wall: std::time::Duration,
+    pub(crate) wall: std::time::Duration,
     /// Simulated cycles per host second.
     pub cycles_per_second: f64,
 }
@@ -239,7 +234,7 @@ mod tests {
     fn chains_shift_bits_through() {
         let cfg = ScanConfig::new(2, 8);
         let mut c = RtlScanChains::new(cfg);
-        assert_eq!(c.chain_count(), 2);
+        assert_eq!(c.chains.len(), 2);
         // Shift a 1 through chain 0: appears at the output after len shifts.
         assert!(!c.shift(0, true));
         for _ in 0..6 {

@@ -27,9 +27,9 @@ pub const PROC_WRAPPER_ADDR: u32 = 0x2000_0000;
 /// TAM address of the color conversion core's test wrapper.
 pub const COLOR_WRAPPER_ADDR: u32 = 0x2100_0000;
 /// TAM address of the DCT core's test wrapper.
-pub const DCT_WRAPPER_ADDR: u32 = 0x2200_0000;
+pub(crate) const DCT_WRAPPER_ADDR: u32 = 0x2200_0000;
 /// TAM address of the decompressor/compactor adaptor.
-pub const CODEC_ADDR: u32 = 0x2300_0000;
+pub(crate) const CODEC_ADDR: u32 = 0x2300_0000;
 
 /// Configuration-ring client index of the processor wrapper.
 pub const RING_PROC: usize = 0;
@@ -54,7 +54,7 @@ pub mod initiators {
     /// The color-conversion BIST pattern source.
     pub const BIST_COLOR: InitiatorId = InitiatorId(2);
     /// The on-chip test controller.
-    pub const CONTROLLER: InitiatorId = InitiatorId(3);
+    pub(crate) const CONTROLLER: InitiatorId = InitiatorId(3);
     /// The embedded processor (functional mode and test 7).
     pub const PROCESSOR: InitiatorId = InitiatorId(4);
 }
@@ -269,25 +269,22 @@ pub struct JpegEncoderSoc {
     /// The DCT core's test wrapper.
     pub dct_wrapper: Rc<TestWrapper>,
     /// The memory core's test wrapper.
-    pub mem_wrapper: Rc<TestWrapper>,
+    pub(crate) mem_wrapper: Rc<TestWrapper>,
     /// The decompressor/compactor in front of the processor wrapper.
     pub codec: Rc<DecompressorCompactor>,
     /// The reseeding compressor backing full-data compressed tests
     /// (`None` in volume configurations).
-    pub reseeding: Option<Rc<ReseedingCodec>>,
+    pub(crate) reseeding: Option<Rc<ReseedingCodec>>,
     /// The external bus interface to the ATE.
     pub ebi: Rc<Ebi>,
-    /// The fault-injecting TAM adaptor between EBI and bus, present when
-    /// [`SocConfig::tam_fault`] is set.
-    pub tam_adaptor: Option<Rc<FaultyTam>>,
     /// The configuration scan ring.
     pub ring: Rc<ConfigScanRing>,
     /// The on-chip test controller (drives test 6).
     pub controller: Rc<TestController>,
     /// The embedded processor acting as memory-test engine (test 7).
-    pub processor: Rc<TestController>,
+    pub(crate) processor: Rc<TestController>,
     /// The shared power meter, when `config.power` is set.
-    pub power_meter: Option<Rc<RefCell<PowerMeter>>>,
+    pub(crate) power_meter: Option<Rc<RefCell<PowerMeter>>>,
 }
 
 impl JpegEncoderSoc {
@@ -402,15 +399,12 @@ impl JpegEncoderSoc {
         // EBI in front of the bus, rate-limited by the ATE channels. A
         // configured TAM fault interposes the corrupting adaptor here, so
         // every ATE-path transaction crosses the defective channel.
-        let tam_adaptor = config.tam_fault.map(|policy| {
-            Rc::new(FaultyTam::new(
+        let ebi_downstream = match config.tam_fault {
+            Some(policy) => Rc::new(FaultyTam::new(
                 "faulty-tam",
                 Rc::clone(&bus) as Rc<dyn TamIf>,
                 policy,
-            ))
-        });
-        let ebi_downstream = match &tam_adaptor {
-            Some(f) => Rc::clone(f) as Rc<dyn TamIf>,
+            )) as Rc<dyn TamIf>,
             None => Rc::clone(&bus) as Rc<dyn TamIf>,
         };
         let ebi = Rc::new(Ebi::new(
@@ -482,7 +476,6 @@ impl JpegEncoderSoc {
             codec,
             reseeding,
             ebi,
-            tam_adaptor,
             ring,
             controller,
             processor,
@@ -495,7 +488,7 @@ impl JpegEncoderSoc {
     /// configuration scan ring and both memory-test engines — mirroring
     /// the power-meter fan-out. Call before running test sequences; the
     /// trace is then retrieved with [`tve_obs::Recorder::take_log`].
-    pub fn attach_recorder(&self, recorder: &Rc<Recorder>) {
+    pub(crate) fn attach_recorder(&self, recorder: &Rc<Recorder>) {
         self.bus.attach_recorder(Rc::clone(recorder));
         for w in [
             &self.proc_wrapper,
@@ -742,7 +735,6 @@ mod tests {
             ..SocConfig::small()
         };
         let soc = JpegEncoderSoc::build(&sim.handle(), cfg);
-        let adaptor = soc.tam_adaptor.clone().expect("adaptor present");
         let ebi = Rc::clone(&soc.ebi);
         let ring = Rc::clone(&soc.ring);
         let jh = sim.spawn(async move {
@@ -751,11 +743,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(jh.try_take(), Some(true), "every transaction is dropped");
-        assert!(adaptor.dropped() >= 1);
-        // Healthy config: no adaptor.
-        let sim2 = Simulation::new();
-        let healthy = JpegEncoderSoc::build(&sim2.handle(), SocConfig::small());
-        assert!(healthy.tam_adaptor.is_none());
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl PlanOverrides {
     }
 
     /// Applies the overrides to `plan`.
-    pub fn apply(&self, plan: &mut SocTestPlan) {
+    pub(crate) fn apply(&self, plan: &mut SocTestPlan) {
         if let Some(v) = self.bist_proc_patterns {
             plan.bist_proc_patterns = v;
         }

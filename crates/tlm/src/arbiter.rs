@@ -65,12 +65,18 @@ struct ArbiterInner {
 /// let h = sim.handle();
 /// let arb = Arbiter::new(&h, ArbiterPolicy::Fcfs);
 /// let a = arb.clone();
+/// let h2 = h.clone();
 /// sim.spawn(async move {
 ///     a.acquire(InitiatorId(0)).await;
+///     h2.wait(tve_sim::Duration::cycles(4)).await;
 ///     a.release();
 /// });
-/// sim.run();
-/// assert_eq!(arb.grant_count(), 1);
+/// let b = arb.clone();
+/// sim.spawn(async move {
+///     b.acquire(InitiatorId(1)).await; // granted once the first holder releases
+///     b.release();
+/// });
+/// assert_eq!(sim.run().cycles(), 4);
 /// ```
 #[derive(Clone)]
 pub struct Arbiter {
@@ -104,26 +110,16 @@ impl Arbiter {
         }
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> ArbiterPolicy {
-        self.inner.policy
-    }
-
-    /// Total grants issued so far.
-    pub fn grant_count(&self) -> u64 {
-        self.inner.grants.get()
-    }
-
     /// Whether the resource is free with nobody queued — i.e.
     /// [`Arbiter::try_acquire`] would succeed.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         !self.inner.busy.get() && self.inner.queued.get() == 0
     }
 
     /// Acquires the resource for `id` if it is idle (no suspension);
     /// returns whether it was granted. The synchronous half of
     /// [`Arbiter::acquire`]'s uncontended fast path.
-    pub fn try_acquire(&self, id: InitiatorId) -> bool {
+    pub(crate) fn try_acquire(&self, id: InitiatorId) -> bool {
         let inner = &self.inner;
         if !inner.busy.get() && inner.queued.get() == 0 {
             inner.busy.set(true);
@@ -301,7 +297,7 @@ mod tests {
         });
         let end = sim.run();
         assert_eq!(end.cycles(), 0, "no time may pass without contention");
-        assert_eq!(arb.grant_count(), 2);
+        assert_eq!(arb.inner.grants.get(), 2);
     }
 
     #[test]

@@ -95,16 +95,6 @@ impl AddrRange {
         AddrRange { base, size }
     }
 
-    /// The first address.
-    pub fn base(&self) -> u32 {
-        self.base
-    }
-
-    /// The range length.
-    pub fn size(&self) -> u32 {
-        self.size
-    }
-
     /// Whether `addr` falls inside the range.
     pub fn contains(&self, addr: u32) -> bool {
         addr >= self.base && (addr - self.base) < self.size
@@ -261,11 +251,6 @@ impl BusTam {
     pub fn attach_recorder(&self, recorder: Rc<Recorder>) {
         *self.recorder.borrow_mut() = Some(ChannelRecorder::new(&self.cfg.name, recorder));
         self.instrumented.set(true);
-    }
-
-    /// The channel configuration.
-    pub fn config(&self) -> &BusConfig {
-        &self.cfg
     }
 
     /// Binds `target` at `range` (the SystemC `bind` of the paper's Fig. 2).
@@ -626,11 +611,6 @@ impl SinkTarget {
     pub fn transaction_count(&self) -> u64 {
         self.transactions.get()
     }
-
-    /// Payload bits absorbed so far.
-    pub fn bit_count(&self) -> u64 {
-        self.bits.get()
-    }
 }
 
 impl TamIf for SinkTarget {
@@ -747,7 +727,7 @@ mod tests {
         assert_eq!(bus.monitor().total_busy_cycles(), 33);
         assert_eq!(bus.monitor().transfer_count(), 3);
         assert_eq!(sink.transaction_count(), 3);
-        assert_eq!(sink.bit_count(), 960);
+        assert_eq!(sink.bits.get(), 960);
         // Saturated channel: peak utilization 100 % over the busy window.
         assert!(bus.monitor().average_utilization(sim.now()) > 0.99);
     }
@@ -868,7 +848,7 @@ mod tests {
         assert_eq!(span_busy, bus.monitor().total_busy_cycles());
         let u = tve_obs::utilization_from_spans(
             log.spans.iter(),
-            bus.config().monitor_window.as_cycles(),
+            bus.cfg.monitor_window.as_cycles(),
             bus.monitor().last_activity_end(),
         );
         assert_eq!(u.peak(), bus.monitor().peak_utilization());

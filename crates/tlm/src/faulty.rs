@@ -22,7 +22,7 @@ use crate::transport::{LocalBoxFuture, TamIf};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultyTamPolicy {
     /// Seed for the bit-position PRNG (any value; internally or-ed with 1).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Flip one payload bit in every `corrupt_every`-th transaction
     /// (0 disables corruption).
     pub corrupt_every: u32,
@@ -83,24 +83,9 @@ impl FaultyTam {
         }
     }
 
-    /// Transactions that entered the adaptor.
-    pub fn seen(&self) -> u64 {
-        self.seen.get()
-    }
-
-    /// Transactions that had a payload bit flipped.
-    pub fn corrupted(&self) -> u64 {
-        self.corrupted.get()
-    }
-
     /// Transactions dropped (answered with a target error, not forwarded).
     pub fn dropped(&self) -> u64 {
         self.dropped.get()
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> FaultyTamPolicy {
-        self.policy
     }
 
     fn next_rand(&self) -> u64 {
@@ -229,7 +214,7 @@ mod tests {
         });
         sim.run();
         let out = jh.try_take().expect("writer finished");
-        (out, faulty.corrupted(), faulty.dropped())
+        (out, faulty.corrupted.get(), faulty.dropped())
     }
 
     #[test]
@@ -261,7 +246,7 @@ mod tests {
                 f.write(InitiatorId(0), 0, &[0, 0, 0], 96).await.unwrap();
             });
             sim.run();
-            assert_eq!(faulty.corrupted(), 1);
+            assert_eq!(faulty.corrupted.get(), 1);
             let stored = echo.store.borrow().clone();
             stored
         }
@@ -325,7 +310,7 @@ mod tests {
                 .unwrap();
         });
         sim.run();
-        assert_eq!(faulty.seen(), 1);
-        assert_eq!(faulty.corrupted(), 0, "no payload bits to flip");
+        assert_eq!(faulty.seen.get(), 1);
+        assert_eq!(faulty.corrupted.get(), 0, "no payload bits to flip");
     }
 }

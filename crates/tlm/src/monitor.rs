@@ -95,11 +95,6 @@ impl UtilizationMonitor {
         v
     }
 
-    /// The peak-detection window length.
-    pub fn window(&self) -> Duration {
-        Duration::cycles(self.window)
-    }
-
     /// Records that the channel was busy for `dur` starting at `start` on
     /// behalf of `initiator`.
     pub fn record_busy(&mut self, start: Time, dur: Duration, initiator: InitiatorId) {
@@ -221,17 +216,6 @@ impl UtilizationMonitor {
         }
         trace
     }
-
-    /// Clears all recorded data, keeping the window configuration.
-    pub fn reset(&mut self) {
-        self.windows.clear();
-        self.hot_w = 0;
-        self.hot_busy = 0;
-        self.per_initiator.clear();
-        self.total_busy = 0;
-        self.transfers = 0;
-        self.last_end = Time::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -299,16 +283,6 @@ mod tests {
         assert_eq!(m.busy_cycles_of(InitiatorId(3)), 0);
         let all: Vec<_> = m.per_initiator().collect();
         assert_eq!(all, vec![(InitiatorId(1), 40), (InitiatorId(2), 20)]);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut m = UtilizationMonitor::new(d(10));
-        m.record_busy(t(0), d(10), InitiatorId(0));
-        m.reset();
-        assert_eq!(m.total_busy_cycles(), 0);
-        assert_eq!(m.peak_utilization(), 0.0);
-        assert_eq!(m.window(), d(10));
     }
 
     #[test]

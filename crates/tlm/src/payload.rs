@@ -98,7 +98,7 @@ pub struct Transaction {
     pub initiator: InitiatorId,
     /// Whether this is a volume-only (timing) transaction; see
     /// [`Transaction::volume`].
-    pub volume: bool,
+    pub(crate) volume: bool,
     /// Filled in by the target.
     pub status: ResponseStatus,
 }
@@ -143,7 +143,12 @@ impl Transaction {
     /// # Panics
     ///
     /// Panics if `data` is too short for `bit_len`.
-    pub fn write_read(initiator: InitiatorId, addr: u32, data: Vec<u32>, bit_len: u64) -> Self {
+    pub(crate) fn write_read(
+        initiator: InitiatorId,
+        addr: u32,
+        data: Vec<u32>,
+        bit_len: u64,
+    ) -> Self {
         let mut t = Transaction::write(initiator, addr, data, bit_len);
         t.cmd = Command::WriteRead;
         t

@@ -102,11 +102,6 @@ impl PowerMeter {
         self.last_end
     }
 
-    /// Energy attributed to `source`.
-    pub fn energy_of(&self, source: &str) -> f64 {
-        self.per_source.get(source).copied().unwrap_or(0.0)
-    }
-
     /// All per-source energies, alphabetically.
     pub fn per_source(&self) -> impl Iterator<Item = (&str, f64)> {
         self.per_source.iter().map(|(k, &v)| (k.as_str(), v))
@@ -133,14 +128,6 @@ impl PowerMeter {
         }
         self.total_energy / span_end.cycles() as f64
     }
-
-    /// Clears all recordings, keeping the window configuration.
-    pub fn reset(&mut self) {
-        self.windows.clear();
-        self.per_source.clear();
-        self.total_energy = 0.0;
-        self.last_end = Time::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -161,10 +148,10 @@ mod tests {
         m.record(t(10), d(10), 3.0, "b");
         m.record(t(20), d(10), 5.0, "a");
         assert_eq!(m.total_energy(), 130.0);
-        assert_eq!(m.energy_of("a"), 100.0);
-        assert_eq!(m.energy_of("b"), 30.0);
-        assert_eq!(m.energy_of("c"), 0.0);
-        assert_eq!(m.per_source().count(), 2);
+        assert_eq!(
+            m.per_source().collect::<Vec<_>>(),
+            vec![("a", 100.0), ("b", 30.0)]
+        );
     }
 
     #[test]
@@ -198,13 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_duration_and_reset() {
+    fn zero_duration_records_no_energy() {
         let mut m = PowerMeter::new(d(10));
         m.record(t(0), Duration::ZERO, 99.0, "a");
         assert_eq!(m.total_energy(), 0.0);
-        m.record(t(0), d(10), 1.0, "a");
-        m.reset();
-        assert_eq!(m.total_energy(), 0.0);
-        assert_eq!(m.peak_power(), 0.0);
     }
 }

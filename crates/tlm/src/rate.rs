@@ -70,18 +70,13 @@ impl RateLimiter {
         }
     }
 
-    /// The configured rate in bits per cycle.
-    pub fn bits_per_cycle(&self) -> f64 {
-        self.inner.bits_num as f64 / self.inner.bits_den as f64
-    }
-
     /// Total bits transported so far.
     pub fn total_bits(&self) -> u64 {
         self.inner.total_bits.get()
     }
 
     /// The number of cycles `bits` occupy on this link.
-    pub fn duration_of(&self, bits: u64) -> u64 {
+    pub(crate) fn duration_of(&self, bits: u64) -> u64 {
         // ceil(bits * den / num)
         (bits * self.inner.bits_den).div_ceil(self.inner.bits_num)
     }
@@ -112,11 +107,6 @@ impl RateLimiter {
         let end = self.reserve(bits);
         self.inner.handle.wait_until(end).await;
     }
-
-    /// When the link next becomes idle (for diagnostics and lookahead).
-    pub fn next_free(&self) -> Time {
-        Time::from_cycles(self.inner.next_free.get())
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +121,6 @@ mod tests {
         assert_eq!(l.duration_of(1), 3);
         assert_eq!(l.duration_of(2), 6);
         assert_eq!(l.duration_of(4), 12);
-        assert!((l.bits_per_cycle() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

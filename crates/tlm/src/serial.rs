@@ -10,11 +10,9 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use tve_obs::Recorder;
 use tve_sim::{Duration, SimHandle};
 
-use crate::bus::{AddrRange, BindError, ChannelRecorder};
-use crate::monitor::UtilizationMonitor;
+use crate::bus::{AddrRange, BindError};
 use crate::payload::{ResponseStatus, Transaction};
 use crate::transport::{LocalBoxFuture, TamIf};
 use crate::Arbiter;
@@ -38,8 +36,6 @@ pub struct SerialTam {
     overhead_cycles: u64,
     slots: RefCell<Vec<SerialSlot>>,
     arbiter: Arbiter,
-    monitor: RefCell<UtilizationMonitor>,
-    recorder: RefCell<Option<ChannelRecorder>>,
 }
 
 impl fmt::Debug for SerialTam {
@@ -61,17 +57,7 @@ impl SerialTam {
             overhead_cycles,
             slots: RefCell::new(Vec::new()),
             arbiter: Arbiter::new(handle, crate::ArbiterPolicy::Fcfs),
-            monitor: RefCell::new(UtilizationMonitor::new(Duration::cycles(65_536))),
-            recorder: RefCell::new(None),
         }
-    }
-
-    /// Attaches an observability recorder: every chain occupancy becomes
-    /// a [`tve_obs::SpanKind::Transfer`] span on this chain's track, and
-    /// the `"<name>.transfers"` / `"<name>.bits"` counters accumulate in
-    /// the recorder's metrics registry.
-    pub fn attach_recorder(&self, recorder: Rc<Recorder>) {
-        *self.recorder.borrow_mut() = Some(ChannelRecorder::new(&self.name, recorder));
     }
 
     /// Appends `target` to the chain, reachable at `range`, contributing
@@ -103,23 +89,8 @@ impl SerialTam {
         Ok(())
     }
 
-    /// Number of chained members.
-    pub fn slot_count(&self) -> usize {
-        self.slots.borrow().len()
-    }
-
-    /// The chain's utilization monitor.
-    pub fn monitor(&self) -> std::cell::Ref<'_, UtilizationMonitor> {
-        self.monitor.borrow()
-    }
-
     /// Cycles an access of `bit_len` bits to the slot at `addr` occupies
-    /// the chain, or `None` for an unmapped address.
-    pub fn occupancy_of(&self, addr: u32, bit_len: u64) -> Option<Duration> {
-        self.route(addr, bit_len).map(|(dur, _)| dur)
-    }
-
-    /// [`SerialTam::occupancy_of`] together with the target at `addr`.
+    /// the chain, with that slot's target; `None` for an unmapped address.
     fn route(&self, addr: u32, bit_len: u64) -> Option<(Duration, Rc<dyn TamIf>)> {
         let slots = self.slots.borrow();
         let hit = slots.iter().position(|s| s.range.contains(addr))?;
@@ -146,12 +117,6 @@ impl TamIf for SerialTam {
                 return;
             };
             self.arbiter.acquire(txn.initiator).await;
-            self.monitor
-                .borrow_mut()
-                .record_busy(self.handle.now(), dur, txn.initiator);
-            if let Some(obs) = &*self.recorder.borrow() {
-                obs.record_transfer(&self.name, txn, self.handle.now(), dur, txn.bit_len);
-            }
             self.handle.wait(dur).await;
             self.arbiter.release();
             target.transport(txn).await;
@@ -191,10 +156,11 @@ mod tests {
         let sim = Simulation::new();
         let (tam, _, _) = chain(&sim);
         // Access to a: 5 overhead + 64 payload + 3 (b's bypass).
-        assert_eq!(tam.occupancy_of(0x100, 64), Some(Duration::cycles(72)));
+        let occupancy = |addr| tam.route(addr, 64).map(|(dur, _)| dur);
+        assert_eq!(occupancy(0x100), Some(Duration::cycles(72)));
         // Access to b: 5 + 64 + 1 (a's bypass).
-        assert_eq!(tam.occupancy_of(0x200, 64), Some(Duration::cycles(70)));
-        assert_eq!(tam.occupancy_of(0x900, 64), None);
+        assert_eq!(occupancy(0x200), Some(Duration::cycles(70)));
+        assert_eq!(occupancy(0x900), None);
     }
 
     #[test]
@@ -213,7 +179,6 @@ mod tests {
         assert_eq!(sim.run().cycles(), 142);
         assert_eq!(a.transaction_count(), 1);
         assert_eq!(b.transaction_count(), 1);
-        assert_eq!(tam.monitor().total_busy_cycles(), 142);
     }
 
     #[test]
@@ -234,7 +199,7 @@ mod tests {
         // The TAM-spectrum trade-off in one assertion.
         let sim = Simulation::new();
         let (tam, _, _) = chain(&sim);
-        let serial = tam.occupancy_of(0x100, 4096).unwrap();
+        let serial = tam.route(0x100, 4096).unwrap().0;
         let bus = crate::BusTam::new(
             &sim.handle(),
             crate::BusConfig {
@@ -254,6 +219,6 @@ mod tests {
         assert!(tam
             .bind(AddrRange::new(0x105, 4), 1, c as Rc<dyn TamIf>)
             .is_err());
-        assert_eq!(tam.slot_count(), 2);
+        assert_eq!(tam.slots.borrow().len(), 2);
     }
 }

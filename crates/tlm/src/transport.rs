@@ -17,9 +17,9 @@ pub struct TamError {
     /// The failing status reported by the target or channel.
     pub status: ResponseStatus,
     /// The address the transaction was directed at.
-    pub addr: u32,
+    pub(crate) addr: u32,
     /// The attempted command.
-    pub cmd: Command,
+    pub(crate) cmd: Command,
 }
 
 impl fmt::Display for TamError {

@@ -10,10 +10,7 @@ use std::ops::BitXor;
 ///
 /// ```
 /// use tve_tpg::BitVec;
-/// let mut v = BitVec::new();
-/// v.push(true);
-/// v.push(false);
-/// v.push(true);
+/// let v = BitVec::from_bits([true, false, true]);
 /// assert_eq!(v.len(), 3);
 /// assert_eq!(v.get(0), Some(true));
 /// assert_eq!(v.count_ones(), 2);
@@ -39,7 +36,7 @@ impl fmt::Debug for BitVec {
 
 impl BitVec {
     /// Creates an empty bit vector.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BitVec::default()
     }
 
@@ -116,7 +113,7 @@ impl BitVec {
     }
 
     /// Appends a bit.
-    pub fn push(&mut self, bit: bool) {
+    pub(crate) fn push(&mut self, bit: bool) {
         let (w, b) = (self.len / 32, self.len % 32);
         if w == self.words.len() {
             self.words.push(0);
@@ -160,15 +157,8 @@ impl BitVec {
     }
 
     /// Iterates over the bits.
-    pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i).expect("in range"))
-    }
-
-    /// Appends all bits of `other`.
-    pub fn extend_from(&mut self, other: &BitVec) {
-        for b in other.iter() {
-            self.push(b);
-        }
     }
 
     /// Hamming distance to `other`.
@@ -187,7 +177,7 @@ impl BitVec {
 
     /// Number of transitions between adjacent bits (scan toggle count,
     /// the basis of shift-power estimation).
-    pub fn transition_count(&self) -> usize {
+    pub(crate) fn transition_count(&self) -> usize {
         if self.len < 2 {
             return 0;
         }
@@ -319,13 +309,5 @@ mod tests {
         let mut w = BitVec::new();
         w.extend([false, true]);
         assert_eq!(w.len(), 2);
-    }
-
-    #[test]
-    fn extend_from_concatenates() {
-        let mut a = BitVec::from_bits([true, false]);
-        let b = BitVec::from_bits([true, true]);
-        a.extend_from(&b);
-        assert_eq!(a, BitVec::from_bits([true, false, true, true]));
     }
 }

@@ -9,7 +9,7 @@ use crate::bitvec::BitVec;
 /// use tve_tpg::{XorCompactor, BitVec};
 /// let c = XorCompactor::new(8, 2).unwrap();
 /// let slice = BitVec::from_bits([true, false, false, false, true, true, false, false]);
-/// let out = c.compact_slice(&slice);
+/// let out = c.compact_image(&slice);
 /// assert_eq!(out.len(), 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,43 +31,8 @@ impl XorCompactor {
         Some(XorCompactor { inputs, outputs })
     }
 
-    /// Number of input bits per slice.
-    pub fn inputs(&self) -> u32 {
-        self.inputs
-    }
-
-    /// Number of output bits per slice.
-    pub fn outputs(&self) -> u32 {
-        self.outputs
-    }
-
-    /// The compaction ratio `inputs / outputs`.
-    pub fn ratio(&self) -> f64 {
-        self.inputs as f64 / self.outputs as f64
-    }
-
-    /// Compacts one slice of `inputs` bits to `outputs` bits: output `o` is
-    /// the parity of inputs `i` with `i % outputs == o`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice length differs from `inputs`.
-    pub fn compact_slice(&self, slice: &BitVec) -> BitVec {
-        assert_eq!(slice.len() as u32, self.inputs, "slice width mismatch");
-        let mut out = BitVec::zeros(self.outputs as usize);
-        for i in 0..self.inputs as usize {
-            if slice.get(i) == Some(true) {
-                let o = i % self.outputs as usize;
-                let cur = out.get(o).expect("in range");
-                out.set(o, !cur);
-            }
-        }
-        out
-    }
-
-    /// Compacts a full chain-major response image, with the same result
-    /// as [`compact_slice`](Self::compact_slice) applied to every scan
-    /// cycle.
+    /// Compacts a full chain-major response image: in every scan cycle,
+    /// output `o` is the parity of inputs `i` with `i % outputs == o`.
     ///
     /// The image holds `inputs` chains of equal length; the result holds
     /// `outputs` compacted streams of the same length, chain-major. Since
@@ -124,12 +89,27 @@ fn xor_bits(words: &mut [u32], start: usize, x: u32, n: usize) {
 mod tests {
     use super::*;
 
+    /// Compacts one slice of `inputs` bits to `outputs` bits: output `o`
+    /// is the parity of inputs `i` with `i % outputs == o`. The per-cycle
+    /// reference for [`XorCompactor::compact_image`].
+    fn compact_slice(c: &XorCompactor, slice: &BitVec) -> BitVec {
+        assert_eq!(slice.len() as u32, c.inputs, "slice width mismatch");
+        let mut out = BitVec::zeros(c.outputs as usize);
+        for i in 0..c.inputs as usize {
+            if slice.get(i) == Some(true) {
+                let o = i % c.outputs as usize;
+                let cur = out.get(o).expect("in range");
+                out.set(o, !cur);
+            }
+        }
+        out
+    }
+
     #[test]
     fn construction_validates() {
         assert!(XorCompactor::new(8, 0).is_none());
         assert!(XorCompactor::new(4, 8).is_none());
-        let c = XorCompactor::new(8, 4).unwrap();
-        assert_eq!(c.ratio(), 2.0);
+        assert!(XorCompactor::new(8, 4).is_some());
     }
 
     #[test]
@@ -141,8 +121,8 @@ mod tests {
             let mut dirty = clean.clone();
             dirty.set(e, true);
             assert_ne!(
-                c.compact_slice(&clean),
-                c.compact_slice(&dirty),
+                compact_slice(&c, &clean),
+                compact_slice(&c, &dirty),
                 "error at {e} masked"
             );
         }
@@ -157,21 +137,21 @@ mod tests {
         let mut dirty = clean.clone();
         dirty.set(0, true);
         dirty.set(4, true); // same group (0 % 4 == 4 % 4)
-        assert_eq!(c.compact_slice(&clean), c.compact_slice(&dirty));
+        assert_eq!(compact_slice(&c, &clean), compact_slice(&c, &dirty));
     }
 
-    /// Per-cycle compaction through [`XorCompactor::compact_slice`], the
+    /// Per-cycle compaction through [`compact_slice`], the
     /// loop that the word-folding [`XorCompactor::compact_image`]
     /// replaced.
     fn reference_compact_image(c: &XorCompactor, image: &BitVec) -> BitVec {
-        let len = image.len() / c.inputs() as usize;
-        let mut out = BitVec::zeros(c.outputs() as usize * len);
+        let len = image.len() / c.inputs as usize;
+        let mut out = BitVec::zeros(c.outputs as usize * len);
         for cycle in 0..len {
-            let slice: BitVec = (0..c.inputs() as usize)
+            let slice: BitVec = (0..c.inputs as usize)
                 .map(|ch| image.get(ch * len + cycle).unwrap())
                 .collect();
-            let folded = c.compact_slice(&slice);
-            for o in 0..c.outputs() as usize {
+            let folded = compact_slice(c, &slice);
+            for o in 0..c.outputs as usize {
                 if folded.get(o) == Some(true) {
                     out.set(o * len + cycle, true);
                 }

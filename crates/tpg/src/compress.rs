@@ -7,10 +7,6 @@
 //! * [`ReseedingCodec`] — EDT-style linear decompression: the stimulus is
 //!   the expansion of a short LFSR seed through a phase shifter, and
 //!   compression solves the care bits' linear system over GF(2).
-//!
-//! [`StaticRatio`] additionally models a fixed-ratio scheme for
-//! volume-only (timing) simulation, matching the paper's "compression ratio
-//! of 50X" test sequence.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -270,16 +266,6 @@ impl ReseedingCodec {
         })
     }
 
-    /// The decompressor's seed capacity in bits.
-    pub fn seed_bits(&self) -> u32 {
-        self.degree
-    }
-
-    /// The fixed structural ratio (pattern bits per seed bit).
-    pub fn structural_ratio(&self) -> f64 {
-        self.config.bits_per_pattern() as f64 / self.degree as f64
-    }
-
     /// Symbolically expands the decompressor: for every scan position the
     /// GF(2) mask over seed bits that produces it.
     fn expansion_rows(&self) -> Vec<u64> {
@@ -403,42 +389,6 @@ impl Compressor for ReseedingCodec {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Static-ratio volume model
-// ---------------------------------------------------------------------------
-
-/// A non-materializing fixed-ratio compression model for volume-only
-/// simulation: `compressed_bits = ceil(raw_bits / ratio)`.
-///
-/// This is the model behind the paper's "compressed test data with a
-/// compression ratio of 50X" sequence when simulating at exploration speed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StaticRatio {
-    ratio: f64,
-}
-
-impl StaticRatio {
-    /// Creates a fixed-ratio model.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `ratio >= 1.0`.
-    pub fn new(ratio: f64) -> Self {
-        assert!(ratio >= 1.0, "compression ratio must be >= 1");
-        StaticRatio { ratio }
-    }
-
-    /// The modeled ratio.
-    pub fn ratio(&self) -> f64 {
-        self.ratio
-    }
-
-    /// Compressed volume for `raw_bits` of stimulus.
-    pub fn compressed_bits(&self, raw_bits: u64) -> u64 {
-        (raw_bits as f64 / self.ratio).ceil() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,11 +413,7 @@ mod tests {
     fn run_length_long_runs_split_correctly() {
         let codec = RunLengthCodec::new(ScanConfig::new(1, 100), 3).unwrap();
         // all-zero cube: single run of 100 with 3-bit counts (max 7)
-        let cube = TestCube::new(
-            BitVec::zeros(100),
-            BitVec::zeros(100),
-            ScanConfig::new(1, 100),
-        );
+        let cube = TestCube::random(ScanConfig::new(1, 100), 0, 0);
         let stream = codec.compress(&cube).unwrap();
         let pat = codec.decompress(&stream).unwrap();
         assert_eq!(pat.stimulus().count_ones(), 0);
@@ -631,13 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn reseeding_ratio_is_structural() {
-        let codec = ReseedingCodec::new(ScanConfig::new(32, 100), 64).unwrap();
-        assert_eq!(codec.structural_ratio(), 3200.0 / 64.0);
-        assert_eq!(codec.seed_bits(), 64);
-    }
-
-    #[test]
     fn reseeding_overconstrained_cube_fails_gracefully() {
         let codec = ReseedingCodec::new(cfg(), 16).unwrap();
         // 128 care bits >> 16 seed bits: essentially surely unsolvable.
@@ -671,20 +610,5 @@ mod tests {
             codec.decompress(&BitVec::zeros(31)).unwrap_err(),
             CompressError::Malformed(_)
         ));
-    }
-
-    #[test]
-    fn static_ratio_volume() {
-        let s = StaticRatio::new(50.0);
-        assert_eq!(s.compressed_bits(5000), 100);
-        assert_eq!(s.compressed_bits(4999), 100);
-        assert_eq!(s.compressed_bits(1), 1);
-        assert_eq!(s.ratio(), 50.0);
-    }
-
-    #[test]
-    #[should_panic(expected = ">= 1")]
-    fn static_ratio_below_one_panics() {
-        let _ = StaticRatio::new(0.5);
     }
 }

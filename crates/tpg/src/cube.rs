@@ -34,31 +34,6 @@ impl fmt::Display for TestCube {
 }
 
 impl TestCube {
-    /// Creates a cube from care mask and values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths mismatch the geometry, or if a value bit is set at
-    /// a don't-care position.
-    pub fn new(care: BitVec, value: BitVec, config: ScanConfig) -> Self {
-        assert_eq!(care.len() as u64, config.bits_per_pattern(), "care length");
-        assert_eq!(value.len(), care.len(), "value length");
-        for i in 0..care.len() {
-            if value.get(i) == Some(true) {
-                assert_eq!(
-                    care.get(i),
-                    Some(true),
-                    "value bit {i} set at a don't-care position"
-                );
-            }
-        }
-        TestCube {
-            care,
-            value,
-            config,
-        }
-    }
-
     /// Generates a reproducible random cube with `specified` care bits.
     ///
     /// # Panics
@@ -89,22 +64,22 @@ impl TestCube {
     }
 
     /// The scan geometry.
-    pub fn config(&self) -> ScanConfig {
+    pub(crate) fn config(&self) -> ScanConfig {
         self.config
     }
 
     /// The care-bit mask.
-    pub fn care(&self) -> &BitVec {
+    pub(crate) fn care(&self) -> &BitVec {
         &self.care
     }
 
     /// The specified values.
-    pub fn value(&self) -> &BitVec {
+    pub(crate) fn value(&self) -> &BitVec {
         &self.value
     }
 
     /// Number of specified bits.
-    pub fn specified_count(&self) -> usize {
+    pub(crate) fn specified_count(&self) -> usize {
         self.care.count_ones()
     }
 
@@ -147,24 +122,17 @@ mod tests {
         let cfg = ScanConfig::new(1, 4);
         let care = BitVec::from_bits([true, false, true, false]);
         let value = BitVec::from_bits([true, false, false, false]);
-        let cube = TestCube::new(care, value, cfg);
+        let cube = TestCube {
+            care,
+            value,
+            config: cfg,
+        };
 
         let good = ScanPattern::new(BitVec::from_bits([true, true, false, true]), cfg);
         let bad = ScanPattern::new(BitVec::from_bits([false, true, false, true]), cfg);
         assert!(cube.is_satisfied_by(&good));
         assert!(!cube.is_satisfied_by(&bad));
         assert!(cube.is_satisfied_by(&cube.zero_fill()));
-    }
-
-    #[test]
-    #[should_panic(expected = "don't-care position")]
-    fn value_at_dont_care_panics() {
-        let cfg = ScanConfig::new(1, 2);
-        let _ = TestCube::new(
-            BitVec::from_bits([false, false]),
-            BitVec::from_bits([true, false]),
-            cfg,
-        );
     }
 
     #[test]

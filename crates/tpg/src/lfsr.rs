@@ -9,7 +9,7 @@ use std::fmt;
 /// Entry `(n, taps)`: `taps` has bit `i-1` set when `x^i` appears in the
 /// feedback polynomial (the `x^n` term is implicit). Sourced from standard
 /// maximal-LFSR tap tables.
-pub const MAXIMAL_TAPS: &[(u32, u64)] = &[
+pub(crate) const MAXIMAL_TAPS: &[(u32, u64)] = &[
     (3, 0b110),
     (4, 0b1100),
     (5, 0b1_0100),
@@ -71,7 +71,7 @@ impl std::error::Error for PolyError {}
 
 /// LFSR hardware structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum LfsrForm {
+pub(crate) enum LfsrForm {
     /// External-XOR (Fibonacci): feedback is the parity of the tapped bits.
     #[default]
     Fibonacci,
@@ -105,7 +105,12 @@ impl Lfsr {
     /// # Errors
     ///
     /// See [`PolyError`].
-    pub fn new(degree: u32, taps: u64, seed: u64, form: LfsrForm) -> Result<Self, PolyError> {
+    pub(crate) fn new(
+        degree: u32,
+        taps: u64,
+        seed: u64,
+        form: LfsrForm,
+    ) -> Result<Self, PolyError> {
         if degree == 0 || degree > 64 {
             return Err(PolyError::DegreeOutOfRange(degree));
         }
@@ -130,7 +135,7 @@ impl Lfsr {
     /// # Errors
     ///
     /// Returns [`PolyError::NoKnownMaximalTaps`] if the degree is not in
-    /// [`MAXIMAL_TAPS`], or [`PolyError::ZeroState`] for a zero seed.
+    /// `MAXIMAL_TAPS`, or [`PolyError::ZeroState`] for a zero seed.
     pub fn maximal(degree: u32, seed: u64) -> Result<Self, PolyError> {
         let taps = MAXIMAL_TAPS
             .iter()
@@ -149,27 +154,13 @@ impl Lfsr {
     }
 
     /// The register degree (number of stages).
-    pub fn degree(&self) -> u32 {
+    pub(crate) fn degree(&self) -> u32 {
         self.degree
     }
 
     /// The current register contents.
     pub fn state(&self) -> u64 {
         self.state
-    }
-
-    /// Replaces the register contents (reseeding).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolyError::ZeroState`] for an (effective) zero seed.
-    pub fn reseed(&mut self, seed: u64) -> Result<(), PolyError> {
-        let s = seed & Self::mask_of(self.degree);
-        if s == 0 {
-            return Err(PolyError::ZeroState);
-        }
-        self.state = s;
-        Ok(())
     }
 
     /// Clones the register with an arbitrary state, zero allowed.
@@ -291,15 +282,6 @@ mod tests {
                 taps: 0b10000
             }
         );
-    }
-
-    #[test]
-    fn reseed_replaces_state() {
-        let mut l = Lfsr::maximal(16, 1).unwrap();
-        l.step_word(10);
-        l.reseed(0x1234).unwrap();
-        assert_eq!(l.state(), 0x1234);
-        assert_eq!(l.reseed(0).unwrap_err(), PolyError::ZeroState);
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 //! # tve-tpg — test pattern generation and compression
@@ -34,9 +35,9 @@ mod prpg;
 
 pub use bitvec::BitVec;
 pub use compact::XorCompactor;
-pub use compress::{CompressError, Compressor, ReseedingCodec, RunLengthCodec, StaticRatio};
+pub use compress::{CompressError, Compressor, ReseedingCodec, RunLengthCodec};
 pub use cube::TestCube;
-pub use lfsr::{Lfsr, LfsrForm, PolyError, MAXIMAL_TAPS};
+pub use lfsr::{Lfsr, PolyError};
 pub use misr::Misr;
 pub use pattern::{PatternSet, ScanConfig, ScanPattern};
 pub use prpg::{Prpg, Weight, WeightedPrpg};

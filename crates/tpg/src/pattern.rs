@@ -80,7 +80,7 @@ impl ScanPattern {
     }
 
     /// The scan geometry.
-    pub fn config(&self) -> ScanConfig {
+    pub(crate) fn config(&self) -> ScanConfig {
         self.config
     }
 
@@ -94,7 +94,7 @@ impl ScanPattern {
     /// # Panics
     ///
     /// Panics if `chain` is out of range.
-    pub fn chain_bits(&self, chain: u32) -> BitVec {
+    pub(crate) fn chain_bits(&self, chain: u32) -> BitVec {
         assert!(chain < self.config.chains, "chain {chain} out of range");
         let len = self.config.max_chain_len as usize;
         let start = chain as usize * len;

@@ -167,6 +167,75 @@ fn non_json_frame_gets_typed_error_and_connection_survives() {
     assert!(pong.contains("\"ok\":true"), "{pong}");
 }
 
+/// Sends one request frame on a fresh connection and returns the
+/// response's `(error_kind, error)`.
+fn request_error(socket: &PathBuf, request: &str) -> (String, String) {
+    let mut stream = raw_connect(socket);
+    write_frame(&mut stream, request).expect("frame written");
+    let response = read_frame(&mut stream)
+        .expect("response readable")
+        .expect("daemon answers");
+    let parsed = tve::obs::parse_json(&response).expect("well-formed error frame");
+    let field = |key| {
+        parsed
+            .get(key)
+            .and_then(JsonValue::as_str)
+            .unwrap_or_default()
+    };
+    (field("error_kind").to_string(), field("error").to_string())
+}
+
+/// The exact client-visible texts of the request decoder's errors, each
+/// a typed `protocol` error on the shared daemon.
+#[test]
+fn request_decoder_error_texts_are_pinned() {
+    let socket = frames_daemon();
+    for (request, text) in [
+        (r#"{"id":1}"#, "missing field 'cmd'"),
+        (r#"{"cmd":7}"#, "field 'cmd' is not a string"),
+        (r#"{"cmd":"submit"}"#, "missing field 'job'"),
+        (
+            r#"{"cmd":"submit","job":{"kind":"schedule","schedule":1,"workload":{"preset":"small"}},"wait":1}"#,
+            "field 'wait' is not a boolean",
+        ),
+        (r#"{"cmd":"status"}"#, "missing field 'id'"),
+        (r#"{"cmd":"result","id":"7"}"#, "field 'id' is not a u64"),
+        (r#"{"cmd":"status","id":999999}"#, "unknown job id 999999"),
+        (r#"{"cmd":"invalidate"}"#, "missing field 'workload'"),
+        (
+            r#"{"cmd":"invalidate","workload":{"preset":"small"}}"#,
+            "missing field 'edit'",
+        ),
+    ] {
+        let (kind, error) = request_error(socket, request);
+        assert_eq!(
+            (kind.as_str(), error.as_str()),
+            ("protocol", text),
+            "{request}"
+        );
+    }
+    assert_alive(socket);
+}
+
+/// A workload whose memory cannot be built is refused at decode with a
+/// typed `protocol` error, for a simulating job and for a static one
+/// alike, and the daemon stays up.
+#[test]
+fn unbuildable_memory_size_gets_typed_protocol_error() {
+    let socket = frames_daemon();
+    for kind in [r#""kind":"schedule","schedule":1"#, r#""kind":"bounds""#] {
+        for words in [0u64, 4_026_531_841] {
+            let request = format!(
+                r#"{{"cmd":"submit","job":{{{kind},"workload":{{"preset":"small","mem_words":{words}}}}}}}"#
+            );
+            let (error_kind, error) = request_error(socket, &request);
+            assert_eq!(error_kind, "protocol", "{request}: {error}");
+            assert_eq!(error, "\"mem_words\" must be 1..=4026531840");
+        }
+    }
+    assert_alive(socket);
+}
+
 #[test]
 fn silent_connection_is_dropped_at_the_read_timeout() {
     let socket = frames_daemon();
