@@ -5,16 +5,16 @@
 //! and emits the detection matrix as CSV and JSON.
 //!
 //! Usage: `campaign [--schedule 1-4|all] [--faults N] [--seed S]
-//! [--mem-words N] [--csv PATH] [--json PATH] [--no-diagnosis]
-//! [--daemon [SOCKET]]` —
+//! [--mem-words N] [--csv PATH] [--json PATH] [--no-diagnosis]` —
 //! `--faults` sets the sampled scan cells per core *and* memory faults
 //! (default 4 each), `--seed` reseeds the population sampler, and the
 //! matrix lands at `target/campaign_matrix.csv` / `.json` by default.
 //! `TVE_JOBS` overrides the farm's worker count; the artifacts are
-//! byte-identical for any worker count. `--daemon [SOCKET]` submits the
-//! campaign to a running `tve-serve` daemon instead, which serves
-//! previously simulated (fault × schedule) cells from its result cache
-//! and still writes byte-identical artifacts.
+//! byte-identical for any worker count. `tve-client campaign` with the
+//! same `--faults`, `--seed` and `--mem-words` runs the campaign on a
+//! `tve-serve` daemon, which serves previously simulated
+//! (fault × schedule) cells from its result cache and returns
+//! byte-identical artifacts.
 //!
 //! Scale-out flags (see `DESIGN.md`, "Campaign scale-out"):
 //!
@@ -30,9 +30,6 @@
 //!   self-validating journal; re-running the identical command after a
 //!   crash (or `kill -9`) resumes from the journal and produces the
 //!   identical artifact.
-//! - `--spawn N` forks `N` child processes of this binary, one per
-//!   shard, waits for them, and merges their reports — a one-flag
-//!   multi-process campaign.
 //!
 //! When all four schedules run, the binary *asserts* the campaign's
 //! acceptance criteria — 100 % union detection of scan-cell and memory
@@ -42,14 +39,13 @@
 
 use std::path::{Path, PathBuf};
 
-use tve_bench::{daemon_connect, daemon_socket, write_artifact};
+use tve_bench::write_artifact;
 use tve_campaign::{
     generate, merge_shards, run_campaign, run_campaign_journaled, run_campaign_shard,
     CampaignConfig, CampaignReport, PopulationSpec, ShardReport, ShardSpec,
 };
-use tve_obs::{check_json, JsonValue};
+use tve_obs::check_json;
 use tve_sched::Farm;
-use tve_serve::{JobKind, JobSpec};
 use tve_soc::{paper_schedules, Workload};
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -96,18 +92,8 @@ fn main() {
     let shard_out = arg_value(&args, "--shard-out").map(PathBuf::from);
     let merge_files = arg_values(&args, "--merge");
     let journal_path = arg_value(&args, "--journal").map(PathBuf::from);
-    let spawn = arg_value(&args, "--spawn").map(|s| {
-        s.parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                eprintln!("error: --spawn wants a process count >= 1");
-                std::process::exit(2);
-            })
-    });
 
-    let workload = Workload::small().with_mem_words(mem_words);
-    let (soc, plan) = workload.build();
+    let (soc, plan) = Workload::small().with_mem_words(mem_words).build();
 
     let all = paper_schedules();
     let indices: Vec<usize> = match schedule_sel.as_str() {
@@ -128,13 +114,6 @@ fn main() {
     let complete = schedules.len() == all.len();
     let diagnosis = !args.iter().any(|a| a == "--no-diagnosis");
 
-    if let Some(socket) = daemon_socket(&args) {
-        run_via_daemon(
-            &socket, &workload, &indices, seed, faults, diagnosis, &csv_path, &json_path, complete,
-        );
-        return;
-    }
-
     let spec = PopulationSpec {
         seed,
         scan_cells_per_core: faults,
@@ -150,13 +129,6 @@ fn main() {
         c.diagnosis = diagnosis;
         c
     };
-
-    // --spawn: fork one child per shard, merge their reports.
-    if let Some(count) = spawn {
-        let report = run_spawned(&args, &config, count);
-        report_and_check(&config, &report, &csv_path, &json_path, complete);
-        return;
-    }
 
     // --merge: reassemble shard reports written by earlier --shard runs.
     if !merge_files.is_empty() {
@@ -257,67 +229,11 @@ fn merge_files_into_report(config: &CampaignConfig, files: &[String]) -> Campaig
     })
 }
 
-/// Forks `count` children of this binary — one `--shard k/count` each,
-/// same campaign flags — waits for all of them, and merges the reports.
-/// Children default to one farm worker unless `TVE_JOBS` says otherwise,
-/// so the processes, not the threads, are the parallelism.
-fn run_spawned(args: &[String], config: &CampaignConfig, count: usize) -> CampaignReport {
-    let exe = std::env::current_exe().unwrap_or_else(|e| {
-        eprintln!("error: cannot locate own binary: {e}");
-        std::process::exit(2);
-    });
-    // Keep the campaign-defining flags; strip orchestration and output
-    // flags, which each child gets its own values for.
-    let drop_with_value = ["--spawn", "--csv", "--json", "--shard-out", "--merge"];
-    let mut kept: Vec<String> = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        if drop_with_value.contains(&args[i].as_str()) {
-            i += 2;
-            continue;
-        }
-        kept.push(args[i].clone());
-        i += 1;
-    }
-    println!("spawning {count} shard processes");
-    let mut children = Vec::new();
-    let mut outs = Vec::new();
-    for k in 1..=count {
-        let out = format!("target/campaign_shard_{k}_of_{count}.json");
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.args(&kept)
-            .arg("--shard")
-            .arg(format!("{k}/{count}"))
-            .arg("--shard-out")
-            .arg(&out);
-        if std::env::var_os("TVE_JOBS").is_none() {
-            cmd.env("TVE_JOBS", "1");
-        }
-        let child = cmd.spawn().unwrap_or_else(|e| {
-            eprintln!("error: spawning shard {k}/{count}: {e}");
-            std::process::exit(2);
-        });
-        children.push((k, child));
-        outs.push(out);
-    }
-    for (k, mut child) in children {
-        let status = child.wait().unwrap_or_else(|e| {
-            eprintln!("error: waiting for shard {k}/{count}: {e}");
-            std::process::exit(2);
-        });
-        if !status.success() {
-            eprintln!("error: shard {k}/{count} exited with {status}");
-            std::process::exit(1);
-        }
-    }
-    merge_files_into_report(config, &outs)
-}
-
 /// Prints the per-schedule summary, writes the matrix artifacts, and —
 /// when all four schedules ran — asserts the campaign's acceptance
 /// criteria, exiting nonzero on violation. Shared by the local,
-/// journaled, merged and spawned paths, so every mode emits the
-/// identical artifact for the identical configuration.
+/// journaled and merged paths, so every mode emits the identical
+/// artifact for the identical configuration.
 fn report_and_check(
     config: &CampaignConfig,
     report: &CampaignReport,
@@ -413,124 +329,5 @@ fn report_and_check(
     }
     if failed {
         std::process::exit(1);
-    }
-}
-
-/// Submits the campaign to a running `tve-serve` daemon. The daemon
-/// serves already-simulated cells from its cache and returns the same
-/// CSV/JSON artifacts a local run writes, plus how much of the matrix
-/// was a hit — so back-to-back runs are near-instant and byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn run_via_daemon(
-    socket: &std::path::Path,
-    workload: &Workload,
-    indices: &[usize],
-    seed: u64,
-    faults: usize,
-    diagnosis: bool,
-    csv_path: &Path,
-    json_path: &Path,
-    complete: bool,
-) {
-    let mut client = daemon_connect(socket);
-    let job = JobSpec {
-        workload: workload.clone(),
-        kind: JobKind::Campaign {
-            schedules: indices.to_vec(),
-            seed,
-            faults,
-            diagnosis,
-            shard: None,
-        },
-        verify: None,
-        deadline_ms: None,
-    };
-    let result = client.submit(&job).unwrap_or_else(|e| {
-        eprintln!("error: campaign failed on the daemon: {e}");
-        std::process::exit(2);
-    });
-    let count = |key: &str| {
-        result
-            .get(key)
-            .and_then(JsonValue::as_u64)
-            .unwrap_or_default()
-    };
-    println!(
-        "fault campaign via tve-serve at {}: {} cells, {} simulated / {} cached, {:.1} ms",
-        socket.display(),
-        count("cells"),
-        count("cells_simulated"),
-        count("cells_cached"),
-        count("wall_us") as f64 / 1e3
-    );
-
-    println!("\nper-schedule core-fault coverage (scan-cell + memory):");
-    for entry in result
-        .get("coverage")
-        .and_then(JsonValue::as_arr)
-        .unwrap_or_default()
-    {
-        println!(
-            "  {:<36} {:>5.1}%  ({} escapes)",
-            entry
-                .get("schedule")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("?"),
-            entry
-                .get("core_coverage")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0)
-                * 100.0,
-            entry
-                .get("escapes")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or_default()
-        );
-    }
-
-    let csv = result
-        .get("csv")
-        .and_then(JsonValue::as_str)
-        .unwrap_or_else(|| {
-            eprintln!("error: daemon response carried no CSV artifact");
-            std::process::exit(2);
-        });
-    let json = result
-        .get("json")
-        .and_then(JsonValue::as_str)
-        .unwrap_or_else(|| {
-            eprintln!("error: daemon response carried no JSON artifact");
-            std::process::exit(2);
-        });
-    write_artifact(csv_path, csv);
-    write_artifact(json_path, json);
-    println!(
-        "matrix: {} and {} ({} cells)",
-        csv_path.display(),
-        json_path.display(),
-        count("cells")
-    );
-
-    if complete {
-        let mut failed = false;
-        let union_escapes = count("union_escapes");
-        if union_escapes == 0 {
-            println!("OK: 100% of scan-cell and memory faults detected by the schedule union");
-        } else {
-            eprintln!("FAIL: {union_escapes} core faults escaped every schedule");
-            failed = true;
-        }
-        if diagnosis
-            && result
-                .get("all_diagnoses_confirmed")
-                .and_then(JsonValue::as_bool)
-                != Some(true)
-        {
-            eprintln!("FAIL: diagnosis disagreed with the injected cell for some faults");
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
     }
 }

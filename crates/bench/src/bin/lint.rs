@@ -7,7 +7,7 @@
 //! error-severity diagnostic is present — so CI can run it as a check.
 //!
 //! Usage: `lint [--seed-defect] [--budget P] [--json PATH] [--bounds]
-//! [--bounds-json PATH] [--program PATH]... [--daemon [SOCKET]]` —
+//! [--bounds-json PATH] [--program PATH]...` —
 //! `--seed-defect` adds a deliberately broken schedule and program (the
 //! walkthrough exhibits; the exit code must go nonzero), `--budget`
 //! enables the phase power check, extra `--program` files are linted
@@ -16,19 +16,17 @@
 //! computes the certified static envelopes of every linted schedule
 //! (human table plus a versioned JSON artifact, default
 //! `target/bounds_report.json`) — pure analysis, no simulation.
-//! `--daemon [SOCKET]` asks a running `tve-serve` daemon to lint the
-//! four schedules and the production program instead (cached after the
-//! first request; `--bounds` submits a daemon `bounds` job too); the
-//! local-only knobs (`--seed-defect`, `--budget`, extra `--program`
-//! files) are rejected in that mode.
+//! `tve-client --preset paper lint --program
+//! examples/programs/production.tvp` and `tve-client --preset paper
+//! bounds` ask a `tve-serve` daemon for the same reports of the four
+//! schedules and the production program.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use tve_bench::{daemon_connect, daemon_socket, write_artifact};
+use tve_bench::write_artifact;
 use tve_core::Schedule;
 use tve_lint::{lint_program_report, lint_schedule_report, reports_to_json, soc_facts, LintReport};
-use tve_obs::{check_json, JsonValue};
-use tve_serve::{JobKind, JobSpec};
+use tve_obs::check_json;
 use tve_soc::{paper_schedules, Workload};
 
 const PRODUCTION_TVP: &str = include_str!("../../../../examples/programs/production.tvp");
@@ -62,27 +60,7 @@ fn main() {
         arg_value(&args, "--bounds-json").unwrap_or_else(|| "target/bounds_report.json".into()),
     );
 
-    let workload = Workload::paper();
-
-    if let Some(socket) = daemon_socket(&args) {
-        let unsupported = seed_defect || budget.is_some() || args.iter().any(|a| a == "--program");
-        if unsupported {
-            eprintln!(
-                "error: --seed-defect, --budget and --program are local-only; \
-                 drop them to lint via the daemon"
-            );
-            std::process::exit(2);
-        }
-        run_via_daemon(
-            &socket,
-            &workload,
-            &json_path,
-            bounds.then_some(&bounds_path),
-        );
-        return;
-    }
-
-    let (config, plan) = workload.build();
+    let (config, plan) = Workload::paper().build();
     let mut facts = soc_facts(&config, &plan);
     if let Some(b) = budget {
         facts = facts.with_budget(b);
@@ -167,95 +145,6 @@ fn main() {
         json_path.display()
     );
 
-    if errors > 0 {
-        eprintln!("FAIL: error-severity diagnostics present");
-        std::process::exit(1);
-    }
-    println!("OK: no error-severity diagnostics");
-}
-
-/// Lints the four schedules plus the embedded production program on a
-/// running `tve-serve` daemon and writes the returned report artifact.
-/// With `bounds_path` set, a `bounds` job is submitted too and its
-/// (statically computed, simulation-free) report artifact written.
-fn run_via_daemon(
-    socket: &std::path::Path,
-    workload: &Workload,
-    json_path: &Path,
-    bounds_path: Option<&PathBuf>,
-) {
-    let mut client = daemon_connect(socket);
-    let job = JobSpec {
-        workload: workload.clone(),
-        kind: JobKind::Lint {
-            schedules: (1..=4).collect(),
-            program: Some((
-                "examples/programs/production.tvp".into(),
-                PRODUCTION_TVP.into(),
-            )),
-        },
-        verify: None,
-        deadline_ms: None,
-    };
-    let result = client.submit(&job).unwrap_or_else(|e| {
-        eprintln!("error: lint failed on the daemon: {e}");
-        std::process::exit(2);
-    });
-    let count = |key: &str| {
-        result
-            .get(key)
-            .and_then(JsonValue::as_u64)
-            .unwrap_or_default()
-    };
-    let report = result
-        .get("report")
-        .and_then(JsonValue::as_str)
-        .unwrap_or_else(|| {
-            eprintln!("error: daemon response carried no lint report");
-            std::process::exit(2);
-        });
-    write_artifact(json_path, report);
-    let errors = count("errors");
-    println!(
-        "static analysis via tve-serve at {}: {errors} error(s), {} warning(s), cached {}, {:.1} ms -> {}",
-        socket.display(),
-        count("warnings"),
-        result.get("cached").and_then(JsonValue::as_bool) == Some(true),
-        count("wall_us") as f64 / 1e3,
-        json_path.display()
-    );
-    if let Some(bounds_path) = bounds_path {
-        let job = JobSpec {
-            workload: workload.clone(),
-            kind: JobKind::Bounds {
-                schedules: (1..=4).collect(),
-            },
-            verify: None,
-            deadline_ms: None,
-        };
-        let result = client.submit(&job).unwrap_or_else(|e| {
-            eprintln!("error: bounds failed on the daemon: {e}");
-            std::process::exit(2);
-        });
-        let report = result
-            .get("report")
-            .and_then(JsonValue::as_str)
-            .unwrap_or_else(|| {
-                eprintln!("error: daemon response carried no bounds report");
-                std::process::exit(2);
-            });
-        write_artifact(bounds_path, report);
-        println!(
-            "certified bounds via tve-serve: cached {}, {:.1} ms -> {}",
-            result.get("cached").and_then(JsonValue::as_bool) == Some(true),
-            result
-                .get("wall_us")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or_default() as f64
-                / 1e3,
-            bounds_path.display()
-        );
-    }
     if errors > 0 {
         eprintln!("FAIL: error-severity diagnostics present");
         std::process::exit(1);

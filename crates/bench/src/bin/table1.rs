@@ -2,6 +2,11 @@
 //! test length, and host CPU time for the four test schedules of the JPEG
 //! encoder SoC case study.
 //!
+//! Every Table I row is deterministic. The host-timed values (the
+//! per-scenario CPU seconds and the farm's wall clock) sit on their own
+//! `cpu:` and `farm:` lines, so stdout without those two lines can be
+//! compared byte for byte between builds.
+//!
 //! Usage: `table1 [--scale N] [--mem-words N] [--trace [path]]` — `--scale`
 //! divides every pattern count (the memory size stays full unless
 //! `--mem-words` shrinks it); `--scale 1` (default) is the paper-scale
@@ -16,20 +21,12 @@
 //!
 //! The four scenarios are independent simulations, so they are fanned
 //! over the validation farm (`TVE_JOBS` overrides the worker count).
-//!
-//! With `--daemon [SOCKET]` the scenarios are instead submitted to a
-//! running `tve-serve` daemon, which serves repeats from its
-//! content-addressed result cache; the row then reports the job wall
-//! time and whether it was a cache hit (trace recording stays local-only).
+//! `tve-client schedule --index N` runs the same scenarios on a
+//! `tve-serve` daemon.
 
-use tve_bench::{
-    daemon_connect, daemon_socket, format_row, rel_err_pct, trace_output, write_artifact,
-};
-use tve_obs::{
-    check_json, utilization_from_spans, write_chrome_trace, JsonValue, SpanKind, StoragePolicy,
-};
+use tve_bench::{format_row, rel_err_pct, trace_output, write_artifact};
+use tve_obs::{check_json, utilization_from_spans, write_chrome_trace, SpanKind, StoragePolicy};
 use tve_sched::{BatchReport, Farm, ScenarioJob};
-use tve_serve::{JobKind, JobSpec};
 use tve_soc::{paper_schedules, Workload};
 
 /// Paper values: (peak %, avg %, test length Mcycles, CPU s).
@@ -61,14 +58,9 @@ fn main() {
     }
     let (config, plan) = workload.build();
 
-    if let Some(socket) = daemon_socket(&args) {
-        run_via_daemon(&socket, &workload, scale);
-        return;
-    }
-
     println!("Table I reproduction — JPEG encoder SoC test scenarios");
     println!("(volume data policy, scale 1/{scale}; paper values in parentheses)\n");
-    let widths = [10usize, 22, 22, 26, 22];
+    let widths = [10usize, 22, 22, 26];
     println!(
         "{}",
         format_row(
@@ -77,7 +69,6 @@ fn main() {
                 "peak TAM util".into(),
                 "avg TAM util".into(),
                 "test length (Mcycles)".into(),
-                "CPU runtime (s)".into(),
             ],
             &widths
         )
@@ -86,6 +77,7 @@ fn main() {
     let detail = args.iter().any(|a| a == "--detail");
     let mut max_err: f64 = 0.0;
     let mut volumes = Vec::new();
+    let mut cpu = Vec::new();
     let trace = trace_output(&args, "target/trace_table1.json");
     let jobs: Vec<ScenarioJob> = paper_schedules()
         .into_iter()
@@ -119,6 +111,7 @@ fn main() {
         volumes.push(bits);
         assert!(m.result.clean(), "scenario {} reported errors", i + 1);
         let (p_peak, p_avg, p_len, p_cpu) = PAPER[i];
+        cpu.push(format!("{:.1} ({p_cpu:.0})", m.cpu.as_secs_f64()));
         let peak = m.peak_utilization * 100.0;
         let avg = m.avg_utilization * 100.0;
         let mcycles = m.total_cycles as f64 / 1e6 * scale as f64;
@@ -135,23 +128,23 @@ fn main() {
                     format!("{peak:.0}% ({p_peak:.0}%)"),
                     format!("{avg:.0}% ({p_avg:.0}%)"),
                     format!("{mcycles:.0} ({p_len:.0})"),
-                    format!("{:.1} ({p_cpu:.0})", m.cpu.as_secs_f64()),
                 ],
                 &widths
             )
         );
     }
     if scale == 1 {
-        println!("\nmax relative error vs paper (excluding CPU column): {max_err:.1}%");
+        println!("\nmax relative error vs paper (excluding CPU time): {max_err:.1}%");
     } else {
         println!(
             "\n(test lengths extrapolated x{scale}; utilizations approximate at reduced scale)"
         );
     }
     println!(
-        "CPU column: our host vs the paper's 2.4 GHz 2009 workstation — only \
+        "CPU time: our host vs the paper's 2.4 GHz 2009 workstation — only \
          the 'minutes, not days' magnitude is comparable."
     );
+    println!("cpu: scenarios 1-4, s (paper s): {}", cpu.join("  "));
     println!(
         "farm: {} workers, batch wall {:.1}s vs {:.1}s summed per-scenario CPU",
         batch.workers,
@@ -214,79 +207,6 @@ fn main() {
             path.display(),
             merged.spans.len(),
             merged.tracks().len()
-        );
-    }
-}
-
-/// Submits the four scenarios to a running `tve-serve` daemon instead
-/// of simulating in-process. CPU time and ATE volume are not on the
-/// wire, so the row reports the served job's wall time and cache state.
-fn run_via_daemon(socket: &std::path::Path, workload: &Workload, scale: u64) {
-    let mut client = daemon_connect(socket);
-    println!(
-        "Table I via tve-serve at {} (volume data policy, scale 1/{scale})\n",
-        socket.display()
-    );
-    let widths = [10usize, 15, 14, 22, 11, 8];
-    println!(
-        "{}",
-        format_row(
-            &[
-                "scenario".into(),
-                "peak TAM util".into(),
-                "avg TAM util".into(),
-                "test length (Mcycles)".into(),
-                "wall (ms)".into(),
-                "cached".into(),
-            ],
-            &widths
-        )
-    );
-    for index in 1..=4usize {
-        let job = JobSpec {
-            workload: workload.clone(),
-            kind: JobKind::Schedule { index },
-            verify: None,
-            deadline_ms: None,
-        };
-        let result = client.submit(&job).unwrap_or_else(|e| {
-            eprintln!("error: scenario {index} failed on the daemon: {e}");
-            std::process::exit(2);
-        });
-        let num = |key: &str| result.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
-        assert!(
-            result.get("clean").and_then(JsonValue::as_bool) == Some(true),
-            "scenario {index} reported errors"
-        );
-        let cached = result.get("cached").and_then(JsonValue::as_bool) == Some(true);
-        println!(
-            "{}",
-            format_row(
-                &[
-                    format!("{index}"),
-                    format!("{:.0}%", num("peak") * 100.0),
-                    format!("{:.0}%", num("avg") * 100.0),
-                    format!("{:.0}", num("cycles") / 1e6 * scale as f64),
-                    format!("{:.1}", num("wall_us") / 1e3),
-                    format!("{cached}"),
-                ],
-                &widths
-            )
-        );
-    }
-    if let Ok(stats) = client.stats() {
-        let count = |key: &str| {
-            stats
-                .get(key)
-                .and_then(JsonValue::as_u64)
-                .unwrap_or_default()
-        };
-        println!(
-            "\ndaemon cache: {} entries, {} hits / {} misses, {} workers",
-            count("entries"),
-            count("hits"),
-            count("misses"),
-            count("workers")
         );
     }
 }

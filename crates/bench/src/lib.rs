@@ -18,8 +18,12 @@
 //! * `aliasing_study` — empirical MISR aliasing rates.
 //! * `lint` — static analysis and certified bound envelopes of the
 //!   schedules and ATE programs.
-//! * `campaign` — the fault-injection campaign matrix, sharded,
-//!   journaled or served by a daemon.
+//! * `campaign` — the fault-injection campaign matrix, sharded or
+//!   journaled.
+//!
+//! These binaries run in-process. `tve-client` (in `tve-serve`) is the
+//! one client that sends the same schedule, campaign, lint and bounds
+//! work to a running daemon.
 //!
 //! Criterion microbenchmarks live in `benches/` (kernel throughput, bus
 //! arbitration, pattern generation, march engine, scenario ablations).
@@ -92,42 +96,6 @@ pub fn trace_output(args: &[String], default: &str) -> Option<PathBuf> {
         Ok(v) => Some(PathBuf::from(v)),
         Err(_) => None,
     }
-}
-
-/// Resolves the `--daemon [SOCKET]` flag shared by the bins that can
-/// route their work through a running `tve-serve` daemon.
-///
-/// Returns `Some(socket)` when daemon mode was requested, `None` for
-/// the usual in-process run:
-///
-/// * `--daemon <socket>` uses the explicit path (a following argument
-///   that itself starts with `--` is the next flag, not a socket),
-/// * bare `--daemon` falls back to the `TVE_SERVE_SOCKET` environment
-///   variable, then to [`tve_serve::DEFAULT_SOCKET`].
-pub fn daemon_socket(args: &[String]) -> Option<PathBuf> {
-    let i = args.iter().position(|a| a == "--daemon")?;
-    let explicit = args
-        .get(i + 1)
-        .filter(|a| !a.starts_with("--"))
-        .map(PathBuf::from);
-    Some(explicit.unwrap_or_else(|| {
-        std::env::var("TVE_SERVE_SOCKET")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from(tve_serve::DEFAULT_SOCKET))
-    }))
-}
-
-/// Connects to the daemon at `socket`, exiting with a clear diagnostic
-/// when it is not there (the daemon must be started separately).
-pub fn daemon_connect(socket: &Path) -> tve_serve::Client {
-    tve_serve::Client::connect(socket).unwrap_or_else(|e| {
-        eprintln!(
-            "error: cannot reach tve-serve at {}: {e}\n(start it with `tve-serve --socket {}`)",
-            socket.display(),
-            socket.display()
-        );
-        std::process::exit(2);
-    })
 }
 
 #[cfg(test)]

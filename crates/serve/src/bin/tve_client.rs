@@ -34,9 +34,10 @@ commands:
     [--fan-out N]            submit N shard jobs, merge locally —
                              artifacts byte-identical to --fan-out 1
   lint                       static schedule (and program) lint
-    [--schedules 1,2] [--program FILE] [--out FILE]
+    [--schedules 1,2] [--program FILE] [--json FILE]
   bounds                     certified static bound envelopes — answered
-    [--schedules 1,2] [--out FILE]   without simulation
+    [--schedules 1,2] [--json FILE]  without simulation
+                             (--json writes the report artifact)
   status    --id N           poll an async job
   result    --id N [--wait]  fetch an async job's result
   invalidate --set k=v ...   predict an edit's blast radius and evict
@@ -404,12 +405,14 @@ fn run() -> Result<(), String> {
             };
             let kind = JobKind::Lint { schedules, program };
             if let Some(result) = submit(&cli, kind)? {
+                write_out(&cli.json, result.str_field("report")?, "lint report")?;
                 println!("{}", render_response(&result));
             }
         }
         "bounds" => {
             let kind = JobKind::Bounds { schedules };
             if let Some(result) = submit(&cli, kind)? {
+                write_out(&cli.json, result.str_field("report")?, "bounds report")?;
                 println!("{}", render_response(&result));
             }
         }

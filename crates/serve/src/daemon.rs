@@ -848,27 +848,31 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
                         ServeError::overloaded(shed.reason, shed.retry_after_ms)
                     }
                 })?;
+            // Only an asynchronous job enters the table: a synchronous
+            // one's result goes back on this connection and is not kept.
             let id = {
                 let mut table = shared.jobs.lock().expect("job table lock");
                 table.next_id += 1;
                 let id = table.next_id;
-                table.jobs.insert(id, JobState::Running);
+                if !wait {
+                    table.jobs.insert(id, JobState::Running);
+                }
                 id
             };
-            let job_shared = Arc::clone(shared);
-            let run = move || {
-                let result = execute_guarded(&job_shared, &job, &inputs);
-                drop(ticket);
-                finish_job(&job_shared, id, &result);
-                result
-            };
             if wait {
-                let body = run()?;
+                let result = execute_guarded(shared, &job, &inputs);
+                drop(ticket);
+                let body = result?;
                 return Ok(format!("{{\"ok\":true,\"id\":{id},\"result\":{body}}}"));
             }
+            let job_shared = Arc::clone(shared);
             std::thread::Builder::new()
                 .name(format!("tve-serve-job-{id}"))
-                .spawn(move || drop(run()))
+                .spawn(move || {
+                    let result = execute_guarded(&job_shared, &job, &inputs);
+                    drop(ticket);
+                    finish_job(&job_shared, id, &result);
+                })
                 .map_err(|e| ServeError::internal(format!("cannot spawn job thread: {e}")))?;
             Ok(format!("{{\"ok\":true,\"id\":{id},\"state\":\"running\"}}"))
         }

@@ -7,8 +7,8 @@
 //! Algorithmic substrate for the pattern sources, decompressors and
 //! compactors of the paper's Section III: packed bit vectors, LFSRs
 //! (Fibonacci and Galois), multi-chain pseudo-random pattern generators with
-//! phase shifters, MISRs for response compaction, deterministic pattern
-//! sets, test cubes with don't-cares, and test-data compression codecs —
+//! phase shifters, MISRs for response compaction, test cubes with
+//! don't-cares, and test-data compression codecs —
 //! run-length coding and LFSR reseeding (EDT-style linear decompression,
 //! solved over GF(2)).
 //!
@@ -39,5 +39,5 @@ pub use compress::{CompressError, Compressor, ReseedingCodec, RunLengthCodec};
 pub use cube::TestCube;
 pub use lfsr::{Lfsr, PolyError};
 pub use misr::Misr;
-pub use pattern::{PatternSet, ScanConfig, ScanPattern};
-pub use prpg::{Prpg, Weight, WeightedPrpg};
+pub use pattern::{ScanConfig, ScanPattern};
+pub use prpg::Prpg;

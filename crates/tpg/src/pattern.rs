@@ -1,9 +1,6 @@
-//! Scan geometries, scan patterns and deterministic pattern sets.
+//! Scan geometries and scan patterns.
 
 use std::fmt;
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::bitvec::BitVec;
 
@@ -112,74 +109,6 @@ impl ScanPattern {
     }
 }
 
-/// A deterministic, reproducible set of pre-computed patterns ("stored in
-/// the ATE"), generated once from a seed.
-///
-/// ```
-/// use tve_tpg::{PatternSet, ScanConfig};
-/// let set = PatternSet::random(ScanConfig::new(2, 8), 10, 42);
-/// assert_eq!(set.len(), 10);
-/// assert_eq!(set, PatternSet::random(ScanConfig::new(2, 8), 10, 42));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PatternSet {
-    config: ScanConfig,
-    patterns: Vec<ScanPattern>,
-}
-
-impl PatternSet {
-    /// Generates `count` reproducible random patterns.
-    pub fn random(config: ScanConfig, count: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let bits = config.bits_per_pattern() as usize;
-        let patterns = (0..count)
-            .map(|_| {
-                let v: BitVec = (0..bits).map(|_| rng.gen_bool(0.5)).collect();
-                ScanPattern::new(v, config)
-            })
-            .collect();
-        PatternSet { config, patterns }
-    }
-
-    /// The common scan geometry.
-    pub fn config(&self) -> ScanConfig {
-        self.config
-    }
-
-    /// Number of patterns.
-    pub fn len(&self) -> usize {
-        self.patterns.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.patterns.is_empty()
-    }
-
-    /// The pattern at `index`.
-    pub fn get(&self, index: usize) -> Option<&ScanPattern> {
-        self.patterns.get(index)
-    }
-
-    /// Iterates over the patterns.
-    pub fn iter(&self) -> std::slice::Iter<'_, ScanPattern> {
-        self.patterns.iter()
-    }
-
-    /// Total stimulus volume in bits.
-    pub fn total_bits(&self) -> u64 {
-        self.patterns.len() as u64 * self.config.bits_per_pattern()
-    }
-}
-
-impl<'a> IntoIterator for &'a PatternSet {
-    type Item = &'a ScanPattern;
-    type IntoIter = std::slice::Iter<'a, ScanPattern>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.patterns.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,19 +148,5 @@ mod tests {
     #[should_panic(expected = "match scan geometry")]
     fn wrong_length_stimulus_panics() {
         let _ = ScanPattern::new(BitVec::zeros(5), ScanConfig::new(2, 3));
-    }
-
-    #[test]
-    fn random_sets_are_reproducible_and_seed_sensitive() {
-        let cfg = ScanConfig::new(4, 16);
-        let a = PatternSet::random(cfg, 5, 1);
-        let b = PatternSet::random(cfg, 5, 1);
-        let c = PatternSet::random(cfg, 5, 2);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a.total_bits(), 5 * 64);
-        assert_eq!(a.iter().count(), 5);
-        assert!(a.get(4).is_some());
-        assert!(a.get(5).is_none());
     }
 }

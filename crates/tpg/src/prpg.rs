@@ -36,7 +36,7 @@ pub(crate) fn parity(x: u64) -> bool {
 /// Fills one chain-major pattern for `config` from a phase-shifted LFSR:
 /// each shift cycle steps `lfsr` once, and chain `j` receives
 /// `bit(j, state)` for that cycle, ORed straight into the packed words.
-/// [`Prpg`], [`WeightedPrpg`] and the reseeding decompressor share it.
+/// [`Prpg`] and the reseeding decompressor share it.
 pub(crate) fn fill_pattern(
     lfsr: &mut Lfsr,
     config: ScanConfig,
@@ -117,136 +117,6 @@ impl Prpg {
     }
 }
 
-/// Per-chain one-probability of a weighted pattern generator, realized
-/// structurally by AND/OR-combining `k` LFSR taps (so only powers of two
-/// around ½ are available, as in weighted-random BIST hardware).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Weight {
-    /// p(1) = 1/8 (AND of 3 taps).
-    Eighth,
-    /// p(1) = 1/4 (AND of 2 taps).
-    Quarter,
-    /// p(1) = 1/2 (plain tap).
-    #[default]
-    Half,
-    /// p(1) = 3/4 (OR of 2 taps).
-    ThreeQuarters,
-    /// p(1) = 7/8 (OR of 3 taps).
-    SevenEighths,
-}
-
-impl Weight {
-    /// The nominal one-probability.
-    pub fn probability(self) -> f64 {
-        match self {
-            Weight::Eighth => 0.125,
-            Weight::Quarter => 0.25,
-            Weight::Half => 0.5,
-            Weight::ThreeQuarters => 0.75,
-            Weight::SevenEighths => 0.875,
-        }
-    }
-
-    fn taps(self) -> (u32, bool) {
-        // (number of combined taps, OR instead of AND)
-        match self {
-            Weight::Eighth => (3, false),
-            Weight::Quarter => (2, false),
-            Weight::Half => (1, false),
-            Weight::ThreeQuarters => (2, true),
-            Weight::SevenEighths => (3, true),
-        }
-    }
-}
-
-/// A weighted pseudo-random pattern generator: like [`Prpg`] but with a
-/// per-chain [`Weight`] biasing the one-density — the classic fix for
-/// random-pattern-resistant logic (wide AND/OR cones).
-///
-/// ```
-/// use tve_tpg::{WeightedPrpg, Weight, ScanConfig};
-/// let cfg = ScanConfig::new(2, 256);
-/// let mut g = WeightedPrpg::new(32, 1, cfg, vec![Weight::Quarter, Weight::Half]).unwrap();
-/// let s = g.next_pattern().stimulus().clone();
-/// // Chain-major: chain 0 is the first 256 bits.
-/// let ones = |c: usize| (c * 256..(c + 1) * 256).filter(|&i| s.get(i) == Some(true)).count();
-/// assert!(ones(0) < ones(1), "chain 0 is biased toward zero");
-/// ```
-#[derive(Debug, Clone)]
-pub struct WeightedPrpg {
-    lfsr: Lfsr,
-    chain_taps: Vec<(Vec<u64>, bool)>,
-    config: ScanConfig,
-    generated: u64,
-}
-
-impl WeightedPrpg {
-    /// Creates a generator with one [`Weight`] per chain.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PolyError`] for unsupported degrees or a zero seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `weights.len()` equals the chain count.
-    pub fn new(
-        degree: u32,
-        seed: u64,
-        config: ScanConfig,
-        weights: Vec<Weight>,
-    ) -> Result<Self, PolyError> {
-        assert_eq!(
-            weights.len(),
-            config.chains() as usize,
-            "one weight per chain"
-        );
-        let lfsr = Lfsr::maximal(degree, seed)?;
-        let chain_taps = weights
-            .iter()
-            .enumerate()
-            .map(|(j, w)| {
-                let (k, or) = w.taps();
-                let masks = (0..k as u64)
-                    .map(|t| phase_mask(j as u64 * 8 + t, degree))
-                    .collect();
-                (masks, or)
-            })
-            .collect();
-        Ok(WeightedPrpg {
-            lfsr,
-            chain_taps,
-            config,
-            generated: 0,
-        })
-    }
-
-    /// The scan geometry this generator fills.
-    pub fn config(&self) -> ScanConfig {
-        self.config
-    }
-
-    /// Patterns generated so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
-    }
-
-    /// Generates the next weighted pattern (chain-major packing).
-    pub fn next_pattern(&mut self) -> ScanPattern {
-        let chain_taps = &self.chain_taps;
-        let pattern = fill_pattern(&mut self.lfsr, self.config, |j, state| {
-            let (masks, or) = &chain_taps[j];
-            if *or {
-                masks.iter().any(|&m| parity(state & m))
-            } else {
-                masks.iter().all(|&m| parity(state & m))
-            }
-        });
-        self.generated += 1;
-        pattern
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,38 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_prpg_matches_bit_serial_reference() {
-        let all = [
-            Weight::Eighth,
-            Weight::Quarter,
-            Weight::Half,
-            Weight::ThreeQuarters,
-            Weight::SevenEighths,
-        ];
-        for (chains, len) in GEOMETRIES {
-            let cfg = ScanConfig::new(chains, len);
-            let weights: Vec<Weight> = (0..chains as usize).map(|j| all[j % all.len()]).collect();
-            for seed in [1u64, 0xAB, 0x5555_0001] {
-                let mut gen = WeightedPrpg::new(32, seed, cfg, weights.clone()).unwrap();
-                let mut lfsr = Lfsr::maximal(32, seed).unwrap();
-                let chain_taps = gen.chain_taps.clone();
-                for k in 0..4 {
-                    let want = reference_fill(&mut lfsr, cfg, |j, state| {
-                        let (masks, or) = &chain_taps[j];
-                        let tap = |m: u64| (state & m).count_ones() & 1 == 1;
-                        if *or {
-                            masks.iter().any(|&m| tap(m))
-                        } else {
-                            masks.iter().all(|&m| tap(m))
-                        }
-                    });
-                    assert_eq!(gen.next_pattern(), want, "{cfg} seed {seed:#x} pattern {k}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn chains_are_decorrelated() {
         let cfg = ScanConfig::new(8, 64);
         let mut p = Prpg::new(32, 1, cfg).unwrap();
@@ -375,44 +213,5 @@ mod tests {
     #[test]
     fn zero_seed_is_rejected() {
         assert!(Prpg::new(32, 0, ScanConfig::new(1, 8)).is_err());
-    }
-
-    #[test]
-    fn weighted_densities_approach_nominal() {
-        let cfg = ScanConfig::new(5, 2048);
-        let weights = vec![
-            Weight::Eighth,
-            Weight::Quarter,
-            Weight::Half,
-            Weight::ThreeQuarters,
-            Weight::SevenEighths,
-        ];
-        let mut g = WeightedPrpg::new(32, 0xAB, cfg, weights.clone()).unwrap();
-        let p = g.next_pattern();
-        for (j, w) in weights.iter().enumerate() {
-            let ones = p.chain_bits(j as u32).count_ones() as f64;
-            let density = ones / 2048.0;
-            assert!(
-                (density - w.probability()).abs() < 0.05,
-                "chain {j}: density {density} vs nominal {}",
-                w.probability()
-            );
-        }
-    }
-
-    #[test]
-    fn weighted_generator_is_deterministic() {
-        let cfg = ScanConfig::new(2, 64);
-        let w = vec![Weight::Quarter, Weight::Half];
-        let mut a = WeightedPrpg::new(32, 5, cfg, w.clone()).unwrap();
-        let mut b = WeightedPrpg::new(32, 5, cfg, w).unwrap();
-        assert_eq!(a.next_pattern(), b.next_pattern());
-        assert_eq!(a.generated(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "one weight per chain")]
-    fn weight_count_mismatch_panics() {
-        let _ = WeightedPrpg::new(32, 1, ScanConfig::new(3, 8), vec![Weight::Half]);
     }
 }

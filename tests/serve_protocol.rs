@@ -236,6 +236,31 @@ fn unbuildable_memory_size_gets_typed_protocol_error() {
     assert_alive(socket);
 }
 
+/// A synchronous submit returns its result on the connection and is not
+/// kept in the job table: asking for it again by id is a typed
+/// `protocol` error, as for an id never issued.
+#[test]
+fn synchronous_job_is_not_kept_after_its_reply() {
+    let socket = frames_daemon();
+    let mut client = Client::connect(socket).expect("client connects");
+    let response = client
+        .request_typed(r#"{"cmd":"submit","job":{"kind":"bounds","workload":{"preset":"small"}}}"#)
+        .expect("a bounds job is answered without simulation");
+    assert!(response.get("result").is_some(), "{response:?}");
+    let id = response
+        .u64_field::<u64>("id")
+        .expect("the reply names its id");
+    for cmd in ["result", "status"] {
+        let (kind, error) = request_error(socket, &format!(r#"{{"cmd":"{cmd}","id":{id}}}"#));
+        assert_eq!(
+            (kind.as_str(), error.as_str()),
+            ("protocol", format!("unknown job id {id}").as_str()),
+            "{cmd}"
+        );
+    }
+    assert_alive(socket);
+}
+
 #[test]
 fn silent_connection_is_dropped_at_the_read_timeout() {
     let socket = frames_daemon();
