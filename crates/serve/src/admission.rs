@@ -101,8 +101,7 @@ pub(crate) struct Admission {
 
 /// Proof of admission. Executing a job requires holding a ticket; drop
 /// releases the run slot (and the job's cost commitment) and wakes the
-/// highest-priority waiter. Owns its queue handle, so it may cross
-/// thread boundaries with async jobs.
+/// highest-priority waiter.
 #[derive(Debug)]
 pub(crate) struct Ticket {
     inner: Arc<Inner>,

@@ -5,7 +5,8 @@
 //! ```
 //!
 //! Commands: `ping`, `stats`, `shutdown`, `drain`, `schedule`, `campaign`,
-//! `lint`, `bounds`, `status`, `result`, `invalidate`. Workload flags
+//! `lint`, `bounds`, `invalidate`. Every job is answered on the
+//! connection that submitted it. Workload flags
 //! (`--preset`, `--scale`, `--mem-words`, `--set key=value`) select
 //! what the job runs against; see `DESIGN.md` for the full protocol.
 
@@ -13,7 +14,6 @@ use std::fmt::Display;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use tve_campaign::{merge_shards, ShardReport, ShardSpec};
 use tve_obs::JsonValue;
 use tve_serve::{
     render_response, request_with_retry, submit_with_retry, Client, JobKind, JobSpec, RetryPolicy,
@@ -31,15 +31,11 @@ commands:
   campaign                   run a fault campaign
     [--schedules 1,3] [--faults N] [--seed S] [--no-diagnosis]
     [--csv FILE] [--json FILE]
-    [--fan-out N]            submit N shard jobs, merge locally —
-                             artifacts byte-identical to --fan-out 1
   lint                       static schedule (and program) lint
     [--schedules 1,2] [--program FILE] [--json FILE]
   bounds                     certified static bound envelopes — answered
     [--schedules 1,2] [--json FILE]  without simulation
                              (--json writes the report artifact)
-  status    --id N           poll an async job
-  result    --id N [--wait]  fetch an async job's result
   invalidate --set k=v ...   predict an edit's blast radius and evict
 workload flags (schedule/campaign/lint/invalidate):
   --preset paper|small|bench   base workload (default small)
@@ -48,15 +44,13 @@ workload flags (schedule/campaign/lint/invalidate):
   --set key=value              plan override (repeatable)
 job flags:
   --verify F                 re-execute cache hits with probability F
-  --no-wait                  submit async; prints the job id
   --out FILE                 also write the result JSON to FILE
   --deadline MS              per-job deadline; overruns are cancelled at
                              the next kernel quantum and reported typed
 robustness flags:
   --retries N                retry transport failures and overloaded
                              rejections with seeded exponential backoff
-                             (default 0: one attempt; shard submits of
-                             --fan-out are never retried)
+                             (default 0: one attempt)
   --retry-seed S             backoff jitter seed (deterministic)
 ";
 
@@ -77,10 +71,6 @@ struct Cli {
     csv: Option<String>,
     json: Option<String>,
     out: Option<String>,
-    id: Option<u64>,
-    wait: bool,
-    no_wait: bool,
-    fan_out: Option<usize>,
     deadline_ms: Option<u64>,
     retries: u32,
     retry_seed: Option<u64>,
@@ -135,10 +125,6 @@ fn parse_cli() -> Result<Cli, String> {
         csv: None,
         json: None,
         out: None,
-        id: None,
-        wait: false,
-        no_wait: false,
-        fan_out: None,
         deadline_ms: None,
         retries: 0,
         retry_seed: None,
@@ -200,16 +186,6 @@ fn parse_cli() -> Result<Cli, String> {
             "--csv" => cli.csv = Some(value()?),
             "--json" => cli.json = Some(value()?),
             "--out" => cli.out = Some(value()?),
-            "--id" => cli.id = Some(num(&flag, &value()?)?),
-            "--wait" => cli.wait = true,
-            "--no-wait" => cli.no_wait = true,
-            "--fan-out" => {
-                let n: usize = num(&flag, &value()?)?;
-                if n == 0 {
-                    return Err("--fan-out wants at least one shard".into());
-                }
-                cli.fan_out = Some(n);
-            }
             "--deadline" => {
                 let ms: u64 = num(&flag, &value()?)?;
                 if ms == 0 {
@@ -263,86 +239,12 @@ fn write_out(path: &Option<String>, text: &str, what: &str) -> Result<(), String
     Ok(())
 }
 
-fn submit(cli: &Cli, kind: JobKind) -> Result<Option<JsonValue>, String> {
+fn submit(cli: &Cli, kind: JobKind) -> Result<JsonValue, String> {
     let job = job_spec(cli, kind);
-    if cli.no_wait {
-        let id = cli.connect()?.submit_async(&job)?;
-        println!("{{\"id\":{id},\"state\":\"running\"}}");
-        return Ok(None);
-    }
     let result =
         submit_with_retry(&cli.socket, &job, &cli.retry_policy()).map_err(|e| e.to_string())?;
     write_out(&cli.out, &render_response(&result), "result")?;
-    Ok(Some(result))
-}
-
-/// Submits one campaign job per shard, waits for all of them, and
-/// merges the shard reports locally. The daemon partitions the
-/// (fault × schedule) matrix by flat cell index, so the merged CSV and
-/// JSON artifacts are byte-identical to a single unsharded job — the
-/// merge validates fingerprints and exact tiling, and refuses anything
-/// less than a complete, consistent shard set.
-fn fan_out_campaign(cli: &Cli, kind: JobKind, count: usize) -> Result<(), String> {
-    if cli.no_wait {
-        return Err("--fan-out waits for its shards; drop --no-wait".into());
-    }
-    let base = job_spec(cli, kind);
-    // The client rebuilds the campaign configuration exactly as the
-    // daemon does (same JobSpec::campaign_config), so the local merge
-    // fingerprint agrees with the one each shard report carries.
-    let config = base
-        .campaign_config()
-        .expect("fan-out only runs campaign jobs");
-
-    // Shard submits are not idempotent: they go out once, unretried.
-    let mut client = cli.connect()?;
-    let mut ids = Vec::with_capacity(count);
-    for index in 0..count {
-        let mut job = base.clone();
-        if let JobKind::Campaign { shard, .. } = &mut job.kind {
-            *shard = Some(ShardSpec::new(index, count).expect("index < count"));
-        }
-        ids.push(client.submit_async(&job)?);
-    }
-    eprintln!("tve-client: submitted {count} shard jobs");
-
-    let mut reports = Vec::with_capacity(count);
-    for id in ids {
-        // Result polling is idempotent, so a dropped or corrupted
-        // response frame can be retried on a fresh connection without
-        // resubmitting the shard.
-        let response = cli.request(&format!("{{\"cmd\":\"result\",\"id\":{id},\"wait\":true}}"))?;
-        let result = response
-            .get("result")
-            .ok_or_else(|| format!("job {id} finished without a result object"))?;
-        let shard_json = result.str_field("shard_json")?;
-        reports.push(ShardReport::from_json(shard_json)?);
-    }
-    let merged = merge_shards(&config, &reports)?;
-
-    let csv = merged.to_csv();
-    let json = merged.to_json();
-    write_out(&cli.csv, &csv, "campaign CSV")?;
-    write_out(&cli.json, &json, "campaign JSON")?;
-    let mut summary = format!(
-        "{{\"kind\":\"campaign\",\"fan_out\":{count},\"cells\":{},\"csv_digest\":\"{:016x}\",\"coverage\":[",
-        merged.cells.len(),
-        tve_obs::fnv1a(csv.as_bytes()),
-    );
-    for (i, name) in ["proc", "cc", "dct"].iter().enumerate() {
-        if i > 0 {
-            summary.push(',');
-        }
-        summary.push_str(&format!(
-            "{{\"core\":\"{name}\",\"coverage\":{:.4}}}",
-            merged.core_coverage(name)
-        ));
-    }
-    summary.push_str("]}");
-    let parsed = tve_obs::parse_json(&summary).expect("summary JSON is well-formed");
-    write_out(&cli.out, &render_response(&parsed), "result")?;
-    println!("{}", render_response(&parsed));
-    Ok(())
+    Ok(result)
 }
 
 fn run() -> Result<(), String> {
@@ -362,9 +264,8 @@ fn run() -> Result<(), String> {
         }
         "schedule" => {
             let index = cli.index.ok_or("schedule wants --index N (1..=4)")?;
-            if let Some(result) = submit(&cli, JobKind::Schedule { index })? {
-                println!("{}", render_response(&result));
-            }
+            let result = submit(&cli, JobKind::Schedule { index })?;
+            println!("{}", render_response(&result));
         }
         "campaign" => {
             let kind = JobKind::Campaign {
@@ -374,26 +275,22 @@ fn run() -> Result<(), String> {
                 diagnosis: cli.diagnosis,
                 shard: None,
             };
-            if let Some(count) = cli.fan_out {
-                return fan_out_campaign(&cli, kind, count);
-            }
-            if let Some(result) = submit(&cli, kind)? {
-                write_out(&cli.csv, result.str_field("csv")?, "campaign CSV")?;
-                write_out(&cli.json, result.str_field("json")?, "campaign JSON")?;
-                // The matrix artifacts go to files; print the summary
-                // without them.
-                let JsonValue::Obj(fields) = &result else {
-                    return Err("campaign result was not an object".into());
-                };
-                let summary = JsonValue::Obj(
-                    fields
-                        .iter()
-                        .filter(|(name, _)| name != "csv" && name != "json")
-                        .cloned()
-                        .collect(),
-                );
-                println!("{}", render_response(&summary));
-            }
+            let result = submit(&cli, kind)?;
+            write_out(&cli.csv, result.str_field("csv")?, "campaign CSV")?;
+            write_out(&cli.json, result.str_field("json")?, "campaign JSON")?;
+            // The matrix artifacts go to files; print the summary without
+            // them.
+            let JsonValue::Obj(fields) = &result else {
+                return Err("campaign result was not an object".into());
+            };
+            let summary = JsonValue::Obj(
+                fields
+                    .iter()
+                    .filter(|(name, _)| name != "csv" && name != "json")
+                    .cloned()
+                    .collect(),
+            );
+            println!("{}", render_response(&summary));
         }
         "lint" => {
             let program = match &cli.program {
@@ -404,30 +301,15 @@ fn run() -> Result<(), String> {
                 )),
             };
             let kind = JobKind::Lint { schedules, program };
-            if let Some(result) = submit(&cli, kind)? {
-                write_out(&cli.json, result.str_field("report")?, "lint report")?;
-                println!("{}", render_response(&result));
-            }
+            let result = submit(&cli, kind)?;
+            write_out(&cli.json, result.str_field("report")?, "lint report")?;
+            println!("{}", render_response(&result));
         }
         "bounds" => {
             let kind = JobKind::Bounds { schedules };
-            if let Some(result) = submit(&cli, kind)? {
-                write_out(&cli.json, result.str_field("report")?, "bounds report")?;
-                println!("{}", render_response(&result));
-            }
-        }
-        "status" => {
-            let id = cli.id.ok_or("status wants --id N")?;
-            println!(
-                "{{\"id\":{id},\"state\":\"{}\"}}",
-                cli.connect()?.status(id)?
-            );
-        }
-        "result" => {
-            let id = cli.id.ok_or("result wants --id N")?;
-            let response = cli.connect()?.result(id, cli.wait)?;
-            write_out(&cli.out, &render_response(&response), "result")?;
-            println!("{}", render_response(&response));
+            let result = submit(&cli, kind)?;
+            write_out(&cli.json, result.str_field("report")?, "bounds report")?;
+            println!("{}", render_response(&result));
         }
         "invalidate" => {
             let response = cli.connect()?.invalidate(&workload(&cli), &cli.overrides)?;

@@ -144,19 +144,16 @@ pub fn submit_with_retry(
     job: &JobSpec,
     policy: &RetryPolicy,
 ) -> Result<JsonValue, DaemonError> {
-    let response = request_with_retry(socket, &submit_request(job, true), policy)?;
+    let response = request_with_retry(socket, &submit_request(job), policy)?;
     response
         .get("result")
         .cloned()
         .ok_or_else(|| DaemonError::transport("submit response had no result"))
 }
 
-/// The `submit` request for `job`; `wait` blocks until it completes.
-fn submit_request(job: &JobSpec, wait: bool) -> String {
-    format!(
-        "{{\"cmd\":\"submit\",\"wait\":{wait},\"job\":{}}}",
-        job.to_json()
-    )
+/// The `submit` request for `job`, answered once the job completes.
+fn submit_request(job: &JobSpec) -> String {
+    format!("{{\"cmd\":\"submit\",\"job\":{}}}", job.to_json())
 }
 
 /// A connected `tve-serve` client.
@@ -221,29 +218,7 @@ impl Client {
     /// Submits `job` and blocks until it completes; returns the job's
     /// `result` object.
     pub fn submit(&mut self, job: &JobSpec) -> Result<JsonValue, String> {
-        Ok(self
-            .request(&submit_request(job, true))?
-            .field("result")?
-            .clone())
-    }
-
-    /// Submits `job` without waiting; returns its job id.
-    pub fn submit_async(&mut self, job: &JobSpec) -> Result<u64, String> {
-        self.request(&submit_request(job, false))?.u64_field("id")
-    }
-
-    /// Asks for a job's state (`"running"`, `"done"`, `"failed"`).
-    pub fn status(&mut self, id: u64) -> Result<String, String> {
-        let response = self.request(&format!("{{\"cmd\":\"status\",\"id\":{id}}}"))?;
-        response.str_field("state").map(str::to_string)
-    }
-
-    /// Fetches a job's result; with `wait` the daemon blocks until the
-    /// job finishes. Returns the whole response (state plus result).
-    pub fn result(&mut self, id: u64, wait: bool) -> Result<JsonValue, String> {
-        self.request(&format!(
-            "{{\"cmd\":\"result\",\"id\":{id},\"wait\":{wait}}}"
-        ))
+        Ok(self.request(&submit_request(job))?.field("result")?.clone())
     }
 
     /// Reports the blast radius of `edit` on `workload` and evicts the

@@ -1,13 +1,13 @@
 //! The `tve-serve` daemon: a Unix-domain socket server owning a warm
 //! [`Farm`] and the content-addressed [`ResultCache`].
 //!
-//! Connections are handled on one thread each; jobs submitted with
-//! `"wait": false` run on their own thread and are polled through the
-//! job table (`status` / `result`). All simulation fan-out inside a
-//! job goes through the shared farm, so `TVE_JOBS` governs the daemon
-//! exactly as it governs the batch bins — and results are
-//! byte-identical for any worker count, which is what makes caching
-//! across clients sound.
+//! Connections are handled on one thread each, and a submitted job runs
+//! on its connection's thread and is answered on that connection. All
+//! simulation fan-out inside a job goes through the shared farm, so
+//! `TVE_JOBS` governs the daemon exactly as it governs the batch bins —
+//! and results are byte-identical for any worker count, which is what
+//! makes caching across clients sound. Every simulation is
+//! cycle-accurate.
 //!
 //! A campaign job is the `tve-campaign` matrix walk
 //! ([`run_campaign_shard_with`]) with the cache as its store
@@ -34,14 +34,14 @@
 //! spec (`chaos.rs`) injects worker, frame, and snapshot faults at
 //! deterministic occurrence counts so all of the above is provable.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tve_campaign::{
@@ -54,10 +54,8 @@ use tve_obs::{
     WriteFault,
 };
 use tve_sched::{ChaosFault, ChaosHook, Farm, SupervisePolicy};
-use tve_sim::{
-    panic_message, silence_cancelled_panics, with_cancel_token, CancelToken, Cancelled, Simulation,
-};
-use tve_soc::{paper_schedules, run_scenario_quantum, ScenarioMetrics, SocConfig, SocTestPlan};
+use tve_sim::{panic_message, silence_cancelled_panics, with_cancel_token, CancelToken, Cancelled};
+use tve_soc::{paper_schedules, run_scenario, ScenarioMetrics, SocConfig, SocTestPlan};
 
 use crate::admission::{Admission, AdmissionConfig};
 use crate::cache::{CachedValue, ResultCache};
@@ -65,9 +63,7 @@ use crate::chaos::{ChaosSite, ChaosSpec};
 use crate::client::splitmix64;
 use crate::error::ServeError;
 use crate::invalidate::edit_impact;
-use crate::key::{
-    bounds_key, cell_key, diagnosis_key, lint_key, quantum_text, schedule_tests, test_mask,
-};
+use crate::key::{bounds_key, cell_key, diagnosis_key, lint_key, schedule_tests, test_mask};
 use crate::proto::{read_frame, write_frame, JobKind, JobSpec};
 
 /// The default socket path (also the `TVE_SERVE_SOCKET` default).
@@ -138,34 +134,17 @@ impl Default for ServeOptions {
     }
 }
 
-enum JobState {
-    Running,
-    Done(String),
-    Failed(ServeError),
-}
-
-#[derive(Default)]
-struct JobTable {
-    next_id: u64,
-    jobs: BTreeMap<u64, JobState>,
-}
-
 struct Shared {
     options: ServeOptions,
     cache: ResultCache,
     farm: Farm,
-    /// The loosely-timed quantum every simulation of this process runs
-    /// at ([`Simulation::env_quantum`]); cell and bounds keys hash it.
-    quantum: u64,
-    jobs: Mutex<JobTable>,
-    jobs_cv: Condvar,
     shutdown: AtomicBool,
     started: Instant,
     requests: AtomicU64,
     admission: Admission,
     ops: OpsCounters,
     chaos: ChaosSpec,
-    /// Recent panic payloads from job / connection threads (bounded),
+    /// Recent panic payloads from connection threads (bounded),
     /// surfaced through the `stats` response.
     panics: Mutex<Vec<String>>,
 }
@@ -346,7 +325,6 @@ fn as_metrics(value: CachedValue) -> Option<ScenarioMetrics> {
 struct CacheStore<'a> {
     cache: JobCache<'a>,
     campaign: &'a CampaignConfig,
-    quantum: u64,
     cells_simulated: usize,
     goldens_simulated: usize,
     diagnoses_simulated: usize,
@@ -355,7 +333,7 @@ struct CacheStore<'a> {
 impl CacheStore<'_> {
     fn cell_key(&self, schedule: &Schedule, fault_id: &str) -> u64 {
         let c = self.campaign;
-        cell_key(&c.soc, &c.plan, schedule, fault_id, self.quantum)
+        cell_key(&c.soc, &c.plan, schedule, fault_id)
     }
 
     fn diagnosis_key(&self, fault_id: &str) -> u64 {
@@ -574,9 +552,6 @@ fn bind(options: &ServeOptions) -> io::Result<(UnixListener, Arc<Shared>)> {
         options: options.clone(),
         cache,
         farm,
-        quantum: Simulation::env_quantum(),
-        jobs: Mutex::new(JobTable::default()),
-        jobs_cv: Condvar::new(),
         shutdown: AtomicBool::new(false),
         started: Instant::now(),
         requests: AtomicU64::new(0),
@@ -591,11 +566,10 @@ fn bind(options: &ServeOptions) -> io::Result<(UnixListener, Arc<Shared>)> {
     });
     if !options.quiet {
         println!(
-            "tve-serve: listening on {} ({} farm workers, verify {:?}, quantum {})",
+            "tve-serve: listening on {} ({} farm workers, verify {:?})",
             options.socket.display(),
             shared.farm.workers(),
-            options.verify,
-            shared.quantum
+            options.verify
         );
     }
     Ok((listener, shared))
@@ -786,7 +760,7 @@ impl Inputs {
     /// no simulation, just the `tve-lint` interval analysis. Campaigns
     /// scale by their cell count (population × one golden pass). Lint
     /// and bounds jobs are not priced.
-    fn cost(&self, job: &JobSpec, quantum: u64) -> Option<f64> {
+    fn cost(&self, job: &JobSpec) -> Option<f64> {
         let (config, plan, schedules, passes) = match (self, &job.kind) {
             (Inputs::Plan(config, plan, schedules), JobKind::Schedule { .. }) => {
                 (config, plan, schedules, 1.0)
@@ -797,7 +771,7 @@ impl Inputs {
             }
             _ => return None,
         };
-        let envelopes = tve_lint::schedule_envelopes(config, plan, schedules, quantum);
+        let envelopes = tve_lint::schedule_envelopes(config, plan, schedules, 0);
         Some(envelopes.iter().map(|e| e.total.hi as f64).sum::<f64>() * passes)
     }
 }
@@ -808,10 +782,9 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
     let cmd = request.str_field("cmd").map_err(ServeError::protocol)?;
     match cmd {
         "ping" => Ok(format!(
-            "{{\"ok\":true,\"pid\":{},\"workers\":{},\"quantum\":\"{}\"}}",
+            "{{\"ok\":true,\"pid\":{},\"workers\":{}}}",
             std::process::id(),
-            shared.farm.workers(),
-            quantum_text(shared.quantum)
+            shared.farm.workers()
         )),
         "stats" => Ok(stats_response(shared)),
         "shutdown" => {
@@ -827,13 +800,19 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
                 .field("job")
                 .and_then(JobSpec::from_json)
                 .map_err(ServeError::protocol)?;
+            // Clients may still send `"wait": true`: it names the one
+            // lifecycle there is, an answer on this connection.
             let wait = request
                 .opt_typed("wait", JsonValue::bool_field)
-                .map_err(ServeError::protocol)?
-                .unwrap_or(true);
+                .map_err(ServeError::protocol)?;
+            if wait == Some(false) {
+                return Err(ServeError::protocol(
+                    "\"wait\": false is not supported; a submit is answered on its connection",
+                ));
+            }
             let inputs = Inputs::build(&job);
             let cost = if shared.options.cost_cap.is_finite() {
-                inputs.cost(&job, shared.quantum)
+                inputs.cost(&job)
             } else {
                 None
             };
@@ -848,72 +827,9 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
                         ServeError::overloaded(shed.reason, shed.retry_after_ms)
                     }
                 })?;
-            // Only an asynchronous job enters the table: a synchronous
-            // one's result goes back on this connection and is not kept.
-            let id = {
-                let mut table = shared.jobs.lock().expect("job table lock");
-                table.next_id += 1;
-                let id = table.next_id;
-                if !wait {
-                    table.jobs.insert(id, JobState::Running);
-                }
-                id
-            };
-            if wait {
-                let result = execute_guarded(shared, &job, &inputs);
-                drop(ticket);
-                let body = result?;
-                return Ok(format!("{{\"ok\":true,\"id\":{id},\"result\":{body}}}"));
-            }
-            let job_shared = Arc::clone(shared);
-            std::thread::Builder::new()
-                .name(format!("tve-serve-job-{id}"))
-                .spawn(move || {
-                    let result = execute_guarded(&job_shared, &job, &inputs);
-                    drop(ticket);
-                    finish_job(&job_shared, id, &result);
-                })
-                .map_err(|e| ServeError::internal(format!("cannot spawn job thread: {e}")))?;
-            Ok(format!("{{\"ok\":true,\"id\":{id},\"state\":\"running\"}}"))
-        }
-        "status" | "result" => {
-            let id = request
-                .u64_field::<u64>("id")
-                .map_err(ServeError::protocol)?;
-            let wait = cmd == "result"
-                && request
-                    .opt_typed("wait", JsonValue::bool_field)
-                    .map_err(ServeError::protocol)?
-                    .unwrap_or(false);
-            let mut table = shared.jobs.lock().expect("job table lock");
-            if wait {
-                while matches!(table.jobs.get(&id), Some(JobState::Running)) {
-                    table = shared
-                        .jobs_cv
-                        .wait(table)
-                        .expect("job table lock (condvar)");
-                }
-            }
-            match table.jobs.get(&id) {
-                None => Err(ServeError::protocol(format!("unknown job id {id}"))),
-                Some(JobState::Running) => {
-                    Ok(format!("{{\"ok\":true,\"id\":{id},\"state\":\"running\"}}"))
-                }
-                Some(JobState::Failed(error)) => Ok(format!(
-                    "{{\"ok\":true,\"id\":{id},\"state\":\"failed\",\"error\":{},\"error_kind\":\"{}\"}}",
-                    json_string(&error.message),
-                    error.kind.as_str()
-                )),
-                Some(JobState::Done(body)) => {
-                    if cmd == "status" {
-                        Ok(format!("{{\"ok\":true,\"id\":{id},\"state\":\"done\"}}"))
-                    } else {
-                        Ok(format!(
-                            "{{\"ok\":true,\"id\":{id},\"state\":\"done\",\"result\":{body}}}"
-                        ))
-                    }
-                }
-            }
+            let result = execute_guarded(shared, &job, &inputs);
+            drop(ticket);
+            Ok(format!("{{\"ok\":true,\"result\":{}}}", result?))
         }
         "invalidate" => {
             let workload = request
@@ -945,24 +861,13 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
     }
 }
 
-fn finish_job(shared: &Shared, id: u64, result: &Result<String, ServeError>) {
-    let mut table = shared.jobs.lock().expect("job table lock");
-    let state = match result {
-        Ok(body) => JobState::Done(body.clone()),
-        Err(error) => JobState::Failed(error.clone()),
-    };
-    table.jobs.insert(id, state);
-    shared.jobs_cv.notify_all();
-}
-
 fn stats_response(shared: &Shared) -> String {
     let stats = shared.cache.stats();
-    let jobs = shared.jobs.lock().expect("job table lock").jobs.len();
     let (running, queued, admitted, shed) = shared.admission.depth();
     let panics = shared.panics.lock().expect("panic log lock");
     let mut out = format!(
         "{{\"ok\":true,\"entries\":{},\"hits\":{},\"misses\":{},\"hit_rate\":{:.6},\
-         \"evicted\":{},\"verified\":{},\"verify_failures\":{},\"jobs\":{jobs},\
+         \"evicted\":{},\"verified\":{},\"verify_failures\":{},\
          \"uptime_ms\":{},\"workers\":{},\"running\":{running},\"queued\":{queued},\
          \"admitted\":{admitted},\"shed\":{shed},\"draining\":{},\"panics\":{}",
         stats.entries,
@@ -1032,7 +937,6 @@ fn execute(
     ctx: &JobCtx,
 ) -> Result<String, ServeError> {
     let started = Instant::now();
-    let quantum = shared.quantum;
     let body = match (&job.kind, inputs) {
         (JobKind::Campaign { shard, .. }, Inputs::Campaign(campaign)) => {
             run_campaign_job(shared, job, ctx, campaign, *shard)?
@@ -1060,17 +964,17 @@ fn execute(
         (JobKind::Bounds { .. }, Inputs::Plan(config, plan, schedules)) => {
             let fields = |value| match value {
                 CachedValue::Bounds { report } => Some((
-                    format!("\"schedules\":{},\"quantum\":{quantum}", schedules.len()),
+                    format!("\"schedules\":{},\"quantum\":0", schedules.len()),
                     report,
                 )),
                 _ => None,
             };
             let compute = || {
-                let envelopes = tve_lint::schedule_envelopes(config, plan, schedules, quantum);
+                let envelopes = tve_lint::schedule_envelopes(config, plan, schedules, 0);
                 let report = tve_lint::bounds_reports_to_json(&envelopes);
                 CachedValue::Bounds { report }
             };
-            let key = |s: &Schedule| bounds_key(config, plan, s, quantum);
+            let key = |s: &Schedule| bounds_key(config, plan, s);
             run_report_job(shared, job, "bounds", schedules, key, compute, fields)?
         }
         _ => unreachable!("inputs are built for their job's kind"),
@@ -1094,8 +998,8 @@ fn execute(
 }
 
 /// Runs or serves one fault-free schedule; body fields only (caller
-/// wraps the braces and appends timing). Runs on the job thread, so the
-/// job token covers its kernels directly.
+/// wraps the braces and appends timing). Runs on the connection thread,
+/// so the job token covers its kernels directly.
 fn run_schedule_job(
     shared: &Shared,
     job: &JobSpec,
@@ -1103,12 +1007,10 @@ fn run_schedule_job(
     plan: &SocTestPlan,
     schedule: &Schedule,
 ) -> Result<String, String> {
-    let key = cell_key(config, plan, schedule, "golden", shared.quantum);
+    let key = cell_key(config, plan, schedule, "golden");
     let mask = test_mask(&schedule_tests(schedule));
     let compute = || {
-        let quantum = tve_sim::Duration::cycles(shared.quantum);
-        let metrics =
-            run_scenario_quantum(config, plan, schedule, quantum).map_err(|e| e.to_string())?;
+        let metrics = run_scenario(config, plan, schedule).map_err(|e| e.to_string())?;
         Ok(CachedValue::Metrics(Box::new(metrics)))
     };
     let digest = |value: &CachedValue| as_metrics(value.clone()).map_or(0, |m| m.digest());
@@ -1147,7 +1049,6 @@ fn run_campaign_job(
     let mut store = CacheStore {
         cache: JobCache::new(shared, job),
         campaign,
-        quantum: shared.quantum,
         cells_simulated: 0,
         goldens_simulated: 0,
         diagnoses_simulated: 0,

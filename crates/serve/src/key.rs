@@ -12,9 +12,10 @@
 //!   incremental, because an edit to test *k*'s pattern count leaves
 //!   the keys of every schedule that does not run test *k* untouched,
 //! * the schedule itself (name and phases),
-//! * the fault id (`golden` for baselines),
-//! * the loosely-timed quantum setting, which legitimately changes
-//!   results.
+//! * the fault id (`golden` for baselines).
+//!
+//! Every served simulation is cycle-accurate, so no timing mode enters
+//! a key.
 //!
 //! Keys are FNV-1a over a canonical text encoding. The encoding uses
 //! the types' `Debug` forms, which is sound here because the cache
@@ -80,33 +81,23 @@ pub(crate) fn plan_projection(plan: &SocTestPlan, tests: &[usize], out: &mut Str
     }
 }
 
-/// A quantum as cell keys and `ping` render it: empty when accurate.
-pub(crate) fn quantum_text(quantum: u64) -> String {
-    match quantum {
-        0 => String::new(),
-        q => q.to_string(),
-    }
-}
-
 /// The cache key of one (fault × schedule) cell. `fault_id` is
 /// [`tve_campaign::FaultSpec::id`] output, or `"golden"` for the
-/// fault-free baseline. `quantum` is the loosely-timed quantum the cell
-/// simulates at (0 when accurate).
+/// fault-free baseline. Cells simulate cycle-accurately; the empty `q=`
+/// field is where keys once named a loosely-timed quantum, kept so that
+/// existing cache snapshots still hit.
 pub fn cell_key(
     config: &SocConfig,
     plan: &SocTestPlan,
     schedule: &Schedule,
     fault_id: &str,
-    quantum: u64,
 ) -> u64 {
     use std::fmt::Write;
     let mut text = String::with_capacity(512);
     let _ = write!(
         text,
-        "cell/v1|cfg={config:?}|sched={}:{:?}|fault={fault_id}|q={}",
-        schedule.name,
-        schedule.phases,
-        quantum_text(quantum)
+        "cell/v1|cfg={config:?}|sched={}:{:?}|fault={fault_id}|q=",
+        schedule.name, schedule.phases,
     );
     plan_projection(plan, &schedule_tests(schedule), &mut text);
     fnv1a(text.as_bytes())
@@ -145,17 +136,12 @@ pub(crate) fn lint_key(
 }
 
 /// The cache key of a certified static bounds report. The envelope
-/// consumes the full config, the full plan and the loosely-timed
-/// quantum (which legitimately moves the interval endpoints), so all
-/// three participate with no projection.
-pub(crate) fn bounds_key(
-    config: &SocConfig,
-    plan: &SocTestPlan,
-    schedule: &Schedule,
-    quantum: u64,
-) -> u64 {
+/// consumes the full config and the full plan, so both participate with
+/// no projection. Reports are cycle-accurate envelopes; `q=0` is kept so
+/// that existing cache snapshots still hit.
+pub(crate) fn bounds_key(config: &SocConfig, plan: &SocTestPlan, schedule: &Schedule) -> u64 {
     let text = format!(
-        "bounds/v1|cfg={config:?}|plan={plan:?}|sched={}:{:?}|q={quantum}",
+        "bounds/v1|cfg={config:?}|plan={plan:?}|sched={}:{:?}|q=0",
         schedule.name, schedule.phases
     );
     fnv1a(text.as_bytes())
@@ -171,55 +157,41 @@ mod tests {
         let config = SocConfig::small();
         let plan = SocTestPlan::small();
         let schedules = paper_schedules();
-        let k = cell_key(&config, &plan, &schedules[0], "golden", 0);
-        assert_eq!(k, cell_key(&config, &plan, &schedules[0], "golden", 0));
-        assert_ne!(k, cell_key(&config, &plan, &schedules[1], "golden", 0));
-        assert_ne!(k, cell_key(&config, &plan, &schedules[0], "scan:x", 0));
-        assert_ne!(k, cell_key(&config, &plan, &schedules[0], "golden", 4096));
+        let k = cell_key(&config, &plan, &schedules[0], "golden");
+        assert_eq!(k, cell_key(&config, &plan, &schedules[0], "golden"));
+        assert_ne!(k, cell_key(&config, &plan, &schedules[1], "golden"));
+        assert_ne!(k, cell_key(&config, &plan, &schedules[0], "scan:x"));
         let mut other_cfg = config.clone();
         other_cfg.memory_words += 1;
-        assert_ne!(k, cell_key(&other_cfg, &plan, &schedules[0], "golden", 0));
+        assert_ne!(k, cell_key(&other_cfg, &plan, &schedules[0], "golden"));
     }
 
-    /// The keys cells had when the raw `TVE_QUANTUM` text was hashed,
-    /// so snapshots written then still hit. Every `TVE_QUANTUM` value
-    /// that simulates cycle-accurate keys like quantum 0.
+    /// Pinned cell keys: cache snapshots written by earlier daemons must
+    /// still hit.
     #[test]
-    fn cell_keys_are_pinned_and_follow_the_parsed_quantum() {
+    fn cell_keys_are_pinned() {
         let config = SocConfig::small();
         let plan = SocTestPlan::small();
         let schedules = paper_schedules();
-        let key = |i: usize, fault: &str, quantum: &str| {
-            let quantum = tve_sim::Simulation::parse_quantum(quantum);
-            cell_key(&config, &plan, &schedules[i], fault, quantum)
-        };
-        for accurate in ["", "0", "abc"] {
-            assert_eq!(
-                key(0, "golden", accurate),
-                0x135b_2b1e_f5b4_5f19,
-                "{accurate:?}"
-            );
-        }
-        assert_eq!(key(1, "golden", ""), 0xca7f_fa1e_c850_79a3);
-        assert_eq!(key(2, "scan:proc:3", ""), 0x2f1d_1b60_4dbd_f738);
-        assert_eq!(key(0, "golden", "100000"), 0xe4da_d3e0_b67a_4102);
-        assert_eq!(key(2, "scan:proc:3", "4096"), 0x698c_95fc_778a_764d);
+        let key = |i: usize, fault: &str| cell_key(&config, &plan, &schedules[i], fault);
+        assert_eq!(key(0, "golden"), 0x135b_2b1e_f5b4_5f19);
+        assert_eq!(key(1, "golden"), 0xca7f_fa1e_c850_79a3);
+        assert_eq!(key(2, "scan:proc:3"), 0x2f1d_1b60_4dbd_f738);
     }
 
     #[test]
-    fn bounds_keys_cover_quantum_and_plan() {
+    fn bounds_keys_cover_the_plan() {
         let config = SocConfig::small();
         let plan = SocTestPlan::small();
         let schedules = paper_schedules();
-        let k = bounds_key(&config, &plan, &schedules[0], 0);
-        assert_eq!(k, bounds_key(&config, &plan, &schedules[0], 0));
-        assert_ne!(k, bounds_key(&config, &plan, &schedules[1], 0));
-        assert_ne!(k, bounds_key(&config, &plan, &schedules[0], 1024));
+        let k = bounds_key(&config, &plan, &schedules[0]);
+        assert_eq!(k, bounds_key(&config, &plan, &schedules[0]));
+        assert_ne!(k, bounds_key(&config, &plan, &schedules[1]));
         let mut edited = plan.clone();
         edited.det_proc_patterns += 1;
         assert_ne!(
             k,
-            bounds_key(&config, &edited, &schedules[0], 0),
+            bounds_key(&config, &edited, &schedules[0]),
             "bounds consume the whole plan — no projection"
         );
     }
@@ -232,19 +204,19 @@ mod tests {
         // and no test 6.
         let schedule = &paper_schedules()[1];
         assert_eq!(schedule_tests(schedule), vec![0, 2, 3, 4, 5]);
-        let before = cell_key(&config, &plan, schedule, "golden", 0);
+        let before = cell_key(&config, &plan, schedule, "golden");
         let mut edited = plan.clone();
         edited.det_proc_patterns += 5;
         assert_eq!(
             before,
-            cell_key(&config, &edited, schedule, "golden", 0),
+            cell_key(&config, &edited, schedule, "golden"),
             "edit to an unscheduled test must not move the key"
         );
         let mut touched = plan.clone();
         touched.det_dct_patterns += 5;
         assert_ne!(
             before,
-            cell_key(&config, &touched, schedule, "golden", 0),
+            cell_key(&config, &touched, schedule, "golden"),
             "edit to a scheduled test must move the key"
         );
     }

@@ -9,9 +9,9 @@
 //! dependencies anywhere on the wire.
 //!
 //! Requests are objects with a `cmd` member (`ping`, `submit`,
-//! `status`, `result`, `stats`, `invalidate`, `drain`, `shutdown`);
-//! responses are objects with an `ok` boolean (plus `error` text when
-//! false).
+//! `stats`, `invalidate`, `drain`, `shutdown`); responses are objects
+//! with an `ok` boolean (plus `error` text when false). A `submit` is
+//! answered on its own connection once the job completes.
 //! The full shape of each message is specified in `DESIGN.md`.
 
 use std::io::{self, Read, Write};
@@ -97,9 +97,8 @@ pub enum JobKind {
         /// Whether to run the diagnosis cross-check.
         diagnosis: bool,
         /// Run only this shard of the matrix and return a mergeable
-        /// shard report instead of the full artifacts. `None` = the
-        /// whole matrix. Fan-out clients submit one job per shard and
-        /// merge locally ([`tve_campaign::merge_shards`]).
+        /// shard report ([`tve_campaign::merge_shards`]) instead of the
+        /// full artifacts. `None` = the whole matrix.
         shard: Option<ShardSpec>,
     },
     /// Statically lint the given schedules (and optionally one ATE
@@ -373,10 +372,9 @@ impl JobSpec {
     /// The exact [`CampaignConfig`] a campaign job runs against, or
     /// `None` for other job kinds.
     ///
-    /// This is *the* construction both sides of a sharded fan-out use:
-    /// the daemon builds its shard reports from it and a merging client
-    /// rebuilds it to compute the matching campaign fingerprint —
-    /// equal job fields therefore mean an equal matrix, by
+    /// The daemon builds its shard reports from it, and a client that
+    /// merges them rebuilds it to compute the matching campaign
+    /// fingerprint — equal job fields therefore mean an equal matrix, by
     /// construction, on both ends of the socket.
     pub fn campaign_config(&self) -> Option<CampaignConfig> {
         let JobKind::Campaign {

@@ -858,32 +858,6 @@ impl Simulation {
         sim
     }
 
-    /// Creates a simulation whose mode comes from the `TVE_QUANTUM`
-    /// environment variable: unset, empty or `0` means cycle-accurate;
-    /// any other integer is the loosely-timed quantum in cycles.
-    ///
-    /// Shipped scenario runners build their simulators through this, so
-    /// whole benchmark harnesses can be switched to loosely-timed mode
-    /// without threading a parameter through every layer (the same idiom
-    /// as `TVE_JOBS` for the farm).
-    pub fn from_env() -> Self {
-        Simulation::with_quantum(Duration::cycles(Simulation::env_quantum()))
-    }
-
-    /// The quantum in cycles that `TVE_QUANTUM` selects, 0 meaning
-    /// cycle-accurate. [`Simulation::from_env`] builds with it, and code
-    /// that must agree with those simulators on the mode (cache keys)
-    /// reads it here.
-    pub fn env_quantum() -> u64 {
-        std::env::var("TVE_QUANTUM").map_or(0, |v| Simulation::parse_quantum(&v))
-    }
-
-    /// Parses a `TVE_QUANTUM` value: an integer is the quantum, anything
-    /// else (empty, `abc`) is 0.
-    pub fn parse_quantum(value: &str) -> u64 {
-        value.parse().unwrap_or(0)
-    }
-
     /// Testing/diagnostic knob: fire at most `limit` same-timestamp
     /// timers per batch before re-running ready tasks. Semantically
     /// inert — `tests/kernel_batch_prop.rs` proves traces are identical
@@ -955,19 +929,6 @@ impl Simulation {
 mod tests {
     use super::*;
     use std::cell::RefCell;
-
-    #[test]
-    fn quantum_values_that_are_not_integers_mean_accurate() {
-        for (value, quantum) in [
-            ("", 0),
-            ("0", 0),
-            ("abc", 0),
-            ("-5", 0),
-            ("100000", 100_000),
-        ] {
-            assert_eq!(Simulation::parse_quantum(value), quantum, "{value:?}");
-        }
-    }
 
     #[test]
     fn empty_simulation_terminates_at_zero() {

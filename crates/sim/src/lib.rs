@@ -23,8 +23,7 @@
 //! instead of cloned `Waker`s, and a timed wait that nothing else can
 //! precede completes inline without suspending — see the `executor`
 //! module docs. An opt-in loosely-timed mode
-//! ([`Simulation::with_quantum`], or `TVE_QUANTUM` via
-//! [`Simulation::from_env`]) trades intra-quantum timing fidelity for
+//! ([`Simulation::with_quantum`]) trades intra-quantum timing fidelity for
 //! speed through temporal decoupling; the default mode is cycle-accurate
 //! and digest-stable across kernel versions.
 //!

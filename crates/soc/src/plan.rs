@@ -456,8 +456,9 @@ impl fmt::Display for ScenarioMetrics {
     }
 }
 
-/// Builds a fresh SoC, executes `schedule` over the plan's test sequences,
-/// and reports the Table I metrics for that scenario.
+/// Builds a fresh SoC, executes `schedule` over the plan's test sequences
+/// cycle-accurately, and reports the Table I metrics for that scenario.
+/// [`run_scenario_quantum`] is the loosely-timed entry point.
 ///
 /// # Errors
 ///
@@ -468,12 +469,12 @@ pub fn run_scenario(
     plan: &SocTestPlan,
     schedule: &Schedule,
 ) -> Result<ScenarioMetrics, ScheduleError> {
-    run_scenario_impl(config, plan, schedule, None, None, |_| {})
+    run_scenario_impl(config, plan, schedule, Duration::ZERO, None, |_| {})
 }
 
-/// [`run_scenario`] with an explicit loosely-timed quantum instead of the
-/// `TVE_QUANTUM` environment variable: a zero quantum is the default
-/// cycle-accurate mode, a nonzero quantum opts into temporal decoupling.
+/// [`run_scenario`] at a loosely-timed quantum: a zero quantum is the
+/// default cycle-accurate mode, a nonzero quantum opts into temporal
+/// decoupling.
 /// Results are deterministic for a fixed quantum; see
 /// `tests/kernel_digests.rs` for the pinned digests of both modes.
 ///
@@ -487,7 +488,7 @@ pub fn run_scenario_quantum(
     schedule: &Schedule,
     quantum: Duration,
 ) -> Result<ScenarioMetrics, ScheduleError> {
-    run_scenario_impl(config, plan, schedule, Some(quantum), None, |_| {})
+    run_scenario_impl(config, plan, schedule, quantum, None, |_| {})
 }
 
 /// [`run_scenario`] with a preparation hook: `prepare` runs on the freshly
@@ -507,7 +508,7 @@ pub fn run_scenario_prepared<F: FnOnce(&JpegEncoderSoc)>(
     schedule: &Schedule,
     prepare: F,
 ) -> Result<ScenarioMetrics, ScheduleError> {
-    run_scenario_impl(config, plan, schedule, None, None, prepare)
+    run_scenario_impl(config, plan, schedule, Duration::ZERO, None, prepare)
 }
 
 /// [`run_scenario_prepared`] with observability: the recorder is attached
@@ -527,7 +528,7 @@ pub fn run_scenario_prepared_traced<F: FnOnce(&JpegEncoderSoc)>(
     prepare: F,
 ) -> Result<(ScenarioMetrics, TraceLog), ScheduleError> {
     let rec = Rc::new(Recorder::new(storage));
-    let metrics = run_scenario_impl(config, plan, schedule, None, Some(&rec), prepare)?;
+    let metrics = run_scenario_impl(config, plan, schedule, Duration::ZERO, Some(&rec), prepare)?;
     Ok((metrics, rec.take_log()))
 }
 
@@ -552,7 +553,7 @@ pub fn run_scenario_traced(
     storage: StoragePolicy,
 ) -> Result<(ScenarioMetrics, TraceLog), ScheduleError> {
     let rec = Rc::new(Recorder::new(storage));
-    let metrics = run_scenario_impl(config, plan, schedule, None, Some(&rec), |_| {})?;
+    let metrics = run_scenario_impl(config, plan, schedule, Duration::ZERO, Some(&rec), |_| {})?;
     Ok((metrics, rec.take_log()))
 }
 
@@ -560,19 +561,15 @@ fn run_scenario_impl<F: FnOnce(&JpegEncoderSoc)>(
     config: &SocConfig,
     plan: &SocTestPlan,
     schedule: &Schedule,
-    quantum: Option<Duration>,
+    quantum: Duration,
     recorder: Option<&Rc<Recorder>>,
     prepare: F,
 ) -> Result<ScenarioMetrics, ScheduleError> {
-    // `Simulation::from_env` honors `TVE_QUANTUM`: unset/0 is the default
-    // cycle-accurate mode (digest-stable, see `tests/kernel_digests.rs`);
-    // a nonzero quantum opts this scenario into loosely-timed temporal
-    // decoupling, where timings — and therefore digests — may differ.
-    // An explicit `quantum` sidesteps the environment entirely.
-    let mut sim = match quantum {
-        Some(q) => Simulation::with_quantum(q),
-        None => Simulation::from_env(),
-    };
+    // A zero quantum is the cycle-accurate mode (digest-stable, see
+    // `tests/kernel_digests.rs`); a nonzero one opts this scenario into
+    // loosely-timed temporal decoupling, where timings — and therefore
+    // digests — may differ.
+    let mut sim = Simulation::with_quantum(quantum);
     let soc = JpegEncoderSoc::build(&sim.handle(), config.clone());
     if let Some(rec) = recorder {
         soc.attach_recorder(rec);

@@ -5,7 +5,7 @@
 //! pre-rework Rc/RefCell + `BinaryHeap` kernel and are pinned as
 //! constants. Every future kernel change has to reproduce them byte for
 //! byte in the default (cycle-accurate) mode. Only the opt-in
-//! loosely-timed quantum mode (`TVE_QUANTUM` / `Simulation::with_quantum`)
+//! loosely-timed quantum mode (`Simulation::with_quantum`)
 //! is allowed to diverge, and it is never enabled here.
 //!
 //! Pinned surfaces:

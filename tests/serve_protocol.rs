@@ -198,9 +198,12 @@ fn request_decoder_error_texts_are_pinned() {
             r#"{"cmd":"submit","job":{"kind":"schedule","schedule":1,"workload":{"preset":"small"}},"wait":1}"#,
             "field 'wait' is not a boolean",
         ),
-        (r#"{"cmd":"status"}"#, "missing field 'id'"),
-        (r#"{"cmd":"result","id":"7"}"#, "field 'id' is not a u64"),
-        (r#"{"cmd":"status","id":999999}"#, "unknown job id 999999"),
+        (
+            r#"{"cmd":"submit","job":{"kind":"schedule","schedule":1,"workload":{"preset":"small"}},"wait":false}"#,
+            "\"wait\": false is not supported; a submit is answered on its connection",
+        ),
+        (r#"{"cmd":"status","id":1}"#, "unknown command \"status\""),
+        (r#"{"cmd":"result","id":1}"#, "unknown command \"result\""),
         (r#"{"cmd":"invalidate"}"#, "missing field 'workload'"),
         (
             r#"{"cmd":"invalidate","workload":{"preset":"small"}}"#,
@@ -236,28 +239,26 @@ fn unbuildable_memory_size_gets_typed_protocol_error() {
     assert_alive(socket);
 }
 
-/// A synchronous submit returns its result on the connection and is not
-/// kept in the job table: asking for it again by id is a typed
-/// `protocol` error, as for an id never issued.
+/// The reply shapes of `ping`, `submit` and `stats` carry no job id, no
+/// job count and no timing mode: a submit is answered on its connection
+/// and every simulation is cycle-accurate.
 #[test]
-fn synchronous_job_is_not_kept_after_its_reply() {
+fn replies_name_no_job_id_job_count_or_quantum() {
     let socket = frames_daemon();
     let mut client = Client::connect(socket).expect("client connects");
+    let keys = |value: &JsonValue| match value {
+        JsonValue::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+        other => panic!("reply is not an object: {other:?}"),
+    };
+    let pong = client.ping().expect("ping answers");
+    assert_eq!(keys(&pong), ["ok", "pid", "workers"]);
     let response = client
         .request_typed(r#"{"cmd":"submit","job":{"kind":"bounds","workload":{"preset":"small"}}}"#)
         .expect("a bounds job is answered without simulation");
-    assert!(response.get("result").is_some(), "{response:?}");
-    let id = response
-        .u64_field::<u64>("id")
-        .expect("the reply names its id");
-    for cmd in ["result", "status"] {
-        let (kind, error) = request_error(socket, &format!(r#"{{"cmd":"{cmd}","id":{id}}}"#));
-        assert_eq!(
-            (kind.as_str(), error.as_str()),
-            ("protocol", format!("unknown job id {id}").as_str()),
-            "{cmd}"
-        );
-    }
+    assert_eq!(keys(&response), ["ok", "result"]);
+    let stats = client.stats().expect("stats answers");
+    assert!(stats.get("running").is_some(), "{stats:?}");
+    assert!(stats.get("jobs").is_none(), "{stats:?}");
     assert_alive(socket);
 }
 
@@ -465,16 +466,27 @@ fn drain_refuses_new_work_finishes_running_and_persists_the_cache() {
         workers: Some(2),
         quiet: true,
         cache_file: Some(cache.clone()),
+        // Stall the first farm attempt, so the campaign is still running
+        // when the drain starts however fast the build simulates.
+        chaos: "worker-slow@1=1000".into(),
         ..ServeOptions::default()
     })
     .expect("daemon spawns");
     let socket = daemon.socket.clone();
 
-    let mut client = Client::connect(&socket).expect("client connects");
-    let id = client
-        .submit_async(&campaign_job(0x0D12_A1A0, None))
-        .expect("async campaign admitted");
-    client.drain().expect("drain accepted");
+    // The campaign blocks its connection, so it gets its own thread.
+    let runner = {
+        let socket = socket.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&socket).expect("runner connects");
+            client.submit(&campaign_job(0x0D12_A1A0, None))
+        })
+    };
+    wait_for_admission(&socket, 1, 0);
+    Client::connect(&socket)
+        .expect("drainer connects")
+        .drain()
+        .expect("drain accepted");
 
     // Submissions after drain are refused with the typed error; the
     // running campaign is NOT cancelled.
@@ -488,18 +500,24 @@ fn drain_refuses_new_work_finishes_running_and_persists_the_cache() {
     assert_eq!(refused.kind, "draining", "untyped refusal: {refused:?}");
     drop(late);
 
-    // The daemon exits on its own once the running job finishes, and
-    // the cache snapshot lands on disk.
+    // The daemon exits on its own once the running job finishes, the
+    // job is answered on its connection, and the cache snapshot lands
+    // on disk.
     daemon.join().expect("drained daemon exits cleanly");
-    assert!(
-        cache.exists(),
-        "drain did not persist the cache snapshot to {}",
-        cache.display()
-    );
-    let text = std::fs::read_to_string(&cache).expect("snapshot readable");
+    let result = runner
+        .join()
+        .expect("runner thread")
+        .expect("the running campaign finishes");
+    assert!(result.get("csv_digest").is_some(), "{result:?}");
+    let text = std::fs::read_to_string(&cache).unwrap_or_else(|e| {
+        panic!(
+            "drain did not persist the cache snapshot to {}: {e}",
+            cache.display()
+        )
+    });
     assert!(
         !text.is_empty(),
-        "drain persisted an empty cache snapshot despite job {id}"
+        "drain persisted an empty cache snapshot despite the finished campaign"
     );
     let _ = std::fs::remove_file(&cache);
 }

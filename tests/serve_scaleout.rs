@@ -208,10 +208,10 @@ fn damaged_cache_snapshot_degrades_to_the_valid_prefix() {
 }
 
 #[test]
-fn fan_out_partition_matches_the_library_partition() {
+fn shard_job_partition_matches_the_library_partition() {
     // The daemon's ownership rule and the library's must be the same
-    // function of the flat cell index; otherwise fan-out merges would
-    // depend on which side computed a cell. One shard job per spec,
+    // function of the flat cell index; otherwise merging shard jobs
+    // would depend on which side computed a cell. One shard job per spec,
     // library shard run locally, reports must be equal.
     let (daemon, mut client) = start("partition", None, None);
     let config = campaign_job(None)
@@ -254,10 +254,9 @@ fn verify_cache_catches_a_divergent_snapshot_entry() {
         .campaign_config()
         .expect("campaign jobs have a config");
     let (fault, schedule) = (&config.population[0], &config.schedules[0]);
-    let quantum = tve::sim::Simulation::env_quantum();
     let key = format!(
         "\"key\":\"{:016x}\"",
-        cell_key(&config.soc, &config.plan, schedule, &fault.id(), quantum)
+        cell_key(&config.soc, &config.plan, schedule, &fault.id())
     );
     let text = std::fs::read_to_string(&cache_file).expect("snapshot readable");
     let payloads: Vec<&str> = text
