@@ -383,8 +383,8 @@ impl TestWrapper {
             }
             if txn.cmd == Command::WriteRead {
                 // Scan pipelining: what shifts out now is the previous
-                // pattern's captured response.
-                let prev = self.last_response.borrow().clone();
+                // pattern's captured response, replaced below.
+                let prev = self.last_response.borrow_mut().take();
                 txn.data = match prev {
                     Some(p) => p.into_words(),
                     None => vec![0; bits.div_ceil(32)],

@@ -15,7 +15,7 @@ use crate::bitvec::BitVec;
 use crate::cube::TestCube;
 use crate::lfsr::{Lfsr, LfsrForm, MAXIMAL_TAPS};
 use crate::pattern::{ScanConfig, ScanPattern};
-use crate::prpg::{fill_pattern, parity, phase_mask};
+use crate::prpg::{fill_pattern, phase_mask};
 
 /// Error produced by a [`Compressor`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -305,9 +305,7 @@ impl ReseedingCodec {
         let mut lfsr = Lfsr::new(self.degree, self.taps, 1, LfsrForm::Fibonacci)
             .expect("structure validated at construction")
             .with_state(seed);
-        fill_pattern(&mut lfsr, self.config, |j, state| {
-            parity(state & self.masks[j])
-        })
+        fill_pattern(&mut lfsr, self.config, &self.masks)
     }
 }
 
@@ -326,8 +324,12 @@ impl Compressor for ReseedingCodec {
         }
         let rows = self.rows.get_or_init(|| self.expansion_rows());
         // Gaussian elimination over GF(2), one equation row·seed = value
-        // per care bit, taken in ascending scan position.
-        let mut pivots: Vec<(u32, u64, bool)> = Vec::new(); // (pivot bit, row, rhs)
+        // per care bit, taken in ascending scan position. Each row is
+        // reduced by every earlier pivot under a mask, not a branch: the
+        // pivot bits are random, so a branch would mispredict half the
+        // time.
+        // (pivot bit, row, rhs); each pivot bit is new, so at most `degree`.
+        let mut pivots: Vec<(u32, u64, u64)> = Vec::with_capacity(self.degree as usize);
         let care = cube.care().words();
         let value = cube.value().words();
         for (w, (&care_word, &value_word)) in care.iter().zip(value).enumerate() {
@@ -336,15 +338,14 @@ impl Compressor for ReseedingCodec {
                 let b = pending.trailing_zeros();
                 pending &= pending - 1;
                 let mut row = rows[w * 32 + b as usize];
-                let mut rhs = (value_word >> b) & 1 == 1;
+                let mut rhs = u64::from((value_word >> b) & 1);
                 for &(p, prow, prhs) in &pivots {
-                    if (row >> p) & 1 == 1 {
-                        row ^= prow;
-                        rhs ^= prhs;
-                    }
+                    let hit = ((row >> p) & 1).wrapping_neg();
+                    row ^= prow & hit;
+                    rhs ^= prhs & hit;
                 }
                 if row == 0 {
-                    if rhs {
+                    if rhs != 0 {
                         return Err(CompressError::Unsolvable {
                             specified: cube.specified_count(),
                             capacity: self.degree as usize,
@@ -362,13 +363,9 @@ impl Compressor for ReseedingCodec {
         // later pivot is already assigned.
         let mut seed = 0u64;
         for &(p, row, rhs) in pivots.iter().rev() {
-            let mut v = rhs;
             // XOR in already-assigned lower bits present in the row.
             let lower = row & !(1u64 << p);
-            v ^= parity(seed & lower);
-            if v {
-                seed |= 1 << p;
-            }
+            seed |= (rhs ^ u64::from((seed & lower).count_ones() & 1)) << p;
         }
         Ok(BitVec::from_words(
             vec![seed as u32, (seed >> 32) as u32],

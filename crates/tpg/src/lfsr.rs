@@ -3,6 +3,7 @@
 //! linear-feedback shift register").
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Known maximal-length (primitive polynomial) tap masks, indexed by degree.
 ///
@@ -33,6 +34,17 @@ pub(crate) const MAXIMAL_TAPS: &[(u32, u64)] = &[
     (48, 0xC00000180000),
     (64, 0xD800000000000000),
 ];
+
+/// The 64-cycle leap of one tabled Fibonacci polynomial: row `b` maps
+/// byte `b` of the state to its share of the next 64 feedback bits (bit
+/// `c` is the feedback of cycle `c`). The register is linear over GF(2),
+/// so the XOR of the eight shares is the next 64 sequence bits.
+type LeapTable = [[u64; 256]; 8];
+
+/// One lazily built leap table per [`MAXIMAL_TAPS`] entry; a `OnceLock`
+/// keeps registers `Send + Sync` for the farm.
+static LEAP_TABLES: [OnceLock<LeapTable>; MAXIMAL_TAPS.len()] =
+    [const { OnceLock::new() }; MAXIMAL_TAPS.len()];
 
 /// Error constructing an [`Lfsr`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,6 +109,9 @@ pub struct Lfsr {
     taps: u64,
     degree: u32,
     form: LfsrForm,
+    /// Index of the leap table: the [`MAXIMAL_TAPS`] entry of a
+    /// Fibonacci register built on a tabled polynomial.
+    table: Option<usize>,
 }
 
 impl Lfsr {
@@ -122,11 +137,16 @@ impl Lfsr {
         if state == 0 {
             return Err(PolyError::ZeroState);
         }
+        let table = MAXIMAL_TAPS
+            .iter()
+            .position(|&entry| entry == (degree, taps))
+            .filter(|_| form == LfsrForm::Fibonacci);
         Ok(Lfsr {
             state,
             taps,
             degree,
             form,
+            table,
         })
     }
 
@@ -203,13 +223,69 @@ impl Lfsr {
     /// Panics if `n > 64`.
     pub fn step_word(&mut self, n: u32) -> u64 {
         assert!(n <= 64, "at most 64 bits per step_word");
-        let mut w = 0u64;
-        for i in 0..n {
-            if self.step() {
-                w |= 1 << i;
+        if n == 0 {
+            return 0;
+        }
+        // Cycle c outputs the stage-(degree - 1) bit, the sequence bit
+        // `degree` places before its own feedback.
+        let outputs = (self.leap(n) >> (64 - self.degree)) as u64;
+        outputs & (u64::MAX >> (64 - n))
+    }
+
+    /// Advances `cycles` cycles, 64 at a time.
+    pub(crate) fn advance(&mut self, cycles: u64) {
+        let mut left = cycles;
+        while left > 0 {
+            let block = left.min(64);
+            self.leap(block as u32);
+            left -= block;
+        }
+    }
+
+    /// Advances `cycles ∈ 1..=64` cycles of a Fibonacci register in one
+    /// table step and returns the sequence window around them: bit
+    /// `64 + c` is the feedback of cycle `c`, and bit `64 - i` the
+    /// feedback `i` cycles before the first (valid for `i ≤ degree`).
+    /// After cycle `c` the state's stage `k` holds window bit `64 + c - k`,
+    /// so a phase-shifter tap on stage `k` reads the window shifted right
+    /// by `64 - k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the register is a Fibonacci LFSR on a tabled
+    /// maximal polynomial.
+    pub(crate) fn leap(&mut self, cycles: u32) -> u128 {
+        debug_assert!((1..=64).contains(&cycles));
+        let index = self
+            .table
+            .expect("leaping needs a Fibonacci LFSR on tabled maximal taps");
+        let table = LEAP_TABLES[index].get_or_init(|| self.build_leap_table());
+        let next = table.iter().enumerate().fold(0, |acc, (b, row)| {
+            acc ^ row[(self.state >> (8 * b)) as u8 as usize]
+        });
+        let window = u128::from(self.state.reverse_bits()) | u128::from(next) << 64;
+        self.state = ((window >> cycles) as u64).reverse_bits() & Self::mask_of(self.degree);
+        window
+    }
+
+    /// Derives this register's leap table: the 64 feedback bits of each
+    /// one-hot state, combined per state byte.
+    fn build_leap_table(&self) -> LeapTable {
+        let mut unit_words = [0u64; 64];
+        for (i, word) in unit_words.iter_mut().enumerate().take(self.degree as usize) {
+            let mut unit = self.with_state(1 << i);
+            for c in 0..64 {
+                unit.step();
+                *word |= (unit.state & 1) << c;
             }
         }
-        w
+        let mut table = [[0u64; 256]; 8];
+        for (b, row) in table.iter_mut().enumerate() {
+            for v in 1..256usize {
+                row[v] = row[v & (v - 1)] ^ unit_words[8 * b + v.trailing_zeros() as usize];
+            }
+        }
+        table
     }
 }
 

@@ -27,34 +27,37 @@ pub(crate) fn phase_mask(j: u64, degree: u32) -> u64 {
     }
 }
 
-/// Parity of `x`: the output of a phase-shifter XOR tree over the LFSR
-/// stages selected by a mask.
-pub(crate) fn parity(x: u64) -> bool {
-    x.count_ones() & 1 == 1
-}
-
 /// Fills one chain-major pattern for `config` from a phase-shifted LFSR:
-/// each shift cycle steps `lfsr` once, and chain `j` receives
-/// `bit(j, state)` for that cycle, ORed straight into the packed words.
-/// [`Prpg`] and the reseeding decompressor share it.
-pub(crate) fn fill_pattern(
-    lfsr: &mut Lfsr,
-    config: ScanConfig,
-    bit: impl Fn(usize, u64) -> bool,
-) -> ScanPattern {
-    let chains = config.chains() as usize;
+/// each shift cycle steps `lfsr` once, and chain `j` receives the parity
+/// of the state under `masks[j]`. The register leaps 64 cycles at a time,
+/// and each chain's 64 outputs are the XOR of the sequence window shifted
+/// once per mask tap, ORed straight into the packed words. [`Prpg`] and
+/// the reseeding decompressor share it.
+pub(crate) fn fill_pattern(lfsr: &mut Lfsr, config: ScanConfig, masks: &[u64]) -> ScanPattern {
+    debug_assert_eq!(masks.len(), config.chains() as usize);
     let len = config.max_chain_len() as usize;
-    let mut words = vec![0u32; (chains * len).div_ceil(32)];
-    for cycle in 0..len {
-        lfsr.step();
-        let state = lfsr.state();
-        let mut index = cycle;
-        for j in 0..chains {
-            words[index / 32] |= u32::from(bit(j, state)) << (index % 32);
-            index += len;
+    let bits = masks.len() * len;
+    let mut words = vec![0u32; bits.div_ceil(32)];
+    for cycle in (0..len).step_by(64) {
+        let cycles = (len - cycle).min(64);
+        let window = lfsr.leap(cycles as u32);
+        let keep = u64::MAX >> (64 - cycles);
+        for (j, &mask) in masks.iter().enumerate() {
+            let mut taps = mask;
+            let mut out = 0u64;
+            while taps != 0 {
+                out ^= (window >> (64 - taps.trailing_zeros())) as u64;
+                taps &= taps - 1;
+            }
+            // A 64-bit run at any offset spans at most three words.
+            let at = j * len + cycle;
+            let run = u128::from(out & keep) << (at % 32);
+            for (k, word) in words[at / 32..].iter_mut().take(3).enumerate() {
+                *word |= (run >> (32 * k)) as u32;
+            }
         }
     }
-    ScanPattern::new(BitVec::from_words(words, chains * len), config)
+    ScanPattern::new(BitVec::from_words(words, bits), config)
 }
 
 /// A pseudo-random pattern generator for `chains` parallel scan chains.
@@ -101,19 +104,14 @@ impl Prpg {
     /// Generates the next pattern: one bit per chain per shift cycle,
     /// chain-major packing (chain 0's full image first).
     pub fn next_pattern(&mut self) -> ScanPattern {
-        let masks = &self.masks;
-        fill_pattern(&mut self.lfsr, self.config, |j, state| {
-            parity(state & masks[j])
-        })
+        fill_pattern(&mut self.lfsr, self.config, &self.masks)
     }
 
     /// Skips `n` patterns without materializing them (timing-only mode).
     pub fn skip_patterns(&mut self, n: u64) {
         // The LFSR advances chain_len cycles per pattern.
-        let steps = n * self.config.max_chain_len() as u64;
-        for _ in 0..steps {
-            self.lfsr.step();
-        }
+        self.lfsr
+            .advance(n * u64::from(self.config.max_chain_len()));
     }
 }
 
