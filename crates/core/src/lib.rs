@@ -57,7 +57,7 @@ pub use schedule::{
     execute_schedule, execute_schedule_traced, Schedule, ScheduleError, ScheduleResult,
     StructuralIssue, TestRun, TestSlot,
 };
-pub use source::{AteSource, BistSource, CompressedAteSource, ReadBack};
+pub use source::{AteSource, BistSource, CompressedAteSource, ReadBack, STIMULUS_STORE_BYTES};
 pub use wrapper::{
     ScanPowerProfile, StuckWirBit, TestWrapper, WrapperConfig, WrapperMode, WrapperStats,
 };

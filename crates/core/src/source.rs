@@ -1,8 +1,15 @@
 //! Pattern source TLMs (paper Section III.C): logic-BIST, deterministic
 //! external (ATE-stored) and compressed external sources.
+//!
+//! In full-data runs the three sources read their stimulus from one
+//! process-wide [stimulus store](StimulusStore): each stream is generated
+//! once per process, up to a byte budget, and every later run of the same
+//! source replays it.
 
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -10,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use tve_obs::{Recorder, SpanKind, SpanRecord};
 use tve_sim::SimHandle;
 use tve_tlm::{Command, InitiatorId, TamIf, TamIfExt};
-use tve_tpg::{Compressor, Misr, Prpg, ScanConfig, TestCube};
+use tve_tpg::{Compressor, Misr, Prpg, ReseedingCodec, ScanConfig, TestCube};
 
 use crate::model::DataPolicy;
 use crate::outcome::TestOutcome;
@@ -21,14 +28,307 @@ fn words_to_sig(words: &[u32]) -> u64 {
     lo | (hi << 32)
 }
 
-/// A packed random stimulus of `bits` bits, LSB-first: one
-/// `gen_bool(0.5)` draw per bit, in bit order, ORed straight into words.
-fn random_stimulus(rng: &mut StdRng, bits: usize) -> Vec<u32> {
-    let mut words = vec![0u32; bits.div_ceil(32)];
+/// Packs a random stimulus into the zeroed `words`, LSB-first: one
+/// `gen_bool(0.5)` draw per bit, in bit order, for `bits` bits.
+fn random_stimulus(rng: &mut StdRng, bits: usize, words: &mut [u32]) {
     for i in 0..bits {
         words[i / 32] |= u32::from(rng.gen_bool(0.5)) << (i % 32);
     }
-    words
+}
+
+/// Bytes of packed stimulus the process-wide stimulus store may hold.
+///
+/// One stream keeps at most an eighth of it, so the five streams of a
+/// test plan fit side by side: a stream's first
+/// `STIMULUS_STORE_BYTES / 8 / (4 × stride)` patterns are stored, where
+/// the stride is `⌈bits / 32⌉` words for scan patterns and
+/// `⌈degree / 32⌉ + 1` words for reseeding seeds. Patterns past that
+/// prefix are generated on every run.
+pub const STIMULUS_STORE_BYTES: usize = 1 << 20;
+
+/// A full-data stimulus stream: the generator and every input it reads.
+/// Each is prefix-stable — pattern `i` does not depend on how many
+/// patterns the run asks for — so a shorter run replays a prefix of a
+/// longer one.
+#[derive(Clone, Copy)]
+enum Stimulus<'a> {
+    /// The PRPG patterns of a logic-BIST source (tests 1 and 4).
+    Prpg { seed: u64, scan: ScanConfig },
+    /// The stored patterns of an ATE source, one `gen_bool(0.5)` draw
+    /// per bit from one sequential RNG (tests 2 and 5).
+    Ate { seed: u64, scan: ScanConfig },
+    /// The reseeding seeds of the cubes `TestCube::random(scan, cares,
+    /// seed ^ i)` (test 3).
+    Reseed {
+        seed: u64,
+        scan: ScanConfig,
+        cares: usize,
+        codec: &'a ReseedingCodec,
+    },
+}
+
+/// What identifies a stream's content: the generator, its seed, the
+/// scan geometry (which fixes the bits per pattern), and for reseeding
+/// the cares per cube and the codec's structure. No pattern count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum StreamKey {
+    Prpg {
+        seed: u64,
+        scan: ScanConfig,
+    },
+    Ate {
+        seed: u64,
+        scan: ScanConfig,
+    },
+    Reseed {
+        seed: u64,
+        scan: ScanConfig,
+        cares: usize,
+        degree: u32,
+        codec_scan: ScanConfig,
+    },
+}
+
+/// A generator's state after some prefix of its stream.
+#[derive(Clone)]
+enum Resume {
+    Prpg(Prpg),
+    Ate(StdRng),
+    /// Cube `i` is seeded by `seed ^ i` alone, so the index is the state.
+    Reseed,
+}
+
+impl<'a> Stimulus<'a> {
+    fn key(&self) -> StreamKey {
+        match *self {
+            Stimulus::Prpg { seed, scan } => StreamKey::Prpg { seed, scan },
+            Stimulus::Ate { seed, scan } => StreamKey::Ate { seed, scan },
+            Stimulus::Reseed {
+                seed,
+                scan,
+                cares,
+                codec,
+            } => StreamKey::Reseed {
+                seed,
+                scan,
+                cares,
+                degree: codec.degree(),
+                codec_scan: codec.config(),
+            },
+        }
+    }
+
+    /// Bits one pattern moves over the TAM.
+    fn bits(&self) -> u64 {
+        match self {
+            Stimulus::Prpg { scan, .. } | Stimulus::Ate { scan, .. } => scan.bits_per_pattern(),
+            Stimulus::Reseed { codec, .. } => u64::from(codec.degree()),
+        }
+    }
+
+    /// Packed words per pattern. A reseeding slot ends in a flag word:
+    /// 1 when the cube was encoded, 0 when the codec could not encode it.
+    fn stride(&self) -> usize {
+        let words = self.bits().div_ceil(32) as usize;
+        match self {
+            Stimulus::Reseed { .. } => words + 1,
+            _ => words,
+        }
+    }
+
+    /// The generator's state before the first pattern.
+    fn start(&self) -> Resume {
+        match *self {
+            Stimulus::Prpg { seed, scan } => Resume::Prpg(
+                Prpg::new(32, seed | 1, scan).expect("degree-32 PRPG is always constructible"),
+            ),
+            Stimulus::Ate { seed, .. } => Resume::Ate(StdRng::seed_from_u64(seed)),
+            Stimulus::Reseed { .. } => Resume::Reseed,
+        }
+    }
+
+    /// Generates pattern `index` into the zeroed `slot`, advancing
+    /// `resume` past it.
+    fn generate(&self, resume: &mut Resume, index: u64, slot: &mut [u32]) {
+        match (*self, resume) {
+            (Stimulus::Prpg { .. }, Resume::Prpg(prpg)) => {
+                slot.copy_from_slice(prpg.next_pattern().stimulus().words());
+            }
+            (Stimulus::Ate { .. }, Resume::Ate(rng)) => {
+                random_stimulus(rng, self.bits() as usize, slot);
+            }
+            (
+                Stimulus::Reseed {
+                    seed,
+                    scan,
+                    cares,
+                    codec,
+                },
+                Resume::Reseed,
+            ) => {
+                let cube = TestCube::random(scan, cares, seed ^ index);
+                if let Ok(stream) = codec.compress(&cube) {
+                    let (flag, words) = slot.split_last_mut().expect("stride holds a flag");
+                    words.copy_from_slice(stream.words());
+                    *flag = 1;
+                }
+            }
+            _ => unreachable!("a stream resumes from its own generator's state"),
+        }
+    }
+
+    /// The stream's first `patterns` patterns, packed, and the state
+    /// after them.
+    fn fill(&self, patterns: u64) -> Stream {
+        let stride = self.stride();
+        let mut words = vec![0u32; patterns as usize * stride];
+        let mut resume = self.start();
+        for (i, slot) in words.chunks_exact_mut(stride).enumerate() {
+            self.generate(&mut resume, i as u64, slot);
+        }
+        Stream {
+            words: words.into(),
+            patterns,
+            resume,
+        }
+    }
+
+    /// Opens the stream for a run of `patterns` patterns: the stored
+    /// prefix, generated here and kept if the store lacks it.
+    ///
+    /// The store's lock is held only for the lookup and the insert, so
+    /// it is released before the source first awaits. Two threads that
+    /// miss the same key both generate it; the streams are identical and
+    /// the longer one is kept.
+    fn open(self, patterns: u64) -> StimulusReader<'a> {
+        let stride = self.stride();
+        let stored = patterns.min((STIMULUS_STORE_BYTES / 8 / (4 * stride)) as u64);
+        let key = self.key();
+        let held = StimulusStore::global()
+            .lookup(&key)
+            .filter(|s| s.patterns >= stored);
+        let stream = held.unwrap_or_else(|| {
+            let stream = Arc::new(self.fill(stored));
+            StimulusStore::global().keep(key, stream)
+        });
+        StimulusReader {
+            stimulus: self,
+            stream,
+            next: 0,
+            tail: None,
+            slot: vec![0; stride],
+        }
+    }
+}
+
+/// A stored stream prefix: `patterns` packed patterns at the
+/// stimulus's stride in one slice, then the generator state after them.
+struct Stream {
+    words: Box<[u32]>,
+    patterns: u64,
+    resume: Resume,
+}
+
+impl Stream {
+    /// What the stream costs the store's budget: its packed words and its
+    /// fixed-size bookkeeping, so that empty streams are not free.
+    fn bytes(&self) -> usize {
+        4 * self.words.len() + std::mem::size_of::<(StreamKey, Stream)>()
+    }
+}
+
+/// Reads one run's patterns: the stored prefix, then the patterns past
+/// it from a private clone of the generator state after the prefix. A
+/// stream that fits the budget has an empty tail.
+struct StimulusReader<'a> {
+    stimulus: Stimulus<'a>,
+    stream: Arc<Stream>,
+    next: u64,
+    tail: Option<Resume>,
+    slot: Vec<u32>,
+}
+
+impl StimulusReader<'_> {
+    /// The next pattern's packed words, or `None` for a reseeding cube
+    /// the codec cannot encode.
+    fn next(&mut self) -> Option<&[u32]> {
+        let index = self.next;
+        self.next += 1;
+        let stride = self.slot.len();
+        let slot = if index < self.stream.patterns {
+            let at = index as usize * stride;
+            &self.stream.words[at..at + stride]
+        } else {
+            let resume = self.tail.get_or_insert_with(|| self.stream.resume.clone());
+            self.slot.fill(0);
+            self.stimulus.generate(resume, index, &mut self.slot);
+            &self.slot[..]
+        };
+        match self.stimulus {
+            Stimulus::Reseed { .. } => match slot.split_last() {
+                Some((1, words)) => Some(words),
+                _ => None,
+            },
+            _ => Some(slot),
+        }
+    }
+}
+
+/// The process-wide stimulus store: full-data stimulus streams keyed by
+/// content, shared by every simulation in the process (campaign cells
+/// on farm workers, served jobs), within [`STIMULUS_STORE_BYTES`].
+/// The oldest streams are evicted first.
+#[derive(Default)]
+struct StimulusStore {
+    streams: HashMap<StreamKey, Arc<Stream>>,
+    /// Keys in insertion order, oldest first.
+    order: VecDeque<StreamKey>,
+    bytes: usize,
+}
+
+static STORE: LazyLock<Mutex<StimulusStore>> = LazyLock::new(Mutex::default);
+
+impl StimulusStore {
+    fn global() -> MutexGuard<'static, StimulusStore> {
+        STORE
+            .lock()
+            .expect("no stimulus-store update panics while it holds the lock")
+    }
+
+    fn lookup(&self, key: &StreamKey) -> Option<Arc<Stream>> {
+        self.streams.get(key).cloned()
+    }
+
+    /// Keeps `stream` under `key`, unless an at least as long one is
+    /// held already, and returns the stream kept.
+    fn keep(&mut self, key: StreamKey, stream: Arc<Stream>) -> Arc<Stream> {
+        if let Some(held) = self.streams.get(&key) {
+            if held.patterns >= stream.patterns {
+                return Arc::clone(held);
+            }
+            self.bytes -= held.bytes();
+            self.streams.remove(&key);
+            self.order.retain(|k| *k != key);
+        }
+        self.bytes += stream.bytes();
+        self.streams.insert(key, Arc::clone(&stream));
+        self.order.push_back(key);
+        while self.bytes > STIMULUS_STORE_BYTES {
+            let Some(oldest) = self.order.pop_front() else {
+                break;
+            };
+            if let Some(evicted) = self.streams.remove(&oldest) {
+                self.bytes -= evicted.bytes();
+            }
+        }
+        stream
+    }
+}
+
+/// Bytes the process-wide stimulus store holds now.
+#[cfg(test)]
+pub(crate) fn stored_bytes() -> usize {
+    StimulusStore::global().bytes
 }
 
 /// Records a completed source run as a [`SpanKind::Burst`] span on the
@@ -145,18 +445,16 @@ impl BistSource {
                 }
             }
             DataPolicy::Full => {
-                let mut prpg = Prpg::new(32, self.seed | 1, self.scan)
-                    .expect("degree-32 PRPG is always constructible");
+                let mut stimulus = Stimulus::Prpg {
+                    seed: self.seed,
+                    scan: self.scan,
+                }
+                .open(self.patterns);
                 for _ in 0..self.patterns {
-                    let pattern = prpg.next_pattern();
+                    let words = stimulus.next().expect("scan patterns always exist");
                     match self
                         .tam
-                        .write(
-                            self.initiator,
-                            self.wrapper_addr,
-                            pattern.stimulus().words(),
-                            bits,
-                        )
+                        .write(self.initiator, self.wrapper_addr, words, bits)
                         .await
                     {
                         Ok(()) => {
@@ -210,7 +508,8 @@ pub enum ReadBack {
 
 /// A deterministic external pattern source: pre-computed patterns stored in
 /// the ATE, delivered through the EBI (and hence the rate-limited ATE
-/// channel), with response read-back.
+/// channel), with response read-back. In full-data runs the stored
+/// patterns are the process-wide stimulus store's.
 ///
 /// This models tests 2 and 5 of the paper's case study.
 pub struct AteSource {
@@ -258,28 +557,34 @@ impl AteSource {
     pub async fn run(&self) -> TestOutcome {
         let mut out = TestOutcome::begin(&self.name, self.handle.now());
         let bits = self.scan.bits_per_pattern();
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut stimulus = (self.policy == DataPolicy::Full).then(|| {
+            Stimulus::Ate {
+                seed: self.seed,
+                scan: self.scan,
+            }
+            .open(self.patterns)
+        });
         let mut misr = Misr::new(64, 32).expect("64-stage MISR");
         let cmd = match self.read_back {
             ReadBack::Combined => Command::WriteRead,
             _ => Command::Write,
         };
         for _ in 0..self.patterns {
-            let write_result = match self.policy {
-                DataPolicy::Volume => self
+            let write_result = match &mut stimulus {
+                None => self
                     .port
                     .transfer_volume(self.initiator, cmd, self.wrapper_addr, bits)
                     .await
                     .map(|_| Vec::new()),
-                DataPolicy::Full => {
-                    let stim = random_stimulus(&mut rng, bits as usize);
+                Some(stimulus) => {
+                    let stim = stimulus.next().expect("ATE patterns always exist");
                     if cmd == Command::WriteRead {
                         self.port
-                            .write_read(self.initiator, self.wrapper_addr, stim, bits)
+                            .write_read(self.initiator, self.wrapper_addr, stim.to_vec(), bits)
                             .await
                     } else {
                         self.port
-                            .write(self.initiator, self.wrapper_addr, &stim, bits)
+                            .write(self.initiator, self.wrapper_addr, stim, bits)
                             .await
                             .map(|_| Vec::new())
                     }
@@ -349,8 +654,8 @@ pub struct CompressedAteSource {
     pub compressed_bits: u64,
     /// Compacted response bits read back per pattern (0 disables).
     pub compacted_bits: u64,
-    /// The compression codec for full-data runs.
-    pub codec: Option<Rc<dyn Compressor>>,
+    /// The reseeding codec that encodes each cube for full-data runs.
+    pub codec: Option<Rc<ReseedingCodec>>,
     /// Specified (care) bits per generated test cube in full-data runs.
     pub cares_per_cube: usize,
     /// Initiator identity.
@@ -383,9 +688,21 @@ impl CompressedAteSource {
     pub async fn run(&self) -> TestOutcome {
         let mut out = TestOutcome::begin(&self.name, self.handle.now());
         let mut misr = Misr::new(64, 32).expect("64-stage MISR");
-        for i in 0..self.patterns {
-            let write_result = match self.policy {
-                DataPolicy::Volume => {
+        let mut stimulus = match (self.policy, &self.codec) {
+            (DataPolicy::Full, Some(codec)) => {
+                let stimulus = Stimulus::Reseed {
+                    seed: self.seed,
+                    scan: self.scan,
+                    cares: self.cares_per_cube,
+                    codec,
+                };
+                Some((stimulus.open(self.patterns), stimulus.bits()))
+            }
+            _ => None,
+        };
+        for _ in 0..self.patterns {
+            let write_result = match (self.policy, &mut stimulus) {
+                (DataPolicy::Volume, _) => {
                     self.port
                         .transfer_volume(
                             self.initiator,
@@ -395,29 +712,21 @@ impl CompressedAteSource {
                         )
                         .await
                 }
-                DataPolicy::Full => {
-                    let Some(codec) = &self.codec else {
+                (DataPolicy::Full, None) => {
+                    // No codec to encode the cubes with.
+                    out.errors += 1;
+                    break;
+                }
+                (DataPolicy::Full, Some((stimulus, bits))) => {
+                    let Some(seed) = stimulus.next() else {
+                        // Unencodable cube: counts as an error, skip.
                         out.errors += 1;
-                        break;
+                        continue;
                     };
-                    let cube = TestCube::random(self.scan, self.cares_per_cube, self.seed ^ i);
-                    match codec.compress(&cube) {
-                        Ok(stream) => self
-                            .port
-                            .write(
-                                self.initiator,
-                                self.codec_addr,
-                                stream.words(),
-                                stream.len() as u64,
-                            )
-                            .await
-                            .map(|_| ()),
-                        Err(_) => {
-                            // Unencodable cube: counts as an error, skip.
-                            out.errors += 1;
-                            continue;
-                        }
-                    }
+                    self.port
+                        .write(self.initiator, self.codec_addr, seed, *bits)
+                        .await
+                        .map(|_| ())
                 }
             };
             match write_result {
@@ -481,7 +790,10 @@ mod tests {
     use tve_tpg::BitVec;
 
     fn wrapper(sim: &Simulation, mode: WrapperMode) -> Rc<TestWrapper> {
-        let scan = ScanConfig::new(4, 32);
+        wrapper_of(sim, mode, ScanConfig::new(4, 32))
+    }
+
+    fn wrapper_of(sim: &Simulation, mode: WrapperMode, scan: ScanConfig) -> Rc<TestWrapper> {
         let core = Rc::new(SyntheticLogicCore::new("c", scan, 11));
         let w = Rc::new(TestWrapper::new(
             &sim.handle(),
@@ -499,7 +811,8 @@ mod tests {
                 let mut packed_rng = StdRng::seed_from_u64(seed);
                 let mut collected_rng = StdRng::seed_from_u64(seed);
                 for k in 0..3 {
-                    let packed = random_stimulus(&mut packed_rng, bits);
+                    let mut packed = vec![0; bits.div_ceil(32)];
+                    random_stimulus(&mut packed_rng, bits, &mut packed);
                     let collected: BitVec =
                         (0..bits).map(|_| collected_rng.gen_bool(0.5)).collect();
                     assert_eq!(
@@ -510,6 +823,66 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_stream_longer_than_the_budget_keeps_the_store_within_it() {
+        // 4 KiB per pattern: 300 patterns are more than the whole store.
+        let scan = ScanConfig::new(32, 1024);
+        let (patterns, seed) = (300, 0xB0D6E7);
+        assert!(patterns as usize * 4096 > STIMULUS_STORE_BYTES);
+        let run = |reference: bool| {
+            let mut sim = Simulation::new();
+            let h = sim.handle();
+            let tam = wrapper_of(&sim, WrapperMode::Bist, scan) as Rc<dyn TamIf>;
+            let src = BistSource::new(
+                &h,
+                "bist",
+                Rc::clone(&tam),
+                0,
+                InitiatorId(0),
+                scan,
+                patterns,
+                DataPolicy::Full,
+                seed,
+            );
+            let jh = sim.spawn(async move {
+                if !reference {
+                    return src.run().await;
+                }
+                // The reference: the generator written straight to the TAM.
+                let mut out = TestOutcome::begin("bist", h.now());
+                let mut prpg = Prpg::new(32, seed | 1, scan).unwrap();
+                for _ in 0..patterns {
+                    let pattern = prpg.next_pattern();
+                    let bits = scan.bits_per_pattern();
+                    tam.write(InitiatorId(0), 0, pattern.stimulus().words(), bits)
+                        .await
+                        .unwrap();
+                    out.patterns += 1;
+                    out.stimulus_bits += bits;
+                }
+                let words = tam.read(InitiatorId(0), 0, 64).await.unwrap();
+                out.response_bits += 64;
+                out.signature = Some(words_to_sig(&words));
+                out.end = h.now();
+                out
+            });
+            sim.run();
+            jh.try_take().unwrap()
+        };
+        let want = run(true);
+        for store in ["cold", "warm"] {
+            assert_eq!(run(false), want, "{store} store");
+            assert!(
+                stored_bytes() <= STIMULUS_STORE_BYTES,
+                "{store} store holds {} bytes",
+                stored_bytes()
+            );
+        }
+        let key = StreamKey::Prpg { seed, scan };
+        let held = StimulusStore::global().lookup(&key).expect("stream kept");
+        assert_eq!(held.patterns as usize, STIMULUS_STORE_BYTES / 8 / 4096);
     }
 
     #[test]

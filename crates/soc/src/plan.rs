@@ -235,10 +235,7 @@ pub(crate) fn build_test_set(soc: TestAccess<'_>, plan: &SocTestPlan) -> Vec<Tes
                 DataPolicy::Full => 64,
             },
             compacted_bits: soc.codec.compacted_bits(),
-            codec: soc
-                .reseeding
-                .clone()
-                .map(|c| c as Rc<dyn tve_tpg::Compressor>),
+            codec: soc.reseeding.clone(),
             cares_per_cube: 24,
             initiator: initiators::ATE,
             scan: cfg.proc_scan,

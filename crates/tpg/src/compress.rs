@@ -266,6 +266,11 @@ impl ReseedingCodec {
         })
     }
 
+    /// Stages of the decompressor LFSR: the bits of one encoded seed.
+    pub fn degree(&self) -> u32 {
+        self.degree
+    }
+
     /// Symbolically expands the decompressor: for every scan position the
     /// GF(2) mask over seed bits that produces it.
     fn expansion_rows(&self) -> Vec<u64> {

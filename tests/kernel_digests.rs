@@ -17,15 +17,18 @@
 //!   other *and* with the pinned value),
 //! * the four schedules on the Full data policy, accurate and
 //!   loosely-timed, so the bit-true pattern path (PRPG, ATE stimuli,
-//!   reseeding codec, XOR compaction, MISR signatures) cannot drift.
+//!   reseeding codec, XOR compaction, MISR signatures) cannot drift,
+//! * the kernel and TAM work (polls, fired timers, bus transfers) of
+//!   both workloads, cycle-accurate.
 
 use tve::campaign::{generate, run_campaign, CampaignConfig, PopulationSpec};
+use tve::core::{execute_schedule, Schedule};
 use tve::obs::{fnv1a, StoragePolicy};
 use tve::sched::Farm;
-use tve::sim::Duration;
+use tve::sim::{Duration, Simulation};
 use tve::soc::{
-    paper_schedules, run_scenario, run_scenario_quantum, run_scenario_traced, PlanOverrides,
-    SocConfig, SocTestPlan, Workload,
+    build_test_runs, paper_schedules, run_scenario, run_scenario_quantum, run_scenario_traced,
+    JpegEncoderSoc, PlanOverrides, SocConfig, SocTestPlan, Workload,
 };
 
 /// Digests of schedules 1-4 on the benchmark workload, recorded on the
@@ -233,4 +236,58 @@ fn campaign_matrix_digest_is_pinned() {
         got, CAMPAIGN_CSV_DIGEST,
         "kernel rework changed the campaign detection matrix"
     );
+}
+
+/// Kernel and TAM work `(polls, timers fired, bus transfers)` of
+/// schedules 1-4, cycle-accurate, through the public
+/// `Simulation::kernel_stats` and `UtilizationMonitor::transfer_count`.
+/// Digests pin what a run computes; these pin how much work the kernel
+/// and the bus do to compute it. Timers and transfers count simulated
+/// events and must not move. Polls count task resumptions: a change that
+/// completes more work inline may lower them on purpose, and CHANGES.md
+/// then records the old and new values.
+const BENCH_WORK: [(u64, u64, u64); 4] = [
+    (613, 81_464, 40_732),
+    (79_233, 82_065, 40_932),
+    (937, 81_441, 40_732),
+    (60_911, 82_062, 40_932),
+];
+
+/// The same counts on the Full data policy (`full_data_workload`).
+const FULL_DATA_WORK: [(u64, u64, u64); 4] = [
+    (4_803, 8_906, 3_854),
+    (4_712, 8_609, 3_854),
+    (6_181, 8_906, 3_854),
+    (7_074, 8_609, 3_854),
+];
+
+/// Runs one schedule as `run_scenario` does and returns its work counts.
+fn work_counts(config: &SocConfig, plan: &SocTestPlan, schedule: &Schedule) -> (u64, u64, u64) {
+    let mut sim = Simulation::new();
+    let soc = JpegEncoderSoc::build(&sim.handle(), config.clone());
+    let tests = build_test_runs(&soc, plan);
+    let result = execute_schedule(&mut sim, tests, schedule).expect("well-formed");
+    assert!(result.clean(), "{} reported errors", schedule.name);
+    let (polls, timers_fired) = sim.kernel_stats();
+    let transfers = soc.bus.monitor().transfer_count();
+    (polls, timers_fired, transfers)
+}
+
+#[test]
+fn kernel_work_is_pinned() {
+    for (label, (config, plan), pinned) in [
+        ("bench", bench_workload(), BENCH_WORK),
+        ("full-data", full_data_workload(), FULL_DATA_WORK),
+    ] {
+        let got: Vec<_> = paper_schedules()
+            .iter()
+            .map(|s| work_counts(&config, &plan, s))
+            .collect();
+        println!("{label} work (polls, timers, transfers): {got:?}");
+        assert_eq!(
+            got,
+            pinned.to_vec(),
+            "{label}: kernel or TAM work changed; polls may move only on purpose"
+        );
+    }
 }
