@@ -20,10 +20,10 @@
 //! is an error, never a silently wrong artifact.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use tve_core::Schedule;
-use tve_obs::{append_json_string, fnv1a, parse_json};
+use tve_obs::{append_json_string, parse_json, Fnv1a};
 use tve_sched::{Farm, SupervisePolicy};
 
 use crate::engine::CampaignConfig;
@@ -113,7 +113,9 @@ impl fmt::Display for ShardSpec {
 /// is *not* promised stable across code changes — it guards a run, not
 /// an archive format.)
 pub(crate) fn campaign_fingerprint(config: &CampaignConfig) -> u64 {
-    fnv1a(format!("campaign/v1|{config:?}").as_bytes())
+    let mut h = Fnv1a::new();
+    let _ = write!(h, "campaign/v1|{config:?}");
+    h.finish()
 }
 
 /// Applies the static pre-screen (when `config.prescreen` is set) and

@@ -28,11 +28,48 @@ use crate::json::{parse_json, JsonValue};
 
 /// FNV-1a over `bytes` — the workspace's standard 64-bit digest.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// A streaming [`fnv1a`]: feeding the same bytes in any number of pieces
+/// gives the same digest as one call over their concatenation. As a
+/// [`std::fmt::Write`] it digests formatted text (`write!(h, "{x:?}")`)
+/// without building the `String` first.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The empty digest.
+    pub fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Feeds `bytes` in place.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// The digest of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// An append-only journal writer. Every [`append`](Journal::append) is

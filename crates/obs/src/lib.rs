@@ -69,7 +69,9 @@ pub use agg::{earliest_span_end, utilization_from_spans, UtilizationSummary};
 pub use chrome::write_chrome_trace;
 pub use csv::{csv_field, write_metrics_csv, write_spans_csv};
 pub use faultio::{IoPolicy, WriteFault};
-pub use journal::{fnv1a, parse_journal, read_journal, Journal, JournalContents, JournalDefect};
+pub use journal::{
+    fnv1a, parse_journal, read_journal, Fnv1a, Journal, JournalContents, JournalDefect,
+};
 pub use json::{append_json_string, check_json, json_string, parse_json, JsonError, JsonValue};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use ops::OpsCounters;

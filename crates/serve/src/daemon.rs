@@ -17,11 +17,12 @@
 //!
 //! ## Fault tolerance
 //!
-//! Every submission builds its inputs once (`Inputs`), passes
-//! [`Admission`] (bounded queue, priority quotas, cost-cap shedding —
-//! see `admission.rs`), runs them under a
-//! per-job [`CancelToken`] with an optional deadline watcher, and fans
-//! out through the *supervised* farm
+//! Every distinct `submit` frame is decoded once — job, inputs and
+//! result-cache key (`Decoded`), kept by frame text in the decode memo
+//! (`memo.rs`). Every submission passes [`Admission`] (bounded queue,
+//! priority quotas, cost-cap shedding — see `admission.rs`), runs its
+//! inputs under a per-job [`CancelToken`] with an optional deadline
+//! watcher, and fans out through the *supervised* farm
 //! ([`Farm::run_map_supervised`](tve_sched::Farm::run_map_supervised)):
 //! a panicked worker attempt is retried on a fresh worker within a
 //! retry budget, a permanent failure comes back as a typed error, and
@@ -63,7 +64,10 @@ use crate::chaos::{ChaosSite, ChaosSpec};
 use crate::client::splitmix64;
 use crate::error::ServeError;
 use crate::invalidate::edit_impact;
-use crate::key::{bounds_key, cell_key, diagnosis_key, lint_key, schedule_tests, test_mask};
+use crate::key::{
+    bounds_key, cell_key, diagnosis_key, lint_key, report_key, schedule_tests, test_mask,
+};
+use crate::memo::DecodeMemo;
 use crate::proto::{read_frame, write_frame, JobKind, JobSpec};
 
 /// The default socket path (also the `TVE_SERVE_SOCKET` default).
@@ -144,6 +148,8 @@ struct Shared {
     admission: Admission,
     ops: OpsCounters,
     chaos: ChaosSpec,
+    /// Successful `submit` decodes by frame text (`memo.rs`).
+    memo: DecodeMemo<Decoded>,
     /// Recent panic payloads from connection threads (bounded),
     /// surfaced through the `stats` response.
     panics: Mutex<Vec<String>>,
@@ -562,6 +568,7 @@ fn bind(options: &ServeOptions) -> io::Result<(UnixListener, Arc<Shared>)> {
         }),
         ops: OpsCounters::new(),
         chaos,
+        memo: DecodeMemo::new(),
         panics: Mutex::new(Vec::new()),
     });
     if !options.quiet {
@@ -735,24 +742,44 @@ fn write_response(stream: &mut UnixStream, shared: &Shared, response: &str) -> i
     Ok(true)
 }
 
-/// One job's inputs, built once per submission: admission prices them
-/// when a cost cap is set, and execution runs them.
+/// One decoded `submit`: the job and its inputs. It depends on the frame
+/// text alone, so the decode memo keeps it for the next identical frame.
+struct Decoded {
+    job: JobSpec,
+    inputs: Inputs,
+}
+
+/// One job's inputs, built once per decode: admission prices them when
+/// a cost cap is set, and execution runs them.
 enum Inputs {
-    /// Schedule, lint and bounds jobs: the workload and its schedules.
-    Plan(SocConfig, SocTestPlan, Vec<Schedule>),
-    /// Campaign jobs: [`JobSpec::campaign_config`].
+    /// Schedule, lint and bounds jobs: the workload, its schedules and
+    /// the job's result-cache key — the golden cell key of a schedule
+    /// job, the [`report_key`] of a lint or bounds job.
+    Plan(SocConfig, SocTestPlan, Vec<Schedule>, u64),
+    /// Campaign jobs: [`JobSpec::campaign_config`]. The walk keys each
+    /// cell itself.
     Campaign(CampaignConfig),
 }
 
 impl Inputs {
     fn build(job: &JobSpec) -> Inputs {
-        match job.campaign_config() {
-            Some(campaign) => Inputs::Campaign(campaign),
-            None => {
-                let (config, plan) = job.workload.build();
-                Inputs::Plan(config, plan, job.schedules())
-            }
+        if let Some(campaign) = job.campaign_config() {
+            return Inputs::Campaign(campaign);
         }
+        let (config, plan) = job.workload.build();
+        let schedules = job.schedules();
+        let key = match &job.kind {
+            JobKind::Lint { program, .. } => {
+                let program = program.as_ref().map(|(n, t)| (n.as_str(), t.as_str()));
+                let key = |s| lint_key(&config, &plan, s, program);
+                report_key(schedules.iter().map(key))
+            }
+            JobKind::Bounds { .. } => {
+                report_key(schedules.iter().map(|s| bounds_key(&config, &plan, s)))
+            }
+            _ => cell_key(&config, &plan, &schedules[0], "golden"),
+        };
+        Inputs::Plan(config, plan, schedules, key)
     }
 
     /// Static cost estimate for admission control: the summed upper
@@ -762,7 +789,7 @@ impl Inputs {
     /// and bounds jobs are not priced.
     fn cost(&self, job: &JobSpec) -> Option<f64> {
         let (config, plan, schedules, passes) = match (self, &job.kind) {
-            (Inputs::Plan(config, plan, schedules), JobKind::Schedule { .. }) => {
+            (Inputs::Plan(config, plan, schedules, _), JobKind::Schedule { .. }) => {
                 (config, plan, schedules, 1.0)
             }
             (Inputs::Campaign(c), _) => {
@@ -776,7 +803,56 @@ impl Inputs {
     }
 }
 
+/// Decodes a `submit` request: the job, the `wait` check and the job's
+/// inputs. Only a decode that succeeds is memoized.
+fn decode_submit(request: &JsonValue) -> Result<Decoded, ServeError> {
+    let job = request
+        .field("job")
+        .and_then(JobSpec::from_json)
+        .map_err(ServeError::protocol)?;
+    // Clients may still send `"wait": true`: it names the one lifecycle
+    // there is, an answer on this connection.
+    let wait = request
+        .opt_typed("wait", JsonValue::bool_field)
+        .map_err(ServeError::protocol)?;
+    if wait == Some(false) {
+        return Err(ServeError::protocol(
+            "\"wait\": false is not supported; a submit is answered on its connection",
+        ));
+    }
+    let inputs = Inputs::build(&job);
+    Ok(Decoded { job, inputs })
+}
+
+/// Admits and runs one decoded job; the answer is its response frame.
+fn submit(shared: &Arc<Shared>, decoded: &Decoded) -> Result<String, ServeError> {
+    let Decoded { job, inputs } = decoded;
+    let cost = if shared.options.cost_cap.is_finite() {
+        inputs.cost(job)
+    } else {
+        None
+    };
+    let ticket = shared
+        .admission
+        .admit(job.priority(), cost)
+        .map_err(|shed| {
+            shared.ops.incr("admission.shed");
+            if shed.draining {
+                ServeError::draining(shed.reason)
+            } else {
+                ServeError::overloaded(shed.reason, shed.retry_after_ms)
+            }
+        })?;
+    let result = execute_guarded(shared, job, inputs);
+    drop(ticket);
+    Ok(format!("{{\"ok\":true,\"result\":{}}}", result?))
+}
+
 fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
+    // Only successful submit decodes are memoized, so a hit is one.
+    if let Some(decoded) = shared.memo.get(text) {
+        return submit(shared, &decoded);
+    }
     let request =
         parse_json(text).map_err(|e| ServeError::protocol(format!("bad request: {e}")))?;
     let cmd = request.str_field("cmd").map_err(ServeError::protocol)?;
@@ -795,42 +871,7 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
             shared.start_drain();
             Ok("{\"ok\":true,\"draining\":true}".into())
         }
-        "submit" => {
-            let job = request
-                .field("job")
-                .and_then(JobSpec::from_json)
-                .map_err(ServeError::protocol)?;
-            // Clients may still send `"wait": true`: it names the one
-            // lifecycle there is, an answer on this connection.
-            let wait = request
-                .opt_typed("wait", JsonValue::bool_field)
-                .map_err(ServeError::protocol)?;
-            if wait == Some(false) {
-                return Err(ServeError::protocol(
-                    "\"wait\": false is not supported; a submit is answered on its connection",
-                ));
-            }
-            let inputs = Inputs::build(&job);
-            let cost = if shared.options.cost_cap.is_finite() {
-                inputs.cost(&job)
-            } else {
-                None
-            };
-            let ticket = shared
-                .admission
-                .admit(job.priority(), cost)
-                .map_err(|shed| {
-                    shared.ops.incr("admission.shed");
-                    if shed.draining {
-                        ServeError::draining(shed.reason)
-                    } else {
-                        ServeError::overloaded(shed.reason, shed.retry_after_ms)
-                    }
-                })?;
-            let result = execute_guarded(shared, &job, &inputs);
-            drop(ticket);
-            Ok(format!("{{\"ok\":true,\"result\":{}}}", result?))
-        }
+        "submit" => submit(shared, &shared.memo.insert(text, decode_submit(&request)?)),
         "invalidate" => {
             let workload = request
                 .field("workload")
@@ -864,10 +905,12 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
 fn stats_response(shared: &Shared) -> String {
     let stats = shared.cache.stats();
     let (running, queued, admitted, shed) = shared.admission.depth();
+    let (decoded, reused) = shared.memo.counts();
     let panics = shared.panics.lock().expect("panic log lock");
     let mut out = format!(
         "{{\"ok\":true,\"entries\":{},\"hits\":{},\"misses\":{},\"hit_rate\":{:.6},\
          \"evicted\":{},\"verified\":{},\"verify_failures\":{},\
+         \"submits_decoded\":{decoded},\"submits_reused\":{reused},\
          \"uptime_ms\":{},\"workers\":{},\"running\":{running},\"queued\":{queued},\
          \"admitted\":{admitted},\"shed\":{shed},\"draining\":{},\"panics\":{}",
         stats.entries,
@@ -941,10 +984,10 @@ fn execute(
         (JobKind::Campaign { shard, .. }, Inputs::Campaign(campaign)) => {
             run_campaign_job(shared, job, ctx, campaign, *shard)?
         }
-        (JobKind::Schedule { .. }, Inputs::Plan(config, plan, schedules)) => {
-            run_schedule_job(shared, job, config, plan, &schedules[0])?
+        (JobKind::Schedule { .. }, Inputs::Plan(config, plan, schedules, key)) => {
+            run_schedule_job(shared, job, config, plan, &schedules[0], *key)?
         }
-        (JobKind::Lint { program, .. }, Inputs::Plan(config, plan, schedules)) => {
+        (JobKind::Lint { program, .. }, Inputs::Plan(config, plan, schedules, key)) => {
             let program = program.as_ref().map(|(n, t)| (n.as_str(), t.as_str()));
             let fields = |value| match value {
                 CachedValue::Lint {
@@ -957,11 +1000,10 @@ fn execute(
                 )),
                 _ => None,
             };
-            let key = |s: &Schedule| lint_key(config, plan, s, program);
             let compute = || lint_value(config, plan, schedules, program);
-            run_report_job(shared, job, "lint", schedules, key, compute, fields)?
+            run_report_job(shared, job, "lint", *key, compute, fields)?
         }
-        (JobKind::Bounds { .. }, Inputs::Plan(config, plan, schedules)) => {
+        (JobKind::Bounds { .. }, Inputs::Plan(config, plan, schedules, key)) => {
             let fields = |value| match value {
                 CachedValue::Bounds { report } => Some((
                     format!("\"schedules\":{},\"quantum\":0", schedules.len()),
@@ -974,8 +1016,7 @@ fn execute(
                 let report = tve_lint::bounds_reports_to_json(&envelopes);
                 CachedValue::Bounds { report }
             };
-            let key = |s: &Schedule| bounds_key(config, plan, s);
-            run_report_job(shared, job, "bounds", schedules, key, compute, fields)?
+            run_report_job(shared, job, "bounds", *key, compute, fields)?
         }
         _ => unreachable!("inputs are built for their job's kind"),
     };
@@ -997,17 +1038,18 @@ fn execute(
     Ok(format!("{{{body},\"wall_us\":{wall_us}}}"))
 }
 
-/// Runs or serves one fault-free schedule; body fields only (caller
-/// wraps the braces and appends timing). Runs on the connection thread,
-/// so the job token covers its kernels directly.
+/// Runs or serves one fault-free schedule under its golden cell `key`;
+/// body fields only (caller wraps the braces and appends timing). Runs
+/// on the connection thread, so the job token covers its kernels
+/// directly.
 fn run_schedule_job(
     shared: &Shared,
     job: &JobSpec,
     config: &SocConfig,
     plan: &SocTestPlan,
     schedule: &Schedule,
+    key: u64,
 ) -> Result<String, String> {
-    let key = cell_key(config, plan, schedule, "golden");
     let mask = test_mask(&schedule_tests(schedule));
     let compute = || {
         let metrics = run_scenario(config, plan, schedule).map_err(|e| e.to_string())?;
@@ -1145,7 +1187,7 @@ fn run_campaign_job(
 
 /// Serves a static report job (lint or bounds): pure analysis of the
 /// workload, no farm dispatch and no simulation. One cache entry per job
-/// shape, keyed over every schedule's `key`; the report consumes the
+/// shape under its [`report_key`]; the report consumes the
 /// whole plan, so the entry carries the full test mask. `fields` narrows
 /// the cached value to the response fields between `kind` and `cached`
 /// and the report text, which is byte-identical to a local computation.
@@ -1153,16 +1195,10 @@ fn run_report_job(
     shared: &Shared,
     job: &JobSpec,
     kind: &str,
-    schedules: &[Schedule],
-    key: impl Fn(&Schedule) -> u64,
+    key: u64,
     compute: impl FnOnce() -> CachedValue,
     fields: impl Fn(CachedValue) -> Option<(String, String)>,
 ) -> Result<String, String> {
-    let mut key_text = String::new();
-    for schedule in schedules {
-        let _ = write!(key_text, "{:#018x}|", key(schedule));
-    }
-    let key = fnv1a(key_text.as_bytes());
     let mismatch =
         |_: &CachedValue, _: &CachedValue| format!("verify-cache mismatch on {kind} report");
     let ((fields, report), cached) =

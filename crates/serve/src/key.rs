@@ -17,14 +17,18 @@
 //! Every served simulation is cycle-accurate, so no timing mode enters
 //! a key.
 //!
-//! Keys are FNV-1a over a canonical text encoding. The encoding uses
+//! Keys are FNV-1a over a canonical text encoding, formatted straight
+//! into the streaming hasher ([`Fnv1a`]) with no intermediate `String`
+//! — the digest is the same as over the whole text. The encoding uses
 //! the types' `Debug` forms, which is sound here because the cache
 //! lives in one daemon process: keys never cross a build, so the only
 //! requirement is that equal inputs encode equally and different
 //! inputs differently within this binary.
 
+use std::fmt::Write;
+
 use tve_core::Schedule;
-use tve_obs::fnv1a;
+use tve_obs::Fnv1a;
 use tve_soc::{SocConfig, SocTestPlan};
 
 /// The distinct test indices a schedule runs, ascending.
@@ -43,13 +47,12 @@ pub fn test_mask(tests: &[usize]) -> u8 {
         .fold(0u8, |m, &t| m | (1 << t))
 }
 
-/// Appends the plan fields consumed by `tests` to `out`, in a stable
+/// Writes the plan fields consumed by `tests` to `out`, in a stable
 /// order. Field-to-test mapping (see `tve-soc`'s `build_test_runs`):
 /// the policy and seed feed every test, each pattern-count field feeds
 /// exactly one of tests 0–4, and the march algorithm plus background
 /// patterns feed the two memory tests (5 and 6).
-pub(crate) fn plan_projection(plan: &SocTestPlan, tests: &[usize], out: &mut String) {
-    use std::fmt::Write;
+pub(crate) fn plan_projection(plan: &SocTestPlan, tests: &[usize], out: &mut impl Write) {
     let _ = write!(out, "|policy={:?}|seed={}", plan.policy, plan.seed);
     let patterns = [
         plan.bist_proc_patterns,
@@ -92,15 +95,14 @@ pub fn cell_key(
     schedule: &Schedule,
     fault_id: &str,
 ) -> u64 {
-    use std::fmt::Write;
-    let mut text = String::with_capacity(512);
+    let mut h = Fnv1a::new();
     let _ = write!(
-        text,
+        h,
         "cell/v1|cfg={config:?}|sched={}:{:?}|fault={fault_id}|q=",
         schedule.name, schedule.phases,
     );
-    plan_projection(plan, &schedule_tests(schedule), &mut text);
-    fnv1a(text.as_bytes())
+    plan_projection(plan, &schedule_tests(schedule), &mut h);
+    h.finish()
 }
 
 /// The cache key of a diagnosis check for one scan-cell fault. Depends
@@ -114,10 +116,12 @@ pub(crate) fn diagnosis_key(
     window: u64,
     fault_id: &str,
 ) -> u64 {
-    let text = format!(
+    let mut h = Fnv1a::new();
+    let _ = write!(
+        h,
         "diag/v1|cfg={config:?}|seed={plan_seed}|patterns={patterns}|window={window}|fault={fault_id}"
     );
-    fnv1a(text.as_bytes())
+    h.finish()
 }
 
 /// The cache key of a lint report. Lint consumes the full plan facts,
@@ -128,11 +132,13 @@ pub(crate) fn lint_key(
     schedule: &Schedule,
     program: Option<(&str, &str)>,
 ) -> u64 {
-    let text = format!(
+    let mut h = Fnv1a::new();
+    let _ = write!(
+        h,
         "lint/v1|cfg={config:?}|plan={plan:?}|sched={}:{:?}|prog={program:?}",
         schedule.name, schedule.phases
     );
-    fnv1a(text.as_bytes())
+    h.finish()
 }
 
 /// The cache key of a certified static bounds report. The envelope
@@ -140,11 +146,23 @@ pub(crate) fn lint_key(
 /// no projection. Reports are cycle-accurate envelopes; `q=0` is kept so
 /// that existing cache snapshots still hit.
 pub(crate) fn bounds_key(config: &SocConfig, plan: &SocTestPlan, schedule: &Schedule) -> u64 {
-    let text = format!(
+    let mut h = Fnv1a::new();
+    let _ = write!(
+        h,
         "bounds/v1|cfg={config:?}|plan={plan:?}|sched={}:{:?}|q=0",
         schedule.name, schedule.phases
     );
-    fnv1a(text.as_bytes())
+    h.finish()
+}
+
+/// The one cache key of a lint or bounds job: a digest of its
+/// per-schedule keys, in job order.
+pub(crate) fn report_key(keys: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = Fnv1a::new();
+    for key in keys {
+        let _ = write!(h, "{key:#018x}|");
+    }
+    h.finish()
 }
 
 #[cfg(test)]

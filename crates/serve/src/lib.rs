@@ -53,6 +53,7 @@ mod daemon;
 mod error;
 mod invalidate;
 mod key;
+mod memo;
 mod persist;
 mod proto;
 mod signal;

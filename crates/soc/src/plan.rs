@@ -404,8 +404,8 @@ impl ScenarioMetrics {
     /// how many farm workers ran alongside; see `tve-sched`'s farm
     /// determinism tests.
     pub fn digest(&self) -> u64 {
-        let mut bytes = Vec::new();
-        let mut eat = |b: &[u8]| bytes.extend_from_slice(b);
+        let mut h = tve_obs::Fnv1a::new();
+        let mut eat = |b: &[u8]| h.write(b);
         eat(self.schedule.as_bytes());
         eat(&self.peak_utilization.to_bits().to_le_bytes());
         eat(&self.avg_utilization.to_bits().to_le_bytes());
@@ -435,7 +435,7 @@ impl ScenarioMetrics {
             eat(&o.start.cycles().to_le_bytes());
             eat(&o.end.cycles().to_le_bytes());
         }
-        tve_obs::fnv1a(&bytes)
+        h.finish()
     }
 }
 

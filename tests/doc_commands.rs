@@ -1,6 +1,9 @@
 //! The `cargo run` lines the docs quote must run: every one in README.md,
 //! EXPERIMENTS.md, DESIGN.md and benchmark/README.md has to name a
-//! package that exists and a bin or example that package has. Packages,
+//! package that exists and a bin or example that package has, and every
+//! `--flag` it passes to that program has to appear as a string literal
+//! (`"--flag"`) in the program's source, or, for `tve-bench`'s bins, in
+//! the crate's shared flag helpers (`crates/bench/src/lib.rs`). Packages,
 //! bins and examples are read from the manifests, `src/bin`,
 //! `src/main.rs` and `examples/`, as cargo discovers them.
 
@@ -15,11 +18,23 @@ const DOCS: [&str; 4] = [
     "benchmark/README.md",
 ];
 
-/// What `cargo run` can run in one package.
+/// What `cargo run` can run in one package: each target's name and
+/// source file.
 #[derive(Debug, Default)]
 struct Targets {
-    bins: Vec<String>,
-    examples: Vec<String>,
+    dir: PathBuf,
+    bins: Vec<(String, PathBuf)>,
+    examples: Vec<(String, PathBuf)>,
+}
+
+impl Targets {
+    fn names(list: &[(String, PathBuf)]) -> Vec<&str> {
+        list.iter().map(|(name, _)| name.as_str()).collect()
+    }
+
+    fn find<'a>(list: &'a [(String, PathBuf)], name: &str) -> Option<&'a PathBuf> {
+        list.iter().find(|(n, _)| n == name).map(|(_, path)| path)
+    }
 }
 
 fn root() -> PathBuf {
@@ -55,14 +70,15 @@ fn parse_manifest(text: &str, section: &str) -> (String, Vec<(String, Option<Str
     (package, entries)
 }
 
-/// File stems of the `.rs` files directly in `dir`, minus `claimed` paths.
-fn rs_stems(dir: &Path, claimed: &[PathBuf]) -> Vec<String> {
+/// The stem and path of each `.rs` file directly in `dir`, minus
+/// `claimed` paths.
+fn rs_files(dir: &Path, claimed: &[PathBuf]) -> Vec<(String, PathBuf)> {
     let Ok(read) = fs::read_dir(dir) else {
         return Vec::new();
     };
     read.filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "rs") && !claimed.contains(p))
-        .filter_map(|p| p.file_stem().map(|s| s.to_string_lossy().into_owned()))
+        .filter_map(|p| Some((p.file_stem()?.to_string_lossy().into_owned(), p)))
         .collect()
 }
 
@@ -71,20 +87,27 @@ fn package_at(dir: &Path) -> (String, Targets) {
     let text = fs::read_to_string(dir.join("Cargo.toml")).expect("manifest");
     let (package, bins) = parse_manifest(&text, "bin");
     let (_, examples) = parse_manifest(&text, "example");
-    let mut targets = Targets::default();
+    let mut targets = Targets {
+        dir: dir.to_path_buf(),
+        ..Targets::default()
+    };
     for (entries, subdir, out) in [
         (bins, "src/bin", &mut targets.bins),
         (examples, "examples", &mut targets.examples),
     ] {
-        let claimed: Vec<PathBuf> = entries
-            .iter()
-            .filter_map(|(_, p)| p.as_ref().map(|p| dir.join(p)))
+        let entries: Vec<(String, PathBuf)> = entries
+            .into_iter()
+            .map(|(name, path)| {
+                let path = path.unwrap_or_else(|| format!("{subdir}/{name}.rs"));
+                (name, dir.join(path))
+            })
             .collect();
-        out.extend(entries.into_iter().map(|(name, _)| name));
-        out.extend(rs_stems(&dir.join(subdir), &claimed));
+        let claimed: Vec<PathBuf> = entries.iter().map(|(_, p)| p.clone()).collect();
+        out.extend(entries);
+        out.extend(rs_files(&dir.join(subdir), &claimed));
         let main = dir.join("src/main.rs");
         if subdir == "src/bin" && main.exists() && !claimed.contains(&main) {
-            out.push(package.clone());
+            out.push((package.clone(), main));
         }
     }
     (package, targets)
@@ -106,11 +129,22 @@ fn workspace() -> BTreeMap<String, Targets> {
     packages
 }
 
-/// The cargo arguments of every `cargo run` in `text`, with their line
-/// numbers. A command ends at the `--` before the program's own
-/// arguments, at the end of its line (unless the line ends in `\` or in
-/// `cargo run` itself), or at a shell or Markdown delimiter.
-fn cargo_runs(text: &str) -> Vec<(usize, Vec<String>)> {
+/// One documented `cargo run`.
+#[derive(Debug)]
+struct Run {
+    /// 1-based line number.
+    line: usize,
+    /// The arguments to cargo.
+    cargo: Vec<String>,
+    /// The arguments after `--`, to the program.
+    program: Vec<String>,
+}
+
+/// Every `cargo run` in `text`. A command ends at the end of its line
+/// (unless the line ends in `\` or in `cargo run` itself), or at a shell
+/// or Markdown delimiter; a `--` separates cargo's arguments from the
+/// program's.
+fn cargo_runs(text: &str) -> Vec<Run> {
     let lines: Vec<&str> = text.lines().collect();
     let mut runs = Vec::new();
     for (i, line) in lines.iter().enumerate() {
@@ -128,21 +162,25 @@ fn cargo_runs(text: &str) -> Vec<(usize, Vec<String>)> {
                 );
                 next += 1;
             }
-            let mut args = Vec::new();
+            let (mut cargo, mut program) = (Vec::new(), None);
             for token in command.split_whitespace() {
                 let end = token.find(['`', '\'', '"', '#', '&', '|', ';', ')']);
                 let word = &token[..end.unwrap_or(token.len())];
-                if word == "--" {
-                    break;
-                }
-                if !word.is_empty() {
-                    args.push(word.to_string());
+                match &mut program {
+                    None if word == "--" => program = Some(Vec::new()),
+                    _ if word.is_empty() => {}
+                    None => cargo.push(word.to_string()),
+                    Some(program) => program.push(word.to_string()),
                 }
                 if end.is_some() {
                     break;
                 }
             }
-            runs.push((i + 1, args));
+            runs.push(Run {
+                line: i + 1,
+                cargo,
+                program: program.unwrap_or_default(),
+            });
             rest = &rest[at + "cargo run".len()..];
         }
     }
@@ -151,6 +189,17 @@ fn cargo_runs(text: &str) -> Vec<(usize, Vec<String>)> {
 
 /// Why a `cargo run` with `args` would fail to find what to run.
 fn check_run(args: &[String], packages: &BTreeMap<String, Targets>) -> Result<(), String> {
+    target_sources(args, packages).map(|_| ())
+}
+
+/// The source files a `cargo run` with `args` runs, and where its flags
+/// may be parsed: the target's own file, plus `tve-bench`'s shared flag
+/// helpers for its bins. Empty for a placeholder target (`<bin>`); an
+/// error if cargo would not find what to run.
+fn target_sources(
+    args: &[String],
+    packages: &BTreeMap<String, Targets>,
+) -> Result<Vec<PathBuf>, String> {
     let (mut package, mut bin, mut example, mut manifest) = (None, None, None, None);
     let mut ignored = None;
     let mut args = args.iter();
@@ -187,22 +236,48 @@ fn check_run(args: &[String], packages: &BTreeMap<String, Targets>) -> Result<()
         ),
         (None, None) => ("tve".to_string(), &packages[""]),
     };
-    let placeholder = |s: &str| s.starts_with('<');
-    match (bin, example) {
-        (Some(b), _) if !placeholder(&b) && !targets.bins.contains(&b) => Err(format!(
-            "package `{name}` has no bin `{b}` (bins: {:?})",
-            targets.bins
-        )),
-        (_, Some(e)) if !placeholder(&e) && !targets.examples.contains(&e) => Err(format!(
-            "package `{name}` has no example `{e}` (examples: {:?})",
-            targets.examples
-        )),
-        (None, None) if targets.bins.len() != 1 => Err(format!(
-            "package `{name}` has {} bins, so cargo cannot tell which to run without --bin",
-            targets.bins.len()
-        )),
-        _ => Ok(()),
+    let (list, kind, wanted) = match (bin, example) {
+        (_, Some(e)) => (&targets.examples, "example", e),
+        (Some(b), None) => (&targets.bins, "bin", b),
+        (None, None) => match &targets.bins[..] {
+            [(only, _)] => (&targets.bins, "bin", only.clone()),
+            bins => {
+                return Err(format!(
+                    "package `{name}` has {} bins, so cargo cannot tell which to run without --bin",
+                    bins.len()
+                ))
+            }
+        },
+    };
+    if wanted.starts_with('<') {
+        return Ok(Vec::new());
     }
+    let source = Targets::find(list, &wanted).ok_or_else(|| {
+        format!(
+            "package `{name}` has no {kind} `{wanted}` ({kind}s: {:?})",
+            Targets::names(list)
+        )
+    })?;
+    let mut sources = vec![source.clone()];
+    if name == "tve-bench" && kind == "bin" {
+        sources.push(targets.dir.join("src/lib.rs"));
+    }
+    Ok(sources)
+}
+
+/// The `--flag`s in `program` that none of `sources` names as a string
+/// literal.
+fn unknown_flags(program: &[String], sources: &[PathBuf]) -> Vec<String> {
+    let texts: Vec<String> = sources
+        .iter()
+        .map(|p| fs::read_to_string(p).unwrap_or_else(|e| panic!("{}: {e}", p.display())))
+        .collect();
+    program
+        .iter()
+        .filter(|arg| arg.len() > 2 && arg.starts_with("--"))
+        .map(|arg| arg.split('=').next().unwrap_or(arg).to_string())
+        .filter(|flag| !texts.iter().any(|t| t.contains(&format!("\"{flag}\""))))
+        .collect()
 }
 
 #[test]
@@ -212,10 +287,11 @@ fn every_documented_cargo_run_names_an_existing_target() {
     let mut checked = 0;
     for doc in DOCS {
         let text = fs::read_to_string(root().join(doc)).expect("doc");
-        for (line, args) in cargo_runs(&text) {
+        for run in cargo_runs(&text) {
             checked += 1;
-            if let Err(why) = check_run(&args, &packages) {
-                failures.push(format!("{doc}:{line}: cargo run {}: {why}", args.join(" ")));
+            if let Err(why) = check_run(&run.cargo, &packages) {
+                let args = run.cargo.join(" ");
+                failures.push(format!("{doc}:{}: cargo run {args}: {why}", run.line));
             }
         }
     }
@@ -224,9 +300,53 @@ fn every_documented_cargo_run_names_an_existing_target() {
 }
 
 #[test]
+fn every_documented_flag_is_one_its_program_parses() {
+    let packages = workspace();
+    let mut failures = Vec::new();
+    let mut flags = 0;
+    for doc in DOCS {
+        let text = fs::read_to_string(root().join(doc)).expect("doc");
+        for run in cargo_runs(&text) {
+            let Ok(sources) = target_sources(&run.cargo, &packages) else {
+                continue;
+            };
+            flags += run.program.iter().filter(|a| a.starts_with("--")).count();
+            for flag in unknown_flags(&run.program, &sources) {
+                failures.push(format!(
+                    "{doc}:{}: `{flag}` is not in {}",
+                    run.line,
+                    sources[0].display()
+                ));
+            }
+        }
+    }
+    assert!(flags >= 30, "only {flags} documented flags found");
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+fn a_misspelled_flag_fails_the_check() {
+    let packages = workspace();
+    let flags = |line: &str| {
+        let run = cargo_runs(line).remove(0);
+        let sources = target_sources(&run.cargo, &packages).expect("target resolves");
+        unknown_flags(&run.program, &sources)
+    };
+    let shared = "cargo run --release -p tve-bench --bin table1 -- --scale 100 --trace";
+    assert_eq!(flags(shared), Vec::<String>::new());
+    let served = "cargo run --release -p tve-serve --bin tve-client -- campaign --faults=3";
+    assert_eq!(flags(served), Vec::<String>::new());
+    let bad = "cargo run --release -p tve-bench --bin table1 -- --scale 100 --mem-word 2622";
+    assert_eq!(flags(bad), ["--mem-word"]);
+    let benchmark =
+        "cargo run --release --manifest-path benchmark/Cargo.toml -- \\\n  --seed 1 --secs 2";
+    assert_eq!(flags(benchmark), ["--secs"]);
+}
+
+#[test]
 fn a_misnamed_target_fails_the_check() {
     let packages = workspace();
-    let args = |line: &str| cargo_runs(line).remove(0).1;
+    let args = |line: &str| cargo_runs(line).remove(0).cargo;
     let ok = args("cargo run --release -p tve-bench --bin table1 -- --scale 100");
     assert_eq!(check_run(&ok, &packages), Ok(()));
     for bad in [

@@ -521,3 +521,186 @@ fn drain_refuses_new_work_finishes_running_and_persists_the_cache() {
     );
     let _ = std::fs::remove_file(&cache);
 }
+
+/// A daemon of its own for a decode-memo test, whose `stats` counters no
+/// other test moves.
+fn memo_daemon(tag: &str, verify: Option<f64>) -> tve::serve::DaemonHandle {
+    spawn(&ServeOptions {
+        socket: test_socket(tag),
+        workers: Some(1),
+        quiet: true,
+        verify,
+        ..ServeOptions::default()
+    })
+    .expect("daemon spawns")
+}
+
+/// Sends `frame` on a fresh connection and returns the raw response.
+fn raw_request(socket: &PathBuf, frame: &str) -> String {
+    let mut stream = raw_connect(socket);
+    write_frame(&mut stream, frame).expect("frame written");
+    read_frame(&mut stream)
+        .expect("response readable")
+        .expect("daemon answers")
+}
+
+/// `text` with its `wall_us` value blanked: the one field in which two
+/// answers to the same job may differ.
+fn without_wall_us(text: &str) -> String {
+    let Some(at) = text.find("\"wall_us\":") else {
+        return text.to_string();
+    };
+    let value = at + "\"wall_us\":".len();
+    let end = value
+        + text[value..]
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(text.len() - value);
+    format!("{}{}", &text[..value], &text[end..])
+}
+
+/// A `stats` counter.
+fn stat(socket: &PathBuf, key: &str) -> u64 {
+    let stats = Client::connect(socket)
+        .expect("stats connects")
+        .stats()
+        .expect("stats answers");
+    stats
+        .get(key)
+        .and_then(JsonValue::as_u64)
+        .unwrap_or_else(|| panic!("stats has no {key}: {stats:?}"))
+}
+
+/// `(submits_decoded, submits_reused)`.
+fn memo_counts(socket: &PathBuf) -> (u64, u64) {
+    (
+        stat(socket, "submits_decoded"),
+        stat(socket, "submits_reused"),
+    )
+}
+
+fn submit_frame(job: &str) -> String {
+    format!(r#"{{"cmd":"submit","job":{job}}}"#)
+}
+
+const SCHEDULE_JOB: &str = r#"{"kind":"schedule","schedule":1,"workload":{"preset":"small"}}"#;
+
+/// A frame seen before skips decoding and gets the answer a fresh decode
+/// of the same job gets: the same bytes apart from `wall_us`, served from
+/// the cache. The fresh decode is forced with a frame that differs from
+/// the memoized one by a space.
+#[test]
+fn a_repeated_frame_is_decoded_once_and_answered_identically() {
+    let daemon = memo_daemon("memo-repeat", None);
+    let socket = daemon.socket.clone();
+    for job in [
+        SCHEDULE_JOB,
+        r#"{"kind":"bounds","schedules":[1,3],"workload":{"preset":"small"}}"#,
+        r#"{"kind":"lint","schedules":[2],"program_name":"p","program":"SHIFT 4\n","workload":{"preset":"small"}}"#,
+        r#"{"kind":"campaign","schedules":[1],"seed":7,"faults":1,"workload":{"preset":"small"}}"#,
+    ] {
+        let frame = submit_frame(job);
+        let (decoded, reused) = memo_counts(&socket);
+        let cold = without_wall_us(&raw_request(&socket, &frame));
+        let memoized = without_wall_us(&raw_request(&socket, &frame));
+        let fresh = without_wall_us(&raw_request(&socket, &frame.replacen(',', ", ", 1)));
+        assert_eq!(memo_counts(&socket), (decoded + 2, reused + 1), "{job}");
+        assert_eq!(memoized, fresh, "{job}");
+        if job.contains("campaign") {
+            for field in [
+                "cells_simulated",
+                "goldens_simulated",
+                "diagnoses_simulated",
+            ] {
+                assert!(cold.contains(&format!("\"{field}\":")), "{cold}");
+                assert!(
+                    memoized.contains(&format!("\"{field}\":0")),
+                    "{field}: {memoized}"
+                );
+            }
+        } else {
+            assert!(cold.contains("\"cached\":false"), "{cold}");
+            assert!(memoized.contains("\"cached\":true"), "{memoized}");
+            assert_eq!(
+                cold.replace("\"cached\":false", "\"cached\":true"),
+                memoized,
+                "{job}"
+            );
+        }
+    }
+    Client::connect(&socket)
+        .expect("client connects")
+        .shutdown()
+        .expect("clean shutdown");
+    daemon.join().expect("daemon joins");
+}
+
+/// The memo holds decodes, not results: once `invalidate` evicts a
+/// memoized job's result, the same frame simulates again.
+#[test]
+fn invalidate_makes_a_memoized_frame_simulate_again() {
+    let daemon = memo_daemon("memo-invalidate", None);
+    let socket = daemon.socket.clone();
+    let frame = submit_frame(SCHEDULE_JOB);
+    assert!(raw_request(&socket, &frame).contains("\"cached\":false"));
+    assert!(raw_request(&socket, &frame).contains("\"cached\":true"));
+    let mut client = Client::connect(&socket).expect("client connects");
+    let edit = tve::soc::PlanOverrides {
+        bist_proc_patterns: Some(3),
+        ..Default::default()
+    };
+    let impact = client
+        .invalidate(&Workload::small(), &edit)
+        .expect("invalidate answers");
+    assert!(
+        impact.get("evicted").and_then(JsonValue::as_u64) >= Some(1),
+        "{impact:?}"
+    );
+    let again = raw_request(&socket, &frame);
+    assert!(again.contains("\"cached\":false"), "{again}");
+    assert_eq!(memo_counts(&socket), (1, 2), "the frame stays memoized");
+    client.shutdown().expect("clean shutdown");
+    daemon.join().expect("daemon joins");
+}
+
+/// `--verify-cache` samples memoized hits like any other: under
+/// `verify: 1.0` the repeat is re-executed and compared.
+#[test]
+fn verify_sampling_re_executes_memoized_hits() {
+    let daemon = memo_daemon("memo-verify", Some(1.0));
+    let socket = daemon.socket.clone();
+    let frame = submit_frame(SCHEDULE_JOB);
+    raw_request(&socket, &frame);
+    let verified = stat(&socket, "verified");
+    let repeat = raw_request(&socket, &frame);
+    assert!(repeat.contains("\"cached\":true"), "{repeat}");
+    assert_eq!(memo_counts(&socket), (1, 1));
+    assert_eq!(stat(&socket, "verified"), verified + 1);
+    assert_eq!(stat(&socket, "verify_failures"), 0);
+    Client::connect(&socket)
+        .expect("client connects")
+        .shutdown()
+        .expect("clean shutdown");
+    daemon.join().expect("daemon joins");
+}
+
+/// A frame that fails to decode is never memoized: sent twice, it gets
+/// the same typed protocol error twice and counts as no decode.
+#[test]
+fn frames_that_fail_to_decode_are_not_memoized() {
+    let daemon = memo_daemon("memo-bad", None);
+    let socket = daemon.socket.clone();
+    for frame in [
+        submit_frame(r#"{"kind":"schedule","schedule":9,"workload":{"preset":"small"}}"#),
+        format!(r#"{{"cmd":"submit","job":{SCHEDULE_JOB},"wait":false}}"#),
+    ] {
+        let first = request_error(&socket, &frame);
+        assert_eq!(first.0, "protocol", "{frame}: {first:?}");
+        assert_eq!(request_error(&socket, &frame), first, "{frame}");
+    }
+    assert_eq!(memo_counts(&socket), (0, 0));
+    Client::connect(&socket)
+        .expect("client connects")
+        .shutdown()
+        .expect("clean shutdown");
+    daemon.join().expect("daemon joins");
+}
