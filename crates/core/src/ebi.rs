@@ -92,6 +92,17 @@ impl Ebi {
     }
 }
 
+/// The posted bus transaction for `txn`: its header, with the payload
+/// moved out of `txn` rather than copied (a `WriteRead` then refills
+/// `txn.data` with what it returns to the tester).
+fn posted(txn: &mut Transaction) -> Transaction {
+    let data = std::mem::take(&mut txn.data);
+    let mut inner = txn.clone();
+    inner.data = data;
+    inner.status = ResponseStatus::Incomplete;
+    inner
+}
+
 impl TamIf for Ebi {
     fn name(&self) -> &str {
         &self.name
@@ -124,8 +135,7 @@ impl TamIf for Ebi {
                     // background so the next download overlaps the bus
                     // transfer (single buffer: wait for the previous one).
                     self.flush().await;
-                    let mut inner = txn.clone();
-                    inner.status = ResponseStatus::Incomplete;
+                    let mut inner = posted(txn);
                     let downstream = Rc::clone(&self.downstream);
                     let errors = Rc::clone(&self.posted_errors);
                     let handle = self.handle.spawn(async move {
@@ -157,8 +167,7 @@ impl TamIf for Ebi {
                     let up_done = self.uplink.reserve(txn.bit_len);
                     self.handle.wait_until(down_done.max(up_done)).await;
                     self.flush().await;
-                    let mut inner = txn.clone();
-                    inner.status = ResponseStatus::Incomplete;
+                    let mut inner = posted(txn);
                     let downstream = Rc::clone(&self.downstream);
                     let errors = Rc::clone(&self.posted_errors);
                     let response = Rc::clone(&self.response_buffer);

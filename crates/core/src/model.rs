@@ -4,7 +4,8 @@
 //! merely functional TLM, a refined approximately timed model, a model at
 //! register transfer level or even at gate level". The [`CoreModel`] trait
 //! is that plug point: all a wrapper needs is the core's scan geometry and
-//! its stimulus → response function.
+//! its capture: the stimulus image in the scan cells becomes the response
+//! image.
 
 use std::fmt;
 
@@ -30,8 +31,8 @@ impl fmt::Display for DataPolicy {
     }
 }
 
-/// A wrapped core's test view: scan geometry plus the capture response to a
-/// scan stimulus.
+/// A wrapped core's test view: scan geometry plus the capture of a scan
+/// stimulus into its response.
 pub trait CoreModel {
     /// Core name for diagnostics.
     fn name(&self) -> &str;
@@ -39,9 +40,12 @@ pub trait CoreModel {
     /// The core's internal scan geometry.
     fn scan_config(&self) -> ScanConfig;
 
-    /// The response image captured after applying `stimulus`
-    /// (chain-major packing, same geometry as the stimulus).
-    fn scan_response(&self, stimulus: &BitVec) -> BitVec;
+    /// Captures in place, as a scan capture cycle does: `image` holds
+    /// the stimulus shifted into the chains and is overwritten with the
+    /// response the core captures (chain-major packing, same geometry).
+    /// The wrapper moves each pattern's payload through this call, so a
+    /// bit-true pattern is not copied on its way to the core.
+    fn capture(&self, image: &mut BitVec);
 }
 
 /// A defect model at the wrapper/scan level: one scan cell's captured value
@@ -77,10 +81,11 @@ impl fmt::Display for StuckCell {
 /// use tve_tpg::{ScanConfig, BitVec};
 ///
 /// let core = SyntheticLogicCore::new("dct", ScanConfig::new(8, 16), 7);
-/// let mut stim = BitVec::zeros(128);
-/// let r0 = core.scan_response(&stim);
-/// stim.set(5, true);
-/// let r1 = core.scan_response(&stim);
+/// let mut r0 = BitVec::zeros(128);
+/// core.capture(&mut r0);
+/// let mut r1 = BitVec::zeros(128);
+/// r1.set(5, true);
+/// core.capture(&mut r1);
 /// assert_ne!(r0, r1, "single stimulus bit must disturb the response");
 /// ```
 #[derive(Debug, Clone)]
@@ -119,27 +124,27 @@ impl CoreModel for SyntheticLogicCore {
         self.scan
     }
 
-    fn scan_response(&self, stimulus: &BitVec) -> BitVec {
+    fn capture(&self, image: &mut BitVec) {
         assert_eq!(
-            stimulus.len() as u64,
+            image.len() as u64,
             self.scan.bits_per_pattern(),
             "stimulus does not match the core's scan geometry"
         );
         // Chain the mix so every stimulus word influences all later
         // response words, and fold the tail back into word 0 so earlier
-        // words depend on later ones too.
-        let words = stimulus.words();
-        let mut acc = self.seed;
-        let mut out: Vec<u32> = Vec::with_capacity(words.len());
-        for (i, &w) in words.iter().enumerate() {
-            acc = mix(acc ^ (w as u64) ^ ((i as u64) << 32));
-            out.push(acc as u32);
-        }
-        let tail = acc;
-        if let Some(first) = out.first_mut() {
-            *first ^= mix(tail) as u32;
-        }
-        BitVec::from_words(out, stimulus.len())
+        // words depend on later ones too. Word `i` is read before it is
+        // overwritten, so the capture runs in place.
+        let seed = self.seed;
+        image.update_words(|words| {
+            let mut acc = seed;
+            for (i, w) in words.iter_mut().enumerate() {
+                acc = mix(acc ^ (*w as u64) ^ ((i as u64) << 32));
+                *w = acc as u32;
+            }
+            if let Some(first) = words.first_mut() {
+                *first ^= mix(acc) as u32;
+            }
+        });
     }
 }
 
@@ -151,21 +156,26 @@ mod tests {
         SyntheticLogicCore::new("c", ScanConfig::new(4, 32), 42)
     }
 
+    fn captured(c: &SyntheticLogicCore, mut image: BitVec) -> BitVec {
+        c.capture(&mut image);
+        image
+    }
+
     #[test]
     fn response_is_deterministic() {
         let c = core();
         let stim = BitVec::ones(128);
-        assert_eq!(c.scan_response(&stim), c.scan_response(&stim));
+        assert_eq!(captured(&c, stim.clone()), captured(&c, stim));
     }
 
     #[test]
     fn response_depends_on_every_word() {
         let c = core();
-        let base = c.scan_response(&BitVec::zeros(128));
+        let base = captured(&c, BitVec::zeros(128));
         for bit in [0usize, 31, 32, 64, 127] {
             let mut stim = BitVec::zeros(128);
             stim.set(bit, true);
-            let r = c.scan_response(&stim);
+            let r = captured(&c, stim);
             assert_ne!(r, base, "bit {bit} did not disturb the response");
         }
     }
@@ -173,10 +183,10 @@ mod tests {
     #[test]
     fn first_word_depends_on_last_stimulus_word() {
         let c = core();
-        let base = c.scan_response(&BitVec::zeros(128));
+        let base = captured(&c, BitVec::zeros(128));
         let mut stim = BitVec::zeros(128);
         stim.set(127, true);
-        let r = c.scan_response(&stim);
+        let r = captured(&c, stim);
         assert_ne!(
             r.words()[0],
             base.words()[0],
@@ -185,17 +195,28 @@ mod tests {
     }
 
     #[test]
+    fn capture_keeps_the_length_and_a_clear_tail() {
+        // 3 chains x 7 cells: 21 bits, so 11 bits of the one word are
+        // padding that a capture must leave clear.
+        let c = SyntheticLogicCore::new("t", ScanConfig::new(3, 7), 9);
+        let r = captured(&c, BitVec::ones(21));
+        assert_eq!(r.len(), 21);
+        assert_eq!(r.words()[0] >> 21, 0);
+        assert_eq!(r, BitVec::from_words(r.words().to_vec(), 21));
+    }
+
+    #[test]
     fn different_seeds_give_different_cores() {
         let a = SyntheticLogicCore::new("a", ScanConfig::new(2, 16), 1);
         let b = SyntheticLogicCore::new("b", ScanConfig::new(2, 16), 2);
         let stim = BitVec::zeros(32);
-        assert_ne!(a.scan_response(&stim), b.scan_response(&stim));
+        assert_ne!(captured(&a, stim.clone()), captured(&b, stim));
     }
 
     #[test]
     #[should_panic(expected = "scan geometry")]
     fn wrong_stimulus_length_panics() {
-        let _ = core().scan_response(&BitVec::zeros(5));
+        captured(&core(), BitVec::zeros(5));
     }
 
     #[test]

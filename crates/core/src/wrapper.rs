@@ -343,19 +343,70 @@ impl TestWrapper {
         self.stats.set(s);
     }
 
+    /// The shift length of `txn` when it is a test pattern the current
+    /// mode accepts: a `Write` or `WriteRead` of one scan image (longest
+    /// chain) in int-test and BIST, of the boundary register in
+    /// ext-test.
+    fn pattern_shift(&self, txn: &Transaction) -> Option<u64> {
+        if !matches!(txn.cmd, Command::Write | Command::WriteRead) {
+            return None;
+        }
+        match self.mode.get() {
+            WrapperMode::IntTest | WrapperMode::Bist => {
+                let scan = self.core.scan_config();
+                (txn.bit_len == scan.bits_per_pattern()).then(|| scan.max_chain_len() as u64)
+            }
+            WrapperMode::ExtTest => {
+                let cells = self.cfg.boundary_cells as u64;
+                (txn.bit_len == cells).then_some(cells)
+            }
+            WrapperMode::Functional | WrapperMode::Bypass => None,
+        }
+    }
+
+    /// When the pattern buffer is full, the end of the shift whose
+    /// completion frees a slot; `None` while a slot is free now. Counts
+    /// the live `pending` entries without reaping them, so a probe that
+    /// ends in a decline leaves the wrapper untouched.
+    fn full_until(&self) -> Option<u64> {
+        let now = self.handle.now().cycles();
+        let pending = self.pending.borrow();
+        // Shift ends are pushed in nondecreasing order.
+        let done = pending.partition_point(|&e| e <= now);
+        (pending.len() - done >= self.cfg.buffer_patterns)
+            .then(|| *pending.get(done).expect("non-empty"))
+    }
+
+    /// Event-path acceptance: waits out back-pressure, then accepts.
     async fn accept_pattern(&self, txn: &mut Transaction, shift_cycles: u64) {
-        // Back-pressure: wait for a buffer slot.
-        loop {
-            self.reap();
-            let front = {
-                let pending = self.pending.borrow();
-                if pending.len() < self.cfg.buffer_patterns {
-                    break;
-                }
-                *pending.front().expect("non-empty")
-            };
+        while let Some(front) = self.full_until() {
             self.handle.wait_until(Time::from_cycles(front)).await;
         }
+        self.accept_now(txn, shift_cycles);
+    }
+
+    /// Synchronous acceptance: the back-pressure wait of
+    /// [`Self::accept_pattern`] becomes an advance to the slot-freeing
+    /// shift end, taken only when the kernel's exact-lookahead rule
+    /// lets it complete inline ([`SimHandle::try_advance`]). Returns
+    /// `false`, changing nothing, when the wait would suspend.
+    fn accept_pattern_sync(&self, txn: &mut Transaction, shift_cycles: u64) -> bool {
+        if let Some(front) = self.full_until() {
+            let now = self.handle.now().cycles();
+            if !self.handle.try_advance(Duration::cycles(front - now)) {
+                return false;
+            }
+            debug_assert!(self.full_until().is_none(), "one shift end frees a slot");
+        }
+        self.accept_now(txn, shift_cycles);
+        true
+    }
+
+    /// Accepts a pattern into a free buffer slot: books its shift, moves
+    /// the stimulus out of `txn` and captures it in place, and for a
+    /// `WriteRead` hands back what shifts out.
+    fn accept_now(&self, txn: &mut Transaction, shift_cycles: u64) {
+        self.reap();
         let now = self.handle.now().cycles();
         let start = now.max(self.last_end.get());
         let end = start + shift_cycles + self.cfg.capture_cycles;
@@ -366,18 +417,22 @@ impl TestWrapper {
         let mut toggle_density = 0.5f64;
 
         if !txn.is_volume_only() && self.mode.get() != WrapperMode::ExtTest {
-            let bits = self.core.scan_config().bits_per_pattern() as usize;
-            let stim = BitVec::from_words(txn.data.clone(), bits);
-            let mut resp = self.core.scan_response(&stim);
+            let scan = self.core.scan_config();
+            let bits = scan.bits_per_pattern() as usize;
+            let mut image = BitVec::from_words(std::mem::take(&mut txn.data), bits);
+            // Capture overwrites the stimulus; only the power estimate
+            // still needs it afterwards.
+            let stim = self.power.borrow().is_some().then(|| image.clone());
+            self.core.capture(&mut image);
             if let Some(fault) = self.fault.get() {
-                let len = self.core.scan_config().max_chain_len();
-                if fault.chain < self.core.scan_config().chains() && fault.position < len {
-                    resp.set((fault.chain * len + fault.position) as usize, fault.value);
+                let len = scan.max_chain_len();
+                if fault.chain < scan.chains() && fault.position < len {
+                    image.set((fault.chain * len + fault.position) as usize, fault.value);
                 }
             }
             if self.mode.get() == WrapperMode::Bist {
                 let mut misr = self.misr.borrow_mut();
-                for &w in resp.words() {
+                for &w in image.words() {
                     misr.absorb(w as u64);
                 }
             }
@@ -392,17 +447,19 @@ impl TestWrapper {
             }
             // Bit-true shift-power estimate: transition density of the
             // stimulus shifting in and the response shifting out.
-            if self.power.borrow().is_some() {
-                let scan = self.core.scan_config();
-                let stim_tr = tve_tpg::ScanPattern::new(stim.clone(), scan).shift_transitions();
-                let resp_tr = tve_tpg::ScanPattern::new(resp.clone(), scan).shift_transitions();
+            if let Some(stim) = stim {
+                let stim_tr = tve_tpg::ScanPattern::new(stim, scan).shift_transitions();
+                let resp_tr = tve_tpg::ScanPattern::new(image.clone(), scan).shift_transitions();
                 toggle_density = (stim_tr + resp_tr) as f64 / (2.0 * bits as f64).max(1.0);
             }
-            *self.last_response.borrow_mut() = Some(resp);
+            *self.last_response.borrow_mut() = Some(image);
         } else if self.mode.get() == WrapperMode::ExtTest && !txn.is_volume_only() {
             // Boundary scan: the shifted-in image drives the interconnect;
             // what shifts out is the previously captured boundary input.
-            let image = BitVec::from_words(txn.data.clone(), self.cfg.boundary_cells as usize);
+            let image = BitVec::from_words(
+                std::mem::take(&mut txn.data),
+                self.cfg.boundary_cells as usize,
+            );
             if txn.cmd == Command::WriteRead {
                 let prev = self.boundary_in.borrow().clone();
                 txn.data = match prev {
@@ -481,6 +538,9 @@ impl TamIf for TestWrapper {
 
     fn transport<'a>(&'a self, txn: &'a mut Transaction) -> LocalBoxFuture<'a, ()> {
         Box::pin(async move {
+            if let Some(shift) = self.pattern_shift(txn) {
+                return self.accept_pattern(txn, shift).await;
+            }
             match self.mode.get() {
                 WrapperMode::Functional | WrapperMode::Bypass => {
                     if self.mode.get() == WrapperMode::Bypass {
@@ -499,12 +559,6 @@ impl TamIf for TestWrapper {
                     }
                 }
                 WrapperMode::IntTest | WrapperMode::Bist => match txn.cmd {
-                    Command::Write | Command::WriteRead
-                        if txn.bit_len == self.core.scan_config().bits_per_pattern() =>
-                    {
-                        let shift = self.core.scan_config().max_chain_len() as u64;
-                        self.accept_pattern(txn, shift).await;
-                    }
                     Command::Read => self.serve_test_read(txn).await,
                     _ => {
                         self.bump(|s| s.rejected += 1);
@@ -512,12 +566,6 @@ impl TamIf for TestWrapper {
                     }
                 },
                 WrapperMode::ExtTest => match txn.cmd {
-                    Command::Write | Command::WriteRead
-                        if txn.bit_len == self.cfg.boundary_cells as u64 =>
-                    {
-                        self.accept_pattern(txn, self.cfg.boundary_cells as u64)
-                            .await;
-                    }
                     Command::Read if txn.bit_len == self.cfg.boundary_cells as u64 => {
                         // Read out the captured boundary input image.
                         self.drain().await;
@@ -540,27 +588,40 @@ impl TamIf for TestWrapper {
         })
     }
 
-    /// Functional-mode forwarding is synchronous whenever the bound
-    /// functional target is (test modes buffer patterns and must keep the
-    /// event-driven path). The `functional` borrow is held across the
-    /// forward: the target is a leaf that never re-enters this wrapper,
-    /// and skipping the `Rc` clone matters at memory-test op rates.
+    /// Synchronous in two cases. Functional-mode forwarding is
+    /// synchronous whenever the bound functional target is. A test
+    /// pattern (`Write` or `WriteRead` of the mode's pattern length) is
+    /// accepted in cycle-accurate mode whenever its back-pressure wait,
+    /// if any, would complete without suspending (`accept_pattern_sync`);
+    /// loosely-timed mode declines, since there the event path's wait is
+    /// a quantum sync point. Reads, rejects and bypass keep the
+    /// event-driven path. The mode is matched first, so a memory op in
+    /// functional mode pays no pattern test. The `functional` borrow is
+    /// held across the forward: the target is a leaf that never
+    /// re-enters this wrapper, and skipping the `Rc` clone matters at
+    /// memory-test op rates.
     fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
-        if self.mode.get() != WrapperMode::Functional {
-            return false;
-        }
-        match &*self.functional.borrow() {
-            Some(target) => {
-                if !target.transport_sync_try(txn) {
-                    return false;
+        match self.mode.get() {
+            WrapperMode::Functional => match &*self.functional.borrow() {
+                Some(target) => {
+                    if !target.transport_sync_try(txn) {
+                        return false;
+                    }
+                    self.bump(|s| s.forwarded += 1);
+                    true
                 }
-                self.bump(|s| s.forwarded += 1);
-                true
-            }
-            None => {
-                self.bump(|s| s.rejected += 1);
-                txn.status = ResponseStatus::TargetError;
-                true
+                None => {
+                    self.bump(|s| s.rejected += 1);
+                    txn.status = ResponseStatus::TargetError;
+                    true
+                }
+            },
+            WrapperMode::Bypass => false,
+            WrapperMode::IntTest | WrapperMode::Bist | WrapperMode::ExtTest => {
+                !self.handle.lt_active()
+                    && self
+                        .pattern_shift(txn)
+                        .is_some_and(|shift| self.accept_pattern_sync(txn, shift))
             }
         }
     }
@@ -879,9 +940,9 @@ mod tests {
         });
         sim.run();
         let (sig, img) = jh.try_take().unwrap();
-        let expected = core
-            .scan_response(&BitVec::from_words(stim, 64))
-            .into_words();
+        let mut expected = BitVec::from_words(stim, 64);
+        core.capture(&mut expected);
+        let expected = expected.into_words();
         assert_eq!(img, expected, "address 1 returns the response image");
         assert_ne!(sig, img, "address 0 stays the signature readout");
     }
@@ -911,8 +972,45 @@ mod tests {
         sim.run();
         let (first, second) = jh.try_take().unwrap();
         assert_eq!(first, vec![0], "nothing captured before the first shift");
-        let expected = core.scan_response(&BitVec::from_words(vec![0xAAAA_AAAA], 32));
+        let mut expected = BitVec::from_words(vec![0xAAAA_AAAA], 32);
+        core.capture(&mut expected);
         assert_eq!(second, expected.words().to_vec());
+    }
+
+    #[test]
+    fn full_data_shift_power_counts_stimulus_and_response_transitions() {
+        // Capture overwrites the stimulus in place, so the power estimate
+        // must still see the stimulus as it shifted in.
+        let mut sim = Simulation::new();
+        let scan = ScanConfig::new(2, 16);
+        let core = Rc::new(SyntheticLogicCore::new("c", scan, 3));
+        let w = Rc::new(TestWrapper::new(
+            &sim.handle(),
+            WrapperConfig::default(),
+            core.clone(),
+        ));
+        w.load_config(WrapperMode::IntTest.encode());
+        let meter = Rc::new(RefCell::new(PowerMeter::new(Duration::cycles(8))));
+        let profile = ScanPowerProfile {
+            base: 1.0,
+            toggle_factor: 2.0,
+        };
+        w.attach_power_meter(meter.clone(), profile);
+        let stim = BitVec::from_words(vec![0x0F0F_3C3C], 32);
+        let w2 = Rc::clone(&w);
+        let words = stim.words().to_vec();
+        sim.spawn(async move {
+            w2.write(InitiatorId(0), 0, &words, 32).await.unwrap();
+        });
+        sim.run();
+        let mut resp = stim.clone();
+        core.capture(&mut resp);
+        let transitions = tve_tpg::ScanPattern::new(stim, scan).shift_transitions()
+            + tve_tpg::ScanPattern::new(resp, scan).shift_transitions();
+        let density = transitions as f64 / 64.0;
+        // One shift of 16 cells plus 4 capture cycles.
+        let expected = (1.0 + 2.0 * density) * 20.0;
+        assert_eq!(meter.borrow().total_energy(), expected);
     }
 
     #[test]

@@ -22,8 +22,9 @@ use crate::netlist::Netlist;
 /// use tve_tpg::{BitVec, ScanConfig};
 ///
 /// let core = NetlistCore::new(c17(), ScanConfig::new(2, 16));
-/// let r = core.scan_response(&BitVec::ones(32));
-/// assert_eq!(r.len(), 32);
+/// let mut image = BitVec::ones(32);
+/// core.capture(&mut image);
+/// assert_eq!(image.len(), 32);
 /// ```
 pub struct NetlistCore {
     name: String,
@@ -76,7 +77,11 @@ impl CoreModel for NetlistCore {
         self.scan
     }
 
-    fn scan_response(&self, stimulus: &BitVec) -> BitVec {
+    /// Evaluates every frame of the stimulus before the response replaces
+    /// it: an output frame may be wider than an input frame, so the
+    /// response cannot overwrite the stimulus as it goes.
+    fn capture(&self, image: &mut BitVec) {
+        let stimulus = &*image;
         assert_eq!(
             stimulus.len() as u64,
             self.scan.bits_per_pattern(),
@@ -102,7 +107,7 @@ impl CoreModel for NetlistCore {
                 }
             }
         }
-        response
+        *image = response;
     }
 }
 
@@ -115,13 +120,18 @@ mod tests {
         NetlistCore::new(c17(), ScanConfig::new(4, 16))
     }
 
+    fn captured(c: &NetlistCore, mut image: BitVec) -> BitVec {
+        c.capture(&mut image);
+        image
+    }
+
     #[test]
     fn response_is_deterministic_and_stimulus_sensitive() {
         let c = core();
-        let a = c.scan_response(&BitVec::ones(64));
-        let b = c.scan_response(&BitVec::ones(64));
+        let a = captured(&c, BitVec::ones(64));
+        let b = captured(&c, BitVec::ones(64));
         assert_eq!(a, b);
-        let z = c.scan_response(&BitVec::zeros(64));
+        let z = captured(&c, BitVec::zeros(64));
         assert_ne!(a, z);
     }
 
@@ -129,15 +139,15 @@ mod tests {
     fn gate_level_fault_changes_the_response() {
         let c = core();
         let stim = BitVec::ones(64);
-        let clean = c.scan_response(&stim);
+        let clean = captured(&c, stim.clone());
         c.inject_fault(Some(StuckAtFault {
             net: NetId(0),
             value: false,
         }));
-        let faulty = c.scan_response(&stim);
+        let faulty = captured(&c, stim.clone());
         assert_ne!(clean, faulty);
         c.inject_fault(None);
-        assert_eq!(c.scan_response(&stim), clean);
+        assert_eq!(captured(&c, stim), clean);
     }
 
     #[test]

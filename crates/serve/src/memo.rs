@@ -23,10 +23,11 @@ use std::sync::{Arc, Mutex};
 pub(crate) const DECODE_MEMO_ENTRIES: usize = 256;
 
 /// Longest frame the memo keeps, in bytes; longer frames (a lint job
-/// carrying a large program, say) are decoded every time. Ordinary
-/// entries weigh 2–15 KB. The heaviest decode a frame this short can ask
-/// for is about 128 KB: a campaign with 64 faults per core that repeats
-/// one schedule index ~460 times. So a full memo holds at most ~32 MB.
+/// carrying a large program, say) are decoded every time. Entries weigh
+/// 2–15 KB. The heaviest decode a frame this short can ask for is about
+/// 14 KB, a campaign over all four schedules with 64 faults per core: a
+/// job names each schedule at most once, so a frame cannot multiply its
+/// schedules. So a full memo holds at most ~4 MB.
 pub(crate) const DECODE_MEMO_FRAME_BYTES: usize = 1 << 10;
 
 /// Decodes of type `T` keyed by frame text, with oldest-first eviction.

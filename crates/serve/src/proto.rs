@@ -212,8 +212,13 @@ fn decode_indices(v: Option<&JsonValue>, what: &str) -> Result<Vec<usize>, Strin
         let i = item
             .as_u64()
             .filter(|&i| (1..=4).contains(&i))
-            .ok_or_else(|| format!("{what} indices must be 1..=4"))?;
-        out.push(i as usize);
+            .ok_or_else(|| format!("{what} indices must be 1..=4"))? as usize;
+        // A repeat would only make the job (and its memoized decode)
+        // bigger: every decoded schedule is a clone of its own.
+        if out.contains(&i) {
+            return Err(format!("{what} repeats schedule {i}"));
+        }
+        out.push(i);
     }
     if out.is_empty() {
         return Err(format!("{what} must not be empty"));
@@ -527,6 +532,10 @@ mod tests {
             (
                 r#"{"kind":"bounds","schedules":[],"workload":{"preset":"small"}}"#,
                 "must not be empty",
+            ),
+            (
+                r#"{"kind":"lint","schedules":[2,4,2],"workload":{"preset":"small"}}"#,
+                "repeats schedule 2",
             ),
             (
                 r#"{"kind":"schedule","schedule":1,"workload":{"preset":"small"},"deadline_ms":0}"#,

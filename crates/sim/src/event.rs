@@ -15,20 +15,30 @@ pub(crate) struct EventState {
     epoch: u64,
     /// Registered waiters — packed arena task ids on the fast path, so a
     /// wait costs one `Vec` push and a notification is a ready-queue
-    /// link per waiter (no `Waker` clones, no allocation).
+    /// link per waiter (no `Waker` clones). A notification hands the
+    /// emptied list back, so once it has grown to the event's peak
+    /// waiter count neither side allocates.
     waiters: Vec<Waiter>,
     kernel: Weak<Kernel>,
 }
 
 impl EventState {
     /// Bumps the epoch and wakes all registered waiters.
+    ///
+    /// The list is taken out for the wake, since a foreign waker may run
+    /// arbitrary code, and put back empty afterwards unless a waiter
+    /// registered in the meantime.
     pub(crate) fn fire(state: &Rc<RefCell<EventState>>) {
-        let (waiters, kernel) = {
+        let (mut waiters, kernel) = {
             let mut s = state.borrow_mut();
             s.epoch += 1;
             (std::mem::take(&mut s.waiters), s.kernel.clone())
         };
-        wake_waiters(waiters, &kernel);
+        wake_waiters(&mut waiters, &kernel);
+        let mut s = state.borrow_mut();
+        if s.waiters.is_empty() {
+            s.waiters = waiters;
+        }
     }
 }
 

@@ -328,21 +328,18 @@ impl Kernel {
     /// enter the ready queue ahead of tasks spawned by that poll,
     /// whatever their program order.
     fn install_spawned(&self) {
-        loop {
-            // Take one batch at a time: a spawned task's body runs only
-            // when polled, so no re-entrancy — but keep the borrow short.
-            if self.pending_spawn.borrow().is_empty() {
-                return;
-            }
-            let spawned: Vec<_> = self.pending_spawn.borrow_mut().drain(..).collect();
-            if spawned.is_empty() {
-                return;
-            }
-            let mut arena = self.arena.borrow_mut();
-            for future in spawned {
-                let id = arena.insert(future);
-                arena.enqueue(id);
-            }
+        // Installing a task only stores its future (its body runs when
+        // polled), so nothing here can spawn: one drain empties the
+        // list, and draining in place keeps its capacity for the next
+        // batch.
+        let mut pending = self.pending_spawn.borrow_mut();
+        if pending.is_empty() {
+            return;
+        }
+        let mut arena = self.arena.borrow_mut();
+        for future in pending.drain(..) {
+            let id = arena.insert(future);
+            arena.enqueue(id);
         }
     }
 
@@ -644,13 +641,13 @@ impl SimHandle {
         let state2 = Rc::clone(&state);
         self.kernel.spawn_raw(Box::pin(async move {
             let out = future.await;
-            let (waiters, kernel) = {
+            let (mut waiters, kernel) = {
                 let mut s = state2.borrow_mut();
                 s.result = Some(out);
                 s.finished = true;
                 (std::mem::take(&mut s.waiters), s.kernel.clone())
             };
-            wake_waiters(waiters, &kernel);
+            wake_waiters(&mut waiters, &kernel);
         }));
         JoinHandle { state }
     }
@@ -673,10 +670,11 @@ pub(crate) fn register_waiter(waiters: &mut Vec<Waiter>, kernel: &Weak<Kernel>, 
     }
 }
 
-/// Wakes every registered waiter, in registration order.
-pub(crate) fn wake_waiters(waiters: Vec<Waiter>, kernel: &Weak<Kernel>) {
+/// Wakes every registered waiter, in registration order, leaving
+/// `waiters` empty with its capacity kept.
+pub(crate) fn wake_waiters(waiters: &mut Vec<Waiter>, kernel: &Weak<Kernel>) {
     let kernel = kernel.upgrade();
-    for w in waiters {
+    for w in waiters.drain(..) {
         match w {
             Waiter::Task(packed) => {
                 if let Some(k) = &kernel {

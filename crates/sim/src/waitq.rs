@@ -7,7 +7,8 @@
 //! waiters as packed arena task ids. A `Fifo` wait
 //! is then: one `Vec` push to register, one intrusive ready-queue link
 //! per waiter to wake — no `Waker` clones and no per-wait allocation in
-//! steady state.
+//! steady state: a wake hands the emptied waiter list back, so its
+//! capacity survives from one wait to the next.
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
@@ -40,8 +41,14 @@ impl WaitQueue {
     /// observe this wakeup (same loss semantics as [`crate::Event`]).
     pub(crate) fn wake_all(&self) {
         self.epoch.set(self.epoch.get() + 1);
-        let waiters = std::mem::take(&mut *self.waiters.borrow_mut());
-        wake_waiters(waiters, &self.kernel);
+        // Wake outside the borrow (a foreign waker may run arbitrary
+        // code), then return the emptied list unless a waiter arrived.
+        let mut waiters = std::mem::take(&mut *self.waiters.borrow_mut());
+        wake_waiters(&mut waiters, &self.kernel);
+        let mut slot = self.waiters.borrow_mut();
+        if slot.is_empty() {
+            *slot = waiters;
+        }
     }
 
     /// Waits for the next [`WaitQueue::wake_all`] after this call.

@@ -486,7 +486,8 @@ impl TamIf for BusTam {
             }
             match target {
                 // A target that completes without suspending (a wrapper
-                // forwarding to a memory in functional mode) runs inline:
+                // forwarding to a memory in functional mode, or accepting
+                // a scan pattern in a test mode) runs inline:
                 // exactly what awaiting its future would do, minus the
                 // boxed futures. Targets that may suspend decline.
                 Some(target) => {
@@ -534,8 +535,8 @@ impl TamIf for BusTam {
         let targets = self.targets.borrow();
         let routed = self.route_index(&targets, txn.addr);
         // The routed component may decline after the channel time was
-        // taken (a wrapper in a test mode does); the commit then refunds
-        // it.
+        // taken (a wrapper whose pattern buffer stays full past a due
+        // timer does); the commit then refunds it.
         let done = routed.is_none_or(|i| targets[i].1.transport_sync_try(txn));
         let Some(start) = self.sync_commit(done, txn.initiator, admitted) else {
             return false;

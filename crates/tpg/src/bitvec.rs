@@ -107,6 +107,14 @@ impl BitVec {
         &self.words
     }
 
+    /// Rewrites the packed words in place through `f`; unused tail bits
+    /// are cleared again afterwards. For word-parallel transforms that
+    /// would otherwise build a second vector.
+    pub fn update_words(&mut self, f: impl FnOnce(&mut [u32])) {
+        f(&mut self.words);
+        self.mask_tail();
+    }
+
     /// Consumes the vector, returning its packed words.
     pub fn into_words(self) -> Vec<u32> {
         self.words

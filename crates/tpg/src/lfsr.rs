@@ -205,12 +205,12 @@ impl Lfsr {
                 out
             }
             LfsrForm::Galois => {
-                let out = self.state & 1 == 1;
-                self.state >>= 1;
-                if out {
-                    self.state ^= self.taps;
-                }
-                out
+                // Branch-free: a MISR steps this form on response data,
+                // where a branch on the output bit mispredicts half the
+                // time.
+                let out = self.state & 1;
+                self.state = (self.state >> 1) ^ (self.taps & out.wrapping_neg());
+                out == 1
             }
         }
     }

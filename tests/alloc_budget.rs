@@ -1,0 +1,156 @@
+//! Allocation budgets of the bit-true scan path and the kernel's wait
+//! primitives, counted by this binary's own global allocator.
+//!
+//! Counts are per thread, so the test harness's other threads do not
+//! disturb them. The budgets are exact upper bounds: a change that adds
+//! a per-pattern copy of the stimulus, boxes a future on the
+//! uncontended scan path, or lets a wake drop its waiter list's capacity
+//! fails here.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use tve::core::{
+    BistSource, ConfigClient, DataPolicy, SyntheticLogicCore, TestWrapper, WrapperConfig,
+    WrapperMode,
+};
+use tve::sim::{Event, Simulation};
+use tve::tlm::{AddrRange, BusConfig, BusTam, InitiatorId};
+use tve::tpg::ScanConfig;
+
+/// Counts the allocations (including reallocations) made on the
+/// current thread.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: the slot may already be gone while a thread exits.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator;
+// the counter is a const-initialized thread-local `Cell` that neither
+// allocates nor needs a destructor.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// Allocations made by one Full-data BIST run of `patterns` patterns,
+/// from an idle 32-bit bus into a double-buffered wrapper, counted from
+/// the moment the SoC fragment is built until the outcome is back.
+fn bist_run_allocs(patterns: u64) -> u64 {
+    let mut sim = Simulation::new();
+    let handle = sim.handle();
+    let scan = ScanConfig::new(4, 32);
+    let bus = Rc::new(BusTam::new(&handle, BusConfig::default()));
+    let wrapper = Rc::new(TestWrapper::new(
+        &handle,
+        WrapperConfig::default(),
+        Rc::new(SyntheticLogicCore::new("core", scan, 5)),
+    ));
+    wrapper.load_config(WrapperMode::Bist.encode());
+    bus.bind(AddrRange::new(0, 0x100), wrapper).unwrap();
+    let source = BistSource::new(
+        &handle,
+        "bist",
+        bus,
+        0,
+        InitiatorId(0),
+        scan,
+        patterns,
+        DataPolicy::Full,
+        0x5EED,
+    );
+    let before = allocs();
+    let run = sim.spawn(async move { source.run().await });
+    sim.run();
+    let outcome = run.try_take().expect("the run completes");
+    let used = allocs() - before;
+    assert_eq!(outcome.patterns, patterns);
+    assert!(outcome.signature.is_some());
+    used
+}
+
+/// The allocations of a run that no pattern count changes: the task,
+/// the stimulus cursor, the outcome and the signature readout.
+const BIST_RUN_CONSTANT: u64 = 12;
+
+/// A lone Full-data BIST source on an idle bus allocates one buffer per
+/// pattern (the stimulus words a `write` hands to the bus, which the
+/// wrapper then captures in place and keeps as the response) plus a
+/// constant: no copy of the stimulus and no boxed future per pattern.
+#[test]
+fn lone_full_data_bist_allocates_one_buffer_per_pattern() {
+    // Warm the process-wide stimulus store, so the runs below read the
+    // stored stream instead of generating it.
+    bist_run_allocs(256);
+    for patterns in [0, 1, 64, 256] {
+        let used = bist_run_allocs(patterns);
+        assert!(
+            used <= patterns + BIST_RUN_CONSTANT,
+            "{patterns} patterns made {used} allocations, over {patterns} + {BIST_RUN_CONSTANT}"
+        );
+    }
+}
+
+/// After its first round, an `Event` wait/notify ping-pong between two
+/// tasks allocates nothing: each wake hands the emptied waiter list back
+/// to its event, and the ready queue is intrusive.
+#[test]
+fn event_ping_pong_allocates_nothing_after_the_first_round() {
+    const ROUNDS: u64 = 10_000;
+    let mut sim = Simulation::new();
+    let handle = sim.handle();
+    let (ping, pong) = (Event::new(&handle), Event::new(&handle));
+    {
+        let (ping, pong) = (ping.clone(), pong.clone());
+        sim.spawn(async move {
+            loop {
+                ping.wait().await;
+                pong.notify();
+            }
+        });
+    }
+    let counts = sim.spawn(async move {
+        let mut after_first = 0;
+        for round in 0..ROUNDS {
+            ping.notify();
+            pong.wait().await;
+            if round == 0 {
+                after_first = allocs();
+            }
+        }
+        (after_first, allocs())
+    });
+    sim.run();
+    let (after_first, at_end) = counts.try_take().expect("the pinger finishes");
+    assert_eq!(at_end - after_first, 0, "allocations after the first round");
+}

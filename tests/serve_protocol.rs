@@ -202,6 +202,10 @@ fn request_decoder_error_texts_are_pinned() {
             r#"{"cmd":"submit","job":{"kind":"schedule","schedule":1,"workload":{"preset":"small"}},"wait":false}"#,
             "\"wait\": false is not supported; a submit is answered on its connection",
         ),
+        (
+            r#"{"cmd":"submit","job":{"kind":"campaign","schedules":[1,3,1],"workload":{"preset":"small"}}}"#,
+            "\"schedules\" repeats schedule 1",
+        ),
         (r#"{"cmd":"status","id":1}"#, "unknown command \"status\""),
         (r#"{"cmd":"result","id":1}"#, "unknown command \"result\""),
         (r#"{"cmd":"invalidate"}"#, "missing field 'workload'"),
