@@ -6,7 +6,7 @@ use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
 
-use tve_tlm::{Command, LocalBoxFuture, ResponseStatus, TamIf, Transaction};
+use tve_tlm::{Command, LocalBoxFuture, ResponseStatus, TamIf, TamIfExt, Transaction};
 use tve_tpg::{BitVec, Compressor, XorCompactor};
 
 use crate::config_bus::ConfigClient;
@@ -51,6 +51,8 @@ pub struct DecompressorCompactor {
     cfg: CodecConfig,
     wrapper: Rc<TestWrapper>,
     codec: Option<Rc<dyn Compressor>>,
+    /// Folds the wrapper's chains into the compacted response.
+    compactor: XorCompactor,
     active: Cell<bool>,
     config: Cell<u64>,
     expanded_patterns: Cell<u64>,
@@ -84,10 +86,14 @@ impl DecompressorCompactor {
     ) -> Self {
         assert!(cfg.compact_ratio > 0, "compact ratio must be positive");
         assert!(cfg.decompress_ratio >= 1.0, "decompress ratio must be >= 1");
+        let chains = wrapper.scan_config().chains();
+        let compactor = XorCompactor::new(chains, (chains / cfg.compact_ratio).max(1))
+            .expect("outputs <= chains by construction");
         DecompressorCompactor {
             cfg,
             wrapper,
             codec,
+            compactor,
             active: Cell::new(false),
             config: Cell::new(0),
             expanded_patterns: Cell::new(0),
@@ -132,7 +138,7 @@ impl TamIf for DecompressorCompactor {
         Box::pin(async move {
             if !self.active.get() {
                 // Bypass: hand the transaction to the wrapper unchanged.
-                self.wrapper.transport(txn).await;
+                self.wrapper.do_transport(txn).await;
                 return;
             }
             match txn.cmd {
@@ -148,12 +154,13 @@ impl TamIf for DecompressorCompactor {
                         let Some(codec) = &self.codec else {
                             return self.reject(txn);
                         };
-                        let stream = BitVec::from_words(txn.data.clone(), txn.bit_len as usize);
+                        let seed = std::mem::take(&mut txn.data);
+                        let stream = BitVec::from_words(seed, txn.bit_len as usize);
                         match codec.decompress(&stream) {
                             Ok(pattern) => Transaction::write(
                                 txn.initiator,
                                 0,
-                                pattern.stimulus().words().to_vec(),
+                                pattern.into_stimulus().into_words(),
                                 expanded_bits,
                             ),
                             Err(_) => return self.reject(txn),
@@ -161,7 +168,7 @@ impl TamIf for DecompressorCompactor {
                     };
                     self.compressed_bits_in
                         .set(self.compressed_bits_in.get() + txn.bit_len);
-                    self.wrapper.transport(&mut inner).await;
+                    self.wrapper.do_transport(&mut inner).await;
                     txn.status = inner.status;
                     if inner.status.is_ok() {
                         self.expanded_patterns.set(self.expanded_patterns.get() + 1);
@@ -178,16 +185,12 @@ impl TamIf for DecompressorCompactor {
                     } else {
                         Transaction::read(txn.initiator, 0, full_bits)
                     };
-                    self.wrapper.transport(&mut inner).await;
+                    self.wrapper.do_transport(&mut inner).await;
                     txn.status = inner.status;
                     if inner.status.is_ok() {
                         if !inner.data.is_empty() {
-                            let scan = self.wrapper.scan_config();
                             let image = BitVec::from_words(inner.data, full_bits as usize);
-                            let outputs = (scan.chains() / self.cfg.compact_ratio).max(1);
-                            let compactor = XorCompactor::new(scan.chains(), outputs)
-                                .expect("outputs <= chains by construction");
-                            txn.data = compactor.compact_image(&image).into_words();
+                            txn.data = self.compactor.compact_image(&image).into_words();
                         }
                         self.compacted_bits_out
                             .set(self.compacted_bits_out.get() + txn.bit_len);

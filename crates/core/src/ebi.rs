@@ -28,6 +28,11 @@ pub struct Ebi {
     rejected: Cell<u64>,
     /// The in-flight store-and-forward bus transfer.
     posted: RefCell<Option<JoinHandle<()>>>,
+    /// A posted transfer held back under its initiator's hand-off
+    /// promise ([`Transaction::follows`]), with the cycle it was posted
+    /// at; the initiator's next call resolves it. At most one of `held`
+    /// and `posted` is set.
+    held: RefCell<Option<(Transaction, u64)>>,
     posted_errors: Rc<Cell<u64>>,
     /// Last shifted-out data, returned one combined access late.
     response_buffer: Rc<RefCell<Vec<u32>>>,
@@ -68,17 +73,70 @@ impl Ebi {
             config: Cell::new(0),
             rejected: Cell::new(0),
             posted: RefCell::new(None),
+            held: RefCell::new(None),
             posted_errors: Rc::new(Cell::new(0)),
             response_buffer: Rc::new(RefCell::new(Vec::new())),
         }
     }
 
-    /// Waits for any in-flight posted transfer to finish.
+    /// Waits for any in-flight posted transfer to finish, resolving a
+    /// held one first.
     pub(crate) async fn flush(&self) {
+        self.resolve_held(true);
         let pending = self.posted.borrow_mut().take();
         if let Some(h) = pending {
             h.await;
         }
+    }
+
+    /// Delivers posted transfer `inner` to the TAM: held back when its
+    /// initiator promised to call again at once (accurate mode only),
+    /// otherwise in a background task, so the next download overlaps
+    /// the bus transfer.
+    fn post(&self, mut inner: Transaction) {
+        let follows = inner.follows();
+        // The promise was made to this port, not by the EBI to the TAM.
+        inner.set_follows(false);
+        if follows && !self.handle.lt_active() {
+            *self.held.borrow_mut() = Some((inner, self.handle.now().cycles()));
+        } else {
+            self.spawn_posted(inner);
+        }
+    }
+
+    fn spawn_posted(&self, mut inner: Transaction) {
+        let downstream = Rc::clone(&self.downstream);
+        let errors = Rc::clone(&self.posted_errors);
+        let response = Rc::clone(&self.response_buffer);
+        let handle = self.handle.spawn(async move {
+            downstream.transport(&mut inner).await;
+            settle(inner, &errors, &response);
+        });
+        *self.posted.borrow_mut() = Some(handle);
+    }
+
+    /// Resolves the held transfer, if any, at its post time; returns
+    /// whether it ran to completion inline. With `inline`, the transfer
+    /// goes through the TAM's synchronous fast path, which succeeds
+    /// exactly when the background task would have run alone until it
+    /// finished; otherwise (or when the TAM declines) it is spawned as
+    /// the event path would have spawned it, at the same time and in
+    /// the same poll.
+    fn resolve_held(&self, inline: bool) -> bool {
+        let Some((mut inner, posted_at)) = self.held.borrow_mut().take() else {
+            return false;
+        };
+        debug_assert_eq!(
+            posted_at,
+            self.handle.now().cycles(),
+            "a held EBI transfer must resolve at its post time"
+        );
+        if inline && self.downstream.transport_sync_try(&mut inner) {
+            settle(inner, &self.posted_errors, &self.response_buffer);
+            return true;
+        }
+        self.spawn_posted(inner);
+        false
     }
 
     /// Whether the interface is enabled.
@@ -103,6 +161,17 @@ fn posted(txn: &mut Transaction) -> Transaction {
     inner
 }
 
+/// Books a finished posted transfer: a failure poisons the interface,
+/// and a bit-true `WriteRead`'s shifted-out data becomes the response
+/// the next combined access returns.
+fn settle(inner: Transaction, errors: &Cell<u64>, response: &RefCell<Vec<u32>>) {
+    if !inner.status.is_ok() {
+        errors.set(errors.get() + 1);
+    } else if inner.cmd == Command::WriteRead && !inner.is_volume_only() {
+        *response.borrow_mut() = inner.data;
+    }
+}
+
 impl TamIf for Ebi {
     fn name(&self) -> &str {
         &self.name
@@ -111,6 +180,7 @@ impl TamIf for Ebi {
     fn transport<'a>(&'a self, txn: &'a mut Transaction) -> LocalBoxFuture<'a, ()> {
         Box::pin(async move {
             if !self.enabled.get() {
+                self.resolve_held(false);
                 self.rejected.set(self.rejected.get() + 1);
                 txn.status = ResponseStatus::TargetError;
                 return;
@@ -118,11 +188,22 @@ impl TamIf for Ebi {
             // Surface any earlier posted-transfer failure before accepting
             // more traffic (one-transaction-delayed error reporting).
             if self.posted_errors.get() > 0 {
+                self.resolve_held(false);
                 txn.status = ResponseStatus::TargetError;
                 return;
             }
             match txn.cmd {
-                Command::Write | Command::WriteRead if txn.is_volume_only() => {
+                Command::Write if !txn.is_volume_only() => {
+                    // A bit-true write is not posted: it waits for the
+                    // downlink, then for its delivery. A held transfer
+                    // goes to the background first, as the event path
+                    // had posted it.
+                    self.resolve_held(false);
+                    self.downlink.consume(txn.bit_len).await;
+                    self.flush().await;
+                    self.downstream.transport(txn).await;
+                }
+                Command::Write | Command::WriteRead => {
                     // Channel time. For write_read the response of the
                     // previous shift uploads while the next stimulus
                     // downloads (full duplex): cost is the maximum.
@@ -130,61 +211,36 @@ impl TamIf for Ebi {
                     if txn.cmd == Command::WriteRead {
                         done = done.max(self.uplink.reserve(txn.bit_len));
                     }
-                    self.handle.wait_until(done).await;
+                    // After an inline transfer that ran to or past `done`
+                    // the event path's caller would have woken during it
+                    // and waited for it in `flush`: nothing is left to
+                    // wait for, and a wait on a past deadline would cost a
+                    // delta-cycle poll.
+                    let inline = self.resolve_held(true);
+                    if !(inline && self.handle.now() >= done) {
+                        self.handle.wait_until(done).await;
+                    }
                     // Store-and-forward: deliver to the TAM in the
                     // background so the next download overlaps the bus
                     // transfer (single buffer: wait for the previous one).
                     self.flush().await;
-                    let mut inner = posted(txn);
-                    let downstream = Rc::clone(&self.downstream);
-                    let errors = Rc::clone(&self.posted_errors);
-                    let handle = self.handle.spawn(async move {
-                        downstream.transport(&mut inner).await;
-                        if !inner.status.is_ok() {
-                            errors.set(errors.get() + 1);
+                    self.post(posted(txn));
+                    if txn.cmd == Command::WriteRead && !txn.is_volume_only() {
+                        // Bit-true combined access: the data shifted out
+                        // is returned one transaction late (from the
+                        // response buffer), mirroring the full-duplex
+                        // pipeline of a real tester channel.
+                        txn.data = std::mem::take(&mut *self.response_buffer.borrow_mut());
+                        if txn.data.is_empty() {
+                            txn.data = vec![0; (txn.bit_len as usize).div_ceil(32)];
                         }
-                    });
-                    *self.posted.borrow_mut() = Some(handle);
+                    }
                     txn.status = ResponseStatus::Ok;
-                }
-                Command::Write => {
-                    self.downlink.consume(txn.bit_len).await;
-                    self.flush().await;
-                    self.downstream.transport(txn).await;
                 }
                 Command::Read => {
                     self.flush().await;
                     self.downstream.transport(txn).await;
                     self.uplink.consume(txn.bit_len).await;
-                }
-                Command::WriteRead => {
-                    // Bit-true combined access: same store-and-forward
-                    // pipelining as the volume path. The data shifted out
-                    // is returned one transaction late (from the EBI's
-                    // response buffer), mirroring the full-duplex pipeline
-                    // of a real tester channel.
-                    let down_done = self.downlink.reserve(txn.bit_len);
-                    let up_done = self.uplink.reserve(txn.bit_len);
-                    self.handle.wait_until(down_done.max(up_done)).await;
-                    self.flush().await;
-                    let mut inner = posted(txn);
-                    let downstream = Rc::clone(&self.downstream);
-                    let errors = Rc::clone(&self.posted_errors);
-                    let response = Rc::clone(&self.response_buffer);
-                    let handle = self.handle.spawn(async move {
-                        downstream.transport(&mut inner).await;
-                        if inner.status.is_ok() {
-                            *response.borrow_mut() = inner.data;
-                        } else {
-                            errors.set(errors.get() + 1);
-                        }
-                    });
-                    *self.posted.borrow_mut() = Some(handle);
-                    txn.data = self.response_buffer.borrow().clone();
-                    if txn.data.is_empty() {
-                        txn.data = vec![0; (txn.bit_len as usize).div_ceil(32)];
-                    }
-                    txn.status = ResponseStatus::Ok;
                 }
             }
         })
@@ -294,6 +350,128 @@ mod tests {
         sim.run();
         assert_eq!(jh.try_take(), Some((true, true)));
         assert_eq!(ebi.posted_errors.get(), 1);
+    }
+
+    /// A volume write of `bits` bits to `addr`, carrying the hand-off
+    /// promise when `follows`.
+    async fn volume_write(ebi: &Ebi, addr: u32, bits: u64, follows: bool) -> ResponseStatus {
+        let mut txn = Transaction::volume(InitiatorId(0), Command::Write, addr, bits);
+        txn.set_follows(follows);
+        ebi.do_transport(&mut txn).await;
+        txn.status
+    }
+
+    #[test]
+    fn posted_failure_surfaces_on_the_next_hinted_call() {
+        // The hinted first transfer is held and fails when the second
+        // call resolves it inline, during that call: like the event
+        // path's background task, it poisons the interface for the
+        // *third* call, and the second (held in turn) is still sent.
+        use tve_tlm::{BusConfig, BusTam};
+        let run = |hinted: bool| {
+            let mut sim = Simulation::new();
+            let h = sim.handle();
+            let bus = Rc::new(BusTam::new(&h, BusConfig::default()));
+            let ebi = Rc::new(Ebi::new(&h, "ebi", bus as Rc<dyn TamIf>, (8, 1), (8, 1)));
+            ebi.load_config(1);
+            let e = Rc::clone(&ebi);
+            let jh = sim.spawn(async move {
+                let mut statuses = Vec::new();
+                for _ in 0..3 {
+                    statuses.push(volume_write(&e, 0x100, 64, hinted).await);
+                }
+                statuses
+            });
+            let end = sim.run().cycles();
+            let statuses = jh.try_take().unwrap();
+            (statuses, end, ebi.posted_errors.get(), sim.kernel_stats())
+        };
+        let (hinted, event) = (run(true), run(false));
+        use ResponseStatus::{Ok, TargetError};
+        assert_eq!(hinted.0, vec![Ok, Ok, TargetError]);
+        assert_eq!(
+            (&hinted.0, hinted.1, hinted.2),
+            (&event.0, event.1, event.2)
+        );
+        assert_eq!(hinted.2, 2, "both posted transfers were sent and failed");
+        assert!(hinted.3 .0 < event.3 .0, "{:?} vs {:?}", hinted.3, event.3);
+    }
+
+    #[test]
+    fn unhinted_last_transfer_still_overlaps_the_next_user_of_the_bus() {
+        // Three 256-bit volume writes at 8 bits/cycle (32 download
+        // cycles each) over a 32-bit bus (1 + 8 cycles each); only the
+        // last is unhinted. It is still posted in the background: when
+        // the source returns at cycle 96 the sink has seen two
+        // transfers, and a bus write issued at once shares the bus with
+        // the third, so both end by 96 + 2 * 9.
+        use tve_tlm::{AddrRange, BusConfig, BusTam};
+        let run = |hints: [bool; 3]| {
+            let mut sim = Simulation::new();
+            let h = sim.handle();
+            let bus = Rc::new(BusTam::new(&h, BusConfig::default()));
+            let sink = Rc::new(SinkTarget::new("sink"));
+            bus.bind(
+                AddrRange::new(0x1000, 0x100),
+                Rc::clone(&sink) as Rc<dyn TamIf>,
+            )
+            .unwrap();
+            let ebi = Rc::new(Ebi::new(
+                &h,
+                "ebi",
+                Rc::clone(&bus) as Rc<dyn TamIf>,
+                (8, 1),
+                (8, 1),
+            ));
+            ebi.load_config(1);
+            let (e, s) = (Rc::clone(&ebi), Rc::clone(&sink));
+            let jh = sim.spawn(async move {
+                for follows in hints {
+                    assert_eq!(
+                        volume_write(&e, 0x1000, 256, follows).await,
+                        ResponseStatus::Ok
+                    );
+                }
+                let returned = (h.now().cycles(), s.transaction_count());
+                bus.write(InitiatorId(1), 0x1000, &[0; 8], 256)
+                    .await
+                    .unwrap();
+                (returned, h.now().cycles())
+            });
+            let end = sim.run().cycles();
+            (
+                jh.try_take().unwrap(),
+                end,
+                sink.transaction_count(),
+                sim.kernel_stats(),
+            )
+        };
+        let hinted = run([true, true, false]);
+        let event = run([false; 3]);
+        assert_eq!(hinted.0 .0, (96, 2), "returned before the last delivery");
+        assert_eq!((hinted.1, hinted.2), (96 + 2 * 9, 4));
+        assert_eq!((hinted.0, hinted.1, hinted.2), (event.0, event.1, event.2));
+        assert!(hinted.3 .0 < event.3 .0, "{:?} vs {:?}", hinted.3, event.3);
+    }
+
+    #[test]
+    fn loosely_timed_mode_does_not_hold_a_hinted_transfer() {
+        let mut sim = Simulation::with_quantum(tve_sim::Duration::cycles(1_000));
+        let h = sim.handle();
+        let sink = Rc::new(SinkTarget::new("bus"));
+        let ebi = Rc::new(Ebi::new(&h, "ebi", sink as Rc<dyn TamIf>, (8, 1), (8, 1)));
+        ebi.load_config(1);
+        let e = Rc::clone(&ebi);
+        let jh = sim.spawn(async move {
+            let status = volume_write(&e, 0, 64, true).await;
+            (
+                status,
+                e.held.borrow().is_some(),
+                e.posted.borrow().is_some(),
+            )
+        });
+        sim.run();
+        assert_eq!(jh.try_take(), Some((ResponseStatus::Ok, false, true)));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 
 use tve_obs::{Recorder, SpanKind, SpanRecord};
 use tve_sim::SimHandle;
-use tve_tlm::{Command, InitiatorId, TamIf, TamIfExt};
+use tve_tlm::{Command, InitiatorId, TamIf, TamIfExt, Transaction};
 use tve_tpg::{Compressor, Misr, Prpg, ReseedingCodec, ScanConfig, TestCube};
 
 use crate::model::DataPolicy;
@@ -569,42 +569,42 @@ impl AteSource {
             ReadBack::Combined => Command::WriteRead,
             _ => Command::Write,
         };
-        for _ in 0..self.patterns {
-            let write_result = match &mut stimulus {
-                None => self
-                    .port
-                    .transfer_volume(self.initiator, cmd, self.wrapper_addr, bits)
-                    .await
-                    .map(|_| Vec::new()),
+        let separate = matches!(self.read_back, ReadBack::Separate { .. });
+        // The words a combined access shifts out come back as the next
+        // stimulus buffer, so patterns circulate buffers instead of
+        // allocating them.
+        let mut spare = Vec::new();
+        for k in 0..self.patterns {
+            let mut txn = match &mut stimulus {
+                None => Transaction::volume(self.initiator, cmd, self.wrapper_addr, bits),
                 Some(stimulus) => {
                     let stim = stimulus.next().expect("ATE patterns always exist");
-                    if cmd == Command::WriteRead {
-                        self.port
-                            .write_read(self.initiator, self.wrapper_addr, stim.to_vec(), bits)
-                            .await
-                    } else {
-                        self.port
-                            .write(self.initiator, self.wrapper_addr, stim, bits)
-                            .await
-                            .map(|_| Vec::new())
-                    }
+                    let mut data = std::mem::take(&mut spare);
+                    data.clear();
+                    data.extend_from_slice(stim);
+                    let mut txn = Transaction::write(self.initiator, self.wrapper_addr, data, bits);
+                    txn.cmd = cmd;
+                    txn
                 }
             };
-            match write_result {
-                Ok(shifted_out) => {
-                    out.patterns += 1;
-                    out.stimulus_bits += bits;
-                    if cmd == Command::WriteRead {
-                        out.response_bits += bits;
-                        for w in shifted_out {
-                            misr.absorb(w as u64);
-                        }
+            // The hand-off promise: nothing but host work happens before
+            // this source's next call on the port (the next pattern, or
+            // this pattern's separate read-back).
+            txn.set_follows(k + 1 < self.patterns || separate);
+            self.port.do_transport(&mut txn).await;
+            if txn.status.is_ok() {
+                out.patterns += 1;
+                out.stimulus_bits += bits;
+                if cmd == Command::WriteRead {
+                    out.response_bits += bits;
+                    for &w in &txn.data {
+                        misr.absorb(w as u64);
                     }
                 }
-                Err(_) => {
-                    out.errors += 1;
-                    break;
-                }
+                spare = txn.data;
+            } else {
+                out.errors += 1;
+                break;
             }
             if let ReadBack::Separate { addr, bits: rbits } = self.read_back {
                 if self.policy == DataPolicy::Volume {

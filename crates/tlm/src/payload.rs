@@ -99,6 +99,8 @@ pub struct Transaction {
     /// Whether this is a volume-only (timing) transaction; see
     /// [`Transaction::volume`].
     pub(crate) volume: bool,
+    /// The initiator's hand-off promise; see [`Transaction::follows`].
+    follows: bool,
     /// Filled in by the target.
     pub status: ResponseStatus,
 }
@@ -121,6 +123,7 @@ impl Transaction {
             bit_len,
             initiator,
             volume: false,
+            follows: false,
             status: ResponseStatus::Incomplete,
         }
     }
@@ -134,6 +137,7 @@ impl Transaction {
             bit_len,
             initiator,
             volume: false,
+            follows: false,
             status: ResponseStatus::Incomplete,
         }
     }
@@ -164,6 +168,7 @@ impl Transaction {
             bit_len,
             initiator,
             volume: true,
+            follows: false,
             status: ResponseStatus::Incomplete,
         }
     }
@@ -172,6 +177,22 @@ impl Transaction {
     /// materialized payload bits).
     pub fn is_volume_only(&self) -> bool {
         self.volume
+    }
+
+    /// Whether the initiator promised that its next kernel interaction
+    /// is another transaction through the same port, at the same
+    /// simulated time: no wait, spawn or event in between, only host
+    /// work. A port may then hold a posted transfer back and resolve it
+    /// when that transaction arrives (the EBI's same-time hand-off,
+    /// DESIGN.md § TAM fast paths). Components that do not post ignore
+    /// it; the default is no promise.
+    pub fn follows(&self) -> bool {
+        self.follows
+    }
+
+    /// Sets the hand-off promise of [`Transaction::follows`].
+    pub fn set_follows(&mut self, follows: bool) {
+        self.follows = follows;
     }
 }
 
@@ -203,8 +224,11 @@ mod tests {
         let wr = Transaction::write_read(InitiatorId(3), 0x30, vec![0, 0], 60);
         assert_eq!(wr.cmd, Command::WriteRead);
 
-        let v = Transaction::volume(InitiatorId(0), Command::Write, 0, 1_000_000);
+        let mut v = Transaction::volume(InitiatorId(0), Command::Write, 0, 1_000_000);
         assert!(v.is_volume_only());
+        assert!(!v.follows(), "no hand-off promise unless set");
+        v.set_follows(true);
+        assert!(v.follows());
     }
 
     #[test]

@@ -86,6 +86,11 @@ impl ScanPattern {
         &self.stimulus
     }
 
+    /// The full stimulus image, moved out of the pattern.
+    pub fn into_stimulus(self) -> BitVec {
+        self.stimulus
+    }
+
     /// The image of one chain.
     ///
     /// # Panics

@@ -4,19 +4,19 @@
 //! Counts are per thread, so the test harness's other threads do not
 //! disturb them. The budgets are exact upper bounds: a change that adds
 //! a per-pattern copy of the stimulus, boxes a future on the
-//! uncontended scan path, or lets a wake drop its waiter list's capacity
-//! fails here.
+//! uncontended scan path, spawns a task per held EBI transfer, or lets
+//! a wake drop its waiter list's capacity fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
 use tve::core::{
-    BistSource, ConfigClient, DataPolicy, SyntheticLogicCore, TestWrapper, WrapperConfig,
-    WrapperMode,
+    AteSource, BistSource, ConfigClient, DataPolicy, Ebi, ReadBack, SyntheticLogicCore,
+    TestWrapper, WrapperConfig, WrapperMode,
 };
 use tve::sim::{Event, Simulation};
-use tve::tlm::{AddrRange, BusConfig, BusTam, InitiatorId};
+use tve::tlm::{AddrRange, BusConfig, BusTam, InitiatorId, TamIf};
 use tve::tpg::ScanConfig;
 
 /// Counts the allocations (including reallocations) made on the
@@ -117,6 +117,72 @@ fn lone_full_data_bist_allocates_one_buffer_per_pattern() {
         assert!(
             used <= patterns + BIST_RUN_CONSTANT,
             "{patterns} patterns made {used} allocations, over {patterns} + {BIST_RUN_CONSTANT}"
+        );
+    }
+}
+
+/// Allocations made by one Full-data, combined-read-back ATE run of
+/// `patterns` patterns through an enabled EBI and an idle 32-bit bus
+/// into a double-buffered int-test wrapper, counted like
+/// [`bist_run_allocs`].
+fn ate_run_allocs(patterns: u64) -> u64 {
+    let mut sim = Simulation::new();
+    let handle = sim.handle();
+    let scan = ScanConfig::new(4, 32);
+    let bus = Rc::new(BusTam::new(&handle, BusConfig::default()));
+    let wrapper = Rc::new(TestWrapper::new(
+        &handle,
+        WrapperConfig::default(),
+        Rc::new(SyntheticLogicCore::new("core", scan, 5)),
+    ));
+    wrapper.load_config(WrapperMode::IntTest.encode());
+    bus.bind(AddrRange::new(0, 0x100), wrapper).unwrap();
+    let ebi = Ebi::new(&handle, "ebi", bus as Rc<dyn TamIf>, (8, 1), (8, 1));
+    ebi.load_config(1);
+    let source = AteSource {
+        handle: handle.clone(),
+        name: "ate".into(),
+        port: Rc::new(ebi),
+        wrapper_addr: 0,
+        read_back: ReadBack::Combined,
+        initiator: InitiatorId(0),
+        scan,
+        patterns,
+        policy: DataPolicy::Full,
+        seed: 0x5EED,
+        recorder: None,
+    };
+    let before = allocs();
+    let run = sim.spawn(async move { source.run().await });
+    sim.run();
+    let outcome = run.try_take().expect("the run completes");
+    let used = allocs() - before;
+    assert_eq!(outcome.patterns, patterns);
+    assert_eq!(outcome.errors, 0);
+    used
+}
+
+/// The allocations of an ATE run that no pattern count changes: the
+/// task, the stimulus cursor and the outcome; the first stimulus buffer
+/// and the two zeroed responses that start the buffers circulating;
+/// and the background task of the last, unhinted transfer.
+const ATE_RUN_CONSTANT: u64 = 16;
+
+/// A lone Full-data ATE source with combined read-back allocates one
+/// boxed EBI transport future per pattern plus a constant: the words
+/// shifted out come back as the next stimulus buffer, the EBI takes its
+/// response buffer instead of cloning it, and the same-time hand-off
+/// delivers every transfer but the last inline instead of spawning a
+/// task for it.
+#[test]
+fn lone_full_data_ate_allocates_at_most_one_buffer_per_pattern() {
+    // Warm the process-wide stimulus store, as above.
+    ate_run_allocs(256);
+    for patterns in [0, 1, 64, 256] {
+        let used = ate_run_allocs(patterns);
+        assert!(
+            used <= patterns + ATE_RUN_CONSTANT,
+            "{patterns} patterns made {used} allocations, over {patterns} + {ATE_RUN_CONSTANT}"
         );
     }
 }
