@@ -8,7 +8,7 @@ use std::rc::Rc;
 use tve_memtest::{MarchOp, MarchOrder, MarchTest, PatternTest};
 use tve_obs::{Recorder, SpanKind, SpanRecord};
 use tve_sim::{Duration, SimHandle};
-use tve_tlm::{Command, DmiAccess, InitiatorId, TamIf, TamIfExt};
+use tve_tlm::{Command, DmiAccess, DmiWord, InitiatorId, TamIf, TamIfExt};
 
 use crate::model::DataPolicy;
 use crate::outcome::TestOutcome;
@@ -125,12 +125,7 @@ impl TestController {
             {
                 Ok(words) => {
                     if words.first().copied().unwrap_or(!expect) != expect {
-                        out.mismatches += 1;
-                        if out.failing_addresses.len() < 32
-                            && !out.failing_addresses.contains(&addr)
-                        {
-                            out.failing_addresses.push(addr);
-                        }
+                        note_mismatch(out, addr);
                     }
                 }
                 Err(_) => out.errors += 1,
@@ -186,10 +181,29 @@ impl TestController {
         out
     }
 
+    /// Blocking engine: each op pays `op_overhead`, then its access.
+    /// Over a DMI grant in accurate mode, the ops that nothing could
+    /// interleave with go in runs ([`TestController::take_runs`]); the
+    /// rest go one at a time, exactly as without runs.
     async fn run_blocking(&self, plan: &MemoryTestPlan) -> TestOutcome {
         let mut out = TestOutcome::begin(&plan.name, self.handle.now());
         let dmi = self.dmi_window(plan);
-        for op in plan.ops() {
+        // Runs need the kernel's inline horizon, which loosely-timed mode
+        // never offers.
+        let runs = dmi.as_deref().filter(|_| !self.handle.lt_active());
+        let mut ops = plan.ops();
+        let mut run = MarchRun::default();
+        loop {
+            let next = match runs {
+                Some(window) => {
+                    self.take_runs(window, plan, &mut out, &mut ops, &mut run);
+                    run.pop(plan).or_else(|| ops.next())
+                }
+                None => ops.next(),
+            };
+            let Some(op) = next else {
+                break;
+            };
             // Engine overhead, identical on both paths. `try_advance`
             // takes it without even building a `Wait` whenever the wait
             // would not suspend; at memory-test op rates that bypass is
@@ -204,6 +218,36 @@ impl TestController {
         }
         out.end = self.handle.now();
         out
+    }
+
+    /// Hands the upcoming ops to `window` in runs
+    /// ([`DmiAccess::dmi_run`]) for as long as the kernel offers an
+    /// inline horizon and the grant takes them: the exact-lookahead rule
+    /// applied to a sequence. Each run books its ops' outcomes in order,
+    /// as [`TestController::dmi_access`] books one. Returns when a run
+    /// falls short, leaving the op it stopped at to the per-op path; a
+    /// run holds at most [`MARCH_RUN_OPS`] ops, so a tripped cancel
+    /// token (which withdraws the horizon) stops the march within one.
+    fn take_runs(
+        &self,
+        window: &dyn DmiAccess,
+        plan: &MemoryTestPlan,
+        out: &mut TestOutcome,
+        ops: &mut Ops<'_>,
+        run: &mut MarchRun,
+    ) {
+        while let Some(horizon) = self.handle.inline_horizon() {
+            if run.is_empty() && !run.fill(plan, ops) {
+                return;
+            }
+            let pending = &mut run.words[run.next..];
+            let offered = pending.len();
+            let done = window.dmi_run(pending, plan.op_overhead, horizon);
+            run.book(done, plan, out);
+            if done < offered {
+                return;
+            }
+        }
     }
 
     /// The TAM access of one operation over a DMI grant, falling back to
@@ -246,12 +290,7 @@ impl TestController {
                     out.patterns += 1;
                     out.response_bits += 32;
                     if plan.policy != DataPolicy::Volume && word != expect {
-                        out.mismatches += 1;
-                        if out.failing_addresses.len() < 32
-                            && !out.failing_addresses.contains(&addr)
-                        {
-                            out.failing_addresses.push(addr);
-                        }
+                        note_mismatch(out, addr);
                     }
                 }
                 None => self.bus_read(plan, out, addr, expect).await,
@@ -316,6 +355,15 @@ impl TestController {
     }
 }
 
+/// Books a read of word `addr` that did not return what it expected:
+/// the first 32 distinct failing addresses are kept, in order.
+fn note_mismatch(out: &mut TestOutcome, addr: u32) {
+    out.mismatches += 1;
+    if out.failing_addresses.len() < 32 && !out.failing_addresses.contains(&addr) {
+        out.failing_addresses.push(addr);
+    }
+}
+
 /// One memory-test operation.
 #[derive(Debug, Clone, Copy)]
 struct MemOp {
@@ -324,7 +372,96 @@ struct MemOp {
     expect: Option<u32>,
 }
 
+/// The most ops the blocking engine hands a DMI grant in one run. Each
+/// run starts with a fresh [`SimHandle::inline_horizon`], which a
+/// tripped cancel token withdraws, so this bounds how far a march runs
+/// on after a cancellation.
+const MARCH_RUN_OPS: usize = 4096;
+
+/// The blocking engine's buffer of upcoming ops, in the form a DMI run
+/// takes them: `words[next..]` are not performed yet. Two allocations
+/// per test, of at most [`MARCH_RUN_OPS`] entries each, whatever the
+/// memory size.
+#[derive(Default)]
+struct MarchRun {
+    words: Vec<DmiWord>,
+    /// The value each read expects, index for index with `words`.
+    expect: Vec<u32>,
+    next: usize,
+}
+
+impl MarchRun {
+    fn is_empty(&self) -> bool {
+        self.next == self.words.len()
+    }
+
+    /// Refills the buffer with the next [`MARCH_RUN_OPS`] ops of `ops`;
+    /// returns whether any were left. A Volume write carries a zero, as
+    /// [`TestController::dmi_access`] writes it.
+    fn fill(&mut self, plan: &MemoryTestPlan, ops: &mut Ops<'_>) -> bool {
+        if self.words.capacity() == 0 {
+            let size =
+                usize::try_from(plan.op_count()).map_or(MARCH_RUN_OPS, |n| n.min(MARCH_RUN_OPS));
+            self.words.reserve_exact(size);
+            self.expect.reserve_exact(size);
+        }
+        self.words.clear();
+        self.expect.clear();
+        self.next = 0;
+        let volume = plan.policy == DataPolicy::Volume;
+        for op in ops.take(MARCH_RUN_OPS) {
+            self.words.push(DmiWord {
+                addr: plan.base_addr + op.addr,
+                write: op.write.is_some(),
+                data: op.write.filter(|_| !volume).unwrap_or(0),
+            });
+            self.expect.push(op.expect.unwrap_or(0));
+        }
+        !self.words.is_empty()
+    }
+
+    /// Books the outcomes of the next `done` ops, which a run performed.
+    fn book(&mut self, done: usize, plan: &MemoryTestPlan, out: &mut TestOutcome) {
+        let end = self.next + done;
+        let check = plan.policy != DataPolicy::Volume;
+        for (word, &expect) in self.words[self.next..end]
+            .iter()
+            .zip(&self.expect[self.next..end])
+        {
+            out.patterns += 1;
+            if word.write {
+                out.stimulus_bits += 32;
+                continue;
+            }
+            out.response_bits += 32;
+            if check && word.data != expect {
+                note_mismatch(out, word.addr - plan.base_addr);
+            }
+        }
+        self.next = end;
+    }
+
+    /// Takes the next buffered op for the per-op path.
+    fn pop(&mut self, plan: &MemoryTestPlan) -> Option<MemOp> {
+        let word = *self.words.get(self.next)?;
+        let expect = self.expect[self.next];
+        self.next += 1;
+        Some(MemOp {
+            addr: word.addr - plan.base_addr,
+            write: word.write.then_some(word.data),
+            expect: (!word.write).then_some(expect),
+        })
+    }
+}
+
 impl MemoryTestPlan {
+    /// How many operations the plan performs.
+    fn op_count(&self) -> u64 {
+        let words = u64::from(self.words);
+        let patterns: u64 = self.patterns.iter().map(|p| p.ops_per_cell() * words).sum();
+        self.march.total_ops(words) + patterns
+    }
+
     /// Iterates the full operation sequence (march elements, then pattern
     /// tests) in execution order.
     fn ops(&self) -> Ops<'_> {
@@ -419,17 +556,6 @@ mod tests {
     use tve_sim::Simulation;
     use tve_tlm::{LocalBoxFuture, ResponseStatus, Transaction};
 
-    /// Total operations `plan` performs.
-    fn total_ops(plan: &MemoryTestPlan) -> u64 {
-        let march = plan.march.total_ops(plan.words as u64);
-        let patterns: u64 = plan
-            .patterns
-            .iter()
-            .map(|p| p.ops_per_cell() * plan.words as u64)
-            .sum();
-        march + patterns
-    }
-
     /// A minimal word-RAM TAM target backed by a real `MemoryArray`.
     struct RamTarget {
         mem: RefCell<MemoryArray>,
@@ -497,7 +623,7 @@ mod tests {
     fn op_count_matches_plan() {
         let p = plan(32, DataPolicy::Volume);
         // MATS+ = 5 ops/cell, two pattern tests = 4 ops/cell.
-        assert_eq!(total_ops(&p), 32 * 9);
+        assert_eq!(p.op_count(), 32 * 9);
         let out = run(DataPolicy::Volume, vec![], 32);
         assert_eq!(out.patterns, 32 * 9);
         assert!(out.clean());
@@ -586,7 +712,7 @@ mod tests {
         let ctrl =
             TestController::new(&h, "ctrl", Rc::clone(&ram) as Rc<dyn TamIf>, InitiatorId(5));
         let p = plan(32, DataPolicy::Full);
-        let total = total_ops(&p);
+        let total = p.op_count();
         let jh = sim.spawn(async move { ctrl.run_memory_test(&p).await });
         sim.run();
         let out = jh.try_take().unwrap();
@@ -638,11 +764,120 @@ mod tests {
         let over_bus = run_posted_lt(declining);
         assert_eq!(
             granting.dmi_ops.get(),
-            total_ops(&plan(32, DataPolicy::Full)),
+            plan(32, DataPolicy::Full).op_count(),
             "the posted access unit took the DMI path"
         );
         assert!(over_dmi.mismatches > 0);
         assert_eq!(over_dmi, over_bus);
+    }
+
+    /// A zero-latency RAM grant that runs: each op costs the engine's
+    /// overhead, one fired timer apiece. It trips `token` as it performs
+    /// op `trip_at`, as another thread may while a run is under way.
+    struct TrippingRam {
+        handle: SimHandle,
+        mem: RefCell<MemoryArray>,
+        token: std::sync::Arc<tve_sim::CancelToken>,
+        trip_at: u64,
+        ops: Cell<u64>,
+    }
+
+    impl TamIf for TrippingRam {
+        fn name(&self) -> &str {
+            "tripping-ram"
+        }
+        fn transport<'a>(&'a self, _txn: &'a mut Transaction) -> LocalBoxFuture<'a, ()> {
+            unreachable!("every op goes through the grant")
+        }
+        fn dmi_window(
+            self: Rc<Self>,
+            _base: u32,
+            _words: u32,
+            _initiator: InitiatorId,
+        ) -> Option<Rc<dyn DmiAccess>> {
+            Some(self)
+        }
+    }
+
+    impl TrippingRam {
+        fn op(&self, word: &mut DmiWord) {
+            let mut mem = self.mem.borrow_mut();
+            if word.write {
+                mem.write(word.addr, word.data);
+            } else {
+                word.data = mem.read(word.addr);
+            }
+            self.ops.set(self.ops.get() + 1);
+            if self.ops.get() == self.trip_at {
+                self.token.cancel();
+            }
+        }
+    }
+
+    impl DmiAccess for TrippingRam {
+        fn dmi_read(&self, addr: u32) -> Option<u32> {
+            let mut word = DmiWord {
+                addr,
+                ..DmiWord::default()
+            };
+            self.op(&mut word);
+            Some(word.data)
+        }
+        fn dmi_write(&self, addr: u32, value: u32) -> bool {
+            self.op(&mut DmiWord {
+                addr,
+                write: true,
+                data: value,
+            });
+            true
+        }
+        fn dmi_run(
+            &self,
+            ops: &mut [DmiWord],
+            overhead: Duration,
+            horizon: tve_sim::Time,
+        ) -> usize {
+            let (oh, now) = (overhead.as_cycles(), self.handle.now().cycles());
+            let n = ops
+                .len()
+                .min((horizon.cycles().saturating_sub(now) / oh) as usize);
+            ops[..n].iter_mut().for_each(|word| self.op(word));
+            let end = tve_sim::Time::from_cycles(now + n as u64 * oh);
+            self.handle.advance_inline_to(end, n as u64);
+            n
+        }
+    }
+
+    #[test]
+    fn cancelling_during_a_march_run_stops_within_one_run() {
+        tve_sim::silence_cancelled_panics();
+        const TRIP: u64 = 1000;
+        let token = tve_sim::CancelToken::new();
+        let mut sim = tve_sim::with_cancel_token(&token, Simulation::new);
+        let h = sim.handle();
+        let ram = Rc::new(TrippingRam {
+            handle: h.clone(),
+            mem: RefCell::new(MemoryArray::new(4096)),
+            token,
+            trip_at: TRIP,
+            ops: Cell::new(0),
+        });
+        let ctrl =
+            TestController::new(&h, "ctrl", Rc::clone(&ram) as Rc<dyn TamIf>, InitiatorId(5));
+        // 4,096 words of march C- and two pattern tests: 57,344 ops.
+        let p = MemoryTestPlan {
+            march: MarchTest::march_c_minus(),
+            ..plan(4096, DataPolicy::Full)
+        };
+        sim.spawn(async move { ctrl.run_memory_test(&p).await });
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+            .expect_err("a token tripped inside a run must unwind out of run");
+        assert!(err.is::<tve_sim::Cancelled>());
+        let ops = ram.ops.get();
+        assert!(
+            (TRIP..=TRIP + MARCH_RUN_OPS as u64).contains(&ops),
+            "{ops} ops ran, past one run after the trip at {TRIP}"
+        );
     }
 
     /// The operation sequence as nested loops over march elements and
@@ -687,7 +922,7 @@ mod tests {
                     "{} over {words} words",
                     march.name()
                 );
-                assert_eq!(got.len() as u64, total_ops(&p));
+                assert_eq!(got.len() as u64, p.op_count());
             }
         }
     }

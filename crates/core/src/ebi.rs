@@ -139,6 +139,22 @@ impl Ebi {
         false
     }
 
+    /// The end of a posted access, once its channel time has passed and
+    /// the single buffer is free: posts the transfer, and for a bit-true
+    /// combined access returns the data shifted out one transaction late
+    /// (from the response buffer), mirroring the full-duplex pipeline of
+    /// a real tester channel.
+    fn post_and_respond(&self, txn: &mut Transaction) {
+        self.post(posted(txn));
+        if txn.cmd == Command::WriteRead && !txn.is_volume_only() {
+            txn.data = std::mem::take(&mut *self.response_buffer.borrow_mut());
+            if txn.data.is_empty() {
+                txn.data = vec![0; (txn.bit_len as usize).div_ceil(32)];
+            }
+        }
+        txn.status = ResponseStatus::Ok;
+    }
+
     /// Whether the interface is enabled.
     pub fn is_enabled(&self) -> bool {
         self.enabled.get()
@@ -175,6 +191,75 @@ fn settle(inner: Transaction, errors: &Cell<u64>, response: &RefCell<Vec<u32>>) 
 impl TamIf for Ebi {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The synchronous form of a posted access (a `WriteRead`, or a
+    /// Volume `Write`) whose every wait would complete inline: the
+    /// previous transfer in flight has finished, the held one completes
+    /// through the TAM's own fast path, and the download wait ends at or
+    /// before the kernel's [`tve_sim::SimHandle::inline_horizon`]. The
+    /// event path then never suspends, so this is that path minus its
+    /// boxed future: the channel bookings as of the call, the held
+    /// transfer, the wait, the post. Declines, changing nothing,
+    /// otherwise (and for bit-true writes, reads, a disabled interface,
+    /// a pending failure and loosely-timed mode, where the horizon is
+    /// not offered).
+    ///
+    /// The held transfer resolves before the bookings here, not after:
+    /// it touches neither channel, and a decline must leave both as
+    /// they were. A successful TAM fast path makes nothing runnable and
+    /// schedules no timer, so the horizon taken before it still bounds
+    /// the wait after it.
+    fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
+        let posted_access = match txn.cmd {
+            Command::WriteRead => true,
+            Command::Write => txn.is_volume_only(),
+            Command::Read => false,
+        };
+        if !posted_access
+            || !self.enabled.get()
+            || self.posted_errors.get() > 0
+            || self
+                .posted
+                .borrow()
+                .as_ref()
+                .is_some_and(|h| !h.is_finished())
+        {
+            return false;
+        }
+        let Some(horizon) = self.handle.inline_horizon() else {
+            return false;
+        };
+        let down = self.downlink.peek(txn.bit_len);
+        let up = (txn.cmd == Command::WriteRead).then(|| self.uplink.peek(txn.bit_len));
+        let done = up.map_or(down, |up| down.max(up));
+        let held = self.held.borrow_mut().take();
+        // Without a held transfer the wait runs from now; one on a past
+        // deadline is a delta cycle, never inline.
+        if done > horizon || (held.is_none() && done <= self.handle.now()) {
+            *self.held.borrow_mut() = held;
+            return false;
+        }
+        if let Some((mut inner, posted_at)) = held {
+            if !self.downstream.transport_sync_try(&mut inner) {
+                *self.held.borrow_mut() = Some((inner, posted_at));
+                return false;
+            }
+            settle(inner, &self.posted_errors, &self.response_buffer);
+        }
+        self.downlink.book(txn.bit_len, down);
+        if let Some(up) = up {
+            self.uplink.book(txn.bit_len, up);
+        }
+        let now = self.handle.now();
+        if now < done {
+            let waited = self.handle.try_advance(done.saturating_since(now));
+            assert!(waited, "a TAM fast path moved the EBI's horizon");
+        }
+        // Finished, as checked above: what `flush` would await at once.
+        self.posted.borrow_mut().take();
+        self.post_and_respond(txn);
+        true
     }
 
     fn transport<'a>(&'a self, txn: &'a mut Transaction) -> LocalBoxFuture<'a, ()> {
@@ -224,18 +309,7 @@ impl TamIf for Ebi {
                     // background so the next download overlaps the bus
                     // transfer (single buffer: wait for the previous one).
                     self.flush().await;
-                    self.post(posted(txn));
-                    if txn.cmd == Command::WriteRead && !txn.is_volume_only() {
-                        // Bit-true combined access: the data shifted out
-                        // is returned one transaction late (from the
-                        // response buffer), mirroring the full-duplex
-                        // pipeline of a real tester channel.
-                        txn.data = std::mem::take(&mut *self.response_buffer.borrow_mut());
-                        if txn.data.is_empty() {
-                            txn.data = vec![0; (txn.bit_len as usize).div_ceil(32)];
-                        }
-                    }
-                    txn.status = ResponseStatus::Ok;
+                    self.post_and_respond(txn);
                 }
                 Command::Read => {
                     self.flush().await;

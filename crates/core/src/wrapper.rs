@@ -13,7 +13,8 @@ use std::rc::Rc;
 use tve_obs::{Gauge, Histogram, Recorder, SpanKind, SpanRecord};
 use tve_sim::{Duration, SimHandle, Time};
 use tve_tlm::{
-    Command, DmiAccess, InitiatorId, LocalBoxFuture, PowerMeter, ResponseStatus, TamIf, Transaction,
+    Command, DmiAccess, DmiWord, InitiatorId, LocalBoxFuture, PowerMeter, ResponseStatus, TamIf,
+    Transaction,
 };
 use tve_tpg::{BitVec, Misr};
 
@@ -674,6 +675,15 @@ impl DmiAccess for WrapperDmi {
             return false;
         }
         self.wrapper.bump(|s| s.forwarded += 1);
+        true
+    }
+
+    /// Forwards a run, counting each op as forwarded.
+    fn dmi_apply(&self, ops: &mut [DmiWord]) -> bool {
+        if self.wrapper.dmi_generation.get() != self.generation || !self.inner.dmi_apply(ops) {
+            return false;
+        }
+        self.wrapper.bump(|s| s.forwarded += ops.len() as u64);
         true
     }
 }

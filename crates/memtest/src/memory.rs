@@ -231,6 +231,7 @@ impl MemoryArray {
     /// # Panics
     ///
     /// Panics if `addr` is out of range.
+    #[inline]
     pub fn read(&mut self, addr: u32) -> u32 {
         let mut v = self.words[addr as usize];
         for f in &self.faults {
@@ -253,6 +254,7 @@ impl MemoryArray {
     /// # Panics
     ///
     /// Panics if `addr` is out of range.
+    #[inline]
     pub fn write(&mut self, addr: u32, value: u32) {
         // Fault-free fast path: no aliasing, no bit effects, no coupling.
         if self.faults.is_empty() {

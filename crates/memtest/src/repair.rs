@@ -112,6 +112,7 @@ impl RepairableMemory {
     /// # Panics
     ///
     /// Panics if `addr` is out of range.
+    #[inline]
     pub fn read(&mut self, addr: u32) -> u32 {
         self.reads += 1;
         match self.remap.get(&addr) {
@@ -129,6 +130,7 @@ impl RepairableMemory {
     /// # Panics
     ///
     /// Panics if `addr` is out of range.
+    #[inline]
     pub fn write(&mut self, addr: u32, value: u32) {
         self.writes += 1;
         match self.remap.get(&addr) {

@@ -29,7 +29,11 @@
 //! [`SimHandle::try_advance`] applies the same rule before a wait even
 //! exists, so a channel completes a whole uncontended access as one call;
 //! [`SimHandle::undo_advance`] refunds it when a downstream component
-//! declines.
+//! declines. Both rest on one bound, [`SimHandle::inline_horizon`]: the
+//! cycle before the earliest pending timer, defined only while the
+//! preconditions hold. An inline step never moves it, so a whole run of
+//! steps that end at or before it is exact too, and
+//! [`SimHandle::advance_inline_to`] books such a run at once.
 //!
 //! An opt-in *loosely-timed* mode ([`Simulation::with_quantum`])
 //! temporally decouples tasks: relative waits accumulate into a per-task
@@ -180,24 +184,34 @@ impl Kernel {
         }
     }
 
-    /// The exact-lookahead rule: completes the current task's timed wait
-    /// until `deadline` inline — time jumps to `deadline` and the wait
-    /// counts as one fired timer — when the run loop's very next step
-    /// would be to fire exactly that timer and poll exactly this task.
-    /// That holds when nothing else is runnable or about to be (ready
-    /// queue, pending spawns, foreign wakes), no pending timer fires at
-    /// or before `deadline` (one at exactly `deadline` was scheduled
-    /// first, so it must fire first), `deadline` lies in the future, and
-    /// the cancel token has not tripped. Returns `false`, changing
-    /// nothing, otherwise.
-    fn advance_inline(&self, deadline: u64) -> bool {
-        if deadline <= self.now.get()
+    /// The exact-lookahead horizon: the latest cycle the polled task can
+    /// reach by inline advances, during which the run loop would fire
+    /// only that task's own timers and poll only that task. `None`
+    /// unless a task is being polled, nothing else is runnable or about
+    /// to be (ready queue, pending spawns, foreign wakes) and the cancel
+    /// token is clear; otherwise the cycle before the earliest pending
+    /// timer (a timer at exactly a deadline was scheduled first, so it
+    /// must fire first), or `u64::MAX` with none pending.
+    fn horizon(&self) -> Option<u64> {
+        if self.current.get() == NO_TASK
             || self.arena.borrow().has_ready()
-            || self.next_timer().is_some_and(|t| t <= deadline)
             || !self.pending_spawn.borrow().is_empty()
             || self.ext.nonempty.load(Ordering::Relaxed)
             || self.cancelled()
         {
+            return None;
+        }
+        Some(self.next_timer().map_or(u64::MAX, |t| t.saturating_sub(1)))
+    }
+
+    /// The exact-lookahead rule: completes the current task's timed wait
+    /// until `deadline` inline — time jumps to `deadline` and the wait
+    /// counts as one fired timer — when `deadline` lies in the future
+    /// and at or before the [`Kernel::horizon`], so the run loop's very
+    /// next step would be to fire exactly that timer and poll exactly
+    /// this task. Returns `false`, changing nothing, otherwise.
+    fn advance_inline(&self, deadline: u64) -> bool {
+        if deadline <= self.now.get() || self.horizon().is_none_or(|h| deadline > h) {
             return false;
         }
         self.now.set(deadline);
@@ -600,6 +614,53 @@ impl SimHandle {
         self.kernel.try_advance(d.as_cycles())
     }
 
+    /// The exact-lookahead horizon of the calling task: the latest time
+    /// it can reach by inline advances ([`SimHandle::try_advance`],
+    /// [`SimHandle::advance_inline_to`]) with nothing else able to run
+    /// in between. `None` unless a task is being polled, no other task
+    /// is runnable or about to be, the cancel token is clear and the
+    /// kernel is cycle-accurate; otherwise the cycle just before the
+    /// earliest pending timer, or [`Time::MAX`] when none is pending.
+    ///
+    /// While the task makes no other kernel interaction (no wait, spawn,
+    /// wake, event notification or timer), the horizon stays where it
+    /// is: inline advances change `now` and nothing else. So a sequence
+    /// of inline steps that all end at or before it is exact as a whole,
+    /// which is what lets a model complete a run of accesses as one call.
+    #[inline]
+    pub fn inline_horizon(&self) -> Option<Time> {
+        if self.kernel.quantum() != 0 {
+            return None;
+        }
+        self.kernel.horizon().map(Time::from_cycles)
+    }
+
+    /// Advances the calling task to `to` as `timers` consecutive inline
+    /// advances would, in one step: `now` becomes `to` and the fired-timer
+    /// count grows by `timers`. For a model that completes a run of
+    /// exact-lookahead steps at once; every step must have ended at or
+    /// before the [`SimHandle::inline_horizon`] taken before the run, and
+    /// nothing else may have interacted with the kernel since. Debug
+    /// builds assert that `to` lies between `now` and that horizon.
+    #[inline]
+    pub fn advance_inline_to(&self, to: Time, timers: u64) {
+        let k = &self.kernel;
+        // The horizon's preconditions minus the cancel token, which
+        // another thread may trip mid-run: the run loop unwinds at the
+        // next scheduling boundary, as after any inline advance.
+        debug_assert!(
+            to.cycles() >= k.now()
+                && k.quantum() == 0
+                && k.current.get() != NO_TASK
+                && !k.arena.borrow().has_ready()
+                && k.pending_spawn.borrow().is_empty()
+                && k.next_timer().is_none_or(|t| to.cycles() < t),
+            "inline advance to {to:?} beyond the horizon"
+        );
+        k.now.set(to.cycles());
+        k.timers_fired.set(k.timers_fired.get() + timers);
+    }
+
     /// Whether loosely-timed quantum mode is active, for fast paths
     /// that book time differently in that mode.
     #[inline]
@@ -764,7 +825,7 @@ impl<T> fmt::Debug for JoinHandle<T> {
 
 impl<T> JoinHandle<T> {
     /// Whether the process has run to completion.
-    pub(crate) fn is_finished(&self) -> bool {
+    pub fn is_finished(&self) -> bool {
         self.state.borrow().finished
     }
 
@@ -1283,6 +1344,47 @@ mod tests {
             .expect_err("a tripped token must unwind out of run");
         assert!(err.is::<crate::Cancelled>());
         assert_eq!(laps.get(), 100, "no wait completes after the trip");
+
+        // A march taken in runs, as the memory-test engine takes them: at
+        // most `RUN` one-cycle ops per horizon check, booked at once, and
+        // one op through a wait when no horizon is offered. A token that
+        // trips inside a run stops the march within one run.
+        const RUN: u64 = 4096;
+        const TRIP: u64 = 100;
+        let token = crate::CancelToken::new();
+        let mut sim = crate::with_cancel_token(&token, Simulation::new);
+        let h = sim.handle();
+        let ops = Rc::new(Cell::new(0u64));
+        let ops2 = Rc::clone(&ops);
+        sim.spawn(async move {
+            loop {
+                match h.inline_horizon() {
+                    Some(horizon) => {
+                        let now = h.now().cycles();
+                        let n = RUN.min(horizon.cycles().saturating_sub(now));
+                        for _ in 0..n {
+                            ops2.set(ops2.get() + 1);
+                            if ops2.get() == TRIP {
+                                token.cancel();
+                            }
+                        }
+                        h.advance_inline_to(Time::from_cycles(now + n), n);
+                    }
+                    None => {
+                        ops2.set(ops2.get() + 1);
+                        h.wait(Duration::cycles(1)).await;
+                    }
+                }
+            }
+        });
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+            .expect_err("a token tripped inside a run must unwind out of run");
+        assert!(err.is::<crate::Cancelled>());
+        assert!(
+            (TRIP..=TRIP + RUN).contains(&ops.get()),
+            "{} ops ran, past one run after the trip at {TRIP}",
+            ops.get()
+        );
     }
 
     /// Kernel time and counters a refused or refunded advance must
@@ -1361,6 +1463,73 @@ mod tests {
         });
         sim.run();
         assert_eq!(jh.try_take(), Some(([false, false], true, true, 9)));
+    }
+
+    #[test]
+    fn inline_horizon_is_none_unless_the_task_runs_alone() {
+        // Outside a poll.
+        let mut sim = Simulation::new();
+        sim.run();
+        assert_eq!(sim.handle().inline_horizon(), None);
+        // A sibling spawned before this poll is runnable.
+        assert_eq!(in_task(vec![1], |h| h.inline_horizon()), None);
+        // A child spawned by this poll is about to run.
+        let spawned = in_task(vec![], |h| {
+            h.spawn(async {});
+            h.inline_horizon()
+        });
+        assert_eq!(spawned, None);
+        // The cancel token tripped.
+        crate::silence_cancelled_panics();
+        let token = crate::CancelToken::new();
+        let cancelled = crate::with_cancel_token(&token, || {
+            let mut sim = Simulation::new();
+            let h = sim.handle();
+            let token = Arc::clone(&token);
+            let jh = sim.spawn(async move {
+                token.cancel();
+                h.inline_horizon()
+            });
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+            jh.try_take()
+        });
+        assert_eq!(cancelled, Some(None));
+        // Alone, with no timer pending: unbounded.
+        assert_eq!(in_task(vec![], |h| h.inline_horizon()), Some(Time::MAX));
+    }
+
+    #[test]
+    fn inline_horizon_is_the_cycle_before_the_earliest_timer() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        // As above: the sleeper registers a timer at 10 before the prober
+        // runs.
+        let sleeper = h.clone();
+        sim.spawn(async move { sleeper.wait(Duration::cycles(10)).await });
+        let jh = sim.spawn(async move {
+            let first = h.inline_horizon();
+            // An inline advance does not move the horizon.
+            assert!(h.try_advance(Duration::cycles(4)));
+            let after = h.inline_horizon();
+            // The rule `try_advance` applies: a deadline at or before the
+            // horizon completes inline, one past it does not.
+            let past = h.try_advance(Duration::cycles(6));
+            let to = h.try_advance(Duration::cycles(5));
+            (first, after, past, to)
+        });
+        sim.run();
+        let nine = Some(Time::from_cycles(9));
+        assert_eq!(jh.try_take(), Some((nine, nine, false, true)));
+    }
+
+    #[test]
+    fn advance_inline_to_books_a_run_of_timers_at_once() {
+        let (before, after) = in_task(vec![], |h| {
+            let before = kernel_state(h);
+            h.advance_inline_to(Time::from_cycles(12), 3);
+            (before, kernel_state(h))
+        });
+        assert_eq!(after, (before.0 + 12, before.1 + 3, before.2));
     }
 
     #[test]

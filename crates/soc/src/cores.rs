@@ -12,7 +12,8 @@ use std::rc::Rc;
 use tve_memtest::{Fault, RepairableMemory};
 use tve_sim::{Duration, SimHandle};
 use tve_tlm::{
-    Command, DmiAccess, InitiatorId, LocalBoxFuture, PowerMeter, ResponseStatus, TamIf, Transaction,
+    Command, DmiAccess, DmiWord, InitiatorId, LocalBoxFuture, PowerMeter, ResponseStatus, TamIf,
+    Transaction,
 };
 
 use crate::jpeg;
@@ -122,9 +123,8 @@ impl MemoryCore {
         self.mem.borrow_mut().inject(fault);
     }
 
-    /// Reads and write counters (reads, writes).
-    #[cfg(test)]
-    pub(crate) fn op_counts(&self) -> (u64, u64) {
+    /// Reads and writes the array has performed so far.
+    pub fn op_counts(&self) -> (u64, u64) {
         let m = self.mem.borrow();
         (m.read_count(), m.write_count())
     }
@@ -237,6 +237,30 @@ impl DmiAccess for MemoryCore {
             self.record_power(1);
         }
         mem.write(index, value);
+        true
+    }
+
+    /// A run's words, in order, through the array (which counts them).
+    /// Declines when metered, since power is recorded per access at its
+    /// own time, or when any op falls outside the array.
+    fn dmi_apply(&self, ops: &mut [DmiWord]) -> bool {
+        let mut mem = self.mem.borrow_mut();
+        let len = mem.len() as u32;
+        if self.powered.get()
+            || ops
+                .iter()
+                .any(|op| op.addr.wrapping_sub(self.base_addr) >= len)
+        {
+            return false;
+        }
+        for op in ops {
+            let index = op.addr - self.base_addr;
+            if op.write {
+                mem.write(index, op.data);
+            } else {
+                op.data = mem.read(index);
+            }
+        }
         true
     }
 }

@@ -18,7 +18,7 @@ use crate::monitor::UtilizationMonitor;
 use crate::payload::InitiatorId;
 use crate::payload::{Command, ResponseStatus, Transaction};
 use crate::power::PowerMeter;
-use crate::transport::{DmiAccess, LocalBoxFuture, TamIf};
+use crate::transport::{DmiAccess, DmiWord, LocalBoxFuture, TamIf};
 
 /// A channel's attachment to an observability [`Recorder`]: the shared
 /// recorder plus pre-registered counter handles, so per-transfer bumps
@@ -288,6 +288,12 @@ impl BusTam {
         self.monitor.borrow_mut().observe_until(t);
     }
 
+    /// Arbiter grants made so far, and the initiator of the latest
+    /// (`InitiatorId(u8::MAX)` before the first).
+    pub fn grants(&self) -> (u64, InitiatorId) {
+        self.arbiter.grants()
+    }
+
     /// Transactions that failed address decode.
     pub fn rejected_count(&self) -> u64 {
         self.rejected.get()
@@ -445,6 +451,53 @@ impl DmiAccess for BusDmi {
     fn dmi_write(&self, addr: u32, value: u32) -> bool {
         self.admit()
             .is_some_and(|admitted| self.commit(self.inner.dmi_write(addr, value), admitted))
+    }
+
+    /// A run over the bus: op `k` (from 0) is the initiator's overhead
+    /// advance from `now + k·period`, then one occupancy, so it ends at
+    /// `now + (k + 1)·period` with `period = overhead + occupancy`. Every
+    /// op that ends at or before the horizon passes both of the per-op
+    /// path's `try_advance` gates and finds the arbiter as idle as the
+    /// first did, because nothing else runs in between. The grant behind
+    /// the bus applies their data at once; the bus then books `n` busy
+    /// intervals, `n` grants, and `2n` fired timers up to the last end.
+    ///
+    /// Declines wherever the per-op path would not take every op inline
+    /// or a single booking could not replicate it: loosely-timed mode,
+    /// an instrumented channel (power and span records are per access),
+    /// a zero overhead or occupancy (a zero-length advance is a delta
+    /// wait), a busy arbiter, and a grant behind the bus that takes
+    /// time of its own or declines the data.
+    fn dmi_run(&self, ops: &mut [DmiWord], overhead: Duration, horizon: Time) -> usize {
+        let bus = &self.bus;
+        let (oh, occ) = (overhead.as_cycles(), self.occupancy.as_cycles());
+        if oh == 0
+            || occ == 0
+            || bus.instrumented.get()
+            || bus.handle.lt_active()
+            || !bus.arbiter.is_idle()
+        {
+            return 0;
+        }
+        let now = bus.handle.now().cycles();
+        let period = oh + occ;
+        let fit = horizon.cycles().saturating_sub(now) / period;
+        let n = ops.len().min(usize::try_from(fit).unwrap_or(usize::MAX));
+        if n == 0 || !self.inner.dmi_apply(&mut ops[..n]) {
+            return 0;
+        }
+        let count = n as u64;
+        bus.handle
+            .advance_inline_to(Time::from_cycles(now + count * period), 2 * count);
+        bus.arbiter.grant_run(self.initiator, count);
+        bus.monitor.borrow_mut().record_busy_run(
+            Time::from_cycles(now + oh),
+            self.occupancy,
+            Duration::cycles(period),
+            count,
+            self.initiator,
+        );
+        n
     }
 }
 

@@ -51,4 +51,4 @@ pub use payload::{Command, InitiatorId, ResponseStatus, Transaction};
 pub use power::PowerMeter;
 pub use rate::RateLimiter;
 pub use serial::SerialTam;
-pub use transport::{DmiAccess, LocalBoxFuture, TamError, TamIf, TamIfExt};
+pub use transport::{DmiAccess, DmiWord, LocalBoxFuture, TamError, TamIf, TamIfExt};

@@ -101,12 +101,7 @@ impl UtilizationMonitor {
         let t = start.cycles();
         let d = dur.as_cycles();
         let end = t + d;
-        self.transfers += 1;
-        self.total_busy += d;
-        match self.per_initiator.iter_mut().find(|(i, _)| *i == initiator) {
-            Some((_, busy)) => *busy += d,
-            None => self.per_initiator.push((initiator, d)),
-        }
+        self.count_transfers(1, d, initiator);
         // Same-window fast path: back-to-back transfers land in the hot
         // window far more often than not, and skipping the split loop
         // avoids a hardware divide per transfer.
@@ -119,6 +114,71 @@ impl UtilizationMonitor {
         self.last_end = self.last_end.max(Time::from_cycles(end));
     }
 
+    /// Records `n` busy intervals of `dur` on behalf of `initiator`, the
+    /// first starting at `start` and each `period` after the previous:
+    /// in closed form, exactly what `n` [`UtilizationMonitor::record_busy`]
+    /// calls leave behind, with the window split done once per window
+    /// instead of once per interval.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if the intervals overlap (`period < dur`).
+    pub(crate) fn record_busy_run(
+        &mut self,
+        start: Time,
+        dur: Duration,
+        period: Duration,
+        n: u64,
+        initiator: InitiatorId,
+    ) {
+        if n == 0 {
+            return;
+        }
+        let (s, d, p) = (start.cycles(), dur.as_cycles(), period.as_cycles());
+        debug_assert!(p >= d, "busy intervals of a run overlap");
+        self.count_transfers(n, n * d, initiator);
+        let mut i = 0;
+        while i < n && d > 0 {
+            let t = s + i * p;
+            let w = t / self.window;
+            let wend = (w + 1) * self.window;
+            // Intervals `i..=last` end inside window `w`; one that
+            // straddles its end is split.
+            match (wend - s).checked_sub(d).map(|room| room / p) {
+                Some(last) if last >= i => {
+                    let count = last.min(n - 1) - i + 1;
+                    self.add_busy(w, count * d);
+                    i += count;
+                }
+                _ => {
+                    self.record_split(t, t + d);
+                    i += 1;
+                }
+            }
+        }
+        let end = Time::from_cycles(s + (n - 1) * p + d);
+        self.last_end = self.last_end.max(end);
+    }
+
+    /// Counts `n` transfers by `initiator`, busy for `busy` cycles in all.
+    fn count_transfers(&mut self, n: u64, busy: u64, initiator: InitiatorId) {
+        self.transfers += n;
+        self.total_busy += busy;
+        match self.per_initiator.iter_mut().find(|(i, _)| *i == initiator) {
+            Some((_, total)) => *total += busy,
+            None => self.per_initiator.push((initiator, busy)),
+        }
+    }
+
+    /// Adds `busy` cycles to window `w` through the hot buffer.
+    fn add_busy(&mut self, w: u64, busy: u64) {
+        if w != self.hot_w {
+            self.flush_hot();
+            self.hot_w = w;
+        }
+        self.hot_busy += busy;
+    }
+
     /// Splits `[t, end)` across peak-detection windows (the slow path of
     /// [`UtilizationMonitor::record_busy`]).
     fn record_split(&mut self, mut t: u64, end: u64) {
@@ -126,11 +186,7 @@ impl UtilizationMonitor {
             let w = t / self.window;
             let wend = (w + 1) * self.window;
             let chunk = end.min(wend) - t;
-            if w != self.hot_w {
-                self.flush_hot();
-                self.hot_w = w;
-            }
-            self.hot_busy += chunk;
+            self.add_busy(w, chunk);
             t += chunk;
         }
     }
@@ -341,6 +397,44 @@ mod tests {
         // Idle observation never adds busy cycles or transfers.
         assert_eq!(m.total_busy_cycles(), 80);
         assert_eq!(m.transfer_count(), 1);
+    }
+
+    #[test]
+    fn a_run_of_intervals_books_what_single_intervals_book() {
+        // Windows of 10; runs that fit one window, cross several, start
+        // mid-window, straddle edges every few intervals and leave gaps.
+        for (start, dur, period, n) in [
+            (3, 2, 5, 1),
+            (0, 3, 3, 7),
+            (4, 3, 7, 40),
+            (9, 4, 4, 25),
+            (95, 10, 10, 9),
+            (17, 1, 13, 30),
+        ] {
+            let mut single = UtilizationMonitor::new(d(10));
+            let mut run = UtilizationMonitor::new(d(10));
+            for m in [&mut single, &mut run] {
+                m.record_busy(t(0), d(2), InitiatorId(1));
+            }
+            for k in 0..n {
+                single.record_busy(t(start + 2 + k * period), d(dur), InitiatorId(4));
+            }
+            run.record_busy_run(t(start + 2), d(dur), d(period), n, InitiatorId(4));
+            let profile = |m: &UtilizationMonitor| {
+                (
+                    m.window_busy().collect::<Vec<_>>(),
+                    m.per_initiator().collect::<Vec<_>>(),
+                    m.total_busy_cycles(),
+                    m.transfer_count(),
+                    m.last_activity_end(),
+                )
+            };
+            assert_eq!(
+                profile(&run),
+                profile(&single),
+                "{start} {dur} {period} {n}"
+            );
+        }
     }
 
     #[test]

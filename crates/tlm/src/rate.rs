@@ -86,16 +86,33 @@ impl RateLimiter {
     /// (full-duplex ATE channels): reserve on each, then wait for the
     /// latest completion.
     pub fn reserve(&self, bits: u64) -> Time {
+        let end = self.peek(bits);
+        self.book(bits, end);
+        end
+    }
+
+    /// The completion time [`RateLimiter::reserve`] would return for
+    /// `bits` now, booking nothing.
+    pub fn peek(&self, bits: u64) -> Time {
         let inner = &self.inner;
         let now = inner.handle.now().cycles();
         if bits == 0 {
             return Time::from_cycles(now);
         }
         let start = inner.next_free.get().max(now);
-        let end = start + self.duration_of(bits);
-        inner.next_free.set(end);
+        Time::from_cycles(start + self.duration_of(bits))
+    }
+
+    /// Books `bits` ending at `end`, the time [`RateLimiter::peek`]
+    /// returned for them with nothing booked since: the reservation as
+    /// of the peek, even when time has moved on in between.
+    pub fn book(&self, bits: u64, end: Time) {
+        if bits == 0 {
+            return;
+        }
+        let inner = &self.inner;
+        inner.next_free.set(end.cycles());
         inner.total_bits.set(inner.total_bits.get() + bits);
-        Time::from_cycles(end)
     }
 
     /// Transports `bits` over the link, suspending until delivery finishes.

@@ -5,6 +5,8 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 
+use tve_sim::{Duration, Time};
+
 use crate::payload::{Command, InitiatorId, ResponseStatus, Transaction};
 
 /// A non-`Send` boxed future, the return type of object-safe async trait
@@ -67,7 +69,10 @@ pub trait TamIf {
     /// else runnable, no timer due before the transfer ends), so results
     /// and digests equal the event-driven path's. In loosely-timed mode
     /// it succeeds when the occupancy fits the task's quantum budget.
-    /// Components opt in; the default declines.
+    /// A successful call interacts with the kernel only through inline
+    /// advances: it makes no task runnable, spawns none and schedules no
+    /// timer, so the caller's [`tve_sim::SimHandle::inline_horizon`]
+    /// is where it was. Components opt in; the default declines.
     fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
         let _ = txn;
         false
@@ -120,6 +125,53 @@ pub trait DmiAccess {
 
     /// Writes the 32-bit word at TAM address `addr`.
     fn dmi_write(&self, addr: u32, value: u32) -> bool;
+
+    /// Performs the leading accesses of `ops` as one call, for an
+    /// initiator that pays `overhead` cycles of its own before each
+    /// access (an inline advance, as the blocking memory-test engine
+    /// takes it), and returns how many it performed: the longest prefix
+    /// whose ends all fall at or before `horizon`, the caller's
+    /// [`tve_sim::SimHandle::inline_horizon`].
+    ///
+    /// A run is the exact-lookahead rule applied to a sequence: with
+    /// nothing else runnable and no timer due until after the horizon,
+    /// nothing can happen between two inline accesses, so performing
+    /// them back to back and booking their time at once is observably
+    /// the per-access path. Each performed access has the data effect
+    /// of [`DmiAccess::dmi_read`] / [`DmiAccess::dmi_write`], and a
+    /// read leaves the word in its [`DmiWord::data`]. The run books
+    /// exactly what those accesses, each after its `overhead` advance,
+    /// would have booked: simulated time and fired timers, utilization,
+    /// arbitration and counters. A grant that cannot replicate that
+    /// performs nothing and returns 0; the caller then takes the next
+    /// access alone. The default performs nothing.
+    fn dmi_run(&self, ops: &mut [DmiWord], overhead: Duration, horizon: Time) -> usize {
+        let _ = (ops, overhead, horizon);
+        0
+    }
+
+    /// Applies the data effect of every access in `ops`, in order and at
+    /// the current time, with the counters the single accesses would
+    /// bump, and returns `true`; or does nothing and returns `false`.
+    /// Only a grant whose single accesses take no simulated time and
+    /// record nothing time-stamped can apply a run this way: a channel
+    /// calls it on the grant behind it while booking the run's time
+    /// itself. The default declines.
+    fn dmi_apply(&self, ops: &mut [DmiWord]) -> bool {
+        let _ = ops;
+        false
+    }
+}
+
+/// One single-word access of a [`DmiAccess::dmi_run`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DmiWord {
+    /// TAM address of the word.
+    pub addr: u32,
+    /// Whether the access writes [`DmiWord::data`]; otherwise it reads.
+    pub write: bool,
+    /// The word to write, or after a performed read, the word read.
+    pub data: u32,
 }
 
 /// Convenience accessors over any [`TamIf`].

@@ -4,18 +4,21 @@
 //! Counts are per thread, so the test harness's other threads do not
 //! disturb them. The budgets are exact upper bounds: a change that adds
 //! a per-pattern copy of the stimulus, boxes a future on the
-//! uncontended scan path, spawns a task per held EBI transfer, or lets
-//! a wake drop its waiter list's capacity fails here.
+//! uncontended scan path, spawns a task per held EBI transfer, allocates
+//! per march run or per op, or lets a wake drop its waiter list's
+//! capacity fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
 use tve::core::{
-    AteSource, BistSource, ConfigClient, DataPolicy, Ebi, ReadBack, SyntheticLogicCore,
-    TestWrapper, WrapperConfig, WrapperMode,
+    AteSource, BistSource, ConfigClient, DataPolicy, Ebi, MemoryTestPlan, ReadBack,
+    SyntheticLogicCore, TestController, TestWrapper, WrapperConfig, WrapperMode,
 };
-use tve::sim::{Event, Simulation};
+use tve::memtest::{MarchTest, PatternTest};
+use tve::sim::{Duration, Event, Simulation};
+use tve::soc::{initiators, JpegEncoderSoc, SocConfig, MEM_BASE};
 use tve::tlm::{AddrRange, BusConfig, BusTam, InitiatorId, TamIf};
 use tve::tpg::ScanConfig;
 
@@ -162,29 +165,86 @@ fn ate_run_allocs(patterns: u64) -> u64 {
     used
 }
 
-/// The allocations of an ATE run that no pattern count changes: the
-/// task, the stimulus cursor and the outcome; the first stimulus buffer
-/// and the two zeroed responses that start the buffers circulating;
-/// and the background task of the last, unhinted transfer.
+/// The allocations of an ATE run, whatever its pattern count: the task,
+/// the stimulus cursor and the outcome; the first stimulus buffer and
+/// the two zeroed responses that start the buffers circulating; and the
+/// background task of the last, unhinted transfer.
 const ATE_RUN_CONSTANT: u64 = 16;
 
-/// A lone Full-data ATE source with combined read-back allocates one
-/// boxed EBI transport future per pattern plus a constant: the words
-/// shifted out come back as the next stimulus buffer, the EBI takes its
-/// response buffer instead of cloning it, and the same-time hand-off
-/// delivers every transfer but the last inline instead of spawning a
-/// task for it.
+/// A lone Full-data ATE source with combined read-back allocates a
+/// constant, however many patterns it sends: the words shifted out come
+/// back as the next stimulus buffer, the EBI takes its response buffer
+/// instead of cloning it, the same-time hand-off delivers every transfer
+/// but the last inline instead of spawning a task for it, and the EBI's
+/// synchronous path takes each pattern without boxing a transport
+/// future.
 #[test]
-fn lone_full_data_ate_allocates_at_most_one_buffer_per_pattern() {
+fn lone_full_data_ate_allocates_a_constant() {
     // Warm the process-wide stimulus store, as above.
     ate_run_allocs(256);
     for patterns in [0, 1, 64, 256] {
         let used = ate_run_allocs(patterns);
         assert!(
-            used <= patterns + ATE_RUN_CONSTANT,
-            "{patterns} patterns made {used} allocations, over {patterns} + {ATE_RUN_CONSTANT}"
+            used <= ATE_RUN_CONSTANT,
+            "{patterns} patterns made {used} allocations, over {ATE_RUN_CONSTANT}"
         );
     }
+}
+
+/// Allocations made by one lone Full-data processor march (march C-
+/// plus a checkerboard, 12 ops a word) over a `words`-word memory,
+/// through the SoC's DMI chain (bus, memory wrapper, memory core),
+/// counted from the engine's spawn until the outcome is back.
+fn march_run_allocs(words: u32) -> u64 {
+    let mut sim = Simulation::new();
+    let handle = sim.handle();
+    // One monitor window longer than either march: the monitor's map of
+    // windows grows with simulated time, on the per-op path as much as
+    // over runs, and is not what this counts.
+    let config = SocConfig {
+        memory_words: words,
+        monitor_window: Duration::cycles(1 << 32),
+        ..SocConfig::small()
+    };
+    let soc = JpegEncoderSoc::build(&handle, config);
+    let engine = TestController::new(
+        &handle,
+        "proc",
+        Rc::clone(&soc.bus) as Rc<dyn TamIf>,
+        initiators::PROCESSOR,
+    );
+    let plan = MemoryTestPlan {
+        name: "T7".into(),
+        march: MarchTest::march_c_minus(),
+        patterns: vec![PatternTest::Checkerboard],
+        base_addr: MEM_BASE,
+        words,
+        op_overhead: Duration::cycles(6),
+        posted_depth: 1,
+        policy: DataPolicy::Full,
+    };
+    let before = allocs();
+    let run = sim.spawn(async move { engine.run_memory_test(&plan).await });
+    sim.run();
+    let outcome = run.try_take().expect("the march completes");
+    let used = allocs() - before;
+    assert_eq!(outcome.patterns, 12 * u64::from(words));
+    assert!(outcome.clean());
+    used
+}
+
+/// A lone Full-data march over a DMI grant allocates the same at 64
+/// words (one run) as at 4,096 words (a dozen full runs): the engine
+/// fills two fixed buffers per test, and a run allocates nothing per op
+/// or per run.
+#[test]
+fn lone_full_data_march_allocates_the_same_at_any_memory_size() {
+    let small = march_run_allocs(64);
+    let large = march_run_allocs(4096);
+    assert_eq!(
+        small, large,
+        "64 words made {small} allocations, 4,096 made {large}"
+    );
 }
 
 /// After its first round, an `Event` wait/notify ping-pong between two
