@@ -240,7 +240,7 @@ impl TestController {
             if run.is_empty() && !run.fill(plan, ops) {
                 return;
             }
-            let pending = &mut run.words[run.next..];
+            let pending = run.pending();
             let offered = pending.len();
             let done = window.dmi_run(pending, plan.op_overhead, horizon);
             run.book(done, plan, out);
@@ -379,63 +379,73 @@ struct MemOp {
 const MARCH_RUN_OPS: usize = 4096;
 
 /// The blocking engine's buffer of upcoming ops, in the form a DMI run
-/// takes them: `words[next..]` are not performed yet. Two allocations
-/// per test, of at most [`MARCH_RUN_OPS`] entries each, whatever the
-/// memory size.
+/// takes them: `words[next..len]` are not performed yet. Sized once per
+/// test, to at most [`MARCH_RUN_OPS`] entries whatever the memory size,
+/// and refilled in place.
 #[derive(Default)]
 struct MarchRun {
     words: Vec<DmiWord>,
-    /// The value each read expects, index for index with `words`.
+    /// The word each op carried before its run, index for index with
+    /// `words`: what a performed read expected. Empty for a Volume plan,
+    /// which checks no data.
     expect: Vec<u32>,
+    len: usize,
     next: usize,
 }
 
 impl MarchRun {
     fn is_empty(&self) -> bool {
-        self.next == self.words.len()
+        self.next == self.len
     }
 
-    /// Refills the buffer with the next [`MARCH_RUN_OPS`] ops of `ops`;
-    /// returns whether any were left. A Volume write carries a zero, as
-    /// [`TestController::dmi_access`] writes it.
+    /// The buffered ops not performed yet.
+    fn pending(&mut self) -> &mut [DmiWord] {
+        &mut self.words[self.next..self.len]
+    }
+
+    /// Refills the buffer with the next ops of `ops`; returns whether any
+    /// were left.
     fn fill(&mut self, plan: &MemoryTestPlan, ops: &mut Ops<'_>) -> bool {
-        if self.words.capacity() == 0 {
+        if self.words.is_empty() {
             let size =
                 usize::try_from(plan.op_count()).map_or(MARCH_RUN_OPS, |n| n.min(MARCH_RUN_OPS));
-            self.words.reserve_exact(size);
-            self.expect.reserve_exact(size);
+            self.words = vec![DmiWord::default(); size];
+            if plan.policy != DataPolicy::Volume {
+                self.expect = vec![0; size];
+            }
         }
-        self.words.clear();
-        self.expect.clear();
+        self.len = ops.fill(&mut self.words);
+        // A performed read replaces the word it expects.
+        for (expect, word) in self.expect.iter_mut().zip(&self.words[..self.len]) {
+            *expect = word.data;
+        }
         self.next = 0;
-        let volume = plan.policy == DataPolicy::Volume;
-        for op in ops.take(MARCH_RUN_OPS) {
-            self.words.push(DmiWord {
-                addr: plan.base_addr + op.addr,
-                write: op.write.is_some(),
-                data: op.write.filter(|_| !volume).unwrap_or(0),
-            });
-            self.expect.push(op.expect.unwrap_or(0));
-        }
-        !self.words.is_empty()
+        self.len > 0
     }
 
     /// Books the outcomes of the next `done` ops, which a run performed.
+    /// A Volume run checks no data, so only its mix of writes and reads
+    /// counts.
     fn book(&mut self, done: usize, plan: &MemoryTestPlan, out: &mut TestOutcome) {
         let end = self.next + done;
-        let check = plan.policy != DataPolicy::Volume;
-        for (word, &expect) in self.words[self.next..end]
-            .iter()
-            .zip(&self.expect[self.next..end])
-        {
-            out.patterns += 1;
-            if word.write {
-                out.stimulus_bits += 32;
-                continue;
-            }
-            out.response_bits += 32;
-            if check && word.data != expect {
-                note_mismatch(out, word.addr - plan.base_addr);
+        let performed = &self.words[self.next..end];
+        if plan.policy == DataPolicy::Volume {
+            let writes = performed.iter().filter(|word| word.write).count() as u64;
+            let ops = done as u64;
+            out.patterns += ops;
+            out.stimulus_bits += 32 * writes;
+            out.response_bits += 32 * (ops - writes);
+        } else {
+            for (word, &expect) in performed.iter().zip(&self.expect[self.next..end]) {
+                out.patterns += 1;
+                if word.write {
+                    out.stimulus_bits += 32;
+                    continue;
+                }
+                out.response_bits += 32;
+                if word.data != expect {
+                    note_mismatch(out, word.addr - plan.base_addr);
+                }
             }
         }
         self.next = end;
@@ -443,13 +453,15 @@ impl MarchRun {
 
     /// Takes the next buffered op for the per-op path.
     fn pop(&mut self, plan: &MemoryTestPlan) -> Option<MemOp> {
-        let word = *self.words.get(self.next)?;
-        let expect = self.expect[self.next];
+        if self.is_empty() {
+            return None;
+        }
+        let word = self.words[self.next];
         self.next += 1;
         Some(MemOp {
             addr: word.addr - plan.base_addr,
             write: word.write.then_some(word.data),
-            expect: (!word.write).then_some(expect),
+            expect: (!word.write).then_some(word.data),
         })
     }
 }
@@ -505,11 +517,11 @@ impl Iterator for Ops<'_> {
                         self.step = 0;
                         self.word += 1;
                     }
-                    let (write, expect) = match op {
-                        MarchOp::W0 => (Some(0), None),
-                        MarchOp::W1 => (Some(u32::MAX), None),
-                        MarchOp::R0 => (None, Some(0)),
-                        MarchOp::R1 => (None, Some(u32::MAX)),
+                    let (write, value) = march_word(op);
+                    let (write, expect) = if write {
+                        (Some(value), None)
+                    } else {
+                        (None, Some(value))
                     };
                     return Some(MemOp {
                         addr,
@@ -545,6 +557,109 @@ impl Iterator for Ops<'_> {
             self.word = 0;
             self.step = 0;
         }
+    }
+}
+
+impl Ops<'_> {
+    /// Writes the upcoming ops into `words`, in the form a DMI run takes
+    /// them, until it is full or the sequence ends, and returns how many
+    /// it wrote: the ops [`Iterator::next`] would return, a march element
+    /// or a background sweep at a time. A Full-data op carries the word
+    /// it writes, or the word a read expects until the read replaces it;
+    /// a Volume op carries a zero, as [`TestController::dmi_access`]
+    /// writes it.
+    fn fill(&mut self, words: &mut [DmiWord]) -> usize {
+        let plan = self.plan;
+        let (n, base) = (plan.words, plan.base_addr);
+        let full = plan.policy != DataPolicy::Volume;
+        let elements = plan.march.elements();
+        let mut k = 0;
+        loop {
+            if let Some(elem) = elements.get(self.phase) {
+                let m = elem.ops.len();
+                let put = |slots: &mut [DmiWord], word: u32, ops: &[MarchOp]| {
+                    let addr = base
+                        + match elem.order {
+                            MarchOrder::Ascending | MarchOrder::Any => word,
+                            MarchOrder::Descending => n - 1 - word,
+                        };
+                    for (slot, &op) in slots.iter_mut().zip(ops) {
+                        let (write, value) = march_word(op);
+                        let data = if full { value } else { 0 };
+                        *slot = DmiWord { addr, write, data };
+                    }
+                };
+                // The rest of a word that the last fill or `next` left
+                // part-done.
+                if self.step > 0 {
+                    let ops = &elem.ops[self.step..m.min(self.step + words.len() - k)];
+                    put(&mut words[k..], self.word, ops);
+                    k += ops.len();
+                    self.step += ops.len();
+                    if self.step < m {
+                        return k;
+                    }
+                    self.step = 0;
+                    self.word += 1;
+                }
+                // Whole words, then the first ops of a word that does not
+                // fit. An element without ops has no words to sweep.
+                if let Some(room) = (words.len() - k).checked_div(m) {
+                    let whole = room.min((n - self.word) as usize);
+                    let slots = words[k..k + whole * m].chunks_exact_mut(m);
+                    for (word, slots) in (self.word..).zip(slots) {
+                        put(slots, word, &elem.ops);
+                    }
+                    k += whole * m;
+                    self.word += whole as u32;
+                    if self.word < n {
+                        self.step = words.len() - k;
+                        put(&mut words[k..], self.word, &elem.ops[..self.step]);
+                        return words.len();
+                    }
+                }
+            } else {
+                let Some(p) = plan.patterns.get(self.phase - elements.len()) else {
+                    return k;
+                };
+                // The rest of the write sweep (step 0) or the read sweep.
+                let write = self.step == 0;
+                let first = self.word;
+                let count = (words.len() - k).min((n - first) as usize);
+                for (addr, slot) in (first..).zip(&mut words[k..k + count]) {
+                    let data = if full { p.background(addr) } else { 0 };
+                    *slot = DmiWord {
+                        addr: base + addr,
+                        write,
+                        data,
+                    };
+                }
+                k += count;
+                self.word += count as u32;
+                if self.word < n {
+                    return k;
+                }
+                if write {
+                    self.step = 1;
+                    self.word = 0;
+                    continue;
+                }
+            }
+            self.phase += 1;
+            self.word = 0;
+            self.step = 0;
+        }
+    }
+}
+
+/// Whether march op `op` writes, and the word it writes or expects.
+#[inline]
+fn march_word(op: MarchOp) -> (bool, u32) {
+    match op {
+        MarchOp::W0 => (true, 0),
+        MarchOp::W1 => (true, u32::MAX),
+        MarchOp::R0 => (false, 0),
+        MarchOp::R1 => (false, u32::MAX),
     }
 }
 
@@ -881,7 +996,7 @@ mod tests {
     }
 
     /// The operation sequence as nested loops over march elements and
-    /// pattern tests: the reference for the [`Ops`] cursor.
+    /// pattern tests: the reference for the [`Ops`] cursor and its fill.
     fn reference_ops(p: &MemoryTestPlan) -> Vec<(u32, Option<u32>, Option<u32>)> {
         let mut ops = Vec::new();
         for elem in p.march.elements() {
@@ -907,22 +1022,95 @@ mod tests {
         ops
     }
 
-    #[test]
-    fn ops_cursor_matches_nested_loop_reference() {
-        for march in [MarchTest::mats_plus(), MarchTest::march_c_minus()] {
-            for words in [0, 1, 5, 32] {
-                let p = MemoryTestPlan {
-                    march: march.clone(),
-                    ..plan(words, DataPolicy::Full)
-                };
-                let got: Vec<_> = p.ops().map(|o| (o.addr, o.write, o.expect)).collect();
-                assert_eq!(
-                    got,
-                    reference_ops(&p),
-                    "{} over {words} words",
-                    march.name()
+    /// An op as a DMI run sees it: TAM address, write flag, and for a
+    /// Full-data plan the word it writes or expects.
+    type RunWord = (u32, bool, u32);
+
+    fn run_word(p: &MemoryTestPlan, addr: u32, write: Option<u32>, expect: Option<u32>) -> RunWord {
+        let full = p.policy != DataPolicy::Volume;
+        let data = write.or(expect).filter(|_| full).unwrap_or(0);
+        (p.base_addr + addr, write.is_some(), data)
+    }
+
+    /// The sequence [`Ops::fill`] writes into buffers of `cap` ops, with
+    /// `between` ops taken by [`Ops::next`] after each fill, as the
+    /// engine's per-op path takes them between runs.
+    fn filled(p: &MemoryTestPlan, cap: usize, between: usize) -> Vec<RunWord> {
+        let mut words = vec![DmiWord::default(); cap];
+        let mut ops = p.ops();
+        let mut got = Vec::new();
+        loop {
+            let n = ops.fill(&mut words);
+            got.extend(words[..n].iter().map(|w| (w.addr, w.write, w.data)));
+            assert!(
+                got.len() as u64 <= p.op_count(),
+                "fills ran past the sequence"
+            );
+            if n < cap {
+                assert!(
+                    ops.next().is_none(),
+                    "a fill stopped short of a full buffer"
                 );
-                assert_eq!(got.len() as u64, p.op_count());
+                return got;
+            }
+            for op in ops.by_ref().take(between) {
+                got.push(run_word(p, op.addr, op.write, op.expect));
+            }
+        }
+    }
+
+    #[test]
+    fn segment_fill_matches_the_per_op_cursor() {
+        let marches = [
+            MarchTest::mats_plus(),
+            MarchTest::march_c_minus(),
+            MarchTest::march_x(),
+            MarchTest::march_y(),
+            MarchTest::march_b(),
+        ];
+        let pattern_sets = [
+            vec![],
+            vec![
+                PatternTest::Checkerboard,
+                PatternTest::AddressInData,
+                PatternTest::Solid(0x0F0F_F0F0),
+            ],
+        ];
+        for march in &marches {
+            for patterns in &pattern_sets {
+                for words in [0, 1, 5, 32, 4097] {
+                    for policy in [DataPolicy::Full, DataPolicy::Volume] {
+                        let p = MemoryTestPlan {
+                            march: march.clone(),
+                            patterns: patterns.clone(),
+                            base_addr: 0x40_0000,
+                            ..plan(words, policy)
+                        };
+                        let want: Vec<RunWord> = reference_ops(&p)
+                            .into_iter()
+                            .map(|(addr, write, expect)| run_word(&p, addr, write, expect))
+                            .collect();
+                        let by_next: Vec<RunWord> = p
+                            .ops()
+                            .map(|op| run_word(&p, op.addr, op.write, op.expect))
+                            .collect();
+                        assert_eq!(by_next, want);
+                        assert_eq!(want.len() as u64, p.op_count());
+                        // Caps 1, 3 and 7 cut elements mid-word and every
+                        // sweep in the middle; 4,096 is the engine's.
+                        for cap in [1, 3, 7, MARCH_RUN_OPS] {
+                            for between in [0, 2] {
+                                assert!(
+                                    filled(&p, cap, between) == want,
+                                    "{} + {} patterns over {words} words, {policy:?}, cap {cap}, \
+                                     {between} ops between fills",
+                                    march.name(),
+                                    patterns.len(),
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -29,13 +29,24 @@ pub struct Ebi {
     /// The in-flight store-and-forward bus transfer.
     posted: RefCell<Option<JoinHandle<()>>>,
     /// A posted transfer held back under its initiator's hand-off
-    /// promise ([`Transaction::follows`]), with the cycle it was posted
-    /// at; the initiator's next call resolves it. At most one of `held`
-    /// and `posted` is set.
-    held: RefCell<Option<(Transaction, u64)>>,
+    /// promise ([`Transaction::follows`]); the initiator's next call
+    /// resolves it. At most one of `held` and `posted` is set.
+    held: RefCell<Option<Held>>,
     posted_errors: Rc<Cell<u64>>,
     /// Last shifted-out data, returned one combined access late.
     response_buffer: Rc<RefCell<Vec<u32>>>,
+}
+
+/// A posted transfer the EBI holds until its initiator's next call.
+struct Held {
+    txn: Transaction,
+    /// The cycle it was posted at, which is when it resolves.
+    posted_at: u64,
+    /// Whether the TAM's fast path declined it. The only thing that can
+    /// happen between that offer and the resolution at the same time is
+    /// the EBI's own channel booking, which the TAM does not see, so a
+    /// second offer would decline too: it is not made.
+    declined: bool,
 }
 
 impl fmt::Debug for Ebi {
@@ -98,7 +109,11 @@ impl Ebi {
         // The promise was made to this port, not by the EBI to the TAM.
         inner.set_follows(false);
         if follows && !self.handle.lt_active() {
-            *self.held.borrow_mut() = Some((inner, self.handle.now().cycles()));
+            *self.held.borrow_mut() = Some(Held {
+                txn: inner,
+                posted_at: self.handle.now().cycles(),
+                declined: false,
+            });
         } else {
             self.spawn_posted(inner);
         }
@@ -119,23 +134,23 @@ impl Ebi {
     /// whether it ran to completion inline. With `inline`, the transfer
     /// goes through the TAM's synchronous fast path, which succeeds
     /// exactly when the background task would have run alone until it
-    /// finished; otherwise (or when the TAM declines) it is spawned as
-    /// the event path would have spawned it, at the same time and in
-    /// the same poll.
+    /// finished, unless that path already declined it; otherwise (or
+    /// when the TAM declines) it is spawned as the event path would have
+    /// spawned it, at the same time and in the same poll.
     fn resolve_held(&self, inline: bool) -> bool {
-        let Some((mut inner, posted_at)) = self.held.borrow_mut().take() else {
+        let Some(mut held) = self.held.borrow_mut().take() else {
             return false;
         };
         debug_assert_eq!(
-            posted_at,
+            held.posted_at,
             self.handle.now().cycles(),
             "a held EBI transfer must resolve at its post time"
         );
-        if inline && self.downstream.transport_sync_try(&mut inner) {
-            settle(inner, &self.posted_errors, &self.response_buffer);
+        if inline && !held.declined && self.downstream.transport_sync_try(&mut held.txn) {
+            settle(held.txn, &self.posted_errors, &self.response_buffer);
             return true;
         }
-        self.spawn_posted(inner);
+        self.spawn_posted(held.txn);
         false
     }
 
@@ -200,10 +215,12 @@ impl TamIf for Ebi {
     /// before the kernel's [`tve_sim::SimHandle::inline_horizon`]. The
     /// event path then never suspends, so this is that path minus its
     /// boxed future: the channel bookings as of the call, the held
-    /// transfer, the wait, the post. Declines, changing nothing,
-    /// otherwise (and for bit-true writes, reads, a disabled interface,
-    /// a pending failure and loosely-timed mode, where the horizon is
-    /// not offered).
+    /// transfer, the wait, the post. Declines otherwise (and for
+    /// bit-true writes, reads, a disabled interface, a pending failure
+    /// and loosely-timed mode, where the horizon is not offered),
+    /// changing nothing observable: a held transfer the TAM declined is
+    /// only marked, so the event path that follows does not offer it
+    /// again.
     ///
     /// The held transfer resolves before the bookings here, not after:
     /// it touches neither channel, and a decline must leave both as
@@ -240,12 +257,13 @@ impl TamIf for Ebi {
             *self.held.borrow_mut() = held;
             return false;
         }
-        if let Some((mut inner, posted_at)) = held {
-            if !self.downstream.transport_sync_try(&mut inner) {
-                *self.held.borrow_mut() = Some((inner, posted_at));
+        if let Some(mut held) = held {
+            if !self.downstream.transport_sync_try(&mut held.txn) {
+                held.declined = true;
+                *self.held.borrow_mut() = Some(held);
                 return false;
             }
-            settle(inner, &self.posted_errors, &self.response_buffer);
+            settle(held.txn, &self.posted_errors, &self.response_buffer);
         }
         self.downlink.book(txn.bit_len, down);
         if let Some(up) = up {

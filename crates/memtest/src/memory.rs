@@ -226,6 +226,12 @@ impl MemoryArray {
         self.faults.push(fault);
     }
 
+    /// The words, while no fault is injected: then a read is a plain
+    /// load and a write a plain store.
+    pub(crate) fn plain_words(&mut self) -> Option<&mut [u32]> {
+        self.faults.is_empty().then_some(&mut self.words[..])
+    }
+
     /// Reads the word at `addr`, applying stuck-at forcing.
     ///
     /// # Panics
@@ -261,20 +267,26 @@ impl MemoryArray {
             self.words[addr as usize] = value;
             return;
         }
-        // Address aliasing: collect every physical word this write reaches.
-        let mut targets = vec![addr];
-        for f in &self.faults {
-            if let FaultKind::AddressAlias { other_addr } = f.kind {
-                if f.addr == addr && !targets.contains(&other_addr) {
-                    targets.push(other_addr);
-                }
-                if other_addr == addr && !targets.contains(&f.addr) {
-                    targets.push(f.addr);
-                }
+        self.write_faulty(addr, value);
+    }
+
+    /// [`MemoryArray::write`] over an array with faults. Kept out of
+    /// line, so the fault-free store is all that callers inline.
+    #[inline(never)]
+    fn write_faulty(&mut self, addr: u32, value: u32) {
+        // Address aliasing: the write reaches `addr`, then each alias
+        // partner in fault order, each physical word once.
+        self.write_physical(addr, value);
+        for i in 0..self.faults.len() {
+            let Some(partner) = alias_partner(&self.faults[i], addr) else {
+                continue;
+            };
+            if !self.faults[..i]
+                .iter()
+                .any(|f| alias_partner(f, addr) == Some(partner))
+            {
+                self.write_physical(partner, value);
             }
-        }
-        for t in targets {
-            self.write_physical(t, value);
         }
     }
 
@@ -309,19 +321,16 @@ impl MemoryArray {
         self.words[addr as usize] = new;
 
         // Coupling side effects triggered by aggressor transitions.
-        let coupling: Vec<Fault> = self
-            .faults
-            .iter()
-            .copied()
-            .filter(|f| {
-                f.addr == addr
-                    && matches!(
-                        f.kind,
-                        FaultKind::CouplingInversion { .. } | FaultKind::CouplingIdempotent { .. }
-                    )
-            })
-            .collect();
-        for f in coupling {
+        for i in 0..self.faults.len() {
+            let f = self.faults[i];
+            if f.addr != addr
+                || !matches!(
+                    f.kind,
+                    FaultKind::CouplingInversion { .. } | FaultKind::CouplingIdempotent { .. }
+                )
+            {
+                continue;
+            }
             let m = 1u32 << f.bit;
             let was = old & m != 0;
             let now = new & m != 0;
@@ -353,6 +362,21 @@ impl MemoryArray {
                 _ => unreachable!("filtered to coupling faults"),
             }
         }
+    }
+}
+
+/// The other word of an address-alias fault that `addr` is one end of,
+/// unless that is `addr` itself.
+fn alias_partner(fault: &Fault, addr: u32) -> Option<u32> {
+    let FaultKind::AddressAlias { other_addr } = fault.kind else {
+        return None;
+    };
+    if fault.addr == addr && other_addr != addr {
+        Some(other_addr)
+    } else if other_addr == addr && fault.addr != addr {
+        Some(fault.addr)
+    } else {
+        None
     }
 }
 
@@ -438,6 +462,157 @@ mod tests {
         assert_eq!(m.read(6), 0xAAAA_0001);
         m.write(6, 0x5555_0002); // aliasing is symmetric
         assert_eq!(m.read(2), 0x5555_0002);
+    }
+
+    /// The write as it was when it collected its targets in a `Vec`
+    /// and copied the coupling faults out: the reference for
+    /// [`MemoryArray::write`].
+    fn reference_write(m: &mut MemoryArray, addr: u32, value: u32) {
+        if m.faults.is_empty() {
+            m.words[addr as usize] = value;
+            return;
+        }
+        let mut targets = vec![addr];
+        for f in &m.faults {
+            if let FaultKind::AddressAlias { other_addr } = f.kind {
+                if f.addr == addr && !targets.contains(&other_addr) {
+                    targets.push(other_addr);
+                }
+                if other_addr == addr && !targets.contains(&f.addr) {
+                    targets.push(f.addr);
+                }
+            }
+        }
+        for t in targets {
+            let old = m.words[t as usize];
+            let mut new = value;
+            for f in &m.faults {
+                if f.addr != t {
+                    continue;
+                }
+                let bit = 1u32 << f.bit;
+                match f.kind {
+                    FaultKind::StuckAt { value: true } => new |= bit,
+                    FaultKind::StuckAt { value: false } => new &= !bit,
+                    FaultKind::Transition { rising } => {
+                        let (was, want) = (old & bit != 0, new & bit != 0);
+                        if rising && !was && want {
+                            new &= !bit;
+                        } else if !rising && was && !want {
+                            new |= bit;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            m.words[t as usize] = new;
+            let coupling: Vec<Fault> = m
+                .faults
+                .iter()
+                .copied()
+                .filter(|f| {
+                    f.addr == t
+                        && matches!(
+                            f.kind,
+                            FaultKind::CouplingInversion { .. }
+                                | FaultKind::CouplingIdempotent { .. }
+                        )
+                })
+                .collect();
+            for f in coupling {
+                let bit = 1u32 << f.bit;
+                let (was, now) = (old & bit != 0, new & bit != 0);
+                let edge =
+                    |on_rising: bool| (on_rising && !was && now) || (!on_rising && was && !now);
+                match f.kind {
+                    FaultKind::CouplingInversion {
+                        victim_addr,
+                        victim_bit,
+                        on_rising,
+                    } if edge(on_rising) => m.words[victim_addr as usize] ^= 1 << victim_bit,
+                    FaultKind::CouplingIdempotent {
+                        victim_addr,
+                        victim_bit,
+                        on_rising,
+                        forced,
+                    } if edge(on_rising) => {
+                        if forced {
+                            m.words[victim_addr as usize] |= 1 << victim_bit;
+                        } else {
+                            m.words[victim_addr as usize] &= !(1 << victim_bit);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn writes_match_the_vec_based_reference_for_every_fault_kind() {
+        // One set per kind, both directions where a kind has them, and
+        // mixes: aliases that share a partner, a self-alias, an alias of
+        // a coupling aggressor, several faults on one word.
+        let sets: Vec<Vec<Fault>> = vec![
+            vec![Fault::stuck_at(3, 4, true), Fault::stuck_at(3, 9, false)],
+            vec![
+                Fault::transition(2, 0, true),
+                Fault::transition(5, 31, false),
+            ],
+            vec![Fault::coupling_inversion((1, 2), (6, 7), true)],
+            vec![Fault::coupling_inversion((1, 2), (6, 7), false)],
+            vec![Fault::coupling_idempotent((4, 1), (0, 3), true, false)],
+            vec![Fault::coupling_idempotent((4, 1), (0, 3), false, true)],
+            vec![Fault::address_alias(2, 6)],
+            vec![
+                Fault::address_alias(2, 6),
+                Fault::address_alias(6, 2),
+                Fault::address_alias(2, 5),
+                Fault::address_alias(7, 2),
+                Fault::address_alias(3, 3),
+            ],
+            // A write to 0 reaches 6, whose rise flips a bit of 7, and
+            // then 7: the partners' order decides what 7 holds.
+            vec![
+                Fault::address_alias(0, 6),
+                Fault::address_alias(7, 0),
+                Fault::coupling_inversion((6, 2), (7, 2), true),
+            ],
+            vec![
+                Fault::address_alias(1, 4),
+                Fault::coupling_inversion((4, 0), (1, 0), true),
+                Fault::coupling_idempotent((1, 5), (4, 5), false, true),
+                Fault::stuck_at(4, 1, true),
+                Fault::transition(1, 2, true),
+            ],
+        ];
+        for faults in sets {
+            let (mut got, mut want) = (MemoryArray::new(8), MemoryArray::new(8));
+            for &f in &faults {
+                got.inject(f);
+                want.inject(f);
+            }
+            let mut x: u32 = 0x1234_5678;
+            let mut draw = || {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x
+            };
+            for step in 0..2000 {
+                let addr = draw() % 8;
+                // All-zero and all-one words as well as random ones, so
+                // every bit sees both transitions.
+                let value = match draw() % 4 {
+                    0 => 0,
+                    1 => u32::MAX,
+                    _ => draw(),
+                };
+                got.write(addr, value);
+                reference_write(&mut want, addr, value);
+                assert_eq!(got.words, want.words, "{faults:?}, write {step}");
+            }
+        }
     }
 
     #[test]

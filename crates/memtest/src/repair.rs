@@ -107,6 +107,31 @@ impl RepairableMemory {
         true
     }
 
+    /// The main array's words, for a caller that performs a run of
+    /// accesses over them directly; `None` once a fault is injected or a
+    /// word is remapped. Until then a read is a plain load and a write a
+    /// plain store of the word at its address, which is all [`read`]
+    /// and [`write`] do besides counting, so the caller books its
+    /// accesses with one [`count_plain`] call.
+    ///
+    /// [`read`]: RepairableMemory::read
+    /// [`write`]: RepairableMemory::write
+    /// [`count_plain`]: RepairableMemory::count_plain
+    pub fn plain_words(&mut self) -> Option<&mut [u32]> {
+        if self.remap.is_empty() {
+            self.array.plain_words()
+        } else {
+            None
+        }
+    }
+
+    /// Counts `reads` reads and `writes` writes performed over
+    /// [`RepairableMemory::plain_words`].
+    pub fn count_plain(&mut self, reads: u64, writes: u64) {
+        self.reads += reads;
+        self.writes += writes;
+    }
+
     /// Reads the word at `addr` (through the remap).
     ///
     /// # Panics

@@ -240,21 +240,35 @@ impl DmiAccess for MemoryCore {
         true
     }
 
-    /// A run's words, in order, through the array (which counts them).
+    /// A run's words, in order. Over a memory with no injected fault and
+    /// no remapped word, straight over the array's plain words with one
+    /// count of the reads and writes; otherwise op by op through the
+    /// array, which applies the faults and the remap and counts each.
     /// Declines when metered, since power is recorded per access at its
     /// own time, or when any op falls outside the array.
     fn dmi_apply(&self, ops: &mut [DmiWord]) -> bool {
         let mut mem = self.mem.borrow_mut();
         let len = mem.len() as u32;
-        if self.powered.get()
-            || ops
-                .iter()
-                .any(|op| op.addr.wrapping_sub(self.base_addr) >= len)
-        {
+        let base = self.base_addr;
+        if self.powered.get() || ops.iter().any(|op| op.addr.wrapping_sub(base) >= len) {
             return false;
         }
+        if let Some(words) = mem.plain_words() {
+            let mut writes = 0;
+            for op in ops.iter_mut() {
+                let word = &mut words[(op.addr - base) as usize];
+                if op.write {
+                    *word = op.data;
+                    writes += 1;
+                } else {
+                    op.data = *word;
+                }
+            }
+            mem.count_plain(ops.len() as u64 - writes, writes);
+            return true;
+        }
         for op in ops {
-            let index = op.addr - self.base_addr;
+            let index = op.addr - base;
             if op.write {
                 mem.write(index, op.data);
             } else {

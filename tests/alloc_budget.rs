@@ -16,7 +16,7 @@ use tve::core::{
     AteSource, BistSource, ConfigClient, DataPolicy, Ebi, MemoryTestPlan, ReadBack,
     SyntheticLogicCore, TestController, TestWrapper, WrapperConfig, WrapperMode,
 };
-use tve::memtest::{MarchTest, PatternTest};
+use tve::memtest::{Fault, MarchTest, PatternTest};
 use tve::sim::{Duration, Event, Simulation};
 use tve::soc::{initiators, JpegEncoderSoc, SocConfig, MEM_BASE};
 use tve::tlm::{AddrRange, BusConfig, BusTam, InitiatorId, TamIf};
@@ -194,8 +194,9 @@ fn lone_full_data_ate_allocates_a_constant() {
 /// Allocations made by one lone Full-data processor march (march C-
 /// plus a checkerboard, 12 ops a word) over a `words`-word memory,
 /// through the SoC's DMI chain (bus, memory wrapper, memory core),
-/// counted from the engine's spawn until the outcome is back.
-fn march_run_allocs(words: u32) -> u64 {
+/// counted from the engine's spawn until the outcome is back. With
+/// `stuck`, word 7 has a stuck-at-1 bit, which the march must find.
+fn march_run_allocs(words: u32, stuck: bool) -> u64 {
     let mut sim = Simulation::new();
     let handle = sim.handle();
     // One monitor window longer than either march: the monitor's map of
@@ -207,6 +208,9 @@ fn march_run_allocs(words: u32) -> u64 {
         ..SocConfig::small()
     };
     let soc = JpegEncoderSoc::build(&handle, config);
+    if stuck {
+        soc.memory.inject(Fault::stuck_at(7, 3, true));
+    }
     let engine = TestController::new(
         &handle,
         "proc",
@@ -229,7 +233,9 @@ fn march_run_allocs(words: u32) -> u64 {
     let outcome = run.try_take().expect("the march completes");
     let used = allocs() - before;
     assert_eq!(outcome.patterns, 12 * u64::from(words));
-    assert!(outcome.clean());
+    assert_eq!(outcome.errors, 0);
+    let failing: &[u32] = if stuck { &[7] } else { &[] };
+    assert_eq!(outcome.failing_addresses, failing);
     used
 }
 
@@ -239,12 +245,29 @@ fn march_run_allocs(words: u32) -> u64 {
 /// or per run.
 #[test]
 fn lone_full_data_march_allocates_the_same_at_any_memory_size() {
-    let small = march_run_allocs(64);
-    let large = march_run_allocs(4096);
+    let small = march_run_allocs(64, false);
+    let large = march_run_allocs(4096, false);
     assert_eq!(
         small, large,
         "64 words made {small} allocations, 4,096 made {large}"
     );
+}
+
+/// A stuck-at fault takes the march off the memory's plain words onto
+/// its per-op path, which must not allocate per write either: at 64 and
+/// at 4,096 words the faulty march allocates what the fault-free one
+/// does, plus the one list its failing address goes into.
+#[test]
+fn lone_full_data_march_over_a_faulty_memory_allocates_the_same_constant() {
+    let clean = march_run_allocs(64, false);
+    for words in [64, 4096] {
+        let faulty = march_run_allocs(words, true);
+        assert_eq!(
+            faulty,
+            clean + 1,
+            "{words} words with a stuck-at fault made {faulty} allocations, fault-free {clean}"
+        );
+    }
 }
 
 /// After its first round, an `Event` wait/notify ping-pong between two

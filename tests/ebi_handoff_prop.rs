@@ -23,7 +23,7 @@ use tve::core::{
     AteSource, BistSource, ConfigClient, DataPolicy, Ebi, ReadBack, SyntheticLogicCore,
     TestOutcome, TestWrapper, WrapperConfig, WrapperMode, WrapperStats,
 };
-use tve::sim::{Duration, Simulation};
+use tve::sim::{Duration, SimHandle, Simulation};
 use tve::tlm::{
     AddrRange, BusConfig, BusTam, FaultyTam, FaultyTamPolicy, InitiatorId, LocalBoxFuture, TamIf,
     Transaction,
@@ -48,10 +48,15 @@ impl TamIf for Unhinted {
 /// Sits between the EBI and the TAM, forwards both entry points and
 /// counts the held transfers the TAM took inline and those it declined
 /// (only a held transfer reaches `transport_sync_try` from the EBI).
+/// It also checks that a declined transfer is not offered again at the
+/// same cycle: after a decline, the next call must be the event path's
+/// `transport`, or come at a later cycle.
 struct Counted {
+    handle: SimHandle,
     inner: Rc<dyn TamIf>,
     hits: Cell<u64>,
     declines: Cell<u64>,
+    declined_at: Cell<Option<u64>>,
 }
 
 impl TamIf for Counted {
@@ -60,13 +65,21 @@ impl TamIf for Counted {
     }
 
     fn transport<'a>(&'a self, txn: &'a mut Transaction) -> LocalBoxFuture<'a, ()> {
+        self.declined_at.set(None);
         self.inner.transport(txn)
     }
 
     fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
+        let now = self.handle.now().cycles();
+        assert_ne!(
+            self.declined_at.get(),
+            Some(now),
+            "a declined transfer was offered again at cycle {now}"
+        );
         let taken = self.inner.transport_sync_try(txn);
         let counter = if taken { &self.hits } else { &self.declines };
         counter.set(counter.get() + 1);
+        self.declined_at.set((!taken).then_some(now));
         taken
     }
 }
@@ -200,12 +213,14 @@ fn run(raw: &Raw, hinted: bool) -> (Outcome, Work) {
         }
     };
     let counted = Rc::new(Counted {
+        handle: handle.clone(),
         inner: match &faulty {
             Some(f) => Rc::clone(f) as Rc<dyn TamIf>,
             None => Rc::clone(&bus) as Rc<dyn TamIf>,
         },
         hits: Cell::new(0),
         declines: Cell::new(0),
+        declined_at: Cell::new(None),
     });
     let ebi = Rc::new(Ebi::new(
         &handle,

@@ -1,8 +1,10 @@
 //! Property-based proof that march runs are exact in cycle-accurate
 //! mode. A blocking memory-test engine (the processor march, T7) runs
 //! random march and pattern plans over the SoC's DMI chain (bus, memory
-//! wrapper, memory core), with memory faults injected and BIST scan
-//! initiators on the same bus whose transfers and timers cut runs short.
+//! wrapper, memory core), with memory faults injected, words remapped
+//! to spares, and BIST scan initiators on the same bus whose transfers
+//! and timers cut runs short. A memory with neither faults nor remaps
+//! applies runs over its plain words; any other takes them op by op.
 //! Each run is compared with the same run where the engine's grant
 //! declines every run (`DmiAccess::dmi_run`), so every op takes the
 //! per-op path. See DESIGN.md § TAM fast paths.
@@ -12,8 +14,8 @@
 //! signatures), the end of the run, polls and fired timers, the bus
 //! monitor's per-window busy profile, per-initiator busy cycles,
 //! transfers and last activity, the arbiter's grants and last grantee,
-//! the memory wrapper's forwarded count and the array's read and write
-//! counters.
+//! the memory wrapper's forwarded count, the array's read and write
+//! counters, and the final contents of every repaired word.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -110,8 +112,10 @@ type MemFault = (u8, u32, u8, u32);
 /// delay)`.
 type Scan = (bool, u64, u64);
 
-/// The engine's own start delay, then everything else.
-type Raw = (Bus, Plan, Vec<MemFault>, Vec<Scan>, u64);
+/// The engine's own start delay, then everything else; the fourth
+/// field lists the words repaired (remapped to spares) after the faults
+/// are injected.
+type Raw = (Bus, Plan, Vec<MemFault>, Vec<u32>, Vec<Scan>, u64);
 
 fn workloads() -> impl Strategy<Value = Raw> {
     (
@@ -124,6 +128,7 @@ fn workloads() -> impl Strategy<Value = Raw> {
             any::<bool>(),
         ),
         proptest::collection::vec((0u8..4, 0u32..700, 0u8..32, 0u32..700), 0..3),
+        proptest::collection::vec(0u32..700, 0..3),
         proptest::collection::vec((any::<bool>(), 0u64..10, 0u64..6000), 0..3),
         0u64..200,
     )
@@ -143,6 +148,8 @@ struct Outcome {
     grants: (u64, u8),
     forwarded: u64,
     array_ops: (u64, u64),
+    /// What each repaired word holds at the end, read through the remap.
+    repaired: Vec<u32>,
 }
 
 fn march(choice: u8) -> MarchTest {
@@ -160,7 +167,7 @@ fn march(choice: u8) -> MarchTest {
 /// Runs `raw` in accurate mode with runs on or off; also returns how
 /// many ops runs performed.
 fn run(raw: &Raw, runs: bool) -> (Outcome, u64) {
-    let ((width, bus_overhead, policy, window), plan, faults, scans, delay) = raw;
+    let ((width, bus_overhead, policy, window), plan, faults, repairs, scans, delay) = raw;
     let (words, march_choice, patterns, op_overhead, full) = plan;
     let data = if *full {
         DataPolicy::Full
@@ -193,6 +200,12 @@ fn run(raw: &Raw, runs: bool) -> (Outcome, u64) {
             _ => Fault::stuck_at(addr, bit, true),
         };
         soc.memory.inject(fault);
+    }
+    for &addr in repairs {
+        assert!(
+            soc.memory.repair(addr % words),
+            "two repairs fit the SoC's eight spares"
+        );
     }
 
     let run_ops = Rc::new(Cell::new(0));
@@ -284,6 +297,14 @@ fn run(raw: &Raw, runs: bool) -> (Outcome, u64) {
             .stats()
             .forwarded,
         array_ops: soc.memory.op_counts(),
+        repaired: repairs
+            .iter()
+            .map(|&addr| {
+                soc.memory
+                    .dmi_read(MEM_BASE + addr % words)
+                    .expect("the word is in the memory")
+            })
+            .collect(),
     };
     drop(monitor);
     (outcome, run_ops.get())
@@ -312,6 +333,7 @@ fn lone_march_takes_every_op_in_runs() {
         (1000, 6, vec![], 6, true),
         vec![(0, 77, 3, 0)],
         vec![],
+        vec![],
         0,
     );
     let (single, _) = run(&raw, false);
@@ -324,6 +346,40 @@ fn lone_march_takes_every_op_in_runs() {
     assert_eq!(runs.kernel_stats, single.kernel_stats);
 }
 
+/// Runs take every op over each kind of memory: plain words (no fault,
+/// no remap), and the per-op path a fault or a remapped word forces,
+/// in Full data and in Volume. A repaired stuck-at word reads clean, an
+/// unrepaired one is found, and a repaired word ends holding the last
+/// checkerboard word on both sides.
+#[test]
+fn repaired_memories_take_every_op_in_runs() {
+    let stuck = vec![(0, 77, 3, 0)];
+    for full in [true, false] {
+        for (faults, repairs, failing) in [
+            (vec![], vec![], vec![]),
+            (stuck.clone(), vec![], vec![77]),
+            (vec![], vec![5, 640], vec![]),
+            (stuck.clone(), vec![77], vec![]),
+            (stuck.clone(), vec![78, 3], vec![77]),
+        ] {
+            let raw: Raw = (
+                (6, 1, 0, 3),
+                (1000, 6, vec![0], 6, full),
+                faults,
+                repairs,
+                vec![],
+                0,
+            );
+            let (single, _) = run(&raw, false);
+            let (runs, run_ops) = run(&raw, true);
+            assert_eq!(runs, single, "{raw:?}");
+            assert_eq!(run_ops, 12_000, "{raw:?}");
+            let want: &[u32] = if full { &failing } else { &[] };
+            assert_eq!(runs.march.failing_addresses, want, "{raw:?}");
+        }
+    }
+}
+
 /// Runs must also happen, and be cut short, next to scan traffic: over
 /// a fixed batch of drawn workloads with concurrent initiators, runs
 /// take some ops but not all of them.
@@ -332,7 +388,7 @@ fn contended_marches_take_runs_and_fall_back() {
     let mut rng = proptest::test_runner::TestRng::new(20_090_417);
     let (mut run_ops, mut total) = (0, 0);
     for raw in (0..32).map(|_| workloads().generate(&mut rng)) {
-        if raw.3.iter().all(|&(_, patterns, _)| patterns == 0) || raw.1 .3 == 0 {
+        if raw.4.iter().all(|&(_, patterns, _)| patterns == 0) || raw.1 .3 == 0 {
             continue;
         }
         let (outcome, ops) = run(&raw, true);
