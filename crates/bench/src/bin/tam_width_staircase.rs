@@ -9,22 +9,30 @@
 //! the validation farm's generic worker pool (`TVE_JOBS` overrides the
 //! width).
 
+use tve_lint::test_model;
 use tve_sched::{makespan_lower_bound, pack_tam, wrapper_staircase, CoreTestSpec, Farm};
+use tve_soc::{SocConfig, SocTestPlan};
 
 fn case_study_specs() -> Vec<CoreTestSpec> {
-    // Test data volumes of the paper's seven sequences, folded per core
-    // (stimulus bits on the TAM; see SocConfig::paper / SocTestPlan::paper).
-    vec![
-        CoreTestSpec::new(
-            "processor (T1+T2+T3)",
-            4_147_200_000 + 829_440_000 + 16_600_000,
-            1,
-            32,
-        ),
-        CoreTestSpec::new("color conversion (T4)", 318_720_000, 1, 32),
-        CoreTestSpec::new("dct (T5)", 63_680_000, 1, 8),
-        CoreTestSpec::new("memory (T6+T7)", 2 * 125_829_120, 1, 16),
+    // Test data volumes of the paper's seven sequences (stimulus bits on
+    // the TAM, from the static test model), folded per core under test.
+    let model = test_model(&SocConfig::paper(), &SocTestPlan::paper());
+    [
+        ("processor", "processor (T1+T2+T3)", 32),
+        ("color-conv", "color conversion (T4)", 32),
+        ("dct", "dct (T5)", 8),
+        ("memory", "memory (T6+T7)", 16),
     ]
+    .into_iter()
+    .map(|(core, name, max_width)| {
+        let bits = model
+            .iter()
+            .filter(|m| m.cores[0] == core)
+            .map(|m| m.tam_bits())
+            .sum();
+        CoreTestSpec::new(name, bits, 1, max_width)
+    })
+    .collect()
 }
 
 fn main() {

@@ -194,14 +194,10 @@ impl TestController {
         let mut ops = plan.ops();
         let mut run = MarchRun::default();
         loop {
-            let next = match runs {
-                Some(window) => {
-                    self.take_runs(window, plan, &mut out, &mut ops, &mut run);
-                    run.pop(plan).or_else(|| ops.next())
-                }
-                None => ops.next(),
-            };
-            let Some(op) = next else {
+            if let Some(window) = runs {
+                self.take_runs(window, plan, &mut out, &mut ops, &mut run);
+            }
+            let Some(op) = run.pop(plan, &mut ops) else {
                 break;
             };
             // Engine overhead, identical on both paths. `try_advance`
@@ -240,7 +236,7 @@ impl TestController {
             if run.is_empty() && !run.fill(plan, ops) {
                 return;
             }
-            let pending = run.pending();
+            let pending = run.pending(plan);
             let offered = pending.len();
             let done = window.dmi_run(pending, plan.op_overhead, horizon);
             run.book(done, plan, out);
@@ -339,7 +335,9 @@ impl TestController {
                 out
             })
         };
-        for op in plan.ops() {
+        let mut ops = plan.ops();
+        let mut run = MarchRun::default();
+        while let Some(op) = run.pop(plan, &mut ops) {
             if !self.handle.try_advance(plan.op_overhead) {
                 self.handle.wait(plan.op_overhead).await;
             }
@@ -378,16 +376,16 @@ struct MemOp {
 /// on after a cancellation.
 const MARCH_RUN_OPS: usize = 4096;
 
-/// The blocking engine's buffer of upcoming ops, in the form a DMI run
-/// takes them: `words[next..len]` are not performed yet. Sized once per
-/// test, to at most [`MARCH_RUN_OPS`] entries whatever the memory size,
-/// and refilled in place.
+/// An engine's buffer of upcoming ops, in the form a DMI run takes them:
+/// `words[next..len]` are not performed yet. Sized once per test, to at
+/// most [`MARCH_RUN_OPS`] entries whatever the memory size, and refilled
+/// in place. Runs and the per-op path both take their ops from it.
 #[derive(Default)]
 struct MarchRun {
     words: Vec<DmiWord>,
     /// The word each op carried before its run, index for index with
     /// `words`: what a performed read expected. Empty for a Volume plan,
-    /// which checks no data.
+    /// which checks no data, and until a Full-data plan's first run.
     expect: Vec<u32>,
     len: usize,
     next: usize,
@@ -398,9 +396,22 @@ impl MarchRun {
         self.next == self.len
     }
 
-    /// The buffered ops not performed yet.
-    fn pending(&mut self) -> &mut [DmiWord] {
-        &mut self.words[self.next..self.len]
+    /// The buffered ops not performed yet, for a run. A Full-data plan
+    /// first records the word each of them carries in `expect`, since a
+    /// performed read replaces the word it expects; the per-op path,
+    /// which reads the expectation from the unperformed word, skips this.
+    fn pending(&mut self, plan: &MemoryTestPlan) -> &mut [DmiWord] {
+        let pending = self.next..self.len;
+        if plan.policy != DataPolicy::Volume {
+            if self.expect.is_empty() {
+                self.expect = vec![0; self.words.len()];
+            }
+            let words = &self.words[pending.clone()];
+            for (expect, word) in self.expect[pending.clone()].iter_mut().zip(words) {
+                *expect = word.data;
+            }
+        }
+        &mut self.words[pending]
     }
 
     /// Refills the buffer with the next ops of `ops`; returns whether any
@@ -410,15 +421,8 @@ impl MarchRun {
             let size =
                 usize::try_from(plan.op_count()).map_or(MARCH_RUN_OPS, |n| n.min(MARCH_RUN_OPS));
             self.words = vec![DmiWord::default(); size];
-            if plan.policy != DataPolicy::Volume {
-                self.expect = vec![0; size];
-            }
         }
         self.len = ops.fill(&mut self.words);
-        // A performed read replaces the word it expects.
-        for (expect, word) in self.expect.iter_mut().zip(&self.words[..self.len]) {
-            *expect = word.data;
-        }
         self.next = 0;
         self.len > 0
     }
@@ -451,9 +455,10 @@ impl MarchRun {
         self.next = end;
     }
 
-    /// Takes the next buffered op for the per-op path.
-    fn pop(&mut self, plan: &MemoryTestPlan) -> Option<MemOp> {
-        if self.is_empty() {
+    /// Takes the next op for the per-op path, refilling the buffer from
+    /// `ops` when it is empty.
+    fn pop(&mut self, plan: &MemoryTestPlan, ops: &mut Ops<'_>) -> Option<MemOp> {
+        if self.is_empty() && !self.fill(plan, ops) {
             return None;
         }
         let word = self.words[self.next];
@@ -474,8 +479,8 @@ impl MemoryTestPlan {
         self.march.total_ops(words) + patterns
     }
 
-    /// Iterates the full operation sequence (march elements, then pattern
-    /// tests) in execution order.
+    /// A cursor over the full operation sequence (march elements, then
+    /// pattern tests) in execution order.
     fn ops(&self) -> Ops<'_> {
         Ops {
             plan: self,
@@ -499,75 +504,13 @@ struct Ops<'a> {
     step: usize,
 }
 
-impl Iterator for Ops<'_> {
-    type Item = MemOp;
-
-    fn next(&mut self) -> Option<MemOp> {
-        let n = self.plan.words;
-        let elements = self.plan.march.elements();
-        loop {
-            if let Some(elem) = elements.get(self.phase) {
-                if let Some(&op) = elem.ops.get(self.step).filter(|_| self.word < n) {
-                    let addr = match elem.order {
-                        MarchOrder::Ascending | MarchOrder::Any => self.word,
-                        MarchOrder::Descending => n - 1 - self.word,
-                    };
-                    self.step += 1;
-                    if self.step == elem.ops.len() {
-                        self.step = 0;
-                        self.word += 1;
-                    }
-                    let (write, value) = march_word(op);
-                    let (write, expect) = if write {
-                        (Some(value), None)
-                    } else {
-                        (None, Some(value))
-                    };
-                    return Some(MemOp {
-                        addr,
-                        write,
-                        expect,
-                    });
-                }
-            } else {
-                let p = *self.plan.patterns.get(self.phase - elements.len())?;
-                if self.word < n {
-                    let addr = self.word;
-                    self.word += 1;
-                    let background = Some(p.background(addr));
-                    let (write, expect) = if self.step == 0 {
-                        (background, None)
-                    } else {
-                        (None, background)
-                    };
-                    return Some(MemOp {
-                        addr,
-                        write,
-                        expect,
-                    });
-                }
-                if self.step == 0 {
-                    // Write sweep done: the read sweep follows.
-                    self.step = 1;
-                    self.word = 0;
-                    continue;
-                }
-            }
-            self.phase += 1;
-            self.word = 0;
-            self.step = 0;
-        }
-    }
-}
-
 impl Ops<'_> {
     /// Writes the upcoming ops into `words`, in the form a DMI run takes
     /// them, until it is full or the sequence ends, and returns how many
-    /// it wrote: the ops [`Iterator::next`] would return, a march element
-    /// or a background sweep at a time. A Full-data op carries the word
-    /// it writes, or the word a read expects until the read replaces it;
-    /// a Volume op carries a zero, as [`TestController::dmi_access`]
-    /// writes it.
+    /// it wrote, a march element or a background sweep at a time. A
+    /// Full-data op carries the word it writes, or the word a read
+    /// expects until the read replaces it; a Volume op carries a zero, as
+    /// [`TestController::dmi_access`] writes it.
     fn fill(&mut self, words: &mut [DmiWord]) -> usize {
         let plan = self.plan;
         let (n, base) = (plan.words, plan.base_addr);
@@ -589,8 +532,7 @@ impl Ops<'_> {
                         *slot = DmiWord { addr, write, data };
                     }
                 };
-                // The rest of a word that the last fill or `next` left
-                // part-done.
+                // The rest of a word that the last fill left part-done.
                 if self.step > 0 {
                     let ops = &elem.ops[self.step..m.min(self.step + words.len() - k)];
                     put(&mut words[k..], self.word, ops);
@@ -996,7 +938,7 @@ mod tests {
     }
 
     /// The operation sequence as nested loops over march elements and
-    /// pattern tests: the reference for the [`Ops`] cursor and its fill.
+    /// pattern tests: the reference for [`Ops::fill`].
     fn reference_ops(p: &MemoryTestPlan) -> Vec<(u32, Option<u32>, Option<u32>)> {
         let mut ops = Vec::new();
         for elem in p.march.elements() {
@@ -1032,10 +974,8 @@ mod tests {
         (p.base_addr + addr, write.is_some(), data)
     }
 
-    /// The sequence [`Ops::fill`] writes into buffers of `cap` ops, with
-    /// `between` ops taken by [`Ops::next`] after each fill, as the
-    /// engine's per-op path takes them between runs.
-    fn filled(p: &MemoryTestPlan, cap: usize, between: usize) -> Vec<RunWord> {
+    /// The sequence [`Ops::fill`] writes into buffers of `cap` ops.
+    fn filled(p: &MemoryTestPlan, cap: usize) -> Vec<RunWord> {
         let mut words = vec![DmiWord::default(); cap];
         let mut ops = p.ops();
         let mut got = Vec::new();
@@ -1047,14 +987,12 @@ mod tests {
                 "fills ran past the sequence"
             );
             if n < cap {
-                assert!(
-                    ops.next().is_none(),
+                assert_eq!(
+                    ops.fill(&mut words),
+                    0,
                     "a fill stopped short of a full buffer"
                 );
                 return got;
-            }
-            for op in ops.by_ref().take(between) {
-                got.push(run_word(p, op.addr, op.write, op.expect));
             }
         }
     }
@@ -1090,29 +1028,42 @@ mod tests {
                             .into_iter()
                             .map(|(addr, write, expect)| run_word(&p, addr, write, expect))
                             .collect();
-                        let by_next: Vec<RunWord> = p
-                            .ops()
-                            .map(|op| run_word(&p, op.addr, op.write, op.expect))
-                            .collect();
-                        assert_eq!(by_next, want);
                         assert_eq!(want.len() as u64, p.op_count());
                         // Caps 1, 3 and 7 cut elements mid-word and every
                         // sweep in the middle; 4,096 is the engine's.
                         for cap in [1, 3, 7, MARCH_RUN_OPS] {
-                            for between in [0, 2] {
-                                assert!(
-                                    filled(&p, cap, between) == want,
-                                    "{} + {} patterns over {words} words, {policy:?}, cap {cap}, \
-                                     {between} ops between fills",
-                                    march.name(),
-                                    patterns.len(),
-                                );
-                            }
+                            assert!(
+                                filled(&p, cap) == want,
+                                "{} + {} patterns over {words} words, {policy:?}, cap {cap}",
+                                march.name(),
+                                patterns.len(),
+                            );
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_run_after_a_per_op_refill_books_each_read_against_its_word() {
+        // The per-op path refills the buffer and takes its first op; a
+        // run then performs the rest, and every read returns the wrong
+        // word.
+        let p = plan(8, DataPolicy::Full);
+        let (mut ops, mut run) = (p.ops(), MarchRun::default());
+        assert!(run.pop(&p, &mut ops).is_some());
+        let pending = run.pending(&p);
+        let mut reads = 0;
+        for word in pending.iter_mut().filter(|w| !w.write) {
+            word.data = !word.data;
+            reads += 1;
+        }
+        let done = pending.len();
+        let mut out = TestOutcome::begin("t", tve_sim::Time::ZERO);
+        run.book(done, &p, &mut out);
+        assert_eq!((out.patterns, out.mismatches), (done as u64, reads));
+        assert!(reads > 0 && run.is_empty());
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub enum WrapperMode {
 
 impl WrapperMode {
     /// The WIR encoding of this mode.
-    pub fn encode(self) -> u64 {
+    pub const fn encode(self) -> u64 {
         match self {
             WrapperMode::Functional => 0,
             WrapperMode::Bypass => 1,

@@ -1,10 +1,11 @@
 //! Certified static performance envelopes: an interval abstract
 //! interpretation over the case-study's task/resource model.
 //!
-//! Where [`tve-sched`'s estimator](https://docs.rs) gives one *point*
-//! estimate per schedule — openly unsound in both directions — this module
-//! computes a certified `[lo, hi]` **envelope** per schedule for three
-//! observables of a simulated [`tve_soc::ScenarioMetrics`]:
+//! Where the scheduler's fluid estimate over each test's
+//! [`TestModel::nominal`] time gives one *point* estimate per schedule —
+//! openly unsound in both directions — this module computes a certified
+//! `[lo, hi]` **envelope** per schedule for three observables of a
+//! simulated [`tve_soc::ScenarioMetrics`]:
 //!
 //! * total test length in cycles,
 //! * per-TAM-channel busy cycles (the summed slot spans of the bus-fed and
@@ -35,6 +36,7 @@ use tve_core::{DataPolicy, Schedule};
 use tve_soc::{ScenarioMetrics, SocConfig, SocTestPlan};
 
 use crate::facts::TamChannel;
+use crate::model::{test_model, Cost, TestModel};
 
 /// Pinned schema version of the bounds JSON report (satellite of the
 /// lint report's `format_version`; bump on any shape change).
@@ -81,15 +83,12 @@ impl PowerInterval {
     }
 }
 
-/// Certified stand-alone bounds of one test sequence, derived from the
-/// same `(SocConfig, SocTestPlan)` pair the dynamic test list is built
-/// from.
+/// Certified stand-alone bounds of one test sequence, derived from its
+/// [`TestModel`] row.
 #[derive(Debug, Clone)]
 pub struct TaskBounds {
-    /// Test name (matches the dynamic [`tve_core::TestRun`] name).
-    pub(crate) name: String,
-    /// The TAM path the patterns use (drives the per-channel busy sums).
-    pub(crate) channel: TamChannel,
+    /// The test's row (its name and TAM channel classify simulated slots).
+    pub(crate) test: TestModel,
     /// Slot-span envelope when the test runs alone: contention only
     /// lengthens a slot, so `slot.lo` also bounds the test inside any
     /// phase.
@@ -149,8 +148,8 @@ pub fn observe_metrics(metrics: &ScenarioMetrics, tasks: &[TaskBounds]) -> Envel
             .saturating_sub(slot.outcome.start.cycles());
         match tasks
             .iter()
-            .find(|t| t.name == slot.outcome.name)
-            .map(|t| t.channel)
+            .find(|t| t.test.name == slot.outcome.name)
+            .map(|t| t.test.channel)
         {
             Some(TamChannel::Serial) => serial += span,
             _ => bus += span,
@@ -200,243 +199,42 @@ impl ScheduleEnvelope {
     }
 }
 
-/// `ceil(bits × den / num)` — cycles to move `bits` over a `(num, den)`
-/// bits-per-cycle channel — without intermediate overflow.
-fn channel_cycles(bits: u64, rate: (u64, u64)) -> u64 {
-    let (num, den) = rate;
-    if num == 0 {
-        return u64::MAX / 4;
-    }
-    ((bits as u128 * den as u128).div_ceil(num as u128)) as u64
-}
-
 /// Derives the certified stand-alone bounds of the seven case-study test
-/// sequences from the SoC configuration and plan — the two-sided mirror of
-/// `tve-sched::estimate_tasks`.
-///
-/// `quantum` is the loosely-timed quantum the bounds must cover (0 =
-/// cycle-accurate): temporal decoupling may legitimately shift timings, so
-/// a nonzero quantum widens every interval.
+/// sequences: each [`test_model`] row's envelope at `quantum` (the
+/// loosely-timed quantum the bounds must cover; 0 = cycle-accurate), with
+/// its power figures under the SoC's power model.
 pub fn task_bounds(config: &SocConfig, plan: &SocTestPlan, quantum: u64) -> Vec<TaskBounds> {
-    let w = u64::from(config.bus_width_bits);
-    let boh = config.bus_overhead;
-    let cap = config.capture_cycles;
-    let q = quantum;
     let full = plan.policy == DataPolicy::Full;
-    let down = config.ate_down_rate;
-    let up = config.ate_up_rate;
-    let bus_words = |bits: u64| bits.div_ceil(w);
-    // Worst-case per-task startup: up to three configuration-ring
-    // rotations (ring length is bounded by 256 bits in this SoC family)
-    // plus WIR handshakes and the final signature/drain readout.
-    let start_hi = 3 * 256 * config.ring_clock_div.max(1) + 128;
-    // Loosely-timed slack: local-time offsets shift slot edges by up to a
-    // few quanta and perturb interleavings; widen both sides.
-    let q_lo = |lo: u64| {
-        if q == 0 {
-            lo.max(1)
-        } else {
-            (lo - lo / 32).saturating_sub(16 * q).max(1)
-        }
-    };
-    let q_hi = |hi: u64| {
-        if q == 0 {
-            hi
-        } else {
-            hi + hi / 16 + 16 * q
-        }
-    };
-
-    let power = config.power;
-    let scan_power = |chains: u32, shift_cycles: u64, patterns: u64, may_skip: bool| {
-        match power {
-            Some(p) => {
-                let scale = f64::from(chains) / 32.0;
-                // Volume transfers shift with zero toggle density; full
-                // data can toggle up to density 1.
-                let hi = scale * (p.wrapper_base + if full { p.wrapper_toggle } else { 0.0 });
-                let lo = if may_skip {
-                    0.0
-                } else {
-                    scale * p.wrapper_base * (shift_cycles * patterns) as f64
-                };
-                (hi, lo)
+    test_model(config, plan)
+        .iter()
+        .map(|m| {
+            let t = &m.terms;
+            // Scan power scales with the chain count. Volume transfers
+            // shift with zero toggle density, full data with up to 1, and
+            // a test that may skip its patterns guarantees no energy.
+            let (power_hi, energy_lo) = match (config.power, t.cost) {
+                (None, _) => (0.0, 0.0),
+                (Some(p), Cost::ControllerMarch | Cost::ProcessorMarch) => {
+                    (p.memory_op, t.count as f64 * p.memory_op)
+                }
+                (Some(p), cost) => {
+                    let scale = f64::from(t.chains) / 32.0;
+                    let toggle = if full { p.wrapper_toggle } else { 0.0 };
+                    let lo = match cost {
+                        Cost::Compressed(_, _, true) => 0.0,
+                        _ => scale * p.wrapper_base * (t.chain * t.count) as f64,
+                    };
+                    (scale * (p.wrapper_base + toggle), lo)
+                }
+            };
+            TaskBounds {
+                test: *m,
+                slot: m.envelope(quantum),
+                power_hi,
+                energy_lo,
             }
-            None => (0.0, 0.0),
-        }
-    };
-
-    let mut out = Vec::with_capacity(7);
-
-    // T1/T4: BIST over the bus — shift-limited floor, serialized
-    // transfer + shift ceiling.
-    let bist = |name: &str, chains: u32, chain_len: u32, patterns: u64| {
-        let chain = u64::from(chain_len);
-        let bits = u64::from(chains) * chain;
-        let lo = patterns * chain.max(bus_words(bits));
-        let hi = patterns * (chain + cap + bus_words(bits) + boh + 8) + bus_words(64) + boh;
-        let (p_hi, e_lo) = scan_power(chains, chain, patterns, false);
-        TaskBounds {
-            name: name.to_string(),
-            channel: TamChannel::Bus,
-            slot: Interval {
-                lo: q_lo(lo),
-                hi: q_hi(hi + start_hi),
-            },
-            power_hi: p_hi,
-            energy_lo: e_lo,
-        }
-    };
-    out.push(bist(
-        "T1 proc BIST",
-        config.proc_scan.chains(),
-        config.proc_scan.max_chain_len(),
-        plan.bist_proc_patterns,
-    ));
-
-    // T2/T5: deterministic external. The EBI's combined accesses are
-    // full-duplex (cost = max of the two link reservations) and
-    // store-and-forward posted toward the wrapper, so the only floor that
-    // survives pipelining is the in-line serial reservation itself; the
-    // ceiling assumes no pipelining at all.
-    let ate = |name: &str, chains: u32, chain_len: u32, patterns: u64| {
-        let chain = u64::from(chain_len);
-        let bits = u64::from(chains) * chain;
-        let lo = patterns * channel_cycles(bits, down).max(channel_cycles(bits, up));
-        let hi = patterns
-            * (channel_cycles(bits, down)
-                + channel_cycles(bits, up)
-                + chain
-                + cap
-                + bus_words(bits)
-                + 2 * boh
-                + 16);
-        let (p_hi, e_lo) = scan_power(chains, chain, patterns, false);
-        TaskBounds {
-            name: name.to_string(),
-            channel: TamChannel::Serial,
-            slot: Interval {
-                lo: q_lo(lo),
-                hi: q_hi(hi + start_hi),
-            },
-            power_hi: p_hi,
-            energy_lo: e_lo,
-        }
-    };
-    out.push(ate(
-        "T2 proc det",
-        config.proc_scan.chains(),
-        config.proc_scan.max_chain_len(),
-        plan.det_proc_patterns,
-    ));
-
-    // T3: compressed external. In full-data mode the stream is one
-    // reseeding seed per pattern and unencodable cubes are legally
-    // *skipped*, so the full-data floor degenerates.
-    {
-        let chain = u64::from(config.proc_scan.max_chain_len());
-        let bits = config.proc_scan.bits_per_pattern();
-        let compressed = if full {
-            64
-        } else {
-            (bits as f64 / config.decompress_ratio).ceil() as u64
-        };
-        let compacted = bits.div_ceil(u64::from(config.compact_ratio.max(1)));
-        let patterns = plan.comp_proc_patterns;
-        // Codec stimuli use plain (synchronous) EBI writes and the
-        // compacted responses plain reads, so each pattern pays both link
-        // reservations in-line.
-        let lo = if full {
-            1
-        } else {
-            patterns * (channel_cycles(compressed, down) + channel_cycles(compacted, up))
-        };
-        let hi = patterns
-            * (channel_cycles(compressed.max(128), down)
-                + channel_cycles(compacted, up)
-                + chain
-                + cap
-                + bus_words(compressed)
-                + bus_words(compacted)
-                + 2 * boh
-                + 16);
-        let (p_hi, e_lo) = scan_power(config.proc_scan.chains(), chain, patterns, full);
-        out.push(TaskBounds {
-            name: "T3 proc det 50x".to_string(),
-            channel: TamChannel::Serial,
-            slot: Interval {
-                lo: q_lo(lo),
-                hi: q_hi(hi + start_hi),
-            },
-            power_hi: p_hi,
-            energy_lo: e_lo,
-        });
-    }
-
-    out.push(bist(
-        "T4 color BIST",
-        config.color_scan.chains(),
-        config.color_scan.max_chain_len(),
-        plan.bist_color_patterns,
-    ));
-    out.push(ate(
-        "T5 dct det",
-        config.dct_scan.chains(),
-        config.dct_scan.max_chain_len(),
-        plan.det_dct_patterns,
-    ));
-
-    // T6/T7: memory march + pattern tests. The march engine serially pays
-    // its per-op overhead regardless of TAM pipelining; the bus round trip
-    // is additional for the unpipelined processor-driven variant (and
-    // elided entirely by DMI in loosely-timed mode).
-    let words = u64::from(config.memory_words);
-    let ops = plan.march.total_ops(words)
-        + plan
-            .pattern_tests
-            .iter()
-            .map(|p| p.ops_per_cell() * words)
-            .sum::<u64>();
-    let mem_power = |p_ops: u64| match power {
-        Some(p) => (p.memory_op, p_ops as f64 * p.memory_op),
-        None => (0.0, 0.0),
-    };
-    {
-        let op6 = config.controller_op_overhead;
-        let lo = ops * op6;
-        let hi = ops * (op6 + 1 + boh) + 128 * (1 + boh);
-        let (p_hi, e_lo) = mem_power(ops);
-        out.push(TaskBounds {
-            name: "T6 mem march (ctrl)".to_string(),
-            channel: TamChannel::Bus,
-            slot: Interval {
-                lo: q_lo(lo),
-                hi: q_hi(hi + start_hi),
-            },
-            power_hi: p_hi,
-            energy_lo: e_lo,
-        });
-    }
-    {
-        let op7 = config.processor_op_overhead;
-        // DMI (quantum mode only) takes the bus transaction off each op.
-        let round_trip = if q == 0 { 1 } else { 0 };
-        let lo = ops * (op7 + round_trip);
-        let hi = ops * (op7 + 2 * (1 + boh) + 4);
-        let (p_hi, e_lo) = mem_power(ops);
-        out.push(TaskBounds {
-            name: "T7 mem march (proc)".to_string(),
-            channel: TamChannel::Bus,
-            slot: Interval {
-                lo: q_lo(lo),
-                hi: q_hi(hi + start_hi),
-            },
-            power_hi: p_hi,
-            energy_lo: e_lo,
-        });
-    }
-
-    out
+        })
+        .collect()
 }
 
 /// Computes the certified envelope of `schedule` over the plan's seven
@@ -475,7 +273,7 @@ pub fn schedule_envelope(
         total.lo += p_lo;
         total.hi += p_hi;
         for t in &members {
-            let ch = match t.channel {
+            let ch = match t.test.channel {
                 TamChannel::Bus => &mut bus,
                 TamChannel::Serial => &mut serial,
             };
@@ -495,14 +293,11 @@ pub fn schedule_envelope(
         // Peak is a windowed average, so it can never exceed the maximum
         // instantaneous sum of any phase (plus loosely-timed bunching);
         // and it is at least the whole-run average, which the guaranteed
-        // energy over the span ceiling bounds from below.
+        // energy over the span ceiling (at least 64 cycles) bounds from
+        // below.
         let bunching = 1.0 + (2.0 * quantum as f64 + 64.0) / p.window.max(1) as f64;
         let hi = inst_power_max * bunching + 1.0;
-        let lo = if total.hi == 0 {
-            0.0
-        } else {
-            energy_lo / (total.hi as f64 + p.window as f64)
-        };
+        let lo = energy_lo / (total.hi as f64 + p.window as f64);
         PowerInterval { lo, hi }
     });
 

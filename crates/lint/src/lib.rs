@@ -55,6 +55,7 @@
 mod bounds;
 mod diag;
 mod facts;
+mod model;
 mod program_lint;
 mod schedule_lint;
 
@@ -64,6 +65,7 @@ pub use bounds::{
 };
 pub use diag::{codes, reports_to_json, Diagnostic, LintReport, Location, Severity};
 pub use facts::{soc_facts, PlanFacts, TamChannel, TestFacts, WirWrite};
+pub use model::{test_model, TestModel};
 pub use program_lint::lint_program;
 pub use schedule_lint::lint_schedule;
 

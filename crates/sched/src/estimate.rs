@@ -1,5 +1,5 @@
-//! Analytic (coarse) estimation: deriving task descriptions from the SoC
-//! configuration, and the fluid schedule estimator.
+//! Analytic (coarse) estimation: task descriptions read from the static
+//! test model, and the fluid schedule estimator.
 //!
 //! These are deliberately the *cheap* models a scheduler can afford to
 //! evaluate thousands of times — the paper's point is precisely that they
@@ -7,129 +7,26 @@
 //! simulation captures.
 
 use tve_core::Schedule;
+use tve_lint::{test_model, TamChannel};
 use tve_soc::{SocConfig, SocTestPlan};
 
 use crate::task::{Resource, TestTask};
 
-#[allow(clippy::too_many_arguments)]
-fn scan_task(
-    name: &str,
-    patterns: u64,
-    chains: u32,
-    chain_len: u32,
-    capture: u64,
-    bus_width: u32,
-    power: u32,
-    resources: Vec<Resource>,
-) -> TestTask {
-    // Every chain shifts in parallel, so the wrapper needs `chain_len`
-    // cycles per pattern while the TAM moves `chains × chain_len` bits:
-    // more chains mean more data per shift cycle, and once the channel
-    // cannot keep up the test turns bus-limited.
-    let shift = chain_len as u64 + capture;
-    let bus_cycles = (u64::from(chains) * u64::from(chain_len)).div_ceil(bus_width as u64) + 1;
-    let per_pattern = shift.max(bus_cycles);
-    let duration = patterns * per_pattern;
-    let share = (bus_cycles as f64 / per_pattern as f64).min(1.0);
-    TestTask::new(name, duration.max(1), share.max(1e-6), power, resources)
-}
-
-/// Derives the seven case-study task descriptions analytically from the
-/// SoC configuration — first-order models only (shift-limited or
-/// channel-limited duration, data volume over bus width for the share).
+/// Derives the seven case-study task descriptions from the static test
+/// model ([`tve_lint::test_model`]): each task's duration and TAM share
+/// are its row's nominal time and bus share, and it holds the row's cores
+/// plus, next to the core it feeds, the ATE channel of a serial test.
 pub fn estimate_tasks(config: &SocConfig, plan: &SocTestPlan) -> Vec<TestTask> {
-    let w = config.bus_width_bits;
-    let cap = config.capture_cycles;
-    let proc_bits = config.proc_scan.bits_per_pattern();
-    let ate_rate = config.ate_down_rate.0 as f64 / config.ate_down_rate.1 as f64;
-
-    // T1: processor BIST — shift limited, stimuli over the bus.
-    let t1 = scan_task(
-        "T1 proc BIST",
-        plan.bist_proc_patterns,
-        config.proc_scan.chains(),
-        config.proc_scan.max_chain_len(),
-        cap,
-        w,
-        180,
-        vec![Resource::Processor],
-    );
-
-    // T2: deterministic external — ATE channel limited.
-    let per_pattern2 = ((proc_bits as f64 / ate_rate).ceil() as u64)
-        .max(config.proc_scan.max_chain_len() as u64 + cap);
-    let share2 = ((proc_bits.div_ceil(w as u64) + 1) as f64 / per_pattern2 as f64).min(1.0);
-    let t2 = TestTask::new(
-        "T2 proc det",
-        plan.det_proc_patterns * per_pattern2,
-        share2,
-        120,
-        vec![Resource::Processor, Resource::AteChannel],
-    );
-
-    // T3: compressed external — shift limited; bus sees compressed stimuli
-    // plus compacted responses.
-    let per_pattern3 = config.proc_scan.max_chain_len() as u64 + cap;
-    let compressed = (proc_bits as f64 / config.decompress_ratio).ceil() as u64;
-    let compacted = proc_bits.div_ceil(config.compact_ratio as u64);
-    let bus3 = compressed.div_ceil(w as u64) + compacted.div_ceil(w as u64) + 2;
-    let t3 = TestTask::new(
-        "T3 proc det 50x",
-        plan.comp_proc_patterns * per_pattern3,
-        (bus3 as f64 / per_pattern3 as f64).min(1.0),
-        130,
-        vec![Resource::Processor, Resource::AteChannel, Resource::Codec],
-    );
-
-    // T4: color conversion BIST.
-    let t4 = scan_task(
-        "T4 color BIST",
-        plan.bist_color_patterns,
-        config.color_scan.chains(),
-        config.color_scan.max_chain_len(),
-        cap,
-        w,
-        90,
-        vec![Resource::ColorConversion],
-    );
-
-    // T5: DCT deterministic external.
-    let dct_bits = config.dct_scan.bits_per_pattern();
-    let per_pattern5 = ((dct_bits as f64 / ate_rate).ceil() as u64)
-        .max(config.dct_scan.max_chain_len() as u64 + cap);
-    let t5 = TestTask::new(
-        "T5 dct det",
-        plan.det_dct_patterns * per_pattern5,
-        ((dct_bits.div_ceil(w as u64) + 1) as f64 / per_pattern5 as f64).min(1.0),
-        60,
-        vec![Resource::Dct, Resource::AteChannel],
-    );
-
-    // T6/T7: memory march + pattern tests.
-    let ops = plan.march.total_ops(config.memory_words as u64)
-        + plan
-            .pattern_tests
-            .iter()
-            .map(|p| p.ops_per_cell() * config.memory_words as u64)
-            .sum::<u64>();
-    let bus_per_op = 2u64; // one word + overhead on a >=32-bit bus
-    let t6 = TestTask::new(
-        "T6 mem march (ctrl)",
-        ops * config.controller_op_overhead,
-        (bus_per_op as f64 / config.controller_op_overhead as f64).min(1.0),
-        70,
-        vec![Resource::Memory],
-    );
-    let t7 = TestTask::new(
-        "T7 mem march (proc)",
-        ops * (config.processor_op_overhead + bus_per_op),
-        (bus_per_op as f64 / (config.processor_op_overhead + bus_per_op) as f64).min(1.0),
-        110,
-        // The processor executes the march program, so it is busy too.
-        vec![Resource::Memory, Resource::Processor],
-    );
-
-    vec![t1, t2, t3, t4, t5, t6, t7]
+    test_model(config, plan)
+        .iter()
+        .map(|m| {
+            let serial = (m.channel == TamChannel::Serial).then_some(Resource::AteChannel);
+            let mut cores = m.cores.iter().map(|&c| Resource::of_core(c));
+            let first = cores.next();
+            let resources = first.into_iter().chain(serial).chain(cores).collect();
+            TestTask::new(m.name, m.nominal(), m.tam_share(), m.peak_power, resources)
+        })
+        .collect()
 }
 
 /// Estimated metrics of one phase.
@@ -184,11 +81,7 @@ pub(crate) fn estimate_schedule(tasks: &[TestTask], schedule: &Schedule) -> Sche
                 .filter(|&&(d, _)| d > 0.0)
                 .map(|&(_, s)| s)
                 .sum();
-            let slowdown = if active_demand > 1.0 {
-                active_demand
-            } else {
-                1.0
-            };
+            let slowdown = active_demand.max(1.0);
             // Earliest finisher under the current slowdown.
             let dt = remaining
                 .iter()
@@ -266,42 +159,53 @@ mod tests {
 
     #[test]
     fn paper_tasks_have_expected_magnitudes() {
-        let tasks = estimate_tasks(&SocConfig::paper(), &SocTestPlan::paper());
-        assert_eq!(tasks.len(), 7);
+        let mut cfg = SocConfig::paper();
+        let plan = SocTestPlan::paper();
+        let tasks = estimate_tasks(&cfg, &plan);
         let by_name = |n: &str| tasks.iter().find(|t| t.name.contains(n)).unwrap();
+        // The paper geometry (32 × 1296 chains over a 48-bit bus) is
+        // shift-limited: 865 bus cycles fit inside the 1300-cycle shift.
         let t1 = by_name("T1");
         assert_eq!(t1.duration, 100_000 * 1300);
         assert!((t1.tam_share - 0.665).abs() < 0.01, "{}", t1.tam_share);
-        let t2 = by_name("T2");
-        assert_eq!(t2.duration, 20_000 * 5184);
-        let t6 = by_name("T6");
-        let t7 = by_name("T7");
-        assert!(t7.duration > t6.duration, "processor march is slower");
+        assert_eq!(by_name("T2").duration, 20_000 * 5184);
+        assert!(
+            by_name("T7").duration > by_name("T6").duration,
+            "processor march is slower"
+        );
         // Resource conflicts: T1/T2/T3 share the processor.
         assert!(!by_name("T1").compatible_with(by_name("T2")));
         assert!(by_name("T1").compatible_with(by_name("T5")));
         assert!(!by_name("T2").compatible_with(by_name("T5")), "ATE channel");
         assert!(!by_name("T6").compatible_with(by_name("T7")), "memory");
+        // Quadruple the chain count at the same chain length: 4× the data
+        // per pattern no longer fits in the shift window, so the estimate
+        // grows (128 × 1296 / 48 + 1 = 3457 bus cycles per pattern) and
+        // the share saturates.
+        cfg.proc_scan = tve_tpg::ScanConfig::new(128, 1296);
+        let wide = &estimate_tasks(&cfg, &plan)[0];
+        assert_eq!(wide.duration, 100_000 * 3457, "bus-limited regime");
+        assert!((wide.tam_share - 1.0).abs() < 1e-12, "{}", wide.tam_share);
     }
 
     #[test]
-    fn estimate_responds_to_chain_count() {
-        // The paper geometry (32 × 1296 chains over a 48-bit bus) is
-        // shift-limited: 865 bus cycles fit inside the 1300-cycle shift.
-        let mut cfg = SocConfig::paper();
+    fn estimates_respect_the_certified_floor_when_the_response_link_is_slower() {
+        // A response link 16x slower than the stimulus link binds T2, T3
+        // and T5: every estimate must still lie inside the envelope of its
+        // test run alone.
+        let mut config = SocConfig::paper();
+        (config.ate_down_rate, config.ate_up_rate) = ((16, 1), (1, 1));
         let plan = SocTestPlan::paper();
-        let base = estimate_tasks(&cfg, &plan)[0].duration;
-        assert_eq!(base, 100_000 * 1300, "paper point is unchanged");
-        // Quadruple the chain count at the same chain length: 4× the data
-        // per pattern no longer fits in the shift window, so the estimate
-        // must grow (128 × 1296 / 48 + 1 = 3457 bus cycles per pattern).
-        cfg.proc_scan = tve_tpg::ScanConfig::new(128, 1296);
-        let wide = estimate_tasks(&cfg, &plan)[0].duration;
-        assert_eq!(wide, 100_000 * 3457, "bus-limited regime");
-        assert!(wide > base);
-        // And the share saturates at 1.0 once bus-limited.
-        let t1 = &estimate_tasks(&cfg, &plan)[0];
-        assert!((t1.tam_share - 1.0).abs() < 1e-12, "{}", t1.tam_share);
+        for (i, task) in estimate_tasks(&config, &plan).iter().enumerate() {
+            let alone = Schedule::new(task.name.clone(), vec![vec![i]]);
+            let env = tve_lint::schedule_envelope(&config, &plan, &alone, 0).total;
+            let d = task.duration;
+            assert!(
+                env.lo <= d && d <= env.hi,
+                "{}: {d} outside {env}",
+                task.name
+            );
+        }
     }
 
     #[test]

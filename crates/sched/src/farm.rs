@@ -443,61 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn lint_facts_agree_with_the_scheduler_task_model() {
-        // Anti-drift: the lint crate's static facts and this crate's
-        // estimate_tasks() describe the same seven tests. If one model
-        // changes, this pins the other to follow.
-        use crate::estimate::estimate_tasks;
-        use crate::task::Resource;
-        use tve_lint::soc_facts;
-        let config = SocConfig::paper();
-        let plan = SocTestPlan::paper();
-        let tasks = estimate_tasks(&config, &plan);
-        let facts = soc_facts(&config, &plan);
-        assert_eq!(tasks.len(), facts.tests.len());
-        for (task, fact) in tasks.iter().zip(&facts.tests) {
-            assert_eq!(task.name, fact.name);
-            assert!(
-                (task.tam_share - fact.tam_share).abs() < 1e-9,
-                "{}: {} vs {}",
-                task.name,
-                task.tam_share,
-                fact.tam_share
-            );
-            assert!(
-                (f64::from(task.power) - fact.peak_power).abs() < 1e-9,
-                "{}: power",
-                task.name
-            );
-            // Core claims mirror the scheduler's exclusive resources
-            // (the serial channel is modeled as `TamChannel`, not a core).
-            let mut expect: Vec<&str> = task
-                .resources
-                .iter()
-                .filter_map(|r| match r {
-                    Resource::Processor => Some("processor"),
-                    Resource::ColorConversion => Some("color-conv"),
-                    Resource::Dct => Some("dct"),
-                    Resource::Memory => Some("memory"),
-                    Resource::Codec => Some("codec"),
-                    Resource::AteChannel => None,
-                })
-                .collect();
-            expect.sort_unstable();
-            let mut got = fact.cores.clone();
-            got.sort_unstable();
-            assert_eq!(got, expect, "{}: cores", task.name);
-            let serial = task.resources.contains(&Resource::AteChannel);
-            assert_eq!(
-                fact.channel == tve_lint::TamChannel::Serial,
-                serial,
-                "{}: channel",
-                task.name
-            );
-        }
-    }
-
-    #[test]
     fn worker_count_does_not_change_results() {
         let jobs = mini_jobs();
         let one = Farm::with_workers(1).run(&jobs);

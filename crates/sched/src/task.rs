@@ -19,6 +19,21 @@ pub enum Resource {
     Codec,
 }
 
+impl Resource {
+    /// The resource a test model's core claim names (panics on any other
+    /// name).
+    pub(crate) fn of_core(core: &str) -> Resource {
+        match core {
+            "processor" => Resource::Processor,
+            "color-conv" => Resource::ColorConversion,
+            "dct" => Resource::Dct,
+            "memory" => Resource::Memory,
+            "codec" => Resource::Codec,
+            _ => panic!("unknown core {core}"),
+        }
+    }
+}
+
 impl fmt::Display for Resource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

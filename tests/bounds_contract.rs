@@ -7,6 +7,9 @@
 //! exercised in every case: the generated schedules always contain the
 //! bus-fed tests (T1/T4/T6/T7) and the serial-fed ones (T2/T3/T5).
 //!
+//! **Order of the static model**: every test's nominal estimate lies
+//! inside its own cycle-accurate envelope (`lo ≤ nominal ≤ hi`).
+//!
 //! **Exactness of pruning**: `explore_certified` with pruning returns a
 //! Pareto front byte-identical to exhaustive exploration, and no pruned
 //! candidate ever appears on the exhaustive front.
@@ -14,7 +17,7 @@
 use proptest::prelude::*;
 
 use tve::core::Schedule;
-use tve::lint::{observe_metrics, schedule_envelope, soc_facts, task_bounds};
+use tve::lint::{observe_metrics, schedule_envelope, soc_facts, task_bounds, test_model};
 use tve::sched::{
     enumerate_schedules, estimate_tasks, explore_certified, CertifiedOutcome, Constraints,
 };
@@ -151,6 +154,26 @@ proptest! {
         );
         if cfg.power.is_some() {
             prop_assert!(obs.peak_power.is_some(), "power model must be metered");
+        }
+    }
+
+    // The one static test model orders its stand-alone times: every
+    // test's nominal estimate (what the scheduler ranks by) lies inside
+    // its cycle-accurate certified envelope, under both data policies.
+    // Simulates nothing, so it runs far past the global case count in CI.
+    #[test]
+    fn nominal_estimate_lies_inside_the_stand_alone_envelope(seed in any::<u64>()) {
+        let (cfg, mut plan) = generate_workload(&mut SplitMix64(seed));
+        for policy in [tve::core::DataPolicy::Volume, tve::core::DataPolicy::Full] {
+            plan.policy = policy;
+            for test in test_model(&cfg, &plan) {
+                let (env, nominal) = (test.envelope(0), test.nominal());
+                prop_assert!(
+                    env.lo <= nominal && nominal <= env.hi,
+                    "{} ({policy:?}): nominal {nominal} outside {env}",
+                    test.name
+                );
+            }
         }
     }
 
