@@ -4,7 +4,7 @@
 //! Three variants of the same scaled Table I scenario are compared:
 //!
 //! * `baseline` — `run_scenario`, no recorder attached anywhere,
-//! * `traced_off` — `run_scenario_traced` with `StoragePolicy::Off`: every
+//! * `traced_off` — `run_scenario_prepared_traced` with `StoragePolicy::Off`: every
 //!   hook site is wired but the recorder drops everything before
 //!   constructing a span (the `record_with` fast path),
 //! * `traced_unbounded` — full span capture, for scale.
@@ -19,7 +19,9 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tve_obs::StoragePolicy;
-use tve_soc::{paper_schedules, run_scenario, run_scenario_traced, SocConfig, SocTestPlan};
+use tve_soc::{
+    paper_schedules, run_scenario, run_scenario_prepared_traced, SocConfig, SocTestPlan,
+};
 
 fn workload() -> (SocConfig, SocTestPlan) {
     let mut config = SocConfig::paper();
@@ -46,9 +48,11 @@ fn bench_obs_overhead(c: &mut Criterion) {
 
     // Correctness gate first: identical digests traced or not.
     let base = run_scenario(&config, &plan, schedule).unwrap();
-    let (off, off_log) = run_scenario_traced(&config, &plan, schedule, StoragePolicy::Off).unwrap();
+    let (off, off_log) =
+        run_scenario_prepared_traced(&config, &plan, schedule, StoragePolicy::Off, |_| {}).unwrap();
     let (full, full_log) =
-        run_scenario_traced(&config, &plan, schedule, StoragePolicy::Unbounded).unwrap();
+        run_scenario_prepared_traced(&config, &plan, schedule, StoragePolicy::Unbounded, |_| {})
+            .unwrap();
     assert_eq!(
         base.digest(),
         off.digest(),
@@ -71,10 +75,11 @@ fn bench_obs_overhead(c: &mut Criterion) {
         run_scenario(&config, &plan, schedule).unwrap();
     });
     let t_off = median_secs(RUNS, || {
-        run_scenario_traced(&config, &plan, schedule, StoragePolicy::Off).unwrap();
+        run_scenario_prepared_traced(&config, &plan, schedule, StoragePolicy::Off, |_| {}).unwrap();
     });
     let t_full = median_secs(RUNS, || {
-        run_scenario_traced(&config, &plan, schedule, StoragePolicy::Unbounded).unwrap();
+        run_scenario_prepared_traced(&config, &plan, schedule, StoragePolicy::Unbounded, |_| {})
+            .unwrap();
     });
     let off_pct = (t_off / t_base - 1.0) * 100.0;
     let full_pct = (t_full / t_base - 1.0) * 100.0;
@@ -97,7 +102,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     });
     g.bench_function("traced_off", |b| {
         b.iter(|| {
-            run_scenario_traced(&config, &plan, schedule, StoragePolicy::Off)
+            run_scenario_prepared_traced(&config, &plan, schedule, StoragePolicy::Off, |_| {})
                 .unwrap()
                 .0
                 .total_cycles
@@ -105,7 +110,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     });
     g.bench_function("traced_unbounded", |b| {
         b.iter(|| {
-            run_scenario_traced(&config, &plan, schedule, StoragePolicy::Unbounded)
+            run_scenario_prepared_traced(&config, &plan, schedule, StoragePolicy::Unbounded, |_| {})
                 .unwrap()
                 .0
                 .total_cycles

@@ -25,7 +25,7 @@ use tve_sched::{
     default_workers, enumerate_schedules, estimate_tasks, explore, explore_certified,
     validate_schedules, Constraints,
 };
-use tve_soc::{paper_schedules, run_scenario_traced, SocConfig, SocTestPlan};
+use tve_soc::{paper_schedules, run_scenario_prepared_traced, SocConfig, SocTestPlan};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -76,10 +76,8 @@ fn main() {
     if certified {
         let mut pool: Vec<Schedule> = paper_schedules().into_iter().collect();
         pool.extend(enumerate_schedules(&sim_tasks, &constraints, 12));
-        println!(
-            "\ncertified exploration over {} candidates (prune on static lower bounds):",
-            pool.len()
-        );
+        // `explore` adds its own schedules (optimal, greedy, sequential)
+        // to the pool, so the count is the report's.
         let report = explore_certified(&config, &sim_plan, &sim_tasks, &constraints, &pool, true);
         assert!(
             report.violations.is_empty(),
@@ -87,12 +85,17 @@ fn main() {
             report.violations
         );
         println!(
-            "  {} candidates: {} simulated, {} pruned without simulation ({:.0}%), \
-             static analysis {:.2} ms total",
-            report.candidates.len(),
+            "\ncertified exploration over {} candidates (prune on static lower bounds):",
+            report.candidates.len()
+        );
+        println!(
+            "  {} simulated, {} pruned without simulation ({:.0}%)",
             report.simulated(),
             report.pruned(),
-            report.pruned_fraction() * 100.0,
+            report.pruned_fraction() * 100.0
+        );
+        println!(
+            "  static analysis: {:.2} ms host time",
             report.analysis_ns as f64 / 1e6
         );
         for proof in report.proofs() {
@@ -125,9 +128,14 @@ fn main() {
 
     if let Some(path) = trace_output(&args, "target/trace_exploration.json") {
         let best = &finalists[0];
-        let (metrics, log) =
-            run_scenario_traced(&config, &sim_plan, best, StoragePolicy::Unbounded)
-                .expect("best finalist validated above, so it must simulate");
+        let (metrics, log) = run_scenario_prepared_traced(
+            &config,
+            &sim_plan,
+            best,
+            StoragePolicy::Unbounded,
+            |_| {},
+        )
+        .expect("best finalist validated above, so it must simulate");
         assert!(metrics.result.clean());
         let mut buf = Vec::new();
         write_chrome_trace(&log, &mut buf).expect("in-memory trace serialization");

@@ -14,7 +14,7 @@ use std::rc::Rc;
 use tve_sched::Farm;
 
 use tve_core::{
-    BistSource, ConfigClient, DataPolicy, SyntheticLogicCore, TestOutcome, TestWrapper,
+    ConfigClient, DataPolicy, ScanKind, ScanSource, SyntheticLogicCore, TestOutcome, TestWrapper,
     WrapperConfig, WrapperMode,
 };
 use tve_noc::{MeshConfig, MeshNoc, NodeId};
@@ -61,7 +61,7 @@ fn run_workload(
     patterns: u64,
 ) -> (TestOutcome, TestOutcome) {
     let h = sim.handle();
-    let src_a = BistSource::new(
+    let src_a = ScanSource::new(
         &h,
         "bist-a",
         port_a,
@@ -71,8 +71,9 @@ fn run_workload(
         patterns,
         DataPolicy::Volume,
         1,
+        ScanKind::Bist,
     );
-    let src_b = BistSource::new(
+    let src_b = ScanSource::new(
         &h,
         "bist-b",
         port_b,
@@ -82,6 +83,7 @@ fn run_workload(
         patterns,
         DataPolicy::Volume,
         2,
+        ScanKind::Bist,
     );
     let a = sim.spawn(async move { src_a.run().await });
     let b = sim.spawn(async move { src_b.run().await });

@@ -214,7 +214,7 @@ mod tests {
     use super::*;
     use crate::config_bus::ConfigClient;
     use crate::model::{DataPolicy, SyntheticLogicCore};
-    use crate::source::BistSource;
+    use crate::source::{ScanKind, ScanSource};
     use crate::wrapper::{WrapperConfig, WrapperMode};
     use tve_sim::Simulation;
     use tve_tlm::{InitiatorId, TamIf};
@@ -241,7 +241,7 @@ mod tests {
     }
 
     fn bist_run(sim: &Simulation, wrapper: &Rc<TestWrapper>) -> TestRun {
-        let src = BistSource::new(
+        let src = ScanSource::new(
             &sim.handle(),
             "bist",
             wrapper.clone() as Rc<dyn TamIf>,
@@ -251,6 +251,7 @@ mod tests {
             8,
             DataPolicy::Full,
             17,
+            ScanKind::Bist,
         );
         TestRun::new("bist", async move { src.run().await })
     }

@@ -10,8 +10,9 @@
 //! * [`TestWrapper`] — IEEE-1500-style core test wrapper with a WIR loaded
 //!   over the configuration scan ring (Fig. 3),
 //! * [`ConfigScanRing`] — the dedicated serial configuration bus,
-//! * pattern sources — [`BistSource`] (LFSR/PRPG), [`AteSource`]
-//!   (deterministic, ATE-channel limited), [`CompressedAteSource`],
+//! * [`ScanSource`] — the one scan pattern source, of three
+//!   [kinds](ScanKind): logic BIST (LFSR/PRPG), deterministic ATE patterns
+//!   (ATE-channel limited) and compressed ATE patterns,
 //! * [`DecompressorCompactor`] — the plug-and-play interface adaptor pair,
 //! * [`Ebi`] — the external bus interface translating the ATE protocol to
 //!   the TAM protocol,
@@ -57,7 +58,7 @@ pub use schedule::{
     execute_schedule, execute_schedule_traced, Schedule, ScheduleError, ScheduleResult,
     StructuralIssue, TestRun, TestSlot,
 };
-pub use source::{AteSource, BistSource, CompressedAteSource, ReadBack, STIMULUS_STORE_BYTES};
+pub use source::{ReadBack, ScanKind, ScanSource, STIMULUS_STORE_BYTES};
 pub use wrapper::{
     ScanPowerProfile, StuckWirBit, TestWrapper, WrapperConfig, WrapperMode, WrapperStats,
 };

@@ -1,7 +1,8 @@
-//! Pattern source TLMs (paper Section III.C): logic-BIST, deterministic
-//! external (ATE-stored) and compressed external sources.
+//! The scan pattern source TLM (paper Section III.C): one initiator for
+//! the logic-BIST, deterministic external (ATE-stored) and compressed
+//! external sources, which differ only in what they send and read back.
 //!
-//! In full-data runs the three sources read their stimulus from one
+//! In full-data runs the three kinds read their stimulus from one
 //! process-wide [stimulus store](StimulusStore): each stream is generated
 //! once per process, up to a byte budget, and every later run of the same
 //! source replays it.
@@ -331,161 +332,40 @@ pub(crate) fn stored_bytes() -> usize {
     StimulusStore::global().bytes
 }
 
-/// Records a completed source run as a [`SpanKind::Burst`] span on the
-/// `src/<name>` track, covering the full sequence and carrying its total
-/// data volume.
-fn record_burst(recorder: &Option<Rc<Recorder>>, initiator: InitiatorId, out: &TestOutcome) {
-    if let Some(rec) = recorder {
-        rec.record_with(|| {
-            SpanRecord::new(
-                SpanKind::Burst,
-                format!("src/{}", out.name),
-                out.name.clone(),
-                out.start,
-                out.end,
-            )
-            .with_initiator(initiator.0)
-            .with_bits(out.stimulus_bits + out.response_bits)
-        });
-    }
+/// What a [`ScanSource`] sends and reads back: the three pattern sources
+/// of the paper's Section III.C.
+#[derive(Debug, Clone)]
+pub enum ScanKind {
+    /// Logic BIST (tests 1 and 4): an on-chip PRPG streams pseudo-random
+    /// stimuli to the wrapper, whose local MISR compacts the responses;
+    /// the wrapper's 64-bit signature is read out at the end, in Volume
+    /// runs too (it drains the scan engine).
+    Bist,
+    /// Deterministic external patterns (tests 2 and 5): pre-computed
+    /// patterns stored in the ATE and delivered through the EBI (and
+    /// hence the rate-limited ATE channel).
+    Ate {
+        /// Response handling.
+        read_back: ReadBack,
+    },
+    /// Compressed external patterns (test 3, 50×): the ATE stores one
+    /// reseeding seed per cube, which the decompressor at the source's
+    /// address expands, and compacted responses are read back from it.
+    Compressed {
+        /// Bits booked per pattern, and sent per pattern in Volume runs
+        /// (a full-data run sends the codec's seed).
+        compressed_bits: u64,
+        /// Compacted response bits read back per pattern (0 disables).
+        compacted_bits: u64,
+        /// The reseeding codec that encodes each cube in full-data runs;
+        /// a full-data run without one is an error.
+        codec: Option<Rc<ReseedingCodec>>,
+        /// Specified (care) bits per generated test cube.
+        cares_per_cube: usize,
+    },
 }
 
-/// A logic-BIST pattern source: an on-chip PRPG streaming pseudo-random
-/// stimuli to a wrapper over the TAM; responses are compacted in the
-/// wrapper-local MISR, whose signature is read out at the end.
-///
-/// This models tests 1 and 4 of the paper's case study.
-pub struct BistSource {
-    handle: SimHandle,
-    /// Test sequence name.
-    pub(crate) name: String,
-    /// The TAM this source injects into.
-    pub(crate) tam: Rc<dyn TamIf>,
-    /// Address of the target wrapper on the TAM.
-    pub(crate) wrapper_addr: u32,
-    /// Initiator identity for arbitration/accounting.
-    pub(crate) initiator: InitiatorId,
-    /// Target scan geometry.
-    pub(crate) scan: ScanConfig,
-    /// Number of pseudo-random patterns.
-    pub(crate) patterns: u64,
-    /// Volume or full-data simulation.
-    pub(crate) policy: DataPolicy,
-    /// PRPG seed.
-    pub(crate) seed: u64,
-    recorder: Option<Rc<Recorder>>,
-}
-
-impl fmt::Debug for BistSource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BistSource")
-            .field("name", &self.name)
-            .field("patterns", &self.patterns)
-            .field("scan", &self.scan)
-            .finish()
-    }
-}
-
-impl BistSource {
-    /// Creates a BIST source; see the field docs for parameters.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        handle: &SimHandle,
-        name: impl Into<String>,
-        tam: Rc<dyn TamIf>,
-        wrapper_addr: u32,
-        initiator: InitiatorId,
-        scan: ScanConfig,
-        patterns: u64,
-        policy: DataPolicy,
-        seed: u64,
-    ) -> Self {
-        BistSource {
-            handle: handle.clone(),
-            name: name.into(),
-            tam,
-            wrapper_addr,
-            initiator,
-            scan,
-            patterns,
-            policy,
-            seed,
-            recorder: None,
-        }
-    }
-
-    /// Attaches an observability recorder: the run is recorded as a
-    /// [`SpanKind::Burst`] span on the `src/<name>` track.
-    pub fn with_recorder(mut self, recorder: Rc<Recorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// Runs the full BIST sequence and returns its outcome.
-    pub async fn run(&self) -> TestOutcome {
-        let mut out = TestOutcome::begin(&self.name, self.handle.now());
-        let bits = self.scan.bits_per_pattern();
-        match self.policy {
-            DataPolicy::Volume => {
-                for _ in 0..self.patterns {
-                    match self
-                        .tam
-                        .transfer_volume(self.initiator, Command::Write, self.wrapper_addr, bits)
-                        .await
-                    {
-                        Ok(()) => {
-                            out.patterns += 1;
-                            out.stimulus_bits += bits;
-                        }
-                        Err(_) => {
-                            out.errors += 1;
-                            break;
-                        }
-                    }
-                }
-            }
-            DataPolicy::Full => {
-                let mut stimulus = Stimulus::Prpg {
-                    seed: self.seed,
-                    scan: self.scan,
-                }
-                .open(self.patterns);
-                for _ in 0..self.patterns {
-                    let words = stimulus.next().expect("scan patterns always exist");
-                    match self
-                        .tam
-                        .write(self.initiator, self.wrapper_addr, words, bits)
-                        .await
-                    {
-                        Ok(()) => {
-                            out.patterns += 1;
-                            out.stimulus_bits += bits;
-                        }
-                        Err(_) => {
-                            out.errors += 1;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        // Signature readout: drains the wrapper's scan engine.
-        match self.tam.read(self.initiator, self.wrapper_addr, 64).await {
-            Ok(words) => {
-                out.response_bits += 64;
-                if self.policy == DataPolicy::Full {
-                    out.signature = Some(words_to_sig(&words));
-                }
-            }
-            Err(_) => out.errors += 1,
-        }
-        out.end = self.handle.now();
-        record_burst(&self.recorder, self.initiator, &out);
-        out
-    }
-}
-
-/// Response handling of an [`AteSource`].
+/// Response handling of a [`ScanKind::Ate`] source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadBack {
     /// No response read-back.
@@ -506,277 +386,223 @@ pub enum ReadBack {
     },
 }
 
-/// A deterministic external pattern source: pre-computed patterns stored in
-/// the ATE, delivered through the EBI (and hence the rate-limited ATE
-/// channel), with response read-back. In full-data runs the stored
-/// patterns are the process-wide stimulus store's.
+/// A scan pattern source: an initiator that shifts `patterns` patterns of
+/// its [`ScanKind`] into the target at `addr` through `port`, and reads
+/// the responses back as its kind does.
 ///
-/// This models tests 2 and 5 of the paper's case study.
-pub struct AteSource {
-    /// Kernel handle.
-    pub handle: SimHandle,
-    /// Test sequence name.
-    pub name: String,
-    /// Entry port (normally the [`Ebi`](crate::Ebi)).
-    pub port: Rc<dyn TamIf>,
-    /// Wrapper address for stimuli.
-    pub wrapper_addr: u32,
-    /// Response handling.
-    pub read_back: ReadBack,
-    /// Initiator identity.
-    pub initiator: InitiatorId,
-    /// Target scan geometry.
-    pub scan: ScanConfig,
-    /// Number of stored patterns.
-    pub patterns: u64,
-    /// Volume or full-data simulation.
-    pub policy: DataPolicy,
-    /// Pattern-set seed ("ATPG" reproducibility).
-    pub seed: u64,
-    /// Optional observability recorder; the run is recorded as a
-    /// [`SpanKind::Burst`] span on the `src/<name>` track.
-    pub recorder: Option<Rc<Recorder>>,
+/// In full-data runs the stimulus comes from the process-wide stimulus
+/// store, and every response read back folds into a MISR whose signature
+/// (for BIST, the wrapper's own) lets a fault-free reference run be
+/// compared against a fault-injected one.
+pub struct ScanSource {
+    handle: SimHandle,
+    name: String,
+    port: Rc<dyn TamIf>,
+    addr: u32,
+    initiator: InitiatorId,
+    scan: ScanConfig,
+    patterns: u64,
+    policy: DataPolicy,
+    seed: u64,
+    kind: ScanKind,
+    recorder: Option<Rc<Recorder>>,
 }
 
-impl fmt::Debug for AteSource {
+impl fmt::Debug for ScanSource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AteSource")
+        f.debug_struct("ScanSource")
             .field("name", &self.name)
+            .field("kind", &self.kind)
             .field("patterns", &self.patterns)
             .field("scan", &self.scan)
             .finish()
     }
 }
 
-impl AteSource {
-    /// Runs the deterministic external test and returns its outcome.
+impl ScanSource {
+    /// Creates a source of test `name` that sends `patterns` patterns of
+    /// `kind` for the target geometry `scan` to `addr` through `port` as
+    /// `initiator`, under `policy`, from the pattern-set seed `seed`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        handle: &SimHandle,
+        name: impl Into<String>,
+        port: Rc<dyn TamIf>,
+        addr: u32,
+        initiator: InitiatorId,
+        scan: ScanConfig,
+        patterns: u64,
+        policy: DataPolicy,
+        seed: u64,
+        kind: ScanKind,
+    ) -> Self {
+        ScanSource {
+            handle: handle.clone(),
+            name: name.into(),
+            port,
+            addr,
+            initiator,
+            scan,
+            patterns,
+            policy,
+            seed,
+            kind,
+            recorder: None,
+        }
+    }
+
+    /// Attaches an observability recorder: the run is recorded as a
+    /// [`SpanKind::Burst`] span on the `src/<name>` track.
+    pub fn with_recorder(mut self, recorder: Rc<Recorder>) -> Self {
+        self.recorder = Some(recorder);
+        self
+    }
+
+    /// Runs the pattern sequence and returns its outcome.
     ///
-    /// In full-data mode, all read-back responses are folded into a MISR;
-    /// the outcome's `signature` lets a fault-free reference run be
-    /// compared against a fault-injected one.
+    /// Each pattern carries the hand-off promise
+    /// ([`Transaction::follows`]) unless it is the last and no read
+    /// follows it. A failed stimulus transfer, or a full-data
+    /// compressed run without a codec, ends the sequence with an error;
+    /// a cube the codec cannot encode is an error and is skipped.
     pub async fn run(&self) -> TestOutcome {
         let mut out = TestOutcome::begin(&self.name, self.handle.now());
-        let bits = self.scan.bits_per_pattern();
-        let mut stimulus = (self.policy == DataPolicy::Full).then(|| {
-            Stimulus::Ate {
-                seed: self.seed,
-                scan: self.scan,
-            }
-            .open(self.patterns)
-        });
-        let mut misr = Misr::new(64, 32).expect("64-stage MISR");
-        let cmd = match self.read_back {
-            ReadBack::Combined => Command::WriteRead,
+        let (seed, scan) = (self.seed, self.scan);
+        let full = self.policy == DataPolicy::Full;
+        let (stimulus, booked, read_back) = match &self.kind {
+            ScanKind::Bist => (
+                Some(Stimulus::Prpg { seed, scan }),
+                scan.bits_per_pattern(),
+                None,
+            ),
+            ScanKind::Ate { read_back } => (
+                Some(Stimulus::Ate { seed, scan }),
+                scan.bits_per_pattern(),
+                match *read_back {
+                    ReadBack::Separate { addr, bits } => Some((addr, bits)),
+                    _ => None,
+                },
+            ),
+            ScanKind::Compressed {
+                compressed_bits,
+                compacted_bits,
+                codec,
+                cares_per_cube,
+            } => (
+                codec.as_deref().map(|codec| Stimulus::Reseed {
+                    seed,
+                    scan,
+                    cares: *cares_per_cube,
+                    codec,
+                }),
+                *compressed_bits,
+                (*compacted_bits > 0).then_some((self.addr, *compacted_bits)),
+            ),
+        };
+        let bits = match stimulus {
+            Some(stimulus) if full => stimulus.bits(),
+            _ => booked,
+        };
+        let cmd = match self.kind {
+            ScanKind::Ate {
+                read_back: ReadBack::Combined,
+            } => Command::WriteRead,
             _ => Command::Write,
         };
-        let separate = matches!(self.read_back, ReadBack::Separate { .. });
+        let read_follows = read_back.is_some() || matches!(self.kind, ScanKind::Bist);
+        let mut stimulus = full.then(|| stimulus.map(|s| s.open(self.patterns)));
+        let mut misr = Misr::new(64, 32).expect("64-stage MISR");
         // The words a combined access shifts out come back as the next
         // stimulus buffer, so patterns circulate buffers instead of
         // allocating them.
         let mut spare = Vec::new();
         for k in 0..self.patterns {
             let mut txn = match &mut stimulus {
-                None => Transaction::volume(self.initiator, cmd, self.wrapper_addr, bits),
-                Some(stimulus) => {
-                    let stim = stimulus.next().expect("ATE patterns always exist");
+                None => Transaction::volume(self.initiator, cmd, self.addr, bits),
+                Some(None) => {
+                    // Full data, but no codec to encode the cubes with.
+                    out.errors += 1;
+                    break;
+                }
+                Some(Some(stimulus)) => {
+                    let Some(words) = stimulus.next() else {
+                        // A cube the codec cannot encode.
+                        out.errors += 1;
+                        continue;
+                    };
                     let mut data = std::mem::take(&mut spare);
                     data.clear();
-                    data.extend_from_slice(stim);
-                    let mut txn = Transaction::write(self.initiator, self.wrapper_addr, data, bits);
+                    data.extend_from_slice(words);
+                    let mut txn = Transaction::write(self.initiator, self.addr, data, bits);
                     txn.cmd = cmd;
                     txn
                 }
             };
             // The hand-off promise: nothing but host work happens before
             // this source's next call on the port (the next pattern, or
-            // this pattern's separate read-back).
-            txn.set_follows(k + 1 < self.patterns || separate);
+            // the read that follows this one).
+            txn.set_follows(k + 1 < self.patterns || read_follows);
             self.port.do_transport(&mut txn).await;
-            if txn.status.is_ok() {
-                out.patterns += 1;
-                out.stimulus_bits += bits;
-                if cmd == Command::WriteRead {
-                    out.response_bits += bits;
-                    for &w in &txn.data {
-                        misr.absorb(w as u64);
-                    }
-                }
-                spare = txn.data;
-            } else {
+            if !txn.status.is_ok() {
                 out.errors += 1;
                 break;
             }
-            if let ReadBack::Separate { addr, bits: rbits } = self.read_back {
-                if self.policy == DataPolicy::Volume {
-                    match self
-                        .port
-                        .transfer_volume(self.initiator, Command::Read, addr, rbits)
-                        .await
-                    {
-                        Ok(()) => out.response_bits += rbits,
-                        Err(_) => out.errors += 1,
-                    }
-                } else {
-                    match self.port.read(self.initiator, addr, rbits).await {
-                        Ok(words) => {
-                            out.response_bits += rbits;
-                            for w in words {
-                                misr.absorb(w as u64);
-                            }
-                        }
-                        Err(_) => out.errors += 1,
-                    }
+            out.patterns += 1;
+            out.stimulus_bits += booked;
+            if cmd == Command::WriteRead {
+                out.response_bits += bits;
+                for &w in &txn.data {
+                    misr.absorb(w as u64);
                 }
             }
-        }
-        if self.policy == DataPolicy::Full && self.read_back != ReadBack::None {
-            out.signature = Some(misr.signature());
-        }
-        out.end = self.handle.now();
-        record_burst(&self.recorder, self.initiator, &out);
-        out
-    }
-}
-
-/// A compressed external pattern source: the ATE stores compressed test
-/// data which the on-chip decompressor expands (paper test 3, 50×).
-pub struct CompressedAteSource {
-    /// Kernel handle.
-    pub handle: SimHandle,
-    /// Test sequence name.
-    pub name: String,
-    /// Entry port (normally the [`Ebi`](crate::Ebi)).
-    pub port: Rc<dyn TamIf>,
-    /// Address of the decompressor/compactor adaptor.
-    pub codec_addr: u32,
-    /// Compressed bits per pattern (volume mode; full mode derives this
-    /// from the attached compressor).
-    pub compressed_bits: u64,
-    /// Compacted response bits read back per pattern (0 disables).
-    pub compacted_bits: u64,
-    /// The reseeding codec that encodes each cube for full-data runs.
-    pub codec: Option<Rc<ReseedingCodec>>,
-    /// Specified (care) bits per generated test cube in full-data runs.
-    pub cares_per_cube: usize,
-    /// Initiator identity.
-    pub initiator: InitiatorId,
-    /// Target scan geometry.
-    pub scan: ScanConfig,
-    /// Number of patterns.
-    pub patterns: u64,
-    /// Volume or full-data simulation.
-    pub policy: DataPolicy,
-    /// Cube-generation seed.
-    pub seed: u64,
-    /// Optional observability recorder; the run is recorded as a
-    /// [`SpanKind::Burst`] span on the `src/<name>` track.
-    pub recorder: Option<Rc<Recorder>>,
-}
-
-impl fmt::Debug for CompressedAteSource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CompressedAteSource")
-            .field("name", &self.name)
-            .field("patterns", &self.patterns)
-            .field("compressed_bits", &self.compressed_bits)
-            .finish()
-    }
-}
-
-impl CompressedAteSource {
-    /// Runs the compressed external test and returns its outcome.
-    pub async fn run(&self) -> TestOutcome {
-        let mut out = TestOutcome::begin(&self.name, self.handle.now());
-        let mut misr = Misr::new(64, 32).expect("64-stage MISR");
-        let mut stimulus = match (self.policy, &self.codec) {
-            (DataPolicy::Full, Some(codec)) => {
-                let stimulus = Stimulus::Reseed {
-                    seed: self.seed,
-                    scan: self.scan,
-                    cares: self.cares_per_cube,
-                    codec,
+            spare = txn.data;
+            if let Some((addr, rbits)) = read_back {
+                let txn = if full {
+                    Transaction::read(self.initiator, addr, rbits)
+                } else {
+                    Transaction::volume(self.initiator, Command::Read, addr, rbits)
                 };
-                Some((stimulus.open(self.patterns), stimulus.bits()))
+                for w in self.read(txn, &mut out).await.unwrap_or_default() {
+                    misr.absorb(w as u64);
+                }
             }
-            _ => None,
+        }
+        out.signature = if let ScanKind::Bist = self.kind {
+            let txn = Transaction::read(self.initiator, self.addr, 64);
+            let words = self.read(txn, &mut out).await;
+            words.filter(|_| full).map(|w| words_to_sig(&w))
+        } else {
+            let reads = cmd == Command::WriteRead || read_back.is_some();
+            (full && reads).then(|| misr.signature())
         };
-        for _ in 0..self.patterns {
-            let write_result = match (self.policy, &mut stimulus) {
-                (DataPolicy::Volume, _) => {
-                    self.port
-                        .transfer_volume(
-                            self.initiator,
-                            Command::Write,
-                            self.codec_addr,
-                            self.compressed_bits,
-                        )
-                        .await
-                }
-                (DataPolicy::Full, None) => {
-                    // No codec to encode the cubes with.
-                    out.errors += 1;
-                    break;
-                }
-                (DataPolicy::Full, Some((stimulus, bits))) => {
-                    let Some(seed) = stimulus.next() else {
-                        // Unencodable cube: counts as an error, skip.
-                        out.errors += 1;
-                        continue;
-                    };
-                    self.port
-                        .write(self.initiator, self.codec_addr, seed, *bits)
-                        .await
-                        .map(|_| ())
-                }
-            };
-            match write_result {
-                Ok(()) => {
-                    out.patterns += 1;
-                    out.stimulus_bits += self.compressed_bits;
-                }
-                Err(_) => {
-                    out.errors += 1;
-                    break;
-                }
-            }
-            if self.compacted_bits > 0 {
-                if self.policy == DataPolicy::Volume {
-                    match self
-                        .port
-                        .transfer_volume(
-                            self.initiator,
-                            Command::Read,
-                            self.codec_addr,
-                            self.compacted_bits,
-                        )
-                        .await
-                    {
-                        Ok(()) => out.response_bits += self.compacted_bits,
-                        Err(_) => out.errors += 1,
-                    }
-                } else {
-                    match self
-                        .port
-                        .read(self.initiator, self.codec_addr, self.compacted_bits)
-                        .await
-                    {
-                        Ok(words) => {
-                            out.response_bits += self.compacted_bits;
-                            for w in words {
-                                misr.absorb(w as u64);
-                            }
-                        }
-                        Err(_) => out.errors += 1,
-                    }
-                }
-            }
-        }
-        if self.policy == DataPolicy::Full && self.compacted_bits > 0 {
-            out.signature = Some(misr.signature());
-        }
         out.end = self.handle.now();
-        record_burst(&self.recorder, self.initiator, &out);
+        if let Some(rec) = &self.recorder {
+            rec.record_with(|| {
+                SpanRecord::new(
+                    SpanKind::Burst,
+                    format!("src/{}", out.name),
+                    out.name.clone(),
+                    out.start,
+                    out.end,
+                )
+                .with_initiator(self.initiator.0)
+                .with_bits(out.stimulus_bits + out.response_bits)
+            });
+        }
         out
+    }
+
+    /// Performs the read `txn`, booking its bits as response bits, and
+    /// returns the words read; a failed read is booked as an error.
+    async fn read(&self, mut txn: Transaction, out: &mut TestOutcome) -> Option<Vec<u32>> {
+        self.port.do_transport(&mut txn).await;
+        if txn.status.is_ok() {
+            out.response_bits += txn.bit_len;
+            Some(txn.data)
+        } else {
+            out.errors += 1;
+            None
+        }
     }
 }
 
@@ -835,7 +661,7 @@ mod tests {
             let mut sim = Simulation::new();
             let h = sim.handle();
             let tam = wrapper_of(&sim, WrapperMode::Bist, scan) as Rc<dyn TamIf>;
-            let src = BistSource::new(
+            let src = ScanSource::new(
                 &h,
                 "bist",
                 Rc::clone(&tam),
@@ -845,6 +671,7 @@ mod tests {
                 patterns,
                 DataPolicy::Full,
                 seed,
+                ScanKind::Bist,
             );
             let jh = sim.spawn(async move {
                 if !reference {
@@ -890,7 +717,7 @@ mod tests {
         let mut sim = Simulation::new();
         let h = sim.handle();
         let w = wrapper(&sim, WrapperMode::Bist);
-        let src = BistSource::new(
+        let src = ScanSource::new(
             &h,
             "bist",
             w.clone() as Rc<dyn TamIf>,
@@ -900,6 +727,7 @@ mod tests {
             10,
             DataPolicy::Volume,
             1,
+            ScanKind::Bist,
         );
         let jh = sim.spawn(async move { src.run().await });
         sim.run();
@@ -919,7 +747,7 @@ mod tests {
             let h = sim.handle();
             let w = wrapper(&sim, WrapperMode::Bist);
             w.inject_fault(fault);
-            let src = BistSource::new(
+            let src = ScanSource::new(
                 &h,
                 "bist",
                 w as Rc<dyn TamIf>,
@@ -929,6 +757,7 @@ mod tests {
                 20,
                 DataPolicy::Full,
                 99,
+                ScanKind::Bist,
             );
             let jh = sim.spawn(async move { src.run().await });
             sim.run();
@@ -950,7 +779,7 @@ mod tests {
         let mut sim = Simulation::new();
         let h = sim.handle();
         let w = wrapper(&sim, WrapperMode::Functional);
-        let src = BistSource::new(
+        let src = ScanSource::new(
             &h,
             "bist",
             w as Rc<dyn TamIf>,
@@ -960,6 +789,7 @@ mod tests {
             10,
             DataPolicy::Volume,
             1,
+            ScanKind::Bist,
         );
         let jh = sim.spawn(async move { src.run().await });
         sim.run();
@@ -973,19 +803,20 @@ mod tests {
         let mut sim = Simulation::new();
         let h = sim.handle();
         let w = wrapper(&sim, WrapperMode::IntTest);
-        let src = AteSource {
-            handle: h.clone(),
-            name: "det".to_string(),
-            port: w as Rc<dyn TamIf>,
-            wrapper_addr: 0,
-            read_back: ReadBack::Combined,
-            initiator: InitiatorId(1),
-            scan: ScanConfig::new(4, 32),
-            patterns: 5,
-            policy: DataPolicy::Full,
-            seed: 3,
-            recorder: None,
-        };
+        let src = ScanSource::new(
+            &h,
+            "det",
+            w as Rc<dyn TamIf>,
+            0,
+            InitiatorId(1),
+            ScanConfig::new(4, 32),
+            5,
+            DataPolicy::Full,
+            3,
+            ScanKind::Ate {
+                read_back: ReadBack::Combined,
+            },
+        );
         let jh = sim.spawn(async move { src.run().await });
         sim.run();
         let out = jh.try_take().unwrap();
@@ -1011,22 +842,23 @@ mod tests {
             None,
         ));
         dc.load_config(1);
-        let src = CompressedAteSource {
-            handle: h.clone(),
-            name: "comp".to_string(),
-            port: dc.clone() as Rc<dyn TamIf>,
-            codec_addr: 0,
-            compressed_bits: dc.compressed_bits(),
-            compacted_bits: dc.compacted_bits(),
-            codec: None,
-            cares_per_cube: 8,
-            initiator: InitiatorId(2),
-            scan: ScanConfig::new(4, 32),
-            patterns: 4,
-            policy: DataPolicy::Volume,
-            seed: 1,
-            recorder: None,
-        };
+        let src = ScanSource::new(
+            &h,
+            "comp",
+            dc.clone() as Rc<dyn TamIf>,
+            0,
+            InitiatorId(2),
+            ScanConfig::new(4, 32),
+            4,
+            DataPolicy::Volume,
+            1,
+            ScanKind::Compressed {
+                compressed_bits: dc.compressed_bits(),
+                compacted_bits: dc.compacted_bits(),
+                codec: None,
+                cares_per_cube: 8,
+            },
+        );
         let jh = sim.spawn(async move { src.run().await });
         sim.run();
         let out = jh.try_take().unwrap();

@@ -34,7 +34,9 @@ use std::time::Duration;
 use tve_core::{Schedule, ScheduleError};
 use tve_obs::{SpanKind, SpanRecord, StoragePolicy, TraceLog};
 use tve_sim::Time;
-use tve_soc::{run_scenario, run_scenario_traced, ScenarioMetrics, SocConfig, SocTestPlan};
+use tve_soc::{
+    run_scenario, run_scenario_prepared_traced, ScenarioMetrics, SocConfig, SocTestPlan,
+};
 
 use crate::supervise::{SupervisePolicy, SupervisedError};
 
@@ -272,14 +274,14 @@ impl Farm {
     }
 
     /// [`Farm::run`] with observability: each worker runs its job through
-    /// [`run_scenario_traced`] with a per-job recorder of the given
+    /// [`run_scenario_prepared_traced`] with a per-job recorder of the given
     /// storage policy, so trace collection is as parallel as the
     /// simulations themselves. Only the plain-data [`TraceLog`]s cross
     /// thread boundaries. Metrics (and their digests) are identical to an
     /// untraced run.
     pub fn run_traced(&self, jobs: &[ScenarioJob], storage: StoragePolicy) -> TracedBatch {
         let (results, workers, wall) = self.run_map(jobs, |job| {
-            run_scenario_traced(&job.config, &job.plan, &job.schedule, storage)
+            run_scenario_prepared_traced(&job.config, &job.plan, &job.schedule, storage, |_| {})
         });
         let mut outcomes = Vec::with_capacity(jobs.len());
         let mut logs = Vec::with_capacity(jobs.len());

@@ -388,13 +388,17 @@ mod tests {
     #[test]
     fn external_token_cancels_a_running_kernel_and_drains_the_queue() {
         tve_sim::silence_cancelled_panics();
-        // Paper-scale runs take seconds each; the token trips while the
-        // first one is inside the kernel, which unwinds at its next
-        // scheduling boundary instead of running to completion.
+        // The token trips 20 ms into the first run, while it is inside
+        // the kernel, which unwinds at its next scheduling boundary
+        // instead of running to completion. The batch runs the schedules
+        // in reverse, so the first is schedule 4, whose T6 march takes
+        // hundreds of milliseconds at paper scale; schedule 1 can finish
+        // in under 20 ms.
         let config = SocConfig::paper();
         let plan = SocTestPlan::paper();
         let jobs: Vec<ScenarioJob> = paper_schedules()
             .into_iter()
+            .rev()
             .map(|s| ScenarioJob::new(config.clone(), plan.clone(), s))
             .collect();
         let token = CancelToken::new();

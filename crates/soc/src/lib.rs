@@ -45,8 +45,7 @@ mod workload;
 pub use noc_soc::{build_test_runs_noc, NocJpegSoc};
 pub use plan::{
     build_test_runs, paper_schedules, run_scenario, run_scenario_prepared,
-    run_scenario_prepared_traced, run_scenario_quantum, run_scenario_traced, PowerSummary,
-    ScenarioMetrics, SocTestPlan,
+    run_scenario_prepared_traced, run_scenario_quantum, PowerSummary, ScenarioMetrics, SocTestPlan,
 };
 pub use workload::{PlanOverrides, Workload, WorkloadPreset, PLAN_OVERRIDE_KEYS};
 

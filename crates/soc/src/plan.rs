@@ -5,9 +5,9 @@ use std::fmt;
 use std::rc::Rc;
 
 use tve_core::{
-    execute_schedule_traced, AteSource, BistSource, CompressedAteSource, ConfigScanRing,
-    DataPolicy, DecompressorCompactor, MemoryTestPlan, ReadBack, Schedule, ScheduleError,
-    ScheduleResult, TestController, TestRun, WrapperMode,
+    execute_schedule_traced, ConfigScanRing, DataPolicy, DecompressorCompactor, MemoryTestPlan,
+    ReadBack, ScanKind, ScanSource, Schedule, ScheduleError, ScheduleResult, TestController,
+    TestRun, WrapperMode,
 };
 use tve_memtest::{MarchTest, PatternTest};
 use tve_obs::{Recorder, StoragePolicy, TraceLog};
@@ -175,125 +175,103 @@ pub(crate) fn build_test_set(soc: TestAccess<'_>, plan: &SocTestPlan) -> Vec<Tes
     let (ring_ebi, ring_codec) = (soc.ring_ebi, soc.ring_codec);
     let mut runs = Vec::new();
 
-    // Test 1: BIST of the full-scan processor core.
-    {
-        let ring = Rc::clone(soc.ring);
-        let mut src = BistSource::new(
-            soc.handle,
+    // Tests 1-5, the scan tests: BIST of the processor and the color
+    // conversion core, deterministic tests of the processor (plain and
+    // with 50x compressed test data) and of the DCT core. Each first
+    // writes its ring segments: the ATE tests enable the EBI, and test 3
+    // activates the codec too.
+    let (bist, int_test) = (WrapperMode::Bist.encode(), WrapperMode::IntTest.encode());
+    let ate = ScanKind::Ate {
+        read_back: ReadBack::Combined,
+    };
+    let compressed = ScanKind::Compressed {
+        compressed_bits: match plan.policy {
+            DataPolicy::Volume => soc.codec.compressed_bits(),
+            // Full data: the compressed stream is one reseeding seed.
+            DataPolicy::Full => 64,
+        },
+        compacted_bits: soc.codec.compacted_bits(),
+        codec: soc.reseeding.clone(),
+        cares_per_cube: 24,
+    };
+    let scan_tests = [
+        (
             "T1 proc BIST",
             soc.bist_proc,
             PROC_WRAPPER_ADDR,
             initiators::BIST_PROC,
             cfg.proc_scan,
             plan.bist_proc_patterns,
-            plan.policy,
-            plan.seed ^ 1,
-        );
-        if let Some(rec) = recorder {
-            src = src.with_recorder(Rc::clone(rec));
-        }
-        runs.push(TestRun::new("T1 proc BIST", async move {
-            ring.write(RING_PROC, WrapperMode::Bist.encode()).await;
-            src.run().await
-        }));
-    }
-
-    // Test 2: deterministic logic test of the processor, patterns in ATE.
-    {
-        let ring = Rc::clone(soc.ring);
-        let src = AteSource {
-            handle: soc.handle.clone(),
-            name: "T2 proc det".to_string(),
-            port: Rc::clone(&soc.ebi),
-            wrapper_addr: PROC_WRAPPER_ADDR,
-            read_back: ReadBack::Combined,
-            initiator: initiators::ATE,
-            scan: cfg.proc_scan,
-            patterns: plan.det_proc_patterns,
-            policy: plan.policy,
-            seed: plan.seed ^ 2,
-            recorder: recorder.map(Rc::clone),
-        };
-        runs.push(TestRun::new("T2 proc det", async move {
-            ring.write(ring_ebi, 1).await;
-            ring.write(RING_PROC, WrapperMode::IntTest.encode()).await;
-            src.run().await
-        }));
-    }
-
-    // Test 3: deterministic logic test with 50x compressed test data.
-    {
-        let ring = Rc::clone(soc.ring);
-        let src = CompressedAteSource {
-            handle: soc.handle.clone(),
-            name: "T3 proc det 50x".to_string(),
-            port: Rc::clone(&soc.ebi),
-            codec_addr: CODEC_ADDR,
-            compressed_bits: match plan.policy {
-                DataPolicy::Volume => soc.codec.compressed_bits(),
-                // Full data: the compressed stream is one reseeding seed.
-                DataPolicy::Full => 64,
-            },
-            compacted_bits: soc.codec.compacted_bits(),
-            codec: soc.reseeding.clone(),
-            cares_per_cube: 24,
-            initiator: initiators::ATE,
-            scan: cfg.proc_scan,
-            patterns: plan.comp_proc_patterns,
-            policy: plan.policy,
-            seed: plan.seed ^ 3,
-            recorder: recorder.map(Rc::clone),
-        };
-        runs.push(TestRun::new("T3 proc det 50x", async move {
-            ring.write(ring_ebi, 1).await;
-            ring.write(RING_PROC, WrapperMode::IntTest.encode()).await;
-            ring.write(ring_codec, 1).await;
-            src.run().await
-        }));
-    }
-
-    // Test 4: BIST of the color conversion core.
-    {
-        let ring = Rc::clone(soc.ring);
-        let mut src = BistSource::new(
-            soc.handle,
+            1,
+            ScanKind::Bist,
+            vec![(RING_PROC, bist)],
+        ),
+        (
+            "T2 proc det",
+            Rc::clone(&soc.ebi),
+            PROC_WRAPPER_ADDR,
+            initiators::ATE,
+            cfg.proc_scan,
+            plan.det_proc_patterns,
+            2,
+            ate.clone(),
+            vec![(ring_ebi, 1), (RING_PROC, int_test)],
+        ),
+        (
+            "T3 proc det 50x",
+            Rc::clone(&soc.ebi),
+            CODEC_ADDR,
+            initiators::ATE,
+            cfg.proc_scan,
+            plan.comp_proc_patterns,
+            3,
+            compressed,
+            vec![(ring_ebi, 1), (RING_PROC, int_test), (ring_codec, 1)],
+        ),
+        (
             "T4 color BIST",
             soc.bist_color,
             COLOR_WRAPPER_ADDR,
             initiators::BIST_COLOR,
             cfg.color_scan,
             plan.bist_color_patterns,
+            4,
+            ScanKind::Bist,
+            vec![(RING_COLOR, bist)],
+        ),
+        (
+            "T5 dct det",
+            soc.ebi,
+            DCT_WRAPPER_ADDR,
+            initiators::ATE,
+            cfg.dct_scan,
+            plan.det_dct_patterns,
+            5,
+            ate,
+            vec![(ring_ebi, 1), (RING_DCT, int_test)],
+        ),
+    ];
+    for (name, port, addr, initiator, scan, patterns, seed_mask, kind, ring_writes) in scan_tests {
+        let ring = Rc::clone(soc.ring);
+        let mut src = ScanSource::new(
+            soc.handle,
+            name,
+            port,
+            addr,
+            initiator,
+            scan,
+            patterns,
             plan.policy,
-            plan.seed ^ 4,
+            plan.seed ^ seed_mask,
+            kind,
         );
         if let Some(rec) = recorder {
             src = src.with_recorder(Rc::clone(rec));
         }
-        runs.push(TestRun::new("T4 color BIST", async move {
-            ring.write(RING_COLOR, WrapperMode::Bist.encode()).await;
-            src.run().await
-        }));
-    }
-
-    // Test 5: deterministic logic test of the DCT core.
-    {
-        let ring = Rc::clone(soc.ring);
-        let src = AteSource {
-            handle: soc.handle.clone(),
-            name: "T5 dct det".to_string(),
-            port: soc.ebi,
-            wrapper_addr: DCT_WRAPPER_ADDR,
-            read_back: ReadBack::Combined,
-            initiator: initiators::ATE,
-            scan: cfg.dct_scan,
-            patterns: plan.det_dct_patterns,
-            policy: plan.policy,
-            seed: plan.seed ^ 5,
-            recorder: recorder.map(Rc::clone),
-        };
-        runs.push(TestRun::new("T5 dct det", async move {
-            ring.write(ring_ebi, 1).await;
-            ring.write(RING_DCT, WrapperMode::IntTest.encode()).await;
+        runs.push(TestRun::new(name, async move {
+            for (segment, value) in ring_writes {
+                ring.write(segment, value).await;
+            }
             src.run().await
         }));
     }
@@ -508,10 +486,16 @@ pub fn run_scenario_prepared<F: FnOnce(&JpegEncoderSoc)>(
     run_scenario_impl(config, plan, schedule, Duration::ZERO, None, prepare)
 }
 
-/// [`run_scenario_prepared`] with observability: the recorder is attached
-/// before `prepare` runs, and the recorded [`TraceLog`] is returned. Its
+/// [`run_scenario_prepared`] with observability: a [`Recorder`] of the
+/// given storage policy is attached to every block before `prepare` runs,
+/// and the recorded [`TraceLog`] is returned (export it with
+/// [`tve_obs::write_chrome_trace`] or [`tve_obs::write_spans_csv`]). Its
 /// `Test` spans mirror the slot outcomes, which is why campaign cells can
 /// run untraced and still report the same time-to-detection.
+///
+/// Tracing is pure observation: the metrics — including
+/// [`ScenarioMetrics::digest`] — are identical to an untraced run; pass
+/// `|_| {}` as `prepare` to trace a plain [`run_scenario`].
 ///
 /// # Errors
 ///
@@ -526,31 +510,6 @@ pub fn run_scenario_prepared_traced<F: FnOnce(&JpegEncoderSoc)>(
 ) -> Result<(ScenarioMetrics, TraceLog), ScheduleError> {
     let rec = Rc::new(Recorder::new(storage));
     let metrics = run_scenario_impl(config, plan, schedule, Duration::ZERO, Some(&rec), prepare)?;
-    Ok((metrics, rec.take_log()))
-}
-
-/// [`run_scenario`] with observability: builds the SoC with a
-/// [`Recorder`] of the given storage policy attached to every block, runs
-/// the scenario, and returns the metrics together with the recorded
-/// [`TraceLog`] (export it with [`tve_obs::write_chrome_trace`] or
-/// [`tve_obs::write_spans_csv`]).
-///
-/// Tracing is pure observation: the metrics — including
-/// [`ScenarioMetrics::digest`] — are identical to an untraced
-/// [`run_scenario`] of the same scenario.
-///
-/// # Errors
-///
-/// Returns [`ScheduleError`] if `schedule` is not well-formed for the
-/// seven-test list.
-pub fn run_scenario_traced(
-    config: &SocConfig,
-    plan: &SocTestPlan,
-    schedule: &Schedule,
-    storage: StoragePolicy,
-) -> Result<(ScenarioMetrics, TraceLog), ScheduleError> {
-    let rec = Rc::new(Recorder::new(storage));
-    let metrics = run_scenario_impl(config, plan, schedule, Duration::ZERO, Some(&rec), |_| {})?;
     Ok((metrics, rec.take_log()))
 }
 
@@ -685,7 +644,8 @@ mod tests {
         let schedule = &paper_schedules()[2];
         let plain = run_scenario(&cfg, &plan, schedule).unwrap();
         let (traced, log) =
-            run_scenario_traced(&cfg, &plan, schedule, StoragePolicy::Unbounded).unwrap();
+            run_scenario_prepared_traced(&cfg, &plan, schedule, StoragePolicy::Unbounded, |_| {})
+                .unwrap();
         assert_eq!(plain.digest(), traced.digest(), "tracing must not perturb");
         // Every instrumented layer shows up: bus transfers, wrapper scans,
         // ring rotations, schedule phases and per-test spans.
@@ -705,7 +665,8 @@ mod tests {
         );
         // An Off recorder keeps no spans and still changes nothing.
         let (off, off_log) =
-            run_scenario_traced(&cfg, &plan, schedule, StoragePolicy::Off).unwrap();
+            run_scenario_prepared_traced(&cfg, &plan, schedule, StoragePolicy::Off, |_| {})
+                .unwrap();
         assert_eq!(off.digest(), plain.digest());
         assert!(off_log.spans.is_empty());
     }

@@ -182,8 +182,8 @@ pub fn simulate_gate_level_scan(
 pub fn simulate_tlm_scan(config: ScanConfig, patterns: u64) -> GranularityRunStats {
     use std::rc::Rc;
     use tve_core::{
-        BistSource, ConfigClient, DataPolicy, SyntheticLogicCore, TestWrapper, WrapperConfig,
-        WrapperMode,
+        ConfigClient, DataPolicy, ScanKind, ScanSource, SyntheticLogicCore, TestWrapper,
+        WrapperConfig, WrapperMode,
     };
     use tve_tlm::{InitiatorId, TamIf};
 
@@ -201,7 +201,7 @@ pub fn simulate_tlm_scan(config: ScanConfig, patterns: u64) -> GranularityRunSta
         core,
     ));
     wrapper.load_config(WrapperMode::Bist.encode());
-    let src = BistSource::new(
+    let src = ScanSource::new(
         &h,
         "tlm",
         wrapper as Rc<dyn TamIf>,
@@ -211,6 +211,7 @@ pub fn simulate_tlm_scan(config: ScanConfig, patterns: u64) -> GranularityRunSta
         patterns,
         DataPolicy::Volume,
         1,
+        ScanKind::Bist,
     );
     sim.spawn(async move {
         let out = src.run().await;

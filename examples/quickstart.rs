@@ -6,8 +6,8 @@
 use std::rc::Rc;
 
 use tve::core::{
-    BistSource, ConfigClient, ConfigScanRing, DataPolicy, SyntheticLogicCore, TestWrapper,
-    WrapperConfig, WrapperMode,
+    ConfigClient, ConfigScanRing, DataPolicy, ScanKind, ScanSource, SyntheticLogicCore,
+    TestWrapper, WrapperConfig, WrapperMode,
 };
 use tve::sim::Simulation;
 use tve::tlm::{AddrRange, BusConfig, BusTam, InitiatorId, TamIf};
@@ -37,7 +37,7 @@ fn main() {
     ));
 
     // 4. A BIST pattern source streaming 500 pseudo-random patterns.
-    let source = BistSource::new(
+    let source = ScanSource::new(
         &h,
         "quickstart BIST",
         Rc::clone(&bus) as Rc<dyn TamIf>,
@@ -47,6 +47,7 @@ fn main() {
         500,
         DataPolicy::Full,
         0xBEEF,
+        ScanKind::Bist,
     );
 
     let outcome = sim.spawn(async move {

@@ -7,13 +7,15 @@
 
 use std::rc::Rc;
 
-use tve::core::{AteOp, BistSource, DataPolicy, StuckCell, TestProgram, TestRun, WrapperMode};
+use tve::core::{
+    AteOp, DataPolicy, ScanKind, ScanSource, StuckCell, TestProgram, TestRun, WrapperMode,
+};
 use tve::sim::Simulation;
 use tve::soc::{JpegEncoderSoc, SocConfig, PROC_WRAPPER_ADDR, RING_PROC};
 use tve::tlm::TamIf;
 
 fn bist_run(soc: &JpegEncoderSoc) -> TestRun {
-    let src = BistSource::new(
+    let src = ScanSource::new(
         &soc.handle,
         "proc BIST",
         Rc::clone(&soc.bus) as Rc<dyn TamIf>,
@@ -23,6 +25,7 @@ fn bist_run(soc: &JpegEncoderSoc) -> TestRun {
         200,
         DataPolicy::Full,
         0xA7E,
+        ScanKind::Bist,
     );
     TestRun::new("proc BIST", async move { src.run().await })
 }

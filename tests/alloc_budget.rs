@@ -13,7 +13,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use tve::core::{
-    AteSource, BistSource, ConfigClient, DataPolicy, Ebi, MemoryTestPlan, ReadBack,
+    ConfigClient, DataPolicy, Ebi, MemoryTestPlan, ReadBack, ScanKind, ScanSource,
     SyntheticLogicCore, TestController, TestWrapper, WrapperConfig, WrapperMode,
 };
 use tve::memtest::{Fault, MarchTest, PatternTest};
@@ -81,7 +81,7 @@ fn bist_run_allocs(patterns: u64) -> u64 {
     ));
     wrapper.load_config(WrapperMode::Bist.encode());
     bus.bind(AddrRange::new(0, 0x100), wrapper).unwrap();
-    let source = BistSource::new(
+    let source = ScanSource::new(
         &handle,
         "bist",
         bus,
@@ -91,6 +91,7 @@ fn bist_run_allocs(patterns: u64) -> u64 {
         patterns,
         DataPolicy::Full,
         0x5EED,
+        ScanKind::Bist,
     );
     let before = allocs();
     let run = sim.spawn(async move { source.run().await });
@@ -142,19 +143,20 @@ fn ate_run_allocs(patterns: u64) -> u64 {
     bus.bind(AddrRange::new(0, 0x100), wrapper).unwrap();
     let ebi = Ebi::new(&handle, "ebi", bus as Rc<dyn TamIf>, (8, 1), (8, 1));
     ebi.load_config(1);
-    let source = AteSource {
-        handle: handle.clone(),
-        name: "ate".into(),
-        port: Rc::new(ebi),
-        wrapper_addr: 0,
-        read_back: ReadBack::Combined,
-        initiator: InitiatorId(0),
+    let source = ScanSource::new(
+        &handle,
+        "ate",
+        Rc::new(ebi),
+        0,
+        InitiatorId(0),
         scan,
         patterns,
-        policy: DataPolicy::Full,
-        seed: 0x5EED,
-        recorder: None,
-    };
+        DataPolicy::Full,
+        0x5EED,
+        ScanKind::Ate {
+            read_back: ReadBack::Combined,
+        },
+    );
     let before = allocs();
     let run = sim.spawn(async move { source.run().await });
     sim.run();

@@ -1,11 +1,13 @@
 //! Property-based proof that the EBI's same-time hand-off is exact in
 //! cycle-accurate mode. Random ATE tests run through one `Ebi` (Volume
-//! or Full data; combined, separate or no read-back; one test or two
-//! back to back), optionally behind a fault-injecting TAM adaptor and
-//! next to a BIST initiator on the same bus, and each run is compared
-//! with the same run where the ATE's port strips the hand-off promise
-//! (`Transaction::follows`), so every posted transfer takes the
-//! event-driven path. See DESIGN.md § TAM fast paths.
+//! or Full data; stored patterns with combined, separate or no
+//! read-back, or reseeding seeds through a decompressor/compactor with
+//! compacted read-back; one test or two back to back), optionally
+//! behind a fault-injecting TAM adaptor and next to a BIST initiator on
+//! the same bus, and each run is compared with the same run where the
+//! ATE's port strips the hand-off promise (`Transaction::follows`), so
+//! every posted transfer takes the event-driven path. See DESIGN.md
+//! § TAM fast paths.
 //!
 //! Both runs must agree on everything observable: every test outcome
 //! (start and end cycle, patterns, bits, signature, errors), the
@@ -14,75 +16,22 @@
 //! (one-cycle window), per-initiator busy cycles, transfers and the end
 //! of the run. The hinted run may only poll less.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use proptest::prelude::*;
 
+mod common;
+use common::{Counted, EventOnly};
+
 use tve::core::{
-    AteSource, BistSource, ConfigClient, DataPolicy, Ebi, ReadBack, SyntheticLogicCore,
-    TestOutcome, TestWrapper, WrapperConfig, WrapperMode, WrapperStats,
+    CodecConfig, ConfigClient, DataPolicy, DecompressorCompactor, Ebi, ReadBack, ScanKind,
+    ScanSource, SyntheticLogicCore, TestOutcome, TestWrapper, WrapperConfig, WrapperMode,
+    WrapperStats,
 };
-use tve::sim::{Duration, SimHandle, Simulation};
-use tve::tlm::{
-    AddrRange, BusConfig, BusTam, FaultyTam, FaultyTamPolicy, InitiatorId, LocalBoxFuture, TamIf,
-    Transaction,
-};
-use tve::tpg::ScanConfig;
-
-/// The ATE's port with the hand-off promise stripped from every
-/// transaction: the EBI then posts each transfer in a background task.
-struct Unhinted(Rc<Ebi>);
-
-impl TamIf for Unhinted {
-    fn name(&self) -> &str {
-        "unhinted"
-    }
-
-    fn transport<'a>(&'a self, txn: &'a mut Transaction) -> LocalBoxFuture<'a, ()> {
-        txn.set_follows(false);
-        self.0.transport(txn)
-    }
-}
-
-/// Sits between the EBI and the TAM, forwards both entry points and
-/// counts the held transfers the TAM took inline and those it declined
-/// (only a held transfer reaches `transport_sync_try` from the EBI).
-/// It also checks that a declined transfer is not offered again at the
-/// same cycle: after a decline, the next call must be the event path's
-/// `transport`, or come at a later cycle.
-struct Counted {
-    handle: SimHandle,
-    inner: Rc<dyn TamIf>,
-    hits: Cell<u64>,
-    declines: Cell<u64>,
-    declined_at: Cell<Option<u64>>,
-}
-
-impl TamIf for Counted {
-    fn name(&self) -> &str {
-        "counted"
-    }
-
-    fn transport<'a>(&'a self, txn: &'a mut Transaction) -> LocalBoxFuture<'a, ()> {
-        self.declined_at.set(None);
-        self.inner.transport(txn)
-    }
-
-    fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
-        let now = self.handle.now().cycles();
-        assert_ne!(
-            self.declined_at.get(),
-            Some(now),
-            "a declined transfer was offered again at cycle {now}"
-        );
-        let taken = self.inner.transport_sync_try(txn);
-        let counter = if taken { &self.hits } else { &self.declines };
-        counter.set(counter.get() + 1);
-        self.declined_at.set((!taken).then_some(now));
-        taken
-    }
-}
+use tve::sim::{Duration, Simulation};
+use tve::tlm::{AddrRange, BusConfig, BusTam, FaultyTam, FaultyTamPolicy, InitiatorId, TamIf};
+use tve::tpg::{Compressor, ReseedingCodec, ScanConfig};
 
 /// ATE channel rates `(down num, down den, up num, up den)` in bits per
 /// cycle.
@@ -94,10 +43,14 @@ type Bus = (u32, u64);
 /// Wrapper shape `(buffer depth, chains, chain length, capture cycles)`.
 type Shape = (usize, u32, u32, u64);
 
-/// The ATE tests `(patterns, full data, read-back, tests)`: read-back 0
-/// is combined, 1 none, 2 a separate 64-bit signature read and 3 a
-/// separate response-image read; the tests run back to back.
+/// The ATE tests `(patterns, full data, kind, tests)`: stored patterns
+/// with read-back 0 combined, 1 none, 2 a separate 64-bit signature
+/// read or 3 a separate response-image read, or 4 compressed patterns
+/// with compacted read-back; the tests run back to back.
 type Ate = (u64, bool, u8, u8);
+
+/// The `Ate` kind of compressed patterns.
+const COMPRESSED: u8 = 4;
 
 /// The concurrent BIST initiator `(present, patterns, start delay)`.
 type Bist = (bool, u64, u64);
@@ -113,7 +66,7 @@ fn workloads() -> impl Strategy<Value = Raw> {
         (1u64..17, 1u64..4, 1u64..17, 1u64..4),
         (1u32..5, 0u64..3),
         (1usize..=4, 1u32..5, 1u32..41, 0u64..6),
-        (0u64..10, any::<bool>(), 0u8..4, 1u8..=2),
+        (0u64..10, any::<bool>(), 0u8..=COMPRESSED, 1u8..=2),
         (any::<bool>(), 0u64..12, 0u64..60),
         (0u8..3, 2u32..8, any::<u64>()),
     )
@@ -165,7 +118,7 @@ fn wrapper(sim: &Simulation, (depth, chains, len, capture): Shape, seed: u64) ->
 /// ATE's transactions when `hinted`.
 fn run(raw: &Raw, hinted: bool) -> (Outcome, Work) {
     let (rates, (width, overhead), shape, ate, bist, fault) = *raw;
-    let (patterns, full, read_back, tests) = ate;
+    let (patterns, full, kind, tests) = ate;
     let policy = if full {
         DataPolicy::Full
     } else {
@@ -212,16 +165,31 @@ fn run(raw: &Raw, hinted: bool) -> (Outcome, Work) {
             )))
         }
     };
-    let counted = Rc::new(Counted {
-        handle: handle.clone(),
-        inner: match &faulty {
-            Some(f) => Rc::clone(f) as Rc<dyn TamIf>,
-            None => Rc::clone(&bus) as Rc<dyn TamIf>,
+    // The compressed patterns' decompressor/compactor, in front of the
+    // ATE's wrapper: bit-true with a degree-32 reseeding codec in Full
+    // runs, the volume model otherwise.
+    let reseeding =
+        full.then(|| Rc::new(ReseedingCodec::new(scan, 32).expect("degree 32 is tabled")));
+    let codec = Rc::new(DecompressorCompactor::new(
+        CodecConfig {
+            name: "codec".to_string(),
+            decompress_ratio: 4.0,
+            compact_ratio: 2,
         },
-        hits: Cell::new(0),
-        declines: Cell::new(0),
-        declined_at: Cell::new(None),
-    });
+        Rc::clone(&ate_wrapper),
+        reseeding.clone().map(|c| c as Rc<dyn Compressor>),
+    ));
+    codec.load_config(1);
+    bus.bind(
+        AddrRange::new(0x200, 0x100),
+        Rc::clone(&codec) as Rc<dyn TamIf>,
+    )
+    .unwrap();
+    let inner = match &faulty {
+        Some(f) => Rc::clone(f) as Rc<dyn TamIf>,
+        None => Rc::clone(&bus) as Rc<dyn TamIf>,
+    };
+    let counted = Rc::new(Counted::lone_caller(inner, &handle));
     let ebi = Rc::new(Ebi::new(
         &handle,
         "ebi",
@@ -233,9 +201,9 @@ fn run(raw: &Raw, hinted: bool) -> (Outcome, Work) {
     let port: Rc<dyn TamIf> = if hinted {
         Rc::clone(&ebi) as Rc<dyn TamIf>
     } else {
-        Rc::new(Unhinted(Rc::clone(&ebi)))
+        Rc::new(EventOnly(Rc::clone(&ebi) as Rc<dyn TamIf>))
     };
-    let read_back = match read_back {
+    let read_back = match kind {
         0 => ReadBack::Combined,
         1 => ReadBack::None,
         2 => ReadBack::Separate { addr: 0, bits: 64 },
@@ -244,32 +212,46 @@ fn run(raw: &Raw, hinted: bool) -> (Outcome, Work) {
             bits: scan.bits_per_pattern(),
         },
     };
+    let (addr, kind) = if kind == COMPRESSED {
+        let compressed_bits = match &reseeding {
+            Some(codec) => u64::from(codec.degree()),
+            None => codec.compressed_bits(),
+        };
+        let kind = ScanKind::Compressed {
+            compressed_bits,
+            compacted_bits: codec.compacted_bits(),
+            codec: reseeding,
+            cares_per_cube: 8.min(scan.bits_per_pattern() as usize),
+        };
+        (0x200, kind)
+    } else {
+        (0, ScanKind::Ate { read_back })
+    };
 
     let ate_outcomes = Rc::new(RefCell::new(Vec::new()));
     {
         let (h, outcomes) = (handle.clone(), Rc::clone(&ate_outcomes));
         sim.spawn(async move {
             for test in 0..tests {
-                let source = AteSource {
-                    handle: h.clone(),
-                    name: format!("ate{test}"),
-                    port: Rc::clone(&port),
-                    wrapper_addr: 0,
-                    read_back,
-                    initiator: InitiatorId(0),
+                let source = ScanSource::new(
+                    &h,
+                    format!("ate{test}"),
+                    Rc::clone(&port),
+                    addr,
+                    InitiatorId(0),
                     scan,
                     patterns,
                     policy,
-                    seed: u64::from(test) + 1,
-                    recorder: None,
-                };
+                    u64::from(test) + 1,
+                    kind.clone(),
+                );
                 let outcome = source.run().await;
                 outcomes.borrow_mut().push(outcome);
             }
         });
     }
     let bist_run = bist_wrapper.as_ref().map(|_| {
-        let source = BistSource::new(
+        let source = ScanSource::new(
             &handle,
             "bist",
             Rc::clone(&bus) as Rc<dyn TamIf>,
@@ -279,6 +261,7 @@ fn run(raw: &Raw, hinted: bool) -> (Outcome, Work) {
             bist.1,
             policy,
             7,
+            ScanKind::Bist,
         );
         let h = handle.clone();
         sim.spawn(async move {
@@ -304,8 +287,8 @@ fn run(raw: &Raw, hinted: bool) -> (Outcome, Work) {
     };
     let work = Work {
         kernel_stats: sim.kernel_stats(),
-        hits: counted.hits.get(),
-        declines: counted.declines.get(),
+        hits: counted.hits(),
+        declines: counted.declines(),
     };
     (outcome, work)
 }
@@ -372,4 +355,29 @@ fn drawn_workloads_take_both_paths() {
     }
     assert!(hits > 0);
     assert!(declines > 0);
+}
+
+/// The compressed kind carries the promise too: each of a lone Volume
+/// test's compressed writes is held until its compacted read-back
+/// arrives at the same cycle. The decompressor has no synchronous path,
+/// so the TAM declines every held transfer and it is spawned as the
+/// event path spawns it.
+#[test]
+fn lone_compressed_test_holds_every_write_for_its_read_back() {
+    // As above, Volume data, compressed patterns.
+    let raw: Raw = (
+        (8, 1, 8, 1),
+        (4, 1),
+        (2, 2, 16, 4),
+        (8, false, COMPRESSED, 1),
+        (false, 0, 0),
+        (0, 2, 0),
+    );
+    let (event, event_work) = run(&raw, false);
+    let (hinted, work) = run(&raw, true);
+    assert_eq!(hinted, event);
+    assert_eq!((event_work.hits, event_work.declines), (0, 0));
+    assert_eq!((work.hits, work.declines), (0, 8));
+    assert_eq!(hinted.ate[0].patterns, 8);
+    assert!(hinted.ate[0].clean(), "{}", hinted.ate[0]);
 }

@@ -6,7 +6,9 @@
 
 use std::rc::Rc;
 
-use tve::core::{BistSource, ConfigClient, DataPolicy, TestWrapper, WrapperConfig, WrapperMode};
+use tve::core::{
+    ConfigClient, DataPolicy, ScanKind, ScanSource, TestWrapper, WrapperConfig, WrapperMode,
+};
 use tve::netlist::{c17, full_fault_list, NetlistCore, StuckAtFault};
 use tve::sim::Simulation;
 use tve::tlm::{InitiatorId, TamIf};
@@ -25,7 +27,7 @@ fn bist_signature(fault: Option<StuckAtFault>, patterns: u64) -> u64 {
         core,
     ));
     wrapper.load_config(WrapperMode::Bist.encode());
-    let src = BistSource::new(
+    let src = ScanSource::new(
         &sim.handle(),
         "gate-level BIST",
         wrapper as Rc<dyn TamIf>,
@@ -35,6 +37,7 @@ fn bist_signature(fault: Option<StuckAtFault>, patterns: u64) -> u64 {
         patterns,
         DataPolicy::Full,
         0x17,
+        ScanKind::Bist,
     );
     let jh = sim.spawn(async move { src.run().await });
     sim.run();

@@ -27,8 +27,8 @@ use tve::obs::{fnv1a, StoragePolicy};
 use tve::sched::Farm;
 use tve::sim::{Duration, Simulation};
 use tve::soc::{
-    build_test_runs, paper_schedules, run_scenario, run_scenario_quantum, run_scenario_traced,
-    JpegEncoderSoc, PlanOverrides, SocConfig, SocTestPlan, Workload,
+    build_test_runs, paper_schedules, run_scenario, run_scenario_prepared_traced,
+    run_scenario_quantum, JpegEncoderSoc, PlanOverrides, SocConfig, SocTestPlan, Workload,
 };
 
 /// Digests of schedules 1-4 on the benchmark workload, recorded on the
@@ -197,8 +197,9 @@ fn full_data_digests_are_pinned() {
 fn traced_run_matches_pinned_digest() {
     let (config, plan) = bench_workload();
     let schedule = &paper_schedules()[3];
-    let (traced, _log) = run_scenario_traced(&config, &plan, schedule, StoragePolicy::Ring(1024))
-        .expect("well-formed");
+    let (traced, _log) =
+        run_scenario_prepared_traced(&config, &plan, schedule, StoragePolicy::Ring(1024), |_| {})
+            .expect("well-formed");
     let untraced = run_scenario(&config, &plan, schedule).expect("well-formed");
     assert_eq!(
         traced.digest(),

@@ -23,7 +23,8 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use tve::core::{
-    BistSource, ConfigClient, DataPolicy, MemoryTestPlan, TestController, TestOutcome, WrapperMode,
+    ConfigClient, DataPolicy, MemoryTestPlan, ScanKind, ScanSource, TestController, TestOutcome,
+    WrapperMode,
 };
 use tve::memtest::{Fault, MarchTest, PatternTest};
 use tve::sim::{Duration, Simulation, Time};
@@ -258,7 +259,7 @@ fn run(raw: &Raw, runs: bool) -> (Outcome, u64) {
             )
         };
         wrapper.load_config(WrapperMode::Bist.encode());
-        let source = BistSource::new(
+        let source = ScanSource::new(
             &handle,
             format!("bist{k}"),
             Rc::clone(&soc.bus) as Rc<dyn TamIf>,
@@ -268,6 +269,7 @@ fn run(raw: &Raw, runs: bool) -> (Outcome, u64) {
             patterns,
             data,
             0x5EED + k as u64,
+            ScanKind::Bist,
         );
         let h = handle.clone();
         scan_runs.push(sim.spawn(async move {

@@ -10,7 +10,9 @@ use tve::obs::{
     SpanKind, StoragePolicy,
 };
 use tve::sched::{Farm, ScenarioJob};
-use tve::soc::{paper_schedules, run_scenario, run_scenario_traced, SocConfig, SocTestPlan};
+use tve::soc::{
+    paper_schedules, run_scenario, run_scenario_prepared_traced, SocConfig, SocTestPlan,
+};
 
 fn workload() -> (SocConfig, SocTestPlan) {
     let mut config = SocConfig::paper();
@@ -23,9 +25,14 @@ fn trace_derived_utilization_matches_monitor_exactly() {
     let (config, plan) = workload();
     let window = config.monitor_window.as_cycles();
     for schedule in &paper_schedules() {
-        let (metrics, log) =
-            run_scenario_traced(&config, &plan, schedule, StoragePolicy::Unbounded)
-                .expect("well-formed");
+        let (metrics, log) = run_scenario_prepared_traced(
+            &config,
+            &plan,
+            schedule,
+            StoragePolicy::Unbounded,
+            |_| {},
+        )
+        .expect("well-formed");
         assert!(metrics.result.clean());
         let u = utilization_from_spans(
             log.spans_on("system-bus/TAM", SpanKind::Transfer),
@@ -62,7 +69,8 @@ fn tracing_never_changes_the_simulation() {
             StoragePolicy::Ring(64),
         ] {
             let (traced, _) =
-                run_scenario_traced(&config, &plan, schedule, storage).expect("well-formed");
+                run_scenario_prepared_traced(&config, &plan, schedule, storage, |_| {})
+                    .expect("well-formed");
             assert_eq!(
                 plain.digest(),
                 traced.digest(),
@@ -77,8 +85,9 @@ fn tracing_never_changes_the_simulation() {
 fn exporters_emit_wellformed_output() {
     let (config, plan) = workload();
     let schedule = &paper_schedules()[3];
-    let (_, log) = run_scenario_traced(&config, &plan, schedule, StoragePolicy::Unbounded)
-        .expect("well-formed");
+    let (_, log) =
+        run_scenario_prepared_traced(&config, &plan, schedule, StoragePolicy::Unbounded, |_| {})
+            .expect("well-formed");
 
     let mut chrome = Vec::new();
     write_chrome_trace(&log, &mut chrome).unwrap();
@@ -112,8 +121,9 @@ fn ring_policy_bounds_retained_spans() {
     let (config, plan) = workload();
     let schedule = &paper_schedules()[0];
     let cap = 128;
-    let (_, log) = run_scenario_traced(&config, &plan, schedule, StoragePolicy::Ring(cap))
-        .expect("well-formed");
+    let (_, log) =
+        run_scenario_prepared_traced(&config, &plan, schedule, StoragePolicy::Ring(cap), |_| {})
+            .expect("well-formed");
     assert!(
         log.spans.len() <= cap,
         "ring retained {} > {cap}",

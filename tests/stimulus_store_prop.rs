@@ -17,11 +17,11 @@ use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use tve::core::ConfigClient;
 use tve::core::{
-    AteSource, BistSource, CodecConfig, DataPolicy, DecompressorCompactor, ReadBack,
+    CodecConfig, DataPolicy, DecompressorCompactor, ReadBack, ScanKind, ScanSource,
     SyntheticLogicCore, TestOutcome, TestWrapper, WrapperConfig, WrapperMode, STIMULUS_STORE_BYTES,
 };
-use tve::core::{CompressedAteSource, ConfigClient};
 use tve::sim::Simulation;
 use tve::tlm::{Command, InitiatorId, LocalBoxFuture, TamIf, Transaction};
 use tve::tpg::{BitVec, Compressor, Lfsr, Prpg, ReseedingCodec, ScanConfig, TestCube};
@@ -95,57 +95,39 @@ fn run(kind: Kind, scan: ScanConfig, patterns: u64, seed: u64) -> (TestOutcome, 
         writes: RefCell::new(Vec::new()),
     });
     let port = Rc::clone(&tap) as Rc<dyn TamIf>;
-    let jh = match kind {
-        Kind::Bist => {
-            let src = BistSource::new(
-                &h,
-                "bist",
-                port,
-                0,
-                InitiatorId(0),
-                scan,
-                patterns,
-                DataPolicy::Full,
-                seed,
-            );
-            sim.spawn(async move { src.run().await })
-        }
-        Kind::Ate => {
-            let src = AteSource {
-                handle: h.clone(),
-                name: "ate".to_string(),
-                port,
-                wrapper_addr: 0,
+    let (name, initiator, source_kind) = match kind {
+        Kind::Bist => ("bist", 0, ScanKind::Bist),
+        Kind::Ate => (
+            "ate",
+            1,
+            ScanKind::Ate {
                 read_back: ReadBack::Combined,
-                initiator: InitiatorId(1),
-                scan,
-                patterns,
-                policy: DataPolicy::Full,
-                seed,
-                recorder: None,
-            };
-            sim.spawn(async move { src.run().await })
-        }
-        Kind::Reseed { cares, .. } => {
-            let src = CompressedAteSource {
-                handle: h.clone(),
-                name: "comp".to_string(),
-                port,
-                codec_addr: 0,
+            },
+        ),
+        Kind::Reseed { cares, .. } => (
+            "comp",
+            2,
+            ScanKind::Compressed {
                 compressed_bits: 64,
                 compacted_bits,
                 codec,
                 cares_per_cube: cares,
-                initiator: InitiatorId(2),
-                scan,
-                patterns,
-                policy: DataPolicy::Full,
-                seed,
-                recorder: None,
-            };
-            sim.spawn(async move { src.run().await })
-        }
+            },
+        ),
     };
+    let src = ScanSource::new(
+        &h,
+        name,
+        port,
+        0,
+        InitiatorId(initiator),
+        scan,
+        patterns,
+        DataPolicy::Full,
+        seed,
+        source_kind,
+    );
+    let jh = sim.spawn(async move { src.run().await });
     sim.run();
     let outcome = jh.try_take().expect("source finished");
     let writes = tap.writes.take();

@@ -6,7 +6,7 @@
 use std::rc::Rc;
 
 use tve::core::{
-    BistSource, ConfigClient, DataPolicy, SyntheticLogicCore, TestWrapper, WrapperConfig,
+    ConfigClient, DataPolicy, ScanKind, ScanSource, SyntheticLogicCore, TestWrapper, WrapperConfig,
     WrapperMode,
 };
 use tve::noc::{MeshConfig, MeshNoc, NodeId};
@@ -40,7 +40,7 @@ fn wrapped_cores(sim: &Simulation) -> (Rc<TestWrapper>, Rc<TestWrapper>) {
 
 fn run(sim: &mut Simulation, pa: Rc<dyn TamIf>, pb: Rc<dyn TamIf>) -> (u64, u64, u64) {
     let h = sim.handle();
-    let sa = BistSource::new(
+    let sa = ScanSource::new(
         &h,
         "a",
         pa,
@@ -50,8 +50,9 @@ fn run(sim: &mut Simulation, pa: Rc<dyn TamIf>, pb: Rc<dyn TamIf>) -> (u64, u64,
         PATTERNS,
         DataPolicy::Volume,
         1,
+        ScanKind::Bist,
     );
-    let sb = BistSource::new(
+    let sb = ScanSource::new(
         &h,
         "b",
         pb,
@@ -61,6 +62,7 @@ fn run(sim: &mut Simulation, pa: Rc<dyn TamIf>, pb: Rc<dyn TamIf>) -> (u64, u64,
         PATTERNS,
         DataPolicy::Volume,
         2,
+        ScanKind::Bist,
     );
     let ja = sim.spawn(async move { sa.run().await });
     let jb = sim.spawn(async move { sb.run().await });

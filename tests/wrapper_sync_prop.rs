@@ -14,10 +14,13 @@
 //! timer-heavy initiator keeps timers pending, so the exact-lookahead
 //! rule declines some back-pressure waits and the two paths interleave.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use proptest::prelude::*;
+
+mod common;
+use common::{Counted, EventOnly};
 
 use tve::core::{
     ConfigClient, ScanPowerProfile, StuckCell, SyntheticLogicCore, TestWrapper, WrapperConfig,
@@ -26,8 +29,7 @@ use tve::core::{
 use tve::obs::{Recorder, SpanRecord};
 use tve::sim::{Duration, Simulation};
 use tve::tlm::{
-    AddrRange, BusConfig, BusTam, Command, InitiatorId, LocalBoxFuture, PowerMeter, ResponseStatus,
-    TamIf, TamIfExt, Transaction,
+    AddrRange, BusConfig, BusTam, Command, InitiatorId, PowerMeter, ResponseStatus, TamIf, TamIfExt,
 };
 use tve::tpg::ScanConfig;
 
@@ -40,42 +42,6 @@ enum Binding {
     EventOnly,
     /// Behind [`Counted`]: both entry points, synchronous hits counted.
     Counted,
-}
-
-/// Forwards only `transport`; the default `transport_sync_try` declines.
-struct EventOnly(Rc<TestWrapper>);
-
-impl TamIf for EventOnly {
-    fn name(&self) -> &str {
-        "event-only"
-    }
-
-    fn transport<'a>(&'a self, txn: &'a mut Transaction) -> LocalBoxFuture<'a, ()> {
-        self.0.transport(txn)
-    }
-}
-
-/// Forwards both entry points and counts the patterns the wrapper took
-/// synchronously.
-struct Counted {
-    wrapper: Rc<TestWrapper>,
-    sync_hits: Cell<u64>,
-}
-
-impl TamIf for Counted {
-    fn name(&self) -> &str {
-        "counted"
-    }
-
-    fn transport<'a>(&'a self, txn: &'a mut Transaction) -> LocalBoxFuture<'a, ()> {
-        self.wrapper.transport(txn)
-    }
-
-    fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
-        let taken = self.wrapper.transport_sync_try(txn);
-        self.sync_hits.set(self.sync_hits.get() + taken as u64);
-        taken
-    }
 }
 
 /// Wrapper shape: `(buffer depth, chains, chain length, capture cycles,
@@ -190,13 +156,10 @@ fn run(raw: &Raw, binding: Binding) -> (Outcome, u64) {
     if let Some(recorder) = &recorder {
         wrapper.attach_recorder(Rc::clone(recorder));
     }
-    let counted = Rc::new(Counted {
-        wrapper: Rc::clone(&wrapper),
-        sync_hits: Cell::new(0),
-    });
+    let counted = Rc::new(Counted::new(Rc::clone(&wrapper) as Rc<dyn TamIf>));
     let target: Rc<dyn TamIf> = match binding {
         Binding::Direct => Rc::clone(&wrapper) as Rc<dyn TamIf>,
-        Binding::EventOnly => Rc::new(EventOnly(Rc::clone(&wrapper))),
+        Binding::EventOnly => Rc::new(EventOnly(Rc::clone(&wrapper) as Rc<dyn TamIf>)),
         Binding::Counted => Rc::clone(&counted) as Rc<dyn TamIf>,
     };
     bus.bind(AddrRange::new(0, 0x100), target).unwrap();
@@ -275,7 +238,7 @@ fn run(raw: &Raw, binding: Binding) -> (Outcome, u64) {
         end,
         kernel_stats: sim.kernel_stats(),
     };
-    (outcome, counted.sync_hits.get())
+    (outcome, counted.hits())
 }
 
 proptest! {
